@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sets import PointSet
-from .space import Direction, Point, Space, Subspace, all_directions, dot
+from .space import Direction, Space, Subspace, all_directions, dot
 from .tables import dir_dots, line_table
 
 # direction multiplicities -------------------------------------------------
@@ -76,9 +76,14 @@ def plane_sup(E: PointSet) -> int:
     if E.size == 0:
         return 0
     idx = np.array(E.indices(), dtype=np.int64)
-    dots = dir_dots(space.p, space.d)[:, idx]      # (n_dirs, |E|)
+    return _plane_max(dir_dots(space.p, space.d)[:, idx], space.p)
+
+
+def _plane_max(dots: np.ndarray, p: int) -> int:
+    """Most points on one plane x . rep = c, given the (n_dirs, |E|)
+    dot rows of a nonempty set."""
     best = 0
-    for c in range(space.p):
+    for c in range(p):
         best = max(best, int((dots == c).sum(axis=1).max()))
     return best
 

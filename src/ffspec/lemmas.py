@@ -1,9 +1,19 @@
 """Exhaustive and randomized verifiers for the combinatorial statements
 behind the spectral-set analysis, each producing a LemmaReport.
 
-Every exhaustive verifier partitions its enumeration into a fixed chunk
-list (independent of the worker count) and merges chunk results in
-order, so the deterministic part of a report is identical no matter how
+Every verifier runs through one driver, _sweep.  Its contract:
+
+- the enumeration is split into a fixed chunk list that does not depend
+  on the worker count (_blocks cuts a range into [lo, hi) pieces);
+- each chunk returns a tuple, and the tuples are folded field by field
+  in chunk order: numbers and arrays add, lists concatenate, sets unite
+  and dicts merge key by key, so keys with a zero count stay in place;
+- field 0 counts the sets the chunk enumerated, and a total that differs
+  from the expected one raises InternalCheckError (a miscount);
+- counterexamples leave the chunks as point-index lists and become
+  coordinate rows in one place, _coord_cex.
+
+The deterministic part of a report is therefore identical no matter how
 many workers ran it.
 """
 from __future__ import annotations
@@ -86,6 +96,42 @@ def _coord_rows(p: int, d: int, indices) -> list:
     return [[int(c) for c in cm[int(i)]] for i in indices]
 
 
+def _coord_cex(p: int, d: int, cex: list) -> list:
+    """Counterexamples with their "set" and "spectrum" index lists
+    turned into coordinate rows; other fields pass through."""
+    return [{k: _coord_rows(p, d, v) if k in ("set", "spectrum") else v
+             for k, v in c.items()} for c in cex]
+
+
+def _blocks(total: int, size: int):
+    """The [lo, hi) pieces of range(total), size points each but the last."""
+    for lo in range(0, total, size):
+        yield lo, min(lo + size, total)
+
+
+def _fold(acc, item):
+    if isinstance(acc, dict):
+        for k, v in item.items():
+            acc[k] = _fold(acc[k], v) if k in acc else v
+        return acc
+    if isinstance(acc, set):
+        return acc | item
+    return acc + item
+
+
+def _sweep(fn, chunks: list, workers: int, expected: int | None = None) -> list:
+    """Run fn over the fixed chunk list and fold its result tuples field
+    by field in chunk order; field 0 must total expected, if given."""
+    results = run_chunks(fn, chunks, workers)
+    total = list(results[0])
+    for res in results[1:]:
+        total = [_fold(a, b) for a, b in zip(total, res)]
+    if expected is not None and total[0] != expected:
+        raise InternalCheckError(
+            f"{fn.__name__} enumerated {total[0]} sets, expected {expected}")
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Planar direction lemmas: subsets of F_7^2 screened by collinearity and
 # number of determined directions.
@@ -119,7 +165,7 @@ def _planar_eval(sets_arr: np.ndarray, no_k: int):
     # line contributes two equal adjacent ids
     triples = int(adj[hyp].sum()) // 2
     viol = hyp & (ndirs < 6)
-    bad = [sorted(int(v) for v in row) for row in sets_arr[viol]]
+    bad = [{"set": sorted(int(v) for v in row)} for row in sets_arr[viol]]
     return n, int(hyp.sum()), hist, triples, bad
 
 
@@ -142,13 +188,9 @@ def _lm2_chunk(args):
 
 
 def _lm2_chunk_list() -> list:
-    out = []
-    for i0 in range(43):
-        for i1 in range(i0 + 1, 44):
-            total = math.comb(48 - i1, 5)
-            for lo in range(0, total, _LM2_BLOCK):
-                out.append((i0, i1, lo, min(lo + _LM2_BLOCK, total)))
-    return out
+    return [(i0, i1, lo, hi)
+            for i0 in range(43) for i1 in range(i0 + 1, 44)
+            for lo, hi in _blocks(math.comb(48 - i1, 5), _LM2_BLOCK)]
 
 
 # anchor triangle (0,0), (1,0), (0,1): first nonzero noncollinear triple
@@ -161,19 +203,6 @@ def _anchored_chunk(tail_size: int):
     lead = np.tile(np.array(_ANCHOR, np.int16), (tail.shape[0], 1))
     sets_arr = np.sort(np.hstack([lead, tail]), axis=1)
     return _planar_eval(sets_arr, 3 if tail_size == 2 else 4)
-
-
-def _merge_planar(results):
-    n = hyp = triples = 0
-    hist = np.zeros(9, np.int64)
-    cex = []
-    for rn, rh, rhist, rt, rbad in results:
-        n += rn
-        hyp += rh
-        hist += rhist
-        triples += rt
-        cex.extend(rbad)
-    return n, hyp, hist, triples, cex
 
 
 def _planar_details(mode, n, hyp, hist, triples) -> dict:
@@ -192,17 +221,13 @@ def _planar_report(lemma_id, set_size, mode, workers, stratum, t0):
     agl_order = 98784  # |AGL(2,7)| = 49 * 48 * 42
     card = math.comb(49, set_size)
     tail_size = set_size - 3
-    no_k = 3 if set_size == 5 else 4
     if mode == "reduced":
-        results = run_chunks(_anchored_chunk, [tail_size], workers)
-        n, hyp, hist, triples, cex = _merge_planar(results)
-        expected = math.comb(46, tail_size)
-        if n != expected:
-            raise InternalCheckError("anchored enumeration miscount")
+        n, hyp, hist, triples, cex = _sweep(
+            _anchored_chunk, [tail_size], workers, math.comb(46, tail_size))
         details = _planar_details(mode, n, hyp, hist, triples)
         details["anchor"] = _coord_rows(7, 2, _ANCHOR)
         group = f"AGL(2,7), order {agl_order}, anchored triangle"
-        orbit_count = expected
+        orbit_count = n
     elif mode == "direct":
         if set_size == 5:
             chunks = list(range(45))
@@ -213,10 +238,10 @@ def _planar_report(lemma_id, set_size, mode, workers, stratum, t0):
         if stratum is not None:
             k, m = stratum
             chunks = chunks[k::m]
-        results = run_chunks(fn, chunks, workers)
-        n, hyp, hist, triples, cex = _merge_planar(results)
-        if stratum is None and n != card:
-            raise InternalCheckError("direct enumeration miscount")
+            if not chunks:
+                raise ValueError(f"stratum {k} mod {m} selects no chunk")
+        n, hyp, hist, triples, cex = _sweep(
+            fn, chunks, workers, None if stratum is not None else card)
         details = _planar_details(mode, n, hyp, hist, triples)
         if stratum is not None:
             details["stratum"] = [int(stratum[0]), int(stratum[1])]
@@ -225,7 +250,7 @@ def _planar_report(lemma_id, set_size, mode, workers, stratum, t0):
         orbit_count = n
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    cex = [{"set": _coord_rows(7, 2, row)} for row in cex]
+    cex = _coord_cex(7, 2, cex)
     desc = f"{set_size}-point subsets of F_7^2"
     if stratum is not None:
         desc += f", chunk stratum {stratum[0]} mod {stratum[1]}"
@@ -355,9 +380,14 @@ _PAIR_BLOCK = 1 << 18
 
 
 def _proj21_chunk(args):
+    """(raw pairs, weighted functions, weighted equidistribution
+    histogram, profiles, counterexamples) for one block of first-row
+    representatives; weights count both the filling orbit and the orbit
+    of the row triple."""
     rows, rep_lo, rep_hi = args
     V = _fillings()
     reps, wts = _f1_orbit_reps()
+    row_weight = dict(_row_triple_orbits())[rows]
     P, Q = _line_geometry(rows)
     has3 = (V == 3).any(axis=1)
     E3 = V[:, P[2]]
@@ -371,7 +401,7 @@ def _proj21_chunk(args):
     cex = []
     for ri in range(rep_lo, rep_hi):
         j1 = int(reps[ri])
-        w1 = int(wts[ri])
+        w1 = row_weight * int(wts[ri])
         f1 = V[j1]
         part = f1[P[0]][None, :, :] + V[:, P[1]]
         partx = np.empty_like(part)
@@ -419,28 +449,14 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
     """
     t0 = perf_counter()
     V = _fillings()
-    reps, wts = _f1_orbit_reps()
+    reps, _ = _f1_orbit_reps()
     orbits = _row_triple_orbits()
     for rep, _ in orbits:
         _line_geometry(rep)
-    rep_block = 8
-    chunks = []
-    for rep, _ in orbits:
-        for lo in range(0, len(reps), rep_block):
-            chunks.append((rep, lo, min(lo + rep_block, len(reps))))
-    results = run_chunks(_proj21_chunk, chunks, workers)
-
-    weights = {rep: w for rep, w in orbits}
-    hyp_weighted = 0
-    equi_hist = np.zeros(8, np.int64)
-    profiles: set = set()
-    cex = []
-    for (rep, _, _), (raw, wsum, ehist, profs, bad) in zip(chunks, results):
-        w = weights[rep]
-        hyp_weighted += w * wsum
-        equi_hist += w * ehist
-        profiles |= profs
-        cex.extend(bad)
+    chunks = [(rep, lo, hi) for rep, _ in orbits
+              for lo, hi in _blocks(len(reps), 8)]
+    _, hyp_weighted, equi_hist, profiles, cex = _sweep(
+        _proj21_chunk, chunks, workers)
     details = {
         "fillings_per_line": int(len(V)),
         "f1_orbit_reps": int(len(reps)),
@@ -476,12 +492,19 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
 _SLAB_BLOCK = 1 << 15
 
 
-def _slab_chunk(args):
-    lo, hi = args
+def _f33_residue_counts(lo: int, hi: int):
+    """Rows lo..hi-1 of the 6-subsets of F_3^3, with the counts c0, c1
+    of points on the planes x . dir = 0 and = 1, per direction and row."""
     combs = combination_array(27, 6)[lo:hi].astype(np.int16)
     D = dir_dots(3, 3)[:, combs]
     c0 = (D == 0).sum(axis=2, dtype=np.int8)
     c1 = (D == 1).sum(axis=2, dtype=np.int8)
+    return combs, c0, c1
+
+
+def _slab_chunk(args):
+    lo, hi = args
+    combs, c0, c1 = _f33_residue_counts(lo, hi)
     zero = (c0 == 2) & (c1 == 2)
     orth = direction_orthogonality(3, 3).astype(np.int8)
     per_plane = orth @ zero
@@ -489,7 +512,7 @@ def _slab_chunk(args):
     c2 = 6 - c0 - c1
     concl = ((c0 == 0) | (c1 == 0) | (c2 == 0)).any(axis=0)
     viol = hyp & ~concl
-    return hi - lo, int(hyp.sum()), [r.tolist() for r in combs[viol]]
+    return hi - lo, int(hyp.sum()), [{"set": r.tolist()} for r in combs[viol]]
 
 
 def verify_slab_p3(workers: int = 1) -> LemmaReport:
@@ -499,17 +522,8 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
     card = math.comb(27, 6)
     combination_array(27, 6)
     dir_dots(3, 3), direction_orthogonality(3, 3)
-    chunks = [(lo, min(lo + _SLAB_BLOCK, card))
-              for lo in range(0, card, _SLAB_BLOCK)]
-    results = run_chunks(_slab_chunk, chunks, workers)
-    total = hyp = 0
-    cex = []
-    for n, h, bad in results:
-        total += n
-        hyp += h
-        cex.extend({"set": _coord_rows(3, 3, row)} for row in bad)
-    if total != card:
-        raise InternalCheckError("slab enumeration miscount")
+    total, hyp, cex = _sweep(
+        _slab_chunk, list(_blocks(card, _SLAB_BLOCK)), workers, card)
     details = {
         "enumerated_sets": total,
         "hypothesis_sets": hyp,
@@ -519,7 +533,7 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
     }
     return LemmaReport(
         "slab-p3", "6-point subsets of F_3^3", card, "none", card,
-        cex, details, round(perf_counter() - t0, 3), workers)
+        _coord_cex(3, 3, cex), details, round(perf_counter() - t0, 3), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +542,7 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
 def _fug33_chunk(args):
     lo, hi = args
     spc = Space(3, 3)
-    combs = combination_array(27, 6)[lo:hi].astype(np.int16)
-    D = dir_dots(3, 3)[:, combs]
-    c0 = (D == 0).sum(axis=2, dtype=np.int8)
-    c1 = (D == 1).sum(axis=2, dtype=np.int8)
+    combs, c0, c1 = _f33_residue_counts(lo, hi)
     zdirs = ((c0 == 2) & (c1 == 2)).sum(axis=0)
     searched = 0
     nodes = 0
@@ -554,27 +565,37 @@ def _fug33_chunk(args):
     return hi - lo, searched, nodes, wits
 
 
-def _fug32_chunk(size: int):
-    spc = Space(3, 2)
-    n_sp = n_ti = 0
+def _spectral_vs_tile(spc: Space, rows, skip_spectral) -> tuple:
+    """Both verdicts for every index row; rows flagged in skip_spectral
+    have no spectrum for sure and skip the spectral search.
+
+    Returns ({"searched", "spectral", "tiles"} counts, counterexamples).
+    """
+    searched = n_sp = n_ti = 0
     cex = []
-    for row in combination_array(9, size):
+    for row, skip in zip(rows, skip_spectral):
         E = PointSet(spc, sum(1 << int(i) for i in row))
-        cs = spectrum_search(E)
-        ct = tiling_search(E)
-        if "aborted" in (cs.verdict, ct.verdict):
+        if skip:
+            sp = "none"
+        else:
+            sp = spectrum_search(E).verdict
+            searched += 1
+        ti = tiling_search(E).verdict
+        if "aborted" in (sp, ti):
             raise RuntimeError("budget exhausted during exhaustive sweep")
-        sp = cs.verdict == "witness"
-        ti = ct.verdict == "witness"
-        n_sp += sp
-        n_ti += ti
-        if sp != ti:
-            cex.append({
-                "set": [int(i) for i in row],
-                "spectral": cs.verdict,
-                "tile": ct.verdict,
-            })
-    return math.comb(9, size), n_sp, n_ti, cex
+        n_sp += sp == "witness"
+        n_ti += ti == "witness"
+        if (sp == "witness") != (ti == "witness"):
+            cex.append({"set": [int(i) for i in row], "spectral": sp,
+                        "tile": ti})
+    return {"searched": searched, "spectral": n_sp, "tiles": n_ti}, cex
+
+
+def _fug32_chunk(size: int):
+    rows = combination_array(9, size)
+    counts, cex = _spectral_vs_tile(Space(3, 2), rows, [False] * len(rows))
+    del counts["searched"]
+    return len(rows), {str(size): {"sets": len(rows), **counts}}, cex
 
 
 _FUG52_BLOCK = 1 << 16
@@ -582,41 +603,17 @@ _FUG52_BLOCK = 1 << 16
 
 def _fug52_chunk(args):
     size, lo, hi = args
-    spc = Space(5, 2)
     tails = combination_array(24, size - 1)[lo:hi].astype(np.int16) + 1
+    rows = np.hstack([np.zeros((tails.shape[0], 1), np.int16), tails])
     if size == 5:
-        rows = np.hstack([np.zeros((tails.shape[0], 1), np.int16), tails])
         D = np.sort(dir_dots(5, 2)[:, rows], axis=2)
         distinct = (D[:, :, 1:] != D[:, :, :-1]).all(axis=2)
-        zdirs = distinct.sum(axis=0)
+        # |Z| = 4 zdirs < 4 = |E| - 1: the search returns none at once
+        skip = distinct.sum(axis=0) < 1
     else:
-        zdirs = None
-    searched = 0
-    n_sp = n_ti = 0
-    cex = []
-    for i, tail in enumerate(tails):
-        E = PointSet(spc, 1 + sum(1 << int(t) for t in tail))
-        if zdirs is not None and zdirs[i] < 1:
-            # |Z| = 4 zdirs < 4 = |E| - 1: the search returns none at once
-            sp_verdict = "none"
-        else:
-            cs = spectrum_search(E)
-            sp_verdict = cs.verdict
-            searched += 1
-        ct = tiling_search(E)
-        if "aborted" in (sp_verdict, ct.verdict):
-            raise RuntimeError("budget exhausted during exhaustive sweep")
-        sp = sp_verdict == "witness"
-        ti = ct.verdict == "witness"
-        n_sp += sp
-        n_ti += ti
-        if sp != ti:
-            cex.append({
-                "set": [0] + [int(t) for t in tail],
-                "spectral": sp_verdict,
-                "tile": ct.verdict,
-            })
-    return hi - lo, searched, n_sp, n_ti, cex
+        skip = np.zeros(len(rows), bool)
+    counts, cex = _spectral_vs_tile(Space(5, 2), rows, skip)
+    return hi - lo, {str(size): {"anchored": hi - lo, **counts}}, cex
 
 
 def _cycle_type_counts(p: int, d: int) -> Counter:
@@ -695,22 +692,9 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
         card = math.comb(27, 6)
         combination_array(27, 6)
         dir_dots(3, 3)
-        chunks = [(lo, min(lo + _SLAB_BLOCK, card))
-                  for lo in range(0, card, _SLAB_BLOCK)]
-        results = run_chunks(_fug33_chunk, chunks, workers)
-        total = searched = nodes = 0
-        cex = []
-        for n, srch, nd, wits in results:
-            total += n
-            searched += srch
-            nodes += nd
-            for w in wits:
-                cex.append({
-                    "set": _coord_rows(3, 3, w["set"]),
-                    "spectrum": _coord_rows(3, 3, w["spectrum"]),
-                })
-        if total != card:
-            raise InternalCheckError("enumeration miscount")
+        total, searched, nodes, wits = _sweep(
+            _fug33_chunk, list(_blocks(card, _SLAB_BLOCK)), workers, card)
+        cex = _coord_cex(3, 3, wits)
         details = {
             "sizes": {"6": {
                 "sets": total,
@@ -728,23 +712,13 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     if key == (3, 2):
         if not sizes or not all(1 <= s <= 9 for s in sizes):
             raise ValueError("F_3^2 sweep needs sizes within 1..9")
-        results = run_chunks(_fug32_chunk, list(sizes), workers)
         card = sum(math.comb(9, s) for s in sizes)
-        cex = []
-        per_size = {}
-        for s, (n, n_sp, n_ti, bad) in zip(sizes, results):
-            per_size[str(s)] = {"sets": n, "spectral": n_sp, "tiles": n_ti}
-            for b in bad:
-                cex.append({
-                    "set": _coord_rows(3, 2, b["set"]),
-                    "spectral": b["spectral"],
-                    "tile": b["tile"],
-                })
+        _, per_size, cex = _sweep(_fug32_chunk, list(sizes), workers, card)
         details = {"sizes": per_size, "pruning": "off"}
         return LemmaReport(
             "fuglede-3-2",
             f"subsets of F_3^2 of sizes {list(sizes)}",
-            card, "none", card, cex, details,
+            card, "none", card, _coord_cex(3, 2, cex), details,
             round(perf_counter() - t0, 3), workers)
 
     if key == (5, 2):
@@ -753,33 +727,11 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
         for s in sizes:
             combination_array(24, s - 1)
         dir_dots(5, 2)
-        chunks = []
-        for s in sizes:
-            reps = math.comb(24, s - 1)
-            for lo in range(0, reps, _FUG52_BLOCK):
-                chunks.append((s, lo, min(lo + _FUG52_BLOCK, reps)))
-        results = run_chunks(_fug52_chunk, chunks, workers)
-        per_size = {
-            str(s): {"anchored": 0, "searched": 0, "spectral": 0, "tiles": 0}
-            for s in sizes
-        }
-        cex = []
-        for (s, _, _), (n, srch, n_sp, n_ti, bad) in zip(chunks, results):
-            rec = per_size[str(s)]
-            rec["anchored"] += n
-            rec["searched"] += srch
-            rec["spectral"] += n_sp
-            rec["tiles"] += n_ti
-            for b in bad:
-                cex.append({
-                    "set": _coord_rows(5, 2, b["set"]),
-                    "spectral": b["spectral"],
-                    "tile": b["tile"],
-                })
-        anchored = sum(math.comb(24, s - 1) for s in sizes)
-        for s in sizes:
-            if per_size[str(s)]["anchored"] != math.comb(24, s - 1):
-                raise InternalCheckError("enumeration miscount")
+        chunks = [(s, lo, hi) for s in sizes
+                  for lo, hi in _blocks(math.comb(24, s - 1), _FUG52_BLOCK)]
+        anchored, per_size, cex = _sweep(
+            _fug52_chunk, chunks, workers,
+            sum(math.comb(24, s - 1) for s in sizes))
         details = {
             "sizes": per_size,
             "pruning": "off",
@@ -797,7 +749,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
             f"translation-anchored subsets of F_5^2 of sizes {list(sizes)}",
             card,
             "translations of F_5^2, order 25",
-            anchored, cex, details,
+            anchored, _coord_cex(5, 2, cex), details,
             round(perf_counter() - t0, 3), workers)
 
     raise ValueError(f"unsupported sweep ({p}, {d})")
@@ -814,7 +766,7 @@ def _falsify_chunk(args):
     spc = Space(p, d)
     rng = np.random.Generator(np.random.PCG64(child_seed))
     outcomes = {"witness": 0, "none": 0, "aborted": 0}
-    pruned: Counter = Counter()
+    pruned: dict = {}
     wits = []
     order = p ** d
     for _ in range(count):
@@ -823,13 +775,13 @@ def _falsify_chunk(args):
         cert = spectrum_search(E, pruning=True)
         outcomes[cert.verdict] += 1
         for k, v in cert.pruning_stats.items():
-            pruned[k] += int(v)
+            pruned[k] = pruned.get(k, 0) + int(v)
         if cert.verdict == "witness":
             wits.append({
                 "set": [int(i) for i in pts],
                 "spectrum": cert.witness.indices(),
             })
-    return outcomes, pruned, wits
+    return count, outcomes, pruned, wits
 
 
 def falsify_random(p: int, d: int, size: int, trials: int, seed: int,
@@ -848,26 +800,11 @@ def falsify_random(p: int, d: int, size: int, trials: int, seed: int,
     if size % p != 0 or not 2 <= size // p <= p - 1:
         raise ValueError(f"size must be mp with 2 <= m <= p-1, got {size}")
     spc = Space(p, d)
-    children = np.random.SeedSequence(seed).spawn(
-        (trials + _FALSIFY_CHUNK - 1) // _FALSIFY_CHUNK)
-    chunks = []
-    left = trials
-    for child in children:
-        take = min(_FALSIFY_CHUNK, left)
-        chunks.append((p, d, size, child, take))
-        left -= take
-    results = run_chunks(_falsify_chunk, chunks, workers)
-    outcomes = Counter()
-    pruned = Counter()
-    cex = []
-    for oc, pr, wits in results:
-        outcomes.update(oc)
-        pruned.update(pr)
-        for w in wits:
-            cex.append({
-                "set": _coord_rows(p, d, w["set"]),
-                "spectrum": _coord_rows(p, d, w["spectrum"]),
-            })
+    blocks = list(_blocks(trials, _FALSIFY_CHUNK))
+    children = np.random.SeedSequence(seed).spawn(len(blocks))
+    chunks = [(p, d, size, child, hi - lo)
+              for child, (lo, hi) in zip(children, blocks)]
+    _, outcomes, pruned, wits = _sweep(_falsify_chunk, chunks, workers, trials)
     details = {
         "trials": trials,
         "size": size,
@@ -882,5 +819,5 @@ def falsify_random(p: int, d: int, size: int, trials: int, seed: int,
         f"random {size}-point subsets of F_{p}^{d}",
         math.comb(p ** d, size),
         "none (random sampling)",
-        trials, cex, details,
+        trials, _coord_cex(p, d, wits), details,
         round(perf_counter() - t0, 3), workers, seed=seed)

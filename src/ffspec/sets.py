@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .space import Point, Space, _require_same_space, coords_to_index, dot
+from .space import (Point, Space, _inverse, _rank, _require_same_space,
+                    coords_to_index)
 
 
 class SetFormatError(ValueError):
@@ -145,8 +146,6 @@ def quotient_basis(space: Space, delta) -> list:
     Takes the d-1 standard basis vectors of lowest index that stay
     independent from delta, in increasing index order.
     """
-    from .space import _rank
-
     rep = delta.rep
     chosen = []
     for i in range(space.d):
@@ -162,22 +161,8 @@ def quotient_basis(space: Space, delta) -> list:
 
 def _quotient_matrix(space: Space, delta):
     """Inverse of the matrix with columns (complement basis, delta rep)."""
-    p = space.p
-    d = space.d
     cols = [b.coords for b in quotient_basis(space, delta)] + [delta.rep.coords]
-    # invert the d x d matrix whose columns are cols, over F_p
-    aug = [[cols[j][i] for j in range(d)] + [1 if k == i else 0 for k in range(d)]
-           for i in range(d)]
-    for col in range(d):
-        pivot = next(r for r in range(col, d) if aug[r][col] % p != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col] % p, p - 2, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] % p != 0:
-                f = aug[r][col] % p
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
+    return _inverse([list(row) for row in zip(*cols)], space.p)
 
 
 def quotient_cell_index(space: Space, delta, x: Point) -> int:

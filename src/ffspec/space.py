@@ -237,50 +237,48 @@ def hyperplane_translates(space: Space, xi: Point):
     return [PointSet.from_points(space, b) for b in buckets]
 
 
-def _rank(rows, p: int) -> int:
-    """Gaussian elimination rank over F_p."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] % p != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col] % p, p - 2, p)
-        m[rank] = [(v * inv) % p for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] % p != 0:
-                f = m[r][col] % p
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _row_reduce(rows, p: int):
+    """Reduced row echelon form over F_p, by Gauss-Jordan elimination.
 
-
-def _null_space(rows, p: int, ncols: int):
-    """Basis of {x : rows @ x = 0} over F_p, by elimination."""
+    Returns (reduced rows, pivot columns); the rank is the number of
+    pivots and the nonzero rows come first.
+    """
     m = [[v % p for v in r] for r in rows]
-    # reduced row echelon form
     pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         inv = pow(m[rank][col], p - 2, p)
         m[rank] = [(v * inv) % p for v in m[rank]]
         for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
+            if r != rank and m[r][col]:
                 f = m[r][col]
                 m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
         pivots.append(col)
-        rank += 1
+    return m, pivots
+
+
+def _rank(rows, p: int) -> int:
+    return len(_row_reduce(rows, p)[1])
+
+
+def _inverse(mat, p: int) -> list:
+    """Inverse of a square matrix over F_p, from [mat | I] reduced."""
+    n = len(mat)
+    aug = [list(row) + [int(i == k) for k in range(n)]
+           for i, row in enumerate(mat)]
+    m, pivots = _row_reduce(aug, p)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in m]
+
+
+def _null_space(rows, p: int, ncols: int):
+    """Basis of {x : rows @ x = 0} over F_p."""
+    m, pivots = _row_reduce(rows, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fourier import zero_set
-from .geometry import line_sup
+from .geometry import _plane_max, line_sup
 from .sets import PointSet
 from .tables import (coords_matrix, dir_dots, dir_of_index,
                      direction_orthogonality, sub_table)
@@ -178,10 +178,7 @@ def _apply_pruning(E: PointSet, stats: dict) -> str | None:
     if space.d == 3:
         idx = np.array(E.indices(), dtype=np.int64)
         dots = dir_dots(p, 3)[:, idx]
-        best = 0
-        for c in range(p):
-            best = max(best, int((dots == c).sum(axis=1).max()))
-        if best > p:
+        if _plane_max(dots, p) > p:
             stats["plane_concentration"] = stats.get("plane_concentration", 0) + 1
             return "plane_concentration"
         diffs = sub_table(p, 3)[np.ix_(idx, idx)].reshape(-1)

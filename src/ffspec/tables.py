@@ -71,7 +71,6 @@ def line_table(p: int, d: int) -> np.ndarray:
     base points run over the quotient transversal in index order.
     """
     from .sets import quotient_basis
-    from .space import Point
 
     space = Space(p, d)
     dirs = all_directions(space)
@@ -134,9 +133,6 @@ def pair_line_table(p: int) -> np.ndarray:
             if i != j:
                 member[i, j] = line_of[dir_of_pair[i, j], i]
     return member
-
-
-POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 @lru_cache(maxsize=None)

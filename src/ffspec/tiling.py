@@ -26,17 +26,19 @@ class TilingCertificate:
     stats: dict = field(default_factory=dict, compare=False)
 
 
-def _translate_mask(E: PointSet, a: int) -> int:
+def _translates(E: PointSet) -> np.ndarray:
+    """(p^d, |E|) table: row a holds the point indices of E + a."""
     space = E.space
     p = space.p
     coords = coords_matrix(p, space.d).astype(np.int64)
     eidx = np.array(E.indices(), dtype=np.int64)
-    if len(eidx) == 0:
-        return 0
     powers = p ** np.arange(space.d)
-    idx = ((coords[eidx] + coords[a][None, :]) % p) @ powers
+    return ((coords[eidx][None, :, :] + coords[:, None, :]) % p) @ powers
+
+
+def _mask(row) -> int:
     m = 0
-    for v in idx:
+    for v in row:
         m |= 1 << int(v)
     return m
 
@@ -46,25 +48,14 @@ def verify_tiling_pair(E: PointSet, A: PointSet) -> bool:
     if E.space != A.space:
         raise ValueError("mismatched spaces")
     space = E.space
+    table = _translates(E)
     cover = 0
     for a in A.indices():
-        t = _translate_mask(E, a)
+        t = _mask(table[a])
         if t & cover:
             return False
         cover |= t
     return cover == (1 << space.order) - 1
-
-
-def _add_index(space, i: int, j: int) -> int:
-    p = space.p
-    out = 0
-    mult = 1
-    for _ in range(space.d):
-        out += ((i + j) % p) * mult
-        i //= p
-        j //= p
-        mult *= p
-    return out
 
 
 def tiling_search(E: PointSet, budget: int = 10 ** 9) -> TilingCertificate:
@@ -73,18 +64,12 @@ def tiling_search(E: PointSet, budget: int = 10 ** 9) -> TilingCertificate:
     n = space.order
     if E.size == 0 or n % E.size != 0:
         return TilingCertificate("none", None, 0, {"size_filtered": True})
-    p = space.p
-    coords = coords_matrix(p, space.d).astype(np.int64)
-    eidx = np.array(E.indices(), dtype=np.int64)
-    powers = p ** np.arange(space.d)
-    all_idx = ((coords[eidx][None, :, :] + coords[:, None, :]) % p) @ powers
-    masks = []
-    for row in all_idx:
-        m = 0
-        for v in row:
-            m |= 1 << int(v)
-        masks.append(m)
-    neg_e = [(-pt).index for pt in E.points()]
+    table = _translates(E)
+    masks = [_mask(row) for row in table]
+    # covers[x]: the translates a = x - e that cover x, ascending; each
+    # x occurs |E| times in the table, once per e, in ascending rows a
+    covers = (np.argsort(table.ravel(), kind="stable")
+              // E.size).reshape(n, E.size).tolist()
     depth_need = 3 * (n // E.size) + 200
     if depth_need > sys.getrecursionlimit():
         sys.setrecursionlimit(depth_need)
@@ -102,7 +87,7 @@ def tiling_search(E: PointSet, budget: int = 10 ** 9) -> TilingCertificate:
             return list(chosen)
         uncov = ~cover & full
         x = (uncov & -uncov).bit_length() - 1
-        for a in sorted(_add_index(space, x, e) for e in neg_e):
+        for a in covers[x]:
             t = masks[a]
             if t & cover:
                 continue

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 
 import oracles as O
 from ffspec import (
+    InternalCheckError,
     PointSet,
     Space,
     all_directions,
@@ -23,6 +25,8 @@ from ffspec.lemmas import (
     _fillings,
     _planar_eval,
     _proj21_chunk,
+    _slab_chunk,
+    _sweep,
     affine_class_counts,
     translation_class_counts,
 )
@@ -363,3 +367,61 @@ class TestReportPlumbing:
         a = verify_slab_p3(workers=1)
         b = verify_slab_p3(workers=2)
         assert a.result_dict() == b.result_dict()
+
+
+def _result_sha256(rep) -> str:
+    payload = json.dumps(rep.result_dict(), sort_keys=True,
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _slab_chunk_dropping_last(args):
+    lo, hi = args
+    return _slab_chunk((lo, hi - 1))
+
+
+def _toy_chunk(k):
+    return (1, np.arange(3) * k, [k], {k % 2},
+            {"zero": 0, str(k): k, "nested": {"a": k, "z": 0}})
+
+
+class TestSweepDriver:
+    # payload hashes of reports made before the sweep driver existed; a
+    # change in partition, fold order or counterexample layout moves them
+    @pytest.mark.parametrize("run,want", [
+        (lambda: verify_lm1(mode="reduced"),
+         "7dd9f7165ac66d46fd88e8dd04069788fed8e0e5479a77f6d83b026ea0714cc8"),
+        (lambda: verify_slab_p3(),
+         "a8101140a3ce17291e2cbe1b0bcff2d3e53edd4f8b26d7972d93236b31f6c884"),
+        (lambda: verify_fuglede_small(3, 2, range(1, 10)),
+         "a9e9124fb886921940c5185cbbcb97c46a14fd5ab8ea0de0ef57961f82b0a881"),
+        (lambda: falsify_random(5, 3, 10, 4100, 999),
+         "50ba623db855b7577ccbed512196c6f89381af7e8503d39ab97c0926f30392be"),
+        (lambda: verify_lm2(mode="direct", stratum=(0, 200)),
+         "6b6311d38d53c826d0eb3a86fade8b6ac2fd798c1f5d09cd888318304e3a240f"),
+    ], ids=["lm1-reduced", "slab-p3", "fuglede-3-2-all", "falsify-5-3-10",
+            "lm2-direct-stratum"])
+    def test_pinned_payloads(self, run, want):
+        assert _result_sha256(run()) == want
+
+    def test_miscount_raises(self):
+        chunks = [(0, 100), (100, 200)]
+        assert _sweep(_slab_chunk, chunks, 1, expected=200)[0] == 200
+        with pytest.raises(InternalCheckError):
+            _sweep(_slab_chunk_dropping_last, chunks, 1, expected=200)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fold_in_chunk_order(self, workers):
+        n, arr, seq, parity, counts = _sweep(_toy_chunk, [1, 2, 3], workers,
+                                             expected=3)
+        assert n == 3
+        assert arr.tolist() == [0, 6, 12]
+        assert seq == [1, 2, 3]
+        assert parity == {0, 1}
+        assert counts == {"zero": 0, "1": 1, "2": 2, "3": 3,
+                          "nested": {"a": 6, "z": 0}}
+
+    def test_falsify_keeps_zero_counts(self):
+        d = falsify_random(5, 3, 10, 4100, 999).details
+        assert set(d["outcomes"]) == {"aborted", "none", "witness"}
+        assert d["outcomes"]["aborted"] == d["outcomes"]["witness"] == 0

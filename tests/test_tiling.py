@@ -101,6 +101,19 @@ class TestSearch:
         assert cert.verdict == "witness"
         assert {pt.coords for pt in cert.witness} == {(0, t) for t in range(5)}
 
+    @pytest.mark.parametrize("p,d,idx,verdict,nodes", [
+        (5, 3, [21, 34, 55, 71, 85], "witness", 5674),
+        (5, 3, [17, 38, 63, 64, 98], "none", 6318),
+        (5, 3, [1, 38, 92, 108, 115], "none", 11535),
+        (7, 2, [9, 20, 22, 25, 31, 33, 37], "none", 5),
+        (7, 2, [2, 9, 10, 11, 23, 44, 47], "witness", 7),
+    ])
+    def test_search_order_pinned(self, p, d, idx, verdict, nodes):
+        # node counts pin the branching order: the lowest uncovered
+        # point, then its covering translates in ascending index
+        cert = tiling_search(PointSet.from_indices(Space(p, d), idx))
+        assert (cert.verdict, cert.nodes_explored) == (verdict, nodes)
+
     def test_non_tile_3d(self):
         spc = Space(3, 3)
         # 9 points, size divides 27, but concentrated to block any tiling
