@@ -30,7 +30,8 @@ import numpy as np
 from .parallel import run_chunks
 from .sets import PointSet
 from .space import Space, affine_permutations
-from .spectral import InternalCheckError, spectrum_search
+from .spectral import (InternalCheckError, allowed_spectral_sizes,
+                       spectrum_search)
 from .tables import (
     combination_array,
     coords_matrix,
@@ -39,7 +40,7 @@ from .tables import (
     pair_direction_table,
     pair_line_table,
 )
-from .tiling import tiling_search
+from .tiling import size_can_tile, tiling_search
 
 __all__ = [
     "LemmaReport",
@@ -601,8 +602,20 @@ def _fug32_chunk(size: int):
 _FUG52_BLOCK = 1 << 16
 
 
+def _fug52_both_filtered(size: int) -> bool:
+    """Both searches reject every set of this size in F_5^2 at once."""
+    spc = Space(5, 2)
+    return (size not in allowed_spectral_sizes(spc)
+            and not size_can_tile(spc, size))
+
+
 def _fug52_chunk(args):
     size, lo, hi = args
+    if _fug52_both_filtered(size):
+        # the counts of the per-set loop: each set is searched once,
+        # and both searches reject it by size
+        return hi - lo, {str(size): {"anchored": hi - lo, "searched": hi - lo,
+                                     "spectral": 0, "tiles": 0}}, []
     tails = combination_array(24, size - 1)[lo:hi].astype(np.int16) + 1
     rows = np.hstack([np.zeros((tails.shape[0], 1), np.int16), tails])
     if size == 5:
@@ -725,7 +738,8 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
         if not sizes or not all(1 <= s <= 25 for s in sizes):
             raise ValueError("F_5^2 sweep needs sizes within 1..25")
         for s in sizes:
-            combination_array(24, s - 1)
+            if not _fug52_both_filtered(s):
+                combination_array(24, s - 1)
         dir_dots(5, 2)
         chunks = [(s, lo, hi) for s in sizes
                   for lo, hi in _blocks(math.comb(24, s - 1), _FUG52_BLOCK)]

@@ -11,10 +11,18 @@ the Cayley graph generated by the zero set of fhat_E, anchored at 0.
 The search is deterministic: candidates are ordered by descending
 degree (ties by point index) and subtrees are explored in that order
 with greedy-coloring upper bounds.
+
+Everything after the zero set, that is the candidate list, adjacency,
+degree order and clique search, is a function of (zero set, size,
+budget) alone.  That clique stage is memoized per process, so sets that
+share a zero set (all translates of a set, and most sets of a sweep)
+search once.  Witness validation is not shared: every witness is
+re-verified against its own set, on a cache hit too.
 """
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -49,18 +57,25 @@ def allowed_spectral_sizes(space) -> frozenset:
     return frozenset(sizes)
 
 
+def _pair_diffs(A: PointSet) -> np.ndarray:
+    """Coordinate rows a_i - a_j mod p for the pairs i < j of A."""
+    space = A.space
+    coords = coords_matrix(space.p, space.d).astype(np.int64)
+    ac = coords[np.array(A.indices(), dtype=np.int64)]
+    ii, jj = np.triu_indices(len(ac), k=1)
+    return (ac[ii] - ac[jj]) % space.p
+
+
 def _pair_criterion(E: PointSet, A: PointSet) -> bool:
+    """Difference-set route: every a_i - a_j lies in the zero set of E."""
     if A.size != E.size:
         return False
     if A.size <= 1:
         return True
-    z = zero_set(E)
-    pts = A.points()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not z.contains(pts[i] - pts[j]):
-                return False
-    return True
+    space = E.space
+    z = zero_set(E).mask
+    diff_idx = _pair_diffs(A) @ (space.p ** np.arange(space.d))
+    return all(z >> i & 1 for i in diff_idx.tolist())
 
 
 def _pair_gram(E: PointSet, A: PointSet) -> bool:
@@ -73,10 +88,7 @@ def _pair_gram(E: PointSet, A: PointSet) -> bool:
     p = space.p
     coords = coords_matrix(p, space.d).astype(np.int64)
     ec = coords[np.array(E.indices(), dtype=np.int64)]
-    ac = coords[np.array(A.indices(), dtype=np.int64)]
-    n = len(ac)
-    ii, jj = np.triu_indices(n, k=1)
-    diffs = (ac[ii] - ac[jj]) % p                       # (n_pairs, d)
+    diffs = _pair_diffs(A)                              # (n_pairs, d)
     step = max(1, 4_000_000 // max(1, len(ec)))
     for lo in range(0, len(diffs), step):
         r = (ec @ diffs[lo:lo + step].T) % p            # (|E|, chunk)
@@ -114,6 +126,19 @@ def symmetry_check(E: PointSet, A: PointSet) -> bool:
 
 class _Budget(Exception):
     pass
+
+
+@contextmanager
+def recursion_room(depth: int):
+    """Raise the interpreter's recursion limit to depth, if it is lower,
+    for the duration of the block; the previous limit comes back after."""
+    old = sys.getrecursionlimit()
+    if depth > old:
+        sys.setrecursionlimit(depth)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def _clique_of_size(adj: list, need: int, budget: int):
@@ -223,9 +248,27 @@ def spectrum_search(E: PointSet, budget: int = 10 ** 9,
         if reason is not None:
             return SpectralCertificate("none", None, 0, stats)
     z = zero_set(E)
-    cand = z.indices()
+    verdict, spectrum, nodes = _clique_in_zero_set(space, z.mask, n, budget)
+    if verdict != "witness":
+        return SpectralCertificate(verdict, None, nodes, stats)
+    witness = PointSet.from_indices(space, spectrum)
+    _validate_witness(E, witness)
+    return SpectralCertificate("witness", witness, nodes, stats)
+
+
+# bounded: a sweep meets a few hundred zero sets, but a long sampling
+# run can meet a new one on every trial
+@lru_cache(maxsize=4096)
+def _clique_in_zero_set(space, zmask: int, n: int, budget: int) -> tuple:
+    """Clique stage of spectrum_search: an n-clique containing 0 in the
+    Cayley graph on the zero set zmask.
+
+    Returns (verdict, spectrum indices as a tuple or None, nodes).  The
+    result is a function of the four arguments alone, so it is cached.
+    """
+    cand = PointSet(space, zmask).indices()
     if len(cand) < n - 1:
-        return SpectralCertificate("none", None, 0, stats)
+        return "none", None, 0
     # adjacency over candidate slots, ordered by descending degree then index
     space_p = space.p
     coords = coords_matrix(space_p, space.d).astype(np.int64)
@@ -242,15 +285,11 @@ def spectrum_search(E: PointSet, budget: int = 10 ** 9,
     adj_sorted = adj_bool[np.ix_(order, order)]
     adj = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
            for row in adj_sorted]
-    limit = sys.getrecursionlimit()
-    if 3 * n + 200 > limit:
-        sys.setrecursionlimit(3 * n + 200)
-    verdict, slots, nodes = _clique_of_size(adj, n - 1, budget)
+    with recursion_room(3 * n + 200):
+        verdict, slots, nodes = _clique_of_size(adj, n - 1, budget)
     if verdict != "witness":
-        return SpectralCertificate(verdict, None, nodes, stats)
-    witness = PointSet.from_indices(space, [0] + [cand[order[s]] for s in slots])
-    _validate_witness(E, witness)
-    return SpectralCertificate("witness", witness, nodes, stats)
+        return verdict, None, nodes
+    return verdict, (0, *(cand[order[s]] for s in slots)), nodes
 
 
 def _validate_witness(E: PointSet, A: PointSet) -> None:

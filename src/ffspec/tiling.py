@@ -8,13 +8,12 @@ first (a tiling exists iff one containing 0 does).
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .sets import PointSet
-from .spectral import InternalCheckError
+from .spectral import InternalCheckError, recursion_room
 from .tables import coords_matrix
 
 
@@ -36,11 +35,16 @@ def _translates(E: PointSet) -> np.ndarray:
     return ((coords[eidx][None, :, :] + coords[:, None, :]) % p) @ powers
 
 
-def _mask(row) -> int:
+def _mask(row: np.ndarray) -> int:
     m = 0
-    for v in row:
-        m |= 1 << int(v)
+    for v in row.tolist():
+        m |= 1 << v
     return m
+
+
+def size_can_tile(space, size: int) -> bool:
+    """Size test of tiling_search: a tile's size divides p^d."""
+    return size > 0 and space.order % size == 0
 
 
 def verify_tiling_pair(E: PointSet, A: PointSet) -> bool:
@@ -62,7 +66,7 @@ def tiling_search(E: PointSet, budget: int = 10 ** 9) -> TilingCertificate:
     """Search for a tiling complement of E, anchored at 0."""
     space = E.space
     n = space.order
-    if E.size == 0 or n % E.size != 0:
+    if not size_can_tile(space, E.size):
         return TilingCertificate("none", None, 0, {"size_filtered": True})
     table = _translates(E)
     masks = [_mask(row) for row in table]
@@ -70,9 +74,6 @@ def tiling_search(E: PointSet, budget: int = 10 ** 9) -> TilingCertificate:
     # x occurs |E| times in the table, once per e, in ascending rows a
     covers = (np.argsort(table.ravel(), kind="stable")
               // E.size).reshape(n, E.size).tolist()
-    depth_need = 3 * (n // E.size) + 200
-    if depth_need > sys.getrecursionlimit():
-        sys.setrecursionlimit(depth_need)
     full = (1 << n) - 1
     nodes = 0
     budget_hit = False
@@ -98,7 +99,8 @@ def tiling_search(E: PointSet, budget: int = 10 ** 9) -> TilingCertificate:
                 return None
         return None
 
-    got = extend(masks[0], [0])
+    with recursion_room(3 * (n // E.size) + 200):
+        got = extend(masks[0], [0])
     if budget_hit:
         return TilingCertificate("aborted", None, nodes)
     if got is None:

@@ -311,6 +311,16 @@ class TestFugledeSweeps:
         assert O.translation_class_count(5, 2, 2) == 12
         assert O.translation_class_count(5, 2, 3) == 92
 
+    def test_f52_both_filtered_strata_pinned(self):
+        # sizes 10, 15 and 20 fail both size filters in F_5^2; the hash
+        # is that of the per-set sweep over all 3,311,264 anchored sets
+        rep = verify_fuglede_small(5, 2, (10, 15, 20))
+        assert rep.details["sizes"]["15"] == {
+            "anchored": 1961256, "searched": 1961256, "spectral": 0,
+            "tiles": 0}
+        assert _result_sha256(rep) == (
+            "fd6d8b1a377c7605c7f464dcc9b6e22cdc201b244efd42a7c031219bec22950e")
+
 
 class TestFalsify:
     def test_validation(self):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,51 @@ class TestSearch:
         cert = spectrum_search(plane_x1_zero(spc), budget=1)
         assert cert.verdict == "aborted"
         assert cert.nodes_explored == 2
+
+    def test_translate_reuses_clique_stage(self, monkeypatch):
+        spc = Space(5, 3)
+        L = line(spc, (1, 2, 0))
+        M = translate(L, spc.point((1, 1, 1)))
+        assert zero_set(L) == zero_set(M)
+        validated = []
+
+        def counting(E, A):
+            validated.append((E, A))
+            return verify_spectral_pair(E, A)
+
+        monkeypatch.setattr(spectral_mod, "verify_spectral_pair", counting)
+        stage = spectral_mod._clique_in_zero_set
+        stage.cache_clear()
+        first = spectrum_search(L)
+        second = spectrum_search(M)
+        assert stage.cache_info().hits == 1
+        assert first.verdict == "witness"
+        assert first == second
+        # each witness is checked against its own set, both ways round
+        w = first.witness
+        assert validated == [(L, w), (w, L), (M, w), (w, M)]
+
+    def test_budget_is_part_of_the_cache_key(self):
+        spc = Space(7, 3)
+        P = plane_x1_zero(spc)
+        spectral_mod._clique_in_zero_set.cache_clear()
+        assert spectrum_search(P, budget=1).verdict == "aborted"
+        full = spectrum_search(P)
+        assert full.verdict == "witness"
+        assert spectrum_search(P, budget=1).verdict == "aborted"
+        assert spectrum_search(P) == full
+
+    def test_recursion_limit_restored(self):
+        spc = Space(7, 3)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            # a 343-point spectrum needs more than 1000 frames
+            cert = spectrum_search(PointSet.full(spc))
+            assert cert.verdict == "witness"
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(old)
 
     def test_small_zero_set_immediate_none(self):
         spc = Space(5, 3)

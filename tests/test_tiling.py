@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -87,6 +88,17 @@ class TestSearch:
         empty = tiling_search(PointSet.empty(spc))
         assert empty.verdict == "none"
         assert empty.stats["size_filtered"]
+
+    def test_recursion_limit_restored(self):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            # 343 translates of one point need more than 1000 frames
+            cert = tiling_search(PointSet.from_indices(Space(7, 3), [0]))
+            assert cert.verdict == "witness"
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(old)
 
     def test_budget_abort(self):
         spc = Space(5, 2)
