@@ -31,6 +31,7 @@ import numpy as np
 from .fourier import zero_set
 from .geometry import _plane_max, line_sup
 from .sets import PointSet
+from .space import coords_to_index, index_to_coords
 from .tables import (coords_matrix, dir_dots, dir_of_index,
                      direction_orthogonality, sub_table)
 
@@ -57,25 +58,24 @@ def allowed_spectral_sizes(space) -> frozenset:
     return frozenset(sizes)
 
 
-def _pair_diffs(A: PointSet) -> np.ndarray:
-    """Coordinate rows a_i - a_j mod p for the pairs i < j of A."""
-    space = A.space
-    coords = coords_matrix(space.p, space.d).astype(np.int64)
-    ac = coords[np.array(A.indices(), dtype=np.int64)]
-    ii, jj = np.triu_indices(len(ac), k=1)
-    return (ac[ii] - ac[jj]) % space.p
-
-
 def _pair_criterion(E: PointSet, A: PointSet) -> bool:
-    """Difference-set route: every a_i - a_j lies in the zero set of E."""
+    """Difference-set route: every a_i - a_j lies in the zero set of E.
+
+    Differences are taken on coordinate tuples, not on the coordinate
+    table the Gram route uses, so the two routes share no difference step.
+    """
     if A.size != E.size:
         return False
     if A.size <= 1:
         return True
-    space = E.space
+    p, d = E.space.p, E.space.d
     z = zero_set(E).mask
-    diff_idx = _pair_diffs(A) @ (space.p ** np.arange(space.d))
-    return all(z >> i & 1 for i in diff_idx.tolist())
+    pts = [index_to_coords(i, p, d) for i in A.indices()]
+    for i, a in enumerate(pts):
+        for b in pts[i + 1:]:
+            if not z >> coords_to_index([x - y for x, y in zip(a, b)], p) & 1:
+                return False
+    return True
 
 
 def _pair_gram(E: PointSet, A: PointSet) -> bool:
@@ -88,7 +88,10 @@ def _pair_gram(E: PointSet, A: PointSet) -> bool:
     p = space.p
     coords = coords_matrix(p, space.d).astype(np.int64)
     ec = coords[np.array(E.indices(), dtype=np.int64)]
-    diffs = _pair_diffs(A)                              # (n_pairs, d)
+    ac = coords[np.array(A.indices(), dtype=np.int64)]
+    n = len(ac)
+    ii, jj = np.triu_indices(n, k=1)
+    diffs = (ac[ii] - ac[jj]) % p                       # (n_pairs, d)
     step = max(1, 4_000_000 // max(1, len(ec)))
     for lo in range(0, len(diffs), step):
         r = (ec @ diffs[lo:lo + step].T) % p            # (|E|, chunk)

@@ -150,35 +150,10 @@ class TestSearch:
         assert cert.witness.size == 7
         assert verify_spectral_pair(L, cert.witness)
 
-    def test_translation_invariance_of_witnesses(self):
-        spc = Space(5, 3)
-        L = line(spc, (1, 2, 0))
-        base = spectrum_search(L)
-        shifted = spectrum_search(translate(L, spc.point((1, 1, 1))))
-        assert base.verdict == shifted.verdict == "witness"
-        # zero set is translation invariant, so the searches coincide
-        assert base.witness == shifted.witness
-        assert base.nodes_explored == shifted.nodes_explored
-        assert verify_spectral_pair(
-            translate(L, spc.point((1, 1, 1))), base.witness)
-
-    def test_singleton(self):
-        spc = Space(3, 3)
-        cert = spectrum_search(PointSet.from_indices(spc, [13]))
-        assert cert.verdict == "witness"
-        assert cert.witness.indices() == [0]
-
-    def test_budget_abort(self):
-        spc = Space(7, 3)
-        cert = spectrum_search(plane_x1_zero(spc), budget=1)
-        assert cert.verdict == "aborted"
-        assert cert.nodes_explored == 2
-
-    def test_translate_reuses_clique_stage(self, monkeypatch):
+    def test_translation_invariance_of_witnesses(self, monkeypatch):
         spc = Space(5, 3)
         L = line(spc, (1, 2, 0))
         M = translate(L, spc.point((1, 1, 1)))
-        assert zero_set(L) == zero_set(M)
         validated = []
 
         def counting(E, A):
@@ -188,33 +163,49 @@ class TestSearch:
         monkeypatch.setattr(spectral_mod, "verify_spectral_pair", counting)
         stage = spectral_mod._clique_in_zero_set
         stage.cache_clear()
-        first = spectrum_search(L)
-        second = spectrum_search(M)
+        base = spectrum_search(L)
+        shifted = spectrum_search(M)
+        assert base.verdict == shifted.verdict == "witness"
+        # zero set is translation invariant, so the clique stage is reused
+        assert zero_set(L) == zero_set(M)
         assert stage.cache_info().hits == 1
-        assert first.verdict == "witness"
-        assert first == second
+        assert base.witness == shifted.witness
+        assert base.nodes_explored == shifted.nodes_explored
         # each witness is checked against its own set, both ways round
-        w = first.witness
+        w = base.witness
         assert validated == [(L, w), (w, L), (M, w), (w, M)]
+        assert verify_spectral_pair(M, base.witness)
 
-    def test_budget_is_part_of_the_cache_key(self):
+    def test_singleton(self):
+        spc = Space(3, 3)
+        cert = spectrum_search(PointSet.from_indices(spc, [13]))
+        assert cert.verdict == "witness"
+        assert cert.witness.indices() == [0]
+
+    def test_budget_abort(self):
         spc = Space(7, 3)
         P = plane_x1_zero(spc)
         spectral_mod._clique_in_zero_set.cache_clear()
-        assert spectrum_search(P, budget=1).verdict == "aborted"
+        cert = spectrum_search(P, budget=1)
+        assert cert.verdict == "aborted"
+        assert cert.nodes_explored == 2
+        # the budget is part of the clique stage's cache key
         full = spectrum_search(P)
         assert full.verdict == "witness"
-        assert spectrum_search(P, budget=1).verdict == "aborted"
+        assert spectrum_search(P, budget=1) == cert
         assert spectrum_search(P) == full
 
     def test_recursion_limit_restored(self):
         spc = Space(7, 3)
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
+        stage = spectral_mod._clique_in_zero_set
+        stage.cache_clear()
         try:
             # a 343-point spectrum needs more than 1000 frames
             cert = spectrum_search(PointSet.full(spc))
             assert cert.verdict == "witness"
+            assert stage.cache_info().misses == 1
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(old)
