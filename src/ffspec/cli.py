@@ -69,7 +69,7 @@ def _write_report(result: dict, elapsed: float, workers: int,
         Path(path).write_text(text)
 
 
-def _search_section(cert, space) -> dict:
+def _search_section(cert) -> dict:
     stats = getattr(cert, "pruning_stats", None)
     if stats is None:
         stats = cert.stats
@@ -105,11 +105,11 @@ def cmd_analyze(args) -> int:
     aborted = False
     if not args.no_spectral:
         cert = spectrum_search(E, budget=args.budget)
-        result["spectral"] = _search_section(cert, space)
+        result["spectral"] = _search_section(cert)
         aborted |= cert.verdict == "aborted"
     if not args.no_tiling:
         cert = tiling_search(E, budget=args.budget)
-        result["tile"] = _search_section(cert, space)
+        result["tile"] = _search_section(cert)
         aborted |= cert.verdict == "aborted"
     _write_report(result, perf_counter() - t0, 1, args.report)
     return 2 if aborted else 0

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sets import PointSet, QuotientFunction
-from .space import Point, Space, _require_same_space, dot
-from .tables import dir_dots, direction_reps, scale_tables
+from .space import Point, Space, _require_same_space
+from .tables import coords_matrix, dir_dots, direction_reps, scale_tables
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,9 @@ class EquidistProfile:
 
 def _residue_counts(E: PointSet, xi: Point) -> tuple:
     _require_same_space(E.space.zero(), xi)
-    counts = [0] * E.space.p
-    for pt in E.points():
-        counts[dot(pt, xi)] += 1
-    return tuple(counts)
+    p, d = E.space.p, E.space.d
+    dots = coords_matrix(p, d)[E.indices()] @ np.array(xi.coords) % p
+    return tuple(int(c) for c in np.bincount(dots, minlength=p))
 
 
 def character_sum(E: PointSet, xi: Point) -> CharacterSum:
@@ -128,17 +127,13 @@ def _value_array(f) -> np.ndarray:
     raise TypeError("expected a PointSet or QuotientFunction")
 
 
-def _space_of(f) -> Space:
-    return f.space
-
-
 def float_dft(f) -> np.ndarray:
     """Normalized transform as a flat complex array over xi index.
 
     Index layout matches point indexing (coordinate 0 least
     significant), via an axis-per-coordinate FFT.
     """
-    space = _space_of(f)
+    space = f.space
     p, d = space.p, space.d
     grid = _value_array(f).reshape((p,) * d, order="F")
     out = np.fft.fftn(grid) / space.order
@@ -155,7 +150,7 @@ def float_inverse(fhat: np.ndarray, space: Space) -> np.ndarray:
 
 def plancherel_check(f) -> float:
     """Relative defect |sum|f|^2 - p^d sum|fhat|^2| / max(1, sum|f|^2)."""
-    space = _space_of(f)
+    space = f.space
     vals = _value_array(f)
     lhs = float(np.sum(vals * vals))
     fhat = float_dft(f)

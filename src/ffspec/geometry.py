@@ -6,8 +6,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sets import PointSet
-from .space import Direction, Space, Subspace, all_directions, dot
-from .tables import dir_dots, line_table
+from .space import Direction, Space, Subspace
+from .tables import (add_table, difference, dir_dots, dir_of_index,
+                     direction_orthogonality, direction_reps, line_table)
 
 # direction multiplicities -------------------------------------------------
 
@@ -25,17 +26,31 @@ class DirectionStats:
         return len(self.determined)
 
 
+def _direction_counts(E: PointSet) -> np.ndarray:
+    """Per direction id, the unordered pairs of E whose difference spans it."""
+    p, d = E.space.p, E.space.d
+    idx = np.array(E.indices(), dtype=np.int64)
+    ii, jj = np.triu_indices(len(idx), 1)
+    ids = dir_of_index(p, d)[difference(p, d, idx[ii], idx[jj])]
+    return np.bincount(ids, minlength=len(direction_reps(p, d)))
+
+
+def _plane_direction_counts(space: Space, counts: np.ndarray) -> np.ndarray:
+    """Per normal direction id, the determined directions (counts > 0)
+    lying in the plane through 0 with that normal."""
+    return direction_orthogonality(space.p, space.d)[:, counts > 0].sum(axis=1)
+
+
 def direction_stats(E: PointSet) -> DirectionStats:
     if E.size < 2:
         raise ValueError("need at least two points to determine a direction")
-    pts = E.points()
-    mult: dict = {}
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dr = Direction.through(pts[i] - pts[j])
-            mult[dr] = mult.get(dr, 0) + 1
-    det = tuple(sorted(mult, key=lambda dr: dr.index))
-    return DirectionStats(E.space, det, mult)
+    space = E.space
+    counts = _direction_counts(E)
+    det = np.flatnonzero(counts)
+    reps = direction_reps(space.p, space.d)
+    dirs = tuple(Direction(space, space.point_at(int(reps[k]))) for k in det)
+    return DirectionStats(space, dirs,
+                          {dr: int(counts[k]) for dr, k in zip(dirs, det)})
 
 
 def plane_direction_count(E: PointSet, P: Subspace) -> int:
@@ -99,11 +114,9 @@ def concentration(E: PointSet) -> ConcentrationReport:
     ps = plane_sup(E)
     per_plane = None
     if E.size >= 2:
-        stats = direction_stats(E)
-        per_plane = {}
-        for normal in all_directions(space):
-            per_plane[normal.index] = sum(
-                1 for dr in stats.determined if dot(dr.rep, normal.rep) == 0)
+        per = _plane_direction_counts(space, _direction_counts(E))
+        per_plane = {int(r): int(c)
+                     for r, c in zip(direction_reps(space.p, space.d), per)}
     return ConcentrationReport(ls, ps, per_plane)
 
 
@@ -121,11 +134,8 @@ def sumset(A: PointSet, B: PointSet) -> PointSet:
     if A.space != B.space:
         raise ValueError("mismatched spaces")
     space = A.space
-    out = 0
-    for a in A.points():
-        for b in B.points():
-            out |= 1 << (a + b).index
-    return PointSet(space, out)
+    sums = add_table(space.p, space.d)[np.ix_(A.indices(), B.indices())]
+    return PointSet.from_indices(space, np.unique(sums).tolist())
 
 
 def sumset_cd_check(A: PointSet, B: PointSet) -> bool:

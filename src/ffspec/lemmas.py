@@ -599,7 +599,9 @@ def _fug32_chunk(size: int):
     return len(rows), {str(size): {"sets": len(rows), **counts}}, cex
 
 
-_FUG52_BLOCK = 1 << 16
+# size 5, C(24, 4) = 10,626 anchored sets, is nearly all the work: it
+# splits into six chunks, so two workers both get a share
+_FUG52_BLOCK = 1 << 11
 
 
 def _fug52_both_filtered(size: int) -> bool:

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .space import (Point, Space, _inverse, _rank, _require_same_space,
-                    coords_to_index)
+import numpy as np
+
+from .space import Point, Space, _inverse, _rank, _require_same_space
+from .tables import add_table, coords_matrix
 
 
 class SetFormatError(ValueError):
@@ -77,8 +79,8 @@ class PointSet:
         return [self.space.point_at(i) for i in self.indices()]
 
     def coord_rows(self) -> list:
-        """Sorted list of coordinate tuples; the JSON witness format."""
-        return [list(pt.coords) for pt in self.points()]
+        """Coordinate rows in index order; the JSON witness format."""
+        return coords_matrix(self.space.p, self.space.d)[self.indices()].tolist()
 
     def contains(self, x: Point) -> bool:
         _require_same_space(self.space.zero(), x)
@@ -109,10 +111,8 @@ class PointSet:
 def translate(E: PointSet, x: Point) -> PointSet:
     _require_same_space(E.space.zero(), x)
     space = E.space
-    mask = 0
-    for i in E.indices():
-        mask |= 1 << (space.point_at(i) + x).index
-    return PointSet(space, mask)
+    row = add_table(space.p, space.d)[x.index, E.indices()]
+    return PointSet.from_indices(space, row.tolist())
 
 
 @dataclass(frozen=True)
@@ -165,13 +165,17 @@ def _quotient_matrix(space: Space, delta):
     return _inverse([list(row) for row in zip(*cols)], space.p)
 
 
+def _cells(space: Space, delta, indices) -> np.ndarray:
+    """Quotient-space index of the coset of span(delta) through each point index."""
+    p, d = space.p, space.d
+    m = np.array(_quotient_matrix(space, delta), dtype=np.int64)
+    coeffs = coords_matrix(p, d)[indices] @ m.T % p
+    return coeffs[:, : d - 1] @ p ** np.arange(d - 1)
+
+
 def quotient_cell_index(space: Space, delta, x: Point) -> int:
     """Index of the coset of span(delta) containing x, in the quotient space."""
-    p = space.p
-    m = _quotient_matrix(space, delta)
-    coeffs = [sum(m[i][j] * x.coords[j] for j in range(space.d)) % p
-              for i in range(space.d)]
-    return coords_to_index(coeffs[: space.d - 1], p)
+    return int(_cells(space, delta, [x.index])[0])
 
 
 def project_along(E: PointSet, delta) -> QuotientFunction:
@@ -180,14 +184,9 @@ def project_along(E: PointSet, delta) -> QuotientFunction:
     if space.d < 2:
         raise ValueError("projection needs d >= 2")
     quot = Space(space.p, space.d - 1)
-    values = [0] * quot.order
-    m = _quotient_matrix(space, delta)
+    values = np.bincount(_cells(space, delta, E.indices()), minlength=quot.order)
     p = space.p
-    for pt in E.points():
-        coeffs = [sum(m[i][j] * pt.coords[j] for j in range(space.d)) % p
-                  for i in range(space.d)]
-        values[coords_to_index(coeffs[: space.d - 1], p)] += 1
-    out = QuotientFunction(quot, tuple(values))
+    out = QuotientFunction(quot, tuple(int(v) for v in values))
     assert all(v <= p for v in out.values)
     return out
 
@@ -259,5 +258,5 @@ def write_set(E: PointSet, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"p {space.p}\n")
         fh.write(f"d {space.d}\n")
-        for pt in E.points():
-            fh.write(" ".join(str(c) for c in pt.coords) + "\n")
+        for row in E.coord_rows():
+            fh.write(" ".join(str(c) for c in row) + "\n")

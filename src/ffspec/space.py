@@ -1,8 +1,10 @@
-"""Points, directions and subspaces of F_p^d.
+"""The space F_p^d and its value types: points, directions, subspaces.
 
 Points are indexed 0 .. p^d - 1 with coordinate 0 in the least
-significant base-p digit, so index = sum(coords[i] * p**i).  All
-arithmetic is exact integer arithmetic mod p.
+significant base-p digit, so index = sum(coords[i] * p**i).  Point is
+the single-point value type; operations on sets of points work on
+these indices and read the cached tables in tables.py.  All arithmetic
+is exact integer arithmetic mod p.
 """
 from __future__ import annotations
 
@@ -10,21 +12,25 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+import numpy as np
 
 
 @dataclass(frozen=True)
 class Space:
-    """The vector space F_p^d for an odd prime p <= 31 and 1 <= d <= 4."""
+    """The vector space F_p^d, for p in {3, 5, 7} and d in {1, 2, 3}.
+
+    Library entry points construct a Space before they build a lookup
+    table, so this check also bounds every table size.
+    """
 
     p: int
     d: int
 
     def __post_init__(self):
-        if self.p not in _ODD_PRIMES:
-            raise ValueError(f"p must be an odd prime <= 31, got {self.p}")
-        if not 1 <= self.d <= 4:
-            raise ValueError(f"d must be between 1 and 4, got {self.d}")
+        if self.p not in (3, 5, 7):
+            raise ValueError(f"p must be the prime 3, 5 or 7, got {self.p}")
+        if self.d not in (1, 2, 3):
+            raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
 
     @property
     def order(self) -> int:
@@ -227,14 +233,14 @@ def orthogonal(sub: Subspace) -> Subspace:
 def hyperplane_translates(space: Space, xi: Point):
     """The p sets {x : x . xi = c} for c = 0 .. p-1, as PointSets."""
     from .sets import PointSet
+    from .tables import coords_matrix
 
     if xi.is_zero():
         raise ValueError("xi must be nonzero")
     _require_same_space(space.zero(), xi)
-    buckets = [[] for _ in range(space.p)]
-    for x in space.iter_points():
-        buckets[dot(x, xi)].append(x)
-    return [PointSet.from_points(space, b) for b in buckets]
+    dots = coords_matrix(space.p, space.d) @ np.array(xi.coords) % space.p
+    return [PointSet.from_indices(space, np.flatnonzero(dots == c).tolist())
+            for c in range(space.p)]
 
 
 def _row_reduce(rows, p: int):
@@ -305,18 +311,11 @@ def canonical_form(E, group: str = "translations"):
     """
     space = E.space
     from .sets import PointSet
+    from .tables import add_table
 
     if group == "translations":
-        best = None
-        idxs = E.indices()
-        for t in range(space.order):
-            tpt = space.point_at(t)
-            mask = 0
-            for i in idxs:
-                mask |= 1 << (space.point_at(i) + tpt).index
-            if best is None or mask < best:
-                best = mask
-        return PointSet(space, best if best is not None else 0)
+        rows = add_table(space.p, space.d)[:, E.indices()].tolist()
+        return PointSet(space, min(sum(1 << i for i in row) for row in rows))
     if group == "affine":
         if space.d > 2:
             raise ValueError("affine canonical form is only supported for d <= 2")
@@ -350,26 +349,14 @@ def affine_permutations(p: int, d: int):
     """Point-index permutations for every map x -> Mx + t, d <= 2.
 
     Returned as a tuple of tuples; entry perm[i] is the image index of
-    point i.  Size (p^2-1)(p^2-p)p^2 for d=2.
+    point i.  Maps run over gl_matrices(p, d) and, for each matrix, over
+    t in index order.  Size (p^2-1)(p^2-p)p^2 for d=2.
     """
-    space = Space(p, d)
-    n = space.order
-    coords = [index_to_coords(i, p, d) for i in range(n)]
-    perms = []
-    for mat in gl_matrices(p, d):
-        # image of point x under the linear map: sum_j x_j * row_j
-        lin = []
-        for x in coords:
-            img = [0] * d
-            for j in range(d):
-                for k in range(d):
-                    img[k] += x[j] * mat[j][k]
-            lin.append(coords_to_index([v % p for v in img], p))
-        for t in range(n):
-            tc = coords[t]
-            perm = [0] * n
-            for i in range(n):
-                ic = index_to_coords(lin[i], p, d)
-                perm[i] = coords_to_index([(a + b) % p for a, b in zip(ic, tc)], p)
-            perms.append(tuple(perm))
-    return tuple(perms)
+    from .tables import add_table, coords_matrix
+
+    n = Space(p, d).order
+    mats = np.array(gl_matrices(p, d), dtype=np.int64)
+    # image index of x under each linear map: sum_j x_j * row_j
+    lin = (coords_matrix(p, d) @ mats % p) @ p ** np.arange(d)     # (maps, n)
+    perms = add_table(p, d)[lin[:, None, :], np.arange(n)[:, None]]
+    return tuple(map(tuple, perms.reshape(-1, n).tolist()))

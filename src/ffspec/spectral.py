@@ -29,11 +29,11 @@ from functools import lru_cache
 import numpy as np
 
 from .fourier import zero_set
-from .geometry import _plane_max, line_sup
+from .geometry import (_direction_counts, _plane_direction_counts,
+                       _plane_max, line_sup)
 from .sets import PointSet
 from .space import coords_to_index, index_to_coords
-from .tables import (coords_matrix, dir_dots, dir_of_index,
-                     direction_orthogonality, sub_table)
+from .tables import coords_matrix, difference, dir_dots
 
 
 class InternalCheckError(RuntimeError):
@@ -209,10 +209,7 @@ def _apply_pruning(E: PointSet, stats: dict) -> str | None:
         if _plane_max(dots, p) > p:
             stats["plane_concentration"] = stats.get("plane_concentration", 0) + 1
             return "plane_concentration"
-        diffs = sub_table(p, 3)[np.ix_(idx, idx)].reshape(-1)
-        det = np.unique(dir_of_index(p, 3)[diffs])
-        det = det[det >= 0]
-        per_plane = direction_orthogonality(p, 3)[:, det].sum(axis=1)
+        per_plane = _plane_direction_counts(space, _direction_counts(E))
         if int(per_plane.max()) > p:
             stats["plane_directions"] = stats.get("plane_directions", 0) + 1
             return "plane_directions"
@@ -273,15 +270,11 @@ def _clique_in_zero_set(space, zmask: int, n: int, budget: int) -> tuple:
     if len(cand) < n - 1:
         return "none", None, 0
     # adjacency over candidate slots, ordered by descending degree then index
-    space_p = space.p
-    coords = coords_matrix(space_p, space.d).astype(np.int64)
-    cc = coords[np.array(cand, dtype=np.int64)]
-    powers = space_p ** np.arange(space.d)
-    diff_idx = (((cc[:, None, :] - cc[None, :, :]) % space_p) @ powers)
+    ci = np.array(cand, dtype=np.int64)
     k = len(cand)
     zbits = np.zeros(space.order, dtype=bool)
-    zbits[np.array(cand, dtype=np.int64)] = True
-    adj_bool = zbits[diff_idx]
+    zbits[ci] = True
+    adj_bool = zbits[difference(space.p, space.d, ci[:, None], ci)]
     np.fill_diagonal(adj_bool, False)
     degree = adj_bool.sum(axis=1)
     order = sorted(range(k), key=lambda s: (-int(degree[s]), cand[s]))

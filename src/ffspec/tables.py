@@ -1,8 +1,11 @@
-"""Cached numpy lookup tables for a space, used by the hot loops.
+"""Cached numpy lookup tables for a space: the one index arithmetic.
 
-Everything here is derived data: coordinates per index, dot products
-against canonical direction representatives, affine line memberships.
-All arrays are integer dtypes; nothing here rounds.
+Point is the single-point value type; every set-level operation works
+on integer point indices and reads the tables here.  Sums come from
+add_table, differences from add_table and the negation row of
+scale_tables (difference), directions from dir_of_index, dot products
+against canonical direction representatives from dir_dots.  All arrays
+are integer or boolean dtypes; nothing here rounds.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .space import Space, all_directions, coords_to_index
+from .space import Space, all_directions
 
 
 @lru_cache(maxsize=None)
@@ -41,15 +44,19 @@ def dir_dots(p: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def sub_table(p: int, d: int) -> np.ndarray:
-    """(p^d, p^d) table of point-index differences i - j; small spaces only."""
-    n = p ** d
-    if n > 4096:
-        raise ValueError("difference table too large; compute differences directly")
-    coords = coords_matrix(p, d).astype(np.int64)
-    diff = (coords[:, None, :] - coords[None, :, :]) % p
-    powers = p ** np.arange(d)
-    return (diff @ powers).astype(np.int32)
+def add_table(p: int, d: int) -> np.ndarray:
+    """(p^d, p^d) int16 table: entry [i, j] is the index of point i + point j."""
+    coords = coords_matrix(p, d)
+    out = np.zeros((p ** d, p ** d), dtype=np.int16)
+    for k in range(d):
+        col = coords[:, k]
+        out += (col[:, None] + col[None, :]) % p * np.int16(p ** k)
+    return out
+
+
+def difference(p: int, d: int, a, b) -> np.ndarray:
+    """Index of point a - point b, elementwise over broadcast index arrays."""
+    return add_table(p, d)[a, scale_tables(p, d)[p - 1][b]]
 
 
 @lru_cache(maxsize=None)
@@ -92,25 +99,8 @@ def line_table(p: int, d: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def pair_direction_table(p: int) -> np.ndarray:
     """(p^2, p^2) int8: canonical direction id of i - j for d = 2; -1 on the diagonal."""
-    space = Space(p, 2)
-    reps = {dr.index: k for k, dr in enumerate(all_directions(space))}
-    n = p * p
-    diffs = sub_table(p, 2)
-    out = np.full((n, n), -1, dtype=np.int8)
-    # canonicalize each nonzero difference index
-    coords = coords_matrix(p, 2).astype(np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            x, y = coords[diffs[i, j]]
-            if x != 0:
-                inv = pow(int(x), p - 2, p)
-                rep = coords_to_index(((x * inv) % p, (y * inv) % p), p)
-            else:
-                rep = coords_to_index((0, 1), p)
-            out[i, j] = reps[rep]
-    return out
+    i = np.arange(p * p)
+    return dir_of_index(p, 2)[difference(p, 2, i[:, None], i)].astype(np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -138,13 +128,10 @@ def pair_line_table(p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def dir_of_index(p: int, d: int) -> np.ndarray:
     """(p^d,) int16: canonical direction id of each nonzero point; -1 at 0."""
-    space = Space(p, d)
-    dirs = all_directions(space)
-    out = np.full(space.order, -1, dtype=np.int16)
+    out = np.full(p ** d, -1, dtype=np.int16)
     scl = scale_tables(p, d)
-    for k, dr in enumerate(dirs):
-        for c in range(1, p):
-            out[scl[c, dr.index]] = k
+    for k, rep in enumerate(direction_reps(p, d)):
+        out[scl[1:, rep]] = k
     return out
 
 

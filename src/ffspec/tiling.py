@@ -14,7 +14,7 @@ import numpy as np
 
 from .sets import PointSet
 from .spectral import InternalCheckError, recursion_room
-from .tables import coords_matrix
+from .tables import add_table
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,7 @@ class TilingCertificate:
 
 def _translates(E: PointSet) -> np.ndarray:
     """(p^d, |E|) table: row a holds the point indices of E + a."""
-    space = E.space
-    p = space.p
-    coords = coords_matrix(p, space.d).astype(np.int64)
-    eidx = np.array(E.indices(), dtype=np.int64)
-    powers = p ** np.arange(space.d)
-    return ((coords[eidx][None, :, :] + coords[:, None, :]) % p) @ powers
+    return add_table(E.space.p, E.space.d)[:, E.indices()]
 
 
 def _mask(row: np.ndarray) -> int:

@@ -211,6 +211,51 @@ class TestFalsify:
             main(["falsify", "--p", "7", "--d", "3"])
         assert exc.value.code == 1
 
+    def test_space_outside_domain_exits_1(self, capsys):
+        code, out, err = run_cli(
+            ["falsify", "--p", "17", "--d", "3", "--size", "34",
+             "--trials", "1", "--seed", "1"], capsys)
+        assert code == 1 and out == ""
+        assert "p must be the prime 3, 5 or 7, got 17" in err
+        assert "table" not in err
+
+
+_GRAPH_F = "1254343650135045561352130154656234160541525613144"
+_LINES = [((0, 0, 1), (1, 2, 0)), ((0, 2, 5), (1, 6, 5)),
+          ((0, 3, 0), (1, 3, 5)), ((0, 3, 1), (1, 6, 5)),
+          ((0, 4, 3), (1, 3, 2)), ((0, 5, 6), (1, 6, 1))]
+
+
+class TestAnalyzePinned:
+    """One set per class of the analyze benchmark; full result hashes
+    taken from the Point-object implementation of the set operations."""
+
+    SETS = {
+        # graph of f: F_7^2 -> F_7
+        "graph": (7, [(x, y, int(_GRAPH_F[7 * x + y]))
+                      for x in range(7) for y in range(7)],
+                  "485d8ecc54df3b66cb715f6468872f4fb0a8dc6d033c8610d90ca552b56b7d12"),
+        "ppoint": (5, [(0, 4, 4), (1, 2, 4), (2, 0, 4), (3, 4, 3), (4, 3, 4)],
+                   "d531ff36a3c21bdc783e5e9ce147f5eb0d98f5a7ab61ba059159cf0f78e1eccc"),
+        # six disjoint lines of F_7^3
+        "lines": (7, [tuple((b[k] + t * v[k]) % 7 for k in range(3))
+                      for b, v in _LINES for t in range(7)],
+                  "7e031a1aae2980fe39ff10ecf4467678d78b45207676b1a42ba64b29c726969b"),
+        "mp": (5, [(0, 1, 1), (0, 2, 0), (0, 2, 2), (1, 3, 3), (2, 2, 2),
+                   (2, 2, 3), (2, 3, 0), (2, 3, 3), (2, 3, 4), (3, 0, 4),
+                   (3, 1, 1), (3, 1, 4), (3, 3, 4), (4, 2, 3), (4, 4, 1)],
+               "19a3fa69b590d2d3e2251f67cc21468f79abd00f6412a8eea10dde4851b44d7a"),
+    }
+
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_result_sha256(self, name, tmp_path, capsys):
+        p, rows, digest = self.SETS[name]
+        f = write_lines(tmp_path / f"{name}.txt", f"p {p}", "d 3",
+                        *(" ".join(map(str, r)) for r in rows))
+        code, out, _ = run_cli(["analyze", "--set", f], capsys)
+        assert code == 0
+        assert json.loads(out)["meta"]["result_sha256"] == digest
+
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 VERIFY_F32 = ["verify", "--lemma", "fuglede-3-2"]

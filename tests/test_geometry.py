@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -35,7 +36,7 @@ class TestDirectionStats:
         assert got == {(0, 1), (1, 0), (1, 1), (1, 2), (1, 4), (1, 6)}
 
     def test_multiplicities_conserve_pairs(self, rng):
-        for p, d in [(7, 2), (5, 3)]:
+        for p, d in [(7, 2), (5, 3), (7, 3)]:
             spc = Space(p, d)
             for _ in range(10):
                 size = int(rng.integers(2, 9))
@@ -46,6 +47,14 @@ class TestDirectionStats:
                 assert sum(stats.multiplicity.values()) == math.comb(size, 2)
                 assert stats.count == len(
                     O.direction_set(p, [pt.coords for pt in E]))
+                pts = [pt.coords for pt in E]
+                expected = Counter(
+                    O.canon_dir(p, tuple((a - b) % p for a, b in zip(x, y)))
+                    for i, x in enumerate(pts) for y in pts[i + 1:])
+                assert {dr.rep.coords: m for dr, m in
+                        stats.multiplicity.items()} == dict(expected)
+                assert [dr.rep.coords for dr in stats.determined] == sorted(
+                    expected, key=lambda v: O.point_index(p, v))
 
     def test_small_sets_rejected(self):
         with pytest.raises(ValueError):
@@ -128,6 +137,21 @@ class TestConcentration:
             assert P.dim == 2
             assert count == plane_direction_count(E, P) <= stats_total
 
+    def test_plane_direction_counts_oracle(self, rng):
+        for p in (5, 7):
+            spc = Space(p, 3)
+            normals = {O.canon_dir(p, v) for v in O.all_points(p, 3) if any(v)}
+            for size in (2, 6, 14):
+                E = PointSet.from_indices(
+                    spc, rng.choice(spc.order, size, replace=False).tolist())
+                dirs = O.direction_set(p, [pt.coords for pt in E])
+                expected = {
+                    O.point_index(p, nrm): sum(
+                        1 for v in dirs
+                        if sum(a * b for a, b in zip(v, nrm)) % p == 0)
+                    for nrm in normals}
+                assert concentration(E).plane_direction_counts == expected
+
     def test_concentration_needs_2_or_3(self):
         with pytest.raises(ValueError):
             concentration(PointSet.from_indices(Space(3, 1), [0]))
@@ -186,6 +210,24 @@ class TestSumset:
         E = PointSet.from_indices(Space(3, 2), [0])
         with pytest.raises(ValueError):
             sumset_cd_check(E, E)
+
+    def test_sumset_d3_oracle(self, rng):
+        class Vec(tuple):
+            # coordinatewise + and % let oracles.sumset add points of F_p^3
+            def __add__(self, other):
+                return Vec(a + b for a, b in zip(self, other))
+
+            def __mod__(self, p):
+                return tuple(a % p for a in self)
+
+        for p in (5, 7):
+            spc = Space(p, 3)
+            for sa, sb in [(1, 6), (5, 5), (9, 3)]:
+                A, B = (PointSet.from_indices(
+                    spc, rng.choice(spc.order, s, replace=False).tolist())
+                    for s in (sa, sb))
+                assert {pt.coords for pt in sumset(A, B)} == O.sumset(
+                    p, [Vec(pt.coords) for pt in A], [Vec(pt.coords) for pt in B])
 
     def test_sumset_any_d(self):
         spc = Space(3, 2)

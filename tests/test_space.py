@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -64,7 +65,8 @@ class TestIndexing:
             spc.point_at(0).__class__(spc, (5, 0))
 
     def test_space_validation(self):
-        for p, d in [(2, 2), (4, 2), (9, 2), (37, 2), (3, 0), (3, 5)]:
+        for p, d in [(2, 2), (4, 2), (9, 2), (37, 2), (3, 0), (3, 5),
+                     (11, 2), (17, 3), (3, 4)]:
             with pytest.raises(ValueError):
                 Space(p, d)
 
@@ -228,6 +230,21 @@ class TestCanonicalForm:
             t = spc.point_at(int(rng.integers(25)))
             assert canonical_form(translate(E, t)) == canonical_form(E)
 
+    def test_translation_minimum_oracle(self, rng):
+        for p, d in [(5, 3), (7, 3)]:
+            spc = Space(p, d)
+            for size in (1, 4, 9):
+                idx = rng.choice(spc.order, size=size, replace=False).tolist()
+                E = PointSet.from_indices(spc, idx)
+                pts = [spc.point_at(i).coords for i in idx]
+                best = min(
+                    sum(1 << O.point_index(
+                        p, tuple((a + b) % p for a, b in zip(x, t)))
+                        for x in pts)
+                    for t in O.all_points(p, d))
+                assert canonical_form(E).mask == best
+        assert canonical_form(PointSet.empty(Space(5, 3))).mask == 0
+
     def test_affine_class_count_oracle(self):
         spc = Space(3, 2)
         reps = set()
@@ -258,6 +275,20 @@ class TestCanonicalForm:
         assert len(gl_matrices(7, 2)) == 2016
         assert len(gl_matrices(7, 2)) * 49 == 98784
         assert len(affine_permutations(5, 2)) == 12000 == len(O.affine_maps_2d(5))
+
+    def test_affine_permutations_5_2_oracle(self):
+        perms = affine_permutations(5, 2)
+        assert isinstance(perms, tuple) and isinstance(perms[0], tuple)
+        pts = O.all_points(5, 2)
+        expected = {tuple(O.point_index(5, O.apply_affine(5, g, pt))
+                          for pt in pts)
+                    for g in O.affine_maps_2d(5)}
+        assert set(perms) == expected
+        # the order: gl_matrices, then translations by index
+        digest = hashlib.sha256(
+            bytes(v for perm in perms for v in perm)).hexdigest()
+        assert digest == ("bf16558a978c589b53f90cc273eb7a71"
+                          "bb22a370f9bea66c0e80c50e07a5539d")
 
     def test_affine_permutations_are_permutations(self):
         for perm in affine_permutations(3, 2)[:50]:
