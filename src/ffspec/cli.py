@@ -17,6 +17,7 @@ import json
 import socket
 import sys
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 from time import perf_counter
 
@@ -156,6 +157,9 @@ def cmd_falsify(args) -> int:
     return 0
 
 
+# one parser per process: parse_args does not change it, and a build
+# costs a noticeable share of one small analyze run
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ffspec",
                      description="exact spectral-set and tiling toolkit "

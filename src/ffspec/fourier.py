@@ -10,18 +10,22 @@ Exact zero testing never touches floats: a character sum is stored as
 the p residue-class counts c_j = #{x in E : x . xi = j}, and the value
 sum_j c_j zeta^j vanishes over the cyclotomic integers iff all counts
 are equal (the minimal polynomial of zeta over Q is 1 + x + ... +
-x^(p-1)).  Floating values exist for diagnostics only.
+x^(p-1)).  zero_set reads these counts for every canonical direction
+at once from tables.plane_counts, the one equidistribution count;
+character_sum keeps its own count for a single xi, as the independent
+side of that check.  Floating values exist for diagnostics only.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .sets import PointSet, QuotientFunction
 from .space import Point, Space, _require_same_space
-from .tables import coords_matrix, dir_dots, direction_reps, scale_tables
+from .tables import coords_matrix, direction_masks, plane_counts
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,16 @@ def equidist_profile(E: PointSet, xi: Point) -> EquidistProfile:
     return EquidistProfile(xi, _residue_counts(E, xi))
 
 
+def zero_directions(p: int, d: int, rows) -> np.ndarray:
+    """(n_dirs, ...) bool over index rows of shape (..., m): the
+    transform of the row's set vanishes along canonical direction k.
+
+    The p plane counts along a direction must all equal m / p.  An empty
+    row vanishes everywhere, and no row of size prime to p vanishes.
+    """
+    return (p * plane_counts(p, d, rows) == np.shape(rows)[-1]).all(axis=-1)
+
+
 def zero_set(E: PointSet) -> PointSet:
     """All nonzero xi with fhat_E(xi) = 0, exactly.
 
@@ -86,27 +100,9 @@ def zero_set(E: PointSet) -> PointSet:
     multiples: x . (c xi) runs over the same hyperplane partition, so
     the transform vanishes at xi iff it vanishes at every c xi, c != 0.
     """
-    space = E.space
-    p, d = space.p, space.d
-    if E.size == 0:
-        # empty transform vanishes everywhere off 0
-        return PointSet(space, ((1 << space.order) - 1) & ~1)
-    idx = np.array(E.indices(), dtype=np.int64)
-    dots = dir_dots(p, d)[:, idx]                      # (n_dirs, |E|)
-    m = E.size
-    if m % p != 0:
-        return PointSet.empty(space)
-    want = m // p
-    ok = np.ones(dots.shape[0], dtype=bool)
-    for c in range(p):
-        ok &= (dots == c).sum(axis=1) == want
-    reps = direction_reps(p, d)[ok]
-    mask = 0
-    scl = scale_tables(p, d)
-    for r in reps:
-        for c in range(1, p):
-            mask |= 1 << int(scl[c, r])
-    return PointSet(space, mask)
+    p, d = E.space.p, E.space.d
+    zero = zero_directions(p, d, np.array(E.indices(), dtype=np.int64))
+    return PointSet(E.space, sum(compress(direction_masks(p, d), zero)))
 
 
 def zero_set_contains(E: PointSet, xi: Point) -> bool:

@@ -7,8 +7,9 @@ import numpy as np
 
 from .sets import PointSet
 from .space import Direction, Space, Subspace
-from .tables import (add_table, difference, dir_dots, dir_of_index,
-                     direction_orthogonality, direction_reps, line_table)
+from .tables import (add_table, difference, dir_of_index,
+                     direction_orthogonality, direction_reps, line_table,
+                     plane_counts)
 
 # direction multiplicities -------------------------------------------------
 
@@ -88,19 +89,8 @@ def plane_sup(E: PointSet) -> int:
     space = E.space
     if space.d != 3:
         raise ValueError("plane concentration needs d = 3")
-    if E.size == 0:
-        return 0
     idx = np.array(E.indices(), dtype=np.int64)
-    return _plane_max(dir_dots(space.p, space.d)[:, idx], space.p)
-
-
-def _plane_max(dots: np.ndarray, p: int) -> int:
-    """Most points on one plane x . rep = c, given the (n_dirs, |E|)
-    dot rows of a nonempty set."""
-    best = 0
-    for c in range(p):
-        best = max(best, int((dots == c).sum(axis=1).max()))
-    return best
+    return int(plane_counts(space.p, 3, idx).max())
 
 
 def concentration(E: PointSet) -> ConcentrationReport:

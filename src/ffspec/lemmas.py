@@ -27,18 +27,21 @@ from time import perf_counter
 
 import numpy as np
 
+from .fourier import zero_directions
 from .parallel import run_chunks
 from .sets import PointSet
 from .space import Space, affine_permutations
-from .spectral import (InternalCheckError, allowed_spectral_sizes,
-                       spectrum_search)
+from .spectral import (InternalCheckError, _spectrum_in_zero_set,
+                       allowed_spectral_sizes, spectrum_search)
 from .tables import (
     combination_array,
     coords_matrix,
     dir_dots,
+    direction_masks,
     direction_orthogonality,
     pair_direction_table,
     pair_line_table,
+    plane_counts,
 )
 from .tiling import size_can_tile, tiling_search
 
@@ -493,25 +496,15 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
 _SLAB_BLOCK = 1 << 15
 
 
-def _f33_residue_counts(lo: int, hi: int):
-    """Rows lo..hi-1 of the 6-subsets of F_3^3, with the counts c0, c1
-    of points on the planes x . dir = 0 and = 1, per direction and row."""
-    combs = combination_array(27, 6)[lo:hi].astype(np.int16)
-    D = dir_dots(3, 3)[:, combs]
-    c0 = (D == 0).sum(axis=2, dtype=np.int8)
-    c1 = (D == 1).sum(axis=2, dtype=np.int8)
-    return combs, c0, c1
-
-
 def _slab_chunk(args):
     lo, hi = args
-    combs, c0, c1 = _f33_residue_counts(lo, hi)
-    zero = (c0 == 2) & (c1 == 2)
+    combs = combination_array(27, 6)[lo:hi]
+    counts = plane_counts(3, 3, combs)                 # (13, rows, 3)
+    zero = (counts == 2).all(axis=-1)
     orth = direction_orthogonality(3, 3).astype(np.int8)
     per_plane = orth @ zero
     hyp = (per_plane >= 2).any(axis=0)
-    c2 = 6 - c0 - c1
-    concl = ((c0 == 0) | (c1 == 0) | (c2 == 0)).any(axis=0)
+    concl = (counts == 0).any(axis=(0, 2))
     viol = hyp & ~concl
     return hi - lo, int(hyp.sum()), [{"set": r.tolist()} for r in combs[viol]]
 
@@ -540,21 +533,33 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # Small-space spectral-versus-tile sweeps.
 
+def _immediate_none(spc: Space, rows: np.ndarray) -> tuple:
+    """(n_dirs, n_rows) zero directions of every index row, and the rows
+    whose spectrum search answers none without searching.
+
+    At a size a spectral set may have, the clique stage needs |E| - 1
+    points in the zero set, and each zero direction holds p - 1 of them.
+    Other sizes are left to the search's own size filter.
+    """
+    zero = zero_directions(spc.p, spc.d, rows)
+    size = rows.shape[1]
+    few = (spc.p - 1) * zero.sum(axis=0) < size - 1
+    return zero, few & (size in allowed_spectral_sizes(spc))
+
+
 def _fug33_chunk(args):
     lo, hi = args
     spc = Space(3, 3)
-    combs, c0, c1 = _f33_residue_counts(lo, hi)
-    zdirs = ((c0 == 2) & (c1 == 2)).sum(axis=0)
-    searched = 0
+    combs = combination_array(27, 6)[lo:hi]
+    zero, none = _immediate_none(spc, combs)
+    keep = ~none
+    dmasks = direction_masks(3, 3)
     nodes = 0
     wits = []
-    for row, nz in zip(combs, zdirs):
-        if nz < 3:
-            # |Z| = 2 nz < 5 = |E| - 1: the search returns none at once
-            continue
+    for row, z in zip(combs[keep], zero[:, keep].T):
         E = PointSet(spc, sum(1 << int(i) for i in row))
-        cert = spectrum_search(E)
-        searched += 1
+        zmask = sum(itertools.compress(dmasks, z))
+        cert = _spectrum_in_zero_set(E, zmask, 10 ** 9, {})
         nodes += cert.nodes_explored
         if cert.verdict == "aborted":
             raise RuntimeError("budget exhausted during exhaustive sweep")
@@ -563,15 +568,16 @@ def _fug33_chunk(args):
                 "set": row.tolist(),
                 "spectrum": cert.witness.indices(),
             })
-    return hi - lo, searched, nodes, wits
+    return hi - lo, int(keep.sum()), nodes, wits
 
 
-def _spectral_vs_tile(spc: Space, rows, skip_spectral) -> tuple:
-    """Both verdicts for every index row; rows flagged in skip_spectral
-    have no spectrum for sure and skip the spectral search.
+def _spectral_vs_tile(spc: Space, rows: np.ndarray) -> tuple:
+    """Both verdicts for every index row; rows that _immediate_none
+    flags skip the spectral search.
 
     Returns ({"searched", "spectral", "tiles"} counts, counterexamples).
     """
+    _, skip_spectral = _immediate_none(spc, rows)
     searched = n_sp = n_ti = 0
     cex = []
     for row, skip in zip(rows, skip_spectral):
@@ -594,7 +600,7 @@ def _spectral_vs_tile(spc: Space, rows, skip_spectral) -> tuple:
 
 def _fug32_chunk(size: int):
     rows = combination_array(9, size)
-    counts, cex = _spectral_vs_tile(Space(3, 2), rows, [False] * len(rows))
+    counts, cex = _spectral_vs_tile(Space(3, 2), rows)
     del counts["searched"]
     return len(rows), {str(size): {"sets": len(rows), **counts}}, cex
 
@@ -620,14 +626,7 @@ def _fug52_chunk(args):
                                      "spectral": 0, "tiles": 0}}, []
     tails = combination_array(24, size - 1)[lo:hi].astype(np.int16) + 1
     rows = np.hstack([np.zeros((tails.shape[0], 1), np.int16), tails])
-    if size == 5:
-        D = np.sort(dir_dots(5, 2)[:, rows], axis=2)
-        distinct = (D[:, :, 1:] != D[:, :, :-1]).all(axis=2)
-        # |Z| = 4 zdirs < 4 = |E| - 1: the search returns none at once
-        skip = distinct.sum(axis=0) < 1
-    else:
-        skip = np.zeros(len(rows), bool)
-    counts, cex = _spectral_vs_tile(Space(5, 2), rows, skip)
+    counts, cex = _spectral_vs_tile(Space(5, 2), rows)
     return hi - lo, {str(size): {"anchored": hi - lo, **counts}}, cex
 
 
@@ -706,7 +705,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
             raise ValueError("F_3^3 sweep supports size 6 only")
         card = math.comb(27, 6)
         combination_array(27, 6)
-        dir_dots(3, 3)
+        dir_dots(3, 3), direction_masks(3, 3)
         total, searched, nodes, wits = _sweep(
             _fug33_chunk, list(_blocks(card, _SLAB_BLOCK)), workers, card)
         cex = _coord_cex(3, 3, wits)

@@ -21,19 +21,16 @@ re-verified against its own set, on a cache hit too.
 """
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .fourier import zero_set
-from .geometry import (_direction_counts, _plane_direction_counts,
-                       _plane_max, line_sup)
+from .geometry import _direction_counts, _plane_direction_counts, line_sup
 from .sets import PointSet
 from .space import coords_to_index, index_to_coords
-from .tables import coords_matrix, difference, dir_dots
+from .tables import coords_matrix, difference, plane_counts
 
 
 class InternalCheckError(RuntimeError):
@@ -106,8 +103,6 @@ def verify_spectral_pair(E: PointSet, A: PointSet) -> bool:
     """Exact spectral-pair test; the two internal routes must agree."""
     if E.space != A.space:
         raise ValueError("mismatched spaces")
-    if E.space.p == 2:
-        raise ValueError("p = 2 is not supported")
     crit = _pair_criterion(E, A)
     gram = _pair_gram(E, A)
     if crit != gram:
@@ -129,19 +124,6 @@ def symmetry_check(E: PointSet, A: PointSet) -> bool:
 
 class _Budget(Exception):
     pass
-
-
-@contextmanager
-def recursion_room(depth: int):
-    """Raise the interpreter's recursion limit to depth, if it is lower,
-    for the duration of the block; the previous limit comes back after."""
-    old = sys.getrecursionlimit()
-    if depth > old:
-        sys.setrecursionlimit(depth)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 def _clique_of_size(adj: list, need: int, budget: int):
@@ -204,9 +186,8 @@ def _apply_pruning(E: PointSet, stats: dict) -> str | None:
         stats["line_concentration"] = stats.get("line_concentration", 0) + 1
         return "line_concentration"
     if space.d == 3:
-        idx = np.array(E.indices(), dtype=np.int64)
-        dots = dir_dots(p, 3)[:, idx]
-        if _plane_max(dots, p) > p:
+        counts = plane_counts(p, 3, np.array(E.indices(), dtype=np.int64))
+        if counts.max() > p:
             stats["plane_concentration"] = stats.get("plane_concentration", 0) + 1
             return "plane_concentration"
         per_plane = _plane_direction_counts(space, _direction_counts(E))
@@ -216,8 +197,7 @@ def _apply_pruning(E: PointSet, stats: dict) -> str | None:
         if ls == 2 and m % 2 == 1:
             # parity obstruction for sets inside m parallel planes with
             # line concentration exactly 2
-            slabs = min(len(np.unique(row)) for row in dots)
-            if slabs <= m:
+            if (counts > 0).sum(axis=-1).min() <= m:
                 stats["slab_parity"] = stats.get("slab_parity", 0) + 1
                 return "slab_parity"
     return None
@@ -247,8 +227,15 @@ def spectrum_search(E: PointSet, budget: int = 10 ** 9,
         reason = _apply_pruning(E, stats)
         if reason is not None:
             return SpectralCertificate("none", None, 0, stats)
-    z = zero_set(E)
-    verdict, spectrum, nodes = _clique_in_zero_set(space, z.mask, n, budget)
+    return _spectrum_in_zero_set(E, zero_set(E).mask, budget, stats)
+
+
+def _spectrum_in_zero_set(E: PointSet, zmask: int, budget: int,
+                          stats: dict) -> SpectralCertificate:
+    """Tail of spectrum_search for a set whose zero set zmask is known:
+    the clique stage, then validation of any witness against E itself."""
+    space = E.space
+    verdict, spectrum, nodes = _clique_in_zero_set(space, zmask, E.size, budget)
     if verdict != "witness":
         return SpectralCertificate(verdict, None, nodes, stats)
     witness = PointSet.from_indices(space, spectrum)
@@ -281,8 +268,7 @@ def _clique_in_zero_set(space, zmask: int, n: int, budget: int) -> tuple:
     adj_sorted = adj_bool[np.ix_(order, order)]
     adj = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
            for row in adj_sorted]
-    with recursion_room(3 * n + 200):
-        verdict, slots, nodes = _clique_of_size(adj, n - 1, budget)
+    verdict, slots, nodes = _clique_of_size(adj, n - 1, budget)
     if verdict != "witness":
         return verdict, None, nodes
     return verdict, (0, *(cand[order[s]] for s in slots)), nodes

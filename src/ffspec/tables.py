@@ -4,8 +4,12 @@ Point is the single-point value type; every set-level operation works
 on integer point indices and reads the tables here.  Sums come from
 add_table, differences from add_table and the negation row of
 scale_tables (difference), directions from dir_of_index, dot products
-against canonical direction representatives from dir_dots.  All arrays
-are integer or boolean dtypes; nothing here rounds.
+against canonical direction representatives from dir_dots.
+
+plane_counts is the one equidistribution count: how many points of an
+index row lie on each hyperplane x . rep = c.  The zero set of a
+Fourier transform, plane concentration and the sweeps' pre-filters all
+read it.  All arrays are integer or boolean dtypes; nothing here rounds.
 """
 from __future__ import annotations
 
@@ -41,6 +45,26 @@ def dir_dots(p: int, d: int) -> np.ndarray:
     coords = coords_matrix(p, d).astype(np.int64)
     reps = coords[direction_reps(p, d)]
     return ((reps @ coords.T) % p).astype(np.int8)
+
+
+def plane_counts(p: int, d: int, rows) -> np.ndarray:
+    """Points of each index row on each hyperplane x . rep = c.
+
+    rows holds point indices, shape (..., m).  The result has shape
+    (n_dirs, ..., p): entry [k, ..., c] counts the points x of the row
+    with x . rep_k = c.  Not cached; the rows are the caller's.
+    """
+    dots = dir_dots(p, d)[:, rows][..., None, :]       # (n_dirs, ..., 1, m)
+    return (dots == np.arange(p, dtype=np.int8)[:, None]).sum(
+        axis=-1, dtype=np.int16)
+
+
+@lru_cache(maxsize=None)
+def direction_masks(p: int, d: int) -> tuple:
+    """Per canonical direction, the bitmask of its p - 1 nonzero points."""
+    ids = dir_of_index(p, d)
+    return tuple(sum(1 << int(i) for i in np.flatnonzero(ids == k))
+                 for k in range(len(direction_reps(p, d))))
 
 
 @lru_cache(maxsize=None)
@@ -105,23 +129,16 @@ def pair_direction_table(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def pair_line_table(p: int) -> np.ndarray:
-    """(p^2, p^2) int16: id of the affine line through points i != j (d = 2)."""
+    """(p^2, p^2) int16: id of the affine line through points i != j
+    (d = 2); -1 on the diagonal."""
     n = p * p
     lines = line_table(p, 2)
-    member = np.full((n, n), -1, dtype=np.int16)
-    point_lines = [[] for _ in range(n)]
-    for lid, row in enumerate(lines):
-        for pt in row:
-            point_lines[pt].append(lid)
-    dir_of_pair = pair_direction_table(p)
-    # line id blocks are contiguous per direction: direction k occupies ids [k*p, (k+1)*p)
+    # line ids are contiguous per direction: direction k holds [k*p, (k+1)*p)
+    lid = np.arange(len(lines))[:, None]
     line_of = np.full((len(lines) // p, n), -1, dtype=np.int16)
-    for lid, row in enumerate(lines):
-        line_of[lid // p, row] = lid
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                member[i, j] = line_of[dir_of_pair[i, j], i]
+    line_of[lid // p, lines] = lid
+    member = line_of[pair_direction_table(p), np.arange(n)[:, None]]
+    np.fill_diagonal(member, -1)
     return member
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sets import PointSet
-from .spectral import InternalCheckError, recursion_room
+from .spectral import InternalCheckError
 from .tables import add_table
 
 
@@ -94,8 +94,7 @@ def tiling_search(E: PointSet, budget: int = 10 ** 9) -> TilingCertificate:
                 return None
         return None
 
-    with recursion_room(3 * (n // E.size) + 200):
-        got = extend(masks[0], [0])
+    got = extend(masks[0], [0])
     if budget_hit:
         return TilingCertificate("aborted", None, nodes)
     if got is None:

@@ -4,6 +4,7 @@ The exhaustive verifiers are run once per worker count (1, 4, 8) in a
 shared fixture; the per-criterion tests read the 4-worker reports and the
 determinism criterion compares the result payloads across all three.
 """
+import hashlib
 import itertools
 import json
 import math
@@ -273,3 +274,24 @@ def test_criterion_13_worker_determinism(sweeps):
         ok &= len(dumps) == 1
     crit(13, ok, "result payloads byte-identical across 1, 4 and 8 "
          "workers for every exhaustive report")
+
+
+# sha256 of each README lemma's result payload, serialized as the CLI
+# serializes it (sorted keys, no whitespace)
+README_SHA256 = {
+    "lm1": "3930b815879fd0352ec21891b6488963b2d01f290dbbc1a8e1770a7cd23ed6bb",
+    "lm2": "8ccd09b36506b9da08242a1a95adcbddb3549b8abf8aacd81c621e6ea9699921",
+    "proj21": "c9c1f548673f83b825272874e1f1fbf3ddd2f6474aba22e95b68279d5def4b40",
+    "slab": "a8101140a3ce17291e2cbe1b0bcff2d3e53edd4f8b26d7972d93236b31f6c884",
+    "f33": "ab0d8ef5e0d25459e4dd45e41267efb33515570306a1288ff98022fb9d99e365",
+    "f32": "2dfb9d7fc56884769dd2f8c7e88f04ffc4a2d07a8ea3254bc8d6665c890eece6",
+    "f52": "47f58a976d2c3d8e86311eb16860598aea50fc85cc0c0c3a9306d8a3b9856ee1",
+}
+
+
+@pytest.mark.parametrize("key", list(README_SHA256))
+def test_readme_lemma_result_pinned(sweeps, key):
+    canonical = json.dumps(sweeps[key, 1].result_dict(), sort_keys=True,
+                           separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == \
+        README_SHA256[key]

@@ -16,6 +16,7 @@ from ffspec import (
     verify_spectral_pair,
     verify_tiling_pair,
 )
+from ffspec import cli
 from ffspec.cli import main
 
 
@@ -218,6 +219,29 @@ class TestFalsify:
         assert code == 1 and out == ""
         assert "p must be the prime 3, 5 or 7, got 17" in err
         assert "table" not in err
+
+
+class TestParserReuse:
+    def test_two_subcommands_in_one_process(self, line_file, capsys):
+        # main() reuses one parser per process; no option of one call may
+        # carry over into the next
+        runs = [["analyze", "--set", line_file, "--no-tiling"],
+                TestFalsify.ARGS,
+                ["analyze", "--set", line_file]]
+        results = []
+        for argv in runs + runs:
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            results.append(json.loads(out)["result"])
+        assert results[:3] == results[3:]
+        assert "tile" not in results[0] and "seed" not in results[0]
+        assert results[1]["seed"] == 123
+        assert results[2]["tile"]["status"] == "witness"
+        assert results[2]["spectral"] == results[0]["spectral"]
+        assert cli.build_parser() is cli.build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze"])
+        assert exc.value.code == 1
 
 
 _GRAPH_F = "1254343650135045561352130154656234160541525613144"
