@@ -1,6 +1,7 @@
 """Direction sets, line/plane concentration and a sumset growth check."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,7 +9,7 @@ import numpy as np
 from .sets import PointSet
 from .space import Direction, Space, Subspace
 from .tables import (add_table, difference, dir_of_index,
-                     direction_orthogonality, direction_reps, line_table,
+                     direction_orthogonality, direction_reps, line_sups,
                      plane_counts)
 
 # direction multiplicities -------------------------------------------------
@@ -27,26 +28,32 @@ class DirectionStats:
         return len(self.determined)
 
 
-def _direction_counts(E: PointSet) -> np.ndarray:
-    """Per direction id, the unordered pairs of E whose difference spans it."""
-    p, d = E.space.p, E.space.d
-    idx = np.array(E.indices(), dtype=np.int64)
-    ii, jj = np.triu_indices(len(idx), 1)
-    ids = dir_of_index(p, d)[difference(p, d, idx[ii], idx[jj])]
-    return np.bincount(ids, minlength=len(direction_reps(p, d)))
+def _direction_counts(p: int, d: int, rows) -> np.ndarray:
+    """Per index row, the unordered pairs whose difference spans each
+    direction id: rows of shape (..., m) give shape (..., n_dirs)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    lead, n = rows.shape[:-1], math.prod(rows.shape[:-1])
+    n_dirs = len(direction_reps(p, d))
+    ii, jj = np.triu_indices(rows.shape[-1], 1)
+    ids = dir_of_index(p, d)[difference(p, d, rows[..., ii], rows[..., jj])]
+    # one bincount for all rows: row r counts into [r*n_dirs, (r+1)*n_dirs)
+    ids = ids.reshape(n, len(ii)) + n_dirs * np.arange(n)[:, None]
+    return np.bincount(ids.ravel(), minlength=n * n_dirs).reshape(*lead, n_dirs)
 
 
-def _plane_direction_counts(space: Space, counts: np.ndarray) -> np.ndarray:
+def _plane_direction_counts(p: int, d: int, counts: np.ndarray) -> np.ndarray:
     """Per normal direction id, the determined directions (counts > 0)
-    lying in the plane through 0 with that normal."""
-    return direction_orthogonality(space.p, space.d)[:, counts > 0].sum(axis=1)
+    lying in the plane through 0 with that normal; counts of shape
+    (..., n_dirs) give the same shape."""
+    # the orthogonality table is symmetric
+    return (counts > 0).astype(np.int64) @ direction_orthogonality(p, d)
 
 
 def direction_stats(E: PointSet) -> DirectionStats:
     if E.size < 2:
         raise ValueError("need at least two points to determine a direction")
     space = E.space
-    counts = _direction_counts(E)
+    counts = _direction_counts(space.p, space.d, E.indices())
     det = np.flatnonzero(counts)
     reps = direction_reps(space.p, space.d)
     dirs = tuple(Direction(space, space.point_at(int(reps[k]))) for k in det)
@@ -74,14 +81,7 @@ class ConcentrationReport:
 
 def line_sup(E: PointSet) -> int:
     """max |E ∩ line| over all affine lines (any supported d)."""
-    size = E.size
-    if size <= 1:
-        return size
-    space = E.space
-    lines = line_table(space.p, space.d)
-    member = np.zeros(space.order, dtype=np.int8)
-    member[E.indices()] = 1
-    return int(member[lines].sum(axis=1).max())
+    return int(line_sups(E.space.p, E.space.d, E.indices()))
 
 
 def plane_sup(E: PointSet) -> int:
@@ -104,7 +104,8 @@ def concentration(E: PointSet) -> ConcentrationReport:
     ps = plane_sup(E)
     per_plane = None
     if E.size >= 2:
-        per = _plane_direction_counts(space, _direction_counts(E))
+        per = _plane_direction_counts(
+            space.p, space.d, _direction_counts(space.p, space.d, E.indices()))
         per_plane = {int(r): int(c)
                      for r, c in zip(direction_reps(space.p, space.d), per)}
     return ConcentrationReport(ls, ps, per_plane)

@@ -31,8 +31,9 @@ from .fourier import zero_directions
 from .parallel import run_chunks
 from .sets import PointSet
 from .space import Space, affine_permutations
-from .spectral import (InternalCheckError, _spectrum_in_zero_set,
-                       allowed_spectral_sizes, spectrum_search)
+from .spectral import (PRUNING_RULES, InternalCheckError,
+                       _spectrum_in_zero_set, allowed_spectral_sizes,
+                       pruning_rule, spectrum_search)
 from .tables import (
     combination_array,
     coords_matrix,
@@ -575,15 +576,25 @@ def _spectral_vs_tile(spc: Space, rows: np.ndarray) -> tuple:
     """Both verdicts for every index row; rows that _immediate_none
     flags skip the spectral search.
 
+    At an allowed size above 1 the search is the clique stage on the
+    zero set that _immediate_none already holds; other sizes keep the
+    search's size filter and one-point witness.
     Returns ({"searched", "spectral", "tiles"} counts, counterexamples).
     """
-    _, skip_spectral = _immediate_none(spc, rows)
+    zero, skip_spectral = _immediate_none(spc, rows)
+    size = rows.shape[1]
+    in_zero_set = size > 1 and size in allowed_spectral_sizes(spc)
+    dmasks = direction_masks(spc.p, spc.d)
     searched = n_sp = n_ti = 0
     cex = []
-    for row, skip in zip(rows, skip_spectral):
+    for row, z, skip in zip(rows, zero.T, skip_spectral):
         E = PointSet(spc, sum(1 << int(i) for i in row))
         if skip:
             sp = "none"
+        elif in_zero_set:
+            zmask = sum(itertools.compress(dmasks, z))
+            sp = _spectrum_in_zero_set(E, zmask, 10 ** 9, {}).verdict
+            searched += 1
         else:
             sp = spectrum_search(E).verdict
             searched += 1
@@ -741,7 +752,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
         for s in sizes:
             if not _fug52_both_filtered(s):
                 combination_array(24, s - 1)
-        dir_dots(5, 2)
+        dir_dots(5, 2), direction_masks(5, 2)
         chunks = [(s, lo, hi) for s in sizes
                   for lo, hi in _blocks(math.comb(24, s - 1), _FUG52_BLOCK)]
         anchored, per_size, cex = _sweep(
@@ -774,26 +785,41 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
 # Randomized falsification.
 
 _FALSIFY_CHUNK = 2000
+# rows whose pruning rules are decided in one call; the plane counts of
+# a block are (n_dirs, rows, p, size) booleans, so larger blocks raise
+# peak memory (falsify 7/3/21: about +0.9 MiB at 128 rows, +1.7 MiB at
+# 256, +10 MiB for a whole chunk) and save no time
+_PRUNE_BLOCK = 128
 
 
 def _falsify_chunk(args):
     p, d, size, child_seed, count = args
     spc = Space(p, d)
-    rng = np.random.Generator(np.random.PCG64(child_seed))
     outcomes = {"witness": 0, "none": 0, "aborted": 0}
-    pruned: dict = {}
+    if size not in allowed_spectral_sizes(spc):
+        # the search's size filter rejects every trial before any rule
+        outcomes["none"] = count
+        return count, outcomes, {"size_filtered": count}, []
+    rng = np.random.Generator(np.random.PCG64(child_seed))
+    rows = np.empty((count, size), dtype=np.int64)
+    for row in rows:
+        row[:] = rng.choice(p ** d, size=size, replace=False)
+    rows.sort(axis=1)
+    rule = np.concatenate([pruning_rule(spc, rows[lo:hi])
+                           for lo, hi in _blocks(count, _PRUNE_BLOCK)])
+    hits = np.bincount(rule[rule >= 0], minlength=len(PRUNING_RULES))
+    pruned = {"size_filtered": 0}
+    pruned.update((k, int(h)) for k, h in zip(PRUNING_RULES, hits) if h)
+    outcomes["none"] = int(hits.sum())
     wits = []
-    order = p ** d
-    for _ in range(count):
-        pts = np.sort(rng.choice(order, size=size, replace=False))
-        E = PointSet(spc, int(sum(1 << int(i) for i in pts)))
-        cert = spectrum_search(E, pruning=True)
+    for row in rows[rule < 0]:
+        # no rule rejects the row, so the search runs in full
+        E = PointSet(spc, sum(1 << int(i) for i in row))
+        cert = spectrum_search(E)
         outcomes[cert.verdict] += 1
-        for k, v in cert.pruning_stats.items():
-            pruned[k] = pruned.get(k, 0) + int(v)
         if cert.verdict == "witness":
             wits.append({
-                "set": [int(i) for i in pts],
+                "set": [int(i) for i in row],
                 "spectrum": cert.witness.indices(),
             })
     return count, outcomes, pruned, wits
@@ -807,7 +833,9 @@ def falsify_random(p: int, d: int, size: int, trials: int, seed: int,
 
     Sampling is chunked with a fixed chunk size; chunk generators are
     spawned from the seed by chunk index, so reports do not depend on
-    the worker count.
+    the worker count.  Each chunk draws all its trials, decides the
+    pruning rules for blocks of them at once, and searches only the
+    trials no rule rejects.
     """
     t0 = perf_counter()
     if trials < 1:
@@ -815,6 +843,8 @@ def falsify_random(p: int, d: int, size: int, trials: int, seed: int,
     if size % p != 0 or not 2 <= size // p <= p - 1:
         raise ValueError(f"size must be mp with 2 <= m <= p-1, got {size}")
     spc = Space(p, d)
+    if size > spc.order:
+        raise ValueError(f"size {size} exceeds p^d = {spc.order}")
     blocks = list(_blocks(trials, _FALSIFY_CHUNK))
     children = np.random.SeedSequence(seed).spawn(len(blocks))
     chunks = [(p, d, size, child, hi - lo)

@@ -27,10 +27,10 @@ from functools import lru_cache
 import numpy as np
 
 from .fourier import zero_set
-from .geometry import _direction_counts, _plane_direction_counts, line_sup
+from .geometry import _direction_counts, _plane_direction_counts
 from .sets import PointSet
 from .space import coords_to_index, index_to_coords
-from .tables import coords_matrix, difference, plane_counts
+from .tables import coords_matrix, difference, line_sups, plane_counts
 
 
 class InternalCheckError(RuntimeError):
@@ -176,31 +176,37 @@ def _clique_of_size(adj: list, need: int, budget: int):
     return ("witness", got, nodes) if got is not None else ("none", None, nodes)
 
 
-def _apply_pruning(E: PointSet, stats: dict) -> str | None:
-    """Necessary conditions for spectral sets of size mp, 2 <= m <= p-1."""
-    space = E.space
-    p = space.p
-    m = E.size // p
-    ls = line_sup(E)
-    if ls > min(m, p - m):
-        stats["line_concentration"] = stats.get("line_concentration", 0) + 1
-        return "line_concentration"
-    if space.d == 3:
-        counts = plane_counts(p, 3, np.array(E.indices(), dtype=np.int64))
-        if counts.max() > p:
-            stats["plane_concentration"] = stats.get("plane_concentration", 0) + 1
-            return "plane_concentration"
-        per_plane = _plane_direction_counts(space, _direction_counts(E))
-        if int(per_plane.max()) > p:
-            stats["plane_directions"] = stats.get("plane_directions", 0) + 1
-            return "plane_directions"
-        if ls == 2 and m % 2 == 1:
+PRUNING_RULES = ("line_concentration", "plane_concentration",
+                 "plane_directions", "slab_parity")
+
+
+def pruning_rule(space, rows: np.ndarray) -> np.ndarray:
+    """Necessary conditions for spectral sets of size mp, 2 <= m <= p-1.
+
+    rows holds index rows of one size mp, shape (n, mp).  Returns, per
+    row, the position in PRUNING_RULES of the first rule that rejects
+    it, or -1 where none does.
+    """
+    p, d = space.p, space.d
+    m = rows.shape[-1] // p
+    ls = line_sups(p, d, rows)
+    rule = np.where(ls > min(m, p - m), 0, -1)
+    if d == 3:
+        # the plane rules see only the rows line concentration passed
+        rest = np.flatnonzero(rule < 0)
+        sub = rows[rest]
+        counts = plane_counts(p, 3, sub)                   # (n_dirs, n, p)
+        per_plane = _plane_direction_counts(p, 3, _direction_counts(p, 3, sub))
+        fired = np.array([
+            counts.max(axis=(0, 2)) > p,
+            per_plane.max(axis=-1) > p,
             # parity obstruction for sets inside m parallel planes with
             # line concentration exactly 2
-            if (counts > 0).sum(axis=-1).min() <= m:
-                stats["slab_parity"] = stats.get("slab_parity", 0) + 1
-                return "slab_parity"
-    return None
+            (ls[rest] == 2) & (m % 2 == 1)
+            & ((counts > 0).sum(axis=-1).min(axis=0) <= m),
+        ])
+        rule[rest] = np.where(fired.any(axis=0), fired.argmax(axis=0) + 1, -1)
+    return rule
 
 
 def spectrum_search(E: PointSet, budget: int = 10 ** 9,
@@ -224,8 +230,9 @@ def spectrum_search(E: PointSet, budget: int = 10 ** 9,
         _validate_witness(E, witness)
         return SpectralCertificate("witness", witness, 0, stats)
     if pruning and n % space.p == 0 and 2 <= n // space.p <= space.p - 1:
-        reason = _apply_pruning(E, stats)
-        if reason is not None:
+        rule = int(pruning_rule(space, np.array([E.indices()]))[0])
+        if rule >= 0:
+            stats[PRUNING_RULES[rule]] = 1
             return SpectralCertificate("none", None, 0, stats)
     return _spectrum_in_zero_set(E, zero_set(E).mask, budget, stats)
 

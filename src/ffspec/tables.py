@@ -9,7 +9,9 @@ against canonical direction representatives from dir_dots.
 plane_counts is the one equidistribution count: how many points of an
 index row lie on each hyperplane x . rep = c.  The zero set of a
 Fourier transform, plane concentration and the sweeps' pre-filters all
-read it.  All arrays are integer or boolean dtypes; nothing here rounds.
+read it.  line_sups is its per-line half: the most points of an index
+row on one affine line, which line concentration reads.  All arrays are
+integer or boolean dtypes; nothing here rounds.
 """
 from __future__ import annotations
 
@@ -57,6 +59,26 @@ def plane_counts(p: int, d: int, rows) -> np.ndarray:
     dots = dir_dots(p, d)[:, rows][..., None, :]       # (n_dirs, ..., 1, m)
     return (dots == np.arange(p, dtype=np.int8)[:, None]).sum(
         axis=-1, dtype=np.int16)
+
+
+def line_sups(p: int, d: int, rows) -> np.ndarray:
+    """Most points of each index row on one affine line.
+
+    rows holds point indices, shape (..., m); the result has shape (...).
+    Per direction the row's line ids are sorted, so r + 1 points share a
+    line exactly when s[..., r:] == s[..., :-r] holds somewhere.  Not
+    cached; the rows are the caller's.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    m = rows.shape[-1]
+    s = np.sort(line_of(p, d)[:, rows], axis=-1)      # (n_dirs, ..., m)
+    sup = np.full(rows.shape[:-1], min(m, 1), dtype=np.int64)
+    for r in range(1, min(m, p)):
+        hit = (s[..., r:] == s[..., :-r]).any(axis=(0, -1))
+        if not hit.any():
+            break                     # no run of r + 1, so none longer
+        sup += hit
+    return sup
 
 
 @lru_cache(maxsize=None)
@@ -121,6 +143,18 @@ def line_table(p: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def line_of(p: int, d: int) -> np.ndarray:
+    """(n_dirs, p^d) int16: entry [k, x] is the line_table row of the
+    line through point x in canonical direction k."""
+    lines = line_table(p, d)
+    lid = np.arange(len(lines))[:, None]
+    out = np.empty((len(direction_reps(p, d)), p ** d), dtype=np.int16)
+    # line ids are contiguous per direction: p^(d-1) lines each
+    out[lid // p ** (d - 1), lines] = lid
+    return out
+
+
+@lru_cache(maxsize=None)
 def pair_direction_table(p: int) -> np.ndarray:
     """(p^2, p^2) int8: canonical direction id of i - j for d = 2; -1 on the diagonal."""
     i = np.arange(p * p)
@@ -132,12 +166,7 @@ def pair_line_table(p: int) -> np.ndarray:
     """(p^2, p^2) int16: id of the affine line through points i != j
     (d = 2); -1 on the diagonal."""
     n = p * p
-    lines = line_table(p, 2)
-    # line ids are contiguous per direction: direction k holds [k*p, (k+1)*p)
-    lid = np.arange(len(lines))[:, None]
-    line_of = np.full((len(lines) // p, n), -1, dtype=np.int16)
-    line_of[lid // p, lines] = lid
-    member = line_of[pair_direction_table(p), np.arange(n)[:, None]]
+    member = line_of(p, 2)[pair_direction_table(p), np.arange(n)[:, None]]
     np.fill_diagonal(member, -1)
     return member
 

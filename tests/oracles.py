@@ -6,6 +6,7 @@ a tautology.  Slow is fine; clear is mandatory.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -43,9 +44,11 @@ def line_points(p: int, base, vec) -> frozenset:
     )
 
 
-def all_lines(p: int, d: int) -> set:
+@functools.lru_cache(maxsize=None)
+def all_lines(p: int, d: int) -> frozenset:
     dirs = {canon_dir(p, v) for v in all_points(p, d) if any(v)}
-    return {line_points(p, base, v) for v in dirs for base in all_points(p, d)}
+    return frozenset(line_points(p, base, v)
+                     for v in dirs for base in all_points(p, d))
 
 
 def line_sup(p: int, d: int, pts) -> int:

@@ -207,6 +207,15 @@ class TestFalsify:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_size_above_space_order(self, threads, capsys):
+        # every d = 1 size mp exceeds p; rejected before any chunk runs
+        code, out, err = run_cli(
+            ["falsify", "--p", "7", "--d", "1", "--size", "14",
+             "--trials", "5", "--seed", "1", "--threads", threads], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: size 14 exceeds p^d = 7\n"
+
     def test_missing_required_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["falsify", "--p", "7", "--d", "3"])

@@ -407,10 +407,15 @@ class TestSweepDriver:
          "a9e9124fb886921940c5185cbbcb97c46a14fd5ab8ea0de0ef57961f82b0a881"),
         (lambda: falsify_random(5, 3, 10, 4100, 999),
          "50ba623db855b7577ccbed512196c6f89381af7e8503d39ab97c0926f30392be"),
+        # every trial size-filtered: no falsify size is spectral at d = 2
+        (lambda: falsify_random(5, 2, 10, 500, 1),
+         "f1adbd4d857ee946af915db8d6c8abf46200b4111c0558fc8ce0b72b4ec5413c"),
+        (lambda: falsify_random(7, 3, 21, 8000, 1),
+         "8ce705b74cc620480dfbb9fa7400e590d02fe42c19bbebae90c3362300dec6d8"),
         (lambda: verify_lm2(mode="direct", stratum=(0, 200)),
          "6b6311d38d53c826d0eb3a86fade8b6ac2fd798c1f5d09cd888318304e3a240f"),
     ], ids=["lm1-reduced", "slab-p3", "fuglede-3-2-all", "falsify-5-3-10",
-            "lm2-direct-stratum"])
+            "falsify-5-2-10", "falsify-7-3-21", "lm2-direct-stratum"])
     def test_pinned_payloads(self, run, want):
         assert _result_sha256(run()) == want
 

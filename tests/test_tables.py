@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import oracles as O
-from ffspec.tables import (add_table, difference, direction_reps, line_table,
-                           pair_direction_table, pair_line_table,
+from ffspec.tables import (add_table, difference, direction_reps, line_sups,
+                           line_table, pair_direction_table, pair_line_table,
                            plane_counts)
 
 
@@ -66,6 +66,34 @@ def test_plane_counts_oracle(p, d, rng):
     empty = plane_counts(p, d, np.zeros(0, dtype=np.int64))
     assert empty.shape == (len(direction_reps(p, d)), p)
     assert not empty.any()
+
+
+def _planted_row(rng, p, d, size, on_line):
+    """size random points of F_p^d, on_line of them on one random line."""
+    pts = O.all_points(p, d)
+    base = pts[int(rng.integers(p ** d))]
+    vec = pts[int(rng.integers(1, p ** d))]
+    row = {O.point_index(p, tuple((b + t * v) % p for b, v in zip(base, vec)))
+           for t in range(on_line)}
+    while len(row) < size:
+        row.add(int(rng.integers(p ** d)))
+    return sorted(row)
+
+
+@pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7) for d in (1, 2, 3)])
+def test_line_sups_oracle(p, d, rng):
+    pts = O.all_points(p, d)
+    n = p ** d
+    for size in sorted({0, 1, 2, min(n, p + 1), min(n, 2 * p + 1)}):
+        rows = np.array([_planted_row(rng, p, d, size, int(rng.integers(size + 1)))
+                         for _ in range(8)], dtype=np.int64).reshape(8, size)
+        want = [O.line_sup(p, d, [pts[i] for i in row]) for row in rows]
+        got = line_sups(p, d, rows)
+        assert got.shape == (8,)
+        assert got.tolist() == want
+        assert [int(line_sups(p, d, row)) for row in rows] == want
+        assert np.array_equal(line_sups(p, d, rows.reshape(2, 4, size)),
+                              got.reshape(2, 4))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
