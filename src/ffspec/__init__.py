@@ -27,6 +27,7 @@ from .geometry import (
 )
 from .lemmas import (
     LemmaReport,
+    SweepBudgetError,
     falsify_random,
     verify_fuglede_small,
     verify_lm1,

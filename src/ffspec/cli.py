@@ -7,7 +7,10 @@ holds wall time, worker count, timestamp and host.  Reproducibility
 checks should diff only "result".
 
 Exit codes: 0 verified or none found, 1 usage or input error or a
-counterexample, 2 inconclusive (budget exhausted).
+counterexample, 2 inconclusive (budget exhausted in analyze), 3 internal
+failure: two routes that must agree disagreed (InternalCheckError), or
+a search inside an exhaustive sweep ran out of budget
+(SweepBudgetError).  Exit 3 prints one "error:" line on stderr.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from time import perf_counter
 from .fourier import zero_set
 from .geometry import direction_stats, line_sup, plane_sup
 from .lemmas import (
+    SweepBudgetError,
     falsify_random,
     verify_fuglede_small,
     verify_lm1,
@@ -33,7 +37,7 @@ from .lemmas import (
 )
 from .parallel import resolve_workers
 from .sets import SetFormatError, read_set
-from .spectral import spectrum_search
+from .spectral import InternalCheckError, spectrum_search
 from .tiling import tiling_search
 
 LEMMA_IDS = (
@@ -201,6 +205,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (InternalCheckError, SweepBudgetError) as exc:
+        print(f"error: internal failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -32,8 +32,8 @@ from .parallel import run_chunks
 from .sets import PointSet
 from .space import Space, affine_permutations
 from .spectral import (PRUNING_RULES, InternalCheckError,
-                       _spectrum_in_zero_set, allowed_spectral_sizes,
-                       pruning_rule, spectrum_search)
+                       _clique_in_zero_set, _spectrum_in_zero_set,
+                       allowed_spectral_sizes, pruning_rule, spectrum_search)
 from .tables import (
     combination_array,
     coords_matrix,
@@ -43,11 +43,13 @@ from .tables import (
     pair_direction_table,
     pair_line_table,
     plane_counts,
+    translation_reps,
 )
-from .tiling import size_can_tile, tiling_search
+from .tiling import size_can_tile, tiling_search, verify_tiling_pair
 
 __all__ = [
     "LemmaReport",
+    "SweepBudgetError",
     "verify_lm1",
     "verify_lm2",
     "verify_proj21",
@@ -55,6 +57,11 @@ __all__ = [
     "verify_fuglede_small",
     "falsify_random",
 ]
+
+
+class SweepBudgetError(RuntimeError):
+    """A search inside an exhaustive sweep ran out of node budget, so the
+    sweep decided nothing."""
 
 
 @dataclass
@@ -548,65 +555,130 @@ def _immediate_none(spc: Space, rows: np.ndarray) -> tuple:
     return zero, few & (size in allowed_spectral_sizes(spc))
 
 
+_BUDGET = 10 ** 9
+
+
+def _found(verdict: str) -> bool:
+    """A sweep's search verdict as witness or not; an aborted search
+    means the sweep decided nothing."""
+    if verdict == "aborted":
+        raise SweepBudgetError("budget exhausted during exhaustive sweep")
+    return verdict == "witness"
+
+
+def _pointset(spc: Space, row) -> PointSet:
+    return PointSet(spc, sum(1 << int(i) for i in row))
+
+
+def _groups(keys: np.ndarray) -> tuple:
+    """(first row, members) of each distinct key, in key order."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    members = np.split(np.argsort(inverse.ravel(), kind="stable"),
+                       np.cumsum(np.bincount(inverse.ravel()))[:-1])
+    return first, members
+
+
+def _spectra_by_zero_set(spc: Space, rows: np.ndarray,
+                         zero: np.ndarray) -> tuple:
+    """Spectral verdicts of index rows of one allowed size above 1, from
+    their zero directions (n_dirs, n_rows).
+
+    The clique stage is a function of (zero set, size, budget) alone, so
+    it runs once per distinct zero set, and each row of the group counts
+    its nodes.  Only rows of a group with a witness become PointSets;
+    _spectrum_in_zero_set validates the witness against each of them.
+    Returns (nodes, {row position: spectrum indices}) in row order.
+    """
+    dmasks = direction_masks(spc.p, spc.d)
+    keys = (np.int64(1) << np.arange(len(zero), dtype=np.int64)) @ zero
+    nodes = 0
+    spectra = {}
+    for col, members in zip(*_groups(keys)):
+        zmask = sum(itertools.compress(dmasks, zero[:, col]))
+        verdict, _, n = _clique_in_zero_set(spc, zmask, rows.shape[1], _BUDGET)
+        nodes += n * len(members)
+        if _found(verdict):
+            for i in members:
+                cert = _spectrum_in_zero_set(_pointset(spc, rows[i]), zmask,
+                                             _BUDGET, {})
+                spectra[int(i)] = cert.witness.indices()
+    return nodes, dict(sorted(spectra.items()))
+
+
+# bounded like the clique stage; F_5^2 has 2,130 classes of 5-sets
+@lru_cache(maxsize=4096)
+def _class_tiling(spc: Space, rep: tuple):
+    """tiling_search on the representative of one translation class."""
+    return tiling_search(_pointset(spc, rep))
+
+
+def _tiles_by_class(spc: Space, rows: np.ndarray) -> np.ndarray:
+    """Tiling verdict of every index row, searched once per translation
+    class.
+
+    A complement A of the class representative R = E + t tiles with E
+    too, since E + A = R + A - t.  Every member E is still checked as
+    an exact tiling pair with A, both ways, before it counts as a tile.
+    """
+    reps = translation_reps(spc.p, spc.d, rows)
+    tiles = np.zeros(len(rows), dtype=bool)
+    for first, members in zip(*_groups(reps)):
+        cert = _class_tiling(spc, tuple(reps[first].tolist()))
+        if not _found(cert.verdict):
+            continue
+        for i in members:
+            E = _pointset(spc, rows[i])
+            if not (verify_tiling_pair(E, cert.witness)
+                    and verify_tiling_pair(cert.witness, E)):
+                raise InternalCheckError(
+                    "class tiling complement fails on a member set")
+        tiles[members] = True
+    return tiles
+
+
 def _fug33_chunk(args):
     lo, hi = args
     spc = Space(3, 3)
     combs = combination_array(27, 6)[lo:hi]
     zero, none = _immediate_none(spc, combs)
-    keep = ~none
-    dmasks = direction_masks(3, 3)
-    nodes = 0
-    wits = []
-    for row, z in zip(combs[keep], zero[:, keep].T):
-        E = PointSet(spc, sum(1 << int(i) for i in row))
-        zmask = sum(itertools.compress(dmasks, z))
-        cert = _spectrum_in_zero_set(E, zmask, 10 ** 9, {})
-        nodes += cert.nodes_explored
-        if cert.verdict == "aborted":
-            raise RuntimeError("budget exhausted during exhaustive sweep")
-        if cert.verdict == "witness":
-            wits.append({
-                "set": row.tolist(),
-                "spectrum": cert.witness.indices(),
-            })
-    return hi - lo, int(keep.sum()), nodes, wits
+    keep = np.flatnonzero(~none)
+    nodes, spectra = _spectra_by_zero_set(spc, combs[keep], zero[:, keep])
+    wits = [{"set": combs[keep[i]].tolist(), "spectrum": spectrum}
+            for i, spectrum in spectra.items()]
+    return hi - lo, len(keep), nodes, wits
 
 
 def _spectral_vs_tile(spc: Space, rows: np.ndarray) -> tuple:
     """Both verdicts for every index row; rows that _immediate_none
     flags skip the spectral search.
 
-    At an allowed size above 1 the search is the clique stage on the
-    zero set that _immediate_none already holds; other sizes keep the
-    search's size filter and one-point witness.
+    At an allowed size above 1 the spectral side is the clique stage,
+    once per distinct zero set (_spectra_by_zero_set); other sizes keep
+    the search's size filter and one-point witness.  The tiling side
+    searches once per translation class (_tiles_by_class).  Every
+    witness is verified against its own set, both ways.
     Returns ({"searched", "spectral", "tiles"} counts, counterexamples).
     """
     zero, skip_spectral = _immediate_none(spc, rows)
     size = rows.shape[1]
-    in_zero_set = size > 1 and size in allowed_spectral_sizes(spc)
-    dmasks = direction_masks(spc.p, spc.d)
-    searched = n_sp = n_ti = 0
-    cex = []
-    for row, z, skip in zip(rows, zero.T, skip_spectral):
-        E = PointSet(spc, sum(1 << int(i) for i in row))
-        if skip:
-            sp = "none"
-        elif in_zero_set:
-            zmask = sum(itertools.compress(dmasks, z))
-            sp = _spectrum_in_zero_set(E, zmask, 10 ** 9, {}).verdict
-            searched += 1
-        else:
-            sp = spectrum_search(E).verdict
-            searched += 1
-        ti = tiling_search(E).verdict
-        if "aborted" in (sp, ti):
-            raise RuntimeError("budget exhausted during exhaustive sweep")
-        n_sp += sp == "witness"
-        n_ti += ti == "witness"
-        if (sp == "witness") != (ti == "witness"):
-            cex.append({"set": [int(i) for i in row], "spectral": sp,
-                        "tile": ti})
-    return {"searched": searched, "spectral": n_sp, "tiles": n_ti}, cex
+    searched = np.flatnonzero(~skip_spectral)
+    spectral = np.zeros(len(rows), dtype=bool)
+    if size > 1 and size in allowed_spectral_sizes(spc):
+        _, spectra = _spectra_by_zero_set(spc, rows[searched],
+                                          zero[:, searched])
+        spectral[searched[list(spectra)]] = True
+    else:
+        for i in searched:
+            cert = spectrum_search(_pointset(spc, rows[i]))
+            spectral[i] = _found(cert.verdict)
+    tiles = _tiles_by_class(spc, rows)
+    cex = [{"set": [int(i) for i in rows[k]],
+            "spectral": "witness" if spectral[k] else "none",
+            "tile": "witness" if tiles[k] else "none"}
+           for k in np.flatnonzero(spectral != tiles)]
+    return {"searched": len(searched), "spectral": int(spectral.sum()),
+            "tiles": int(tiles.sum())}, cex
 
 
 def _fug32_chunk(size: int):
@@ -707,6 +779,12 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     containing the origin), covering every set up to translation; both
     predicates are translation invariant.  (3,3): size 6 only, assert no
     spectra exist.
+
+    Each chunk runs the spectral clique stage once per distinct zero set
+    and, in (3,2) and (5,2), the tiling search once per translation class
+    (memoized per process), then verifies every witness against its own
+    set, both ways.  Reports count per set, as a per-set search would.
+    Raises SweepBudgetError if a search runs out of budget.
     """
     t0 = perf_counter()
     sizes = tuple(sorted(int(s) for s in sizes))
@@ -814,8 +892,7 @@ def _falsify_chunk(args):
     wits = []
     for row in rows[rule < 0]:
         # no rule rejects the row, so the search runs in full
-        E = PointSet(spc, sum(1 << int(i) for i in row))
-        cert = spectrum_search(E)
+        cert = spectrum_search(_pointset(spc, row))
         outcomes[cert.verdict] += 1
         if cert.verdict == "witness":
             wits.append({

@@ -311,11 +311,11 @@ def canonical_form(E, group: str = "translations"):
     """
     space = E.space
     from .sets import PointSet
-    from .tables import add_table
+    from .tables import translation_reps
 
     if group == "translations":
-        rows = add_table(space.p, space.d)[:, E.indices()].tolist()
-        return PointSet(space, min(sum(1 << i for i in row) for row in rows))
+        rep = translation_reps(space.p, space.d, [E.indices()])[0]
+        return PointSet.from_indices(space, rep.tolist())
     if group == "affine":
         if space.d > 2:
             raise ValueError("affine canonical form is only supported for d <= 2")

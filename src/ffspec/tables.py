@@ -10,8 +10,10 @@ plane_counts is the one equidistribution count: how many points of an
 index row lie on each hyperplane x . rep = c.  The zero set of a
 Fourier transform, plane concentration and the sweeps' pre-filters all
 read it.  line_sups is its per-line half: the most points of an index
-row on one affine line, which line concentration reads.  All arrays are
-integer or boolean dtypes; nothing here rounds.
+row on one affine line, which line concentration reads.
+translation_reps is the one translation-class key: the smallest-bitmask
+translate of each index row.  All arrays are integer or boolean dtypes;
+nothing here rounds.
 """
 from __future__ import annotations
 
@@ -100,6 +102,26 @@ def add_table(p: int, d: int) -> np.ndarray:
     return out
 
 
+def translation_reps(p: int, d: int, rows) -> np.ndarray:
+    """Representative of the translation class of each index row: the
+    translate with the smallest bitmask, as sorted point indices.
+
+    rows holds point indices, shape (n, m); so does the result.  The
+    smallest bitmask has the smallest largest index, then the smallest
+    next one, and so on, so each translate is sorted descending and the
+    candidates are narrowed one position at a time.  Not cached.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[0]
+    # (p^d, n, m): every translate of every row, descending
+    trans = np.sort(add_table(p, d)[:, rows], axis=-1)[..., ::-1]
+    best = np.ones(trans.shape[:2], dtype=bool)
+    for k in range(rows.shape[1]):
+        col = np.where(best, trans[..., k], p ** d)
+        best &= col == col.min(axis=0)
+    return trans[best.argmax(axis=0), np.arange(n), ::-1]
+
+
 def difference(p: int, d: int, a, b) -> np.ndarray:
     """Index of point a - point b, elementwise over broadcast index arrays."""
     return add_table(p, d)[a, scale_tables(p, d)[p - 1][b]]
@@ -126,20 +148,17 @@ def line_table(p: int, d: int) -> np.ndarray:
     from .sets import quotient_basis
 
     space = Space(p, d)
-    dirs = all_directions(space)
     powers = p ** np.arange(d)
-    rows = []
-    for dr in dirs:
-        basis = quotient_basis(space, dr)
-        bmat = np.array([b.coords for b in basis], dtype=np.int64)
-        step = np.array(dr.rep.coords, dtype=np.int64)
-        # all combinations of basis coefficients = one base point per line
-        quot = coords_matrix(p, d - 1).astype(np.int64) if d > 1 else np.zeros((1, 0), np.int64)
-        bases = (quot @ bmat) % p if d > 1 else np.zeros((1, d), np.int64)
-        for b in bases:
-            pts = (b[None, :] + np.arange(p)[:, None] * step[None, :]) % p
-            rows.append(pts @ powers)
-    return np.array(rows, dtype=np.int32)
+    # every combination of quotient basis coefficients, in index order
+    quot = coords_matrix(p, d - 1).astype(np.int64)
+    blocks = []
+    for dr in all_directions(space):
+        bmat = np.array([b.coords for b in quotient_basis(space, dr)],
+                        dtype=np.int64).reshape(d - 1, d)
+        steps = np.arange(p)[:, None] * np.array(dr.rep.coords, dtype=np.int64)
+        # (base points, p, d): base point b plus t * rep, t = 0..p-1
+        blocks.append(((quot @ bmat)[:, None, :] + steps) % p @ powers)
+    return np.concatenate(blocks).astype(np.int32)
 
 
 @lru_cache(maxsize=None)

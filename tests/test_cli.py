@@ -12,11 +12,12 @@ import ffspec
 from ffspec import (
     PointSet,
     Space,
+    TilingCertificate,
     verify_fuglede_small,
     verify_spectral_pair,
     verify_tiling_pair,
 )
-from ffspec import cli
+from ffspec import cli, lemmas
 from ffspec.cli import main
 
 
@@ -174,6 +175,44 @@ class TestVerify:
         assert payloads[0]["result"] == payloads[1]["result"] \
             == payloads[2]["result"]
         assert payloads[1]["meta"]["workers"] == 2
+
+
+class TestInternalFailure:
+    """Exit 3: an internal check failed or a sweep ran out of budget."""
+
+    @pytest.fixture(autouse=True)
+    def cold_tiling_memo(self):
+        lemmas._class_tiling.cache_clear()
+        yield
+        lemmas._class_tiling.cache_clear()
+
+    def run_f32(self, tmp_path, capsys):
+        rp = tmp_path / "f32.json"
+        code, out, err = run_cli(
+            ["verify", "--lemma", "fuglede-3-2", "--threads", "1",
+             "--report", str(rp)], capsys)
+        assert out == "" and not rp.exists()
+        return code, err
+
+    def test_sweep_budget_exits_3(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(lemmas, "_clique_in_zero_set",
+                            lambda *args: ("aborted", None, 1))
+        code, err = self.run_f32(tmp_path, capsys)
+        assert code == 3
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "budget" in err
+
+    def test_internal_check_exits_3(self, monkeypatch, tmp_path, capsys):
+        # a search that returns a false tiling complement
+        def false_tiling(E):
+            return TilingCertificate(
+                "witness", PointSet.from_indices(E.space, [0]), 1)
+
+        monkeypatch.setattr(lemmas, "tiling_search", false_tiling)
+        code, err = self.run_f32(tmp_path, capsys)
+        assert code == 3
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "tiling" in err
 
 
 class TestFalsify:

@@ -11,6 +11,7 @@ from ffspec import (
     InternalCheckError,
     PointSet,
     Space,
+    TilingCertificate,
     all_directions,
     dot,
     equidist_profile,
@@ -20,9 +21,13 @@ from ffspec import (
     verify_lm2,
     verify_slab_p3,
 )
+from ffspec import lemmas, spectral
+from ffspec.fourier import zero_set
 from ffspec.lemmas import (
+    _class_tiling,
     _decode_profile,
     _fillings,
+    _fug33_chunk,
     _planar_eval,
     _proj21_chunk,
     _slab_chunk,
@@ -30,6 +35,8 @@ from ffspec.lemmas import (
     affine_class_counts,
     translation_class_counts,
 )
+from ffspec.spectral import spectrum_search
+from ffspec.tables import combination_array
 
 
 class TestLm1:
@@ -320,6 +327,106 @@ class TestFugledeSweeps:
             "tiles": 0}
         assert _result_sha256(rep) == (
             "fd6d8b1a377c7605c7f464dcc9b6e22cdc201b244efd42a7c031219bec22950e")
+
+
+def _counting(monkeypatch, name):
+    """Wrap lemmas.<name>; returns the list of argument tuples it saw."""
+    calls = []
+    inner = getattr(lemmas, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(lemmas, name, wrapper)
+    return calls
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the per-process search memos before and after a test, so
+    counts start cold and patched verdicts do not leak."""
+    def clear():
+        _class_tiling.cache_clear()
+        spectral._clique_in_zero_set.cache_clear()
+    clear()
+    yield clear
+    clear()
+
+
+class TestGroupedSweeps:
+    def test_fug33_chunk_matches_per_row_search(self, monkeypatch):
+        lo, hi = 150000, 153000
+        space = Space(3, 3)
+        total = searched = nodes = 0
+        zero_sets = set()
+        for row in combination_array(27, 6)[lo:hi]:
+            E = PointSet.from_indices(space, row.tolist())
+            z = zero_set(E)
+            cert = spectrum_search(E)
+            assert cert.verdict == "none"
+            total += 1
+            if z.size >= 5:
+                searched += 1
+                zero_sets.add(z.mask)
+            nodes += cert.nodes_explored
+        calls = _counting(monkeypatch, "_clique_in_zero_set")
+        assert _fug33_chunk((lo, hi)) == (total, searched, nodes, [])
+        assert searched and nodes
+        # one clique stage per distinct zero set of the searched rows
+        assert sorted(c[1] for c in calls) == sorted(zero_sets)
+        assert {c[2] for c in calls} == {6}
+
+    def test_f52_size5_one_tiling_search_per_class(self, monkeypatch,
+                                                   cold_caches):
+        calls = _counting(monkeypatch, "tiling_search")
+        rep = verify_fuglede_small(5, 2, (5,))
+        classes = translation_class_counts(5, 2, (5,))[5]
+        assert len(calls) == classes == 2130
+        assert rep.details["sizes"]["5"] == {
+            "anchored": 10626, "searched": 3426, "spectral": 3426,
+            "tiles": 3426}
+        assert _result_sha256(rep) == (
+            "c2da90faa101ce54765397eaf67742909146aa2faa341040692a9d5363875256")
+
+    def test_f52_size5_same_at_one_and_two_workers(self, cold_caches):
+        one = verify_fuglede_small(5, 2, (5,), workers=1)
+        cold_caches()
+        two = verify_fuglede_small(5, 2, (5,), workers=2)
+        assert one.result_dict() == two.result_dict()
+
+    def test_member_tiling_checked_against_class_witness(self, monkeypatch):
+        # {3, 4, 5} is the line y = 1; its class representative is the
+        # line {0, 1, 2}, which tiles with the y-axis
+        real = lemmas.verify_tiling_pair
+        seen = []
+
+        def reject_one(E, A):
+            seen.append(E.indices())
+            return real(E, A) and E.indices() != [3, 4, 5]
+
+        monkeypatch.setattr(lemmas, "verify_tiling_pair", reject_one)
+        with pytest.raises(InternalCheckError):
+            verify_fuglede_small(3, 2, (3,))
+        assert [3, 4, 5] in seen and [0, 1, 2] in seen
+
+    def test_every_tiling_member_checked_both_ways(self, monkeypatch):
+        calls = _counting(monkeypatch, "verify_tiling_pair")
+        rep = verify_fuglede_small(3, 2, (3,))
+        tiles = rep.details["sizes"]["3"]["tiles"]
+        assert tiles == 84 and len(calls) == 2 * tiles
+        pairs = {(E.mask, A.mask) for E, A in calls}
+        assert {(A, E) for E, A in pairs} == pairs
+
+    @pytest.mark.parametrize("name,value", [
+        ("_clique_in_zero_set", lambda *a: ("aborted", None, 1)),
+        ("tiling_search", lambda E: TilingCertificate("aborted", None, 1)),
+    ])
+    def test_budget_failure_is_named(self, monkeypatch, cold_caches, name,
+                                     value):
+        monkeypatch.setattr(lemmas, name, value)
+        with pytest.raises(lemmas.SweepBudgetError):
+            verify_fuglede_small(3, 2, (3,))
 
 
 class TestFalsify:

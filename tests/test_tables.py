@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import oracles as O
+from ffspec import PointSet, Space, canonical_form
 from ffspec.tables import (add_table, difference, direction_reps, line_sups,
                            line_table, pair_direction_table, pair_line_table,
-                           plane_counts)
+                           plane_counts, translation_reps)
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 2), (3, 3), (7, 3)])
@@ -108,3 +111,47 @@ def test_pair_line_table_oracle(p):
                 assert table[i, j] == -1
             else:
                 assert i in lines[table[i, j]] and j in lines[table[i, j]]
+
+
+# sha256 of line_table(p, d).tobytes() as built by the per-base-point
+# loop; the vectorized build must give the same bytes
+_LINE_TABLE_SHA256 = {
+    (3, 1): "ad5dc1478de06a4c2728ea528bd9361a4b945e92a414bf4d180cedaaeaa5f4cc",
+    (3, 2): "83448484d136cbb5b5892a2202f983d870f79a921aca583d4026fe87a012c5f7",
+    (3, 3): "a3a532b9d7f6cd51dfffdab1b9cb279584b14b91d4a2753b741588bffcfd0498",
+    (5, 1): "e528f4309e1413e6bc35aea5d8db8519384d2fcc33f9dd5d1126d73f104cf92a",
+    (5, 2): "b343055c60d223dd5159c804a66e8231506f9f4bae1599ef86e7113ff7e432cf",
+    (5, 3): "f73aca7eaa14a738c6675c63ee3c4e69cc264958054bae837f738aa977402345",
+    (7, 1): "e1a613aa4b331588d97b5feef1faabe8e8138d8c488ee9122b8533bfdda3c189",
+    (7, 2): "237749cea15e864148bbf018e59b1b8edd6ab170825afda258a54b7eb65ea7c4",
+    (7, 3): "cf21919eb31bfd8adfea536086a213ccac329b4693c27901737928e2b5c3f670",
+}
+
+
+@pytest.mark.parametrize("p,d", sorted(_LINE_TABLE_SHA256))
+def test_line_table_bytes_pinned(p, d):
+    table = line_table(p, d)
+    assert table.dtype == np.int32 and table.shape[1] == p
+    assert hashlib.sha256(table.tobytes()).hexdigest() == \
+        _LINE_TABLE_SHA256[(p, d)]
+    assert {frozenset(row.tolist()) for row in table} == {
+        frozenset(O.point_index(p, pt) for pt in line)
+        for line in O.all_lines(p, d)}
+
+
+@pytest.mark.parametrize("p,d", sorted(_LINE_TABLE_SHA256))
+def test_translation_reps_match_canonical_form(p, d, rng):
+    space = Space(p, d)
+    n = p ** d
+    for size in sorted({0, 1, 2, p, n // 2, n - 1, n}):
+        rows = np.sort(np.array([rng.choice(n, size, replace=False)
+                                 for _ in range(6)]).reshape(6, size), axis=1)
+        got = translation_reps(p, d, rows)
+        assert got.shape == rows.shape
+        for row, rep in zip(rows, got):
+            E = PointSet.from_indices(space, row.tolist())
+            # the smallest bitmask over all translates, by brute force
+            best = min(sum(1 << int(i) for i in t)
+                       for t in add_table(p, d)[:, row])
+            assert PointSet.from_indices(space, rep.tolist()).mask == best
+            assert canonical_form(E).mask == best
