@@ -30,9 +30,9 @@ import numpy as np
 from .fourier import zero_directions
 from .parallel import run_chunks
 from .sets import PointSet
-from .space import Space, affine_permutations
+from .space import Space, affine_permutation_array
 from .spectral import (PRUNING_RULES, InternalCheckError,
-                       _clique_in_zero_set, _spectrum_in_zero_set,
+                       _clique_in_zero_set, _validate_witness_rows,
                        allowed_spectral_sizes, pruning_rule, spectrum_search)
 from .tables import (
     combination_array,
@@ -45,7 +45,7 @@ from .tables import (
     plane_counts,
     translation_reps,
 )
-from .tiling import size_can_tile, tiling_search, verify_tiling_pair
+from .tiling import size_can_tile, tiling_pair_rows, tiling_search
 
 __all__ = [
     "LemmaReport",
@@ -581,13 +581,14 @@ def _groups(keys: np.ndarray) -> tuple:
 
 def _spectra_by_zero_set(spc: Space, rows: np.ndarray,
                          zero: np.ndarray) -> tuple:
-    """Spectral verdicts of index rows of one allowed size above 1, from
-    their zero directions (n_dirs, n_rows).
+    """Spectral verdicts of index rows of one allowed size, from their
+    zero directions (n_dirs, n_rows).
 
     The clique stage is a function of (zero set, size, budget) alone, so
     it runs once per distinct zero set, and each row of the group counts
-    its nodes.  Only rows of a group with a witness become PointSets;
-    _spectrum_in_zero_set validates the witness against each of them.
+    its nodes.  A group's spectrum is still checked against every row of
+    the group, both ways: one _validate_witness_rows call takes all the
+    rows of the chunk that have one.
     Returns (nodes, {row position: spectrum indices}) in row order.
     """
     dmasks = direction_masks(spc.p, spc.d)
@@ -596,14 +597,16 @@ def _spectra_by_zero_set(spc: Space, rows: np.ndarray,
     spectra = {}
     for col, members in zip(*_groups(keys)):
         zmask = sum(itertools.compress(dmasks, zero[:, col]))
-        verdict, _, n = _clique_in_zero_set(spc, zmask, rows.shape[1], _BUDGET)
+        verdict, spectrum, n = _clique_in_zero_set(spc, zmask, rows.shape[1],
+                                                   _BUDGET)
         nodes += n * len(members)
         if _found(verdict):
-            for i in members:
-                cert = _spectrum_in_zero_set(_pointset(spc, rows[i]), zmask,
-                                             _BUDGET, {})
-                spectra[int(i)] = cert.witness.indices()
-    return nodes, dict(sorted(spectra.items()))
+            spectra.update(dict.fromkeys(members.tolist(), sorted(spectrum)))
+    spectra = dict(sorted(spectra.items()))
+    if spectra:
+        _validate_witness_rows(spc.p, spc.d, rows[list(spectra)],
+                               list(spectra.values()))
+    return nodes, spectra
 
 
 # bounded like the clique stage; F_5^2 has 2,130 classes of 5-sets
@@ -619,20 +622,26 @@ def _tiles_by_class(spc: Space, rows: np.ndarray) -> np.ndarray:
 
     A complement A of the class representative R = E + t tiles with E
     too, since E + A = R + A - t.  Every member E is still checked as
-    an exact tiling pair with A, both ways, before it counts as a tile.
+    an exact tiling pair with A, both ways, before it counts as a tile:
+    one tiling_pair_rows call each way takes all the members of the
+    chunk's tiling classes.
     """
     reps = translation_reps(spc.p, spc.d, rows)
-    tiles = np.zeros(len(rows), dtype=bool)
-    for first, members in zip(*_groups(reps)):
+    members, complements = [], []
+    for first, group in zip(*_groups(reps)):
         cert = _class_tiling(spc, tuple(reps[first].tolist()))
-        if not _found(cert.verdict):
-            continue
-        for i in members:
-            E = _pointset(spc, rows[i])
-            if not (verify_tiling_pair(E, cert.witness)
-                    and verify_tiling_pair(cert.witness, E)):
-                raise InternalCheckError(
-                    "class tiling complement fails on a member set")
+        if _found(cert.verdict):
+            members.extend(group.tolist())
+            complements.extend([cert.witness.indices()] * len(group))
+    tiles = np.zeros(len(rows), dtype=bool)
+    if members:
+        E = rows[members]
+        ok = (tiling_pair_rows(spc.p, spc.d, E, complements)
+              & tiling_pair_rows(spc.p, spc.d, complements, E))
+        if not ok.all():
+            raise InternalCheckError(
+                "class tiling complement fails on member set "
+                f"{E[int(np.argmin(ok))].tolist()}")
         tiles[members] = True
     return tiles
 
@@ -653,25 +662,21 @@ def _spectral_vs_tile(spc: Space, rows: np.ndarray) -> tuple:
     """Both verdicts for every index row; rows that _immediate_none
     flags skip the spectral search.
 
-    At an allowed size above 1 the spectral side is the clique stage,
-    once per distinct zero set (_spectra_by_zero_set); other sizes keep
-    the search's size filter and one-point witness.  The tiling side
+    At an allowed size the spectral side is the clique stage, once per
+    distinct zero set (_spectra_by_zero_set); every other size is
+    spectral nowhere, the search's size filter.  The tiling side
     searches once per translation class (_tiles_by_class).  Every
-    witness is verified against its own set, both ways.
+    witness is verified against its own set, both ways, in one batched
+    call per side.
     Returns ({"searched", "spectral", "tiles"} counts, counterexamples).
     """
     zero, skip_spectral = _immediate_none(spc, rows)
-    size = rows.shape[1]
     searched = np.flatnonzero(~skip_spectral)
     spectral = np.zeros(len(rows), dtype=bool)
-    if size > 1 and size in allowed_spectral_sizes(spc):
+    if rows.shape[1] in allowed_spectral_sizes(spc):
         _, spectra = _spectra_by_zero_set(spc, rows[searched],
                                           zero[:, searched])
         spectral[searched[list(spectra)]] = True
-    else:
-        for i in searched:
-            cert = spectrum_search(_pointset(spc, rows[i]))
-            spectral[i] = _found(cert.verdict)
     tiles = _tiles_by_class(spc, rows)
     cex = [{"set": [int(i) for i in rows[k]],
             "spectral": "witness" if spectral[k] else "none",
@@ -714,22 +719,32 @@ def _fug52_chunk(args):
 
 
 def _cycle_type_counts(p: int, d: int) -> Counter:
-    counts: Counter = Counter()
-    for perm in affine_permutations(p, d):
-        seen = [False] * len(perm)
-        lens = []
-        for s in range(len(perm)):
-            if seen[s]:
-                continue
-            ln = 0
-            t = s
-            while not seen[t]:
-                seen[t] = True
-                t = perm[t]
-                ln += 1
-            lens.append(ln)
-        counts[tuple(sorted(lens))] += 1
-    return counts
+    """How many affine permutations have each cycle type (the sorted
+    cycle lengths).
+
+    All the permutations act as one permutation of maps x p^d points.
+    Pointer doubling finds each point's least orbit point: after r
+    rounds low[x] = min(x, g x, ..., g^(2^r - 1) x), and 2^r >= p^d
+    covers every cycle.  Cycle lengths are then the sizes of the classes
+    of low, counted at the cycles' least points.
+    """
+    perms = affine_permutation_array(p, d)
+    maps, n = perms.shape
+    step = (perms + n * np.arange(maps, dtype=np.int32)[:, None]).ravel()
+    low = np.arange(maps * n, dtype=np.int32)
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low.take(step))
+        step = step.take(step)
+    size = np.bincount(low, minlength=maps * n)
+    least = np.flatnonzero(size)
+    # [map, l]: cycles of length l, at most p^d of them
+    per_map = np.bincount(least // n * (n + 1) + size[least],
+                          minlength=maps * (n + 1)).astype(np.int8)
+    types, mult = np.unique(per_map.view(np.dtype((np.void, n + 1))),
+                            return_counts=True)
+    return Counter({
+        tuple(np.repeat(np.arange(n + 1), np.frombuffer(t, np.int8)).tolist()):
+            int(c) for t, c in zip(types, mult)})
 
 
 def affine_class_counts(p: int, d: int, sizes: tuple) -> dict:

@@ -345,12 +345,12 @@ def gl_matrices(p: int, d: int):
 
 
 @lru_cache(maxsize=None)
-def affine_permutations(p: int, d: int):
-    """Point-index permutations for every map x -> Mx + t, d <= 2.
+def affine_permutation_array(p: int, d: int) -> np.ndarray:
+    """(maps, p^d) int16, read-only: row g is the point-index permutation
+    of the map x -> Mx + t, d <= 2; entry [g, i] is the image of point i.
 
-    Returned as a tuple of tuples; entry perm[i] is the image index of
-    point i.  Maps run over gl_matrices(p, d) and, for each matrix, over
-    t in index order.  Size (p^2-1)(p^2-p)p^2 for d=2.
+    Maps run over gl_matrices(p, d) and, for each matrix, over t in
+    index order.  Size (p^2-1)(p^2-p)p^2 for d=2.
     """
     from .tables import add_table, coords_matrix
 
@@ -359,4 +359,12 @@ def affine_permutations(p: int, d: int):
     # image index of x under each linear map: sum_j x_j * row_j
     lin = (coords_matrix(p, d) @ mats % p) @ p ** np.arange(d)     # (maps, n)
     perms = add_table(p, d)[lin[:, None, :], np.arange(n)[:, None]]
-    return tuple(map(tuple, perms.reshape(-1, n).tolist()))
+    perms = perms.reshape(-1, n)
+    perms.flags.writeable = False
+    return perms
+
+
+@lru_cache(maxsize=None)
+def affine_permutations(p: int, d: int):
+    """The rows of affine_permutation_array as a tuple of tuples."""
+    return tuple(map(tuple, affine_permutation_array(p, d).tolist()))

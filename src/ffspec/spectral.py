@@ -2,9 +2,12 @@
 
 A set A is a spectrum of E iff the characters indexed by A form an
 orthogonal basis of L^2(E).  For odd p this is equivalent to |A| = |E|
-together with fhat_E(a1 - a2) = 0 for all distinct a1, a2 in A; the
-verifier computes both the difference-set criterion and the definitional
-Gram orthogonality test on exact residue counts and insists they agree.
+together with fhat_E(a1 - a2) = 0 for all distinct a1, a2 in A.
+spectral_pair_rows decides this for many (E, A) index-row pairs at once
+by two routes that share no difference step, the difference-set
+criterion over E's zero directions and the definitional Gram
+orthogonality test on exact residue counts, and insists they agree on
+every row.  verify_spectral_pair is its one-row call.
 
 spectrum_search reduces spectrum existence to finding a |E|-clique in
 the Cayley graph generated by the zero set of fhat_E, anchored at 0.
@@ -19,7 +22,8 @@ share a zero set (all translates of a set, and most sets of a sweep)
 search once; the exhaustive sweeps also group their sets by zero set
 and call it once per group.  Witness validation is not shared: every
 witness is re-verified against its own set, by both routes and both
-ways, on a cache hit too.
+ways, on a cache hit too; a sweep checks all the witnesses of a chunk
+in one batched call.
 """
 from __future__ import annotations
 
@@ -28,11 +32,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fourier import zero_set
+from .fourier import zero_directions, zero_set
 from .geometry import _direction_counts, _plane_direction_counts
 from .sets import PointSet
-from .space import coords_to_index, index_to_coords
-from .tables import coords_matrix, difference, line_sups, plane_counts
+from .tables import (coords_matrix, difference, dir_of_index, line_sups,
+                     plane_counts)
 
 
 class InternalCheckError(RuntimeError):
@@ -57,24 +61,24 @@ def allowed_spectral_sizes(space) -> frozenset:
     return frozenset(sizes)
 
 
-def _pair_criterion(E: PointSet, A: PointSet) -> bool:
-    """Difference-set route: every a_i - a_j lies in the zero set of E.
+# residues held at once by the Gram route; at n = 343 a one-row call
+# takes its 58,653 pairs in blocks of about 11,000
+_GRAM_BLOCK = 4_000_000
 
-    Differences are taken on coordinate tuples, not on the coordinate
-    table the Gram route uses, so the two routes share no difference step.
+
+def _pair_criterion(p: int, d: int, E_rows: np.ndarray,
+                    A_rows: np.ndarray) -> np.ndarray:
+    """Difference-set route, per row: every a_i - a_j lies in the zero
+    set of E.
+
+    Differences come from index arithmetic (tables.difference) and are
+    looked up by direction in E's zero_directions columns, so this route
+    shares no difference step with the Gram route's coordinate rows.
     """
-    if A.size != E.size:
-        return False
-    if A.size <= 1:
-        return True
-    p, d = E.space.p, E.space.d
-    z = zero_set(E).mask
-    pts = [index_to_coords(i, p, d) for i in A.indices()]
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            if not z >> coords_to_index([x - y for x, y in zip(a, b)], p) & 1:
-                return False
-    return True
+    zero = zero_directions(p, d, E_rows)                # (n_dirs, n)
+    ii, jj = _pairs(A_rows.shape[1])
+    dirs = dir_of_index(p, d)[difference(p, d, A_rows[:, ii], A_rows[:, jj])]
+    return zero[dirs, np.arange(len(A_rows))[:, None]].all(axis=1)
 
 
 # bounded: at n = 343 one entry holds 0.9 MB
@@ -87,41 +91,66 @@ def _pairs(n: int) -> tuple:
     return ii, jj
 
 
-def _pair_gram(E: PointSet, A: PointSet) -> bool:
-    """Definitional route: pairwise character orthogonality over E by residue counts."""
-    if A.size != E.size:
-        return False
-    if A.size <= 1:
-        return True
-    space = E.space
-    p = space.p
-    coords = coords_matrix(p, space.d).astype(np.int64)
-    ec = coords[np.array(E.indices(), dtype=np.int64)]
-    ac = coords[np.array(A.indices(), dtype=np.int64)]
-    ii, jj = _pairs(len(ac))
-    diffs = (ac[ii] - ac[jj]) % p                       # (n_pairs, d)
-    step = max(1, 4_000_000 // max(1, len(ec)))
-    for lo in range(0, len(diffs), step):
-        chunk = diffs[lo:lo + step]
-        r = (ec @ chunk.T) % p                          # (|E|, chunk)
-        # row k: how often each residue occurs for pair k
-        counts = np.bincount((r + p * np.arange(len(chunk))).ravel(),
-                             minlength=p * len(chunk)).reshape(-1, p)
-        if not (counts == counts[:, :1]).all():
-            return False
-    return True
+def _pair_gram(p: int, d: int, E_rows: np.ndarray,
+               A_rows: np.ndarray) -> np.ndarray:
+    """Definitional route, per row: pairwise character orthogonality
+    over E by residue counts."""
+    coords = coords_matrix(p, d).astype(np.int32)
+    n, m = E_rows.shape
+    ec = coords[E_rows]                                 # (n, m, d)
+    ac = coords[A_rows]
+    ii, jj = _pairs(A_rows.shape[1])
+    ok = np.ones(n, dtype=bool)
+    step = max(1, _GRAM_BLOCK // max(1, n * m))
+    for lo in range(0, len(ii), step):
+        diffs = (ac[:, ii[lo:lo + step]] - ac[:, jj[lo:lo + step]]) % p
+        r = ec @ diffs.transpose(0, 2, 1)               # (n, m, pairs)
+        r %= p
+        k = r.shape[-1]
+        # [row, pair]: how often each residue occurs
+        r += p * np.arange(n * k, dtype=np.int32).reshape(n, 1, k)
+        counts = np.bincount(r.ravel(), minlength=p * n * k).reshape(n, k, p)
+        ok &= (counts == counts[..., :1]).all(axis=(1, 2))
+    return ok
+
+
+def spectral_pair_rows(p: int, d: int, E_rows, A_rows) -> np.ndarray:
+    """Exact spectral-pair test of each row pair (E_rows[i], A_rows[i]).
+
+    E_rows and A_rows hold the point indices of sets, shapes (n, m) and
+    (n, k); the result holds n bools.  Both routes decide every row,
+    in blocks of about _GRAM_BLOCK residues, and a row on which they
+    disagree raises InternalCheckError naming it.
+    """
+    E_rows = np.asarray(E_rows, dtype=np.int64)
+    A_rows = np.asarray(A_rows, dtype=np.int64)
+    n, m = E_rows.shape
+    if A_rows.shape[1] != m:
+        return np.zeros(n, dtype=bool)
+    if m <= 1:
+        return np.ones(n, dtype=bool)
+    out = np.empty(n, dtype=bool)
+    step = max(1, _GRAM_BLOCK // (m * m * (m - 1) // 2))
+    for lo in range(0, n, step):
+        E, A = E_rows[lo:lo + step], A_rows[lo:lo + step]
+        crit = _pair_criterion(p, d, E, A)
+        gram = _pair_gram(p, d, E, A)
+        split = np.flatnonzero(crit != gram)
+        if len(split):
+            i = int(split[0])
+            raise InternalCheckError(
+                f"criterion test ({crit[i]}) and Gram test ({gram[i]}) "
+                f"disagree on row {lo + i}")
+        out[lo:lo + step] = crit
+    return out
 
 
 def verify_spectral_pair(E: PointSet, A: PointSet) -> bool:
     """Exact spectral-pair test; the two internal routes must agree."""
     if E.space != A.space:
         raise ValueError("mismatched spaces")
-    crit = _pair_criterion(E, A)
-    gram = _pair_gram(E, A)
-    if crit != gram:
-        raise InternalCheckError(
-            f"criterion test ({crit}) and Gram test ({gram}) disagree")
-    return crit
+    return bool(spectral_pair_rows(E.space.p, E.space.d, [E.indices()],
+                                   [A.indices()])[0])
 
 
 def symmetry_check(E: PointSet, A: PointSet) -> bool:
@@ -238,24 +267,13 @@ def spectrum_search(E: PointSet, budget: int = 10 ** 9,
     if n not in allowed_spectral_sizes(space):
         stats["size_filtered"] = True
         return SpectralCertificate("none", None, 0, stats)
-    if n == 1:
-        witness = PointSet.from_indices(space, [0])
-        _validate_witness(E, witness)
-        return SpectralCertificate("witness", witness, 0, stats)
     if pruning and n % space.p == 0 and 2 <= n // space.p <= space.p - 1:
         rule = int(pruning_rule(space, np.array([E.indices()]))[0])
         if rule >= 0:
             stats[PRUNING_RULES[rule]] = 1
             return SpectralCertificate("none", None, 0, stats)
-    return _spectrum_in_zero_set(E, zero_set(E).mask, budget, stats)
-
-
-def _spectrum_in_zero_set(E: PointSet, zmask: int, budget: int,
-                          stats: dict) -> SpectralCertificate:
-    """Tail of spectrum_search for a set whose zero set zmask is known:
-    the clique stage, then validation of any witness against E itself."""
-    space = E.space
-    verdict, spectrum, nodes = _clique_in_zero_set(space, zmask, E.size, budget)
+    verdict, spectrum, nodes = _clique_in_zero_set(space, zero_set(E).mask,
+                                                   n, budget)
     if verdict != "witness":
         return SpectralCertificate(verdict, None, nodes, stats)
     witness = PointSet.from_indices(space, spectrum)
@@ -299,3 +317,18 @@ def _validate_witness(E: PointSet, A: PointSet) -> None:
         raise InternalCheckError("search produced a non-verifying witness")
     if not verify_spectral_pair(A, E):
         raise InternalCheckError("witness fails the swapped-pair check")
+
+
+def _validate_witness_rows(p: int, d: int, E_rows, A_rows) -> None:
+    """_validate_witness for many witnesses: each A_rows[i] is checked
+    against its own set E_rows[i], both ways, in one spectral_pair_rows
+    call."""
+    E_rows = np.asarray(E_rows, dtype=np.int64)
+    A_rows = np.asarray(A_rows, dtype=np.int64)
+    n = len(E_rows)
+    ok = spectral_pair_rows(p, d, np.concatenate([E_rows, A_rows]),
+                            np.concatenate([A_rows, E_rows]))
+    for half, what in ((ok[:n], "search produced a non-verifying witness"),
+                       (ok[n:], "witness fails the swapped-pair check")):
+        if not half.all():
+            raise InternalCheckError(f"{what} (row {int(np.argmin(half))})")

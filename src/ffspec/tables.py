@@ -210,11 +210,28 @@ def direction_orthogonality(p: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def combination_array(m: int, r: int) -> np.ndarray:
-    """(C(m, r), r) int8 array of r-subsets of range(m), lexicographic."""
-    from itertools import chain, combinations
+    """(C(m, r), r) int8 array of r-subsets of range(m), lexicographic.
 
-    if r == 0:
-        return np.zeros((1, 0), dtype=np.int8)
-    flat = np.fromiter(chain.from_iterable(combinations(range(m), r)),
-                       dtype=np.int8)
-    return flat.reshape(-1, r)
+    Built one column at a time.  Column k holds values up to
+    hi = m - r + k, so a prefix ending in c is followed by c + 1 .. hi,
+    in order, which keeps the rows lexicographic.  Every such run ends
+    at hi, so the new column is a running sum of steps of 1 that restart
+    at c + 1 where each prefix's run begins.  Temporaries above int8 are
+    int32 and hold one entry per prefix.
+    """
+    out = np.zeros((1 if r <= m else 0, 0), dtype=np.int8)
+    last = np.full(len(out), -1, dtype=np.int8)
+    for k in range(r):
+        hi = m - r + k
+        counts = hi - last                   # run length of each prefix
+        starts = np.cumsum(counts, dtype=np.int32) - counts
+        step = np.ones(counts.sum(), dtype=np.int8)
+        step[starts] = last + 1 - hi
+        step[starts[:1]] = last[:1] + 1
+        last = np.cumsum(step, dtype=np.int8)
+        grown = np.empty((len(last), k + 1), dtype=np.int8)
+        for j in range(k):
+            grown[:, j] = np.repeat(out[:, j], counts)
+        grown[:, k] = last
+        out = grown
+    return out

@@ -42,19 +42,30 @@ def size_can_tile(space, size: int) -> bool:
     return size > 0 and space.order % size == 0
 
 
+def tiling_pair_rows(p: int, d: int, E_rows, A_rows) -> np.ndarray:
+    """Exact tiling-pair test of each row pair (E_rows[i], A_rows[i]):
+    the translates E + a, a in A, partition the space.
+
+    E_rows and A_rows hold the point indices of sets, shapes (n, m) and
+    (n, k); the result holds n bools.  A row passes exactly when its
+    m * k sums, read from add_table, are the p^d points.
+    """
+    E_rows = np.asarray(E_rows, dtype=np.int64)
+    A_rows = np.asarray(A_rows, dtype=np.int64)
+    n, order = len(E_rows), p ** d
+    if E_rows.shape[1] * A_rows.shape[1] != order:
+        return np.zeros(n, dtype=bool)
+    sums = add_table(p, d)[E_rows[:, :, None], A_rows[:, None, :]]
+    return (np.sort(sums.reshape(n, order), axis=1)
+            == np.arange(order)).all(axis=1)
+
+
 def verify_tiling_pair(E: PointSet, A: PointSet) -> bool:
     """Exact test that the translates E + a, a in A, partition the space."""
     if E.space != A.space:
         raise ValueError("mismatched spaces")
-    space = E.space
-    table = _translates(E)
-    cover = 0
-    for a in A.indices():
-        t = _mask(table[a])
-        if t & cover:
-            return False
-        cover |= t
-    return cover == (1 << space.order) - 1
+    return bool(tiling_pair_rows(E.space.p, E.space.d, [E.indices()],
+                                 [A.indices()])[0])
 
 
 def tiling_search(E: PointSet, budget: int = 10 ** 9) -> TilingCertificate:

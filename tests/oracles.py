@@ -149,6 +149,13 @@ def tiles(p: int, d: int, E) -> bool:
     return False
 
 
+def is_tiling_pair(p: int, d: int, E, A) -> bool:
+    """The translates E + a, a in A, cover every point exactly once."""
+    sums = sorted(tuple((x + y) % p for x, y in zip(e, a))
+                  for e in E for a in A)
+    return sums == sorted(all_points(p, d))
+
+
 def affine_maps_2d(p: int) -> list:
     """All invertible affine maps of F_p^2 as (matrix, shift)."""
     out = []

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from ffspec.lemmas import (
     affine_class_counts,
     translation_class_counts,
 )
+from ffspec.space import affine_permutations
 from ffspec.spectral import spectrum_search
 from ffspec.tables import combination_array
 
@@ -314,6 +316,31 @@ class TestFugledeSweeps:
         assert affine_class_counts(5, 2, (1, 2, 3)) == {1: 1, 2: 1, 3: 2}
         assert affine_class_counts(3, 2, (3, 4)) == {3: 2, 4: 2}
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_cycle_types_match_walk(self, p):
+        # reference: walk each permutation's cycles in Python
+        want = Counter()
+        for perm in affine_permutations(p, 2):
+            seen, lens = set(), []
+            for x in range(len(perm)):
+                n = 0
+                while x not in seen:
+                    seen.add(x)
+                    x, n = perm[x], n + 1
+                if n:
+                    lens.append(n)
+            want[tuple(sorted(lens))] += 1
+        assert lemmas._cycle_type_counts(p, 2) == want
+
+    def test_affine_class_counts_pinned(self):
+        # values of the per-permutation cycle walk
+        assert affine_class_counts(7, 2, (3, 4, 5, 6, 7, 24)) == {
+            3: 3, 4: 8, 5: 32, 6: 179, 7: 954, 24: 639924024}
+        assert affine_class_counts(5, 2, (5, 10, 15, 20)) == {
+            5: 11, 10: 319, 15: 319, 20: 11}
+        assert affine_class_counts(3, 2, range(1, 10)) == {
+            1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 2, 7: 1, 8: 1, 9: 1}
+
     def test_translation_count_oracle_size5(self):
         assert O.translation_class_count(5, 2, 2) == 12
         assert O.translation_class_count(5, 2, 3) == 92
@@ -339,6 +366,21 @@ def _counting(monkeypatch, name):
         return inner(*args)
 
     monkeypatch.setattr(lemmas, name, wrapper)
+    return calls
+
+
+def _row_pairs(monkeypatch, module, name):
+    """Wrap module.<name>, a row-pair kernel; returns one list per call
+    of its (E row, A row) tuples."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(p, d, E_rows, A_rows):
+        calls.append([(tuple(map(int, e)), tuple(map(int, a)))
+                      for e, a in zip(E_rows, A_rows)])
+        return inner(p, d, E_rows, A_rows)
+
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -398,25 +440,46 @@ class TestGroupedSweeps:
     def test_member_tiling_checked_against_class_witness(self, monkeypatch):
         # {3, 4, 5} is the line y = 1; its class representative is the
         # line {0, 1, 2}, which tiles with the y-axis
-        real = lemmas.verify_tiling_pair
+        real = lemmas.tiling_pair_rows
         seen = []
 
-        def reject_one(E, A):
-            seen.append(E.indices())
-            return real(E, A) and E.indices() != [3, 4, 5]
+        def reject_one(p, d, E_rows, A_rows):
+            E_rows = np.asarray(E_rows)
+            seen.extend(E_rows.tolist())
+            return real(p, d, E_rows, A_rows) & np.array(
+                [row != [3, 4, 5] for row in E_rows.tolist()])
 
-        monkeypatch.setattr(lemmas, "verify_tiling_pair", reject_one)
-        with pytest.raises(InternalCheckError):
+        monkeypatch.setattr(lemmas, "tiling_pair_rows", reject_one)
+        with pytest.raises(InternalCheckError, match=r"\[3, 4, 5\]"):
             verify_fuglede_small(3, 2, (3,))
         assert [3, 4, 5] in seen and [0, 1, 2] in seen
 
     def test_every_tiling_member_checked_both_ways(self, monkeypatch):
-        calls = _counting(monkeypatch, "verify_tiling_pair")
+        calls = _row_pairs(monkeypatch, lemmas, "tiling_pair_rows")
         rep = verify_fuglede_small(3, 2, (3,))
         tiles = rep.details["sizes"]["3"]["tiles"]
-        assert tiles == 84 and len(calls) == 2 * tiles
-        pairs = {(E.mask, A.mask) for E, A in calls}
-        assert {(A, E) for E, A in pairs} == pairs
+        # one call each way for the chunk, one row per tiling member
+        assert tiles == 84 and len(calls) == 2
+        assert calls[1] == [(A, E) for E, A in calls[0]]
+        assert len({E for E, _ in calls[0]}) == tiles
+
+    @pytest.mark.parametrize("p,size,want", [(3, 3, 84), (5, 5, 3426)])
+    def test_every_spectral_member_checked_both_ways(self, monkeypatch, p,
+                                                     size, want):
+        calls = _row_pairs(monkeypatch, spectral, "spectral_pair_rows")
+        rep = verify_fuglede_small(p, 2, (size,))
+        assert rep.details["sizes"][str(size)]["spectral"] == want
+        members = []
+        for call in calls:
+            # one call per chunk: each (E, A), then each swapped (A, E)
+            half = len(call) // 2
+            assert call[half:] == [(A, E) for E, A in call[:half]]
+            members += call[:half]
+        assert len({E for E, _ in members}) == len(members) == want
+        pts = O.all_points(p, 2)
+        for E, A in members[::len(members) // 40]:
+            assert O.is_spectral_pair(p, 2, [pts[i] for i in E],
+                                      [pts[i] for i in A])
 
     @pytest.mark.parametrize("name,value", [
         ("_clique_in_zero_set", lambda *a: ("aborted", None, 1)),

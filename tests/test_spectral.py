@@ -16,7 +16,7 @@ from ffspec import (
     zero_set,
 )
 from ffspec import spectral as spectral_mod
-from ffspec.spectral import PRUNING_RULES, pruning_rule
+from ffspec.spectral import PRUNING_RULES, pruning_rule, spectral_pair_rows
 
 
 def line(spc, vec):
@@ -103,10 +103,95 @@ class TestVerify:
     def test_route_disagreement_trips(self, monkeypatch):
         spc = Space(7, 3)
         L = line(spc, (1, 0, 0))
+        real = spectral_mod._pair_criterion
         monkeypatch.setattr(spectral_mod, "_pair_criterion",
-                            lambda E, A: False)
-        with pytest.raises(InternalCheckError):
+                            lambda p, d, E, A: np.zeros(len(E), dtype=bool))
+        with pytest.raises(InternalCheckError, match="row 0"):
             verify_spectral_pair(L, L)
+
+        def flip_row_1(p, d, E, A):
+            got = real(p, d, E, A)
+            got[1] = not got[1]
+            return got
+
+        # rows 0 and 2 agree; the split on row 1 alone trips
+        monkeypatch.setattr(spectral_mod, "_pair_criterion", flip_row_1)
+        rows = np.array([L.indices()] * 3)
+        with pytest.raises(InternalCheckError, match="row 1"):
+            spectral_pair_rows(7, 3, rows, rows)
+
+
+def _line_rows(rng, p, d, vec_a, vec_b, n):
+    """n row pairs (E, A): E a random translate of the line along
+    vec_a, A one of the line along vec_b."""
+    pts = O.all_points(p, d)
+    out = []
+    for _ in range(n):
+        e0, a0 = (pts[int(i)] for i in rng.integers(p ** d, size=2))
+        out.append([sorted(O.point_index(p, [(b + t * v) % p
+                                             for b, v in zip(base, vec)])
+                           for t in range(p))
+                    for base, vec in ((e0, vec_a), (a0, vec_b))])
+    return np.array(out)
+
+
+def _random_rows(rng, p, d, size, n):
+    return np.array([np.sort(rng.choice(p ** d, size, replace=False))
+                     for _ in range(n)])
+
+
+class TestPairRows:
+    @pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7)
+                                     for d in (1, 2, 3)])
+    def test_rows_match_oracle(self, rng, p, d):
+        pts = O.all_points(p, d)
+        unit = (1,) + (0,) * (d - 1)
+        # a line along e1 has the line along e1 as a spectrum; along any
+        # w with w . e1 = 0 it does not (d >= 2)
+        other = unit if d == 1 else (0, 1) + (0,) * (d - 2)
+        pairs = _line_rows(rng, p, d, unit, unit, 6)
+        skew = _line_rows(rng, p, d, unit, other, 3)
+        E = np.concatenate([skew[:, 0], pairs[:, 0],
+                            _random_rows(rng, p, d, p, 6)])
+        A = np.concatenate([skew[:, 1], pairs[:, 1],
+                            _random_rows(rng, p, d, p, 6)])
+        got = spectral_pair_rows(p, d, E, A)
+        want = [O.is_spectral_pair(p, d, [pts[i] for i in e],
+                                   [pts[i] for i in a])
+                for e, a in zip(E, A)]
+        assert got.tolist() == want
+        # for d >= 2 the leading rows fail and the rows after them pass
+        assert got[:3].tolist() == [d == 1] * 3 and got[3:9].all()
+        # size-1 rows are spectral pairs; mismatched sizes never are
+        singles = _random_rows(rng, p, d, 1, 4)
+        assert spectral_pair_rows(p, d, singles, singles[::-1]).all()
+        assert not spectral_pair_rows(p, d, E[:, :2], A).any()
+
+    def test_blocks_agree_with_one_pass(self, rng, monkeypatch):
+        # a tiny block splits rows and, within a row, pairs; results and
+        # the row named in a disagreement are those of one pass
+        E = _random_rows(rng, 5, 3, 5, 20)
+        pairs = _line_rows(rng, 5, 3, (1, 0, 0), (1, 0, 0), 20)
+        E = np.concatenate([E, pairs[:, 0]])
+        A = np.concatenate([E[:20][::-1], pairs[:, 1]])
+        whole = spectral_pair_rows(5, 3, E, A)
+        assert whole[20:].all() and not whole[:20].all()
+        monkeypatch.setattr(spectral_mod, "_GRAM_BLOCK", 7)
+        assert spectral_pair_rows(5, 3, E, A).tolist() == whole.tolist()
+        real = spectral_mod._pair_criterion
+        marked = E[13].tolist()
+        assert [r.tolist() for r in E].count(marked) == 1
+
+        def flip_row_13(p, d, E, A):
+            got = real(p, d, E, A)
+            for i, row in enumerate(E):
+                if row.tolist() == marked:
+                    got[i] = not got[i]
+            return got
+
+        monkeypatch.setattr(spectral_mod, "_pair_criterion", flip_row_13)
+        with pytest.raises(InternalCheckError, match="row 13"):
+            spectral_pair_rows(5, 3, E, A)
 
 
 class TestSymmetry:

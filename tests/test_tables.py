@@ -1,12 +1,15 @@
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 import oracles as O
 from ffspec import PointSet, Space, canonical_form
-from ffspec.tables import (add_table, difference, direction_reps, line_sups,
-                           line_table, pair_direction_table, pair_line_table,
+from ffspec.tables import (add_table, combination_array, difference,
+                           direction_reps, line_sups, line_table,
+                           pair_direction_table, pair_line_table,
                            plane_counts, translation_reps)
 
 
@@ -155,3 +158,32 @@ def test_translation_reps_match_canonical_form(p, d, rng):
                        for t in add_table(p, d)[:, row])
             assert PointSet.from_indices(space, rep.tolist()).mask == best
             assert canonical_form(E).mask == best
+
+
+# the (m, r) shapes the sweeps build: lm1 and lm2 direct and reduced,
+# slab-p3 and fuglede-3-3, fuglede-3-2, fuglede-5-2 at sizes 1, 5, 25
+_SWEEP_SHAPES = sorted(
+    {(48 - i0, 4) for i0 in range(45)} | {(48 - i1, 5) for i1 in range(1, 44)}
+    | {(46, 2), (46, 4), (27, 6), (24, 0), (24, 4), (24, 24)}
+    | {(9, r) for r in range(1, 10)})
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_combination_array_edges(m):
+    for r in sorted({0, 1, m, m // 2, m + 1}):
+        _assert_combinations(m, r)
+
+
+def test_combination_array_sweep_shapes():
+    for m, r in _SWEEP_SHAPES:
+        _assert_combinations(m, r)
+
+
+def _assert_combinations(m, r):
+    # uncached, so the large shapes do not stay in the test process
+    got = combination_array.__wrapped__(m, r)
+    want = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(m), r)), dtype=np.int8)
+    assert got.dtype == np.int8 and got.flags.c_contiguous
+    assert got.shape == (math.comb(m, r), r)
+    assert got.tobytes() == want.tobytes(), (m, r)

@@ -1,6 +1,7 @@
 import itertools
 import sys
 
+import numpy as np
 import pytest
 
 import oracles as O
@@ -11,6 +12,7 @@ from ffspec import (
     tiling_search,
     verify_tiling_pair,
 )
+from ffspec.tiling import tiling_pair_rows
 
 
 class TestVerify:
@@ -46,6 +48,61 @@ class TestVerify:
                                   PointSet.from_indices(spc, [0]))
         assert verify_tiling_pair(PointSet.from_indices(spc, [0]),
                                   PointSet.full(spc))
+
+
+def _tiling_rows(rng, p, d, k, n):
+    """n row pairs as arrays E, A: E a random translate of a
+    k-dimensional subspace, A one of a complementary subspace."""
+    pts = O.all_points(p, d)
+    out = []
+    while len(out) < n:
+        basis = [pts[int(i)] for i in rng.integers(p ** d, size=d)]
+        if O._rank(basis, p) < d:
+            continue
+        rows = []
+        for vecs in (basis[:k], basis[k:]):
+            base = pts[int(rng.integers(p ** d))]
+            rows.append(sorted(
+                O.point_index(p, [(b + sum(c * v[j] for c, v in
+                                           zip(coeffs, vecs))) % p
+                                  for j, b in enumerate(base)])
+                for coeffs in itertools.product(range(p), repeat=len(vecs))))
+        out.append(rows)
+    return tuple(np.array(side) for side in zip(*out))
+
+
+def _random_rows(rng, p, d, size, n):
+    return np.array([np.sort(rng.choice(p ** d, size, replace=False))
+                     for _ in range(n)])
+
+
+class TestPairRows:
+    @pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7)
+                                     for d in (1, 2, 3)])
+    def test_rows_match_oracle(self, rng, p, d):
+        pts = O.all_points(p, d)
+        k = (d + 1) // 2
+        pair_E, pair_A = _tiling_rows(rng, p, d, k, 6)
+        # leading row: A inside a translate of E's subspace, so for
+        # d >= 2 two translates overlap
+        E = np.concatenate([pair_E[:1], pair_E,
+                            _random_rows(rng, p, d, p ** k, 6)])
+        A = np.concatenate([pair_E[:1, :p ** (d - k)], pair_A,
+                            _random_rows(rng, p, d, p ** (d - k), 6)])
+        got = tiling_pair_rows(p, d, E, A)
+        want = [O.is_tiling_pair(p, d, [pts[i] for i in e],
+                                 [pts[i] for i in a])
+                for e, a in zip(E, A)]
+        assert got.tolist() == want
+        assert got[0] == (d == 1) and got[1:7].all()
+        assert tiling_pair_rows(p, d, A, E).tolist() == want
+        # a point tiles with the whole space, and with nothing smaller
+        singles = _random_rows(rng, p, d, 1, 4)
+        full = np.tile(np.arange(p ** d), (4, 1))
+        assert tiling_pair_rows(p, d, singles, full).all()
+        assert tiling_pair_rows(p, d, full, singles).all()
+        assert not tiling_pair_rows(p, d, singles, full[:, 1:]).any()
+        assert not tiling_pair_rows(p, d, E[:, :1], A).any()
 
 
 class TestSearch:
