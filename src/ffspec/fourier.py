@@ -11,9 +11,11 @@ the p residue-class counts c_j = #{x in E : x . xi = j}, and the value
 sum_j c_j zeta^j vanishes over the cyclotomic integers iff all counts
 are equal (the minimal polynomial of zeta over Q is 1 + x + ... +
 x^(p-1)).  zero_set reads these counts for every canonical direction
-at once from tables.plane_counts, the one equidistribution count;
-character_sum keeps its own count for a single xi, as the independent
-side of that check.  Floating values exist for diagnostics only.
+at once from tables.plane_words, the one equidistribution count, as
+packed words: a direction is a zero exactly when its word is the one
+with all p counts equal to |E| / p.  character_sum keeps its own count
+for a single xi, as the independent side of that check.  Floating
+values exist for diagnostics only.
 """
 from __future__ import annotations
 
@@ -25,7 +27,8 @@ import numpy as np
 
 from .sets import PointSet, QuotientFunction
 from .space import Point, Space, _require_same_space
-from .tables import coords_matrix, direction_masks, plane_counts
+from .tables import (coords_matrix, direction_masks, plane_words,
+                     uniform_word)
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,14 @@ def zero_directions(p: int, d: int, rows) -> np.ndarray:
     """(n_dirs, ...) bool over index rows of shape (..., m): the
     transform of the row's set vanishes along canonical direction k.
 
-    The p plane counts along a direction must all equal m / p.  An empty
-    row vanishes everywhere, and no row of size prime to p vanishes.
+    The p plane counts along a direction must all equal m / p, so the
+    packed word must be uniform_word(p, m // p).  An empty row vanishes
+    everywhere.  The counts of a row sum to m, so a row of size prime to
+    p never matches and vanishes nowhere.
     """
-    return (p * plane_counts(p, d, rows) == np.shape(rows)[-1]).all(axis=-1)
+    m = np.shape(rows)[-1]
+    zero = plane_words(p, d, rows) == uniform_word(p, m // p)
+    return zero.transpose(-1, *range(zero.ndim - 1))
 
 
 def zero_set(E: PointSet) -> PointSet:

@@ -35,15 +35,17 @@ from .spectral import (PRUNING_RULES, InternalCheckError,
                        _clique_in_zero_set, _validate_witness_rows,
                        allowed_spectral_sizes, pruning_rule, spectrum_search)
 from .tables import (
+    bytes_at_least,
     combination_array,
     coords_matrix,
-    dir_dots,
     direction_masks,
     direction_orthogonality,
     pair_direction_table,
     pair_line_table,
-    plane_counts,
+    plane_word_table,
+    plane_words,
     translation_reps,
+    uniform_word,
 )
 from .tiling import size_can_tile, tiling_pair_rows, tiling_search
 
@@ -391,6 +393,21 @@ def _decode_profile(code: int) -> list:
 _PAIR_BLOCK = 1 << 18
 
 
+def _pair_profiles(c1: int, vals: np.ndarray, ids: np.ndarray,
+                   pj: np.ndarray, pk: np.ndarray) -> set:
+    """Sorted profile-code triples (c1, code of pj[i], code of pk[i]).
+
+    ids maps each filling to the position of its code in vals, the
+    distinct codes (8 of them), so the code pairs seen are marked in a
+    len(vals) x len(vals) table and read from its marked cells; no pair
+    list is sorted.
+    """
+    seen = np.zeros((len(vals), len(vals)), dtype=bool)
+    seen[ids[pj], ids[pk]] = True
+    return {tuple(sorted((c1, int(vals[a]), int(vals[b]))))
+            for a, b in np.argwhere(seen)}
+
+
 def _proj21_chunk(args):
     """(raw pairs, weighted functions, weighted equidistribution
     histogram, profiles, counterexamples) for one block of first-row
@@ -406,6 +423,7 @@ def _proj21_chunk(args):
     codes = ((V == 1).sum(axis=1)
              + 8 * (V == 2).sum(axis=1)
              + 64 * (V == 3).sum(axis=1)).astype(np.int16)
+    vals, ids = np.unique(codes, return_inverse=True)
     hyp_raw = 0
     hyp_weighted = 0
     equi_hist = np.zeros(8, np.int64)
@@ -440,12 +458,7 @@ def _proj21_chunk(args):
                     "values": [f1.tolist(), V[pj[q]].tolist(),
                                V[pk[q]].tolist()],
                 })
-            trip_codes = np.stack(
-                [np.full(len(pj), codes[j1], np.int16),
-                 codes[pj], codes[pk]], axis=1)
-            trip_codes.sort(axis=1)
-            for row in np.unique(trip_codes, axis=0):
-                profiles.add(tuple(int(v) for v in row))
+            profiles |= _pair_profiles(int(codes[j1]), vals, ids, pj, pk)
     return hyp_raw, hyp_weighted, equi_hist, profiles, cex
 
 
@@ -507,12 +520,14 @@ _SLAB_BLOCK = 1 << 15
 def _slab_chunk(args):
     lo, hi = args
     combs = combination_array(27, 6)[lo:hi]
-    counts = plane_counts(3, 3, combs)                 # (13, rows, 3)
-    zero = (counts == 2).all(axis=-1)
+    words = plane_words(3, 3, combs)                   # (rows, 13)
+    # equidistributed along a direction: two points on each of its planes
+    zero = words == uniform_word(3, 2)
     orth = direction_orthogonality(3, 3).astype(np.int8)
-    per_plane = orth @ zero
-    hyp = (per_plane >= 2).any(axis=0)
-    concl = (counts == 0).any(axis=(0, 2))
+    per_plane = zero @ orth                            # orth is symmetric
+    hyp = (per_plane >= 2).any(axis=-1)
+    # inside two parallel planes: some plane count is 0
+    concl = (bytes_at_least(3, words, 1) < 3).any(axis=-1)
     viol = hyp & ~concl
     return hi - lo, int(hyp.sum()), [{"set": r.tolist()} for r in combs[viol]]
 
@@ -523,7 +538,7 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
     t0 = perf_counter()
     card = math.comb(27, 6)
     combination_array(27, 6)
-    dir_dots(3, 3), direction_orthogonality(3, 3)
+    plane_word_table(3, 3), direction_orthogonality(3, 3)
     total, hyp, cex = _sweep(
         _slab_chunk, list(_blocks(card, _SLAB_BLOCK)), workers, card)
     details = {
@@ -809,7 +824,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
             raise ValueError("F_3^3 sweep supports size 6 only")
         card = math.comb(27, 6)
         combination_array(27, 6)
-        dir_dots(3, 3), direction_masks(3, 3)
+        plane_word_table(3, 3), direction_masks(3, 3)
         total, searched, nodes, wits = _sweep(
             _fug33_chunk, list(_blocks(card, _SLAB_BLOCK)), workers, card)
         cex = _coord_cex(3, 3, wits)
@@ -845,7 +860,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
         for s in sizes:
             if not _fug52_both_filtered(s):
                 combination_array(24, s - 1)
-        dir_dots(5, 2), direction_masks(5, 2)
+        plane_word_table(5, 2), direction_masks(5, 2)
         chunks = [(s, lo, hi) for s in sizes
                   for lo, hi in _blocks(math.comb(24, s - 1), _FUG52_BLOCK)]
         anchored, per_size, cex = _sweep(
@@ -878,11 +893,11 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
 # Randomized falsification.
 
 _FALSIFY_CHUNK = 2000
-# rows whose pruning rules are decided in one call; the plane counts of
-# a block are (n_dirs, rows, p, size) booleans, so larger blocks raise
-# peak memory (falsify 7/3/21: about +0.9 MiB at 128 rows, +1.7 MiB at
-# 256, +10 MiB for a whole chunk) and save no time
-_PRUNE_BLOCK = 128
+# rows whose pruning rules are decided in one call; the packed plane
+# counts of a block are gathered as (size, rows, n_dirs) 8-byte words,
+# 0.9 MiB at 96 rows in falsify 7/3/21, so larger blocks raise peak
+# memory (max RSS +0.4 MiB at 128 rows) and save no time
+_PRUNE_BLOCK = 96
 
 
 def _falsify_chunk(args):

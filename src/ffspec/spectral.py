@@ -35,8 +35,8 @@ import numpy as np
 from .fourier import zero_directions, zero_set
 from .geometry import _direction_counts, _plane_direction_counts
 from .sets import PointSet
-from .tables import (coords_matrix, difference, dir_of_index, line_sups,
-                     plane_counts)
+from .tables import (bytes_at_least, coords_matrix, difference, dir_of_index,
+                     line_sups, plane_words)
 
 
 class InternalCheckError(RuntimeError):
@@ -237,15 +237,15 @@ def pruning_rule(space, rows: np.ndarray) -> np.ndarray:
         # the plane rules see only the rows line concentration passed
         rest = np.flatnonzero(rule < 0)
         sub = rows[rest]
-        counts = plane_counts(p, 3, sub)                   # (n_dirs, n, p)
+        words = plane_words(p, 3, sub)                     # (n, n_dirs)
         per_plane = _plane_direction_counts(p, 3, _direction_counts(p, 3, sub))
         fired = np.array([
-            counts.max(axis=(0, 2)) > p,
+            bytes_at_least(p, words, p + 1).any(axis=-1),
             per_plane.max(axis=-1) > p,
             # parity obstruction for sets inside m parallel planes with
             # line concentration exactly 2
             (ls[rest] == 2) & (m % 2 == 1)
-            & ((counts > 0).sum(axis=-1).min(axis=0) <= m),
+            & (bytes_at_least(p, words, 1).min(axis=-1) <= m),
         ])
         rule[rest] = np.where(fired.any(axis=0), fired.argmax(axis=0) + 1, -1)
     return rule

@@ -3,14 +3,20 @@
 Point is the single-point value type; every set-level operation works
 on integer point indices and reads the tables here.  Sums come from
 add_table, differences from add_table and the negation row of
-scale_tables (difference), directions from dir_of_index, dot products
-against canonical direction representatives from dir_dots.
+scale_tables (difference), directions from dir_of_index.
 
-plane_counts is the one equidistribution count: how many points of an
-index row lie on each hyperplane x . rep = c.  The zero set of a
-Fourier transform, plane concentration and the sweeps' pre-filters all
-read it.  line_sups is its per-line half: the most points of an index
-row on one affine line, which line concentration reads.
+plane_words is the one equidistribution count: how many points of an
+index row lie on each hyperplane x . rep = c, for every canonical
+direction rep at once.  The p counts of one direction are packed as
+bytes of one little-endian word (byte c counts the plane x . rep = c),
+gathered from plane_word_table and summed over the row.  A plane of
+F_p^d holds at most p^(d-1) <= 49 points, so no byte carries into the
+next.  The zero set of a Fourier transform, slab-p3 and the
+plane_concentration and slab_parity pruning rules read the words
+directly, through uniform_word and bytes_at_least; plane_counts is
+their byte view, which geometry.plane_sup reads.  line_sups is the
+per-line half: the most points of an index row on one affine line,
+which line concentration reads.
 translation_reps is the one translation-class key: the smallest-bitmask
 translate of each index row.  All arrays are integer or boolean dtypes;
 nothing here rounds.
@@ -44,23 +50,63 @@ def direction_reps(p: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def dir_dots(p: int, d: int) -> np.ndarray:
-    """(n_dirs, p^d) int8 table of x . rep mod p per canonical direction."""
+def plane_word_table(p: int, d: int) -> np.ndarray:
+    """(p^d, n_dirs) read-only packed plane indicators: byte c of entry
+    [x, k] is 1 when x . rep_k = c mod p, every other byte 0.
+
+    Words are little-endian <u4 for p = 3 and <u8 for p = 5, 7, so byte
+    c is bits 8c .. 8c + 7 on any host.
+    """
     coords = coords_matrix(p, d).astype(np.int64)
-    reps = coords[direction_reps(p, d)]
-    return ((reps @ coords.T) % p).astype(np.int8)
+    dots = (coords @ coords[direction_reps(p, d)].T) % p    # (p^d, n_dirs)
+    dtype = np.dtype("<u4" if p == 3 else "<u8")
+    out = np.left_shift(1, 8 * dots).astype(dtype)
+    out.flags.writeable = False
+    return out
+
+
+def plane_words(p: int, d: int, rows) -> np.ndarray:
+    """Packed plane counts of index rows: shape (..., m) gives (..., n_dirs).
+
+    Byte c of word [..., k] counts the points x of the row with
+    x . rep_k = c.  Gathered with the point axis first and summed over
+    it.  Not cached; the rows are the caller's.
+    """
+    table = plane_word_table(p, d)
+    rows = np.asarray(rows, dtype=np.intp)
+    # transpose, not np.moveaxis: a one-row call is a few microseconds
+    points_first = rows.transpose(-1, *range(rows.ndim - 1))
+    return table[points_first].sum(axis=0, dtype=table.dtype)
+
+
+def uniform_word(p: int, c: int) -> int:
+    """The packed word whose p plane counts all equal c."""
+    return c * sum(1 << 8 * b for b in range(p))
+
+
+def bytes_at_least(p: int, words: np.ndarray, k: int) -> np.ndarray:
+    """How many of the p plane counts in each packed word are >= k,
+    for 1 <= k <= 128.
+
+    A count b <= 49 has b + 128 - k >= 128 exactly when b >= k, and the
+    sum stays below 256, so bit 7 of every byte holds the answer and no
+    carry crosses a byte.
+    """
+    high = (words + uniform_word(p, 128 - k)) & uniform_word(p, 0x80)
+    return np.bitwise_count(high)
 
 
 def plane_counts(p: int, d: int, rows) -> np.ndarray:
-    """Points of each index row on each hyperplane x . rep = c.
+    """Points of each index row on each hyperplane x . rep = c: the byte
+    view of plane_words.
 
     rows holds point indices, shape (..., m).  The result has shape
-    (n_dirs, ..., p): entry [k, ..., c] counts the points x of the row
-    with x . rep_k = c.  Not cached; the rows are the caller's.
+    (n_dirs, ..., p), dtype uint8: entry [k, ..., c] counts the points x
+    of the row with x . rep_k = c.
     """
-    dots = dir_dots(p, d)[:, rows][..., None, :]       # (n_dirs, ..., 1, m)
-    return (dots == np.arange(p, dtype=np.int8)[:, None]).sum(
-        axis=-1, dtype=np.int16)
+    words = plane_words(p, d, rows)
+    counts = words[..., None].view(np.uint8)[..., :p]   # (..., n_dirs, p)
+    return counts.transpose(-2, *range(counts.ndim - 2), -1)
 
 
 def line_sups(p: int, d: int, rows) -> np.ndarray:

@@ -21,6 +21,8 @@ from ffspec import (
     zero_set,
     zero_set_contains,
 )
+from ffspec.fourier import zero_directions
+from ffspec.tables import direction_reps
 
 
 @st.composite
@@ -105,6 +107,32 @@ class TestZeroSet:
         Z = zero_set(PointSet.empty(spc))
         assert Z.size == spc.order - 1
         assert not Z.contains(spc.zero())
+
+    def test_full_space_every_direction(self):
+        # 49 points on each plane of F_7^3: 7 x 49 = 343 overflows any
+        # byte-wide p * count
+        zero = zero_directions(7, 3, np.arange(343))
+        assert zero.shape == (57,) and zero.all()
+        assert zero_set(PointSet.from_indices(Space(7, 3), range(343))).size \
+            == 342
+
+    @pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7)
+                                     for d in (1, 2, 3)])
+    def test_size_prime_to_p_never_vanishes(self, p, d, rng):
+        n = p ** d
+        spc = Space(p, d)
+        reps = [spc.point_at(int(r)) for r in direction_reps(p, d)]
+        for size in sorted(s for s in {1, p - 1, p + 1, n - 1} if s <= n):
+            rows = np.array([rng.choice(n, size=size, replace=False)
+                             for _ in range(5)])
+            zero = zero_directions(p, d, rows)
+            assert zero.shape == (len(reps), 5) and not zero.any()
+        # rows of size p agree with the independent per-direction count
+        rows = np.array([rng.choice(n, size=p, replace=False)
+                         for _ in range(20)])
+        for col, row in zip(zero_directions(p, d, rows).T, rows):
+            E = PointSet.from_indices(spc, sorted(row.tolist()))
+            assert col.tolist() == [zero_set_contains(E, xi) for xi in reps]
 
     @given(random_set())
     def test_divisibility(self, E):

@@ -176,6 +176,40 @@ class TestProj21:
         for prof in profiles:
             assert all(sum(_decode_profile(c)) == 7 for c in prof)
 
+    def test_profiles_match_unique_reference(self, monkeypatch):
+        # the old reading of the profiles: sort each (c1, code, code)
+        # triple and take the distinct rows with np.unique
+        def reference(c1, a, b):
+            trip = np.stack([np.full(len(a), c1, np.int16), a, b], axis=1)
+            trip.sort(axis=1)
+            return {tuple(int(v) for v in r) for r in np.unique(trip, axis=0)}
+
+        blocks = []
+        real = lemmas._pair_profiles
+
+        def record(c1, vals, ids, pj, pk):
+            blocks.append((c1, vals, ids, pj, pk))
+            return real(c1, vals, ids, pj, pk)
+
+        monkeypatch.setattr(lemmas, "_pair_profiles", record)
+        profiles = _proj21_chunk(((0, 1, 2), 0, 1))[3]
+        assert len(blocks) > 1
+        # the whole chunk, against every pair it accepted; the sorted
+        # triples are encoded base 256 so one flat np.unique takes them
+        want = set()
+        for c1, vals, ids, pj, pk in blocks:
+            trip = np.sort(np.stack([np.full(len(pj), c1), vals[ids[pj]],
+                                     vals[ids[pk]]], axis=1), axis=1)
+            want |= {(int(k) >> 16, int(k) >> 8 & 255, int(k) & 255)
+                     for k in np.unique(trip @ np.array([1 << 16, 1 << 8, 1]))}
+        assert profiles == want and len(want) == 36
+        # the helper alone, against the row-wise np.unique on a slice of
+        # each block's pairs
+        for c1, vals, ids, pj, pk in blocks:
+            pj, pk = pj[::7], pk[::7]
+            assert real(c1, vals, ids, pj, pk) == \
+                reference(c1, vals[ids[pj]], vals[ids[pk]])
+
     def test_fixed_multiset_arrangements(self):
         # arrangements of {0,0,0,1,1,2,3} on two support lines and
         # {0,0,0,1,2,2,2} on the third equidistribute on <= 2 families

@@ -7,10 +7,13 @@ import pytest
 
 import oracles as O
 from ffspec import PointSet, Space, canonical_form
-from ffspec.tables import (add_table, combination_array, difference,
-                           direction_reps, line_sups, line_table,
+from ffspec.tables import (add_table, bytes_at_least, combination_array,
+                           difference, direction_reps, line_sups, line_table,
                            pair_direction_table, pair_line_table,
-                           plane_counts, translation_reps)
+                           plane_counts, plane_word_table, plane_words,
+                           translation_reps, uniform_word)
+
+_ALL_SPACES = [(p, d) for p in (3, 5, 7) for d in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 2), (3, 3), (7, 3)])
@@ -54,14 +57,15 @@ def _oracle_plane_counts(p, d, row):
     return out
 
 
-@pytest.mark.parametrize("p,d", [(3, 3), (5, 2), (5, 3), (7, 3)])
+@pytest.mark.parametrize("p,d", _ALL_SPACES)
 def test_plane_counts_oracle(p, d, rng):
     n = p ** d
+    n_dirs = len(direction_reps(p, d))
     size = min(n, 2 * p + 1)
     rows = np.array([rng.choice(n, size=size, replace=False)
                      for _ in range(12)])
     counts = plane_counts(p, d, rows)
-    assert counts.shape == (len(direction_reps(p, d)), len(rows), p)
+    assert counts.shape == (n_dirs, len(rows), p)
     assert np.issubdtype(counts.dtype, np.integer)
     for r, row in enumerate(rows):
         assert np.array_equal(counts[:, r], _oracle_plane_counts(p, d, row))
@@ -70,8 +74,43 @@ def test_plane_counts_oracle(p, d, rng):
     assert np.array_equal(batch, counts.reshape(-1, 3, 4, p))
     assert np.array_equal(plane_counts(p, d, rows[0]), counts[:, 0])
     empty = plane_counts(p, d, np.zeros(0, dtype=np.int64))
-    assert empty.shape == (len(direction_reps(p, d)), p)
+    assert empty.shape == (n_dirs, p)
     assert not empty.any()
+    # the whole space puts p^(d-1) points on every plane: 49 in F_7^3,
+    # the most a byte counter ever holds
+    full = plane_counts(p, d, np.arange(n))
+    assert full.shape == (n_dirs, p)
+    assert (full == p ** (d - 1)).all()
+    assert np.array_equal(full, _oracle_plane_counts(p, d, range(n)))
+
+
+@pytest.mark.parametrize("p,d", _ALL_SPACES)
+def test_plane_word_table(p, d):
+    n_dirs = len(direction_reps(p, d))
+    table = plane_word_table(p, d)
+    assert table.shape == (p ** d, n_dirs)
+    assert table.dtype == np.dtype("<u4" if p == 3 else "<u8")
+    assert not table.flags.writeable
+    # one byte set per entry, at the residue x . rep_k
+    for x in range(p ** d):
+        assert np.array_equal(plane_counts(p, d, np.array([x])),
+                              _oracle_plane_counts(p, d, [x]))
+    assert (plane_words(p, d, np.arange(p ** d))
+            == uniform_word(p, p ** (d - 1))).all()
+
+
+@pytest.mark.parametrize("p,d", _ALL_SPACES)
+def test_bytes_at_least_oracle(p, d, rng):
+    n = p ** d
+    rows = [rng.choice(n, size=size, replace=False)
+            for size in (0, 1, p, min(n, 2 * p + 1), min(n, p * p), n)
+            for _ in range(4)]
+    for row in rows:
+        words = plane_words(p, d, row)                # (n_dirs,)
+        counts = plane_counts(p, d, row)              # (n_dirs, p)
+        for k in range(1, p + 2):
+            assert np.array_equal(bytes_at_least(p, words, k),
+                                  (counts >= k).sum(axis=-1)), (row, k)
 
 
 def _planted_row(rng, p, d, size, on_line):
@@ -86,7 +125,7 @@ def _planted_row(rng, p, d, size, on_line):
     return sorted(row)
 
 
-@pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7) for d in (1, 2, 3)])
+@pytest.mark.parametrize("p,d", _ALL_SPACES)
 def test_line_sups_oracle(p, d, rng):
     pts = O.all_points(p, d)
     n = p ** d
