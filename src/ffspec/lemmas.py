@@ -8,6 +8,8 @@ Every verifier runs through one driver, _sweep.  Its contract:
 - each chunk returns a tuple, and the tuples are folded field by field
   in chunk order: numbers and arrays add, lists concatenate, sets unite
   and dicts merge key by key, so keys with a zero count stay in place;
+- chunks that share a key may run as one task, which returns one tuple
+  per chunk (lm1 and lm2 direct); the fold is still in chunk order;
 - field 0 counts the sets the chunk enumerated, and a total that differs
   from the expected one raises InternalCheckError (a miscount);
 - counterexamples leave the chunks as point-index lists and become
@@ -40,8 +42,6 @@ from .tables import (
     coords_matrix,
     direction_masks,
     direction_orthogonality,
-    pair_direction_table,
-    pair_line_table,
     plane_word_table,
     plane_words,
     translation_reps,
@@ -133,10 +133,24 @@ def _fold(acc, item):
     return acc + item
 
 
-def _sweep(fn, chunks: list, workers: int, expected: int | None = None) -> list:
+def _sweep(fn, chunks: list, workers: int, expected: int | None = None,
+           group=None) -> list:
     """Run fn over the fixed chunk list and fold its result tuples field
-    by field in chunk order; field 0 must total expected, if given."""
-    results = run_chunks(fn, chunks, workers)
+    by field in chunk order; field 0 must total expected, if given.
+
+    With group, the chunks that share group(chunk) run as one task: fn
+    takes their list, in chunk order, and returns one result per chunk.
+    """
+    if group is None:
+        results = run_chunks(fn, chunks, workers)
+    else:
+        groups: dict = {}
+        for c in chunks:
+            groups.setdefault(group(c), []).append(c)
+        tasks = list(groups.values())
+        done = dict(zip(itertools.chain(*tasks),
+                        itertools.chain(*run_chunks(fn, tasks, workers))))
+        results = [done[c] for c in chunks]
     total = list(results[0])
     for res in results[1:]:
         total = [_fold(a, b) for a, b in zip(total, res)]
@@ -148,63 +162,84 @@ def _sweep(fn, chunks: list, workers: int, expected: int | None = None) -> list:
 
 # ---------------------------------------------------------------------------
 # Planar direction lemmas: subsets of F_7^2 screened by collinearity and
-# number of determined directions.
+# number of determined directions.  In F_7^2 the planes x . rep = c are
+# lines, so plane_words(7, 2, rows) counts the points of a row on every
+# line: one word per parallel class, one byte per line.
 
-def _planar_eval(sets_arr: np.ndarray, no_k: int):
-    """Screen index rows over F_7^2.
+# a hypothesis row that determines fewer directions is a counterexample
+_MIN_DIRECTIONS = 6
 
-    Hypothesis: no no_k points collinear.  A line id occurring among the
-    point pairs C(m,2) times means m points share that line, so the
-    occurrence counts 1/3/6/10/... translate collinearity into runs of
-    equal ids in the sorted pair-line rows.
+
+def _planar_eval(words: np.ndarray, no_k: int):
+    """Screen index rows over F_7^2 by their (n, 8) packed line words;
+    returns (rows, hypothesis rows, direction histogram, collinear
+    triples, positions of the counterexample rows).
+
+    Hypothesis: no no_k points collinear, so no byte is >= no_k.  Lines
+    x . rep = c run along rep-perp, a bijection of directions, so the
+    words with a byte >= 2 count the determined directions.  For no_k
+    <= 4 the bytes >= 3 of a hypothesis row are its collinear triples.
     """
-    n, sz = sets_arr.shape
-    pi, pj = np.triu_indices(sz, 1)
-    a = sets_arr[:, pi]
-    b = sets_arr[:, pj]
-    lines = np.sort(pair_line_table(7)[a, b], axis=1)
-    adj = lines[:, 1:] == lines[:, :-1]
-    if no_k == 3:
-        hyp = ~adj.any(axis=1)
-    elif no_k == 4:
-        # 4 collinear points put C(4,2) = 6 pairs on one line
-        hyp = ~(lines[:, :-5] == lines[:, 5:]).any(axis=1)
-    else:
+    if no_k not in (3, 4):
         raise ValueError("collinearity screen supports k = 3 or 4")
-    dirs = pair_direction_table(7)[a, b].astype(np.uint8)
-    masks = np.bitwise_or.reduce(np.uint8(1) << dirs, axis=1)
-    ndirs = np.bitwise_count(masks)
+    # a row's 8 uint8 counts are read as one uint64, because numpy
+    # reduces an axis of length 8 slowly
+    at3 = bytes_at_least(7, words, 3).view(np.uint64)[:, 0]
+    hyp = (at3 if no_k == 3
+           else bytes_at_least(7, words, 4).view(np.uint64)[:, 0]) == 0
+    ndirs = np.bitwise_count(
+        (bytes_at_least(7, words, 2) > 0).view(np.uint64)[:, 0])
     hist = np.bincount(ndirs[hyp], minlength=9)
-    # hypothesis rows have per-line pair counts in {1, 3}; each 3-point
-    # line contributes two equal adjacent ids
-    triples = int(adj[hyp].sum()) // 2
-    viol = hyp & (ndirs < 6)
-    bad = [{"set": sorted(int(v) for v in row)} for row in sets_arr[viol]]
-    return n, int(hyp.sum()), hist, triples, bad
+    triples = int(at3[hyp].view(np.uint8).sum())
+    viol = np.flatnonzero(hyp & (ndirs < _MIN_DIRECTIONS))
+    return len(words), int(np.count_nonzero(hyp)), hist, triples, viol.tolist()
 
 
-def _lm1_chunk(i0: int):
-    tail = combination_array(48 - i0, 4).astype(np.int16) + (i0 + 1)
-    first = np.full((tail.shape[0], 1), i0, dtype=np.int16)
-    return _planar_eval(np.hstack([first, tail]), 3)
+# rows per _planar_eval call: (4096, 8) words stay in cache
+_EVAL_BLOCK = 1 << 12
 
 
-_LM2_BLOCK = 1 << 18
+def _prefix_eval(prefixes: list, tails: np.ndarray, no_k: int) -> list:
+    """One _planar_eval result per prefix over the rows prefix + tail,
+    with counterexamples as sorted index lists.  The tail words are
+    summed once per block of tails; each prefix adds its own word."""
+    table = plane_word_table(7, 2)
+    lead = [table[list(pre)].sum(axis=0) for pre in prefixes]
+    out = [None] * len(prefixes)
+    for a, b in _blocks(len(tails), _EVAL_BLOCK):
+        tail_words = plane_words(7, 2, tails[a:b])
+        for k, pre in enumerate(prefixes):
+            *res, viol = _planar_eval(tail_words + lead[k], no_k)
+            res.append([{"set": sorted(int(v) for v in (*pre, *tails[a + j]))}
+                        for j in viol])
+            out[k] = res if out[k] is None else [
+                _fold(x, y) for x, y in zip(out[k], res)]
+    return out
 
 
-def _lm2_chunk(args):
-    i0, i1, lo, hi = args
-    tail = combination_array(48 - i1, 5)[lo:hi].astype(np.int16) + (i1 + 1)
-    lead = np.empty((tail.shape[0], 2), np.int16)
-    lead[:, 0] = i0
-    lead[:, 1] = i1
-    return _planar_eval(np.hstack([lead, tail]), 4)
+# direct-mode tails per chunk; stratum selects from the chunk list
+_TAIL_BLOCK = 1 << 18
 
 
-def _lm2_chunk_list() -> list:
-    return [(i0, i1, lo, hi)
-            for i0 in range(43) for i1 in range(i0 + 1, 44)
-            for lo, hi in _blocks(math.comb(48 - i1, 5), _LM2_BLOCK)]
+def _direct_chunk_list(size: int) -> list:
+    """Chunks (size, i0, i1, lo, hi): the sets [i0, i1] + tail, tail in
+    rows [lo, hi) of the (size - 2)-subsets of {i1 + 1 .. 48}."""
+    r = size - 2
+    return [(size, i0, i1, lo, hi)
+            for i0 in range(50 - size) for i1 in range(i0 + 1, 49 - r)
+            for lo, hi in _blocks(math.comb(48 - i1, r), _TAIL_BLOCK)]
+
+
+def _direct_task(chunks: list) -> list:
+    """One result per chunk of chunks, which share (size, i1, lo, hi)."""
+    size, _, i1, lo, hi = chunks[0]
+    r = size - 2
+    # the r-subsets of {i1 + 1 .. 48} are the last rows of those of
+    # range(49), in the same order
+    start = math.comb(49, r) - math.comb(48 - i1, r)
+    tails = combination_array(49, r)[start + lo:start + hi]
+    return _prefix_eval([(c[1], i1) for c in chunks], tails,
+                        3 if size == 5 else 4)
 
 
 # anchor triangle (0,0), (1,0), (0,1): first nonzero noncollinear triple
@@ -212,73 +247,53 @@ _ANCHOR = (0, 1, 7)
 
 
 def _anchored_chunk(tail_size: int):
-    rest = np.array([i for i in range(49) if i not in _ANCHOR], np.int16)
-    tail = rest[combination_array(46, tail_size)]
-    lead = np.tile(np.array(_ANCHOR, np.int16), (tail.shape[0], 1))
-    sets_arr = np.sort(np.hstack([lead, tail]), axis=1)
-    return _planar_eval(sets_arr, 3 if tail_size == 2 else 4)
+    rest = np.array([i for i in range(49) if i not in _ANCHOR], np.intp)
+    tails = rest[combination_array(46, tail_size)]
+    return _prefix_eval([_ANCHOR], tails, 3 if tail_size == 2 else 4)[0]
 
 
-def _planar_details(mode, n, hyp, hist, triples) -> dict:
-    return {
-        "mode": mode,
-        "enumerated_sets": n,
-        "hypothesis_sets": hyp,
-        "collinear_triples": triples,
-        "direction_histogram": {
-            str(k): int(hist[k]) for k in range(9) if hist[k]
-        },
-    }
-
-
-def _planar_report(lemma_id, set_size, mode, workers, stratum, t0):
-    agl_order = 98784  # |AGL(2,7)| = 49 * 48 * 42
+def _planar_report(lemma_id, set_size, mode, workers, stratum=None):
+    t0 = perf_counter()
+    plane_word_table(7, 2)          # built once, before a pool forks
     card = math.comb(49, set_size)
-    tail_size = set_size - 3
+    desc = f"{set_size}-point subsets of F_7^2"
+    extra = {}
     if mode == "reduced":
+        tail_size = set_size - 3
         n, hyp, hist, triples, cex = _sweep(
             _anchored_chunk, [tail_size], workers, math.comb(46, tail_size))
-        details = _planar_details(mode, n, hyp, hist, triples)
-        details["anchor"] = _coord_rows(7, 2, _ANCHOR)
-        group = f"AGL(2,7), order {agl_order}, anchored triangle"
-        orbit_count = n
+        extra["anchor"] = _coord_rows(7, 2, _ANCHOR)
+        # |AGL(2,7)| = 49 * 48 * 42
+        group = "AGL(2,7), order 98784, anchored triangle"
     elif mode == "direct":
-        if set_size == 5:
-            chunks = list(range(45))
-            fn = _lm1_chunk
-        else:
-            chunks = _lm2_chunk_list()
-            fn = _lm2_chunk
+        chunks = _direct_chunk_list(set_size)
         if stratum is not None:
             k, m = stratum
             chunks = chunks[k::m]
             if not chunks:
                 raise ValueError(f"stratum {k} mod {m} selects no chunk")
+            extra["stratum"] = [int(k), int(m)]
+            desc += f", chunk stratum {k} mod {m}"
         n, hyp, hist, triples, cex = _sweep(
-            fn, chunks, workers, None if stratum is not None else card)
-        details = _planar_details(mode, n, hyp, hist, triples)
-        if stratum is not None:
-            details["stratum"] = [int(stratum[0]), int(stratum[1])]
-            card = n
+            _direct_task, chunks, workers,
+            card if stratum is None else None, group=lambda c: (c[0], *c[2:]))
+        card = card if stratum is None else n
         group = "none"
-        orbit_count = n
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    cex = _coord_cex(7, 2, cex)
-    desc = f"{set_size}-point subsets of F_7^2"
-    if stratum is not None:
-        desc += f", chunk stratum {stratum[0]} mod {stratum[1]}"
+    histogram = {str(k): int(hist[k]) for k in range(9) if hist[k]}
+    details = {"mode": mode, "enumerated_sets": n, "hypothesis_sets": hyp,
+               "collinear_triples": triples,
+               "direction_histogram": histogram, **extra}
     return LemmaReport(
-        lemma_id, desc, card, group, orbit_count, cex, details,
+        lemma_id, desc, card, group, n, _coord_cex(7, 2, cex), details,
         round(perf_counter() - t0, 3), workers)
 
 
 def verify_lm1(workers: int = 1, mode: str = "direct") -> LemmaReport:
     """Every 5-point subset of F_7^2 with no 3 collinear points
     determines at least 6 directions."""
-    t0 = perf_counter()
-    pair_line_table(7), pair_direction_table(7)
-    return _planar_report("lm1", 5, mode, workers, None, t0)
+    return _planar_report("lm1", 5, mode, workers)
 
 
 def verify_lm2(workers: int = 1, mode: str = "reduced",
@@ -294,15 +309,13 @@ def verify_lm2(workers: int = 1, mode: str = "reduced",
     all C(49,7) subsets; stratum=(k, m) restricts it to every m-th
     chunk of the fixed partition, for spot agreement checks.
     """
-    t0 = perf_counter()
     if stratum is not None:
         if mode != "direct":
             raise ValueError("stratum applies to direct mode only")
         k, m = stratum
         if not 0 <= k < m:
             raise ValueError("stratum must be (k, m) with 0 <= k < m")
-    pair_line_table(7), pair_direction_table(7)
-    return _planar_report("lm2", 7, mode, workers, stratum, t0)
+    return _planar_report("lm2", 7, mode, workers, stratum)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ direction rep at once.  The p counts of one direction are packed as
 bytes of one little-endian word (byte c counts the plane x . rep = c),
 gathered from plane_word_table and summed over the row.  A plane of
 F_p^d holds at most p^(d-1) <= 49 points, so no byte carries into the
-next.  The zero set of a Fourier transform, slab-p3 and the
-plane_concentration and slab_parity pruning rules read the words
-directly, through uniform_word and bytes_at_least; plane_counts is
-their byte view, which geometry.plane_sup reads.  line_sups is the
-per-line half: the most points of an index row on one affine line,
-which line concentration reads.
+next.  In F_7^2 the planes are lines, so the words also count the
+points of a row on every line; lm1 and lm2 read them, and no table here
+is indexed by point pairs.  The zero set of a Fourier transform,
+slab-p3 and the plane_concentration and slab_parity pruning rules read
+the words directly, through uniform_word and bytes_at_least;
+plane_counts is their byte view, which geometry.plane_sup reads.
+line_sups is the per-line half: the most points of an index row on one
+affine line, which line concentration reads.
 translation_reps is the one translation-class key: the smallest-bitmask
 translate of each index row.  All arrays are integer or boolean dtypes;
 nothing here rounds.
@@ -81,7 +83,7 @@ def plane_words(p: int, d: int, rows) -> np.ndarray:
 
 def uniform_word(p: int, c: int) -> int:
     """The packed word whose p plane counts all equal c."""
-    return c * sum(1 << 8 * b for b in range(p))
+    return c * ((1 << 8 * p) - 1) // 255
 
 
 def bytes_at_least(p: int, words: np.ndarray, k: int) -> np.ndarray:
@@ -217,23 +219,6 @@ def line_of(p: int, d: int) -> np.ndarray:
     # line ids are contiguous per direction: p^(d-1) lines each
     out[lid // p ** (d - 1), lines] = lid
     return out
-
-
-@lru_cache(maxsize=None)
-def pair_direction_table(p: int) -> np.ndarray:
-    """(p^2, p^2) int8: canonical direction id of i - j for d = 2; -1 on the diagonal."""
-    i = np.arange(p * p)
-    return dir_of_index(p, 2)[difference(p, 2, i[:, None], i)].astype(np.int8)
-
-
-@lru_cache(maxsize=None)
-def pair_line_table(p: int) -> np.ndarray:
-    """(p^2, p^2) int16: id of the affine line through points i != j
-    (d = 2); -1 on the diagonal."""
-    n = p * p
-    member = line_of(p, 2)[pair_direction_table(p), np.arange(n)[:, None]]
-    np.fill_diagonal(member, -1)
-    return member
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,10 @@ from ffspec.fourier import zero_set
 from ffspec.lemmas import (
     _class_tiling,
     _decode_profile,
+    _direct_chunk_list,
+    _direct_task,
     _fillings,
+    _fold,
     _fug33_chunk,
     _planar_eval,
     _proj21_chunk,
@@ -38,7 +41,7 @@ from ffspec.lemmas import (
 )
 from ffspec.space import affine_permutations
 from ffspec.spectral import spectrum_search
-from ffspec.tables import combination_array
+from ffspec.tables import combination_array, plane_words
 
 
 class TestLm1:
@@ -72,7 +75,7 @@ class TestLm1:
     def test_collinear_sets_skipped(self):
         rows = np.array([[0, 1, 2, 7, 15],     # (0,0),(1,0),(2,0) collinear
                          [0, 1, 7, 15, 37]], dtype=np.int16)
-        n, hyp, hist, triples, bad = _planar_eval(rows, 3)
+        n, hyp, hist, triples, bad = _planar_eval(plane_words(7, 2, rows), 3)
         assert n == 2
         assert hyp == 1
         assert triples == 0
@@ -139,7 +142,7 @@ class TestLm2:
     def test_four_collinear_sets_skipped(self):
         # (0,0),(1,0),(2,0),(3,0) collinear among 7 points
         rows = np.array([[0, 1, 2, 3, 7, 15, 23]], dtype=np.int16)
-        n, hyp, hist, triples, bad = _planar_eval(rows, 4)
+        n, hyp, hist, triples, bad = _planar_eval(plane_words(7, 2, rows), 4)
         assert n == 1 and hyp == 0 and bad == []
 
     def test_double_column_family(self):
@@ -156,6 +159,115 @@ class TestLm2:
         pts = {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (6, 1), (6, 2)}
         assert len(O.direction_set(7, pts)) >= 6
         assert O.line_sup(7, 2, pts) <= 3
+
+
+def _idx(pts):
+    return [O.point_index(7, pt) for pt in pts]
+
+
+# planted collinearity in F_7^2: one 3-point line (5 points), two
+# 3-point lines (7), a 4-point line (7), 7 points on one line, and the
+# parabola y = x^2, 7 points with no 3 collinear
+_BUILT_PLANAR_ROWS = [
+    _idx([(0, 0), (1, 0), (2, 0), (0, 1), (1, 3)]),
+    _idx([(0, 0), (1, 0), (2, 0), (0, 3), (1, 3), (2, 3), (3, 5)]),
+    _idx([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 3), (4, 5)]),
+    _idx([(x, 0) for x in range(7)]),
+    _idx([(x, x * x % 7) for x in range(7)]),
+]
+
+
+class TestPlanarScreen:
+    @pytest.mark.parametrize("no_k", [3, 4])
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_packed_screen_oracle(self, rng, monkeypatch, size, no_k):
+        rows = [sorted(rng.choice(49, size, replace=False).tolist())
+                for _ in range(60)]
+        rows += [r for r in _BUILT_PLANAR_ROWS if len(r) == size]
+        pts = O.all_points(7, 2)
+        # every hypothesis row is a counterexample, so the positions
+        # list shows which rows passed the screen
+        monkeypatch.setattr(lemmas, "_MIN_DIRECTIONS", 9)
+        hyp_rows, hist, triples = [], Counter(), 0
+        for i, row in enumerate(rows):
+            E = [pts[j] for j in row]
+            if O.line_sup(7, 2, E) >= no_k:
+                continue
+            hyp_rows.append(i)
+            hist[len(O.direction_set(7, E))] += 1
+            triples += sum(len(set(E) & ln) == 3 for ln in O.all_lines(7, 2))
+        n, hyp, got_hist, got_triples, pos = _planar_eval(
+            plane_words(7, 2, rows), no_k)
+        assert (n, hyp, pos) == (len(rows), len(hyp_rows), hyp_rows)
+        assert got_hist.tolist() == [hist[k] for k in range(9)]
+        assert got_triples == triples
+        assert 0 < len(hyp_rows) < len(rows)
+
+    def test_built_rows(self):
+        lines = [O.line_sup(7, 2, [O.all_points(7, 2)[j] for j in r])
+                 for r in _BUILT_PLANAR_ROWS]
+        assert lines == [3, 3, 4, 7, 2]
+        # (hypothesis rows, collinear triples) of the two-line row
+        words = plane_words(7, 2, _BUILT_PLANAR_ROWS[1:2])
+        assert _planar_eval(words, 4)[1:4:2] == (1, 2)
+        assert _planar_eval(words, 3)[1:4:2] == (0, 0)
+
+    def test_unsupported_k(self):
+        with pytest.raises(ValueError):
+            _planar_eval(plane_words(7, 2, _BUILT_PLANAR_ROWS[:1]), 5)
+
+
+def _explicit_chunk(chunk):
+    """_planar_eval over the chunk's explicit rows [i0, i1] + tail, in
+    row blocks, counterexamples as index lists."""
+    size, i0, i1, lo, hi = chunk
+    tail = combination_array(48 - i1, size - 2)[lo:hi].astype(np.int64)
+    rows = np.hstack([np.full((len(tail), 2), (i0, i1)), tail + i1 + 1])
+    total = None
+    for a in range(0, len(rows), 1 << 15):
+        *res, viol = _planar_eval(plane_words(7, 2, rows[a:a + (1 << 15)]),
+                                  3 if size == 5 else 4)
+        res.append([{"set": rows[a + j].tolist()} for j in viol])
+        total = res if total is None else [_fold(x, y)
+                                           for x, y in zip(total, res)]
+    return total
+
+
+class TestPrefixSharing:
+    # (size, i1, block): the chunks sharing (size, i1, lo, hi) run as one
+    # task; block 1 of i1 = 1 at size 7 starts at lo = 2^18
+    @pytest.mark.parametrize("size,i1,block", [
+        (7, 1, 1), (5, 10, 0), (7, 10, 1), (5, 43, 0), (7, 43, 0)])
+    @pytest.mark.parametrize("min_dirs", [6, 8])
+    def test_task_matches_explicit_rows(self, monkeypatch, size, i1, block,
+                                        min_dirs):
+        monkeypatch.setattr(lemmas, "_MIN_DIRECTIONS", min_dirs)
+        blocks = sorted({c[3:] for c in _direct_chunk_list(size)
+                         if c[2] == i1})
+        chunks = [c for c in _direct_chunk_list(size)
+                  if c[2] == i1 and c[3:] == blocks[block]]
+        assert [c[1] for c in chunks] == list(range(i1))
+        if block:
+            assert chunks[0][3] > 0
+        got = _direct_task(chunks)
+        assert len(got) == len(chunks)
+        cex = 0
+        for chunk, res in zip(chunks, got):
+            want = _explicit_chunk(chunk)
+            assert res[:2] + res[3:] == want[:2] + want[3:]
+            assert res[2].tolist() == want[2].tolist()
+            cex += len(res[4])
+        # points 44 .. 48 lie on the line y = 6, so i1 = 43 leaves no
+        # hypothesis set; elsewhere the raised bound orders real lists
+        assert (cex > 0) == (min_dirs > 6 and i1 < 43)
+
+    def test_direct_results_independent_of_workers(self):
+        def dumps(rep):
+            return json.dumps(rep.result_dict(), sort_keys=True)
+        for run in (lambda w: verify_lm1(workers=w),
+                    lambda w: verify_lm2(workers=w, mode="direct",
+                                         stratum=(0, 200))):
+            assert dumps(run(1)) == dumps(run(2))
 
 
 class TestProj21:
@@ -599,6 +711,10 @@ def _toy_chunk(k):
             {"zero": 0, str(k): k, "nested": {"a": k, "z": 0}})
 
 
+def _toy_task(ks):
+    return [_toy_chunk(k) for k in ks]
+
+
 class TestSweepDriver:
     # payload hashes of reports made before the sweep driver existed; a
     # change in partition, fold order or counterexample layout moves them
@@ -639,6 +755,17 @@ class TestSweepDriver:
         assert parity == {0, 1}
         assert counts == {"zero": 0, "1": 1, "2": 2, "3": 3,
                           "nested": {"a": 6, "z": 0}}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grouped_fold_in_chunk_order(self, workers):
+        # grouped by parity the tasks are [1, 3] and [2]; the fold still
+        # takes the chunks in the order 1, 2, 3
+        plain = _sweep(_toy_chunk, [1, 2, 3], workers, expected=3)
+        grouped = _sweep(_toy_task, [1, 2, 3], workers, expected=3,
+                         group=lambda k: k % 2)
+        assert grouped[2] == plain[2] == [1, 2, 3]
+        assert grouped[1].tolist() == plain[1].tolist()
+        assert grouped[3:] == plain[3:]
 
     def test_falsify_keeps_zero_counts(self):
         d = falsify_random(5, 3, 10, 4100, 999).details

@@ -9,7 +9,6 @@ import oracles as O
 from ffspec import PointSet, Space, canonical_form
 from ffspec.tables import (add_table, bytes_at_least, combination_array,
                            difference, direction_reps, line_sups, line_table,
-                           pair_direction_table, pair_line_table,
                            plane_counts, plane_word_table, plane_words,
                            translation_reps, uniform_word)
 
@@ -29,20 +28,6 @@ def test_add_and_difference_oracle(p, d):
                 p, tuple((a + b) % p for a, b in zip(x, y)))
             assert diff[i, j] == O.point_index(
                 p, tuple((a - b) % p for a, b in zip(x, y)))
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_pair_direction_table_oracle(p):
-    pts = O.all_points(p, 2)
-    dirs = sorted({O.canon_dir(p, v) for v in pts if any(v)},
-                  key=lambda v: O.point_index(p, v))
-    table = pair_direction_table(p)
-    assert table.shape == (p * p, p * p) and table.dtype == np.int8
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            want = -1 if i == j else dirs.index(
-                O.canon_dir(p, tuple((a - b) % p for a, b in zip(x, y))))
-            assert table[i, j] == want
 
 
 def _oracle_plane_counts(p, d, row):
@@ -139,20 +124,6 @@ def test_line_sups_oracle(p, d, rng):
         assert [int(line_sups(p, d, row)) for row in rows] == want
         assert np.array_equal(line_sups(p, d, rows.reshape(2, 4, size)),
                               got.reshape(2, 4))
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_pair_line_table_oracle(p):
-    lines = line_table(p, 2)
-    table = pair_line_table(p)
-    n = p * p
-    assert table.shape == (n, n)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                assert table[i, j] == -1
-            else:
-                assert i in lines[table[i, j]] and j in lines[table[i, j]]
 
 
 # sha256 of line_table(p, d).tobytes() as built by the per-base-point
