@@ -37,14 +37,15 @@ from .spectral import (PRUNING_RULES, InternalCheckError,
                        _clique_in_zero_set, _validate_witness_rows,
                        allowed_spectral_sizes, pruning_rule, spectrum_search)
 from .tables import (
+    add_table,
     bytes_at_least,
     combination_array,
     coords_matrix,
     direction_masks,
     direction_orthogonality,
+    min_images,
     plane_word_table,
     plane_words,
-    translation_reps,
     uniform_word,
 )
 from .tiling import size_can_tile, tiling_pair_rows, tiling_search
@@ -331,26 +332,13 @@ def _fillings() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _line_maps_inverse() -> np.ndarray:
-    """Inverse permutations of x -> a x + c on F_7, all 42 maps."""
-    inv = []
-    for a in range(1, 7):
-        for c in range(7):
-            ginv = [0] * 7
-            for x in range(7):
-                ginv[(a * x + c) % 7] = x
-            inv.append(ginv)
-    return np.array(inv, np.int8)
-
-
-@lru_cache(maxsize=None)
 def _f1_orbit_reps():
     """Representatives of filling orbits under x -> a x + c, with sizes."""
     V = _fillings()
     pow4 = 4 ** np.arange(6, -1, -1, dtype=np.int64)
     keys = np.empty((42, len(V)), np.int64)
-    for gi, ginv in enumerate(_line_maps_inverse()):
-        keys[gi] = V[:, ginv] @ pow4
+    for gi, perm in enumerate(affine_permutation_array(7, 1)):
+        keys[gi] = V[:, perm] @ pow4
     own = V @ pow4
     canon = keys.min(axis=0)
     rep_mask = own == canon
@@ -377,66 +365,33 @@ def _row_triple_orbits() -> tuple:
     return tuple(sorted(orbits.items()))
 
 
-@lru_cache(maxsize=None)
-def _line_geometry(rows: tuple):
-    """Crossing tables for the 7 non-horizontal directions.
-
-    Direction 0 is vertical, direction m in 1..6 has slope m.  P[t,dir,b]
-    is the column where line (dir, b) meets support row rows[t]; Q[dir,x]
-    is the b of the direction-dir line through column x of rows[2].
-    """
-    minv = [0] + [pow(m, 5, 7) for m in range(1, 7)]
-    P = np.empty((3, 7, 7), np.int8)
-    Q = np.empty((7, 7), np.int8)
-    for t, r in enumerate(rows):
-        P[t, 0] = np.arange(7)
-        for m in range(1, 7):
-            P[t, m] = [((r - b) * minv[m]) % 7 for b in range(7)]
-    Q[0] = np.arange(7)
-    for m in range(1, 7):
-        Q[m] = [(rows[2] - m * x) % 7 for x in range(7)]
-    return P, Q
-
-
 def _decode_profile(code: int) -> list:
     c1, c2, c3 = code % 8, (code // 8) % 8, code // 64
     return [0] * (7 - c1 - c2 - c3) + [1] * c1 + [2] * c2 + [3] * c3
-
-
-_PAIR_BLOCK = 1 << 18
-
-
-def _pair_profiles(c1: int, vals: np.ndarray, ids: np.ndarray,
-                   pj: np.ndarray, pk: np.ndarray) -> set:
-    """Sorted profile-code triples (c1, code of pj[i], code of pk[i]).
-
-    ids maps each filling to the position of its code in vals, the
-    distinct codes (8 of them), so the code pairs seen are marked in a
-    len(vals) x len(vals) table and read from its marked cells; no pair
-    list is sorted.
-    """
-    seen = np.zeros((len(vals), len(vals)), dtype=bool)
-    seen[ids[pj], ids[pk]] = True
-    return {tuple(sorted((c1, int(vals[a]), int(vals[b]))))
-            for a, b in np.argwhere(seen)}
 
 
 def _proj21_chunk(args):
     """(raw pairs, weighted functions, weighted equidistribution
     histogram, profiles, counterexamples) for one block of first-row
     representatives; weights count both the filling orbit and the orbit
-    of the row triple."""
+    of the row triple.
+
+    A function on the support rows is a multiset of points of F_7^2, so
+    its packed line words are the sums of its three rows' words; no byte
+    exceeds 21, so nothing carries.
+    """
     rows, rep_lo, rep_hi = args
     V = _fillings()
     reps, wts = _f1_orbit_reps()
     row_weight = dict(_row_triple_orbits())[rows]
-    P, Q = _line_geometry(rows)
+    table = plane_word_table(7, 2)
+    words = [V.astype(np.uint64) @ table[7 * r + np.arange(7)] for r in rows]
     has3 = (V == 3).any(axis=1)
-    E3 = V[:, P[2]]
     codes = ((V == 1).sum(axis=1)
              + 8 * (V == 2).sum(axis=1)
-             + 64 * (V == 3).sum(axis=1)).astype(np.int16)
+             + 64 * (V == 3).sum(axis=1))
     vals, ids = np.unique(codes, return_inverse=True)
+    onehot = ids[:, None] == np.arange(len(vals))
     hyp_raw = 0
     hyp_weighted = 0
     equi_hist = np.zeros(8, np.int64)
@@ -445,33 +400,32 @@ def _proj21_chunk(args):
     for ri in range(rep_lo, rep_hi):
         j1 = int(reps[ri])
         w1 = row_weight * int(wts[ri])
-        f1 = V[j1]
-        part = f1[P[0]][None, :, :] + V[:, P[1]]
-        partx = np.empty_like(part)
-        for dm in range(7):
-            partx[:, dm, :] = part[:, dm, Q[dm]]
-        # every non-horizontal line meets rows[2] in one cell, so the
-        # cellwise bound is equivalent to all line sums <= 7
-        bnd = np.int8(7) - partx.max(axis=1)
-        ok = (V[None, :, :] <= bnd[:, None, :]).all(axis=2)
+        first = words[0][j1] + words[1]
+        high = np.zeros((len(V), len(V)), np.uint64)
+        equi = np.zeros((len(V), len(V)), np.uint8)
+        # the horizontal direction has bytes {7, 7, 7, 0, 0, 0, 0}: it
+        # always meets the bound and is never uniform, so counting all 8
+        # directions gives the counts of the 7 others
+        for k in range(8):
+            s = first[:, k, None] + words[2][None, :, k]
+            high |= s + uniform_word(7, 0x78)      # bit 7 set: a sum >= 8
+            equi += s == uniform_word(7, 3)
+        ok = (high & uniform_word(7, 0x80)) == 0
         if not has3[j1]:
             ok &= has3[:, None] | has3[None, :]
-        pairs = np.argwhere(ok)
-        hyp_raw += len(pairs)
-        hyp_weighted += w1 * len(pairs)
-        for lo in range(0, len(pairs), _PAIR_BLOCK):
-            pj = pairs[lo:lo + _PAIR_BLOCK, 0]
-            pk = pairs[lo:lo + _PAIR_BLOCK, 1]
-            sums = part[pj] + E3[pk]
-            equi = (sums == 3).all(axis=2).sum(axis=1)
-            equi_hist += w1 * np.bincount(equi, minlength=8)
-            for q in np.flatnonzero(equi > 2):
-                cex.append({
-                    "rows": [int(r) for r in rows],
-                    "values": [f1.tolist(), V[pj[q]].tolist(),
-                               V[pk[q]].tolist()],
-                })
-            profiles |= _pair_profiles(int(codes[j1]), vals, ids, pj, pk)
+        n_ok = int(np.count_nonzero(ok))
+        hyp_raw += n_ok
+        hyp_weighted += w1 * n_ok
+        equi_hist += w1 * np.bincount(equi[ok], minlength=8)
+        for j2, j3 in np.argwhere(ok & (equi > 2)):
+            cex.append({
+                "rows": [int(r) for r in rows],
+                "values": [V[j1].tolist(), V[j2].tolist(), V[j3].tolist()],
+            })
+        seen = onehot.T @ ok @ onehot              # code pairs, as bools
+        profiles |= {tuple(sorted((int(codes[j1]), int(vals[a]),
+                                   int(vals[b]))))
+                     for a, b in np.argwhere(seen)}
     return hyp_raw, hyp_weighted, equi_hist, profiles, cex
 
 
@@ -489,8 +443,7 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
     V = _fillings()
     reps, _ = _f1_orbit_reps()
     orbits = _row_triple_orbits()
-    for rep, _ in orbits:
-        _line_geometry(rep)
+    plane_word_table(7, 2)          # built once, before a pool forks
     chunks = [(rep, lo, hi) for rep, _ in orbits
               for lo, hi in _blocks(len(reps), 8)]
     _, hyp_weighted, equi_hist, profiles, cex = _sweep(
@@ -654,7 +607,7 @@ def _tiles_by_class(spc: Space, rows: np.ndarray) -> np.ndarray:
     one tiling_pair_rows call each way takes all the members of the
     chunk's tiling classes.
     """
-    reps = translation_reps(spc.p, spc.d, rows)
+    reps = min_images(add_table(spc.p, spc.d), rows)
     members, complements = [], []
     for first, group in zip(*_groups(reps)):
         cert = _class_tiling(spc, tuple(reps[first].tolist()))

@@ -311,23 +311,18 @@ def canonical_form(E, group: str = "translations"):
     """
     space = E.space
     from .sets import PointSet
-    from .tables import translation_reps
+    from .tables import add_table, min_images
 
     if group == "translations":
-        rep = translation_reps(space.p, space.d, [E.indices()])[0]
-        return PointSet.from_indices(space, rep.tolist())
-    if group == "affine":
+        perms = add_table(space.p, space.d)
+    elif group == "affine":
         if space.d > 2:
             raise ValueError("affine canonical form is only supported for d <= 2")
-        best = None
-        for perm in affine_permutations(space.p, space.d):
-            mask = 0
-            for i in E.indices():
-                mask |= 1 << perm[i]
-            if best is None or mask < best:
-                best = mask
-        return PointSet(space, best if best is not None else 0)
-    raise ValueError(f"unknown group {group!r}")
+        perms = affine_permutation_array(space.p, space.d)
+    else:
+        raise ValueError(f"unknown group {group!r}")
+    rep = min_images(perms, [E.indices()])[0]
+    return PointSet.from_indices(space, rep.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -362,9 +357,3 @@ def affine_permutation_array(p: int, d: int) -> np.ndarray:
     perms = perms.reshape(-1, n)
     perms.flags.writeable = False
     return perms
-
-
-@lru_cache(maxsize=None)
-def affine_permutations(p: int, d: int):
-    """The rows of affine_permutation_array as a tuple of tuples."""
-    return tuple(map(tuple, affine_permutation_array(p, d).tolist()))

@@ -12,16 +12,18 @@ bytes of one little-endian word (byte c counts the plane x . rep = c),
 gathered from plane_word_table and summed over the row.  A plane of
 F_p^d holds at most p^(d-1) <= 49 points, so no byte carries into the
 next.  In F_7^2 the planes are lines, so the words also count the
-points of a row on every line; lm1 and lm2 read them, and no table here
-is indexed by point pairs.  The zero set of a Fourier transform,
+points of a row on every line; lm1, lm2 and proj21 read them (proj21
+adds the words of its three support rows), and no table here is
+indexed by point pairs.  The zero set of a Fourier transform,
 slab-p3 and the plane_concentration and slab_parity pruning rules read
 the words directly, through uniform_word and bytes_at_least;
 plane_counts is their byte view, which geometry.plane_sup reads.
 line_sups is the per-line half: the most points of an index row on one
 affine line, which line concentration reads.
-translation_reps is the one translation-class key: the smallest-bitmask
-translate of each index row.  All arrays are integer or boolean dtypes;
-nothing here rounds.
+min_images is the one class key: the smallest-bitmask image of each
+index row under a permutation table, add_table for translation classes
+and affine_permutation_array for affine ones.  All arrays are integer
+or boolean dtypes; nothing here rounds.
 """
 from __future__ import annotations
 
@@ -150,24 +152,26 @@ def add_table(p: int, d: int) -> np.ndarray:
     return out
 
 
-def translation_reps(p: int, d: int, rows) -> np.ndarray:
-    """Representative of the translation class of each index row: the
-    translate with the smallest bitmask, as sorted point indices.
+def min_images(perms, rows) -> np.ndarray:
+    """Smallest-bitmask image of each index row under the rows of a
+    permutation table, as sorted point indices.
 
-    rows holds point indices, shape (n, m); so does the result.  The
-    smallest bitmask has the smallest largest index, then the smallest
-    next one, and so on, so each translate is sorted descending and the
-    candidates are narrowed one position at a time.  Not cached.
+    Row g of perms maps point i to perms[g, i]: add_table gives the
+    translations, affine_permutation_array the affine maps.  rows holds
+    point indices, shape (n, m); so does the result.  The smallest
+    bitmask has the smallest largest index, then the smallest next one,
+    and so on, so each image is sorted descending and the candidates are
+    narrowed one position at a time.  Not cached.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = rows.shape[0]
-    # (p^d, n, m): every translate of every row, descending
-    trans = np.sort(add_table(p, d)[:, rows], axis=-1)[..., ::-1]
-    best = np.ones(trans.shape[:2], dtype=bool)
+    # (maps, n, m): every image of every row, descending
+    images = np.sort(perms[:, rows], axis=-1)[..., ::-1]
+    best = np.ones(images.shape[:2], dtype=bool)
     for k in range(rows.shape[1]):
-        col = np.where(best, trans[..., k], p ** d)
+        col = np.where(best, images[..., k], perms.shape[1])
         best &= col == col.min(axis=0)
-    return trans[best.argmax(axis=0), np.arange(n), ::-1]
+    return images[best.argmax(axis=0), np.arange(n), ::-1]
 
 
 def difference(p: int, d: int, a, b) -> np.ndarray:

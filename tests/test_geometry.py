@@ -17,7 +17,7 @@ from ffspec import (
     sumset,
     sumset_cd_check,
 )
-from ffspec.space import affine_permutations
+from ffspec.space import affine_permutation_array
 
 E0_COORDS = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1)]
 
@@ -62,13 +62,12 @@ class TestDirectionStats:
 
     def test_affine_invariance(self, rng):
         spc = Space(7, 2)
-        perms = affine_permutations(7, 2)
+        perms = affine_permutation_array(7, 2)
         E = _set(7, 2, E0_COORDS)
         base = direction_stats(E)
         base_mults = sorted(base.multiplicity.values())
         for k in rng.choice(len(perms), size=12, replace=False):
-            perm = perms[int(k)]
-            img = PointSet.from_indices(spc, [perm[i] for i in E.indices()])
+            img = PointSet.from_indices(spc, perms[k, E.indices()].tolist())
             istats = direction_stats(img)
             assert istats.count == base.count
             assert sorted(istats.multiplicity.values()) == base_mults

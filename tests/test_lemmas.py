@@ -39,7 +39,7 @@ from ffspec.lemmas import (
     affine_class_counts,
     translation_class_counts,
 )
-from ffspec.space import affine_permutations
+from ffspec.space import affine_permutation_array
 from ffspec.spectral import spectrum_search
 from ffspec.tables import combination_array, plane_words
 
@@ -288,39 +288,54 @@ class TestProj21:
         for prof in profiles:
             assert all(sum(_decode_profile(c)) == 7 for c in prof)
 
-    def test_profiles_match_unique_reference(self, monkeypatch):
-        # the old reading of the profiles: sort each (c1, code, code)
-        # triple and take the distinct rows with np.unique
-        def reference(c1, a, b):
-            trip = np.stack([np.full(len(a), c1, np.int16), a, b], axis=1)
-            trip.sort(axis=1)
-            return {tuple(int(v) for v in r) for r in np.unique(trip, axis=0)}
-
-        blocks = []
-        real = lemmas._pair_profiles
-
-        def record(c1, vals, ids, pj, pk):
-            blocks.append((c1, vals, ids, pj, pk))
-            return real(c1, vals, ids, pj, pk)
-
-        monkeypatch.setattr(lemmas, "_pair_profiles", record)
-        profiles = _proj21_chunk(((0, 1, 2), 0, 1))[3]
-        assert len(blocks) > 1
-        # the whole chunk, against every pair it accepted; the sorted
-        # triples are encoded base 256 so one flat np.unique takes them
-        want = set()
-        for c1, vals, ids, pj, pk in blocks:
-            trip = np.sort(np.stack([np.full(len(pj), c1), vals[ids[pj]],
-                                     vals[ids[pk]]], axis=1), axis=1)
-            want |= {(int(k) >> 16, int(k) >> 8 & 255, int(k) & 255)
-                     for k in np.unique(trip @ np.array([1 << 16, 1 << 8, 1]))}
-        assert profiles == want and len(want) == 36
-        # the helper alone, against the row-wise np.unique on a slice of
-        # each block's pairs
-        for c1, vals, ids, pj, pk in blocks:
-            pj, pk = pj[::7], pk[::7]
-            assert real(c1, vals, ids, pj, pk) == \
-                reference(c1, vals[ids[pj]], vals[ids[pk]])
+    # the first representative has a value 3; the last, (1, ..., 1), has
+    # none, so only there does the chunk ask the other rows for a 3
+    @pytest.mark.parametrize("lo", [0, 30])
+    def test_chunk_matches_line_sum_oracle(self, lo):
+        # every pair's 49-cell function, summed over the 56 lines of the
+        # coordinate oracle, grouped by direction, in blocks of j2
+        rows = (0, 1, 3)
+        V = _fillings()
+        reps, wts = lemmas._f1_orbit_reps()
+        j1 = int(reps[lo])
+        w1 = dict(lemmas._row_triple_orbits())[rows] * int(wts[lo])
+        by_dir: dict = {}
+        for line in O.all_lines(7, 2):
+            a, b = sorted(line)[:2]
+            vec = O.canon_dir(7, tuple((y - x) % 7 for x, y in zip(a, b)))
+            by_dir.setdefault(vec, []).append(
+                [O.point_index(7, pt) for pt in line])
+        lines = np.array([by_dir[v] for v in sorted(by_dir)])    # (8, 7, 7)
+        assert lines.shape == (8, 7, 7)
+        codes = ((V == 1).sum(axis=1) + 8 * (V == 2).sum(axis=1)
+                 + 64 * (V == 3).sum(axis=1))
+        cells = [7 * r + np.arange(7) for r in rows]
+        raw, hist, trips, cex = 0, np.zeros(8, np.int64), [], []
+        for lo2 in range(0, len(V), 32):
+            j2 = np.arange(lo2, min(lo2 + 32, len(V)))
+            f = np.zeros((len(j2), len(V), 49), np.int8)
+            f[:, :, cells[0]] = V[j1]
+            f[:, :, cells[1]] = V[j2][:, None, :]
+            f[:, :, cells[2]] = V[None, :, :]
+            sums = f[..., lines].sum(axis=-1)         # (j2, j3, 8, 7)
+            ok = (sums <= 7).all(axis=(2, 3)) & (f == 3).any(axis=2)
+            equi = (sums == 3).all(axis=3).sum(axis=2)
+            raw += int(ok.sum())
+            hist += w1 * np.bincount(equi[ok], minlength=8)
+            a, b = np.nonzero(ok)
+            trips.append(np.stack([np.full(len(a), codes[j1]),
+                                   codes[j2[a]], codes[b]], axis=1))
+            cex += [[V[j1].tolist(), V[j2[q]].tolist(), V[k].tolist()]
+                    for q, k in np.argwhere(ok & (equi > 2))]
+        want = {tuple(int(c) for c in t)
+                for t in np.unique(np.sort(np.concatenate(trips), axis=1),
+                                   axis=0)}
+        got = _proj21_chunk((rows, lo, lo + 1))
+        assert got[0] == raw > 0
+        assert got[1] == w1 * raw
+        assert got[2].tolist() == hist.tolist()
+        assert got[3] == want
+        assert [c["values"] for c in got[4]] == cex
 
     def test_fixed_multiset_arrangements(self):
         # arrangements of {0,0,0,1,1,2,3} on two support lines and
@@ -466,7 +481,7 @@ class TestFugledeSweeps:
     def test_cycle_types_match_walk(self, p):
         # reference: walk each permutation's cycles in Python
         want = Counter()
-        for perm in affine_permutations(p, 2):
+        for perm in affine_permutation_array(p, 2).tolist():
             seen, lens = set(), []
             for x in range(len(perm)):
                 n = 0

@@ -20,7 +20,7 @@ from ffspec import (
     span,
     translate,
 )
-from ffspec.space import Direction, affine_permutations, gl_matrices
+from ffspec.space import Direction, affine_permutation_array, gl_matrices
 
 SMALL_SPACES = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (7, 3)]
 
@@ -255,13 +255,24 @@ class TestCanonicalForm:
 
     def test_affine_orbit_constancy(self, rng):
         spc = Space(3, 2)
-        perms = affine_permutations(3, 2)
+        perms = affine_permutation_array(3, 2)
         E = PointSet.from_indices(spc, [0, 1, 5, 7])
         base = canonical_form(E, group="affine")
         for k in rng.choice(len(perms), size=25, replace=False):
-            img = PointSet.from_indices(
-                spc, [perms[k][i] for i in E.indices()])
+            img = PointSet.from_indices(spc, perms[k, E.indices()].tolist())
             assert canonical_form(img, group="affine") == base
+
+    def test_affine_minimum_oracle_5_2(self, rng):
+        # the smallest bitmask over every affine image, by brute force
+        spc = Space(5, 2)
+        maps = O.affine_maps_2d(5)
+        for size in (0, 1, 3, 5, 12, 24, 25):
+            idx = rng.choice(25, size=size, replace=False).tolist()
+            pts = [spc.point_at(i).coords for i in idx]
+            best = min(sum(1 << O.point_index(5, O.apply_affine(5, g, x))
+                           for x in pts) for g in maps)
+            E = PointSet.from_indices(spc, idx)
+            assert canonical_form(E, group="affine").mask == best
 
     def test_affine_needs_low_dimension(self):
         E = PointSet.from_indices(Space(3, 3), [0, 1])
@@ -271,25 +282,25 @@ class TestCanonicalForm:
             canonical_form(E, group="rotations")
 
     def test_group_orders(self):
-        assert len(affine_permutations(3, 2)) == 432
+        assert len(affine_permutation_array(3, 2)) == 432
         assert len(gl_matrices(7, 2)) == 2016
         assert len(gl_matrices(7, 2)) * 49 == 98784
-        assert len(affine_permutations(5, 2)) == 12000 == len(O.affine_maps_2d(5))
+        assert len(affine_permutation_array(5, 2)) == 12000 == len(
+            O.affine_maps_2d(5))
 
     def test_affine_permutations_5_2_oracle(self):
-        perms = affine_permutations(5, 2)
-        assert isinstance(perms, tuple) and isinstance(perms[0], tuple)
+        perms = affine_permutation_array(5, 2)
+        assert perms.shape == (12000, 25) and not perms.flags.writeable
         pts = O.all_points(5, 2)
         expected = {tuple(O.point_index(5, O.apply_affine(5, g, pt))
                           for pt in pts)
                     for g in O.affine_maps_2d(5)}
-        assert set(perms) == expected
+        assert set(map(tuple, perms.tolist())) == expected
         # the order: gl_matrices, then translations by index
-        digest = hashlib.sha256(
-            bytes(v for perm in perms for v in perm)).hexdigest()
+        digest = hashlib.sha256(bytes(perms.ravel().tolist())).hexdigest()
         assert digest == ("bf16558a978c589b53f90cc273eb7a71"
                           "bb22a370f9bea66c0e80c50e07a5539d")
 
     def test_affine_permutations_are_permutations(self):
-        for perm in affine_permutations(3, 2)[:50]:
+        for perm in affine_permutation_array(3, 2)[:50].tolist():
             assert sorted(perm) == list(range(9))

@@ -9,8 +9,8 @@ import oracles as O
 from ffspec import PointSet, Space, canonical_form
 from ffspec.tables import (add_table, bytes_at_least, combination_array,
                            difference, direction_reps, line_sups, line_table,
-                           plane_counts, plane_word_table, plane_words,
-                           translation_reps, uniform_word)
+                           min_images, plane_counts, plane_word_table,
+                           plane_words, uniform_word)
 
 _ALL_SPACES = [(p, d) for p in (3, 5, 7) for d in (1, 2, 3)]
 
@@ -159,7 +159,7 @@ def test_translation_reps_match_canonical_form(p, d, rng):
     for size in sorted({0, 1, 2, p, n // 2, n - 1, n}):
         rows = np.sort(np.array([rng.choice(n, size, replace=False)
                                  for _ in range(6)]).reshape(6, size), axis=1)
-        got = translation_reps(p, d, rows)
+        got = min_images(add_table(p, d), rows)
         assert got.shape == rows.shape
         for row, rep in zip(rows, got):
             E = PointSet.from_indices(space, row.tolist())
