@@ -65,12 +65,12 @@ from .space import (
 )
 from .spectral import (
     InternalCheckError,
-    SpectralCertificate,
+    SearchCertificate,
     allowed_spectral_sizes,
     spectrum_search,
     symmetry_check,
     verify_spectral_pair,
 )
-from .tiling import TilingCertificate, tiling_search, verify_tiling_pair
+from .tiling import tiling_search, verify_tiling_pair
 
 __version__ = "0.1.0"

@@ -75,13 +75,7 @@ def _write_report(result: dict, elapsed: float, workers: int,
 
 
 def _search_section(cert) -> dict:
-    stats = getattr(cert, "pruning_stats", None)
-    if stats is None:
-        stats = cert.stats
-    if stats.get("size_filtered"):
-        status = "size_filtered"
-    else:
-        status = cert.verdict
+    status = "size_filtered" if cert.size_filtered else cert.verdict
     out = {"status": status, "nodes": cert.nodes_explored}
     if cert.witness is not None:
         out["witness"] = cert.witness.coord_rows()

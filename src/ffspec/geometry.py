@@ -10,7 +10,7 @@ from .sets import PointSet
 from .space import Direction, Space, Subspace
 from .tables import (add_table, difference, dir_of_index,
                      direction_orthogonality, direction_reps, line_sups,
-                     plane_counts)
+                     pair_indices, plane_counts)
 
 # direction multiplicities -------------------------------------------------
 
@@ -34,7 +34,7 @@ def _direction_counts(p: int, d: int, rows) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
     lead, n = rows.shape[:-1], math.prod(rows.shape[:-1])
     n_dirs = len(direction_reps(p, d))
-    ii, jj = np.triu_indices(rows.shape[-1], 1)
+    ii, jj = pair_indices(rows.shape[-1])
     ids = dir_of_index(p, d)[difference(p, d, rows[..., ii], rows[..., jj])]
     # one bincount for all rows: row r counts into [r*n_dirs, (r+1)*n_dirs)
     ids = ids.reshape(n, len(ii)) + n_dirs * np.arange(n)[:, None]

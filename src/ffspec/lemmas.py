@@ -823,12 +823,17 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     if key == (5, 2):
         if not sizes or not all(1 <= s <= 25 for s in sizes):
             raise ValueError("F_5^2 sweep needs sizes within 1..25")
+        chunks = []
         for s in sizes:
-            if not _fug52_both_filtered(s):
+            total = math.comb(24, s - 1)
+            if _fug52_both_filtered(s):
+                # no set of this size is built, so it is one chunk
+                chunks.append((s, 0, total))
+            else:
                 combination_array(24, s - 1)
+                chunks += [(s, lo, hi)
+                           for lo, hi in _blocks(total, _FUG52_BLOCK)]
         plane_word_table(5, 2), direction_masks(5, 2)
-        chunks = [(s, lo, hi) for s in sizes
-                  for lo, hi in _blocks(math.comb(24, s - 1), _FUG52_BLOCK)]
         anchored, per_size, cex = _sweep(
             _fug52_chunk, chunks, workers,
             sum(math.comb(24, s - 1) for s in sizes))

@@ -27,7 +27,7 @@ in one batched call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +36,7 @@ from .fourier import zero_directions, zero_set
 from .geometry import _direction_counts, _plane_direction_counts
 from .sets import PointSet
 from .tables import (bytes_at_least, coords_matrix, difference, dir_of_index,
-                     line_sups, plane_words)
+                     line_sups, pair_indices, plane_words)
 
 
 class InternalCheckError(RuntimeError):
@@ -44,11 +44,23 @@ class InternalCheckError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SpectralCertificate:
+class SearchCertificate:
+    """Outcome of spectrum_search or tiling_search.
+
+    size_filtered marks a set rejected by the search's size rule before
+    any search work; its verdict is "none" and nodes_explored is 0.
+    """
     verdict: str                      # "witness" | "none" | "aborted"
     witness: PointSet | None
     nodes_explored: int
-    pruning_stats: dict = field(default_factory=dict, compare=False)
+    size_filtered: bool = False
+
+    @property
+    def pruning_stats(self) -> dict:
+        # always empty: no search applies a pruning rule (callers decide
+        # the rules in batches with pruning_rule); kept because
+        # perfbench's tracer still iterates over it
+        return {}
 
 
 @lru_cache(maxsize=None)
@@ -76,19 +88,9 @@ def _pair_criterion(p: int, d: int, E_rows: np.ndarray,
     shares no difference step with the Gram route's coordinate rows.
     """
     zero = zero_directions(p, d, E_rows)                # (n_dirs, n)
-    ii, jj = _pairs(A_rows.shape[1])
+    ii, jj = pair_indices(A_rows.shape[1])
     dirs = dir_of_index(p, d)[difference(p, d, A_rows[:, ii], A_rows[:, jj])]
     return zero[dirs, np.arange(len(A_rows))[:, None]].all(axis=1)
-
-
-# bounded: at n = 343 one entry holds 0.9 MB
-@lru_cache(maxsize=32)
-def _pairs(n: int) -> tuple:
-    """np.triu_indices(n, 1), read-only: the index pairs i < j of an
-    n-point set."""
-    ii, jj = np.triu_indices(n, k=1)
-    ii.flags.writeable = jj.flags.writeable = False
-    return ii, jj
 
 
 def _pair_gram(p: int, d: int, E_rows: np.ndarray,
@@ -99,7 +101,7 @@ def _pair_gram(p: int, d: int, E_rows: np.ndarray,
     n, m = E_rows.shape
     ec = coords[E_rows]                                 # (n, m, d)
     ac = coords[A_rows]
-    ii, jj = _pairs(A_rows.shape[1])
+    ii, jj = pair_indices(A_rows.shape[1])
     ok = np.ones(n, dtype=bool)
     step = max(1, _GRAM_BLOCK // max(1, n * m))
     for lo in range(0, len(ii), step):
@@ -251,34 +253,26 @@ def pruning_rule(space, rows: np.ndarray) -> np.ndarray:
     return rule
 
 
-def spectrum_search(E: PointSet, budget: int = 10 ** 9,
-                    pruning: bool = False) -> SpectralCertificate:
+def spectrum_search(E: PointSet, budget: int = 10 ** 9) -> SearchCertificate:
     """Exhaustive search for a spectrum of E, anchored at 0.
 
     Returns a certificate with verdict witness/none/aborted.  The size
     filter (spectral sets have size 1, mp with m <= p^(d-2), or p^d)
-    always applies; the optional pruning applies line/plane
-    concentration necessary conditions before searching.  Any witness
-    is re-verified, and its swap (A, E) is verified too, before return.
+    always applies and marks the certificate size_filtered.  Any
+    witness is re-verified, and its swap (A, E) is verified too, before
+    return.
     """
     space = E.space
     n = E.size
-    stats: dict = {"size_filtered": False}
     if n not in allowed_spectral_sizes(space):
-        stats["size_filtered"] = True
-        return SpectralCertificate("none", None, 0, stats)
-    if pruning and n % space.p == 0 and 2 <= n // space.p <= space.p - 1:
-        rule = int(pruning_rule(space, np.array([E.indices()]))[0])
-        if rule >= 0:
-            stats[PRUNING_RULES[rule]] = 1
-            return SpectralCertificate("none", None, 0, stats)
+        return SearchCertificate("none", None, 0, size_filtered=True)
     verdict, spectrum, nodes = _clique_in_zero_set(space, zero_set(E).mask,
                                                    n, budget)
     if verdict != "witness":
-        return SpectralCertificate(verdict, None, nodes, stats)
+        return SearchCertificate(verdict, None, nodes)
     witness = PointSet.from_indices(space, spectrum)
     _validate_witness(E, witness)
-    return SpectralCertificate("witness", witness, nodes, stats)
+    return SearchCertificate("witness", witness, nodes)
 
 
 # bounded: a sweep meets a few hundred zero sets, but a long sampling

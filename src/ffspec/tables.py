@@ -174,6 +174,16 @@ def min_images(perms, rows) -> np.ndarray:
     return images[best.argmax(axis=0), np.arange(n), ::-1]
 
 
+# bounded: at n = 343 one entry holds 0.9 MB
+@lru_cache(maxsize=32)
+def pair_indices(n: int) -> tuple:
+    """np.triu_indices(n, 1), read-only: the index pairs i < j of an
+    n-point row."""
+    ii, jj = np.triu_indices(n, k=1)
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
+
+
 def difference(p: int, d: int, a, b) -> np.ndarray:
     """Index of point a - point b, elementwise over broadcast index arrays."""
     return add_table(p, d)[a, scale_tables(p, d)[p - 1][b]]

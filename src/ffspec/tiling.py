@@ -8,21 +8,11 @@ first (a tiling exists iff one containing 0 does).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .sets import PointSet
-from .spectral import InternalCheckError
+from .spectral import InternalCheckError, SearchCertificate
 from .tables import add_table
-
-
-@dataclass(frozen=True)
-class TilingCertificate:
-    verdict: str                      # "witness" | "none" | "aborted"
-    witness: PointSet | None
-    nodes_explored: int
-    stats: dict = field(default_factory=dict, compare=False)
 
 
 def _translates(E: PointSet) -> np.ndarray:
@@ -68,12 +58,12 @@ def verify_tiling_pair(E: PointSet, A: PointSet) -> bool:
                                  [A.indices()])[0])
 
 
-def tiling_search(E: PointSet, budget: int = 10 ** 9) -> TilingCertificate:
+def tiling_search(E: PointSet, budget: int = 10 ** 9) -> SearchCertificate:
     """Search for a tiling complement of E, anchored at 0."""
     space = E.space
     n = space.order
     if not size_can_tile(space, E.size):
-        return TilingCertificate("none", None, 0, {"size_filtered": True})
+        return SearchCertificate("none", None, 0, size_filtered=True)
     table = _translates(E)
     masks = [_mask(row) for row in table]
     # covers[x]: the translates a = x - e that cover x, ascending; each
@@ -107,12 +97,12 @@ def tiling_search(E: PointSet, budget: int = 10 ** 9) -> TilingCertificate:
 
     got = extend(masks[0], [0])
     if budget_hit:
-        return TilingCertificate("aborted", None, nodes)
+        return SearchCertificate("aborted", None, nodes)
     if got is None:
-        return TilingCertificate("none", None, nodes)
+        return SearchCertificate("none", None, nodes)
     witness = PointSet.from_indices(space, sorted(got))
     if not verify_tiling_pair(E, witness):
         raise InternalCheckError("search produced a non-verifying tiling")
     if not verify_tiling_pair(witness, E):
         raise InternalCheckError("tiling witness fails the swapped-pair check")
-    return TilingCertificate("witness", witness, nodes)
+    return SearchCertificate("witness", witness, nodes)

@@ -11,8 +11,8 @@ import pytest
 import ffspec
 from ffspec import (
     PointSet,
+    SearchCertificate,
     Space,
-    TilingCertificate,
     verify_fuglede_small,
     verify_spectral_pair,
     verify_tiling_pair,
@@ -205,7 +205,7 @@ class TestInternalFailure:
     def test_internal_check_exits_3(self, monkeypatch, tmp_path, capsys):
         # a search that returns a false tiling complement
         def false_tiling(E):
-            return TilingCertificate(
+            return SearchCertificate(
                 "witness", PointSet.from_indices(E.space, [0]), 1)
 
         monkeypatch.setattr(lemmas, "tiling_search", false_tiling)

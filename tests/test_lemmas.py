@@ -11,8 +11,8 @@ import oracles as O
 from ffspec import (
     InternalCheckError,
     PointSet,
+    SearchCertificate,
     Space,
-    TilingCertificate,
     all_directions,
     dot,
     equidist_profile,
@@ -644,7 +644,7 @@ class TestGroupedSweeps:
 
     @pytest.mark.parametrize("name,value", [
         ("_clique_in_zero_set", lambda *a: ("aborted", None, 1)),
-        ("tiling_search", lambda E: TilingCertificate("aborted", None, 1)),
+        ("tiling_search", lambda E: SearchCertificate("aborted", None, 1)),
     ])
     def test_budget_failure_is_named(self, monkeypatch, cold_caches, name,
                                      value):

@@ -141,10 +141,14 @@ class TestSearch:
         cert = tiling_search(PointSet.from_indices(spc, [0, 1, 2, 3]))
         assert cert.verdict == "none"
         assert cert.nodes_explored == 0
-        assert cert.stats["size_filtered"]
+        assert cert.size_filtered
         empty = tiling_search(PointSet.empty(spc))
         assert empty.verdict == "none"
-        assert empty.stats["size_filtered"]
+        assert empty.size_filtered
+        # size 3 divides 9, so the line {0, 1, 2} is searched
+        searched = tiling_search(PointSet.from_indices(spc, [0, 1, 2]))
+        assert searched.verdict == "witness"
+        assert not searched.size_filtered
 
     def test_recursion_limit_restored(self):
         old = sys.getrecursionlimit()
