@@ -40,9 +40,10 @@ from .sets import (
     PointSet,
     QuotientFunction,
     SetFormatError,
+    canonical_form,
+    hyperplane_translates,
     indicator,
     project_along,
-    quotient_basis,
     quotient_cell_index,
     read_set,
     translate,
@@ -54,13 +55,12 @@ from .space import (
     Space,
     Subspace,
     all_directions,
-    canonical_form,
     coords_to_index,
     direction_count,
     dot,
-    hyperplane_translates,
     index_to_coords,
     orthogonal,
+    quotient_basis,
     span,
 )
 from .spectral import (

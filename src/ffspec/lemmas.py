@@ -32,12 +32,13 @@ import numpy as np
 from .fourier import zero_directions
 from .parallel import run_chunks
 from .sets import PointSet
-from .space import Space, affine_permutation_array
+from .space import Space
 from .spectral import (PRUNING_RULES, InternalCheckError,
                        _clique_in_zero_set, _validate_witness_rows,
                        allowed_spectral_sizes, pruning_rule, spectrum_search)
 from .tables import (
     add_table,
+    affine_permutation_array,
     bytes_at_least,
     combination_array,
     coords_matrix,
@@ -331,38 +332,37 @@ def _fillings() -> np.ndarray:
     return np.array(rows, np.int8)
 
 
+def _orbit_reps(V: np.ndarray, base: int):
+    """Orbit representatives of value rows on F_7 under x -> a x + c:
+    their positions in V, and the orbit sizes.  A key reads a row as
+    base-`base` digits, position 0 most significant; a representative's
+    own key is the smallest of its orbit."""
+    powers = base ** np.arange(6, -1, -1, dtype=np.int64)
+    keys = V[:, affine_permutation_array(7, 1)] @ powers     # (rows, 42)
+    reps = np.flatnonzero(V @ powers == keys.min(axis=1))
+    weights = 1 + (np.diff(np.sort(keys[reps], axis=1)) != 0).sum(axis=1)
+    if int(weights.sum()) != len(V):
+        raise InternalCheckError("orbits do not partition")
+    return reps, weights
+
+
 @lru_cache(maxsize=None)
 def _f1_orbit_reps():
     """Representatives of filling orbits under x -> a x + c, with sizes."""
-    V = _fillings()
-    pow4 = 4 ** np.arange(6, -1, -1, dtype=np.int64)
-    keys = np.empty((42, len(V)), np.int64)
-    for gi, perm in enumerate(affine_permutation_array(7, 1)):
-        keys[gi] = V[:, perm] @ pow4
-    own = V @ pow4
-    canon = keys.min(axis=0)
-    rep_mask = own == canon
-    srt = np.sort(keys, axis=0)
-    orbit_size = 1 + (srt[1:] != srt[:-1]).sum(axis=0)
-    reps = np.flatnonzero(rep_mask)
-    weights = orbit_size[rep_mask]
-    if int(weights.sum()) != len(V):
-        raise InternalCheckError("filling orbits do not partition")
-    return reps, weights
+    return _orbit_reps(_fillings(), 4)
 
 
 @lru_cache(maxsize=None)
 def _row_triple_orbits() -> tuple:
     """Orbits of 3-subsets of F_7 under x -> a x + c: (rep, weight)."""
-    orbits: dict = {}
-    for trip in itertools.combinations(range(7), 3):
-        images = {
-            tuple(sorted((a * r + c) % 7 for r in trip))
-            for a in range(1, 7) for c in range(7)
-        }
-        rep = min(images)
-        orbits.setdefault(rep, len(images))
-    return tuple(sorted(orbits.items()))
+    trips = list(itertools.combinations(range(7), 3))
+    # a triple goes in as the row 1 - indicator, in base 2: its members
+    # are the 0 digits, so the smallest key is the lexicographically
+    # smallest sorted triple of its orbit
+    rows = np.ones((len(trips), 7), np.int64)
+    rows[np.arange(len(trips))[:, None], trips] = 0
+    reps, weights = _orbit_reps(rows, 2)
+    return tuple((trips[r], int(w)) for r, w in zip(reps, weights))
 
 
 def _decode_profile(code: int) -> list:
@@ -784,6 +784,8 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     """
     t0 = perf_counter()
     sizes = tuple(sorted(int(s) for s in sizes))
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"sizes repeat: {list(sizes)}")
     key = (p, d)
     if key == (3, 3):
         if sizes != (6,):

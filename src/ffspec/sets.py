@@ -1,5 +1,10 @@
 """Subsets of F_p^d as bitmasks, plus quotient counts and file I/O.
 
+This module owns everything that builds a PointSet from the index
+tables: translates, projections, hyperplane translates and canonical
+forms.  project_along and quotient_cell_index read the coset layout of
+tables.line_table (through line_of) and invert no matrix.
+
 A PointSet stores its space and a bit vector of length p^d packed into
 a Python int; bit i is point index i.  The on-disk format is ASCII:
 
@@ -18,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import Point, Space, _inverse, _rank, _require_same_space
-from .tables import add_table, coords_matrix
+from .space import Point, Space, _require_same_space
+from .tables import (add_table, affine_permutation_array, coords_matrix,
+                     dir_of_index, line_of, min_images)
 
 
 class SetFormatError(ValueError):
@@ -140,37 +146,14 @@ class QuotientFunction:
         return self.values[i]
 
 
-def quotient_basis(space: Space, delta) -> list:
-    """Deterministic complement basis for the quotient by a direction.
-
-    Takes the d-1 standard basis vectors of lowest index that stay
-    independent from delta, in increasing index order.
-    """
-    rep = delta.rep
-    chosen = []
-    for i in range(space.d):
-        e = [0] * space.d
-        e[i] = 1
-        rows = [rep.coords] + [c for c in chosen] + [tuple(e)]
-        if _rank(rows, space.p) == len(rows):
-            chosen.append(tuple(e))
-        if len(chosen) == space.d - 1:
-            break
-    return [space.point(c) for c in chosen]
-
-
-def _quotient_matrix(space: Space, delta):
-    """Inverse of the matrix with columns (complement basis, delta rep)."""
-    cols = [b.coords for b in quotient_basis(space, delta)] + [delta.rep.coords]
-    return _inverse([list(row) for row in zip(*cols)], space.p)
-
-
 def _cells(space: Space, delta, indices) -> np.ndarray:
-    """Quotient-space index of the coset of span(delta) through each point index."""
+    """Quotient-space index of the coset of span(delta) through each
+    point index: its line_of id, less the p^(d-1) lines of each
+    direction before delta's."""
+    _require_same_space(space.zero(), delta.rep)
     p, d = space.p, space.d
-    m = np.array(_quotient_matrix(space, delta), dtype=np.int64)
-    coeffs = coords_matrix(p, d)[indices] @ m.T % p
-    return coeffs[:, : d - 1] @ p ** np.arange(d - 1)
+    k = int(dir_of_index(p, d)[delta.rep.index])
+    return line_of(p, d)[k, indices] - k * p ** (d - 1)
 
 
 def quotient_cell_index(space: Space, delta, x: Point) -> int:
@@ -197,6 +180,38 @@ def indicator(E: PointSet) -> QuotientFunction:
     for i in E.indices():
         vals[i] = 1
     return QuotientFunction(E.space, tuple(vals))
+
+
+def hyperplane_translates(space: Space, xi: Point):
+    """The p sets {x : x . xi = c} for c = 0 .. p-1, as PointSets."""
+    if xi.is_zero():
+        raise ValueError("xi must be nonzero")
+    _require_same_space(space.zero(), xi)
+    dots = coords_matrix(space.p, space.d) @ np.array(xi.coords) % space.p
+    return [PointSet.from_indices(space, np.flatnonzero(dots == c).tolist())
+            for c in range(space.p)]
+
+
+def canonical_form(E: PointSet, group: str = "translations") -> PointSet:
+    """Minimal image of a PointSet under a symmetry group.
+
+    group="translations": minimum over all p^d translates.
+    group="affine": minimum over the full affine group (d <= 2 only);
+    the group is enumerated outright, (p^2-1)(p^2-p)p^2 maps for d=2.
+    Minimality means the smallest bitmask, i.e. lexicographic on sorted
+    point indices.
+    """
+    space = E.space
+    if group == "translations":
+        perms = add_table(space.p, space.d)
+    elif group == "affine":
+        if space.d > 2:
+            raise ValueError("affine canonical form is only supported for d <= 2")
+        perms = affine_permutation_array(space.p, space.d)
+    else:
+        raise ValueError(f"unknown group {group!r}")
+    rep = min_images(perms, [E.indices()])[0]
+    return PointSet.from_indices(space, rep.tolist())
 
 
 # ---------------------------------------------------------------------------

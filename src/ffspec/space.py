@@ -5,14 +5,17 @@ significant base-p digit, so index = sum(coords[i] * p**i).  Point is
 the single-point value type; operations on sets of points work on
 these indices and read the cached tables in tables.py.  All arithmetic
 is exact integer arithmetic mod p.
+
+This module owns the one F_p elimination routine (_row_reduce) and
+what is built on single points with it: spans, orthogonal complements
+and quotient_basis, the complement basis from which tables.line_table
+lays out cosets.  It imports no other module of the package.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -230,17 +233,22 @@ def orthogonal(sub: Subspace) -> Subspace:
     return Subspace(space, basis)
 
 
-def hyperplane_translates(space: Space, xi: Point):
-    """The p sets {x : x . xi = c} for c = 0 .. p-1, as PointSets."""
-    from .sets import PointSet
-    from .tables import coords_matrix
+def quotient_basis(space: Space, delta: Direction) -> list:
+    """Deterministic complement basis for the quotient by a direction.
 
-    if xi.is_zero():
-        raise ValueError("xi must be nonzero")
-    _require_same_space(space.zero(), xi)
-    dots = coords_matrix(space.p, space.d) @ np.array(xi.coords) % space.p
-    return [PointSet.from_indices(space, np.flatnonzero(dots == c).tolist())
-            for c in range(space.p)]
+    Takes the d-1 standard basis vectors of lowest index that stay
+    independent from delta, in increasing index order.  tables.line_table
+    lays out the cosets of span(delta) with it.
+    """
+    chosen = []
+    for i in range(space.d):
+        e = tuple(int(i == j) for j in range(space.d))
+        rows = [delta.rep.coords] + chosen + [e]
+        if _rank(rows, space.p) == len(rows):
+            chosen.append(e)
+        if len(chosen) == space.d - 1:
+            break
+    return [space.point(c) for c in chosen]
 
 
 def _row_reduce(rows, p: int):
@@ -271,17 +279,6 @@ def _rank(rows, p: int) -> int:
     return len(_row_reduce(rows, p)[1])
 
 
-def _inverse(mat, p: int) -> list:
-    """Inverse of a square matrix over F_p, from [mat | I] reduced."""
-    n = len(mat)
-    aug = [list(row) + [int(i == k) for k in range(n)]
-           for i, row in enumerate(mat)]
-    m, pivots = _row_reduce(aug, p)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in m]
-
-
 def _null_space(rows, p: int, ncols: int):
     """Basis of {x : rows @ x = 0} over F_p."""
     m, pivots = _row_reduce(rows, p)
@@ -294,66 +291,3 @@ def _null_space(rows, p: int, ncols: int):
             vec[pc] = (-m[r][fc]) % p
         basis.append(vec)
     return basis
-
-
-# ---------------------------------------------------------------------------
-# canonical forms under point symmetries
-
-
-def canonical_form(E, group: str = "translations"):
-    """Minimal image of a PointSet under a symmetry group.
-
-    group="translations": minimum over all p^d translates.
-    group="affine": minimum over the full affine group (d <= 2 only);
-    the group is enumerated outright, (p^2-1)(p^2-p)p^2 maps for d=2.
-    Minimality means the smallest bitmask, i.e. lexicographic on sorted
-    point indices.
-    """
-    space = E.space
-    from .sets import PointSet
-    from .tables import add_table, min_images
-
-    if group == "translations":
-        perms = add_table(space.p, space.d)
-    elif group == "affine":
-        if space.d > 2:
-            raise ValueError("affine canonical form is only supported for d <= 2")
-        perms = affine_permutation_array(space.p, space.d)
-    else:
-        raise ValueError(f"unknown group {group!r}")
-    rep = min_images(perms, [E.indices()])[0]
-    return PointSet.from_indices(space, rep.tolist())
-
-
-@lru_cache(maxsize=None)
-def gl_matrices(p: int, d: int):
-    """All invertible d x d matrices over F_p (rows are images of basis vectors)."""
-    if d == 1:
-        return tuple(((a,),) for a in range(1, p))
-    if d != 2:
-        raise ValueError("gl_matrices is only provided for d <= 2")
-    mats = []
-    for a, b, c, e in itertools.product(range(p), repeat=4):
-        if (a * e - b * c) % p != 0:
-            mats.append(((a, b), (c, e)))
-    return tuple(mats)
-
-
-@lru_cache(maxsize=None)
-def affine_permutation_array(p: int, d: int) -> np.ndarray:
-    """(maps, p^d) int16, read-only: row g is the point-index permutation
-    of the map x -> Mx + t, d <= 2; entry [g, i] is the image of point i.
-
-    Maps run over gl_matrices(p, d) and, for each matrix, over t in
-    index order.  Size (p^2-1)(p^2-p)p^2 for d=2.
-    """
-    from .tables import add_table, coords_matrix
-
-    n = Space(p, d).order
-    mats = np.array(gl_matrices(p, d), dtype=np.int64)
-    # image index of x under each linear map: sum_j x_j * row_j
-    lin = (coords_matrix(p, d) @ mats % p) @ p ** np.arange(d)     # (maps, n)
-    perms = add_table(p, d)[lin[:, None, :], np.arange(n)[:, None]]
-    perms = perms.reshape(-1, n)
-    perms.flags.writeable = False
-    return perms

@@ -22,16 +22,23 @@ line_sups is the per-line half: the most points of an index row on one
 affine line, which line concentration reads.
 min_images is the one class key: the smallest-bitmask image of each
 index row under a permutation table, add_table for translation classes
-and affine_permutation_array for affine ones.  All arrays are integer
-or boolean dtypes; nothing here rounds.
+and affine_permutation_array for affine ones.  line_table is the one
+coset layout: row k * p^(d-1) + q is the coset of direction k through
+the point with quotient_basis coefficients q, and sets.project_along
+reads its cells from line_of.
+
+This module owns every cached index table, the permutation tables
+included; sets builds PointSets on top of it, and it imports only
+space.  All arrays are integer or boolean dtypes; nothing here rounds.
 """
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
 
-from .space import Space, all_directions
+from .space import Space, all_directions, quotient_basis
 
 
 @lru_cache(maxsize=None)
@@ -152,6 +159,38 @@ def add_table(p: int, d: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def gl_matrices(p: int, d: int):
+    """All invertible d x d matrices over F_p (rows are images of basis vectors)."""
+    if d == 1:
+        return tuple(((a,),) for a in range(1, p))
+    if d != 2:
+        raise ValueError("gl_matrices is only provided for d <= 2")
+    mats = []
+    for a, b, c, e in itertools.product(range(p), repeat=4):
+        if (a * e - b * c) % p != 0:
+            mats.append(((a, b), (c, e)))
+    return tuple(mats)
+
+
+@lru_cache(maxsize=None)
+def affine_permutation_array(p: int, d: int) -> np.ndarray:
+    """(maps, p^d) int16, read-only: row g is the point-index permutation
+    of the map x -> Mx + t, d <= 2; entry [g, i] is the image of point i.
+
+    Maps run over gl_matrices(p, d) and, for each matrix, over t in
+    index order.  Size (p^2-1)(p^2-p)p^2 for d=2.
+    """
+    n = Space(p, d).order
+    mats = np.array(gl_matrices(p, d), dtype=np.int64)
+    # image index of x under each linear map: sum_j x_j * row_j
+    lin = (coords_matrix(p, d) @ mats % p) @ p ** np.arange(d)     # (maps, n)
+    perms = add_table(p, d)[lin[:, None, :], np.arange(n)[:, None]]
+    perms = perms.reshape(-1, n)
+    perms.flags.writeable = False
+    return perms
+
+
 def min_images(perms, rows) -> np.ndarray:
     """Smallest-bitmask image of each index row under the rows of a
     permutation table, as sorted point indices.
@@ -202,13 +241,12 @@ def scale_tables(p: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def line_table(p: int, d: int) -> np.ndarray:
-    """(n_lines, p) point indices of every affine line, duplicate-free.
+    """(n_lines, p) point indices of every affine line, duplicate-free:
+    the coset layout.
 
     Lines are grouped by canonical direction; within a direction the
     base points run over the quotient transversal in index order.
     """
-    from .sets import quotient_basis
-
     space = Space(p, d)
     powers = p ** np.arange(d)
     # every combination of quotient basis coefficients, in index order

@@ -17,7 +17,7 @@ from ffspec import (
     sumset,
     sumset_cd_check,
 )
-from ffspec.space import affine_permutation_array
+from ffspec.tables import affine_permutation_array
 
 E0_COORDS = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1)]
 

@@ -39,9 +39,8 @@ from ffspec.lemmas import (
     affine_class_counts,
     translation_class_counts,
 )
-from ffspec.space import affine_permutation_array
 from ffspec.spectral import spectrum_search
-from ffspec.tables import combination_array, plane_words
+from ffspec.tables import affine_permutation_array, combination_array, plane_words
 
 
 class TestLm1:
@@ -388,6 +387,26 @@ class TestProj21:
         assert sum(w for _, w in orbits) == 35 == math.comb(7, 3)
         assert [r for r, _ in orbits] == [(0, 1, 2), (0, 1, 3)]
 
+    def test_orbits_match_affine_walk(self):
+        # both orbit lists against the 42 maps x -> a x + c applied one
+        # by one: a representative is the smallest image of its orbit
+        from ffspec.lemmas import _f1_orbit_reps, _row_triple_orbits
+        maps = [(a, c) for a in range(1, 7) for c in range(7)]
+        trips = {}
+        for trip in itertools.combinations(range(7), 3):
+            images = {tuple(sorted((a * r + c) % 7 for r in trip))
+                      for a, c in maps}
+            trips[min(images)] = len(images)
+        assert _row_triple_orbits() == tuple(sorted(trips.items()))
+        want = []
+        for j, row in enumerate(_fillings().tolist()):
+            images = {tuple(row[(a * i + c) % 7] for i in range(7))
+                      for a, c in maps}
+            if tuple(row) == min(images):
+                want.append((j, len(images)))
+        reps, wts = _f1_orbit_reps()
+        assert list(zip(reps.tolist(), wts.tolist())) == want
+
 
 def _slab_hypothesis(E):
     spc = E.space
@@ -469,6 +488,10 @@ class TestFugledeSweeps:
             verify_fuglede_small(5, 2, (26,))
         with pytest.raises(ValueError):
             verify_fuglede_small(7, 2, (7,))
+        # a repeated size would be swept, and counted, twice
+        for p, d, sizes in [(3, 2, (3, 3)), (5, 2, (5, 2, 5)), (3, 3, (6, 6))]:
+            with pytest.raises(ValueError, match="sizes repeat"):
+                verify_fuglede_small(p, d, sizes)
 
     def test_class_counts_match_oracle(self):
         assert translation_class_counts(5, 2, (1, 2, 3)) == {

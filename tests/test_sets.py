@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from ffspec import (
     translate,
     write_set,
 )
-from ffspec.space import Direction, coords_to_index
+from ffspec.space import Direction, all_directions, coords_to_index
 
 
 @st.composite
@@ -98,19 +100,22 @@ class TestProjection:
         assert all(v <= spc.p for v in q.values)
 
     def test_oracle_agreement(self, rng):
-        for p, d in [(3, 3), (5, 2)]:
+        # every space with d >= 2 and every direction; the oracle finds
+        # each point's coset by walking the quotient basis and delta
+        for p, d in [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)]:
             spc = Space(p, d)
-            for _ in range(15):
+            for delta in all_directions(spc):
                 idxs = rng.choice(spc.order, size=6, replace=False)
                 E = PointSet.from_indices(spc, sorted(int(i) for i in idxs))
-                delta = Direction.through(
-                    spc.point_at(int(rng.integers(1, spc.order))))
+                want = Counter()
+                for pt in E:
+                    (cell,) = O.projection_counts(
+                        p, d, [pt.coords], delta.rep.coords)
+                    want[coords_to_index(cell, p)] += 1
+                    assert quotient_cell_index(spc, delta, pt) == \
+                        coords_to_index(cell, p)
                 q = project_along(E, delta)
-                cells = O.projection_counts(
-                    p, d, [pt.coords for pt in E], delta.rep.coords)
-                got = {coords_to_index(k, p): v for k, v in cells.items()}
-                assert got == {
-                    i: v for i, v in enumerate(q.values) if v}
+                assert {i: v for i, v in enumerate(q.values) if v} == want
 
     def test_projection_translate_commutes(self, rng):
         spc = Space(3, 3)
@@ -140,6 +145,16 @@ class TestProjection:
             for t in range(5):
                 assert quotient_cell_index(
                     spc, delta, pt + delta.rep.scale(t)) == base
+
+    def test_direction_of_another_space_rejected(self):
+        spc = Space(3, 3)
+        E = PointSet.from_indices(spc, [0, 1, 5])
+        for other, coords in [((3, 2), (1, 1)), ((5, 3), (1, 2, 3))]:
+            delta = Direction.through(Space(*other).point(coords))
+            with pytest.raises(ValueError, match="mismatched spaces"):
+                project_along(E, delta)
+            with pytest.raises(ValueError, match="mismatched spaces"):
+                quotient_cell_index(spc, delta, spc.zero())
 
     def test_d1_rejected(self):
         E = PointSet.from_indices(Space(3, 1), [0])

@@ -20,7 +20,8 @@ from ffspec import (
     span,
     translate,
 )
-from ffspec.space import Direction, affine_permutation_array, gl_matrices
+from ffspec.space import Direction
+from ffspec.tables import affine_permutation_array, gl_matrices
 
 SMALL_SPACES = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (7, 3)]
 
