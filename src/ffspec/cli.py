@@ -71,7 +71,10 @@ def _write_report(result: dict, elapsed: float, workers: int,
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:   # main reports it as an input error
+            raise ValueError(f"cannot write report: {exc}") from exc
 
 
 def _search_section(cert) -> dict:
@@ -193,7 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "budget", 1) < 1:
+        parser.error(f"argument --budget: must be >= 1, got {args.budget}")
+    # a missing report directory fails before the run, not after it
+    report = args.report and Path(args.report)
+    if report and not report.parent.is_dir():
+        print(f"error: report directory {report.parent} does not exist",
+              file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except ValueError as exc:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
@@ -699,9 +698,11 @@ def _fug52_chunk(args):
     return hi - lo, {str(size): {"anchored": hi - lo, **counts}}, cex
 
 
-def _cycle_type_counts(p: int, d: int) -> Counter:
+@lru_cache(maxsize=None)
+def _cycle_type_counts(p: int, d: int) -> tuple:
     """How many affine permutations have each cycle type (the sorted
-    cycle lengths).
+    cycle lengths), as (cycle type, count) pairs; a tuple, so the cached
+    value cannot be changed by a caller.
 
     All the permutations act as one permutation of maps x p^d points.
     Pointer doubling finds each point's least orbit point: after r
@@ -723,20 +724,20 @@ def _cycle_type_counts(p: int, d: int) -> Counter:
                           minlength=maps * (n + 1)).astype(np.int8)
     types, mult = np.unique(per_map.view(np.dtype((np.void, n + 1))),
                             return_counts=True)
-    return Counter({
-        tuple(np.repeat(np.arange(n + 1), np.frombuffer(t, np.int8)).tolist()):
-            int(c) for t, c in zip(types, mult)})
+    return tuple(
+        (tuple(np.repeat(np.arange(n + 1), np.frombuffer(t, np.int8)).tolist()),
+         int(c)) for t, c in zip(types, mult))
 
 
 def affine_class_counts(p: int, d: int, sizes: tuple) -> dict:
     """Number of affine equivalence classes of s-subsets of F_p^d, via
     the cycle index of the affine permutation action (d <= 2)."""
     types = _cycle_type_counts(p, d)
-    order = sum(types.values())
+    order = sum(mult for _, mult in types)
     out = {}
     for s in sizes:
         total = 0
-        for ctype, mult in types.items():
+        for ctype, mult in types:
             poly = np.zeros(s + 1, np.int64)
             poly[0] = 1
             for ln in ctype:
@@ -873,6 +874,31 @@ _FALSIFY_CHUNK = 2000
 _PRUNE_BLOCK = 96
 
 
+def _choice_rows(child_seed, n: int, size: int, count: int):
+    """Rows equal, once sorted, to `count` rng.choice(n, size, False) on
+    Generator(PCG64(child_seed)), read off the raw words at once; None if
+    a draw is rejected.  For n <= 10,000 choice draws in [0, j] for j =
+    n - size .. n - 1 (Floyd: j if drawn before), then shuffles with
+    draws in [0, i], i = size - 1 .. 1.  A draw below b takes the next
+    32-bit word w (PCG64 gives each output low half first), m = w b, and
+    is m >> 32 unless m mod 2^32 < 2^32 mod b rejects w (Lemire)."""
+    if n > 10_000:
+        return None
+    width = 2 * size - 1
+    raw = np.random.PCG64(child_seed).random_raw(-(-count * width // 2))
+    words = raw.astype("<u8", copy=False).view("<u4")[:count * width]
+    rows = np.empty((count, size), np.int16)      # indices below 10,000
+    # one pass per draw: no temporary is wider than one column
+    for c, b in enumerate([*range(n - size + 1, n + 1), *range(size, 1, -1)]):
+        m = words[c::width] * np.uint64(b)
+        if ((m & 0xFFFFFFFF) < 2 ** 32 % b).any():
+            return None
+        if c < size:
+            v = (m >> 32).astype(np.int16)
+            rows[:, c] = np.where((rows[:, :c] == v[:, None]).any(1), b - 1, v)
+    return rows
+
+
 def _falsify_chunk(args):
     p, d, size, child_seed, count = args
     spc = Space(p, d)
@@ -881,10 +907,12 @@ def _falsify_chunk(args):
         # the search's size filter rejects every trial before any rule
         outcomes["none"] = count
         return count, outcomes, {"size_filtered": count}, []
-    rng = np.random.Generator(np.random.PCG64(child_seed))
-    rows = np.empty((count, size), dtype=np.int64)
-    for row in rows:
-        row[:] = rng.choice(p ** d, size=size, replace=False)
+    rows = _choice_rows(child_seed, p ** d, size, count)
+    if rows is None:   # a rejected draw shifts every later row's words
+        rng = np.random.Generator(np.random.PCG64(child_seed))
+        rows = np.empty((count, size), np.int16)
+        for row in rows:
+            row[:] = rng.choice(p ** d, size=size, replace=False)
     rows.sort(axis=1)
     rule = np.concatenate([pruning_rule(spc, rows[lo:hi])
                            for lo, hi in _blocks(count, _PRUNE_BLOCK)])
@@ -915,7 +943,8 @@ def falsify_random(p: int, d: int, size: int, trials: int, seed: int,
     spawned from the seed by chunk index, so reports do not depend on
     the worker count.  Each chunk draws all its trials, decides the
     pruning rules for blocks of them at once, and searches only the
-    trials no rule rejects.
+    trials no rule rejects.  The trials equal rng.choice draws on the
+    chunk's PCG64 generator, read off its raw words (_choice_rows).
     """
     t0 = perf_counter()
     if trials < 1:

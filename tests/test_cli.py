@@ -104,6 +104,16 @@ class TestAnalyze:
         assert res["spectral"]["status"] == "aborted"
         assert res["tile"]["status"] == "aborted"
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_usage_error(self, budget, line_file,
+                                             capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--set", line_file, "--budget", budget])
+        assert exc.value.code == 1
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert f"--budget: must be >= 1, got {budget}" in cap.err
+
     def test_section_toggles(self, line_file, capsys):
         code, out, _ = run_cli(
             ["analyze", "--set", line_file, "--no-tiling"], capsys)
@@ -134,6 +144,45 @@ class TestAnalyze:
             ["analyze", "--set", str(tmp_path / "nope.txt")], capsys)
         assert code == 1
         assert "error:" in err
+
+
+class TestReportPath:
+    """A report path that cannot be written exits 1 with one error: line;
+    a missing directory is found before any work is done."""
+    ARGS = {
+        "verify": ["verify", "--lemma", "fuglede-3-2"],
+        "falsify": ["falsify", "--p", "5", "--d", "3", "--size", "10",
+                    "--trials", "5", "--seed", "1"],
+        "analyze": ["analyze", "--set"],
+    }
+    WORK = {"verify": "verify_fuglede_small", "falsify": "falsify_random",
+            "analyze": "read_set"}
+
+    def argv(self, cmd, line_file, report):
+        extra = [line_file] if cmd == "analyze" else []
+        return self.ARGS[cmd] + extra + ["--report", str(report)]
+
+    @pytest.mark.parametrize("cmd", ["verify", "falsify", "analyze"])
+    def test_missing_directory_fails_before_work(self, cmd, line_file,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the report check")
+
+        monkeypatch.setattr(cli, self.WORK[cmd], no_work)
+        report = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(self.argv(cmd, line_file, report), capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: report directory {report.parent} " \
+            "does not exist\n"
+
+    @pytest.mark.parametrize("cmd", ["verify", "falsify", "analyze"])
+    def test_write_error_is_one_line(self, cmd, line_file, tmp_path, capsys):
+        # the report path is a directory, so writing it raises OSError
+        code, out, err = run_cli(self.argv(cmd, line_file, tmp_path), capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(tmp_path) in err
 
 
 class TestVerify:

@@ -514,7 +514,15 @@ class TestFugledeSweeps:
                 if n:
                     lens.append(n)
             want[tuple(sorted(lens))] += 1
-        assert lemmas._cycle_type_counts(p, 2) == want
+        assert dict(lemmas._cycle_type_counts(p, 2)) == want
+
+    def test_cycle_types_cached_and_immutable(self):
+        types = lemmas._cycle_type_counts(5, 2)
+        assert lemmas._cycle_type_counts(5, 2) is types
+        assert isinstance(types, tuple)
+        assert all(isinstance(t, tuple) for t, _ in types)
+        assert len(dict(types)) == len(types)
+        assert sum(c for _, c in types) == 12000   # |AGL(2, 5)|
 
     def test_affine_class_counts_pinned(self):
         # values of the per-permutation cycle walk
@@ -715,6 +723,80 @@ class TestFalsify:
         rep = falsify_random(p, 3, size, 200, 7)
         assert rep.passed
         assert rep.details["outcomes"].get("witness", 0) == 0
+
+
+def _choice_loop(child, n, size, count):
+    """The reference sampler: one rng.choice per row, rows sorted."""
+    rng = np.random.Generator(np.random.PCG64(child))
+    return np.sort([rng.choice(n, size=size, replace=False)
+                    for _ in range(count)], axis=1)
+
+
+# every shape falsify draws: d = 3 and size mp, 2 <= m <= p - 1 (at
+# d = 2 the size filter rejects every trial before any draw)
+_FALSIFY_SHAPES = [(p, m * p) for p in (3, 5, 7) for m in range(2, p)]
+
+
+class TestChoiceRows:
+    @pytest.mark.parametrize("p,size", _FALSIFY_SHAPES)
+    def test_equals_choice_loop(self, p, size):
+        """The vectorized rows equal numpy's per-row rng.choice, sorted.
+
+        If this fails after a numpy upgrade while
+        test_pcg64_raw_words_pinned passes, Generator.choice changed how
+        it draws, and the falsify pins did not move: they read the raw
+        words through _choice_rows.  Only chunks that fall back to the
+        loop (none in a pinned run) would follow the new choice.
+        """
+        for seed in (0, 1, 20260712):
+            for child in np.random.SeedSequence(seed).spawn(2):
+                rows = lemmas._choice_rows(child, p ** 3, size, 300)
+                assert rows is not None
+                assert np.array_equal(np.sort(rows, axis=1),
+                                      _choice_loop(child, p ** 3, size, 300))
+
+    # children of SeedSequence(0), found by scanning: in 2,000 rows,
+    # child 155 has a rejected Floyd draw at 7/3/21 (row 150) and child
+    # 5241 a rejected shuffle draw at 7/3/42 (row 347); child 0 has none
+    @pytest.mark.parametrize("size,index,fallback", [
+        (21, 155, True), (42, 5241, True), (21, 0, False)])
+    def test_falsify_chunk_rows(self, monkeypatch, size, index, fallback):
+        child = np.random.SeedSequence(0, spawn_key=(index,))
+        assert (lemmas._choice_rows(child, 343, size, 2000) is None) == \
+            fallback
+        seen = []
+        real = lemmas.pruning_rule
+
+        def capture(spc, rows):
+            seen.append(rows.copy())
+            return real(spc, rows)
+
+        monkeypatch.setattr(lemmas, "pruning_rule", capture)
+        assert lemmas._falsify_chunk((7, 3, size, child, 2000))[0] == 2000
+        assert np.array_equal(np.concatenate(seen),
+                              _choice_loop(child, 343, size, 2000))
+
+    def test_large_population_not_vectorized(self):
+        # above 10,000 points choice may shuffle a full index array instead
+        child = np.random.SeedSequence(0)
+        assert lemmas._choice_rows(child, 10_001, 6, 5) is None
+        rows = lemmas._choice_rows(child, 10_000, 6, 5)
+        assert np.array_equal(np.sort(rows, axis=1),
+                              _choice_loop(child, 10_000, 6, 5))
+
+
+def test_pcg64_raw_words_pinned():
+    """Raw PCG64 words as falsify's sampler reads them.  numpy keeps bit
+    generator streams fixed across releases (NEP 19); a failure here
+    means the stream itself changed, and every falsify pin with it."""
+    words = [np.random.PCG64(seq).random_raw(3).tolist() for seq in (
+        np.random.SeedSequence(0), np.random.SeedSequence(999),
+        np.random.SeedSequence(1).spawn(2)[1])]
+    assert words == [
+        [11749869230777074271, 4976686463289251617, 755828109848996024],
+        [14366785777505629437, 3177426409875869023, 13163094698724657654],
+        [8776306313781188346, 11078900580537398888, 4521042850785140574],
+    ]
 
 
 class TestReportPlumbing:
