@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import socket
 import sys
 from datetime import datetime, timezone
@@ -25,7 +26,7 @@ from pathlib import Path
 from time import perf_counter
 
 from .fourier import zero_set
-from .geometry import direction_stats, line_sup, plane_sup
+from .geometry import _direction_counts, line_sup, plane_sup
 from .lemmas import (
     SweepBudgetError,
     falsify_random,
@@ -98,8 +99,8 @@ def cmd_analyze(args) -> int:
         "d": space.d,
         "size": E.size,
         "line_sup": line_sup(E),
-        "direction_count": (len(direction_stats(E).determined)
-                            if E.size >= 2 else 0),
+        "direction_count": int(
+            (_direction_counts(space.p, space.d, E.indices()) > 0).sum()),
         "zero_set_size": zero_set(E).size,
     }
     if space.d == 3:
@@ -200,11 +201,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "budget", 1) < 1:
         parser.error(f"argument --budget: must be >= 1, got {args.budget}")
-    # a missing report directory fails before the run, not after it
+    # a report path that cannot be written fails before the run, not after it
     report = args.report and Path(args.report)
-    if report and not report.parent.is_dir():
-        print(f"error: report directory {report.parent} does not exist",
-              file=sys.stderr)
+    problem = report and (
+        report.is_dir() and f"report path {report} is a directory"
+        or not report.parent.is_dir()
+        and f"report directory {report.parent} does not exist"
+        or not os.access(report.parent, os.W_OK)
+        and f"report directory {report.parent} is not writable")
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 1
     try:
         return args.func(args)

@@ -8,9 +8,8 @@ import numpy as np
 
 from .sets import PointSet
 from .space import Direction, Space, Subspace
-from .tables import (add_table, difference, dir_of_index,
-                     direction_orthogonality, direction_reps, line_sups,
-                     pair_indices, plane_counts)
+from .tables import (add_table, direction_reps, line_sups,
+                     orthogonal_direction_bits, pair_directions, plane_counts)
 
 # direction multiplicities -------------------------------------------------
 
@@ -31,22 +30,20 @@ class DirectionStats:
 def _direction_counts(p: int, d: int, rows) -> np.ndarray:
     """Per index row, the unordered pairs whose difference spans each
     direction id: rows of shape (..., m) give shape (..., n_dirs)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    lead, n = rows.shape[:-1], math.prod(rows.shape[:-1])
+    ids = pair_directions(p, d, rows)
+    lead, n = ids.shape[:-1], math.prod(ids.shape[:-1])
     n_dirs = len(direction_reps(p, d))
-    ii, jj = pair_indices(rows.shape[-1])
-    ids = dir_of_index(p, d)[difference(p, d, rows[..., ii], rows[..., jj])]
     # one bincount for all rows: row r counts into [r*n_dirs, (r+1)*n_dirs)
-    ids = ids.reshape(n, len(ii)) + n_dirs * np.arange(n)[:, None]
+    ids = ids.reshape(n, ids.shape[-1]) + n_dirs * np.arange(n)[:, None]
     return np.bincount(ids.ravel(), minlength=n * n_dirs).reshape(*lead, n_dirs)
 
 
-def _plane_direction_counts(p: int, d: int, counts: np.ndarray) -> np.ndarray:
-    """Per normal direction id, the determined directions (counts > 0)
-    lying in the plane through 0 with that normal; counts of shape
-    (..., n_dirs) give the same shape."""
-    # the orthogonality table is symmetric
-    return (counts > 0).astype(np.int64) @ direction_orthogonality(p, d)
+def _plane_direction_counts(p: int, d: int, dirs: np.ndarray) -> np.ndarray:
+    """Per normal direction id, the determined directions lying in the
+    plane through 0 with that normal, by popcount of one bit per
+    direction: pair_directions (..., C(m, 2)) give (..., n_dirs)."""
+    det = np.bitwise_or.reduce(np.uint64(1) << dirs.astype(np.uint64), -1)
+    return np.bitwise_count(det[..., None] & orthogonal_direction_bits(p, d))
 
 
 def direction_stats(E: PointSet) -> DirectionStats:
@@ -95,19 +92,17 @@ def plane_sup(E: PointSet) -> int:
 
 def concentration(E: PointSet) -> ConcentrationReport:
     """Line supremum, plus plane supremum and per-plane direction counts at d = 3."""
-    space = E.space
-    if space.d not in (2, 3):
+    p, d = E.space.p, E.space.d
+    if d not in (2, 3):
         raise ValueError("concentration is defined for d in {2, 3}")
     ls = line_sup(E)
-    if space.d == 2:
+    if d == 2:
         return ConcentrationReport(ls, None, None)
     ps = plane_sup(E)
     per_plane = None
     if E.size >= 2:
-        per = _plane_direction_counts(
-            space.p, space.d, _direction_counts(space.p, space.d, E.indices()))
-        per_plane = {int(r): int(c)
-                     for r, c in zip(direction_reps(space.p, space.d), per)}
+        per = _plane_direction_counts(p, d, pair_directions(p, d, E.indices()))
+        per_plane = {int(r): int(c) for r, c in zip(direction_reps(p, d), per)}
     return ConcentrationReport(ls, ps, per_plane)
 
 

@@ -867,10 +867,8 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
 # Randomized falsification.
 
 _FALSIFY_CHUNK = 2000
-# rows whose pruning rules are decided in one call; the packed plane
-# counts of a block are gathered as (size, rows, n_dirs) 8-byte words,
-# 0.9 MiB at 96 rows in falsify 7/3/21, so larger blocks raise peak
-# memory (max RSS +0.4 MiB at 128 rows) and save no time
+# rows per pruning_rule call: in falsify 7/3/21, 32 to 512 rows were no
+# faster than 96; 128, 256 and 512 raised peak RSS by 0.3, 2.6 and 5 MiB
 _PRUNE_BLOCK = 96
 
 

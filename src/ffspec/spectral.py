@@ -33,10 +33,10 @@ from functools import lru_cache
 import numpy as np
 
 from .fourier import zero_directions, zero_set
-from .geometry import _direction_counts, _plane_direction_counts
+from .geometry import _plane_direction_counts
 from .sets import PointSet
-from .tables import (bytes_at_least, coords_matrix, difference, dir_of_index,
-                     line_sups, pair_indices, plane_words)
+from .tables import (bytes_at_least, coords_matrix, difference, line_sups,
+                     pair_directions, pair_indices, plane_words)
 
 
 class InternalCheckError(RuntimeError):
@@ -83,13 +83,12 @@ def _pair_criterion(p: int, d: int, E_rows: np.ndarray,
     """Difference-set route, per row: every a_i - a_j lies in the zero
     set of E.
 
-    Differences come from index arithmetic (tables.difference) and are
-    looked up by direction in E's zero_directions columns, so this route
-    shares no difference step with the Gram route's coordinate rows.
+    Differences come from index arithmetic (tables.pair_directions) and
+    are looked up by direction in E's zero_directions columns, so this
+    route shares no difference step with the Gram route's coordinate rows.
     """
     zero = zero_directions(p, d, E_rows)                # (n_dirs, n)
-    ii, jj = pair_indices(A_rows.shape[1])
-    dirs = dir_of_index(p, d)[difference(p, d, A_rows[:, ii], A_rows[:, jj])]
+    dirs = pair_directions(p, d, A_rows)
     return zero[dirs, np.arange(len(A_rows))[:, None]].all(axis=1)
 
 
@@ -233,14 +232,14 @@ def pruning_rule(space, rows: np.ndarray) -> np.ndarray:
     """
     p, d = space.p, space.d
     m = rows.shape[-1] // p
-    ls = line_sups(p, d, rows)
+    dirs = pair_directions(p, d, rows)     # read by the line and plane rules
+    ls = line_sups(p, d, rows, dirs)
     rule = np.where(ls > min(m, p - m), 0, -1)
     if d == 3:
         # the plane rules see only the rows line concentration passed
         rest = np.flatnonzero(rule < 0)
-        sub = rows[rest]
-        words = plane_words(p, 3, sub)                     # (n, n_dirs)
-        per_plane = _plane_direction_counts(p, 3, _direction_counts(p, 3, sub))
+        words = plane_words(p, 3, rows[rest])              # (n, n_dirs)
+        per_plane = _plane_direction_counts(p, 3, dirs[rest])
         fired = np.array([
             bytes_at_least(p, words, p + 1).any(axis=-1),
             per_plane.max(axis=-1) > p,

@@ -18,8 +18,8 @@ indexed by point pairs.  The zero set of a Fourier transform,
 slab-p3 and the plane_concentration and slab_parity pruning rules read
 the words directly, through uniform_word and bytes_at_least;
 plane_counts is their byte view, which geometry.plane_sup reads.
-line_sups is the per-line half: the most points of an index row on one
-affine line, which line concentration reads.
+pair_directions is the one pair kernel: direction counts, line_sups (the
+most points of a row on one affine line) and plane directions read it.
 min_images is the one class key: the smallest-bitmask image of each
 index row under a permutation table, add_table for translation classes
 and affine_permutation_array for affine ones.  line_table is the one
@@ -120,24 +120,45 @@ def plane_counts(p: int, d: int, rows) -> np.ndarray:
     return counts.transpose(-2, *range(counts.ndim - 2), -1)
 
 
-def line_sups(p: int, d: int, rows) -> np.ndarray:
+def pair_directions(p: int, d: int, rows) -> np.ndarray:
+    """Direction id of every unordered pair of each index row, in
+    pair_indices order: (..., m) gives (..., C(m, 2)) int16.  Not cached."""
+    rows = np.asarray(rows, dtype=np.intp)
+    ii, jj = pair_indices(rows.shape[-1])
+    # int16 indices gather at half the speed of intp ones
+    diff = difference(p, d, rows[..., ii], rows[..., jj])
+    return dir_of_index(p, d)[diff.astype(np.intp)]
+
+
+def line_sups(p: int, d: int, rows, dirs=None) -> np.ndarray:
     """Most points of each index row on one affine line.
 
     rows holds point indices, shape (..., m); the result has shape (...).
-    Per direction the row's line ids are sorted, so r + 1 points share a
-    line exactly when s[..., r:] == s[..., :-r] holds somewhere.  Not
-    cached; the rows are the caller's.
+    dirs (pair_directions) names each pair's line.  t points share a line
+    exactly when C(t, 2) sorted line ids are equal: s[..., r:] ==
+    s[..., :-r] somewhere, for r = C(t, 2) - 1.  Not cached.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.intp)
     m = rows.shape[-1]
-    s = np.sort(line_of(p, d)[:, rows], axis=-1)      # (n_dirs, ..., m)
-    sup = np.full(rows.shape[:-1], min(m, 1), dtype=np.int64)
-    for r in range(1, min(m, p)):
-        hit = (s[..., r:] == s[..., :-r]).any(axis=(0, -1))
+    dirs = pair_directions(p, d, rows) if dirs is None else dirs
+    flat = p ** d * dirs.astype(np.intp) + rows[..., pair_indices(m)[0]]
+    s = np.sort(line_of(p, d).ravel()[flat], axis=-1)
+    sup = np.full(rows.shape[:-1], min(m, 2), dtype=np.int64)
+    for t in range(3, min(m, p) + 1):
+        r = t * (t - 1) // 2 - 1
+        hit = (s[..., r:] == s[..., :-r]).any(axis=-1)
         if not hit.any():
-            break                     # no run of r + 1, so none longer
+            break                     # no t points on a line, so no more
         sup += hit
     return sup
+
+
+@lru_cache(maxsize=None)
+def orthogonal_direction_bits(p: int, d: int) -> np.ndarray:
+    """(n_dirs,) uint64: bit j of entry k is set when rep_j . rep_k = 0,
+    for n_dirs <= 64 (every d = 3 space here)."""
+    orth = direction_orthogonality(p, d).astype(np.uint64)
+    return (orth << np.arange(len(orth), dtype=np.uint64)).sum(1, np.uint64)
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +246,8 @@ def pair_indices(n: int) -> tuple:
 
 def difference(p: int, d: int, a, b) -> np.ndarray:
     """Index of point a - point b, elementwise over broadcast index arrays."""
-    return add_table(p, d)[a, scale_tables(p, d)[p - 1][b]]
+    flat = np.asarray(a, dtype=np.intp) * p ** d + scale_tables(p, d)[p - 1][b]
+    return add_table(p, d).ravel()[flat]
 
 
 @lru_cache(maxsize=None)

@@ -177,6 +177,39 @@ class TestReportPath:
             "does not exist\n"
 
     @pytest.mark.parametrize("cmd", ["verify", "falsify", "analyze"])
+    def test_unwritable_path_fails_before_work(self, cmd, line_file,
+                                               tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the report check")
+
+        monkeypatch.setattr(cli, self.WORK[cmd], no_work)
+        code, out, err = run_cli(self.argv(cmd, line_file, tmp_path), capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: report path {tmp_path} is a directory\n"
+        # a directory without write access; os.access is patched because
+        # a root process may write anywhere
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        report = tmp_path / "x.json"
+        code, out, err = run_cli(self.argv(cmd, line_file, report), capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: report directory {tmp_path} is not writable\n"
+
+    @pytest.mark.parametrize("cmd", ["verify", "falsify", "analyze"])
+    def test_failed_write_is_one_line(self, cmd, line_file, tmp_path,
+                                      monkeypatch, capsys):
+        # the path passes the early check; the write itself fails
+        def refuse(self, text):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(cli.Path, "write_text", refuse)
+        report = tmp_path / "x.json"
+        code, out, err = run_cli(self.argv(cmd, line_file, report), capsys)
+        assert code == 1 and out == ""
+        assert err == "error: cannot write report: [Errno 13] Permission " \
+            f"denied: '{report}'\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("cmd", ["verify", "falsify", "analyze"])
     def test_write_error_is_one_line(self, cmd, line_file, tmp_path, capsys):
         # the report path is a directory, so writing it raises OSError
         code, out, err = run_cli(self.argv(cmd, line_file, tmp_path), capsys)

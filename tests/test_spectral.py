@@ -16,6 +16,7 @@ from ffspec import (
     zero_set,
 )
 from ffspec import spectral as spectral_mod
+from ffspec.lemmas import _PRUNE_BLOCK
 from ffspec.spectral import PRUNING_RULES, pruning_rule, spectral_pair_rows
 
 
@@ -382,38 +383,51 @@ class TestSyntheticViolators:
 
 
 def _oracle_rule(p, pts):
-    """First pruning rule that rejects a size-mp set of F_p^3, or None.
-
-    Slab parity is left out: no set sampled here reaches it.
-    """
+    """First pruning rule that rejects a size-mp set of F_p^3, or None."""
     m = len(pts) // p
-    if O.line_sup(p, 3, pts) > min(m, p - m):
+    ls = O.line_sup(p, 3, pts)
+    if ls > min(m, p - m):
         return "line_concentration"
     if O.plane_sup_3d(p, pts) > p:
         return "plane_concentration"
     dirs = O.direction_set(p, pts)
     normals = {O.canon_dir(p, v) for v in O.all_points(p, 3) if any(v)}
-    if any(sum(1 for v in dirs
-               if sum(a * b for a, b in zip(v, nrm)) % p == 0) > p
-           for nrm in normals):
+
+    def dot(v, nrm):
+        return sum(a * b for a, b in zip(v, nrm)) % p
+
+    if any(sum(1 for v in dirs if dot(v, nrm) == 0) > p for nrm in normals):
         return "plane_directions"
+    # inside m parallel planes, with m odd and line concentration 2
+    if ls == 2 and m % 2 == 1 and any(
+            len({dot(x, nrm) for x in pts}) <= m for nrm in normals):
+        return "slab_parity"
     return None
 
 
 class TestPruningRule:
-    def test_batch_matches_search_and_oracle(self, rng):
-        # random 21-point sets of F_7^3 are rejected by line concentration,
-        # plane concentration and plane directions in about 62/30/8 ratio
-        spc = Space(7, 3)
-        pts = O.all_points(7, 3)
-        rows = np.array([np.sort(rng.choice(spc.order, 21, replace=False))
-                         for _ in range(80)])
+    @pytest.mark.parametrize("p,size", [(3, 6), (5, 10), (5, 15), (5, 20),
+                                        (7, 14), (7, 21), (7, 28), (7, 35),
+                                        (7, 42)])
+    def test_batch_matches_search_and_oracle(self, p, size, rng):
+        # every d = 3 size falsify accepts; the decision of a row does not
+        # depend on the call: one call, falsify's blocks or one row each
+        spc = Space(p, 3)
+        pts = O.all_points(p, 3)
+        rows = np.array([np.sort(rng.choice(spc.order, size, replace=False))
+                         for _ in range(2 * _PRUNE_BLOCK + 8)], dtype=np.int16)
         rule = pruning_rule(spc, rows)
         names = [PRUNING_RULES[k] if k >= 0 else None for k in rule]
-        assert {"line_concentration", "plane_concentration",
-                "plane_directions"} <= set(names)
-        for row, name in zip(rows, names):
-            assert name == _oracle_rule(7, [pts[i] for i in row])
-        # the decision of a row does not depend on its block
+        assert names == [_oracle_rule(p, [pts[i] for i in row])
+                         for row in rows]
+        if (p, size) == (7, 21):
+            # random 21-point sets of F_7^3 are rejected by line
+            # concentration, plane concentration and plane directions in
+            # about 62/30/8 ratio
+            assert {"line_concentration", "plane_concentration",
+                    "plane_directions"} <= set(names)
+        blocks = [pruning_rule(spc, rows[lo:lo + _PRUNE_BLOCK])
+                  for lo in range(0, len(rows), _PRUNE_BLOCK)]
+        assert np.concatenate(blocks).tolist() == rule.tolist()
         assert [int(pruning_rule(spc, rows[i:i + 1])[0])
                 for i in range(len(rows))] == rule.tolist()

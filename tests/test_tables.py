@@ -9,8 +9,9 @@ import oracles as O
 from ffspec import PointSet, Space, canonical_form
 from ffspec.tables import (add_table, bytes_at_least, combination_array,
                            difference, direction_reps, line_sups, line_table,
-                           min_images, plane_counts, plane_word_table,
-                           plane_words, uniform_word)
+                           min_images, orthogonal_direction_bits,
+                           pair_directions, pair_indices, plane_counts,
+                           plane_word_table, plane_words, uniform_word)
 
 _ALL_SPACES = [(p, d) for p in (3, 5, 7) for d in (1, 2, 3)]
 
@@ -112,18 +113,58 @@ def _planted_row(rng, p, d, size, on_line):
 
 @pytest.mark.parametrize("p,d", _ALL_SPACES)
 def test_line_sups_oracle(p, d, rng):
+    # t planted collinear points for every t reach each run threshold
+    # C(t, 2) - 1 of the sorted pair line ids
     pts = O.all_points(p, d)
     n = p ** d
     for size in sorted({0, 1, 2, min(n, p + 1), min(n, 2 * p + 1)}):
-        rows = np.array([_planted_row(rng, p, d, size, int(rng.integers(size + 1)))
-                         for _ in range(8)], dtype=np.int64).reshape(8, size)
-        want = [O.line_sup(p, d, [pts[i] for i in row]) for row in rows]
-        got = line_sups(p, d, rows)
-        assert got.shape == (8,)
-        assert got.tolist() == want
-        assert [int(line_sups(p, d, row)) for row in rows] == want
-        assert np.array_equal(line_sups(p, d, rows.reshape(2, 4, size)),
-                              got.reshape(2, 4))
+        for t in range(min(size, p) + 1):
+            rows = np.array([_planted_row(rng, p, d, size, t)
+                             for _ in range(4)]).reshape(4, size)
+            want = [O.line_sup(p, d, [pts[i] for i in row]) for row in rows]
+            assert min(want) >= t
+            got = line_sups(p, d, rows)
+            assert got.shape == (4,)
+            assert got.tolist() == want
+            assert [int(line_sups(p, d, row)) for row in rows] == want
+            assert np.array_equal(line_sups(p, d, rows.reshape(2, 2, size)),
+                                  got.reshape(2, 2))
+            assert np.array_equal(
+                line_sups(p, d, rows, pair_directions(p, d, rows)), got)
+
+
+@pytest.mark.parametrize("p,d", _ALL_SPACES)
+def test_pair_directions_oracle(p, d, rng):
+    pts = O.all_points(p, d)
+    reps = [pts[i] for i in direction_reps(p, d)]
+    n = p ** d
+    for size in sorted({0, 1, 2, 3, min(n, p + 1), min(n, 2 * p + 1)}):
+        rows = np.array([np.sort(rng.choice(n, size, replace=False))
+                         for _ in range(6)]).reshape(6, size)
+        want = [[reps.index(O.canon_dir(p, tuple(
+                    (a - b) % p for a, b in zip(pts[row[i]], pts[row[j]]))))
+                 for i, j in zip(*pair_indices(size))] for row in rows]
+        for dtype in (np.int16, np.int64):
+            got = pair_directions(p, d, rows.astype(dtype))
+            assert got.shape == (6, size * (size - 1) // 2)
+            assert got.tolist() == want
+            assert np.array_equal(
+                pair_directions(p, d, rows.astype(dtype).reshape(2, 3, size)),
+                got.reshape(2, 3, -1))
+            assert pair_directions(p, d, rows[0].astype(dtype)).tolist() \
+                == want[0]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_orthogonal_direction_bits_oracle(p):
+    pts = O.all_points(p, 3)
+    reps = [pts[i] for i in direction_reps(p, 3)]
+    bits = orthogonal_direction_bits(p, 3)
+    assert bits.dtype == np.uint64 and bits.shape == (len(reps),)
+    for k, normal in enumerate(reps):
+        want = sum(1 << j for j, rep in enumerate(reps)
+                   if sum(a * b for a, b in zip(rep, normal)) % p == 0)
+        assert int(bits[k]) == want
 
 
 # sha256 of line_table(p, d).tobytes() as built by the per-base-point
