@@ -36,14 +36,15 @@ from .spectral import (PRUNING_RULES, InternalCheckError,
                        _clique_in_zero_set, _validate_witness_rows,
                        allowed_spectral_sizes, pruning_rule, spectrum_search)
 from .tables import (
+    WORD_BLOCK,
     add_table,
     affine_permutation_array,
     bytes_at_least,
     combination_array,
     coords_matrix,
     direction_masks,
-    direction_orthogonality,
     min_images,
+    orthogonal_direction_bits,
     plane_word_table,
     plane_words,
     uniform_word,
@@ -197,7 +198,7 @@ def _planar_eval(words: np.ndarray, no_k: int):
 
 
 # rows per _planar_eval call: (4096, 8) words stay in cache
-_EVAL_BLOCK = 1 << 12
+_EVAL_BLOCK = WORD_BLOCK
 
 
 def _prefix_eval(prefixes: list, tails: np.ndarray, no_k: int) -> list:
@@ -248,7 +249,7 @@ _ANCHOR = (0, 1, 7)
 
 
 def _anchored_chunk(tail_size: int):
-    rest = np.array([i for i in range(49) if i not in _ANCHOR], np.intp)
+    rest = np.array([i for i in range(49) if i not in _ANCHOR], np.int8)
     tails = rest[combination_array(46, tail_size)]
     return _prefix_eval([_ANCHOR], tails, 3 if tail_size == 2 else 4)[0]
 
@@ -488,9 +489,9 @@ def _slab_chunk(args):
     words = plane_words(3, 3, combs)                   # (rows, 13)
     # equidistributed along a direction: two points on each of its planes
     zero = words == uniform_word(3, 2)
-    orth = direction_orthogonality(3, 3).astype(np.int8)
-    per_plane = zero @ orth                            # orth is symmetric
-    hyp = (per_plane >= 2).any(axis=-1)
+    bits = np.packbits(zero, axis=-1, bitorder="little").view("<u2")
+    orth = orthogonal_direction_bits(3, 3).astype(np.uint16)
+    hyp = (np.bitwise_count(bits & orth) >= 2).any(axis=-1)
     # inside two parallel planes: some plane count is 0
     concl = (bytes_at_least(3, words, 1) < 3).any(axis=-1)
     viol = hyp & ~concl
@@ -503,7 +504,7 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
     t0 = perf_counter()
     card = math.comb(27, 6)
     combination_array(27, 6)
-    plane_word_table(3, 3), direction_orthogonality(3, 3)
+    plane_word_table(3, 3), orthogonal_direction_bits(3, 3)
     total, hyp, cex = _sweep(
         _slab_chunk, list(_blocks(card, _SLAB_BLOCK)), workers, card)
     details = {
@@ -676,6 +677,8 @@ def _fug32_chunk(size: int):
 # size 5, C(24, 4) = 10,626 anchored sets, is nearly all the work: it
 # splits into six chunks, so two workers both get a share
 _FUG52_BLOCK = 1 << 11
+# maps per _cycle_type_counts block: a few hundred kB of scratch at p = 7
+_MAP_BLOCK = 1 << 10
 
 
 def _fug52_both_filtered(size: int) -> bool:
@@ -704,24 +707,28 @@ def _cycle_type_counts(p: int, d: int) -> tuple:
     cycle lengths), as (cycle type, count) pairs; a tuple, so the cached
     value cannot be changed by a caller.
 
-    All the permutations act as one permutation of maps x p^d points.
-    Pointer doubling finds each point's least orbit point: after r
-    rounds low[x] = min(x, g x, ..., g^(2^r - 1) x), and 2^r >= p^d
-    covers every cycle.  Cycle lengths are then the sizes of the classes
-    of low, counted at the cycles' least points.
+    A block of permutations acts as one permutation of maps x p^d
+    points.  Pointer doubling finds each point's least orbit point:
+    after r rounds low[x] = min(x, g x, ..., g^(2^r - 1) x), and
+    2^r >= p^d covers every cycle.  Cycle lengths are then the sizes of
+    the classes of low, counted at the cycles' least points.
     """
     perms = affine_permutation_array(p, d)
     maps, n = perms.shape
-    step = (perms + n * np.arange(maps, dtype=np.int32)[:, None]).ravel()
-    low = np.arange(maps * n, dtype=np.int32)
-    for _ in range((n - 1).bit_length()):
-        low = np.minimum(low, low.take(step))
-        step = step.take(step)
-    size = np.bincount(low, minlength=maps * n)
-    least = np.flatnonzero(size)
+    offsets = n * np.arange(_MAP_BLOCK, dtype=np.int32)[:, None]
     # [map, l]: cycles of length l, at most p^d of them
-    per_map = np.bincount(least // n * (n + 1) + size[least],
-                          minlength=maps * (n + 1)).astype(np.int8)
+    per_map = np.empty((maps, n + 1), dtype=np.int8)
+    for lo, hi in _blocks(maps, _MAP_BLOCK):
+        step = (perms[lo:hi] + offsets[:hi - lo]).ravel()
+        low = np.arange(step.size, dtype=np.int32)
+        for _ in range((n - 1).bit_length()):
+            low = np.minimum(low, low.take(step))
+            step = step.take(step)
+        size = np.bincount(low, minlength=step.size)
+        least = np.flatnonzero(size)
+        per_map[lo:hi] = np.bincount(least // n * (n + 1) + size[least],
+                                     minlength=per_map[lo:hi].size
+                                     ).reshape(-1, n + 1)
     types, mult = np.unique(per_map.view(np.dtype((np.void, n + 1))),
                             return_counts=True)
     return tuple(

@@ -9,12 +9,13 @@ plane_words is the one equidistribution count: how many points of an
 index row lie on each hyperplane x . rep = c, for every canonical
 direction rep at once.  The p counts of one direction are packed as
 bytes of one little-endian word (byte c counts the plane x . rep = c),
-gathered from plane_word_table and summed over the row.  A plane of
-F_p^d holds at most p^(d-1) <= 49 points, so no byte carries into the
-next.  In F_7^2 the planes are lines, so the words also count the
-points of a row on every line; lm1, lm2 and proj21 read them (proj21
-adds the words of its three support rows), and no table here is
-indexed by point pairs.  The zero set of a Fourier transform,
+gathered from plane_word_table and summed over the row.  Its scratch
+is one WORD_BLOCK = 4,096-row gather, whatever the caller passes.  A
+plane of F_p^d holds at most p^(d-1) <= 49 points, so no byte carries
+into the next.  In F_7^2 the planes are lines, so the words also
+count the points of a row on every line; lm1, lm2 and proj21 read them
+(proj21 adds the words of its three support rows), and no table here
+is indexed by point pairs.  The zero set of a Fourier transform,
 slab-p3 and the plane_concentration and slab_parity pruning rules read
 the words directly, through uniform_word and bytes_at_least;
 plane_counts is their byte view, which geometry.plane_sup reads.
@@ -76,15 +77,25 @@ def plane_word_table(p: int, d: int) -> np.ndarray:
     return out
 
 
+WORD_BLOCK = 1 << 12
+
+
 def plane_words(p: int, d: int, rows) -> np.ndarray:
     """Packed plane counts of index rows: shape (..., m) gives (..., n_dirs).
 
     Byte c of word [..., k] counts the points x of the row with
     x . rep_k = c.  Gathered with the point axis first and summed over
-    it.  Not cached; the rows are the caller's.
+    it, WORD_BLOCK rows at a time.  Not cached; the rows are the caller's.
     """
     table = plane_word_table(p, d)
-    rows = np.asarray(rows, dtype=np.intp)
+    rows = np.asarray(rows)
+    if rows.size > rows.shape[-1] * WORD_BLOCK:      # over WORD_BLOCK rows
+        flat = rows.reshape(-1, rows.shape[-1])
+        out = np.empty((len(flat), table.shape[1]), dtype=table.dtype)
+        for a in range(0, len(flat), WORD_BLOCK):
+            out[a:a + WORD_BLOCK] = plane_words(p, d, flat[a:a + WORD_BLOCK])
+        return out.reshape(*rows.shape[:-1], -1)
+    rows = rows.astype(np.intp, copy=False)
     # transpose, not np.moveaxis: a one-row call is a few microseconds
     points_first = rows.transpose(-1, *range(rows.ndim - 1))
     return table[points_first].sum(axis=0, dtype=table.dtype)
@@ -157,7 +168,8 @@ def line_sups(p: int, d: int, rows, dirs=None) -> np.ndarray:
 def orthogonal_direction_bits(p: int, d: int) -> np.ndarray:
     """(n_dirs,) uint64: bit j of entry k is set when rep_j . rep_k = 0,
     for n_dirs <= 64 (every d = 3 space here)."""
-    orth = direction_orthogonality(p, d).astype(np.uint64)
+    reps = coords_matrix(p, d)[direction_reps(p, d)].astype(np.int64)
+    orth = ((reps @ reps.T) % p == 0).astype(np.uint64)
     return (orth << np.arange(len(orth), dtype=np.uint64)).sum(1, np.uint64)
 
 
@@ -303,14 +315,6 @@ def dir_of_index(p: int, d: int) -> np.ndarray:
     for k, rep in enumerate(direction_reps(p, d)):
         out[scl[1:, rep]] = k
     return out
-
-
-@lru_cache(maxsize=None)
-def direction_orthogonality(p: int, d: int) -> np.ndarray:
-    """(n_dirs, n_dirs) bool: rep_i . rep_j = 0."""
-    coords = coords_matrix(p, d).astype(np.int64)
-    reps = coords[direction_reps(p, d)]
-    return ((reps @ reps.T) % p) == 0
 
 
 @lru_cache(maxsize=None)

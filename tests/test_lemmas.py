@@ -40,7 +40,8 @@ from ffspec.lemmas import (
     translation_class_counts,
 )
 from ffspec.spectral import spectrum_search
-from ffspec.tables import affine_permutation_array, combination_array, plane_words
+from ffspec.tables import (affine_permutation_array, combination_array,
+                           plane_word_table, plane_words)
 
 
 class TestLm1:
@@ -122,6 +123,11 @@ class TestLm2:
         assert d["collinear_triples"] == 362625
         assert d["direction_histogram"] == {
             "6": 90, "7": 6450, "8": 115805}
+
+    def test_anchored_tails_stay_int8(self, traced_peak):
+        # intp tails alone would take 5.2 MB
+        combination_array(46, 4), plane_word_table(7, 2)
+        assert traced_peak(lemmas._anchored_chunk, 4) < 4e6
 
     def test_direct_stratum(self):
         rep = verify_lm2(mode="direct", stratum=(0, 200))
@@ -501,7 +507,7 @@ class TestFugledeSweeps:
         assert affine_class_counts(3, 2, (3, 4)) == {3: 2, 4: 2}
 
     @pytest.mark.parametrize("p", [3, 5])
-    def test_cycle_types_match_walk(self, p):
+    def test_cycle_types_match_walk(self, p, monkeypatch):
         # reference: walk each permutation's cycles in Python
         want = Counter()
         for perm in affine_permutation_array(p, 2).tolist():
@@ -514,7 +520,16 @@ class TestFugledeSweeps:
                 if n:
                     lens.append(n)
             want[tuple(sorted(lens))] += 1
-        assert dict(lemmas._cycle_type_counts(p, 2)) == want
+        types = lemmas._cycle_type_counts(p, 2)
+        assert dict(types) == want
+        # 7 divides neither 432 nor 12,000 maps: a short last block
+        monkeypatch.setattr(lemmas, "_MAP_BLOCK", 7)
+        assert lemmas._cycle_type_counts.__wrapped__(p, 2) == types
+
+    def test_cycle_types_scratch_is_one_block(self, traced_peak):
+        # all 12,000 maps at once would take 8.2 MB of scratch
+        affine_permutation_array(5, 2)
+        assert traced_peak(lemmas._cycle_type_counts.__wrapped__, 5, 2) < 3e6
 
     def test_cycle_types_cached_and_immutable(self):
         types = lemmas._cycle_type_counts(5, 2)

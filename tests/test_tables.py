@@ -7,9 +7,10 @@ import pytest
 
 import oracles as O
 from ffspec import PointSet, Space, canonical_form
-from ffspec.tables import (add_table, bytes_at_least, combination_array,
-                           difference, direction_reps, line_sups, line_table,
-                           min_images, orthogonal_direction_bits,
+from ffspec.tables import (WORD_BLOCK, add_table, bytes_at_least,
+                           combination_array, difference, direction_reps,
+                           line_sups, line_table, min_images,
+                           orthogonal_direction_bits,
                            pair_directions, pair_indices, plane_counts,
                            plane_word_table, plane_words, uniform_word)
 
@@ -83,6 +84,27 @@ def test_plane_word_table(p, d):
                               _oracle_plane_counts(p, d, [x]))
     assert (plane_words(p, d, np.arange(p ** d))
             == uniform_word(p, p ** (d - 1))).all()
+
+
+@pytest.mark.parametrize("p,d,m", [(3, 3, 6), (7, 2, 7)])
+def test_plane_words_row_blocks_match_one_gather(p, d, m, rng):
+    table = plane_word_table(p, d)
+    for n in (WORD_BLOCK - 1, WORD_BLOCK, WORD_BLOCK + 1, 2 * WORD_BLOCK + 3):
+        rows = rng.integers(p ** d, size=(n, m)).astype(np.int8)
+        want = table[rows.T.astype(np.intp)].sum(axis=0, dtype=table.dtype)
+        got = plane_words(p, d, rows)
+        assert got.dtype == table.dtype
+        assert np.array_equal(got, want), n
+        # a leading batch shape is flattened into the same row blocks
+        batch = plane_words(p, d, np.stack([rows, rows[::-1]]))
+        assert np.array_equal(batch, np.stack([want, want[::-1]])), n
+
+
+def test_plane_words_scratch_is_one_block(traced_peak):
+    # 32,768 rows gathered at once would take 10.2 MB of scratch
+    rows = combination_array(27, 6)[:32768]
+    plane_word_table(3, 3)
+    assert traced_peak(plane_words, 3, 3, rows) < 5e6
 
 
 @pytest.mark.parametrize("p,d", _ALL_SPACES)
