@@ -483,10 +483,39 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
 _SLAB_BLOCK = 1 << 15
 
 
+@lru_cache(maxsize=None)
+def _through_origin(n: int, size: int) -> np.ndarray:
+    """The size-subsets of range(n) that contain 0, lexicographic."""
+    return np.pad(combination_array(n - 1, size - 1) + 1, ((0, 0), (1, 0)))
+
+
+def _per_set(n: int) -> int:
+    """A translation-invariant count over the six-sets of F_3^3 through 0
+    as one over all: (E, e in E) -> (E - e, e) makes 6 C(27,6) = 27 C(26,5)."""
+    if 27 * n % 6:
+        raise InternalCheckError(f"{n} sets through 0 weigh to no whole count")
+    return 27 * n // 6
+
+
+def _translates(p: int, d: int, cex: list) -> list:
+    """cex with every translate of each "set", once each, in row order."""
+    out = {tuple(row): c for c in cex
+           for row in np.sort(add_table(p, d)[:, c["set"]], axis=1).tolist()}
+    return [{**c, "set": list(row)} for row, c in sorted(out.items())]
+
+
+def _f33_sweep(fn, workers: int) -> tuple:
+    """fn over the six-sets of F_3^3 through 0, reported as over all."""
+    n = math.comb(26, 5)
+    _through_origin(27, 6)          # built once, before a pool forks
+    *counts, cex = _sweep(fn, list(_blocks(n, _SLAB_BLOCK)), workers, n)
+    return [_per_set(c) for c in counts], _translates(3, 3, cex)
+
+
 def _slab_chunk(args):
     lo, hi = args
-    combs = combination_array(27, 6)[lo:hi]
-    words = plane_words(3, 3, combs)                   # (rows, 13)
+    rows = _through_origin(27, 6)[lo:hi]
+    words = plane_words(3, 3, rows)                    # (rows, 13)
     # equidistributed along a direction: two points on each of its planes
     zero = words == uniform_word(3, 2)
     bits = np.packbits(zero, axis=-1, bitorder="little").view("<u2")
@@ -495,18 +524,16 @@ def _slab_chunk(args):
     # inside two parallel planes: some plane count is 0
     concl = (bytes_at_least(3, words, 1) < 3).any(axis=-1)
     viol = hyp & ~concl
-    return hi - lo, int(hyp.sum()), [{"set": r.tolist()} for r in combs[viol]]
+    return len(rows), int(hyp.sum()), [{"set": r.tolist()} for r in rows[viol]]
 
 
 def verify_slab_p3(workers: int = 1) -> LemmaReport:
     """Six-point subsets of F_3^3 equidistributed along at least two
-    directions of one plane are contained in two parallel planes."""
+    directions of one plane are contained in two parallel planes.
+    Both predicates are translation invariant: see _f33_sweep."""
     t0 = perf_counter()
-    card = math.comb(27, 6)
-    combination_array(27, 6)
     plane_word_table(3, 3), orthogonal_direction_bits(3, 3)
-    total, hyp, cex = _sweep(
-        _slab_chunk, list(_blocks(card, _SLAB_BLOCK)), workers, card)
+    (total, hyp), cex = _f33_sweep(_slab_chunk, workers)
     details = {
         "enumerated_sets": total,
         "hypothesis_sets": hyp,
@@ -515,7 +542,7 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
         "parallel_planes_allowed": 2,
     }
     return LemmaReport(
-        "slab-p3", "6-point subsets of F_3^3", card, "none", card,
+        "slab-p3", "6-point subsets of F_3^3", total, "none", total,
         _coord_cex(3, 3, cex), details, round(perf_counter() - t0, 3), workers)
 
 
@@ -590,13 +617,6 @@ def _spectra_by_zero_set(spc: Space, rows: np.ndarray,
     return nodes, spectra
 
 
-# bounded like the clique stage; F_5^2 has 2,130 classes of 5-sets
-@lru_cache(maxsize=4096)
-def _class_tiling(spc: Space, rep: tuple):
-    """tiling_search on the representative of one translation class."""
-    return tiling_search(_pointset(spc, rep))
-
-
 def _tiles_by_class(spc: Space, rows: np.ndarray) -> np.ndarray:
     """Tiling verdict of every index row, searched once per translation
     class.
@@ -610,7 +630,7 @@ def _tiles_by_class(spc: Space, rows: np.ndarray) -> np.ndarray:
     reps = min_images(add_table(spc.p, spc.d), rows)
     members, complements = [], []
     for first, group in zip(*_groups(reps)):
-        cert = _class_tiling(spc, tuple(reps[first].tolist()))
+        cert = tiling_search(_pointset(spc, reps[first]))
         if _found(cert.verdict):
             members.extend(group.tolist())
             complements.extend([cert.witness.indices()] * len(group))
@@ -630,13 +650,13 @@ def _tiles_by_class(spc: Space, rows: np.ndarray) -> np.ndarray:
 def _fug33_chunk(args):
     lo, hi = args
     spc = Space(3, 3)
-    combs = combination_array(27, 6)[lo:hi]
-    zero, none = _immediate_none(spc, combs)
+    rows = _through_origin(27, 6)[lo:hi]
+    zero, none = _immediate_none(spc, rows)
     keep = np.flatnonzero(~none)
-    nodes, spectra = _spectra_by_zero_set(spc, combs[keep], zero[:, keep])
-    wits = [{"set": combs[keep[i]].tolist(), "spectrum": spectrum}
+    nodes, spectra = _spectra_by_zero_set(spc, rows[keep], zero[:, keep])
+    wits = [{"set": rows[keep[i]].tolist(), "spectrum": spectrum}
             for i, spectrum in spectra.items()]
-    return hi - lo, len(keep), nodes, wits
+    return len(rows), len(keep), nodes, wits
 
 
 def _spectral_vs_tile(spc: Space, rows: np.ndarray) -> tuple:
@@ -674,9 +694,9 @@ def _fug32_chunk(size: int):
     return len(rows), {str(size): {"sets": len(rows), **counts}}, cex
 
 
-# size 5, C(24, 4) = 10,626 anchored sets, is nearly all the work: it
-# splits into six chunks, so two workers both get a share
-_FUG52_BLOCK = 1 << 11
+# size 5, 2,130 classes of C(24, 4) = 10,626 anchored sets, is nearly all
+# the work: six chunks of classes, keyed 2,048 rows at a time
+_FUG52_BLOCK, _KEY_BLOCK = 384, 1 << 11
 # maps per _cycle_type_counts block: a few hundred kB of scratch at p = 7
 _MAP_BLOCK = 1 << 10
 
@@ -688,6 +708,15 @@ def _fug52_both_filtered(size: int) -> bool:
             and not size_can_tile(spc, size))
 
 
+@lru_cache(maxsize=None)
+def _fug52_classes(size: int) -> list:
+    """Each translation class's positions in _through_origin(25, size)."""
+    rows = _through_origin(25, size)
+    keys = [min_images(add_table(5, 2), rows[a:b])
+            for a, b in _blocks(len(rows), _KEY_BLOCK)]
+    return _groups(np.concatenate(keys))[1]
+
+
 def _fug52_chunk(args):
     size, lo, hi = args
     if _fug52_both_filtered(size):
@@ -695,10 +724,10 @@ def _fug52_chunk(args):
         # and both searches reject it by size
         return hi - lo, {str(size): {"anchored": hi - lo, "searched": hi - lo,
                                      "spectral": 0, "tiles": 0}}, []
-    tails = combination_array(24, size - 1)[lo:hi].astype(np.int16) + 1
-    rows = np.hstack([np.zeros((tails.shape[0], 1), np.int16), tails])
+    members = np.concatenate(_fug52_classes(size)[lo:hi])
+    rows = _through_origin(25, size)[members]
     counts, cex = _spectral_vs_tile(Space(5, 2), rows)
-    return hi - lo, {str(size): {"anchored": hi - lo, **counts}}, cex
+    return len(rows), {str(size): {"anchored": len(rows), **counts}}, cex
 
 
 @lru_cache(maxsize=None)
@@ -782,12 +811,12 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     equivalence.  (5,2): translation-anchored representatives (subsets
     containing the origin), covering every set up to translation; both
     predicates are translation invariant.  (3,3): size 6 only, assert no
-    spectra exist.
+    spectra exist, read from the sets through the origin (_f33_sweep).
 
     Each chunk runs the spectral clique stage once per distinct zero set
     and, in (3,2) and (5,2), the tiling search once per translation class
-    (memoized per process), then verifies every witness against its own
-    set, both ways.  Reports count per set, as a per-set search would.
+    (a (5,2) chunk takes whole classes), then checks every witness against
+    its own set, both ways.  Reports count per set, as a per-set search would.
     Raises SweepBudgetError if a search runs out of budget.
     """
     t0 = perf_counter()
@@ -798,11 +827,11 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     if key == (3, 3):
         if sizes != (6,):
             raise ValueError("F_3^3 sweep supports size 6 only")
-        card = math.comb(27, 6)
-        combination_array(27, 6)
         plane_word_table(3, 3), direction_masks(3, 3)
-        total, searched, nodes, wits = _sweep(
-            _fug33_chunk, list(_blocks(card, _SLAB_BLOCK)), workers, card)
+        (total, searched, nodes), wits = _f33_sweep(_fug33_chunk, workers)
+        if wits:
+            _validate_witness_rows(3, 3, [w["set"] for w in wits],
+                                   [w["spectrum"] for w in wits])
         cex = _coord_cex(3, 3, wits)
         details = {
             "sizes": {"6": {
@@ -815,7 +844,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
             "pruning": "off",
         }
         return LemmaReport(
-            "fuglede-3-3", "6-point subsets of F_3^3", card, "none", card,
+            "fuglede-3-3", "6-point subsets of F_3^3", total, "none", total,
             cex, details, round(perf_counter() - t0, 3), workers)
 
     if key == (3, 2):
@@ -833,20 +862,16 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     if key == (5, 2):
         if not sizes or not all(1 <= s <= 25 for s in sizes):
             raise ValueError("F_5^2 sweep needs sizes within 1..25")
-        chunks = []
-        for s in sizes:
-            total = math.comb(24, s - 1)
-            if _fug52_both_filtered(s):
-                # no set of this size is built, so it is one chunk
-                chunks.append((s, 0, total))
-            else:
-                combination_array(24, s - 1)
-                chunks += [(s, lo, hi)
-                           for lo, hi in _blocks(total, _FUG52_BLOCK)]
+        # a size of which no set is built is one chunk of rows, any other
+        # chunks of whole classes; the sort restores the order of the sets
+        chunks = [(s, lo, hi) for s in sizes for lo, hi in (
+            [(0, math.comb(24, s - 1))] if _fug52_both_filtered(s)
+            else _blocks(len(_fug52_classes(s)), _FUG52_BLOCK))]
         plane_word_table(5, 2), direction_masks(5, 2)
         anchored, per_size, cex = _sweep(
             _fug52_chunk, chunks, workers,
             sum(math.comb(24, s - 1) for s in sizes))
+        cex.sort(key=lambda c: (len(c["set"]), c["set"]))
         details = {
             "sizes": per_size,
             "pruning": "off",

@@ -262,12 +262,6 @@ class TestVerify:
 class TestInternalFailure:
     """Exit 3: an internal check failed or a sweep ran out of budget."""
 
-    @pytest.fixture(autouse=True)
-    def cold_tiling_memo(self):
-        lemmas._class_tiling.cache_clear()
-        yield
-        lemmas._class_tiling.cache_clear()
-
     def run_f32(self, tmp_path, capsys):
         rp = tmp_path / "f32.json"
         code, out, err = run_cli(

@@ -25,23 +25,26 @@ from ffspec import (
 from ffspec import lemmas, spectral
 from ffspec.fourier import zero_set
 from ffspec.lemmas import (
-    _class_tiling,
+    _coord_cex,
     _decode_profile,
     _direct_chunk_list,
     _direct_task,
     _fillings,
     _fold,
     _fug33_chunk,
+    _fug52_chunk,
+    _per_set,
     _planar_eval,
     _proj21_chunk,
     _slab_chunk,
     _sweep,
+    _through_origin,
     affine_class_counts,
     translation_class_counts,
 )
 from ffspec.spectral import spectrum_search
 from ffspec.tables import (affine_permutation_array, combination_array,
-                           plane_word_table, plane_words)
+                           plane_word_table, plane_words, uniform_word)
 
 
 class TestLm1:
@@ -593,10 +596,9 @@ def _row_pairs(monkeypatch, module, name):
 
 @pytest.fixture
 def cold_caches():
-    """Empty the per-process search memos before and after a test, so
-    counts start cold and patched verdicts do not leak."""
+    """Empty the per-process clique-stage memo before and after a test,
+    so counts start cold and patched verdicts do not leak."""
     def clear():
-        _class_tiling.cache_clear()
         spectral._clique_in_zero_set.cache_clear()
     clear()
     yield clear
@@ -605,11 +607,13 @@ def cold_caches():
 
 class TestGroupedSweeps:
     def test_fug33_chunk_matches_per_row_search(self, monkeypatch):
-        lo, hi = 150000, 153000
+        # chunk ranges index the six-sets through the origin
+        lo, hi = 32000, 35000
         space = Space(3, 3)
         total = searched = nodes = 0
         zero_sets = set()
-        for row in combination_array(27, 6)[lo:hi]:
+        for row in _through_origin(27, 6)[lo:hi]:
+            assert row[0] == 0
             E = PointSet.from_indices(space, row.tolist())
             z = zero_set(E)
             cert = spectrum_search(E)
@@ -637,6 +641,23 @@ class TestGroupedSweeps:
             "tiles": 3426}
         assert _result_sha256(rep) == (
             "c2da90faa101ce54765397eaf67742909146aa2faa341040692a9d5363875256")
+
+    def test_f52_chunks_hold_whole_classes(self, monkeypatch):
+        # chunks run one at a time: each searches only its own classes
+        searched = _counting(monkeypatch, "tiling_search")
+        per_chunk = []
+
+        def chunk(args):
+            start = len(searched)
+            out = _fug52_chunk(args)
+            per_chunk.append({E.mask for (E,) in searched[start:]})
+            return out
+
+        monkeypatch.setattr(lemmas, "_fug52_chunk", chunk)
+        verify_fuglede_small(5, 2, (5,))
+        assert len(per_chunk) == 6
+        assert sum(map(len, per_chunk)) == len(set().union(*per_chunk)) \
+            == translation_class_counts(5, 2, (5,))[5] == 2130
 
     def test_f52_size5_same_at_one_and_two_workers(self, cold_caches):
         one = verify_fuglede_small(5, 2, (5,), workers=1)
@@ -836,6 +857,79 @@ def _result_sha256(rep) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _full_enumeration(monkeypatch):
+    """Point the F_3^3 chunks at all 296,010 six-sets instead of those
+    through the origin; returns their number."""
+    full = combination_array(27, 6)
+    monkeypatch.setattr(lemmas, "_through_origin", lambda n, size: full)
+    return len(full)
+
+
+class TestOriginSweeps:
+    """slab-p3 and fuglede-3-3 sweep the six-sets through the origin and
+    weigh their counts by 27/6."""
+
+    def test_rows_are_the_sets_through_the_origin(self):
+        full = combination_array(27, 6)
+        assert _through_origin(27, 6).tolist() \
+            == full[full[:, 0] == 0].tolist()
+        assert len(full[full[:, 0] == 0]) == math.comb(26, 5) == 65780
+
+    def test_counts_weigh_to_the_full_enumeration(self, monkeypatch):
+        n = math.comb(26, 5)
+        slab, f33 = _slab_chunk((0, n)), _fug33_chunk((0, n))
+        full = _full_enumeration(monkeypatch)
+        full_slab, full_f33 = _slab_chunk((0, full)), _fug33_chunk((0, full))
+        assert full_slab[:2] == (296010, 203346)
+        assert full_slab[:2] == tuple(_per_set(c) for c in slab[:2])
+        assert full_f33[:3] == tuple(_per_set(c) for c in f33[:3])
+
+    @pytest.mark.parametrize("n", [1, 3, 65779])
+    def test_per_set_rejects_fractional_weights(self, n):
+        with pytest.raises(InternalCheckError):
+            _per_set(n)
+
+    def test_slab_counterexamples_as_full_enumeration(self, monkeypatch):
+        # a translation-invariant conclusion that fails exactly on the
+        # sets equidistributed along 9 directions
+        real = lemmas.bytes_at_least
+
+        def failing(p, words, k):
+            many = (words == uniform_word(3, 2)).sum(axis=-1) >= 9
+            return np.where(many[:, None], 3, real(p, words, k))
+
+        monkeypatch.setattr(lemmas, "bytes_at_least", failing)
+        rep = verify_slab_p3()
+        _, _, want = _slab_chunk((0, _full_enumeration(monkeypatch)))
+        assert len(want) == 468
+        assert rep.counterexamples == _coord_cex(3, 3, want)
+
+    def test_fug33_witnesses_as_full_enumeration(self, monkeypatch,
+                                                 cold_caches):
+        # a translation-invariant fake: a spectrum for every zero set of
+        # 9 directions, made from the zero set alone; validation records
+        real = lemmas._clique_in_zero_set
+
+        def clique(spc, zmask, n, budget):
+            if bin(zmask).count("1") == 18:
+                return "witness", [zmask.bit_length() - 1, 0], 1
+            return real(spc, zmask, n, budget)
+
+        validated = []
+        monkeypatch.setattr(lemmas, "_clique_in_zero_set", clique)
+        monkeypatch.setattr(lemmas, "_validate_witness_rows",
+                            lambda p, d, E, A: validated.append(
+                                (np.asarray(E).tolist(), list(A))))
+        rep = verify_fuglede_small(3, 3, (6,))
+        last = validated[-1]
+        _, _, _, want = _fug33_chunk((0, _full_enumeration(monkeypatch)))
+        assert len(want) == rep.details["sizes"]["6"]["spectral"] == 468
+        assert rep.counterexamples == _coord_cex(3, 3, want)
+        # every translate is validated, in one call
+        assert last == ([w["set"] for w in want],
+                        [w["spectrum"] for w in want])
+
+
 def _slab_chunk_dropping_last(args):
     lo, hi = args
     return _slab_chunk((lo, hi - 1))
@@ -879,6 +973,10 @@ class TestSweepDriver:
         assert _sweep(_slab_chunk, chunks, 1, expected=200)[0] == 200
         with pytest.raises(InternalCheckError):
             _sweep(_slab_chunk_dropping_last, chunks, 1, expected=200)
+        # a chunk past the end of the rows counts only the rows it built
+        n = math.comb(26, 5)
+        with pytest.raises(InternalCheckError, match="enumerated 80 sets"):
+            _sweep(_slab_chunk, [(n - 80, n + 20)], 1, expected=100)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fold_in_chunk_order(self, workers):

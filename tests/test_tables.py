@@ -234,10 +234,11 @@ def test_translation_reps_match_canonical_form(p, d, rng):
 
 
 # the (m, r) shapes the sweeps build: lm1 and lm2 direct and reduced,
-# slab-p3 and fuglede-3-3, fuglede-3-2, fuglede-5-2 at sizes 1, 5, 25
+# slab-p3 and fuglede-3-3 (and the full enumeration their tests weigh
+# against), fuglede-3-2, fuglede-5-2 at sizes 1, 5, 25
 _SWEEP_SHAPES = sorted(
     {(48 - i0, 4) for i0 in range(45)} | {(48 - i1, 5) for i1 in range(1, 44)}
-    | {(46, 2), (46, 4), (27, 6), (24, 0), (24, 4), (24, 24)}
+    | {(46, 2), (46, 4), (26, 5), (27, 6), (24, 0), (24, 4), (24, 24)}
     | {(9, r) for r in range(1, 10)})
 
 
