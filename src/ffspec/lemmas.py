@@ -42,6 +42,7 @@ from .tables import (
     bytes_at_least,
     combination_array,
     coords_matrix,
+    difference,
     direction_masks,
     min_images,
     orthogonal_direction_bits,
@@ -49,7 +50,7 @@ from .tables import (
     plane_words,
     uniform_word,
 )
-from .tiling import size_can_tile, tiling_pair_rows, tiling_search
+from .tiling import size_can_tile, tiling_pair_rows, tiling_search_rows
 
 __all__ = [
     "LemmaReport",
@@ -617,24 +618,27 @@ def _spectra_by_zero_set(spc: Space, rows: np.ndarray,
     return nodes, spectra
 
 
-def _tiles_by_class(spc: Space, rows: np.ndarray) -> np.ndarray:
+def _tiles_by_class(spc: Space, rows: np.ndarray, classes: list) -> np.ndarray:
     """Tiling verdict of every index row, searched once per translation
-    class.
+    class; classes holds each class's positions in rows.
 
-    A complement A of the class representative R = E + t tiles with E
-    too, since E + A = R + A - t.  Every member E is still checked as
-    an exact tiling pair with A, both ways, before it counts as a tile:
-    one tiling_pair_rows call each way takes all the members of the
-    chunk's tiling classes.
+    One tiling_search_rows call searches the first member of every
+    class.  A complement A of that member R = E + t tiles with every
+    member E too, since E + A = R + A - t.  Every member, R included, is
+    still checked as an exact tiling pair with A, both ways, before it
+    counts as a tile: one tiling_pair_rows call each way takes all the
+    members of the tiling classes.
     """
-    reps = min_images(add_table(spc.p, spc.d), rows)
-    members, complements = [], []
-    for first, group in zip(*_groups(reps)):
-        cert = tiling_search(_pointset(spc, reps[first]))
-        if _found(cert.verdict):
-            members.extend(group.tolist())
-            complements.extend([cert.witness.indices()] * len(group))
     tiles = np.zeros(len(rows), dtype=bool)
+    if not size_can_tile(spc, rows.shape[1]):
+        return tiles
+    found = tiling_search_rows(spc.p, spc.d, rows[[c[0] for c in classes]],
+                               _BUDGET)
+    members, complements = [], []
+    for group, (verdict, complement, _) in zip(classes, found):
+        if _found(verdict):
+            members.extend(group.tolist())
+            complements.extend([complement] * len(group))
     if members:
         E = rows[members]
         ok = (tiling_pair_rows(spc.p, spc.d, E, complements)
@@ -659,16 +663,17 @@ def _fug33_chunk(args):
     return len(rows), len(keep), nodes, wits
 
 
-def _spectral_vs_tile(spc: Space, rows: np.ndarray) -> tuple:
+def _spectral_vs_tile(spc: Space, rows: np.ndarray, classes: list) -> tuple:
     """Both verdicts for every index row; rows that _immediate_none
-    flags skip the spectral search.
+    flags skip the spectral search, and classes holds each translation
+    class's positions in rows.
 
     At an allowed size the spectral side is the clique stage, once per
     distinct zero set (_spectra_by_zero_set); every other size is
     spectral nowhere, the search's size filter.  The tiling side
-    searches once per translation class (_tiles_by_class).  Every
-    witness is verified against its own set, both ways, in one batched
-    call per side.
+    searches the first member of each class, all in one call
+    (_tiles_by_class).  Every witness is verified against its own set,
+    both ways, in one batched call per side.
     Returns ({"searched", "spectral", "tiles"} counts, counterexamples).
     """
     zero, skip_spectral = _immediate_none(spc, rows)
@@ -678,7 +683,7 @@ def _spectral_vs_tile(spc: Space, rows: np.ndarray) -> tuple:
         _, spectra = _spectra_by_zero_set(spc, rows[searched],
                                           zero[:, searched])
         spectral[searched[list(spectra)]] = True
-    tiles = _tiles_by_class(spc, rows)
+    tiles = _tiles_by_class(spc, rows, classes)
     cex = [{"set": [int(i) for i in rows[k]],
             "spectral": "witness" if spectral[k] else "none",
             "tile": "witness" if tiles[k] else "none"}
@@ -689,13 +694,15 @@ def _spectral_vs_tile(spc: Space, rows: np.ndarray) -> tuple:
 
 def _fug32_chunk(size: int):
     rows = combination_array(9, size)
-    counts, cex = _spectral_vs_tile(Space(3, 2), rows)
+    classes = _groups(min_images(add_table(3, 2), rows))[1]
+    counts, cex = _spectral_vs_tile(Space(3, 2), rows, classes)
     del counts["searched"]
     return len(rows), {str(size): {"sets": len(rows), **counts}}, cex
 
 
 # size 5, 2,130 classes of C(24, 4) = 10,626 anchored sets, is nearly all
-# the work: six chunks of classes, keyed 2,048 rows at a time
+# the work: six chunks of classes, keyed once in the parent, 2,048 rows
+# at a time; each chunk searches its classes' first sets in one batch
 _FUG52_BLOCK, _KEY_BLOCK = 384, 1 << 11
 # maps per _cycle_type_counts block: a few hundred kB of scratch at p = 7
 _MAP_BLOCK = 1 << 10
@@ -710,10 +717,18 @@ def _fug52_both_filtered(size: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _fug52_classes(size: int) -> list:
-    """Each translation class's positions in _through_origin(25, size)."""
+    """Each translation class's positions in _through_origin(25, size),
+    ascending, so a class's first member is its first set in row order.
+
+    The sets through the origin of E's class are its translates E - e,
+    e in E, so the least of their bitmasks keys the class.
+    """
     rows = _through_origin(25, size)
-    keys = [min_images(add_table(5, 2), rows[a:b])
-            for a, b in _blocks(len(rows), _KEY_BLOCK)]
+    keys = []
+    for a, b in _blocks(len(rows), _KEY_BLOCK):
+        # [r, j, i]: point e_i - e_j of the translate E_r - e_j
+        moved = difference(5, 2, rows[a:b, None, :], rows[a:b, :, None])
+        keys.append((np.int64(1) << moved).sum(axis=2).min(axis=1))
     return _groups(np.concatenate(keys))[1]
 
 
@@ -724,9 +739,11 @@ def _fug52_chunk(args):
         # and both searches reject it by size
         return hi - lo, {str(size): {"anchored": hi - lo, "searched": hi - lo,
                                      "spectral": 0, "tiles": 0}}, []
-    members = np.concatenate(_fug52_classes(size)[lo:hi])
-    rows = _through_origin(25, size)[members]
-    counts, cex = _spectral_vs_tile(Space(5, 2), rows)
+    classes = _fug52_classes(size)[lo:hi]
+    rows = _through_origin(25, size)[np.concatenate(classes)]
+    local = np.split(np.arange(len(rows)),
+                     np.cumsum([len(c) for c in classes])[:-1])
+    counts, cex = _spectral_vs_tile(Space(5, 2), rows, local)
     return len(rows), {str(size): {"anchored": len(rows), **counts}}, cex
 
 
@@ -814,9 +831,14 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     spectra exist, read from the sets through the origin (_f33_sweep).
 
     Each chunk runs the spectral clique stage once per distinct zero set
-    and, in (3,2) and (5,2), the tiling search once per translation class
-    (a (5,2) chunk takes whole classes), then checks every witness against
-    its own set, both ways.  Reports count per set, as a per-set search would.
+    and, in (3,2) and (5,2), the tiling search once per translation class,
+    on the class's first set, all of a chunk's classes in one batched
+    search.  A (5,2) chunk takes whole classes, keyed once in the parent
+    (_fug52_classes).  The chunk then checks every witness against its
+    own set, both ways: spectra in one _validate_witness_rows call, each
+    tiling class member against its class's complement in one
+    tiling_pair_rows call each way.  Reports count per set, as a per-set
+    search would.
     Raises SweepBudgetError if a search runs out of budget.
     """
     t0 = perf_counter()

@@ -12,21 +12,24 @@ import os
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Explicit argument, else FFSPEC_THREADS, else 1."""
+    """Explicit argument, else FFSPEC_THREADS, else 1; capped at
+    os.cpu_count(), so no count can fork more processes than cores.
+    Library workers= arguments skip this and stay uncapped."""
     if requested is not None:
         if requested < 1:
             raise ValueError("worker count must be positive")
-        return requested
-    env = os.environ.get("FFSPEC_THREADS")
-    if env:
+        val = requested
+    else:
+        env = os.environ.get("FFSPEC_THREADS")
+        if not env:
+            return 1
         try:
             val = int(env)
         except ValueError:
             raise ValueError(f"FFSPEC_THREADS must be an integer, got {env!r}") from None
         if val < 1:
             raise ValueError("FFSPEC_THREADS must be positive")
-        return val
-    return 1
+    return min(val, os.cpu_count() or 1)
 
 
 def run_chunks(fn, chunk_args: list, workers: int) -> list:

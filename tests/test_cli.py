@@ -11,7 +11,6 @@ import pytest
 import ffspec
 from ffspec import (
     PointSet,
-    SearchCertificate,
     Space,
     verify_fuglede_small,
     verify_spectral_pair,
@@ -19,6 +18,7 @@ from ffspec import (
 )
 from ffspec import cli, lemmas
 from ffspec.cli import main
+from ffspec.parallel import resolve_workers
 
 
 def run_cli(argv, capsys):
@@ -280,15 +280,69 @@ class TestInternalFailure:
 
     def test_internal_check_exits_3(self, monkeypatch, tmp_path, capsys):
         # a search that returns a false tiling complement
-        def false_tiling(E):
-            return SearchCertificate(
-                "witness", PointSet.from_indices(E.space, [0]), 1)
+        def false_tiling(p, d, rows, budget):
+            return [("witness", [0], 1)] * len(rows)
 
-        monkeypatch.setattr(lemmas, "tiling_search", false_tiling)
+        monkeypatch.setattr(lemmas, "tiling_search_rows", false_tiling)
         code, err = self.run_f32(tmp_path, capsys)
         assert code == 3
         assert err.startswith("error:") and err.count("\n") == 1
         assert "tiling" in err
+
+
+class TestWorkerCap:
+    """--threads and FFSPEC_THREADS are capped at os.cpu_count(); no
+    test here starts a pool."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        # run the chunks in this process, recording the worker count
+        seen = []
+
+        def serial(fn, chunk_args, workers):
+            seen.append(workers)
+            return [fn(a) for a in chunk_args]
+
+        monkeypatch.setattr(lemmas, "run_chunks", serial)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        return seen
+
+    def test_resolve_caps_flag_and_env(self, pool, monkeypatch):
+        monkeypatch.delenv("FFSPEC_THREADS", raising=False)
+        assert resolve_workers(5000) == 3
+        assert resolve_workers(2) == 2
+        assert resolve_workers() == 1
+        monkeypatch.setenv("FFSPEC_THREADS", "5000")
+        assert resolve_workers() == 3
+        assert resolve_workers(1) == 1
+        with pytest.raises(ValueError):
+            resolve_workers(0)
+        # an unknown core count allows one worker
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_workers(5000) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--threads", "5000"], ["--threads", "3"]])
+    def test_falsify_threads_capped(self, pool, tmp_path, capsys, argv):
+        rp = tmp_path / "f.json"
+        code, _, err = run_cli(
+            ["falsify", "--p", "5", "--d", "3", "--size", "10",
+             "--trials", "60", "--seed", "123", *argv,
+             "--report", str(rp)], capsys)
+        assert code == 0 and err == ""
+        assert pool == [3]
+        assert json.loads(rp.read_text())["meta"]["workers"] == 3
+
+    def test_env_threads_capped(self, pool, monkeypatch, capsys):
+        monkeypatch.setenv("FFSPEC_THREADS", "5000")
+        code, out, _ = run_cli(["verify", "--lemma", "fuglede-3-2"], capsys)
+        assert code == 0
+        assert set(pool) == {3}
+        assert json.loads(out)["meta"]["workers"] == 3
+
+    def test_library_workers_uncapped(self, pool):
+        verify_fuglede_small(3, 2, (3, 6), workers=8)
+        assert set(pool) == {8}
 
 
 class TestFalsify:

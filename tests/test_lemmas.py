@@ -11,9 +11,9 @@ import oracles as O
 from ffspec import (
     InternalCheckError,
     PointSet,
-    SearchCertificate,
     Space,
     all_directions,
+    canonical_form,
     dot,
     equidist_profile,
     falsify_random,
@@ -632,10 +632,14 @@ class TestGroupedSweeps:
 
     def test_f52_size5_one_tiling_search_per_class(self, monkeypatch,
                                                    cold_caches):
-        calls = _counting(monkeypatch, "tiling_search")
+        calls = _counting(monkeypatch, "tiling_search_rows")
         rep = verify_fuglede_small(5, 2, (5,))
         classes = translation_class_counts(5, 2, (5,))[5]
-        assert len(calls) == classes == 2130
+        # one batched call per chunk, one row per class
+        searched = [tuple(row) for _, _, rows, _ in calls
+                    for row in rows.tolist()]
+        assert len(calls) == 6
+        assert len(searched) == len(set(searched)) == classes == 2130
         assert rep.details["sizes"]["5"] == {
             "anchored": 10626, "searched": 3426, "spectral": 3426,
             "tiles": 3426}
@@ -644,13 +648,17 @@ class TestGroupedSweeps:
 
     def test_f52_chunks_hold_whole_classes(self, monkeypatch):
         # chunks run one at a time: each searches only its own classes
-        searched = _counting(monkeypatch, "tiling_search")
+        searched = _counting(monkeypatch, "tiling_search_rows")
+        space = Space(5, 2)
         per_chunk = []
 
         def chunk(args):
             start = len(searched)
             out = _fug52_chunk(args)
-            per_chunk.append({E.mask for (E,) in searched[start:]})
+            per_chunk.append({
+                canonical_form(PointSet.from_indices(space, row)).mask
+                for _, _, rows, _ in searched[start:]
+                for row in rows.tolist()})
             return out
 
         monkeypatch.setattr(lemmas, "_fug52_chunk", chunk)
@@ -711,7 +719,8 @@ class TestGroupedSweeps:
 
     @pytest.mark.parametrize("name,value", [
         ("_clique_in_zero_set", lambda *a: ("aborted", None, 1)),
-        ("tiling_search", lambda E: SearchCertificate("aborted", None, 1)),
+        ("tiling_search_rows",
+         lambda p, d, rows, budget: [("aborted", None, 1)] * len(rows)),
     ])
     def test_budget_failure_is_named(self, monkeypatch, cold_caches, name,
                                      value):

@@ -12,7 +12,7 @@ from ffspec import (
     tiling_search,
     verify_tiling_pair,
 )
-from ffspec.tiling import tiling_pair_rows
+from ffspec.tiling import tiling_pair_rows, tiling_search_rows
 
 
 class TestVerify:
@@ -197,3 +197,63 @@ class TestSearch:
         cert = tiling_search(E)
         want = O.tiles(3, 3, [pt.coords for pt in E])
         assert (cert.verdict == "witness") == want
+
+
+def _one_row(space, row, budget=10 ** 9):
+    """tiling_search on one index row, as a tiling_search_rows triple."""
+    cert = tiling_search(PointSet.from_indices(space, row), budget=budget)
+    return (cert.verdict, cert.witness and cert.witness.indices(),
+            cert.nodes_explored)
+
+
+class TestSearchRows:
+    # each row of a block gets the verdict, complement and node count of
+    # its own one-row search
+    def test_all_512_subsets_by_size(self):
+        spc = Space(3, 2)
+        for r in (1, 3, 9):
+            rows = list(itertools.combinations(range(9), r))
+            assert tiling_search_rows(3, 2, rows) == [
+                _one_row(spc, row) for row in rows]
+        for r in (0, 2, 4, 5, 6, 7, 8):
+            rows = np.array(list(itertools.combinations(range(9), r)),
+                            dtype=np.int64)
+            with pytest.raises(ValueError, match="cannot tile"):
+                tiling_search_rows(3, 2, rows)
+
+    def test_pinned_cases_in_one_block(self):
+        # the five-point cases of test_search_order_pinned, padded with
+        # the other five-point sets of F_5^3 that they pin
+        cases = [[21, 34, 55, 71, 85], [17, 38, 63, 64, 98],
+                 [1, 38, 92, 108, 115], [0, 1, 2, 3, 4]]
+        got = tiling_search_rows(5, 3, cases)
+        assert [(v, n) for v, _, n in got[:3]] == [
+            ("witness", 5674), ("none", 6318), ("none", 11535)]
+        assert got == [_one_row(Space(5, 3), row) for row in cases]
+        sevens = [[9, 20, 22, 25, 31, 33, 37], [2, 9, 10, 11, 23, 44, 47]]
+        assert [(v, n) for v, _, n in tiling_search_rows(7, 2, sevens)] == [
+            ("none", 5), ("witness", 7)]
+
+    @pytest.mark.parametrize("p,size,count", [(5, 5, 90), (5, 25, 6),
+                                              (7, 7, 70), (7, 49, 3)])
+    def test_seeded_rows_in_3d(self, rng, p, size, count):
+        # p^3 = 125 and 343 points: every mask spans several 64-bit words;
+        # 90 and 70 rows span two mask blocks
+        rows = _random_rows(rng, p, 3, size, count)
+        rows[0] = np.arange(size)      # a line or plane, which tiles
+        got = tiling_search_rows(p, 3, rows, budget=3000)
+        assert got == [_one_row(Space(p, 3), row.tolist(), 3000)
+                       for row in rows]
+        assert got[0][0] == "witness"
+
+    def test_budget_one_aborts_every_row(self):
+        rows = [[0, 1, 2], [0, 1, 3], [0, 4, 8]]
+        got = tiling_search_rows(3, 2, rows, budget=1)
+        assert got == [("aborted", None, 2)] * 3
+        assert got == [_one_row(Space(3, 2), row, 1) for row in rows]
+
+    def test_size_that_cannot_tile(self):
+        with pytest.raises(ValueError, match="size 4 cannot tile"):
+            tiling_search_rows(3, 2, [[0, 1, 2, 3]])
+        with pytest.raises(ValueError, match="size 0 cannot tile"):
+            tiling_search_rows(3, 2, np.zeros((1, 0), dtype=np.int64))
