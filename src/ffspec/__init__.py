@@ -3,15 +3,11 @@ in prime-field vector spaces F_p^d."""
 
 from .fourier import (
     CharacterSum,
-    EquidistProfile,
     character_sum,
     convolve,
-    equidist_profile,
     float_dft,
-    float_inverse,
     plancherel_check,
     zero_set,
-    zero_set_contains,
 )
 from .geometry import (
     ConcentrationReport,
@@ -19,11 +15,8 @@ from .geometry import (
     concentration,
     direction_stats,
     line_sup,
-    no_k_collinear,
-    plane_direction_count,
     plane_sup,
     sumset,
-    sumset_cd_check,
 )
 from .lemmas import (
     LemmaReport,
@@ -41,7 +34,6 @@ from .sets import (
     QuotientFunction,
     SetFormatError,
     canonical_form,
-    hyperplane_translates,
     indicator,
     project_along,
     quotient_cell_index,
@@ -53,15 +45,12 @@ from .space import (
     Direction,
     Point,
     Space,
-    Subspace,
     all_directions,
     coords_to_index,
     direction_count,
     dot,
     index_to_coords,
-    orthogonal,
     quotient_basis,
-    span,
 )
 from .spectral import (
     InternalCheckError,

@@ -26,7 +26,7 @@ from itertools import compress
 import numpy as np
 
 from .sets import PointSet, QuotientFunction
-from .space import Point, Space, _require_same_space
+from .space import Point, _require_same_space
 from .tables import (coords_matrix, direction_masks, plane_words,
                      uniform_word)
 
@@ -58,32 +58,12 @@ class CharacterSum:
                    for j, c in enumerate(self.counts))
 
 
-@dataclass(frozen=True)
-class EquidistProfile:
-    """Counts |E ∩ {x : x . xi = c}| for c = 0 .. p-1."""
-
-    xi: Point
-    counts: tuple
-
-    def is_constant(self) -> bool:
-        return len(set(self.counts)) == 1
-
-
-def _residue_counts(E: PointSet, xi: Point) -> tuple:
+def character_sum(E: PointSet, xi: Point) -> CharacterSum:
     _require_same_space(E.space.zero(), xi)
     p, d = E.space.p, E.space.d
     dots = coords_matrix(p, d)[E.indices()] @ np.array(xi.coords) % p
-    return tuple(int(c) for c in np.bincount(dots, minlength=p))
-
-
-def character_sum(E: PointSet, xi: Point) -> CharacterSum:
-    return CharacterSum(E.space.p, _residue_counts(E, xi))
-
-
-def equidist_profile(E: PointSet, xi: Point) -> EquidistProfile:
-    if xi.is_zero():
-        raise ValueError("xi must be nonzero")
-    return EquidistProfile(xi, _residue_counts(E, xi))
+    counts = np.bincount(dots, minlength=p)
+    return CharacterSum(p, tuple(int(c) for c in counts))
 
 
 def zero_directions(p: int, d: int, rows) -> np.ndarray:
@@ -112,10 +92,6 @@ def zero_set(E: PointSet) -> PointSet:
     return PointSet(E.space, sum(compress(direction_masks(p, d), zero)))
 
 
-def zero_set_contains(E: PointSet, xi: Point) -> bool:
-    return character_sum(E, xi).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # floating side
 
@@ -140,14 +116,6 @@ def float_dft(f) -> np.ndarray:
     p, d = space.p, space.d
     grid = _value_array(f).reshape((p,) * d, order="F")
     out = np.fft.fftn(grid) / space.order
-    return np.asarray(out.reshape(-1, order="F"))
-
-
-def float_inverse(fhat: np.ndarray, space: Space) -> np.ndarray:
-    """Reconstruction sum_xi fhat(xi) e^(+2 pi i x.xi/p); no extra factor."""
-    p, d = space.p, space.d
-    grid = np.asarray(fhat).reshape((p,) * d, order="F")
-    out = np.fft.ifftn(grid) * space.order
     return np.asarray(out.reshape(-1, order="F"))
 
 

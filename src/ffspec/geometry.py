@@ -1,4 +1,4 @@
-"""Direction sets, line/plane concentration and a sumset growth check."""
+"""Direction sets, line/plane concentration and sumsets."""
 from __future__ import annotations
 
 import math
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sets import PointSet
-from .space import Direction, Space, Subspace
+from .space import Direction, Space
 from .tables import (add_table, direction_reps, line_sups,
                      orthogonal_direction_bits, pair_directions, plane_counts)
 
@@ -58,14 +58,6 @@ def direction_stats(E: PointSet) -> DirectionStats:
                           {dr: int(counts[k]) for dr, k in zip(dirs, det)})
 
 
-def plane_direction_count(E: PointSet, P: Subspace) -> int:
-    """Number of determined directions lying inside a 2-dim subspace."""
-    if P.dim != 2:
-        raise ValueError("P must be a 2-dimensional subspace")
-    stats = direction_stats(E)
-    return sum(1 for dr in stats.determined if P.contains(dr.rep))
-
-
 # concentration ------------------------------------------------------------
 
 
@@ -106,13 +98,6 @@ def concentration(E: PointSet) -> ConcentrationReport:
     return ConcentrationReport(ls, ps, per_plane)
 
 
-def no_k_collinear(E: PointSet, k: int) -> bool:
-    """True iff no affine line carries k or more points of E."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    return line_sup(E) < k
-
-
 # sumsets ------------------------------------------------------------------
 
 
@@ -122,13 +107,3 @@ def sumset(A: PointSet, B: PointSet) -> PointSet:
     space = A.space
     sums = add_table(space.p, space.d)[np.ix_(A.indices(), B.indices())]
     return PointSet.from_indices(space, np.unique(sums).tolist())
-
-
-def sumset_cd_check(A: PointSet, B: PointSet) -> bool:
-    """Cauchy-Davenport bound |A+B| >= min(p, |A|+|B|-1) for subsets of F_p."""
-    if A.space.d != 1 or B.space.d != 1:
-        raise ValueError("sumset growth check expects subsets of F_p")
-    if A.size == 0 or B.size == 0:
-        return True
-    p = A.space.p
-    return sumset(A, B).size >= min(p, A.size + B.size - 1)

@@ -1,9 +1,9 @@
 """Subsets of F_p^d as bitmasks, plus quotient counts and file I/O.
 
 This module owns everything that builds a PointSet from the index
-tables: translates, projections, hyperplane translates and canonical
-forms.  project_along and quotient_cell_index read the coset layout of
-tables.line_table (through line_of) and invert no matrix.
+tables: translates, projections and canonical forms.  project_along
+and quotient_cell_index read the coset layout of tables.line_table
+(through line_of) and invert no matrix.
 
 A PointSet stores its space and a bit vector of length p^d packed into
 a Python int; bit i is point index i.  The on-disk format is ASCII:
@@ -92,9 +92,6 @@ class PointSet:
         _require_same_space(self.space.zero(), x)
         return bool(self.mask >> x.index & 1)
 
-    def contains_index(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
     def complement(self) -> "PointSet":
         return PointSet(self.space, self.mask ^ ((1 << self.space.order) - 1))
 
@@ -180,16 +177,6 @@ def indicator(E: PointSet) -> QuotientFunction:
     for i in E.indices():
         vals[i] = 1
     return QuotientFunction(E.space, tuple(vals))
-
-
-def hyperplane_translates(space: Space, xi: Point):
-    """The p sets {x : x . xi = c} for c = 0 .. p-1, as PointSets."""
-    if xi.is_zero():
-        raise ValueError("xi must be nonzero")
-    _require_same_space(space.zero(), xi)
-    dots = coords_matrix(space.p, space.d) @ np.array(xi.coords) % space.p
-    return [PointSet.from_indices(space, np.flatnonzero(dots == c).tolist())
-            for c in range(space.p)]
 
 
 def canonical_form(E: PointSet, group: str = "translations") -> PointSet:

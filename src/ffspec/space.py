@@ -1,4 +1,4 @@
-"""The space F_p^d and its value types: points, directions, subspaces.
+"""The space F_p^d and its value types: points and directions.
 
 Points are indexed 0 .. p^d - 1 with coordinate 0 in the least
 significant base-p digit, so index = sum(coords[i] * p**i).  Point is
@@ -7,9 +7,9 @@ these indices and read the cached tables in tables.py.  All arithmetic
 is exact integer arithmetic mod p.
 
 This module owns the one F_p elimination routine (_row_reduce) and
-what is built on single points with it: spans, orthogonal complements
-and quotient_basis, the complement basis from which tables.line_table
-lays out cosets.  It imports no other module of the package.
+quotient_basis, built on it: the complement basis from which
+tables.line_table lays out cosets.  It imports no other module of the
+package.
 """
 from __future__ import annotations
 
@@ -152,9 +152,6 @@ class Direction:
         """All p points of the subspace, including 0."""
         return [self.rep.scale(c) for c in range(self.space.p)]
 
-    def nonzero_points(self):
-        return [self.rep.scale(c) for c in range(1, self.space.p)]
-
 
 def all_directions(space: Space):
     """The (p^d - 1)/(p - 1) directions, sorted by representative index.
@@ -174,63 +171,6 @@ def all_directions(space: Space):
 
 def direction_count(space: Space) -> int:
     return (space.order - 1) // (space.p - 1)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace given by an independent basis."""
-
-    space: Space
-    basis: tuple
-
-    def __post_init__(self):
-        if _rank([b.coords for b in self.basis], self.space.p) != len(self.basis):
-            raise ValueError("dependent basis rejected")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def points(self):
-        """All p^dim points of the subspace."""
-        p = self.space.p
-        out = []
-        for coeffs in itertools.product(range(p), repeat=self.dim):
-            acc = self.space.zero()
-            for c, b in zip(coeffs, self.basis):
-                acc = acc + b.scale(c)
-            out.append(acc)
-        return out
-
-    def contains(self, x: Point) -> bool:
-        _require_same_space(self.basis[0] if self.basis else self.space.zero(), x)
-        rows = [b.coords for b in self.basis]
-        return _rank(rows + [x.coords], self.space.p) == len(self.basis)
-
-    def orthogonal(self) -> "Subspace":
-        return orthogonal(self)
-
-
-def span(points) -> Subspace:
-    """Subspace spanned by the given points (independent subset extracted)."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("span of an empty family is not represented")
-    space = pts[0].space
-    basis = []
-    for x in pts:
-        rows = [b.coords for b in basis]
-        if _rank(rows + [x.coords], space.p) > len(basis):
-            basis.append(x)
-    return Subspace(space, tuple(basis))
-
-
-def orthogonal(sub: Subspace) -> Subspace:
-    """The orthogonal complement under the standard bilinear form."""
-    space = sub.space
-    null_rows = _null_space([b.coords for b in sub.basis], space.p, space.d)
-    basis = tuple(Point(space, tuple(r)) for r in null_rows)
-    return Subspace(space, basis)
 
 
 def quotient_basis(space: Space, delta: Direction) -> list:
@@ -277,17 +217,3 @@ def _row_reduce(rows, p: int):
 
 def _rank(rows, p: int) -> int:
     return len(_row_reduce(rows, p)[1])
-
-
-def _null_space(rows, p: int, ncols: int):
-    """Basis of {x : rows @ x = 0} over F_p."""
-    m, pivots = _row_reduce(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-m[r][fc]) % p
-        basis.append(vec)
-    return basis

@@ -220,7 +220,7 @@ def _clique_of_size(adj: list, need: int, budget: int):
 
 
 PRUNING_RULES = ("line_concentration", "plane_concentration",
-                 "plane_directions", "slab_parity")
+                 "plane_directions")
 
 
 def pruning_rule(space, rows: np.ndarray) -> np.ndarray:
@@ -243,10 +243,6 @@ def pruning_rule(space, rows: np.ndarray) -> np.ndarray:
         fired = np.array([
             bytes_at_least(p, words, p + 1).any(axis=-1),
             per_plane.max(axis=-1) > p,
-            # parity obstruction for sets inside m parallel planes with
-            # line concentration exactly 2
-            (ls[rest] == 2) & (m % 2 == 1)
-            & (bytes_at_least(p, words, 1).min(axis=-1) <= m),
         ])
         rule[rest] = np.where(fired.any(axis=0), fired.argmax(axis=0) + 1, -1)
     return rule

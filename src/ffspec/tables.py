@@ -16,8 +16,8 @@ into the next.  In F_7^2 the planes are lines, so the words also
 count the points of a row on every line; lm1, lm2 and proj21 read them
 (proj21 adds the words of its three support rows), and no table here
 is indexed by point pairs.  The zero set of a Fourier transform,
-slab-p3 and the plane_concentration and slab_parity pruning rules read
-the words directly, through uniform_word and bytes_at_least;
+slab-p3 and the plane_concentration pruning rule read the words
+directly, through uniform_word and bytes_at_least;
 plane_counts is their byte view, which geometry.plane_sup reads.
 pair_directions is the one pair kernel: direction counts, line_sups (the
 most points of a row on one affine line) and plane directions read it.

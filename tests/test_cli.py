@@ -256,7 +256,8 @@ class TestVerify:
         assert len(hashes) == 1
         assert payloads[0]["result"] == payloads[1]["result"] \
             == payloads[2]["result"]
-        assert payloads[1]["meta"]["workers"] == 2
+        # --threads is capped at the host's core count
+        assert payloads[1]["meta"]["workers"] == min(2, os.cpu_count() or 1)
 
 
 class TestInternalFailure:
@@ -288,6 +289,37 @@ class TestInternalFailure:
         assert code == 3
         assert err.startswith("error:") and err.count("\n") == 1
         assert "tiling" in err
+
+
+class TestCounterexample:
+    """Exit 1: a run found a counterexample; it is in the report."""
+
+    RUNS = {
+        "verify": (["verify", "--lemma", "fuglede-3-2"],
+                   "verify_fuglede_small", "fuglede-3-2: 1 counterexamples"),
+        "falsify": (["falsify", "--p", "5", "--d", "3", "--size", "10",
+                     "--trials", "5", "--seed", "1"],
+                    "falsify_random", "falsify: 1 spectral witnesses"),
+    }
+
+    @pytest.mark.parametrize("cmd", ["verify", "falsify"])
+    def test_counterexample_exits_1(self, cmd, monkeypatch, tmp_path,
+                                    capsys):
+        argv, work, line = self.RUNS[cmd]
+        cex = {"set": [[0, 0, 0], [1, 0, 0]], "spectrum": [[0, 0, 0]]}
+        report = lemmas.LemmaReport(cmd, "F_5^3", 125, "translations", 1,
+                                    [cex], {}, 0.0, 1)
+        monkeypatch.setattr(cli, work, lambda *args, **kwargs: report)
+        rp = tmp_path / "r.json"
+        code, out, err = run_cli(argv + ["--report", str(rp)], capsys)
+        assert code == 1 and out == ""
+        assert err == line + "\n"
+        payload = json.loads(rp.read_text())
+        assert payload["result"]["counterexamples"] == [cex]
+        canonical = json.dumps(payload["result"], sort_keys=True,
+                               separators=(",", ":"))
+        assert payload["meta"]["result_sha256"] == \
+            hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class TestWorkerCap:

@@ -14,8 +14,8 @@ from ffspec import (
     Space,
     all_directions,
     canonical_form,
+    character_sum,
     dot,
-    equidist_profile,
     falsify_random,
     verify_fuglede_small,
     verify_lm1,
@@ -420,7 +420,7 @@ class TestProj21:
 def _slab_hypothesis(E):
     spc = E.space
     zero_dirs = [dr for dr in all_directions(spc)
-                 if equidist_profile(E, dr.rep).is_constant()]
+                 if character_sum(E, dr.rep).is_zero()]
     for normal in all_directions(spc):
         if sum(1 for dr in zero_dirs
                if dot(dr.rep, normal.rep) == 0) >= 2:
@@ -429,7 +429,7 @@ def _slab_hypothesis(E):
 
 
 def _slab_conclusion(E):
-    return any(0 in equidist_profile(E, dr.rep).counts
+    return any(0 in character_sum(E, dr.rep).counts
                for dr in all_directions(E.space))
 
 
@@ -759,7 +759,7 @@ class TestFalsify:
         assert "statistical evidence" in d["note"]
         assert set(d["pruning"]) <= {
             "line_concentration", "plane_concentration",
-            "plane_directions", "slab_parity", "size_filtered"}
+            "plane_directions", "size_filtered"}
         assert "seed" in rep.result_dict()
 
     @pytest.mark.parametrize("p,size", [(5, 20), (5, 15), (7, 42), (7, 35)])

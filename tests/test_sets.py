@@ -61,7 +61,7 @@ class TestPointSet:
         E = PointSet.from_coords(spc, [(1, 2)])
         assert E.contains(spc.point((1, 2)))
         assert not E.contains(spc.point((2, 1)))
-        assert E.contains_index(coords_to_index((1, 2), 5))
+        assert E.indices() == [coords_to_index((1, 2), 5)]
 
     @given(random_set(), st.data())
     def test_translate_is_bijection(self, E, data):

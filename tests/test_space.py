@@ -14,10 +14,7 @@ from ffspec import (
     coords_to_index,
     direction_count,
     dot,
-    hyperplane_translates,
     index_to_coords,
-    orthogonal,
-    span,
     translate,
 )
 from ffspec.space import Direction
@@ -122,7 +119,7 @@ class TestDirections:
         spc = Space(5, 3)
         seen = set()
         for dr in all_directions(spc):
-            pts = dr.nonzero_points()
+            pts = dr.points()[1:]
             assert len(pts) == spc.p - 1
             for pt in pts:
                 assert pt.index not in seen
@@ -145,73 +142,6 @@ class TestDirections:
         spc = Space(7, 3)
         for dr in all_directions(spc):
             assert O.canon_dir(7, dr.rep.coords) == dr.rep.coords
-
-
-class TestSubspaces:
-    def test_orthogonal_example(self):
-        spc = Space(5, 3)
-        sub = orthogonal(span([spc.point((1, 1, 1))]))
-        assert sub.dim == 2
-        pts = {pt.coords for pt in sub.points()}
-        assert len(pts) == 25
-        assert (1, 4, 0) in pts
-        assert pts == {x for x in O.all_points(5, 3) if sum(x) % 5 == 0}
-
-    def test_double_orthogonal(self):
-        spc = Space(7, 3)
-        sub = span([spc.point((1, 2, 3)), spc.point((0, 1, 5))])
-        back = orthogonal(orthogonal(sub))
-        assert {pt.index for pt in back.points()} == {
-            pt.index for pt in sub.points()}
-
-    def test_span_extracts_independent(self):
-        spc = Space(3, 3)
-        sub = span([spc.point((1, 0, 0)), spc.point((2, 0, 0)),
-                    spc.point((0, 1, 0))])
-        assert sub.dim == 2
-
-    def test_dependent_basis_rejected(self):
-        spc = Space(3, 3)
-        with pytest.raises(ValueError):
-            type(span([spc.point((1, 0, 0))]))(
-                spc, (spc.point((1, 0, 0)), spc.point((2, 0, 0))))
-
-    def test_contains(self):
-        spc = Space(5, 3)
-        sub = span([spc.point((1, 1, 1))])
-        assert sub.contains(spc.point((3, 3, 3)))
-        assert not sub.contains(spc.point((1, 2, 3)))
-
-    def test_dim_sum(self):
-        spc = Space(7, 3)
-        for vecs in [[(1, 0, 0)], [(1, 2, 3), (0, 1, 1)]]:
-            sub = span([spc.point(v) for v in vecs])
-            assert sub.dim + orthogonal(sub).dim == 3
-
-
-class TestHyperplanes:
-    def test_example(self):
-        spc = Space(3, 2)
-        parts = hyperplane_translates(spc, spc.point((1, 1)))
-        assert [s.size for s in parts] == [3, 3, 3]
-        assert {pt.coords for pt in parts[0]} == {(0, 0), (1, 2), (2, 1)}
-
-    def test_partition(self):
-        spc = Space(7, 3)
-        parts = hyperplane_translates(spc, spc.point((1, 2, 3)))
-        union = 0
-        for c, part in enumerate(parts):
-            assert part.size == 49
-            for pt in part:
-                assert dot(pt, spc.point((1, 2, 3))) == c
-            assert union & part.mask == 0
-            union |= part.mask
-        assert union == (1 << spc.order) - 1
-
-    def test_zero_rejected(self):
-        spc = Space(3, 2)
-        with pytest.raises(ValueError):
-            hyperplane_translates(spc, spc.zero())
 
 
 class TestCanonicalForm:
