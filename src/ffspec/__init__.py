@@ -28,7 +28,7 @@ from .lemmas import (
     verify_proj21,
     verify_slab_p3,
 )
-from .parallel import resolve_workers, run_chunks
+from .parallel import WorkerError, resolve_workers, run_chunks
 from .sets import (
     PointSet,
     QuotientFunction,

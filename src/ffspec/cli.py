@@ -8,9 +8,10 @@ checks should diff only "result".
 
 Exit codes: 0 verified or none found, 1 usage or input error or a
 counterexample, 2 inconclusive (budget exhausted in analyze), 3 internal
-failure: two routes that must agree disagreed (InternalCheckError), or
-a search inside an exhaustive sweep ran out of budget
-(SweepBudgetError).  Exit 3 prints one "error:" line on stderr.
+failure: two routes that must agree disagreed (InternalCheckError), a
+search inside an exhaustive sweep ran out of budget (SweepBudgetError),
+or a worker process died without returning its chunks (WorkerError).
+Exit 3 prints one "error:" line on stderr and writes no report.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .lemmas import (
     verify_proj21,
     verify_slab_p3,
 )
-from .parallel import resolve_workers
+from .parallel import WorkerError, resolve_workers
 from .sets import SetFormatError, read_set
 from .spectral import InternalCheckError, spectrum_search
 from .tiling import tiling_search
@@ -217,7 +218,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InternalCheckError, SweepBudgetError) as exc:
+    except (InternalCheckError, SweepBudgetError, WorkerError) as exc:
         print(f"error: internal failure: {exc}", file=sys.stderr)
         return 3
 

@@ -6,7 +6,7 @@ the single-point value type; operations on sets of points work on
 these indices and read the cached tables in tables.py.  All arithmetic
 is exact integer arithmetic mod p.
 
-This module owns the one F_p elimination routine (_row_reduce) and
+This module owns the one F_p elimination routine (_rank) and
 quotient_basis, built on it: the complement basis from which
 tables.line_table lays out cosets.  It imports no other module of the
 package.
@@ -191,29 +191,20 @@ def quotient_basis(space: Space, delta: Direction) -> list:
     return [space.point(c) for c in chosen]
 
 
-def _row_reduce(rows, p: int):
-    """Reduced row echelon form over F_p, by Gauss-Jordan elimination.
-
-    Returns (reduced rows, pivot columns); the rank is the number of
-    pivots and the nonzero rows come first.
-    """
+def _rank(rows, p: int) -> int:
+    """Rank over F_p, by forward elimination: each pivot row clears its
+    column from the rows below it, and the rank is the pivot count."""
     m = [[v % p for v in r] for r in rows]
-    pivots = []
+    rank = 0
     for col in range(len(m[0]) if m else 0):
-        rank = len(pivots)
         pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(v * inv) % p for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
+        for r in range(rank + 1, len(m)):
+            if m[r][col]:
+                f = m[r][col] * inv
                 m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-    return m, pivots
-
-
-def _rank(rows, p: int) -> int:
-    return len(_row_reduce(rows, p)[1])
+        rank += 1
+    return rank

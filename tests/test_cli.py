@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -322,9 +323,76 @@ class TestCounterexample:
             hashlib.sha256(canonical.encode()).hexdigest()
 
 
+PARENT_PID = os.getpid()
+F32_THREADS_2 = ["verify", "--lemma", "fuglede-3-2", "--threads", "2"]
+
+
+def aborted_search(*args):
+    return ("aborted", None, 1)
+
+
+def false_tiling(p, d, rows, budget):
+    # a search that returns a false tiling complement
+    return [("witness", [0], 1)] * len(rows)
+
+
+def dying_chunk(size):
+    # forked workers die without a result; the caller never gets here
+    if os.getpid() != PARENT_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise AssertionError("a chunk ran in the calling process")
+
+
+class TestExitPaths:
+    """Every documented exit path of cli.main, with a report path given.
+    Exits 1 and 3 print one "error:" line (after argparse's usage text
+    on a usage error); only exits 0 and 2 write the report.  The exit-3
+    runs use two workers, so each failure crosses the fork."""
+
+    CASES = {
+        "verified": (F32_THREADS_2, None, 0),
+        "usage": (["verify", "--lemma", "lm99"], None, 1),
+        "bad_input": (["analyze", "--set", "{bad}"], None, 1),
+        "budget_spent": (["analyze", "--set", "{line}", "--budget", "1"],
+                         None, 2),
+        "internal_check": (F32_THREADS_2,
+                           ("tiling_search_rows", false_tiling), 3),
+        "sweep_budget": (F32_THREADS_2,
+                         ("_clique_in_zero_set", aborted_search), 3),
+        "worker_died": (F32_THREADS_2, ("_fug32_chunk", dying_chunk), 3),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code(self, case, line_file, tmp_path, monkeypatch,
+                       capsys):
+        argv, stub, want = self.CASES[case]
+        bad = write_lines(tmp_path / "bad.txt", "p 7", "d 2", "1 2 3")
+        argv = [a.format(bad=bad, line=line_file) for a in argv]
+        if stub:
+            monkeypatch.setattr(lemmas, *stub)
+        # two workers even on a one-core host
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rp = tmp_path / "r.json"
+        try:
+            code = main(argv + ["--report", str(rp)])
+        except SystemExit as exc:
+            code = exc.code
+        cap = capsys.readouterr()
+        assert code == want and cap.out == ""
+        assert rp.exists() == (want in (0, 2))
+        lines = cap.err.splitlines()
+        if want in (0, 2):
+            assert lines == []
+        elif case == "usage":
+            assert lines[0].startswith("usage:")
+            assert [ln for ln in lines if "error:" in ln] == lines[-1:]
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestWorkerCap:
     """--threads and FFSPEC_THREADS are capped at os.cpu_count(); no
-    test here starts a pool."""
+    test here forks a worker."""
 
     @pytest.fixture
     def pool(self, monkeypatch):

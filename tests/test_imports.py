@@ -1,6 +1,10 @@
 """The package's import graph: every intra-package import sits at module
-level, and the modules import each other without a cycle."""
+level, the modules import each other without a cycle, and importing the
+package loads no multiprocessing (run_chunks forks its workers itself)."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ffspec
@@ -48,3 +52,17 @@ def test_module_graph_is_acyclic():
         ready = {n for n in graph if n not in done and graph[n] <= done}
         assert ready, f"import cycle among {sorted(set(graph) - done)}"
         done |= ready
+
+
+def test_import_leaves_multiprocessing_out():
+    # a fresh interpreter, so no other test's imports count
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, ffspec; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -722,11 +723,18 @@ class TestGroupedSweeps:
         ("tiling_search_rows",
          lambda p, d, rows, budget: [("aborted", None, 1)] * len(rows)),
     ])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_budget_failure_is_named(self, monkeypatch, cold_caches, name,
-                                     value):
+                                     value, workers):
+        # at 2 workers the two size chunks run in forked children, which
+        # inherit the patch; the error crosses the fork by type
         monkeypatch.setattr(lemmas, name, value)
-        with pytest.raises(lemmas.SweepBudgetError):
-            verify_fuglede_small(3, 2, (3,))
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        with pytest.raises(lemmas.SweepBudgetError, match="budget"):
+            verify_fuglede_small(3, 2, (3, 6), workers=workers)
+        assert len(forks) == (workers if workers > 1 else 0)
 
 
 class TestFalsify:

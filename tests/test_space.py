@@ -17,7 +17,8 @@ from ffspec import (
     index_to_coords,
     translate,
 )
-from ffspec.space import Direction
+from ffspec import space
+from ffspec.space import Direction, quotient_basis
 from ffspec.tables import affine_permutation_array, gl_matrices
 
 SMALL_SPACES = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (7, 3)]
@@ -142,6 +143,27 @@ class TestDirections:
         spc = Space(7, 3)
         for dr in all_directions(spc):
             assert O.canon_dir(7, dr.rep.coords) == dr.rep.coords
+
+    def test_rank_matches_oracle_on_quotient_basis_matrices(self, monkeypatch):
+        # every matrix quotient_basis ranks, in all nine spaces, and each
+        # of its row prefixes: 1, 2 and 3 rows
+        seen = []
+
+        def recording(rows, p):
+            seen.append((p, [tuple(r) for r in rows]))
+            return real(rows, p)
+
+        real = space._rank
+        monkeypatch.setattr(space, "_rank", recording)
+        for p, d in itertools.product((3, 5, 7), (1, 2, 3)):
+            for dr in all_directions(Space(p, d)):
+                quotient_basis(Space(p, d), dr)
+        monkeypatch.undo()
+        checked = {(p, tuple(rows[:k])) for p, rows in seen
+                   for k in range(1, len(rows) + 1)}
+        assert {len(rows) for _, rows in checked} == {1, 2, 3}
+        for p, rows in checked:
+            assert space._rank(list(rows), p) == O._rank(list(rows), p)
 
 
 class TestCanonicalForm:
