@@ -8,12 +8,12 @@ Every verifier runs through one driver, _sweep.  Its contract:
 - each chunk returns a tuple, and the tuples are folded field by field
   in chunk order: numbers and arrays add, lists concatenate, sets unite
   and dicts merge key by key, so keys with a zero count stay in place;
-- chunks that share a key may run as one task, which returns one tuple
-  per chunk (lm1 and lm2 direct); the fold is still in chunk order;
 - field 0 counts the sets the chunk enumerated, and a total that differs
   from the expected one raises InternalCheckError (a miscount);
 - counterexamples leave the chunks as point-index lists and become
-  coordinate rows in one place, _coord_cex.
+  coordinate rows in one place, _coord_cex;
+- a sweep of translation-invariant counts reads only the sets through
+  the origin and reports them as over all sets (_origin_sweep).
 
 The deterministic part of a report is therefore identical no matter how
 many workers ran it.
@@ -136,24 +136,10 @@ def _fold(acc, item):
     return acc + item
 
 
-def _sweep(fn, chunks: list, workers: int, expected: int | None = None,
-           group=None) -> list:
+def _sweep(fn, chunks: list, workers: int, expected: int | None = None) -> list:
     """Run fn over the fixed chunk list and fold its result tuples field
-    by field in chunk order; field 0 must total expected, if given.
-
-    With group, the chunks that share group(chunk) run as one task: fn
-    takes their list, in chunk order, and returns one result per chunk.
-    """
-    if group is None:
-        results = run_chunks(fn, chunks, workers)
-    else:
-        groups: dict = {}
-        for c in chunks:
-            groups.setdefault(group(c), []).append(c)
-        tasks = list(groups.values())
-        done = dict(zip(itertools.chain(*tasks),
-                        itertools.chain(*run_chunks(fn, tasks, workers))))
-        results = [done[c] for c in chunks]
+    by field in chunk order; field 0 must total expected, if given."""
+    results = run_chunks(fn, chunks, workers)
     total = list(results[0])
     for res in results[1:]:
         total = [_fold(a, b) for a, b in zip(total, res)]
@@ -161,6 +147,44 @@ def _sweep(fn, chunks: list, workers: int, expected: int | None = None,
         raise InternalCheckError(
             f"{fn.__name__} enumerated {total[0]} sets, expected {expected}")
     return total
+
+
+# ---------------------------------------------------------------------------
+# Translation-invariant counts over the k-sets of F_p^d, n = p^d points:
+# (E, e in E) -> (E - e, e) makes k C(n, k) = n C(n - 1, k - 1), so a count
+# over all k-sets is n/k of its count over the k-sets through 0.
+
+@lru_cache(maxsize=None)
+def _through_origin(n: int, size: int) -> np.ndarray:
+    """The size-subsets of range(n) that contain 0, lexicographic."""
+    return np.pad(combination_array(n - 1, size - 1) + 1, ((0, 0), (1, 0)))
+
+
+def _per_set(count, points: int, size: int):
+    """A count (or array of counts) over the size-sets through 0 of
+    `points` points as one over all size-sets: points/size of it."""
+    if np.any(points * count % size):
+        raise InternalCheckError(f"{count} over {size}-sets through 0 of "
+                                 f"{points} points weigh to no whole count")
+    return points * count // size
+
+
+def _translates(p: int, d: int, cex: list) -> list:
+    """cex with every translate of each "set", once each, in row order."""
+    out = {tuple(row): c for c in cex
+           for row in np.sort(add_table(p, d)[:, c["set"]], axis=1).tolist()}
+    return [{**c, "set": list(row)} for row, c in sorted(out.items())]
+
+
+def _origin_sweep(fn, chunks: list, p: int, d: int, size: int,
+                  workers: int) -> tuple:
+    """fn over chunks of the size-sets of F_p^d through 0, reported as
+    over all size-sets: (counts weighed by _per_set, counterexamples with
+    all their translates in full-enumeration order); field 0 of fn's
+    results counts the sets read, C(p^d - 1, size - 1) in all."""
+    n = p ** d
+    *counts, cex = _sweep(fn, chunks, workers, math.comb(n - 1, size - 1))
+    return [_per_set(c, n, size) for c in counts], _translates(p, d, cex)
 
 
 # ---------------------------------------------------------------------------
@@ -202,47 +226,41 @@ def _planar_eval(words: np.ndarray, no_k: int):
 _EVAL_BLOCK = WORD_BLOCK
 
 
-def _prefix_eval(prefixes: list, tails: np.ndarray, no_k: int) -> list:
-    """One _planar_eval result per prefix over the rows prefix + tail,
-    with counterexamples as sorted index lists.  The tail words are
-    summed once per block of tails; each prefix adds its own word."""
-    table = plane_word_table(7, 2)
-    lead = [table[list(pre)].sum(axis=0) for pre in prefixes]
-    out = [None] * len(prefixes)
+def _prefix_eval(prefix: tuple, tails: np.ndarray, no_k: int) -> list:
+    """_planar_eval over the rows prefix + tail, with counterexamples as
+    sorted index lists.  The tail words are summed per block of tails,
+    and the prefix's word is added to them."""
+    lead = plane_word_table(7, 2)[list(prefix)].sum(axis=0)
+    out = None
     for a, b in _blocks(len(tails), _EVAL_BLOCK):
-        tail_words = plane_words(7, 2, tails[a:b])
-        for k, pre in enumerate(prefixes):
-            *res, viol = _planar_eval(tail_words + lead[k], no_k)
-            res.append([{"set": sorted(int(v) for v in (*pre, *tails[a + j]))}
-                        for j in viol])
-            out[k] = res if out[k] is None else [
-                _fold(x, y) for x, y in zip(out[k], res)]
+        *res, viol = _planar_eval(plane_words(7, 2, tails[a:b]) + lead, no_k)
+        res.append([{"set": sorted(int(v) for v in (*prefix, *tails[a + j]))}
+                    for j in viol])
+        out = res if out is None else [_fold(x, y) for x, y in zip(out, res)]
     return out
 
 
-# direct-mode tails per chunk; stratum selects from the chunk list
+# direct-mode tails per chunk
 _TAIL_BLOCK = 1 << 18
 
 
 def _direct_chunk_list(size: int) -> list:
-    """Chunks (size, i0, i1, lo, hi): the sets [i0, i1] + tail, tail in
-    rows [lo, hi) of the (size - 2)-subsets of {i1 + 1 .. 48}."""
+    """Chunks (size, i1, lo, hi): the sets [0, i1] + tail through the
+    origin, tail in rows [lo, hi) of the (size - 2)-subsets of
+    {i1 + 1 .. 48}."""
     r = size - 2
-    return [(size, i0, i1, lo, hi)
-            for i0 in range(50 - size) for i1 in range(i0 + 1, 49 - r)
+    return [(size, i1, lo, hi) for i1 in range(1, 49 - r)
             for lo, hi in _blocks(math.comb(48 - i1, r), _TAIL_BLOCK)]
 
 
-def _direct_task(chunks: list) -> list:
-    """One result per chunk of chunks, which share (size, i1, lo, hi)."""
-    size, _, i1, lo, hi = chunks[0]
+def _direct_chunk(chunk):
+    size, i1, lo, hi = chunk
     r = size - 2
     # the r-subsets of {i1 + 1 .. 48} are the last rows of those of
     # range(49), in the same order
     start = math.comb(49, r) - math.comb(48 - i1, r)
     tails = combination_array(49, r)[start + lo:start + hi]
-    return _prefix_eval([(c[1], i1) for c in chunks], tails,
-                        3 if size == 5 else 4)
+    return _prefix_eval((0, i1), tails, 3 if size == 5 else 4)
 
 
 # anchor triangle (0,0), (1,0), (0,1): first nonzero noncollinear triple
@@ -252,14 +270,13 @@ _ANCHOR = (0, 1, 7)
 def _anchored_chunk(tail_size: int):
     rest = np.array([i for i in range(49) if i not in _ANCHOR], np.int8)
     tails = rest[combination_array(46, tail_size)]
-    return _prefix_eval([_ANCHOR], tails, 3 if tail_size == 2 else 4)[0]
+    return _prefix_eval(_ANCHOR, tails, 3 if tail_size == 2 else 4)
 
 
-def _planar_report(lemma_id, set_size, mode, workers, stratum=None):
+def _planar_report(lemma_id, set_size, mode, workers):
     t0 = perf_counter()
-    plane_word_table(7, 2)          # built once, before a pool forks
+    plane_word_table(7, 2)          # built once, before the workers fork
     card = math.comb(49, set_size)
-    desc = f"{set_size}-point subsets of F_7^2"
     extra = {}
     if mode == "reduced":
         tail_size = set_size - 3
@@ -269,18 +286,10 @@ def _planar_report(lemma_id, set_size, mode, workers, stratum=None):
         # |AGL(2,7)| = 49 * 48 * 42
         group = "AGL(2,7), order 98784, anchored triangle"
     elif mode == "direct":
-        chunks = _direct_chunk_list(set_size)
-        if stratum is not None:
-            k, m = stratum
-            chunks = chunks[k::m]
-            if not chunks:
-                raise ValueError(f"stratum {k} mod {m} selects no chunk")
-            extra["stratum"] = [int(k), int(m)]
-            desc += f", chunk stratum {k} mod {m}"
-        n, hyp, hist, triples, cex = _sweep(
-            _direct_task, chunks, workers,
-            card if stratum is None else None, group=lambda c: (c[0], *c[2:]))
-        card = card if stratum is None else n
+        # collinearity and directions are translation invariant
+        (n, hyp, hist, triples), cex = _origin_sweep(
+            _direct_chunk, _direct_chunk_list(set_size), 7, 2, set_size,
+            workers)
         group = "none"
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -289,18 +298,18 @@ def _planar_report(lemma_id, set_size, mode, workers, stratum=None):
                "collinear_triples": triples,
                "direction_histogram": histogram, **extra}
     return LemmaReport(
-        lemma_id, desc, card, group, n, _coord_cex(7, 2, cex), details,
-        round(perf_counter() - t0, 3), workers)
+        lemma_id, f"{set_size}-point subsets of F_7^2", card, group, n,
+        _coord_cex(7, 2, cex), details, round(perf_counter() - t0, 3), workers)
 
 
 def verify_lm1(workers: int = 1, mode: str = "direct") -> LemmaReport:
     """Every 5-point subset of F_7^2 with no 3 collinear points
-    determines at least 6 directions."""
+    determines at least 6 directions.  The modes are those of
+    verify_lm2."""
     return _planar_report("lm1", 5, mode, workers)
 
 
-def verify_lm2(workers: int = 1, mode: str = "reduced",
-               stratum: tuple | None = None) -> LemmaReport:
+def verify_lm2(workers: int = 1, mode: str = "reduced") -> LemmaReport:
     """Every 7-point subset of F_7^2 with no 4 collinear points
     determines at least 6 directions.
 
@@ -308,17 +317,11 @@ def verify_lm2(workers: int = 1, mode: str = "reduced",
     {(0,0),(1,0),(0,1)}: the affine group is sharply transitive on
     ordered triangles, and every no-4-collinear set contains a
     noncollinear triple, so the anchored supersets cover every
-    hypothesis set up to affine equivalence.  mode "direct" enumerates
-    all C(49,7) subsets; stratum=(k, m) restricts it to every m-th
-    chunk of the fixed partition, for spot agreement checks.
+    hypothesis set up to affine equivalence.  mode "direct" reads the
+    C(48,6) subsets through the origin and reports every count as over
+    all C(49,7) subsets, by translation invariance (_origin_sweep).
     """
-    if stratum is not None:
-        if mode != "direct":
-            raise ValueError("stratum applies to direct mode only")
-        k, m = stratum
-        if not 0 <= k < m:
-            raise ValueError("stratum must be (k, m) with 0 <= k < m")
-    return _planar_report("lm2", 7, mode, workers, stratum)
+    return _planar_report("lm2", 7, mode, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -484,33 +487,11 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
 _SLAB_BLOCK = 1 << 15
 
 
-@lru_cache(maxsize=None)
-def _through_origin(n: int, size: int) -> np.ndarray:
-    """The size-subsets of range(n) that contain 0, lexicographic."""
-    return np.pad(combination_array(n - 1, size - 1) + 1, ((0, 0), (1, 0)))
-
-
-def _per_set(n: int) -> int:
-    """A translation-invariant count over the six-sets of F_3^3 through 0
-    as one over all: (E, e in E) -> (E - e, e) makes 6 C(27,6) = 27 C(26,5)."""
-    if 27 * n % 6:
-        raise InternalCheckError(f"{n} sets through 0 weigh to no whole count")
-    return 27 * n // 6
-
-
-def _translates(p: int, d: int, cex: list) -> list:
-    """cex with every translate of each "set", once each, in row order."""
-    out = {tuple(row): c for c in cex
-           for row in np.sort(add_table(p, d)[:, c["set"]], axis=1).tolist()}
-    return [{**c, "set": list(row)} for row, c in sorted(out.items())]
-
-
 def _f33_sweep(fn, workers: int) -> tuple:
     """fn over the six-sets of F_3^3 through 0, reported as over all."""
-    n = math.comb(26, 5)
-    _through_origin(27, 6)          # built once, before a pool forks
-    *counts, cex = _sweep(fn, list(_blocks(n, _SLAB_BLOCK)), workers, n)
-    return [_per_set(c) for c in counts], _translates(3, 3, cex)
+    _through_origin(27, 6)          # built once, before the workers fork
+    return _origin_sweep(fn, list(_blocks(math.comb(26, 5), _SLAB_BLOCK)),
+                         3, 3, 6, workers)
 
 
 def _slab_chunk(args):
@@ -708,11 +689,21 @@ _FUG52_BLOCK, _KEY_BLOCK = 384, 1 << 11
 _MAP_BLOCK = 1 << 10
 
 
-def _fug52_both_filtered(size: int) -> bool:
-    """Both searches reject every set of this size in F_5^2 at once."""
-    spc = Space(5, 2)
+def _both_filtered(spc: Space, size: int) -> bool:
+    """Both searches reject every set of this size at once."""
     return (size not in allowed_spectral_sizes(spc)
             and not size_can_tile(spc, size))
+
+
+def _size_sweep(fn, chunks: list, workers: int, expected: int,
+                rejected: dict) -> tuple:
+    """(per-size counts, counterexamples) of a sweep whose chunks return
+    (sets, {size: counts}, counterexamples), with `rejected`, the counts
+    of the sizes that no chunk reads, added."""
+    per_size, cex = {}, []
+    if chunks:
+        _, per_size, cex = _sweep(fn, chunks, workers, expected)
+    return {**per_size, **rejected}, cex
 
 
 @lru_cache(maxsize=None)
@@ -734,11 +725,6 @@ def _fug52_classes(size: int) -> list:
 
 def _fug52_chunk(args):
     size, lo, hi = args
-    if _fug52_both_filtered(size):
-        # the counts of the per-set loop: each set is searched once,
-        # and both searches reject it by size
-        return hi - lo, {str(size): {"anchored": hi - lo, "searched": hi - lo,
-                                     "spectral": 0, "tiles": 0}}, []
     classes = _fug52_classes(size)[lo:hi]
     rows = _through_origin(25, size)[np.concatenate(classes)]
     local = np.split(np.arange(len(rows)),
@@ -838,7 +824,9 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     own set, both ways: spectra in one _validate_witness_rows call, each
     tiling class member against its class's complement in one
     tiling_pair_rows call each way.  Reports count per set, as a per-set
-    search would.
+    search would.  In (3,2) and (5,2) a size that both size filters
+    reject builds no set: the calling process counts its sets as
+    searched once and rejected, so such a size is no chunk.
     Raises SweepBudgetError if a search runs out of budget.
     """
     t0 = perf_counter()
@@ -869,11 +857,19 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
             "fuglede-3-3", "6-point subsets of F_3^3", total, "none", total,
             cex, details, round(perf_counter() - t0, 3), workers)
 
+    if key in ((3, 2), (5, 2)):
+        spc = Space(p, d)
+        if not sizes or not all(1 <= s <= spc.order for s in sizes):
+            raise ValueError(
+                f"F_{p}^{d} sweep needs sizes within 1..{spc.order}")
+        searched = [s for s in sizes if not _both_filtered(spc, s)]
     if key == (3, 2):
-        if not sizes or not all(1 <= s <= 9 for s in sizes):
-            raise ValueError("F_3^2 sweep needs sizes within 1..9")
         card = sum(math.comb(9, s) for s in sizes)
-        _, per_size, cex = _sweep(_fug32_chunk, list(sizes), workers, card)
+        per_size, cex = _size_sweep(
+            _fug32_chunk, searched, workers,
+            sum(math.comb(9, s) for s in searched),
+            {str(s): {"sets": math.comb(9, s), "spectral": 0, "tiles": 0}
+             for s in sizes if s not in searched})
         details = {"sizes": per_size, "pruning": "off"}
         return LemmaReport(
             "fuglede-3-2",
@@ -882,17 +878,17 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
             round(perf_counter() - t0, 3), workers)
 
     if key == (5, 2):
-        if not sizes or not all(1 <= s <= 25 for s in sizes):
-            raise ValueError("F_5^2 sweep needs sizes within 1..25")
-        # a size of which no set is built is one chunk of rows, any other
         # chunks of whole classes; the sort restores the order of the sets
-        chunks = [(s, lo, hi) for s in sizes for lo, hi in (
-            [(0, math.comb(24, s - 1))] if _fug52_both_filtered(s)
-            else _blocks(len(_fug52_classes(s)), _FUG52_BLOCK))]
+        chunks = [(s, lo, hi) for s in searched
+                  for lo, hi in _blocks(len(_fug52_classes(s)), _FUG52_BLOCK)]
         plane_word_table(5, 2), direction_masks(5, 2)
-        anchored, per_size, cex = _sweep(
+        per_size, cex = _size_sweep(
             _fug52_chunk, chunks, workers,
-            sum(math.comb(24, s - 1) for s in sizes))
+            sum(math.comb(24, s - 1) for s in searched),
+            {str(s): {"anchored": math.comb(24, s - 1),
+                      "searched": math.comb(24, s - 1),
+                      "spectral": 0, "tiles": 0}
+             for s in sizes if s not in searched})
         cex.sort(key=lambda c: (len(c["set"]), c["set"]))
         details = {
             "sizes": per_size,
@@ -911,7 +907,8 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
             f"translation-anchored subsets of F_5^2 of sizes {list(sizes)}",
             card,
             "translations of F_5^2, order 25",
-            anchored, _coord_cex(5, 2, cex), details,
+            sum(math.comb(24, s - 1) for s in sizes),
+            _coord_cex(5, 2, cex), details,
             round(perf_counter() - t0, 3), workers)
 
     raise ValueError(f"unsupported sweep ({p}, {d})")

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -36,3 +37,18 @@ def traced_peak():
             if not tracing:
                 tracemalloc.stop()
     return peak
+
+
+@pytest.fixture
+def fork_count(monkeypatch):
+    """Wrap os.fork; returns a function giving the number of forks made
+    since the fixture was set up."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return lambda: len(forks)

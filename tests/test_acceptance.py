@@ -68,6 +68,18 @@ def test_criterion_01_five_point_directions(sweeps):
          "directions, exhaustive, 0 counterexamples")
 
 
+def _payload_sha256(rep) -> str:
+    """sha256 of a report's result payload, serialized as the CLI
+    serializes it (sorted keys, no whitespace)."""
+    canonical = json.dumps(rep.result_dict(), sort_keys=True,
+                           separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+LM2_DIRECT_SHA256 = (
+    "91bf53796ed98c261e4e71153ac7f3afcf55285eb90314d59996de8444a62b14")
+
+
 def test_criterion_02_seven_point_directions(sweeps):
     red = sweeps["lm2", 4]
     direct = verify_lm2(workers=4, mode="direct")
@@ -77,6 +89,7 @@ def test_criterion_02_seven_point_directions(sweeps):
     agree = 6 * (35 * dd["hypothesis_sets"] - dd["collinear_triples"]) \
         == 98784 * dr["hypothesis_sets"]
     ok = (red.passed and direct.passed
+          and _payload_sha256(direct) == LM2_DIRECT_SHA256
           and dd["enumerated_sets"] == math.comb(49, 7)
           and all(int(k) >= 6 for k in dd["direction_histogram"])
           and all(int(k) >= 6 for k in dr["direction_histogram"])
@@ -276,8 +289,7 @@ def test_criterion_13_worker_determinism(sweeps):
          "workers for every exhaustive report")
 
 
-# sha256 of each README lemma's result payload, serialized as the CLI
-# serializes it (sorted keys, no whitespace)
+# sha256 of each README lemma's result payload (_payload_sha256)
 README_SHA256 = {
     "lm1": "3930b815879fd0352ec21891b6488963b2d01f290dbbc1a8e1770a7cd23ed6bb",
     "lm2": "8ccd09b36506b9da08242a1a95adcbddb3549b8abf8aacd81c621e6ea9699921",
@@ -291,7 +303,4 @@ README_SHA256 = {
 
 @pytest.mark.parametrize("key", list(README_SHA256))
 def test_readme_lemma_result_pinned(sweeps, key):
-    canonical = json.dumps(sweeps[key, 1].result_dict(), sort_keys=True,
-                           separators=(",", ":"))
-    assert hashlib.sha256(canonical.encode()).hexdigest() == \
-        README_SHA256[key]
+    assert _payload_sha256(sweeps[key, 1]) == README_SHA256[key]

@@ -325,6 +325,9 @@ class TestCounterexample:
 
 PARENT_PID = os.getpid()
 F32_THREADS_2 = ["verify", "--lemma", "fuglede-3-2", "--threads", "2"]
+# fuglede-3-2 has one chunk at its README sizes and runs in the calling
+# process; fuglede-5-2 forks at 2 workers
+F52_THREADS_2 = ["verify", "--lemma", "fuglede-5-2", "--threads", "2"]
 
 
 def aborted_search(*args):
@@ -336,7 +339,7 @@ def false_tiling(p, d, rows, budget):
     return [("witness", [0], 1)] * len(rows)
 
 
-def dying_chunk(size):
+def dying_chunk(args):
     # forked workers die without a result; the caller never gets here
     if os.getpid() != PARENT_PID:
         os.kill(os.getpid(), signal.SIGKILL)
@@ -355,16 +358,16 @@ class TestExitPaths:
         "bad_input": (["analyze", "--set", "{bad}"], None, 1),
         "budget_spent": (["analyze", "--set", "{line}", "--budget", "1"],
                          None, 2),
-        "internal_check": (F32_THREADS_2,
+        "internal_check": (F52_THREADS_2,
                            ("tiling_search_rows", false_tiling), 3),
-        "sweep_budget": (F32_THREADS_2,
+        "sweep_budget": (F52_THREADS_2,
                          ("_clique_in_zero_set", aborted_search), 3),
-        "worker_died": (F32_THREADS_2, ("_fug32_chunk", dying_chunk), 3),
+        "worker_died": (F52_THREADS_2, ("_fug52_chunk", dying_chunk), 3),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_exit_code(self, case, line_file, tmp_path, monkeypatch,
-                       capsys):
+                       capsys, fork_count):
         argv, stub, want = self.CASES[case]
         bad = write_lines(tmp_path / "bad.txt", "p 7", "d 2", "1 2 3")
         argv = [a.format(bad=bad, line=line_file) for a in argv]
@@ -380,6 +383,7 @@ class TestExitPaths:
         cap = capsys.readouterr()
         assert code == want and cap.out == ""
         assert rp.exists() == (want in (0, 2))
+        assert fork_count() == (2 if want == 3 else 0)
         lines = cap.err.splitlines()
         if want in (0, 2):
             assert lines == []

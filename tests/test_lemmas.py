@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 from collections import Counter
 
 import numpy as np
@@ -28,8 +27,8 @@ from ffspec.fourier import zero_set
 from ffspec.lemmas import (
     _coord_cex,
     _decode_profile,
+    _direct_chunk,
     _direct_chunk_list,
-    _direct_task,
     _fillings,
     _fold,
     _fug33_chunk,
@@ -133,21 +132,6 @@ class TestLm2:
         combination_array(46, 4), plane_word_table(7, 2)
         assert traced_peak(lemmas._anchored_chunk, 4) < 4e6
 
-    def test_direct_stratum(self):
-        rep = verify_lm2(mode="direct", stratum=(0, 200))
-        assert rep.passed
-        d = rep.details
-        assert d["stratum"] == [0, 200]
-        assert d["enumerated_sets"] == rep.space_cardinality > 0
-        hist_total = sum(int(v) for v in d["direction_histogram"].values())
-        assert hist_total == d["hypothesis_sets"]
-
-    def test_stratum_validation(self):
-        with pytest.raises(ValueError):
-            verify_lm2(mode="reduced", stratum=(0, 10))
-        with pytest.raises(ValueError):
-            verify_lm2(mode="direct", stratum=(5, 5))
-
     def test_four_collinear_sets_skipped(self):
         # (0,0),(1,0),(2,0),(3,0) collinear among 7 points
         rows = np.array([[0, 1, 2, 3, 7, 15, 23]], dtype=np.int16)
@@ -226,57 +210,51 @@ class TestPlanarScreen:
             _planar_eval(plane_words(7, 2, _BUILT_PLANAR_ROWS[:1]), 5)
 
 
-def _explicit_chunk(chunk):
-    """_planar_eval over the chunk's explicit rows [i0, i1] + tail, in
-    row blocks, counterexamples as index lists."""
-    size, i0, i1, lo, hi = chunk
-    tail = combination_array(48 - i1, size - 2)[lo:hi].astype(np.int64)
-    rows = np.hstack([np.full((len(tail), 2), (i0, i1)), tail + i1 + 1])
+def _explicit_rows(rows, no_k):
+    """_planar_eval over explicit index rows, in row blocks,
+    counterexamples as index lists."""
     total = None
     for a in range(0, len(rows), 1 << 15):
         *res, viol = _planar_eval(plane_words(7, 2, rows[a:a + (1 << 15)]),
-                                  3 if size == 5 else 4)
+                                  no_k)
         res.append([{"set": rows[a + j].tolist()} for j in viol])
         total = res if total is None else [_fold(x, y)
                                            for x, y in zip(total, res)]
     return total
 
 
+def _explicit_chunk(chunk):
+    """_explicit_rows over the chunk's rows [0, i1] + tail."""
+    size, i1, lo, hi = chunk
+    tail = combination_array(48 - i1, size - 2)[lo:hi].astype(np.int64)
+    rows = np.hstack([np.full((len(tail), 2), (0, i1)), tail + i1 + 1])
+    return _explicit_rows(rows, 3 if size == 5 else 4)
+
+
 class TestPrefixSharing:
-    # (size, i1, block): the chunks sharing (size, i1, lo, hi) run as one
-    # task; block 1 of i1 = 1 at size 7 starts at lo = 2^18
+    # (size, i1, block): the chunk (size, i1, lo, hi) sums its tails'
+    # words and adds the word of its prefix (0, i1); block 1 of i1 = 1
+    # at size 7 starts at lo = 2^18
     @pytest.mark.parametrize("size,i1,block", [
         (7, 1, 1), (5, 10, 0), (7, 10, 1), (5, 43, 0), (7, 43, 0)])
     @pytest.mark.parametrize("min_dirs", [6, 8])
     def test_task_matches_explicit_rows(self, monkeypatch, size, i1, block,
                                         min_dirs):
         monkeypatch.setattr(lemmas, "_MIN_DIRECTIONS", min_dirs)
-        blocks = sorted({c[3:] for c in _direct_chunk_list(size)
-                         if c[2] == i1})
-        chunks = [c for c in _direct_chunk_list(size)
-                  if c[2] == i1 and c[3:] == blocks[block]]
-        assert [c[1] for c in chunks] == list(range(i1))
+        chunk = [c for c in _direct_chunk_list(size) if c[1] == i1][block]
         if block:
-            assert chunks[0][3] > 0
-        got = _direct_task(chunks)
-        assert len(got) == len(chunks)
-        cex = 0
-        for chunk, res in zip(chunks, got):
-            want = _explicit_chunk(chunk)
-            assert res[:2] + res[3:] == want[:2] + want[3:]
-            assert res[2].tolist() == want[2].tolist()
-            cex += len(res[4])
+            assert chunk[2] > 0
+        got, want = _direct_chunk(chunk), _explicit_chunk(chunk)
+        assert got[:2] + got[3:] == want[:2] + want[3:]
+        assert got[2].tolist() == want[2].tolist()
         # points 44 .. 48 lie on the line y = 6, so i1 = 43 leaves no
         # hypothesis set; elsewhere the raised bound orders real lists
-        assert (cex > 0) == (min_dirs > 6 and i1 < 43)
+        assert (len(got[4]) > 0) == (min_dirs > 6 and i1 < 43)
 
     def test_direct_results_independent_of_workers(self):
         def dumps(rep):
             return json.dumps(rep.result_dict(), sort_keys=True)
-        for run in (lambda w: verify_lm1(workers=w),
-                    lambda w: verify_lm2(workers=w, mode="direct",
-                                         stratum=(0, 200))):
-            assert dumps(run(1)) == dumps(run(2))
+        assert dumps(verify_lm1(workers=1)) == dumps(verify_lm1(workers=2))
 
 
 class TestProj21:
@@ -724,17 +702,25 @@ class TestGroupedSweeps:
          lambda p, d, rows, budget: [("aborted", None, 1)] * len(rows)),
     ])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_budget_failure_is_named(self, monkeypatch, cold_caches, name,
-                                     value, workers):
+    def test_budget_failure_is_named(self, monkeypatch, cold_caches,
+                                     fork_count, name, value, workers):
         # at 2 workers the two size chunks run in forked children, which
         # inherit the patch; the error crosses the fork by type
         monkeypatch.setattr(lemmas, name, value)
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         with pytest.raises(lemmas.SweepBudgetError, match="budget"):
-            verify_fuglede_small(3, 2, (3, 6), workers=workers)
-        assert len(forks) == (workers if workers > 1 else 0)
+            verify_fuglede_small(3, 2, (3, 9), workers=workers)
+        assert fork_count() == (workers if workers > 1 else 0)
+
+    def test_rejected_sizes_are_no_chunk(self, fork_count):
+        # both size filters reject size 6 of F_3^2, so the calling
+        # process counts it and size 3 is the one chunk: nothing forks
+        rep = verify_fuglede_small(3, 2, (3, 6), workers=2)
+        assert rep.details["sizes"]["6"] == {
+            "sets": 84, "spectral": 0, "tiles": 0}
+        assert fork_count() == 0
+        # F_5^2 sizes 1 and 25 are a chunk each, size 2 none
+        verify_fuglede_small(5, 2, (1, 2, 25), workers=2)
+        assert fork_count() == 2
 
 
 class TestFalsify:
@@ -898,13 +884,13 @@ class TestOriginSweeps:
         full = _full_enumeration(monkeypatch)
         full_slab, full_f33 = _slab_chunk((0, full)), _fug33_chunk((0, full))
         assert full_slab[:2] == (296010, 203346)
-        assert full_slab[:2] == tuple(_per_set(c) for c in slab[:2])
-        assert full_f33[:3] == tuple(_per_set(c) for c in f33[:3])
+        assert full_slab[:2] == tuple(_per_set(c, 27, 6) for c in slab[:2])
+        assert full_f33[:3] == tuple(_per_set(c, 27, 6) for c in f33[:3])
 
     @pytest.mark.parametrize("n", [1, 3, 65779])
     def test_per_set_rejects_fractional_weights(self, n):
         with pytest.raises(InternalCheckError):
-            _per_set(n)
+            _per_set(n, 27, 6)
 
     def test_slab_counterexamples_as_full_enumeration(self, monkeypatch):
         # a translation-invariant conclusion that fails exactly on the
@@ -947,6 +933,39 @@ class TestOriginSweeps:
                         [w["spectrum"] for w in want])
 
 
+class TestPlanarOriginSweep:
+    """lm1 and lm2 direct read the sets of F_7^2 through the origin and
+    weigh their counts by 49/k."""
+
+    def test_lm1_as_full_enumeration(self, monkeypatch):
+        # 7 directions is a translation-invariant bound that 49,392 sets
+        # miss, so the report lists every translate of each
+        monkeypatch.setattr(lemmas, "_MIN_DIRECTIONS", 7)
+        rep = verify_lm1()
+        n, hyp, hist, triples, want = _explicit_rows(
+            combination_array(49, 5), 3)
+        d = rep.details
+        assert (d["enumerated_sets"], d["hypothesis_sets"],
+                d["collinear_triples"]) == (n, hyp, triples)
+        assert d["direction_histogram"] == {
+            str(k): int(v) for k, v in enumerate(hist) if v}
+        assert len(want) == 49392
+        assert rep.counterexamples == _coord_cex(7, 2, want)
+        # the payload of the sweep over all C(49, 5) sets
+        assert _result_sha256(rep) == (
+            "7adef9984f34a25399028d867f66c87355baa006960c9a914a6f8c79d41238f0")
+
+    # at k = 7, 49/k is whole, so only k = 5 can leave a fraction
+    @pytest.mark.parametrize("n", [1, 6, 194579])
+    def test_per_set_rejects_fractional_weights(self, n):
+        with pytest.raises(InternalCheckError):
+            _per_set(n, 49, 5)
+        with pytest.raises(InternalCheckError):
+            _per_set(np.array([0, 5, n]), 49, 5)
+        assert _per_set(np.array([0, 5, 5 * n]), 49, 5).tolist() == [
+            0, 49, 49 * n]
+
+
 def _slab_chunk_dropping_last(args):
     lo, hi = args
     return _slab_chunk((lo, hi - 1))
@@ -955,10 +974,6 @@ def _slab_chunk_dropping_last(args):
 def _toy_chunk(k):
     return (1, np.arange(3) * k, [k], {k % 2},
             {"zero": 0, str(k): k, "nested": {"a": k, "z": 0}})
-
-
-def _toy_task(ks):
-    return [_toy_chunk(k) for k in ks]
 
 
 class TestSweepDriver:
@@ -978,10 +993,10 @@ class TestSweepDriver:
          "f1adbd4d857ee946af915db8d6c8abf46200b4111c0558fc8ce0b72b4ec5413c"),
         (lambda: falsify_random(7, 3, 21, 8000, 1),
          "8ce705b74cc620480dfbb9fa7400e590d02fe42c19bbebae90c3362300dec6d8"),
-        (lambda: verify_lm2(mode="direct", stratum=(0, 200)),
-         "6b6311d38d53c826d0eb3a86fade8b6ac2fd798c1f5d09cd888318304e3a240f"),
+        (lambda: verify_lm2(mode="direct"),
+         "91bf53796ed98c261e4e71153ac7f3afcf55285eb90314d59996de8444a62b14"),
     ], ids=["lm1-reduced", "slab-p3", "fuglede-3-2-all", "falsify-5-3-10",
-            "falsify-5-2-10", "falsify-7-3-21", "lm2-direct-stratum"])
+            "falsify-5-2-10", "falsify-7-3-21", "lm2-direct"])
     def test_pinned_payloads(self, run, want):
         assert _result_sha256(run()) == want
 
@@ -1005,17 +1020,6 @@ class TestSweepDriver:
         assert parity == {0, 1}
         assert counts == {"zero": 0, "1": 1, "2": 2, "3": 3,
                           "nested": {"a": 6, "z": 0}}
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_grouped_fold_in_chunk_order(self, workers):
-        # grouped by parity the tasks are [1, 3] and [2]; the fold still
-        # takes the chunks in the order 1, 2, 3
-        plain = _sweep(_toy_chunk, [1, 2, 3], workers, expected=3)
-        grouped = _sweep(_toy_task, [1, 2, 3], workers, expected=3,
-                         group=lambda k: k % 2)
-        assert grouped[2] == plain[2] == [1, 2, 3]
-        assert grouped[1].tolist() == plain[1].tolist()
-        assert grouped[3:] == plain[3:]
 
     def test_falsify_keeps_zero_counts(self):
         d = falsify_random(5, 3, 10, 4100, 999).details
