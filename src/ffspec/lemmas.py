@@ -13,7 +13,14 @@ Every verifier runs through one driver, _sweep.  Its contract:
 - counterexamples leave the chunks as point-index lists and become
   coordinate rows in one place, _coord_cex;
 - a sweep of translation-invariant counts reads only the sets through
-  the origin and reports them as over all sets (_origin_sweep).
+  the origin and reports them as over all sets (_origin_sweep);
+- rows that are a fixed prefix plus each subset of a point list read
+  their packed plane words as the prefix's word plus one row of a cached
+  tables.combination_words table: lm1's direct chunks, lm2's anchored
+  chunk and, through combination_row_words, the six-sets of F_3^3;
+- fuglede-3-3 runs in two passes: the calling process keys every set by
+  its zero directions, and the chunks are the distinct keys, so each
+  zero set is searched once at any worker count (_fug33_search).
 
 The deterministic part of a report is therefore identical no matter how
 many workers ran it.
@@ -41,6 +48,8 @@ from .tables import (
     affine_permutation_array,
     bytes_at_least,
     combination_array,
+    combination_row_words,
+    combination_words,
     coords_matrix,
     difference,
     direction_masks,
@@ -222,18 +231,24 @@ def _planar_eval(words: np.ndarray, no_k: int):
     return len(words), int(np.count_nonzero(hyp)), hist, triples, viol.tolist()
 
 
-# rows per _planar_eval call: (4096, 8) words stay in cache
-_EVAL_BLOCK = WORD_BLOCK
+# rows per _planar_eval call: its (rows, 8) uint64 temporaries, 125 kB,
+# stay under glibc's 128 KiB mmap threshold and reuse heap memory; at
+# 4,096 rows they kept getting fresh pages from the kernel, and lm2's
+# anchored chunk took 32 ms in a fresh process instead of 16
+_EVAL_BLOCK = 2000
 
 
-def _prefix_eval(prefix: tuple, tails: np.ndarray, no_k: int) -> list:
+def _prefix_eval(prefix: tuple, tails: np.ndarray, no_k: int,
+                 words=None) -> list:
     """_planar_eval over the rows prefix + tail, with counterexamples as
-    sorted index lists.  The tail words are summed per block of tails,
-    and the prefix's word is added to them."""
+    sorted index lists.  The prefix's word is added to each tail's word:
+    its row of `words`, rows of a combination_words table, or else the
+    words summed per block of tails."""
     lead = plane_word_table(7, 2)[list(prefix)].sum(axis=0)
     out = None
     for a, b in _blocks(len(tails), _EVAL_BLOCK):
-        *res, viol = _planar_eval(plane_words(7, 2, tails[a:b]) + lead, no_k)
+        block = plane_words(7, 2, tails[a:b]) if words is None else words[a:b]
+        *res, viol = _planar_eval(block + lead, no_k)
         res.append([{"set": sorted(int(v) for v in (*prefix, *tails[a + j]))}
                     for j in viol])
         out = res if out is None else [_fold(x, y) for x, y in zip(out, res)]
@@ -242,6 +257,10 @@ def _prefix_eval(prefix: tuple, tails: np.ndarray, no_k: int) -> list:
 
 # direct-mode tails per chunk
 _TAIL_BLOCK = 1 << 18
+_F72_POINTS = tuple(range(49))
+# tails of up to three points read their words from one table of C(49, 3)
+# rows (1.2 MB); lm2's five-point tails (122 MB of words) sum theirs
+_TABLE_TAIL = 3
 
 
 def _direct_chunk_list(size: int) -> list:
@@ -259,8 +278,11 @@ def _direct_chunk(chunk):
     # the r-subsets of {i1 + 1 .. 48} are the last rows of those of
     # range(49), in the same order
     start = math.comb(49, r) - math.comb(48 - i1, r)
-    tails = combination_array(49, r)[start + lo:start + hi]
-    return _prefix_eval((0, i1), tails, 3 if size == 5 else 4)
+    rows = slice(start + lo, start + hi)
+    words = (combination_words(7, 2, _F72_POINTS, r)[rows]
+             if r <= _TABLE_TAIL else None)
+    return _prefix_eval((0, i1), combination_array(49, r)[rows],
+                        3 if size == 5 else 4, words)
 
 
 # anchor triangle (0,0), (1,0), (0,1): first nonzero noncollinear triple
@@ -268,9 +290,25 @@ _ANCHOR = (0, 1, 7)
 
 
 def _anchored_chunk(tail_size: int):
-    rest = np.array([i for i in range(49) if i not in _ANCHOR], np.int8)
-    tails = rest[combination_array(46, tail_size)]
-    return _prefix_eval(_ANCHOR, tails, 3 if tail_size == 2 else 4)
+    """The anchor plus every tail_size-subset of the other 46 points,
+    with words from the combination_words table of the r-subsets of
+    rest, r = min(tail_size, _TABLE_TAIL).  A longer tail (lm2's, of
+    _TABLE_TAIL + 1 points) is its first point rest[j] plus one of the
+    last C(45 - j, r) rows of that table, in order, so such tails run
+    once per first point."""
+    rest = tuple(i for i in range(49) if i not in _ANCHOR)
+    r = min(tail_size, _TABLE_TAIL)
+    words = combination_words(7, 2, rest, r)
+    tails = np.array(rest, np.int8)[combination_array(46, r)]
+    runs = ([((), 0)] if r == tail_size else
+            [((rest[j],), len(words) - math.comb(45 - j, r))
+             for j in range(46 - r)])
+    out = None
+    for lead, start in runs:
+        res = _prefix_eval(_ANCHOR + lead, tails[start:],
+                           3 if tail_size == 2 else 4, words[start:])
+        out = res if out is None else [_fold(x, y) for x, y in zip(out, res)]
+    return out
 
 
 def _planar_report(lemma_id, set_size, mode, workers):
@@ -286,6 +324,8 @@ def _planar_report(lemma_id, set_size, mode, workers):
         # |AGL(2,7)| = 49 * 48 * 42
         group = "AGL(2,7), order 98784, anchored triangle"
     elif mode == "direct":
+        if set_size - 2 <= _TABLE_TAIL:
+            combination_words(7, 2, _F72_POINTS, set_size - 2)
         # collinearity and directions are translation invariant
         (n, hyp, hist, triples), cex = _origin_sweep(
             _direct_chunk, _direct_chunk_list(set_size), 7, 2, set_size,
@@ -447,7 +487,7 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
     V = _fillings()
     reps, _ = _f1_orbit_reps()
     orbits = _row_triple_orbits()
-    plane_word_table(7, 2)          # built once, before a pool forks
+    plane_word_table(7, 2)          # built once, before the workers fork
     chunks = [(rep, lo, hi) for rep, _ in orbits
               for lo, hi in _blocks(len(reps), 8)]
     _, hyp_weighted, equi_hist, profiles, cex = _sweep(
@@ -487,22 +527,21 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
 _SLAB_BLOCK = 1 << 15
 
 
-def _f33_sweep(fn, workers: int) -> tuple:
-    """fn over the six-sets of F_3^3 through 0, reported as over all."""
-    _through_origin(27, 6)          # built once, before the workers fork
-    return _origin_sweep(fn, list(_blocks(math.comb(26, 5), _SLAB_BLOCK)),
-                         3, 3, 6, workers)
+def _zero_bits(words: np.ndarray) -> np.ndarray:
+    """(rows, 1) <u2 of F_3^3 six-set words: bit k is set when the set
+    has two points on each plane of direction k, that is when its
+    Fourier transform vanishes along direction k."""
+    zero = words == uniform_word(3, 2)
+    return np.packbits(zero, axis=-1, bitorder="little").view("<u2")
 
 
 def _slab_chunk(args):
     lo, hi = args
     rows = _through_origin(27, 6)[lo:hi]
-    words = plane_words(3, 3, rows)                    # (rows, 13)
+    words = combination_row_words(3, 3, 27, 6, lo, lo + len(rows))
     # equidistributed along a direction: two points on each of its planes
-    zero = words == uniform_word(3, 2)
-    bits = np.packbits(zero, axis=-1, bitorder="little").view("<u2")
     orth = orthogonal_direction_bits(3, 3).astype(np.uint16)
-    hyp = (np.bitwise_count(bits & orth) >= 2).any(axis=-1)
+    hyp = (np.bitwise_count(_zero_bits(words) & orth) >= 2).any(axis=-1)
     # inside two parallel planes: some plane count is 0
     concl = (bytes_at_least(3, words, 1) < 3).any(axis=-1)
     viol = hyp & ~concl
@@ -512,10 +551,15 @@ def _slab_chunk(args):
 def verify_slab_p3(workers: int = 1) -> LemmaReport:
     """Six-point subsets of F_3^3 equidistributed along at least two
     directions of one plane are contained in two parallel planes.
-    Both predicates are translation invariant: see _f33_sweep."""
+    Both predicates are translation invariant, so the sweep reads the
+    sets through the origin (_origin_sweep)."""
     t0 = perf_counter()
-    plane_word_table(3, 3), orthogonal_direction_bits(3, 3)
-    (total, hyp), cex = _f33_sweep(_slab_chunk, workers)
+    # built once, before the workers fork
+    orthogonal_direction_bits(3, 3), _through_origin(27, 6)
+    combination_words(3, 3, tuple(range(27)), 4)
+    (total, hyp), cex = _origin_sweep(
+        _slab_chunk, list(_blocks(math.comb(26, 5), _SLAB_BLOCK)), 3, 3, 6,
+        workers)
     details = {
         "enumerated_sets": total,
         "hypothesis_sets": hyp,
@@ -531,18 +575,17 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # Small-space spectral-versus-tile sweeps.
 
-def _immediate_none(spc: Space, rows: np.ndarray) -> tuple:
-    """(n_dirs, n_rows) zero directions of every index row, and the rows
-    whose spectrum search answers none without searching.
+def _immediate_none(spc: Space, size: int, zero_dirs):
+    """Whether the spectrum search of a set of this size with this many
+    zero directions (a count or an array of counts) answers none
+    without searching.
 
     At a size a spectral set may have, the clique stage needs |E| - 1
     points in the zero set, and each zero direction holds p - 1 of them.
     Other sizes are left to the search's own size filter.
     """
-    zero = zero_directions(spc.p, spc.d, rows)
-    size = rows.shape[1]
-    few = (spc.p - 1) * zero.sum(axis=0) < size - 1
-    return zero, few & (size in allowed_spectral_sizes(spc))
+    few = (spc.p - 1) * np.asarray(zero_dirs) < size - 1
+    return few & (size in allowed_spectral_sizes(spc))
 
 
 _BUDGET = 10 ** 9
@@ -569,30 +612,49 @@ def _groups(keys: np.ndarray) -> tuple:
     return first, members
 
 
+def _search_keys(spc: Space, size: int, keys, counts) -> tuple:
+    """(searched sets, nodes, {key: spectrum}) of distinct zero-direction
+    keys (bit k: direction k), each with its number of sets.
+
+    The clique stage is a function of (zero set, size, budget) alone, so
+    it runs once per key, and its nodes count once per set; the keys that
+    _immediate_none flags are not searched.
+    """
+    dmasks = direction_masks(spc.p, spc.d)
+    searched = nodes = 0
+    spectra = {}
+    for key, count in zip(keys, counts):
+        if _immediate_none(spc, size, key.bit_count()):
+            continue
+        zmask = sum(m for k, m in enumerate(dmasks) if key >> k & 1)
+        verdict, spectrum, n = _clique_in_zero_set(spc, zmask, size, _BUDGET)
+        searched += count
+        nodes += n * count
+        if _found(verdict):
+            spectra[key] = sorted(spectrum)
+    return searched, nodes, spectra
+
+
+def _rows_with(keys: np.ndarray, spectra: dict) -> dict:
+    """{row position: spectrum} of the rows whose key has a spectrum."""
+    hit = np.flatnonzero(np.isin(keys, list(spectra)))
+    return dict(zip(hit.tolist(), map(spectra.get, keys[hit].tolist())))
+
+
 def _spectra_by_zero_set(spc: Space, rows: np.ndarray,
                          zero: np.ndarray) -> tuple:
     """Spectral verdicts of index rows of one allowed size, from their
-    zero directions (n_dirs, n_rows).
-
-    The clique stage is a function of (zero set, size, budget) alone, so
-    it runs once per distinct zero set, and each row of the group counts
-    its nodes.  A group's spectrum is still checked against every row of
-    the group, both ways: one _validate_witness_rows call takes all the
-    rows of the chunk that have one.
+    zero directions (n_dirs, n_rows), searched once per distinct zero set
+    (_search_keys).  A spectrum is still checked against every row with
+    its zero set, both ways: one _validate_witness_rows call takes all
+    the rows of the chunk that have one.
     Returns (nodes, {row position: spectrum indices}) in row order.
     """
-    dmasks = direction_masks(spc.p, spc.d)
     keys = (np.int64(1) << np.arange(len(zero), dtype=np.int64)) @ zero
-    nodes = 0
-    spectra = {}
-    for col, members in zip(*_groups(keys)):
-        zmask = sum(itertools.compress(dmasks, zero[:, col]))
-        verdict, spectrum, n = _clique_in_zero_set(spc, zmask, rows.shape[1],
-                                                   _BUDGET)
-        nodes += n * len(members)
-        if _found(verdict):
-            spectra.update(dict.fromkeys(members.tolist(), sorted(spectrum)))
-    spectra = dict(sorted(spectra.items()))
+    uniq, counts = np.unique(keys, return_counts=True)
+    _, nodes, found = _search_keys(spc, rows.shape[1], uniq.tolist(),
+                                   counts.tolist())
+    spectra = _rows_with(keys, found)
     if spectra:
         _validate_witness_rows(spc.p, spc.d, rows[list(spectra)],
                                list(spectra.values()))
@@ -632,16 +694,51 @@ def _tiles_by_class(spc: Space, rows: np.ndarray, classes: list) -> np.ndarray:
     return tiles
 
 
+def _f33_keys() -> np.ndarray:
+    """The zero-direction key (_zero_bits) of each row of
+    _through_origin(27, 6), the first rows of combination_array(27, 6),
+    in row order, WORD_BLOCK rows at a time."""
+    n = len(_through_origin(27, 6))
+    keys = np.empty(n, dtype=np.uint16)
+    for lo, hi in _blocks(n, WORD_BLOCK):
+        keys[lo:hi] = _zero_bits(
+            combination_row_words(3, 3, 27, 6, lo, hi))[:, 0]
+    return keys
+
+
+# distinct zero-direction keys per fuglede-3-3 chunk
+_F33_KEY_BLOCK = 64
+
+
 def _fug33_chunk(args):
-    lo, hi = args
-    spc = Space(3, 3)
-    rows = _through_origin(27, 6)[lo:hi]
-    zero, none = _immediate_none(spc, rows)
-    keep = np.flatnonzero(~none)
-    nodes, spectra = _spectra_by_zero_set(spc, rows[keep], zero[:, keep])
-    wits = [{"set": rows[keep[i]].tolist(), "spectrum": spectrum}
-            for i, spectrum in spectra.items()]
-    return len(rows), len(keep), nodes, wits
+    """(sets, searched sets, nodes, {key: spectrum}) of a chunk of
+    distinct zero-direction keys, each given with its number of
+    six-sets (_search_keys)."""
+    keys, counts = args
+    return (int(counts.sum()),
+            *_search_keys(Space(3, 3), 6, keys.tolist(), counts.tolist()))
+
+
+def _fug33_search(workers: int) -> tuple:
+    """(sets, searched sets, nodes, witnesses) over the rows of
+    _through_origin(27, 6), in two passes.
+
+    The calling process keys every row by its zero directions
+    (_f33_keys) and forks nothing.  The distinct keys, ascending, make a
+    fixed list of chunks, so each zero set is searched once at any
+    worker count, and the rows counted by the chunks must total the rows
+    keyed.  The rows whose key has a spectrum are gathered in row order.
+    """
+    keys = _f33_keys()
+    uniq, counts = np.unique(keys, return_counts=True)
+    chunks = [(uniq[a:b], counts[a:b])
+              for a, b in _blocks(len(uniq), _F33_KEY_BLOCK)]
+    sets, searched, nodes, spectra = _sweep(_fug33_chunk, chunks, workers,
+                                            len(keys))
+    rows = _through_origin(27, 6)
+    return sets, searched, nodes, [
+        {"set": rows[i].tolist(), "spectrum": spectrum}
+        for i, spectrum in _rows_with(keys, spectra).items()]
 
 
 def _spectral_vs_tile(spc: Space, rows: np.ndarray, classes: list) -> tuple:
@@ -657,8 +754,9 @@ def _spectral_vs_tile(spc: Space, rows: np.ndarray, classes: list) -> tuple:
     both ways, in one batched call per side.
     Returns ({"searched", "spectral", "tiles"} counts, counterexamples).
     """
-    zero, skip_spectral = _immediate_none(spc, rows)
-    searched = np.flatnonzero(~skip_spectral)
+    zero = zero_directions(spc.p, spc.d, rows)
+    searched = np.flatnonzero(~_immediate_none(spc, rows.shape[1],
+                                               zero.sum(axis=0)))
     spectral = np.zeros(len(rows), dtype=bool)
     if rows.shape[1] in allowed_spectral_sizes(spc):
         _, spectra = _spectra_by_zero_set(spc, rows[searched],
@@ -712,7 +810,8 @@ def _fug52_classes(size: int) -> list:
     ascending, so a class's first member is its first set in row order.
 
     The sets through the origin of E's class are its translates E - e,
-    e in E, so the least of their bitmasks keys the class.
+    e in E, so the least of their bitmasks keys the class.  The classes
+    must number translation_class_counts, Burnside's count of them.
     """
     rows = _through_origin(25, size)
     keys = []
@@ -720,7 +819,12 @@ def _fug52_classes(size: int) -> list:
         # [r, j, i]: point e_i - e_j of the translate E_r - e_j
         moved = difference(5, 2, rows[a:b, None, :], rows[a:b, :, None])
         keys.append((np.int64(1) << moved).sum(axis=2).min(axis=1))
-    return _groups(np.concatenate(keys))[1]
+    classes = _groups(np.concatenate(keys))[1]
+    want = translation_class_counts(5, 2, (size,))[size]
+    if len(classes) != want:
+        raise InternalCheckError(f"keyed {len(classes)} translation classes "
+                                 f"of {size}-sets, expected {want}")
+    return classes
 
 
 def _fug52_chunk(args):
@@ -814,19 +918,23 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     equivalence.  (5,2): translation-anchored representatives (subsets
     containing the origin), covering every set up to translation; both
     predicates are translation invariant.  (3,3): size 6 only, assert no
-    spectra exist, read from the sets through the origin (_f33_sweep).
+    spectra exist, read from the sets through the origin in two passes
+    (_fug33_search): the calling process keys each set by its zero
+    directions, and each chunk searches a block of the distinct keys.
 
-    Each chunk runs the spectral clique stage once per distinct zero set
-    and, in (3,2) and (5,2), the tiling search once per translation class,
-    on the class's first set, all of a chunk's classes in one batched
-    search.  A (5,2) chunk takes whole classes, keyed once in the parent
-    (_fug52_classes).  The chunk then checks every witness against its
-    own set, both ways: spectra in one _validate_witness_rows call, each
-    tiling class member against its class's complement in one
-    tiling_pair_rows call each way.  Reports count per set, as a per-set
-    search would.  In (3,2) and (5,2) a size that both size filters
-    reject builds no set: the calling process counts its sets as
-    searched once and rejected, so such a size is no chunk.
+    The spectral clique stage runs once per distinct zero set: per chunk
+    in (3,2) and (5,2), once in all in (3,3).  In (3,2) and (5,2) the
+    tiling search runs once per translation class, on the class's first
+    set, all of a chunk's classes in one batched search.  A (5,2) chunk
+    takes whole classes, keyed once in the parent (_fug52_classes),
+    whose number must match translation_class_counts.  Every witness is
+    then checked against its own set, both ways: spectra in one
+    _validate_witness_rows call per chunk (per sweep in (3,3), every
+    translate included), each tiling class member against its class's
+    complement in one tiling_pair_rows call each way.  Reports count per
+    set, as a per-set search would.  In (3,2) and (5,2) a size that both
+    size filters reject builds no set: the calling process counts its
+    sets as searched once and rejected, so such a size is no chunk.
     Raises SweepBudgetError if a search runs out of budget.
     """
     t0 = perf_counter()
@@ -837,8 +945,11 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     if key == (3, 3):
         if sizes != (6,):
             raise ValueError("F_3^3 sweep supports size 6 only")
-        plane_word_table(3, 3), direction_masks(3, 3)
-        (total, searched, nodes), wits = _f33_sweep(_fug33_chunk, workers)
+        direction_masks(3, 3)       # built once, before the workers fork
+        *counts, wits = _fug33_search(workers)
+        # translation invariant: counted over the sets through the origin
+        total, searched, nodes = (_per_set(c, 27, 6) for c in counts)
+        wits = _translates(3, 3, wits)
         if wits:
             _validate_witness_rows(3, 3, [w["set"] for w in wits],
                                    [w["spectrum"] for w in wits])

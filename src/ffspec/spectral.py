@@ -290,11 +290,14 @@ def _clique_in_zero_set(space, zmask: int, n: int, budget: int) -> tuple:
     zbits[ci] = True
     adj_bool = zbits[difference(space.p, space.d, ci[:, None], ci)]
     np.fill_diagonal(adj_bool, False)
-    degree = adj_bool.sum(axis=1)
-    order = sorted(range(k), key=lambda s: (-int(degree[s]), cand[s]))
-    adj_sorted = adj_bool[np.ix_(order, order)]
-    adj = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-           for row in adj_sorted]
+    order = np.lexsort((ci, -adj_bool.sum(axis=1)))
+    # one packbits call: row s is bytes [s * w, (s + 1) * w) of packed
+    packed = np.packbits(adj_bool[np.ix_(order, order)], axis=1,
+                         bitorder="little")
+    w = packed.shape[1]
+    packed = packed.tobytes()
+    adj = [int.from_bytes(packed[s * w:(s + 1) * w], "little")
+           for s in range(k)]
     verdict, slots, nodes = _clique_of_size(adj, n - 1, budget)
     if verdict != "witness":
         return verdict, None, nodes

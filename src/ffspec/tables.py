@@ -19,6 +19,12 @@ is indexed by point pairs.  The zero set of a Fourier transform,
 slab-p3 and the plane_concentration pruning rule read the words
 directly, through uniform_word and bytes_at_least;
 plane_counts is their byte view, which geometry.plane_sup reads.
+combination_words caches the words of every r-subset of a point list,
+in combination_array order, so a sweep over the rows prefix + tail
+reads each row's word as the prefix's word plus one table row: lm1's
+direct chunks and lm2's anchored chunk read them, and
+combination_row_words reads any range of combination_array rows that
+way, for the six-sets of F_3^3 through the origin.
 pair_directions is the one pair kernel: direction counts, line_sups (the
 most points of a row on one affine line) and plane directions read it.
 min_images is the one class key: the smallest-bitmask image of each
@@ -35,6 +41,7 @@ space.  All arrays are integer or boolean dtypes; nothing here rounds.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -99,6 +106,63 @@ def plane_words(p: int, d: int, rows) -> np.ndarray:
     # transpose, not np.moveaxis: a one-row call is a few microseconds
     points_first = rows.transpose(-1, *range(rows.ndim - 1))
     return table[points_first].sum(axis=0, dtype=table.dtype)
+
+
+@lru_cache(maxsize=None)
+def combination_words(p: int, d: int, points: tuple, r: int) -> np.ndarray:
+    """(C(m, r), n_dirs) read-only, m = len(points): the packed plane
+    words of every r-subset of the point list, plane_words(p, d,
+    points[combination_array(m, r)]), rows in combination_array order.
+
+    Built one subset size s at a time.  The s-subsets that begin with
+    points[i] are points[i] followed by each (s - 1)-subset of
+    points[i + 1:], and those are the last C(m - 1 - i, s - 1) rows of
+    the level below, in order.  So each level is one add per row, with
+    no gather, and its only scratch is the level below: C(m, r - 1)
+    rows, fewer than WORD_BLOCK for every table the sweeps read.
+    """
+    table = plane_word_table(p, d)
+    m = len(points)
+    words = np.zeros((1, table.shape[1]), dtype=table.dtype)  # the empty set
+    for s in range(1, r + 1):
+        below = words
+        words = np.empty((math.comb(m, s), table.shape[1]), dtype=table.dtype)
+        lo = 0
+        for i in range(m - s + 1):
+            run = math.comb(m - 1 - i, s - 1)
+            np.add(below[len(below) - run:], table[points[i]],
+                   out=words[lo:lo + run])
+            lo += run
+    words.flags.writeable = False
+    return words
+
+
+def combination_row_words(p: int, d: int, m: int, size: int, lo: int,
+                          hi: int) -> np.ndarray:
+    """plane_words of rows [lo, hi) of combination_array(m, size), whose
+    rows are point indices, size >= 2.
+
+    The rows come in runs that share their first two points a < b: the
+    run of (a, b) follows them with each (size - 2)-subset of
+    {b + 1 .. m - 1}, and those are the last C(m - 1 - b, size - 2) rows
+    of combination_words(p, d, range(m), size - 2), in order.  So a
+    row's word is its prefix's word plus one table row.  Not cached.
+    """
+    table = plane_word_table(p, d)
+    tails = combination_words(p, d, tuple(range(m)), size - 2)
+    out = np.empty((hi - lo, table.shape[1]), dtype=table.dtype)
+    start = 0                                   # the run's first row
+    for a, b in itertools.combinations(range(m), 2):
+        if start >= hi:
+            break
+        run = math.comb(m - 1 - b, size - 2)
+        x, y = max(lo, start), min(hi, start + run)
+        if x < y:
+            at = len(tails) - run - start       # row g reads tails[at + g]
+            np.add(tails[at + x:at + y], table[a] + table[b],
+                   out=out[x - lo:y - lo])
+        start += run
+    return out
 
 
 def uniform_word(p: int, c: int) -> int:

@@ -23,7 +23,7 @@ from ffspec import (
     verify_slab_p3,
 )
 from ffspec import lemmas, spectral
-from ffspec.fourier import zero_set
+from ffspec.fourier import zero_directions, zero_set
 from ffspec.lemmas import (
     _coord_cex,
     _decode_profile,
@@ -32,6 +32,7 @@ from ffspec.lemmas import (
     _fillings,
     _fold,
     _fug33_chunk,
+    _fug33_search,
     _fug52_chunk,
     _per_set,
     _planar_eval,
@@ -44,6 +45,8 @@ from ffspec.lemmas import (
 )
 from ffspec.spectral import spectrum_search
 from ffspec.tables import (affine_permutation_array, combination_array,
+                           combination_row_words, combination_words,
+                           direction_masks,
                            plane_word_table, plane_words, uniform_word)
 
 
@@ -255,6 +258,78 @@ class TestPrefixSharing:
         def dumps(rep):
             return json.dumps(rep.result_dict(), sort_keys=True)
         assert dumps(verify_lm1(workers=1)) == dumps(verify_lm1(workers=2))
+
+
+def _prefix_evals(monkeypatch):
+    """Wrap lemmas._prefix_eval; returns the (prefix, tails, words) of
+    each call."""
+    calls = []
+    real = lemmas._prefix_eval
+
+    def wrapper(prefix, tails, no_k, words=None):
+        calls.append((prefix, tails, words))
+        return real(prefix, tails, no_k, words)
+
+    monkeypatch.setattr(lemmas, "_prefix_eval", wrapper)
+    return calls
+
+
+class TestTailWords:
+    """The chunks read each tail's word from a combination_words slice;
+    every slice must equal the plane_words of the explicit tails."""
+
+    def test_lm1_tails_at_every_i1(self, monkeypatch):
+        calls = _prefix_evals(monkeypatch)
+        for chunk in _direct_chunk_list(5):
+            _direct_chunk(chunk)
+        assert [c[0] for c in calls] == [(0, i1) for i1 in range(1, 46)]
+        for (_, i1), tails, words in calls:
+            want = np.array(list(itertools.combinations(range(i1 + 1, 49),
+                                                        3)))
+            assert tails.tolist() == want.tolist()
+            assert np.array_equal(words, plane_words(7, 2, want)), i1
+
+    def test_lm2_direct_tails_sum_their_words(self, monkeypatch):
+        # five-point tails have no table: 122 MB of words
+        calls = _prefix_evals(monkeypatch)
+        _direct_chunk(_direct_chunk_list(7)[-1])
+        assert calls[0][2] is None
+
+    def test_anchored_tails(self, monkeypatch):
+        calls = _prefix_evals(monkeypatch)
+        lemmas._anchored_chunk(4)
+        rest = [i for i in range(49) if i not in lemmas._ANCHOR]
+        # four-point tails run once per first point
+        assert [c[0] for c in calls] == [
+            (*lemmas._ANCHOR, i) for i in rest[:43]]
+        for j, (_, tails, words) in enumerate(calls):
+            want = np.array(list(itertools.combinations(rest[j + 1:], 3)))
+            assert tails.tolist() == want.tolist()
+            assert np.array_equal(words, plane_words(7, 2, want)), j
+        # two-point tails (lm1 reduced) read their table in one run
+        del calls[:]
+        lemmas._anchored_chunk(2)
+        (prefix, tails, words), = calls
+        want = np.array(list(itertools.combinations(rest, 2)))
+        assert prefix == lemmas._ANCHOR and tails.tolist() == want.tolist()
+        assert np.array_equal(words, plane_words(7, 2, want))
+
+    def test_f33_rows(self):
+        n = math.comb(26, 5)
+        assert np.array_equal(combination_row_words(3, 3, 27, 6, 0, n),
+                              plane_words(3, 3, _through_origin(27, 6)))
+        # any range of combination_array(27, 6), across runs and past
+        # the rows through the origin
+        full = combination_array(27, 6)
+        for lo, hi in [(0, 1), (12649, 12652), (n - 3, n + 5000),
+                       (0, len(full)), (len(full) - 7, len(full))]:
+            got = combination_row_words(3, 3, 27, 6, lo, hi)
+            assert np.array_equal(got, plane_words(3, 3, full[lo:hi])), lo
+
+    def test_f33_keys_are_the_zero_directions(self):
+        zero = zero_directions(3, 3, _through_origin(27, 6))   # (13, n)
+        want = (1 << np.arange(13)) @ zero
+        assert lemmas._f33_keys().tolist() == want.tolist()
 
 
 class TestProj21:
@@ -534,6 +609,25 @@ class TestFugledeSweeps:
         assert O.translation_class_count(5, 2, 2) == 12
         assert O.translation_class_count(5, 2, 3) == 92
 
+    @pytest.mark.parametrize("change", [
+        lambda classes: classes[1:],
+        lambda classes: [np.concatenate(classes[:2])] + classes[2:],
+    ], ids=["drop-one", "merge-two"])
+    def test_f52_classes_cross_checked(self, monkeypatch, change):
+        # the keyed classes must number what Burnside's count gives
+        assert [len(lemmas._fug52_classes(s)) for s in range(1, 7)] == [
+            1, 12, 92, 506, 2130, 7084]
+        real = lemmas._groups
+        monkeypatch.setattr(lemmas, "_groups",
+                            lambda keys: (real(keys)[0], change(real(keys)[1])))
+        lemmas._fug52_classes.cache_clear()
+        try:
+            with pytest.raises(InternalCheckError,
+                               match="keyed 91 translation classes"):
+                lemmas._fug52_classes(3)
+        finally:
+            lemmas._fug52_classes.cache_clear()
+
     def test_f52_both_filtered_strata_pinned(self):
         # sizes 10, 15 and 20 fail both size filters in F_5^2; the hash
         # is that of the per-set sweep over all 3,311,264 anchored sets
@@ -586,15 +680,21 @@ def cold_caches():
 
 class TestGroupedSweeps:
     def test_fug33_chunk_matches_per_row_search(self, monkeypatch):
-        # chunk ranges index the six-sets through the origin
+        # rows [lo, hi) of the six-sets through the origin, searched one
+        # by one, against a chunk of their distinct keys
         lo, hi = 32000, 35000
         space = Space(3, 3)
+        dmasks = direction_masks(3, 3)
+        keys = lemmas._f33_keys()[lo:hi]
         total = searched = nodes = 0
         zero_sets = set()
-        for row in _through_origin(27, 6)[lo:hi]:
+        for row, key in zip(_through_origin(27, 6)[lo:hi], keys.tolist()):
             assert row[0] == 0
             E = PointSet.from_indices(space, row.tolist())
             z = zero_set(E)
+            # bit k of the key: direction k, whose p - 1 points are zeros
+            assert z.mask == sum(m for k, m in enumerate(dmasks)
+                                 if key >> k & 1)
             cert = spectrum_search(E)
             assert cert.verdict == "none"
             total += 1
@@ -603,11 +703,72 @@ class TestGroupedSweeps:
                 zero_sets.add(z.mask)
             nodes += cert.nodes_explored
         calls = _counting(monkeypatch, "_clique_in_zero_set")
-        assert _fug33_chunk((lo, hi)) == (total, searched, nodes, [])
+        uniq, counts = np.unique(keys, return_counts=True)
+        assert _fug33_chunk((uniq, counts)) == (total, searched, nodes, {})
         assert searched and nodes
         # one clique stage per distinct zero set of the searched rows
         assert sorted(c[1] for c in calls) == sorted(zero_sets)
         assert {c[2] for c in calls} == {6}
+
+    def test_fug33_one_clique_stage_per_zero_set(self, monkeypatch,
+                                                 cold_caches):
+        # the zero sets of 5 or more points among the explicit rows
+        zero = np.unique(zero_directions(3, 3, _through_origin(27, 6)).T,
+                         axis=0)
+        want = {sum(itertools.compress(direction_masks(3, 3), z))
+                for z in zero if 2 * z.sum() >= 5}
+        calls = _counting(monkeypatch, "_clique_in_zero_set")
+        rep = verify_fuglede_small(3, 3, (6,))
+        assert len(calls) == len(want) == 377
+        assert {c[1] for c in calls} == want
+        assert rep.details["sizes"]["6"] == {
+            "sets": 296010, "immediate_none": 206388, "searched": 89622,
+            "spectral": 0, "nodes": 105174}
+
+    def test_fug33_key_chunks_independent_of_workers(self, monkeypatch,
+                                                     cold_caches,
+                                                     fork_count):
+        seen = []
+        real = lemmas._sweep
+
+        def sweep(fn, chunks, workers, expected=None):
+            seen.append([(k.tolist(), c.tolist()) for k, c in chunks])
+            return real(fn, chunks, workers, expected)
+
+        monkeypatch.setattr(lemmas, "_sweep", sweep)
+        one = verify_fuglede_small(3, 3, (6,), workers=1)
+        assert fork_count() == 0
+        cold_caches()
+        two = verify_fuglede_small(3, 3, (6,), workers=2)
+        # only the chunk pass forks: the key pass runs in this process
+        assert fork_count() == 2
+        assert seen[0] == seen[1]
+        keys = [k for chunk, _ in seen[0] for k in chunk]
+        assert keys == sorted(set(keys)) and len(keys) == 469
+        assert sum(sum(c) for _, c in seen[0]) == math.comb(26, 5)
+        assert one.result_dict() == two.result_dict()
+
+    def test_fug33_key_pass_forks_nothing(self, fork_count, traced_peak):
+        combination_words(3, 3, tuple(range(27)), 4)
+        n = len(_through_origin(27, 6))
+        # 16-bit keys (132 kB) and one WORD_BLOCK of words (213 kB);
+        # int64 keys alone would take 526 kB
+        assert traced_peak(lemmas._f33_keys) < 4.5e5
+        assert fork_count() == 0
+        keys = lemmas._f33_keys()
+        assert keys.dtype == np.uint16 and keys.shape == (n,)
+
+    def test_fug33_chunk_miscount_raises(self, monkeypatch):
+        # a chunk that loses one key's rows fails the sweep's count
+        real = lemmas._fug33_chunk
+
+        def dropping(args):
+            keys, counts = args
+            return real((keys[1:], counts[1:]))
+
+        monkeypatch.setattr(lemmas, "_fug33_chunk", dropping)
+        with pytest.raises(InternalCheckError, match="enumerated"):
+            verify_fuglede_small(3, 3, (6,))
 
     def test_f52_size5_one_tiling_search_per_class(self, monkeypatch,
                                                    cold_caches):
@@ -880,9 +1041,9 @@ class TestOriginSweeps:
 
     def test_counts_weigh_to_the_full_enumeration(self, monkeypatch):
         n = math.comb(26, 5)
-        slab, f33 = _slab_chunk((0, n)), _fug33_chunk((0, n))
+        slab, f33 = _slab_chunk((0, n)), _fug33_search(1)
         full = _full_enumeration(monkeypatch)
-        full_slab, full_f33 = _slab_chunk((0, full)), _fug33_chunk((0, full))
+        full_slab, full_f33 = _slab_chunk((0, full)), _fug33_search(1)
         assert full_slab[:2] == (296010, 203346)
         assert full_slab[:2] == tuple(_per_set(c, 27, 6) for c in slab[:2])
         assert full_f33[:3] == tuple(_per_set(c, 27, 6) for c in f33[:3])
@@ -925,7 +1086,8 @@ class TestOriginSweeps:
                                 (np.asarray(E).tolist(), list(A))))
         rep = verify_fuglede_small(3, 3, (6,))
         last = validated[-1]
-        _, _, _, want = _fug33_chunk((0, _full_enumeration(monkeypatch)))
+        _full_enumeration(monkeypatch)
+        _, _, _, want = _fug33_search(1)
         assert len(want) == rep.details["sizes"]["6"]["spectral"] == 468
         assert rep.counterexamples == _coord_cex(3, 3, want)
         # every translate is validated, in one call

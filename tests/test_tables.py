@@ -8,7 +8,8 @@ import pytest
 import oracles as O
 from ffspec import PointSet, Space, canonical_form
 from ffspec.tables import (WORD_BLOCK, add_table, bytes_at_least,
-                           combination_array, difference, direction_reps,
+                           combination_array, combination_words,
+                           difference, direction_reps,
                            line_sups, line_table, min_images,
                            orthogonal_direction_bits,
                            pair_directions, pair_indices, plane_counts,
@@ -105,6 +106,43 @@ def test_plane_words_scratch_is_one_block(traced_peak):
     rows = combination_array(27, 6)[:32768]
     plane_word_table(3, 3)
     assert traced_peak(plane_words, 3, 3, rows) < 5e6
+
+
+# (p, d, point list, r): the tables the sweeps read, an unsorted list,
+# and the edges r = 0, r = m and r > m
+_WORD_TABLES = [
+    (7, 2, tuple(range(49)), 3),
+    (7, 2, tuple(i for i in range(49) if i not in (0, 1, 7)), 3),
+    (3, 3, tuple(range(27)), 4),
+    (5, 3, (124, 3, 60, 7, 99, 0, 31), 4),
+    (3, 2, (4, 8, 1), 0),
+    (3, 2, (4, 8, 1), 3),
+    (3, 2, (4, 8, 1), 4),
+]
+
+
+@pytest.mark.parametrize("p,d,points,r", _WORD_TABLES)
+def test_combination_words_oracle(p, d, points, r):
+    got = combination_words(p, d, points, r)
+    n = math.comb(len(points), r)
+    rows = np.array(list(itertools.combinations(points, r)),
+                    dtype=np.int64).reshape(n, r)
+    assert got.dtype == plane_word_table(p, d).dtype
+    assert not got.flags.writeable
+    assert got.shape == (n, len(direction_reps(p, d)))
+    assert np.array_equal(got, plane_words(p, d, rows))
+
+
+@pytest.mark.parametrize("p,d,points,r", _WORD_TABLES[:3])
+def test_combination_words_scratch_is_the_level_below(traced_peak, p, d,
+                                                      points, r):
+    # the level below, C(m, r - 1) rows, is all the scratch: under one
+    # WORD_BLOCK of words, where plane_words would gather r of them
+    plane_word_table(p, d)
+    table = combination_words(p, d, points, r)
+    peak = traced_peak(combination_words.__wrapped__, p, d, points, r)
+    below = math.comb(len(points), r - 1) * table.itemsize * table.shape[1]
+    assert below < peak - table.nbytes < WORD_BLOCK * table[0].nbytes
 
 
 @pytest.mark.parametrize("p,d", _ALL_SPACES)
