@@ -2,21 +2,16 @@
 in prime-field vector spaces F_p^d."""
 
 from .fourier import (
-    CharacterSum,
-    character_sum,
     convolve,
     float_dft,
     plancherel_check,
     zero_set,
 )
 from .geometry import (
-    ConcentrationReport,
     DirectionStats,
-    concentration,
     direction_stats,
     line_sup,
     plane_sup,
-    sumset,
 )
 from .lemmas import (
     LemmaReport,
@@ -33,12 +28,8 @@ from .sets import (
     PointSet,
     QuotientFunction,
     SetFormatError,
-    canonical_form,
     indicator,
-    project_along,
-    quotient_cell_index,
     read_set,
-    translate,
     write_set,
 )
 from .space import (
@@ -47,8 +38,6 @@ from .space import (
     Space,
     all_directions,
     coords_to_index,
-    direction_count,
-    dot,
     index_to_coords,
     quotient_basis,
 )

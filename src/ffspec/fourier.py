@@ -13,57 +13,17 @@ are equal (the minimal polynomial of zeta over Q is 1 + x + ... +
 x^(p-1)).  zero_set reads these counts for every canonical direction
 at once from tables.plane_words, the one equidistribution count, as
 packed words: a direction is a zero exactly when its word is the one
-with all p counts equal to |E| / p.  character_sum keeps its own count
-for a single xi, as the independent side of that check.  Floating
-values exist for diagnostics only.
+with all p counts equal to |E| / p.  Floating values exist for
+diagnostics only.
 """
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
 from .sets import PointSet, QuotientFunction
-from .space import Point, _require_same_space
-from .tables import (coords_matrix, direction_masks, plane_words,
-                     uniform_word)
-
-
-@dataclass(frozen=True)
-class CharacterSum:
-    """Exact value of sum_{x in E} zeta^(x . xi), zeta = exp(-2 pi i / p).
-
-    Stored as residue-class counts; counts[j] = #{x : x . xi = j}.
-    """
-
-    p: int
-    counts: tuple
-
-    def __post_init__(self):
-        if len(self.counts) != self.p:
-            raise ValueError("need one count per residue class")
-
-    def is_zero(self) -> bool:
-        return len(set(self.counts)) == 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def value(self) -> complex:
-        """Floating approximation of the raw sum (diagnostic only)."""
-        return sum(c * cmath.exp(-2j * cmath.pi * j / self.p)
-                   for j, c in enumerate(self.counts))
-
-
-def character_sum(E: PointSet, xi: Point) -> CharacterSum:
-    _require_same_space(E.space.zero(), xi)
-    p, d = E.space.p, E.space.d
-    dots = coords_matrix(p, d)[E.indices()] @ np.array(xi.coords) % p
-    counts = np.bincount(dots, minlength=p)
-    return CharacterSum(p, tuple(int(c) for c in counts))
+from .tables import direction_masks, plane_words, uniform_word
 
 
 def zero_directions(p: int, d: int, rows) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Direction sets, line/plane concentration and sumsets."""
+"""Direction sets and line/plane concentration."""
 from __future__ import annotations
 
 import math
@@ -8,8 +8,8 @@ import numpy as np
 
 from .sets import PointSet
 from .space import Direction, Space
-from .tables import (add_table, direction_reps, line_sups,
-                     orthogonal_direction_bits, pair_directions, plane_counts)
+from .tables import (direction_reps, line_sups, orthogonal_direction_bits,
+                     pair_directions, plane_counts)
 
 # direction multiplicities -------------------------------------------------
 
@@ -61,13 +61,6 @@ def direction_stats(E: PointSet) -> DirectionStats:
 # concentration ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
-    line_sup: int
-    plane_sup: int | None
-    plane_direction_counts: dict | None = field(default=None, compare=False)
-
-
 def line_sup(E: PointSet) -> int:
     """max |E ∩ line| over all affine lines (any supported d)."""
     return int(line_sups(E.space.p, E.space.d, E.indices()))
@@ -80,30 +73,3 @@ def plane_sup(E: PointSet) -> int:
         raise ValueError("plane concentration needs d = 3")
     idx = np.array(E.indices(), dtype=np.int64)
     return int(plane_counts(space.p, 3, idx).max())
-
-
-def concentration(E: PointSet) -> ConcentrationReport:
-    """Line supremum, plus plane supremum and per-plane direction counts at d = 3."""
-    p, d = E.space.p, E.space.d
-    if d not in (2, 3):
-        raise ValueError("concentration is defined for d in {2, 3}")
-    ls = line_sup(E)
-    if d == 2:
-        return ConcentrationReport(ls, None, None)
-    ps = plane_sup(E)
-    per_plane = None
-    if E.size >= 2:
-        per = _plane_direction_counts(p, d, pair_directions(p, d, E.indices()))
-        per_plane = {int(r): int(c) for r, c in zip(direction_reps(p, d), per)}
-    return ConcentrationReport(ls, ps, per_plane)
-
-
-# sumsets ------------------------------------------------------------------
-
-
-def sumset(A: PointSet, B: PointSet) -> PointSet:
-    if A.space != B.space:
-        raise ValueError("mismatched spaces")
-    space = A.space
-    sums = add_table(space.p, space.d)[np.ix_(A.indices(), B.indices())]
-    return PointSet.from_indices(space, np.unique(sums).tolist())

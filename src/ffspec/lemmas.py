@@ -13,7 +13,8 @@ Every verifier runs through one driver, _sweep.  Its contract:
 - counterexamples leave the chunks as point-index lists and become
   coordinate rows in one place, _coord_cex;
 - a sweep of translation-invariant counts reads only the sets through
-  the origin and reports them as over all sets (_origin_sweep);
+  the origin and reports them as over all sets (_origin_sweep, and
+  _plane_sweep with _per_set for fuglede-3-2);
 - rows that are a fixed prefix plus each subset of a point list read
   their packed plane words as the prefix's word plus one row of a cached
   tables.combination_words table: lm1's direct chunks, lm2's anchored
@@ -53,7 +54,6 @@ from .tables import (
     coords_matrix,
     difference,
     direction_masks,
-    min_images,
     orthogonal_direction_bits,
     plane_word_table,
     plane_words,
@@ -179,10 +179,12 @@ def _per_set(count, points: int, size: int):
 
 
 def _translates(p: int, d: int, cex: list) -> list:
-    """cex with every translate of each "set", once each, in row order."""
+    """cex with every translate of each "set", once each, in (size, row)
+    order."""
     out = {tuple(row): c for c in cex
            for row in np.sort(add_table(p, d)[:, c["set"]], axis=1).tolist()}
-    return [{**c, "set": list(row)} for row, c in sorted(out.items())]
+    return [{**out[row], "set": list(row)}
+            for row in sorted(out, key=lambda row: (len(row), row))]
 
 
 def _origin_sweep(fn, chunks: list, p: int, d: int, size: int,
@@ -648,17 +650,17 @@ def _spectra_by_zero_set(spc: Space, rows: np.ndarray,
     (_search_keys).  A spectrum is still checked against every row with
     its zero set, both ways: one _validate_witness_rows call takes all
     the rows of the chunk that have one.
-    Returns (nodes, {row position: spectrum indices}) in row order.
+    Returns {row position: spectrum indices} in row order.
     """
     keys = (np.int64(1) << np.arange(len(zero), dtype=np.int64)) @ zero
     uniq, counts = np.unique(keys, return_counts=True)
-    _, nodes, found = _search_keys(spc, rows.shape[1], uniq.tolist(),
-                                   counts.tolist())
+    *_, found = _search_keys(spc, rows.shape[1], uniq.tolist(),
+                             counts.tolist())
     spectra = _rows_with(keys, found)
     if spectra:
         _validate_witness_rows(spc.p, spc.d, rows[list(spectra)],
                                list(spectra.values()))
-    return nodes, spectra
+    return spectra
 
 
 def _tiles_by_class(spc: Space, rows: np.ndarray, classes: list) -> np.ndarray:
@@ -759,8 +761,7 @@ def _spectral_vs_tile(spc: Space, rows: np.ndarray, classes: list) -> tuple:
                                                zero.sum(axis=0)))
     spectral = np.zeros(len(rows), dtype=bool)
     if rows.shape[1] in allowed_spectral_sizes(spc):
-        _, spectra = _spectra_by_zero_set(spc, rows[searched],
-                                          zero[:, searched])
+        spectra = _spectra_by_zero_set(spc, rows[searched], zero[:, searched])
         spectral[searched[list(spectra)]] = True
     tiles = _tiles_by_class(spc, rows, classes)
     cex = [{"set": [int(i) for i in rows[k]],
@@ -771,70 +772,75 @@ def _spectral_vs_tile(spc: Space, rows: np.ndarray, classes: list) -> tuple:
             "tiles": int(tiles.sum())}, cex
 
 
-def _fug32_chunk(size: int):
-    rows = combination_array(9, size)
-    classes = _groups(min_images(add_table(3, 2), rows))[1]
-    counts, cex = _spectral_vs_tile(Space(3, 2), rows, classes)
-    del counts["searched"]
-    return len(rows), {str(size): {"sets": len(rows), **counts}}, cex
-
-
-# size 5, 2,130 classes of C(24, 4) = 10,626 anchored sets, is nearly all
-# the work: six chunks of classes, keyed once in the parent, 2,048 rows
-# at a time; each chunk searches its classes' first sets in one batch
-_FUG52_BLOCK, _KEY_BLOCK = 384, 1 << 11
+# fuglede-5-2's size 5, 2,130 classes of C(24, 4) = 10,626 sets through
+# the origin, is nearly all the work: six chunks of classes, keyed once in
+# the parent, 2,048 rows at a time; each chunk searches its classes' first
+# sets in one batch
+_CLASS_BLOCK, _KEY_BLOCK = 384, 1 << 11
 # maps per _cycle_type_counts block: a few hundred kB of scratch at p = 7
 _MAP_BLOCK = 1 << 10
 
 
-def _both_filtered(spc: Space, size: int) -> bool:
-    """Both searches reject every set of this size at once."""
-    return (size not in allowed_spectral_sizes(spc)
-            and not size_can_tile(spc, size))
-
-
-def _size_sweep(fn, chunks: list, workers: int, expected: int,
-                rejected: dict) -> tuple:
-    """(per-size counts, counterexamples) of a sweep whose chunks return
-    (sets, {size: counts}, counterexamples), with `rejected`, the counts
-    of the sizes that no chunk reads, added."""
-    per_size, cex = {}, []
-    if chunks:
-        _, per_size, cex = _sweep(fn, chunks, workers, expected)
-    return {**per_size, **rejected}, cex
-
-
 @lru_cache(maxsize=None)
-def _fug52_classes(size: int) -> list:
-    """Each translation class's positions in _through_origin(25, size),
+def _translation_classes(p: int, size: int) -> list:
+    """Each translation class's positions in _through_origin(p^2, size),
     ascending, so a class's first member is its first set in row order.
 
     The sets through the origin of E's class are its translates E - e,
     e in E, so the least of their bitmasks keys the class.  The classes
     must number translation_class_counts, Burnside's count of them.
     """
-    rows = _through_origin(25, size)
+    rows = _through_origin(p * p, size)
     keys = []
     for a, b in _blocks(len(rows), _KEY_BLOCK):
         # [r, j, i]: point e_i - e_j of the translate E_r - e_j
-        moved = difference(5, 2, rows[a:b, None, :], rows[a:b, :, None])
+        moved = difference(p, 2, rows[a:b, None, :], rows[a:b, :, None])
         keys.append((np.int64(1) << moved).sum(axis=2).min(axis=1))
     classes = _groups(np.concatenate(keys))[1]
-    want = translation_class_counts(5, 2, (size,))[size]
+    want = translation_class_counts(p, 2, (size,))[size]
     if len(classes) != want:
         raise InternalCheckError(f"keyed {len(classes)} translation classes "
                                  f"of {size}-sets, expected {want}")
     return classes
 
 
-def _fug52_chunk(args):
-    size, lo, hi = args
-    classes = _fug52_classes(size)[lo:hi]
-    rows = _through_origin(25, size)[np.concatenate(classes)]
+def _class_chunk(args):
+    """(sets, {size: counts}, counterexamples) of the sets through the
+    origin of F_p^2 in classes [lo, hi) of _translation_classes(p, size)."""
+    p, size, lo, hi = args
+    classes = _translation_classes(p, size)[lo:hi]
+    rows = _through_origin(p * p, size)[np.concatenate(classes)]
     local = np.split(np.arange(len(rows)),
                      np.cumsum([len(c) for c in classes])[:-1])
-    counts, cex = _spectral_vs_tile(Space(5, 2), rows, local)
+    counts, cex = _spectral_vs_tile(Space(p, 2), rows, local)
     return len(rows), {str(size): {"anchored": len(rows), **counts}}, cex
+
+
+def _plane_sweep(spc: Space, sizes: tuple, workers: int) -> tuple:
+    """(per-size counts, counterexamples) over the sets through the
+    origin of F_p^2 of the given sizes, in chunks of whole translation
+    classes; counterexamples come in (size, row) order.
+
+    A size that both size filters reject builds no set and is no chunk:
+    its sets count here as searched once and rejected.
+    """
+    p = spc.p
+    searched = [s for s in sizes
+                if s in allowed_spectral_sizes(spc) or size_can_tile(spc, s)]
+    anchored = {s: math.comb(p * p - 1, s - 1) for s in sizes}
+    chunks = [(p, s, lo, hi) for s in searched for lo, hi in
+              _blocks(len(_translation_classes(p, s)), _CLASS_BLOCK)]
+    per_size, cex = {}, []
+    if chunks:
+        plane_word_table(p, 2), direction_masks(p, 2)
+        _, per_size, cex = _sweep(_class_chunk, chunks, workers,
+                                  sum(anchored[s] for s in searched))
+    per_size.update((str(s), {"anchored": anchored[s], "searched": anchored[s],
+                              "spectral": 0, "tiles": 0})
+                    for s in sizes if s not in searched)
+    # chunks take whole classes; the sort restores the order of the sets
+    cex.sort(key=lambda c: (len(c["set"]), c["set"]))
+    return per_size, cex
 
 
 @lru_cache(maxsize=None)
@@ -914,10 +920,15 @@ def translation_class_counts(p: int, d: int, sizes: tuple) -> dict:
 def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport:
     """Spectral-versus-tile sweeps over small spaces.
 
-    (3,2): every subset of the given sizes, both predicates, assert the
-    equivalence.  (5,2): translation-anchored representatives (subsets
-    containing the origin), covering every set up to translation; both
-    predicates are translation invariant.  (3,3): size 6 only, assert no
+    (3,2) and (5,2): every subset of the given sizes, both predicates,
+    assert the equivalence.  Both predicates are translation invariant,
+    so the sweep reads the subsets through the origin, in chunks of
+    whole translation classes keyed once in the parent
+    (_translation_classes), whose number must match
+    translation_class_counts (_plane_sweep).  (3,2) reports every count
+    as over all subsets (_per_set) and a counterexample with all its
+    translates; (5,2) reports the sets through the origin, its
+    translation-anchored representatives.  (3,3): size 6 only, assert no
     spectra exist, read from the sets through the origin in two passes
     (_fug33_search): the calling process keys each set by its zero
     directions, and each chunk searches a block of the distinct keys.
@@ -925,10 +936,8 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     The spectral clique stage runs once per distinct zero set: per chunk
     in (3,2) and (5,2), once in all in (3,3).  In (3,2) and (5,2) the
     tiling search runs once per translation class, on the class's first
-    set, all of a chunk's classes in one batched search.  A (5,2) chunk
-    takes whole classes, keyed once in the parent (_fug52_classes),
-    whose number must match translation_class_counts.  Every witness is
-    then checked against its own set, both ways: spectra in one
+    set, all of a chunk's classes in one batched search.  Every witness
+    is then checked against its own set, both ways: spectra in one
     _validate_witness_rows call per chunk (per sweep in (3,3), every
     translate included), each tiling class member against its class's
     complement in one tiling_pair_rows call each way.  Reports count per
@@ -973,14 +982,15 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
         if not sizes or not all(1 <= s <= spc.order for s in sizes):
             raise ValueError(
                 f"F_{p}^{d} sweep needs sizes within 1..{spc.order}")
-        searched = [s for s in sizes if not _both_filtered(spc, s)]
+        per_size, cex = _plane_sweep(spc, sizes, workers)
     if key == (3, 2):
+        # translation invariant: counted over the sets through the origin
+        per_size = {k: {"sets": _per_set(c["anchored"], 9, int(k)),
+                        "spectral": _per_set(c["spectral"], 9, int(k)),
+                        "tiles": _per_set(c["tiles"], 9, int(k))}
+                    for k, c in per_size.items()}
+        cex = _translates(3, 2, cex)
         card = sum(math.comb(9, s) for s in sizes)
-        per_size, cex = _size_sweep(
-            _fug32_chunk, searched, workers,
-            sum(math.comb(9, s) for s in searched),
-            {str(s): {"sets": math.comb(9, s), "spectral": 0, "tiles": 0}
-             for s in sizes if s not in searched})
         details = {"sizes": per_size, "pruning": "off"}
         return LemmaReport(
             "fuglede-3-2",
@@ -989,18 +999,6 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
             round(perf_counter() - t0, 3), workers)
 
     if key == (5, 2):
-        # chunks of whole classes; the sort restores the order of the sets
-        chunks = [(s, lo, hi) for s in searched
-                  for lo, hi in _blocks(len(_fug52_classes(s)), _FUG52_BLOCK)]
-        plane_word_table(5, 2), direction_masks(5, 2)
-        per_size, cex = _size_sweep(
-            _fug52_chunk, chunks, workers,
-            sum(math.comb(24, s - 1) for s in searched),
-            {str(s): {"anchored": math.comb(24, s - 1),
-                      "searched": math.comb(24, s - 1),
-                      "spectral": 0, "tiles": 0}
-             for s in sizes if s not in searched})
-        cex.sort(key=lambda c: (len(c["set"]), c["set"]))
         details = {
             "sizes": per_size,
             "pruning": "off",

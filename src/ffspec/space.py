@@ -50,10 +50,6 @@ class Space:
     def zero(self) -> "Point":
         return Point(self, (0,) * self.d)
 
-    def iter_points(self):
-        for idx in range(self.order):
-            yield self.point_at(idx)
-
     def __str__(self):
         return f"F_{self.p}^{self.d}"
 
@@ -91,22 +87,10 @@ class Point:
     def index(self) -> int:
         return coords_to_index(self.coords, self.space.p)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def __add__(self, other: "Point") -> "Point":
         _require_same_space(self, other)
         p = self.space.p
         return Point(self.space, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Point") -> "Point":
-        _require_same_space(self, other)
-        p = self.space.p
-        return Point(self.space, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Point":
-        p = self.space.p
-        return Point(self.space, tuple((-a) % p for a in self.coords))
 
     def scale(self, c: int) -> "Point":
         p = self.space.p
@@ -116,12 +100,6 @@ class Point:
 def _require_same_space(x, y):
     if x.space != y.space:
         raise ValueError(f"mismatched spaces: {x.space} vs {y.space}")
-
-
-def dot(x: Point, y: Point) -> int:
-    """Standard bilinear form x . y mod p."""
-    _require_same_space(x, y)
-    return sum(a * b for a, b in zip(x.coords, y.coords)) % x.space.p
 
 
 @dataclass(frozen=True)
@@ -135,22 +113,9 @@ class Direction:
     space: Space
     rep: Point
 
-    @classmethod
-    def through(cls, v: Point) -> "Direction":
-        if v.is_zero():
-            raise ValueError("the zero vector spans no direction")
-        p = v.space.p
-        lead = next(c for c in v.coords if c != 0)
-        inv = pow(lead, p - 2, p)
-        return cls(v.space, v.scale(inv))
-
     @property
     def index(self) -> int:
         return self.rep.index
-
-    def points(self):
-        """All p points of the subspace, including 0."""
-        return [self.rep.scale(c) for c in range(self.space.p)]
 
 
 def all_directions(space: Space):
@@ -167,10 +132,6 @@ def all_directions(space: Space):
             reps.append(Point(space, coords))
     reps.sort(key=lambda pt: pt.index)
     return [Direction(space, r) for r in reps]
-
-
-def direction_count(space: Space) -> int:
-    return (space.order - 1) // (space.p - 1)
 
 
 def quotient_basis(space: Space, delta: Direction) -> list:

@@ -27,12 +27,10 @@ combination_row_words reads any range of combination_array rows that
 way, for the six-sets of F_3^3 through the origin.
 pair_directions is the one pair kernel: direction counts, line_sups (the
 most points of a row on one affine line) and plane directions read it.
-min_images is the one class key: the smallest-bitmask image of each
-index row under a permutation table, add_table for translation classes
-and affine_permutation_array for affine ones.  line_table is the one
-coset layout: row k * p^(d-1) + q is the coset of direction k through
-the point with quotient_basis coefficients q, and sets.project_along
-reads its cells from line_of.
+line_table is the one coset layout: row k * p^(d-1) + q is the coset
+of direction k through the point with quotient_basis coefficients q,
+and line_of gives the row of each point's coset in each direction;
+line_sups reads it.
 
 This module owns every cached index table, the permutation tables
 included; sets builds PointSets on top of it, and it imports only
@@ -286,28 +284,6 @@ def affine_permutation_array(p: int, d: int) -> np.ndarray:
     perms = perms.reshape(-1, n)
     perms.flags.writeable = False
     return perms
-
-
-def min_images(perms, rows) -> np.ndarray:
-    """Smallest-bitmask image of each index row under the rows of a
-    permutation table, as sorted point indices.
-
-    Row g of perms maps point i to perms[g, i]: add_table gives the
-    translations, affine_permutation_array the affine maps.  rows holds
-    point indices, shape (n, m); so does the result.  The smallest
-    bitmask has the smallest largest index, then the smallest next one,
-    and so on, so each image is sorted descending and the candidates are
-    narrowed one position at a time.  Not cached.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    n = rows.shape[0]
-    # (maps, n, m): every image of every row, descending
-    images = np.sort(perms[:, rows], axis=-1)[..., ::-1]
-    best = np.ones(images.shape[:2], dtype=bool)
-    for k in range(rows.shape[1]):
-        col = np.where(best, images[..., k], perms.shape[1])
-        best &= col == col.min(axis=0)
-    return images[best.argmax(axis=0), np.arange(n), ::-1]
 
 
 # bounded: at n = 343 one entry holds 0.9 MB

@@ -72,6 +72,29 @@ def plane_sup_3d(p: int, pts) -> int:
     return best
 
 
+def dot(p: int, x, y) -> int:
+    return sum(a * b for a, b in zip(x, y)) % p
+
+
+def residue_counts(p: int, pts, xi) -> list:
+    """c_j = #{x in pts : x . xi = j}; the character sum at xi vanishes
+    exactly when all p counts are equal."""
+    counts = [0] * p
+    for x in pts:
+        counts[dot(p, x, xi)] += 1
+    return counts
+
+
+def translate(p: int, pts, t) -> list:
+    return [tuple((a + b) % p for a, b in zip(x, t)) for x in pts]
+
+
+def translation_min_mask(p: int, d: int, pts) -> int:
+    """The smallest bitmask over all p^d translates of pts."""
+    return min(sum(1 << point_index(p, x) for x in translate(p, pts, t))
+               for t in all_points(p, d))
+
+
 def char_sum(p: int, pts, xi) -> complex:
     """Raw sum (no normalization): zero iff the normalized one is."""
     return sum(

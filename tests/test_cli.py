@@ -362,7 +362,7 @@ class TestExitPaths:
                            ("tiling_search_rows", false_tiling), 3),
         "sweep_budget": (F52_THREADS_2,
                          ("_clique_in_zero_set", aborted_search), 3),
-        "worker_died": (F52_THREADS_2, ("_fug52_chunk", dying_chunk), 3),
+        "worker_died": (F52_THREADS_2, ("_class_chunk", dying_chunk), 3),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

@@ -1,25 +1,34 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import oracles as O
-from ffspec import (
-    PointSet,
-    Space,
-    concentration,
-    direction_stats,
-    line_sup,
-    plane_sup,
-    sumset,
-)
-from ffspec.tables import affine_permutation_array
+from ffspec import PointSet, Space, direction_stats, line_sup, plane_sup
+from ffspec.geometry import _plane_direction_counts
+from ffspec.tables import (add_table, affine_permutation_array,
+                           direction_reps, pair_directions)
 
 E0_COORDS = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def _set(p, d, coords):
     return PointSet.from_coords(Space(p, d), coords)
+
+
+def _per_plane(E):
+    """{normal index: determined directions in the plane through 0 with
+    that normal}, the counts the plane_directions pruning rule reads."""
+    p = E.space.p
+    per = _plane_direction_counts(p, 3, pair_directions(p, 3, E.indices()))
+    return {int(r): int(c) for r, c in zip(direction_reps(p, 3), per)}
+
+
+def _sumset(A, B):
+    """A + B, read from add_table."""
+    sums = add_table(A.space.p, A.space.d)[np.ix_(A.indices(), B.indices())]
+    return PointSet.from_indices(A.space, np.unique(sums).tolist())
 
 
 class TestDirectionStats:
@@ -75,7 +84,7 @@ class TestConcentration:
         line = _set(7, 2, [(t, 3) for t in range(7)])
         assert line_sup(line) == 7
         assert line_sup(_set(7, 2, E0_COORDS)) == 2
-        assert line_sup(PointSet.empty(Space(3, 2))) == 0
+        assert line_sup(PointSet(Space(3, 2), 0)) == 0
         assert line_sup(_set(3, 3, [(1, 1, 1)])) == 1
 
     def test_line_sup_oracle(self, rng):
@@ -107,20 +116,18 @@ class TestConcentration:
             plane_sup(_set(3, 2, [(0, 0)]))
 
     def test_concentration_report(self):
-        rep2 = concentration(_set(7, 2, E0_COORDS))
-        assert rep2.line_sup == 2
-        assert rep2.plane_sup is None
+        assert line_sup(_set(7, 2, E0_COORDS)) == 2
         spc = Space(3, 3)
         E = PointSet.from_coords(
             spc, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        rep3 = concentration(E)
-        assert rep3.line_sup == 2
-        assert rep3.plane_sup == 3
+        assert line_sup(E) == 2
+        assert plane_sup(E) == 3
         # per-plane counts agree with the determined directions that are
         # orthogonal to each normal
         determined = direction_stats(E).determined
-        assert len(rep3.plane_direction_counts) == 13
-        for normal_index, count in rep3.plane_direction_counts.items():
+        per_plane = _per_plane(E)
+        assert len(per_plane) == 13
+        for normal_index, count in per_plane.items():
             normal = spc.point_at(normal_index).coords
             assert count == sum(
                 1 for dr in determined
@@ -139,11 +146,7 @@ class TestConcentration:
                         1 for v in dirs
                         if sum(a * b for a, b in zip(v, nrm)) % p == 0)
                     for nrm in normals}
-                assert concentration(E).plane_direction_counts == expected
-
-    def test_concentration_needs_2_or_3(self):
-        with pytest.raises(ValueError):
-            concentration(PointSet.from_indices(Space(3, 1), [0]))
+                assert _per_plane(E) == expected
 
 
 class TestPlaneDirectionCount:
@@ -156,15 +159,15 @@ class TestPlaneDirectionCount:
         coplanar = PointSet.from_coords(
             spc, [(t, y, 0) for y in range(3) for t in range(7)])
         assert stacked.size == coplanar.size == 21
-        assert concentration(stacked).plane_direction_counts[normal] == 1
-        assert concentration(coplanar).plane_direction_counts[normal] == 8
+        assert _per_plane(stacked)[normal] == 1
+        assert _per_plane(coplanar)[normal] == 8
 
 
 class TestSumset:
     def test_pinned_example(self):
         A = _set(7, 1, [(0,), (1,), (3,)])
         B = _set(7, 1, [(0,), (2,), (3,)])
-        S = sumset(A, B)
+        S = _sumset(A, B)
         assert S.size == 7
         assert {pt.coords[0] for pt in S} == O.sumset(7, [0, 1, 3], [0, 2, 3])
         assert S.size >= min(7, A.size + B.size - 1)
@@ -182,8 +185,8 @@ class TestSumset:
                     spc, sorted(int(i) for i in
                                 rng.choice(p, sb, replace=False)))
                 # Cauchy-Davenport
-                assert sumset(A, B).size >= min(p, sa + sb - 1)
-                assert {pt.coords[0] for pt in sumset(A, B)} == O.sumset(
+                assert _sumset(A, B).size >= min(p, sa + sb - 1)
+                assert {pt.coords[0] for pt in _sumset(A, B)} == O.sumset(
                     p, [pt.coords[0] for pt in A], [pt.coords[0] for pt in B])
 
     def test_sumset_d3_oracle(self, rng):
@@ -201,12 +204,12 @@ class TestSumset:
                 A, B = (PointSet.from_indices(
                     spc, rng.choice(spc.order, s, replace=False).tolist())
                     for s in (sa, sb))
-                assert {pt.coords for pt in sumset(A, B)} == O.sumset(
+                assert {pt.coords for pt in _sumset(A, B)} == O.sumset(
                     p, [Vec(pt.coords) for pt in A], [Vec(pt.coords) for pt in B])
 
     def test_sumset_any_d(self):
         spc = Space(3, 2)
         A = PointSet.from_coords(spc, [(0, 0), (1, 0)])
         B = PointSet.from_coords(spc, [(0, 0), (0, 1)])
-        assert {pt.coords for pt in sumset(A, B)} == {
+        assert {pt.coords for pt in _sumset(A, B)} == {
             (0, 0), (1, 0), (0, 1), (1, 1)}

@@ -1,6 +1,7 @@
 """The package's import graph: every intra-package import sits at module
-level, the modules import each other without a cycle, and importing the
-package loads no multiprocessing (run_chunks forks its workers itself)."""
+level, the modules import each other without a cycle, every name a
+module imports is used there, and importing the package loads no
+multiprocessing (run_chunks forks its workers itself)."""
 import ast
 import os
 import subprocess
@@ -52,6 +53,27 @@ def test_module_graph_is_acyclic():
         ready = {n for n in graph if n not in done and graph[n] <= done}
         assert ready, f"import cycle among {sorted(set(graph) - done)}"
         done |= ready
+
+
+def test_module_imports_are_used():
+    # __init__.py imports to re-export; every other module imports a
+    # name to use it, so a deletion that strands an import shows here
+    unused = []
+    for name, tree in _trees().items():
+        if name == "__init__":
+            continue
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in used:
+                    unused.append(f"{name}.py:{node.lineno} {bound}")
+    assert unused == []
 
 
 def test_import_leaves_multiprocessing_out():

@@ -13,9 +13,6 @@ from ffspec import (
     PointSet,
     Space,
     all_directions,
-    canonical_form,
-    character_sum,
-    dot,
     falsify_random,
     verify_fuglede_small,
     verify_lm1,
@@ -25,6 +22,7 @@ from ffspec import (
 from ffspec import lemmas, spectral
 from ffspec.fourier import zero_directions, zero_set
 from ffspec.lemmas import (
+    _class_chunk,
     _coord_cex,
     _decode_profile,
     _direct_chunk,
@@ -33,7 +31,6 @@ from ffspec.lemmas import (
     _fold,
     _fug33_chunk,
     _fug33_search,
-    _fug52_chunk,
     _per_set,
     _planar_eval,
     _proj21_chunk,
@@ -472,18 +469,19 @@ class TestProj21:
 
 
 def _slab_hypothesis(E):
-    spc = E.space
-    zero_dirs = [dr for dr in all_directions(spc)
-                 if character_sum(E, dr.rep).is_zero()]
-    for normal in all_directions(spc):
-        if sum(1 for dr in zero_dirs
-               if dot(dr.rep, normal.rep) == 0) >= 2:
+    p, pts = E.space.p, [pt.coords for pt in E]
+    reps = [dr.rep.coords for dr in all_directions(E.space)]
+    zero_dirs = [r for r in reps
+                 if len(set(O.residue_counts(p, pts, r))) == 1]
+    for normal in reps:
+        if sum(1 for r in zero_dirs if O.dot(p, r, normal) == 0) >= 2:
             return True
     return False
 
 
 def _slab_conclusion(E):
-    return any(0 in character_sum(E, dr.rep).counts
+    pts = [pt.coords for pt in E]
+    return any(0 in O.residue_counts(E.space.p, pts, dr.rep.coords)
                for dr in all_directions(E.space))
 
 
@@ -530,6 +528,23 @@ class TestFugledeSweeps:
             assert rec["sets"] == math.comb(9, s)
             assert rec["spectral"] == rec["tiles"] == want
         assert rep.details["pruning"] == "off"
+
+    def test_f32_counterexamples_as_full_enumeration(self, monkeypatch):
+        # with every tiling search answering none, each spectral set is a
+        # counterexample: the sweep finds the 1 + 28 through the origin,
+        # and the report lists all 9 + 84 sets in (size, row) order
+        monkeypatch.setattr(lemmas, "tiling_search_rows",
+                            lambda p, d, rows, budget: [("none", None, 0)]
+                            * len(rows))
+        rep = verify_fuglede_small(3, 2, (3, 1))
+        pts = O.all_points(3, 2)
+        want = [[list(pts[i]) for i in combo] for s in (1, 3)
+                for combo in itertools.combinations(range(9), s)]
+        assert [c["set"] for c in rep.counterexamples] == want
+        assert all(c["spectral"] == "witness" and c["tile"] == "none"
+                   for c in rep.counterexamples)
+        assert rep.details["sizes"]["3"] == {"sets": 84, "spectral": 84,
+                                             "tiles": 0}
 
     def test_f32_oracle_cross_check(self):
         got = verify_fuglede_small(3, 2, (3,)).details["sizes"]["3"]
@@ -609,24 +624,29 @@ class TestFugledeSweeps:
         assert O.translation_class_count(5, 2, 2) == 12
         assert O.translation_class_count(5, 2, 3) == 92
 
-    @pytest.mark.parametrize("change", [
-        lambda classes: classes[1:],
-        lambda classes: [np.concatenate(classes[:2])] + classes[2:],
-    ], ids=["drop-one", "merge-two"])
-    def test_f52_classes_cross_checked(self, monkeypatch, change):
+    @pytest.mark.parametrize("p,change", [
+        pytest.param(p, change, id=name + suffix)
+        for p, suffix in [(5, ""), (3, "-p3")]
+        for name, change in [
+            ("drop-one", lambda classes: classes[1:]),
+            ("merge-two",
+             lambda classes: [np.concatenate(classes[:2])] + classes[2:])]])
+    def test_f52_classes_cross_checked(self, monkeypatch, p, change):
         # the keyed classes must number what Burnside's count gives
-        assert [len(lemmas._fug52_classes(s)) for s in range(1, 7)] == [
-            1, 12, 92, 506, 2130, 7084]
+        want = {3: [1, 4, 12, 14, 14, 12, 4, 1, 1],
+                5: [1, 12, 92, 506, 2130, 7084]}[p]
+        assert [len(lemmas._translation_classes(p, s))
+                for s in range(1, len(want) + 1)] == want
         real = lemmas._groups
         monkeypatch.setattr(lemmas, "_groups",
                             lambda keys: (real(keys)[0], change(real(keys)[1])))
-        lemmas._fug52_classes.cache_clear()
+        lemmas._translation_classes.cache_clear()
         try:
-            with pytest.raises(InternalCheckError,
-                               match="keyed 91 translation classes"):
-                lemmas._fug52_classes(3)
+            with pytest.raises(InternalCheckError, match=(
+                    f"keyed {want[2] - 1} translation classes")):
+                lemmas._translation_classes(p, 3)
         finally:
-            lemmas._fug52_classes.cache_clear()
+            lemmas._translation_classes.cache_clear()
 
     def test_f52_both_filtered_strata_pinned(self):
         # sizes 10, 15 and 20 fail both size filters in F_5^2; the hash
@@ -789,19 +809,19 @@ class TestGroupedSweeps:
     def test_f52_chunks_hold_whole_classes(self, monkeypatch):
         # chunks run one at a time: each searches only its own classes
         searched = _counting(monkeypatch, "tiling_search_rows")
-        space = Space(5, 2)
+        pts = O.all_points(5, 2)
         per_chunk = []
 
         def chunk(args):
             start = len(searched)
-            out = _fug52_chunk(args)
+            out = _class_chunk(args)
             per_chunk.append({
-                canonical_form(PointSet.from_indices(space, row)).mask
+                O.translation_min_mask(5, 2, [pts[i] for i in row])
                 for _, _, rows, _ in searched[start:]
                 for row in rows.tolist()})
             return out
 
-        monkeypatch.setattr(lemmas, "_fug52_chunk", chunk)
+        monkeypatch.setattr(lemmas, "_class_chunk", chunk)
         verify_fuglede_small(5, 2, (5,))
         assert len(per_chunk) == 6
         assert sum(map(len, per_chunk)) == len(set().union(*per_chunk)) \
@@ -814,8 +834,9 @@ class TestGroupedSweeps:
         assert one.result_dict() == two.result_dict()
 
     def test_member_tiling_checked_against_class_witness(self, monkeypatch):
-        # {3, 4, 5} is the line y = 1; its class representative is the
-        # line {0, 1, 2}, which tiles with the y-axis
+        # {0, 2, 5} = {(0,0), (2,0), (2,1)} is {0, 1, 3} - (1,0), and
+        # {0, 1, 3}, its class's first set through the origin, tiles with
+        # the y-axis {0, 3, 6}
         real = lemmas.tiling_pair_rows
         seen = []
 
@@ -823,21 +844,22 @@ class TestGroupedSweeps:
             E_rows = np.asarray(E_rows)
             seen.extend(E_rows.tolist())
             return real(p, d, E_rows, A_rows) & np.array(
-                [row != [3, 4, 5] for row in E_rows.tolist()])
+                [row != [0, 2, 5] for row in E_rows.tolist()])
 
         monkeypatch.setattr(lemmas, "tiling_pair_rows", reject_one)
-        with pytest.raises(InternalCheckError, match=r"\[3, 4, 5\]"):
+        with pytest.raises(InternalCheckError, match=r"\[0, 2, 5\]"):
             verify_fuglede_small(3, 2, (3,))
-        assert [3, 4, 5] in seen and [0, 1, 2] in seen
+        assert [0, 2, 5] in seen and [0, 1, 3] in seen
 
     def test_every_tiling_member_checked_both_ways(self, monkeypatch):
         calls = _row_pairs(monkeypatch, lemmas, "tiling_pair_rows")
         rep = verify_fuglede_small(3, 2, (3,))
         tiles = rep.details["sizes"]["3"]["tiles"]
         # one call each way for the chunk, one row per tiling member
+        # through the origin; the report weighs those 28 sets by 9/3
         assert tiles == 84 and len(calls) == 2
         assert calls[1] == [(A, E) for E, A in calls[0]]
-        assert len({E for E, _ in calls[0]}) == tiles
+        assert len({E for E, _ in calls[0]}) == math.comb(8, 2) == tiles // 3
 
     @pytest.mark.parametrize("p,size,want", [(3, 3, 84), (5, 5, 3426)])
     def test_every_spectral_member_checked_both_ways(self, monkeypatch, p,
@@ -851,9 +873,11 @@ class TestGroupedSweeps:
             half = len(call) // 2
             assert call[half:] == [(A, E) for E, A in call[:half]]
             members += call[:half]
-        assert len({E for E, _ in members}) == len(members) == want
+        # the sets through the origin: fuglede-3-2 weighs them by 9/size
+        through = want if p == 5 else want * size // 9
+        assert len({E for E, _ in members}) == len(members) == through
         pts = O.all_points(p, 2)
-        for E, A in members[::len(members) // 40]:
+        for E, A in members[::max(1, len(members) // 40)]:
             assert O.is_spectral_pair(p, 2, [pts[i] for i in E],
                                       [pts[i] for i in A])
 

@@ -6,20 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as O
-from ffspec import (
-    PointSet,
-    Space,
-    all_directions,
-    canonical_form,
-    coords_to_index,
-    direction_count,
-    dot,
-    index_to_coords,
-    translate,
-)
+from ffspec import Space, all_directions, coords_to_index, index_to_coords
 from ffspec import space
-from ffspec.space import Direction, quotient_basis
-from ffspec.tables import affine_permutation_array, gl_matrices
+from ffspec.lemmas import _translates, affine_class_counts
+from ffspec.space import quotient_basis
+from ffspec.tables import (affine_permutation_array, dir_of_index,
+                           direction_reps, gl_matrices, plane_counts)
 
 SMALL_SPACES = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (7, 3)]
 
@@ -75,39 +67,35 @@ class TestArithmetic:
     def test_group_laws(self, sp, data):
         spc, x = sp
         y = spc.point_at(data.draw(st.integers(0, spc.order - 1)))
-        assert (x + y) - y == x
-        assert x + (-x) == spc.zero()
+        assert (x + y).coords == tuple(
+            (a + b) % spc.p for a, b in zip(x.coords, y.coords))
+        assert (x + y) + y.scale(-1) == x
+        assert x + x.scale(-1) == spc.zero()
         assert x.scale(1) == x
         assert x.scale(spc.p) == spc.zero()
 
-    @given(space_and_point(), st.data())
-    def test_dot_bilinear(self, sp, data):
-        spc, x = sp
-        y = spc.point_at(data.draw(st.integers(0, spc.order - 1)))
-        z = spc.point_at(data.draw(st.integers(0, spc.order - 1)))
-        c = data.draw(st.integers(0, spc.p - 1))
-        assert dot(x + y, z) == (dot(x, z) + dot(y, z)) % spc.p
-        assert dot(x.scale(c), y) == (c * dot(x, y)) % spc.p
-        assert dot(x, y) == dot(y, x)
-
     def test_dot_example(self):
-        spc = Space(7, 3)
-        assert dot(spc.point((1, 2, 3)), spc.point((1, 1, 1))) == 6
+        # (1, 2, 3) lies on the plane x . (1, 1, 1) = 6 of F_7^3
+        k = direction_reps(7, 3).tolist().index(coords_to_index((1, 1, 1), 7))
+        counts = plane_counts(7, 3, [coords_to_index((1, 2, 3), 7)])[k]
+        assert counts.tolist() == [0, 0, 0, 0, 0, 0, 1]
+        assert O.dot(7, (1, 2, 3), (1, 1, 1)) == 6
 
     def test_mismatched_spaces(self):
-        with pytest.raises(ValueError):
-            dot(Space(3, 2).zero(), Space(5, 2).zero())
+        with pytest.raises(ValueError, match="mismatched spaces"):
+            Space(3, 2).zero() + Space(5, 2).zero()
 
 
 class TestDirections:
     def test_counts(self):
-        assert direction_count(Space(7, 3)) == 57
-        assert direction_count(Space(7, 2)) == 8
-        assert direction_count(Space(5, 3)) == 31
+        assert len(all_directions(Space(7, 3))) == 57
+        assert len(all_directions(Space(7, 2))) == 8
+        assert len(all_directions(Space(5, 3))) == 31
         for p, d in SMALL_SPACES:
             spc = Space(p, d)
             dirs = all_directions(spc)
-            assert len(dirs) == (p ** d - 1) // (p - 1) == direction_count(spc)
+            assert len(dirs) == (p ** d - 1) // (p - 1) == len(
+                direction_reps(p, d))
 
     def test_canonical_reps(self):
         for p, d in [(3, 3), (7, 2)]:
@@ -120,8 +108,7 @@ class TestDirections:
         spc = Space(5, 3)
         seen = set()
         for dr in all_directions(spc):
-            pts = dr.points()[1:]
-            assert len(pts) == spc.p - 1
+            pts = [dr.rep.scale(c) for c in range(1, spc.p)]
             for pt in pts:
                 assert pt.index not in seen
                 seen.add(pt.index)
@@ -129,15 +116,20 @@ class TestDirections:
 
     @given(space_and_point(), st.data())
     def test_scalar_invariance(self, sp, data):
+        # dir_of_index names the direction a nonzero vector spans
         spc, x = sp
-        if x.is_zero():
+        if x == spc.zero():
             x = spc.point_at(1)
         c = data.draw(st.integers(1, spc.p - 1))
-        assert Direction.through(x) == Direction.through(x.scale(c))
+        ids = dir_of_index(spc.p, spc.d)
+        assert ids[x.index] == ids[x.scale(c).index] >= 0
+        assert direction_reps(spc.p, spc.d)[ids[x.index]] == \
+            O.point_index(spc.p, O.canon_dir(spc.p, x.coords))
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            Direction.through(Space(3, 2).zero())
+        # the zero vector spans no direction
+        for p, d in SMALL_SPACES:
+            assert dir_of_index(p, d)[0] == -1
 
     def test_oracle_agreement(self):
         spc = Space(7, 3)
@@ -167,72 +159,75 @@ class TestDirections:
 
 
 class TestCanonicalForm:
+    """Translation classes through lemmas._translates, every translate of
+    a set once, and affine classes through affine_permutation_array."""
+
+    @staticmethod
+    def _translate_rows(p, d, idx):
+        return [c["set"] for c in _translates(p, d, [{"set": idx}])]
+
     def test_translation_idempotent(self, rng):
-        spc = Space(3, 3)
         for _ in range(20):
-            E = PointSet.from_indices(
-                spc, rng.choice(27, size=5, replace=False).tolist())
-            c = canonical_form(E)
-            assert canonical_form(c) == c
+            idx = sorted(rng.choice(27, size=5, replace=False).tolist())
+            rows = self._translate_rows(3, 3, idx)
+            assert idx in rows
+            assert self._translate_rows(3, 3, rows[0]) == rows
 
     def test_translation_invariance(self, rng):
-        spc = Space(5, 2)
         for _ in range(20):
-            E = PointSet.from_indices(
-                spc, rng.choice(25, size=4, replace=False).tolist())
-            t = spc.point_at(int(rng.integers(25)))
-            assert canonical_form(translate(E, t)) == canonical_form(E)
+            idx = sorted(rng.choice(25, size=4, replace=False).tolist())
+            t = O.all_points(5, 2)[int(rng.integers(25))]
+            moved = sorted(O.point_index(5, x) for x in O.translate(
+                5, [O.all_points(5, 2)[i] for i in idx], t))
+            assert self._translate_rows(5, 2, moved) == \
+                self._translate_rows(5, 2, idx)
 
     def test_translation_minimum_oracle(self, rng):
         for p, d in [(5, 3), (7, 3)]:
-            spc = Space(p, d)
             for size in (1, 4, 9):
-                idx = rng.choice(spc.order, size=size, replace=False).tolist()
-                E = PointSet.from_indices(spc, idx)
-                pts = [spc.point_at(i).coords for i in idx]
-                best = min(
-                    sum(1 << O.point_index(
-                        p, tuple((a + b) % p for a, b in zip(x, t)))
-                        for x in pts)
-                    for t in O.all_points(p, d))
-                assert canonical_form(E).mask == best
-        assert canonical_form(PointSet.empty(Space(5, 3))).mask == 0
+                idx = rng.choice(p ** d, size=size, replace=False).tolist()
+                pts = [O.all_points(p, d)[i] for i in idx]
+                rows = self._translate_rows(p, d, sorted(idx))
+                # sizes prime to p: no translate fixes the set
+                assert len(rows) == p ** d
+                assert min(sum(1 << i for i in r) for r in rows) == \
+                    O.translation_min_mask(p, d, pts)
+        assert self._translate_rows(5, 3, []) == [[]]
 
     def test_affine_class_count_oracle(self):
-        spc = Space(3, 2)
-        reps = set()
-        for combo in itertools.combinations(range(9), 3):
-            reps.add(canonical_form(
-                PointSet.from_indices(spc, combo), group="affine").mask)
-        assert len(reps) == 2 == O.affine_class_count(3, 3)
+        perms = affine_permutation_array(3, 2)
+        reps = {min(sum(1 << int(i) for i in img) for img in perms[:, combo])
+                for combo in itertools.combinations(range(9), 3)}
+        assert len(reps) == 2 == O.affine_class_count(3, 3) == \
+            affine_class_counts(3, 2, (3,))[3]
 
     def test_affine_orbit_constancy(self, rng):
-        spc = Space(3, 2)
+        # the orbit of any image of E is the orbit of E
         perms = affine_permutation_array(3, 2)
-        E = PointSet.from_indices(spc, [0, 1, 5, 7])
-        base = canonical_form(E, group="affine")
+        idx = [0, 1, 5, 7]
+
+        def orbit(row):
+            return {tuple(sorted(img)) for img in perms[:, row].tolist()}
+
+        base = orbit(idx)
         for k in rng.choice(len(perms), size=25, replace=False):
-            img = PointSet.from_indices(spc, perms[k, E.indices()].tolist())
-            assert canonical_form(img, group="affine") == base
+            assert orbit(perms[k, idx].tolist()) == base
 
     def test_affine_minimum_oracle_5_2(self, rng):
         # the smallest bitmask over every affine image, by brute force
-        spc = Space(5, 2)
+        perms = affine_permutation_array(5, 2)
         maps = O.affine_maps_2d(5)
         for size in (0, 1, 3, 5, 12, 24, 25):
             idx = rng.choice(25, size=size, replace=False).tolist()
-            pts = [spc.point_at(i).coords for i in idx]
+            pts = [O.all_points(5, 2)[i] for i in idx]
             best = min(sum(1 << O.point_index(5, O.apply_affine(5, g, x))
                            for x in pts) for g in maps)
-            E = PointSet.from_indices(spc, idx)
-            assert canonical_form(E, group="affine").mask == best
+            assert min(sum(1 << int(i) for i in img)
+                       for img in perms[:, idx]) == best
 
     def test_affine_needs_low_dimension(self):
-        E = PointSet.from_indices(Space(3, 3), [0, 1])
         with pytest.raises(ValueError):
-            canonical_form(E, group="affine")
-        with pytest.raises(ValueError):
-            canonical_form(E, group="rotations")
+            affine_permutation_array(3, 3)
 
     def test_group_orders(self):
         assert len(affine_permutation_array(3, 2)) == 432

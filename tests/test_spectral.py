@@ -11,7 +11,6 @@ from ffspec import (
     allowed_spectral_sizes,
     spectrum_search,
     symmetry_check,
-    translate,
     verify_spectral_pair,
     zero_set,
 )
@@ -50,7 +49,7 @@ class TestVerify:
 
     def test_trivial_pairs(self):
         spc = Space(3, 2)
-        full = PointSet.full(spc)
+        full = PointSet.from_indices(spc, range(spc.order))
         assert verify_spectral_pair(full, full)
         single = PointSet.from_indices(spc, [4])
         other = PointSet.from_indices(spc, [7])
@@ -237,14 +236,15 @@ class TestSearch:
         L = line(spc, (1, 0, 0))
         cert = spectrum_search(L)
         assert cert.verdict == "witness"
-        assert cert.witness.contains(spc.zero())
+        assert 0 in cert.witness.indices()
         assert cert.witness.size == 7
         assert verify_spectral_pair(L, cert.witness)
 
     def test_translation_invariance_of_witnesses(self, monkeypatch):
         spc = Space(5, 3)
         L = line(spc, (1, 2, 0))
-        M = translate(L, spc.point((1, 1, 1)))
+        M = PointSet.from_coords(spc, O.translate(5, [pt.coords for pt in L],
+                                                  (1, 1, 1)))
         validated = []
 
         def counting(E, A):
@@ -295,7 +295,8 @@ class TestSearch:
         try:
             # a 343-point spectrum recurses 342 levels deep; the whole
             # search fits in about 350 frames, under the limit of 1000
-            cert = spectrum_search(PointSet.full(spc))
+            full = PointSet.from_indices(spc, range(spc.order))
+            cert = spectrum_search(full)
             assert cert.verdict == "witness"
             assert stage.cache_info().misses == 1
             assert sys.getrecursionlimit() == 1000

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import oracles as O
-from ffspec import PointSet, Space, canonical_form
+from ffspec.lemmas import _translates
 from ffspec.tables import (WORD_BLOCK, add_table, bytes_at_least,
                            combination_array, combination_words,
                            difference, direction_reps,
-                           line_sups, line_table, min_images,
+                           line_sups, line_table,
                            orthogonal_direction_bits,
                            pair_directions, pair_indices, plane_counts,
                            plane_word_table, plane_words, uniform_word)
@@ -255,20 +255,21 @@ def test_line_table_bytes_pinned(p, d):
 
 @pytest.mark.parametrize("p,d", sorted(_LINE_TABLE_SHA256))
 def test_translation_reps_match_canonical_form(p, d, rng):
-    space = Space(p, d)
+    # lemmas._translates lists every translate of a set once, from
+    # add_table; the least of their bitmasks is the translation class's
+    # canonical form
     n = p ** d
+    pts = O.all_points(p, d)
     for size in sorted({0, 1, 2, p, n // 2, n - 1, n}):
-        rows = np.sort(np.array([rng.choice(n, size, replace=False)
-                                 for _ in range(6)]).reshape(6, size), axis=1)
-        got = min_images(add_table(p, d), rows)
-        assert got.shape == rows.shape
-        for row, rep in zip(rows, got):
-            E = PointSet.from_indices(space, row.tolist())
-            # the smallest bitmask over all translates, by brute force
-            best = min(sum(1 << int(i) for i in t)
-                       for t in add_table(p, d)[:, row])
-            assert PointSet.from_indices(space, rep.tolist()).mask == best
-            assert canonical_form(E).mask == best
+        for _ in range(6):
+            row = sorted(rng.choice(n, size, replace=False).tolist())
+            got = [c["set"] for c in _translates(p, d, [{"set": row}])]
+            # every translate, by brute force
+            want = {tuple(sorted(O.point_index(p, x) for x in O.translate(
+                p, [pts[i] for i in row], t))) for t in pts}
+            assert got == sorted(map(list, want))
+            assert min(sum(1 << i for i in r) for r in got) == min(
+                sum(1 << i for i in r) for r in want)
 
 
 # the (m, r) shapes the sweeps build: lm1 and lm2 direct and reduced,

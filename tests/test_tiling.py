@@ -44,10 +44,10 @@ class TestVerify:
 
     def test_trivial(self):
         spc = Space(3, 2)
-        assert verify_tiling_pair(PointSet.full(spc),
+        assert verify_tiling_pair(PointSet.from_indices(spc, range(spc.order)),
                                   PointSet.from_indices(spc, [0]))
         assert verify_tiling_pair(PointSet.from_indices(spc, [0]),
-                                  PointSet.full(spc))
+                                  PointSet.from_indices(spc, range(spc.order)))
 
 
 def _tiling_rows(rng, p, d, k, n):
@@ -118,7 +118,7 @@ class TestSearch:
                 assert (cert.verdict == "witness") == want
                 if cert.verdict == "witness":
                     hits += 1
-                    assert cert.witness.contains(spc.zero())
+                    assert 0 in cert.witness.indices()
                     assert verify_tiling_pair(E, cert.witness)
                     assert verify_tiling_pair(cert.witness, E)
             by_size[r] = hits
@@ -132,7 +132,7 @@ class TestSearch:
         cert = tiling_search(E)
         assert cert.verdict == "witness"
         assert cert.witness.size == 9
-        assert cert.witness.contains(spc.zero())
+        assert 0 in cert.witness.indices()
         assert verify_tiling_pair(E, cert.witness)
         assert verify_tiling_pair(cert.witness, E)
 
@@ -142,7 +142,7 @@ class TestSearch:
         assert cert.verdict == "none"
         assert cert.nodes_explored == 0
         assert cert.size_filtered
-        empty = tiling_search(PointSet.empty(spc))
+        empty = tiling_search(PointSet(spc, 0))
         assert empty.verdict == "none"
         assert empty.size_filtered
         # size 3 divides 9, so the line {0, 1, 2} is searched
