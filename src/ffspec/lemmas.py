@@ -15,10 +15,9 @@ Every verifier runs through one driver, _sweep.  Its contract:
 - a sweep of translation-invariant counts reads only the sets through
   the origin and reports them as over all sets (_origin_sweep, and
   _plane_sweep with _per_set for fuglede-3-2);
-- rows that are a fixed prefix plus each subset of a point list read
-  their packed plane words as the prefix's word plus one row of a cached
-  tables.combination_words table: lm1's direct chunks, lm2's anchored
-  chunk and, through combination_row_words, the six-sets of F_3^3;
+- lm1, lm2, slab-p3 and fuglede-3-3 sweep the sets anchor + S, S over
+  the r-subsets of a point list: a chunk is a row range [lo, hi), read
+  through tables.subset_words and subset_rows;
 - fuglede-3-3 runs in two passes: the calling process keys every set by
   its zero directions, and the chunks are the distinct keys, so each
   zero set is searched once at any worker count (_fug33_search).
@@ -49,14 +48,13 @@ from .tables import (
     affine_permutation_array,
     bytes_at_least,
     combination_array,
-    combination_row_words,
-    combination_words,
     coords_matrix,
     difference,
     direction_masks,
     orthogonal_direction_bits,
     plane_word_table,
-    plane_words,
+    subset_rows,
+    subset_words,
     uniform_word,
 )
 from .tiling import size_can_tile, tiling_pair_rows, tiling_search_rows
@@ -240,101 +238,53 @@ def _planar_eval(words: np.ndarray, no_k: int):
 _EVAL_BLOCK = 2000
 
 
-def _prefix_eval(prefix: tuple, tails: np.ndarray, no_k: int,
-                 words=None) -> list:
-    """_planar_eval over the rows prefix + tail, with counterexamples as
-    sorted index lists.  The prefix's word is added to each tail's word:
-    its row of `words`, rows of a combination_words table, or else the
-    words summed per block of tails."""
-    lead = plane_word_table(7, 2)[list(prefix)].sum(axis=0)
+def _planar_chunk(args):
+    """_planar_eval over rows [lo, hi) of the sets anchor + S, S over
+    the r-subsets of points (tables.subset_words), _EVAL_BLOCK rows at a
+    time, with counterexamples as sorted index lists."""
+    anchor, points, r, lo, hi = args
     out = None
-    for a, b in _blocks(len(tails), _EVAL_BLOCK):
-        block = plane_words(7, 2, tails[a:b]) if words is None else words[a:b]
-        *res, viol = _planar_eval(block + lead, no_k)
-        res.append([{"set": sorted(int(v) for v in (*prefix, *tails[a + j]))}
-                    for j in viol])
+    for a, b in _blocks(hi - lo, _EVAL_BLOCK):
+        words = subset_words(7, 2, anchor, points, r, lo + a, lo + b)
+        *res, viol = _planar_eval(words, 3 if len(anchor) + r == 5 else 4)
+        sets = subset_rows(7, 2, anchor, points, r,
+                           [lo + a + j for j in viol]).tolist() if viol else []
+        res.append([{"set": row} for row in sets])
         out = res if out is None else [_fold(x, y) for x, y in zip(out, res)]
     return out
 
 
-# direct-mode tails per chunk
+# direct-mode rows per chunk
 _TAIL_BLOCK = 1 << 18
-_F72_POINTS = tuple(range(49))
-# tails of up to three points read their words from one table of C(49, 3)
-# rows (1.2 MB); lm2's five-point tails (122 MB of words) sum theirs
-_TABLE_TAIL = 3
-
-
-def _direct_chunk_list(size: int) -> list:
-    """Chunks (size, i1, lo, hi): the sets [0, i1] + tail through the
-    origin, tail in rows [lo, hi) of the (size - 2)-subsets of
-    {i1 + 1 .. 48}."""
-    r = size - 2
-    return [(size, i1, lo, hi) for i1 in range(1, 49 - r)
-            for lo, hi in _blocks(math.comb(48 - i1, r), _TAIL_BLOCK)]
-
-
-def _direct_chunk(chunk):
-    size, i1, lo, hi = chunk
-    r = size - 2
-    # the r-subsets of {i1 + 1 .. 48} are the last rows of those of
-    # range(49), in the same order
-    start = math.comb(49, r) - math.comb(48 - i1, r)
-    rows = slice(start + lo, start + hi)
-    words = (combination_words(7, 2, _F72_POINTS, r)[rows]
-             if r <= _TABLE_TAIL else None)
-    return _prefix_eval((0, i1), combination_array(49, r)[rows],
-                        3 if size == 5 else 4, words)
-
 
 # anchor triangle (0,0), (1,0), (0,1): first nonzero noncollinear triple
 _ANCHOR = (0, 1, 7)
 
 
-def _anchored_chunk(tail_size: int):
-    """The anchor plus every tail_size-subset of the other 46 points,
-    with words from the combination_words table of the r-subsets of
-    rest, r = min(tail_size, _TABLE_TAIL).  A longer tail (lm2's, of
-    _TABLE_TAIL + 1 points) is its first point rest[j] plus one of the
-    last C(45 - j, r) rows of that table, in order, so such tails run
-    once per first point."""
-    rest = tuple(i for i in range(49) if i not in _ANCHOR)
-    r = min(tail_size, _TABLE_TAIL)
-    words = combination_words(7, 2, rest, r)
-    tails = np.array(rest, np.int8)[combination_array(46, r)]
-    runs = ([((), 0)] if r == tail_size else
-            [((rest[j],), len(words) - math.comb(45 - j, r))
-             for j in range(46 - r)])
-    out = None
-    for lead, start in runs:
-        res = _prefix_eval(_ANCHOR + lead, tails[start:],
-                           3 if tail_size == 2 else 4, words[start:])
-        out = res if out is None else [_fold(x, y) for x, y in zip(out, res)]
-    return out
-
-
 def _planar_report(lemma_id, set_size, mode, workers):
     t0 = perf_counter()
-    plane_word_table(7, 2)          # built once, before the workers fork
     card = math.comb(49, set_size)
-    extra = {}
     if mode == "reduced":
-        tail_size = set_size - 3
-        n, hyp, hist, triples, cex = _sweep(
-            _anchored_chunk, [tail_size], workers, math.comb(46, tail_size))
-        extra["anchor"] = _coord_rows(7, 2, _ANCHOR)
         # |AGL(2,7)| = 49 * 48 * 42
-        group = "AGL(2,7), order 98784, anchored triangle"
+        anchor, group = _ANCHOR, "AGL(2,7), order 98784, anchored triangle"
+        extra = {"anchor": _coord_rows(7, 2, _ANCHOR)}
     elif mode == "direct":
-        if set_size - 2 <= _TABLE_TAIL:
-            combination_words(7, 2, _F72_POINTS, set_size - 2)
         # collinearity and directions are translation invariant
-        (n, hyp, hist, triples), cex = _origin_sweep(
-            _direct_chunk, _direct_chunk_list(set_size), 7, 2, set_size,
-            workers)
-        group = "none"
+        anchor, group, extra = (0,), "none", {}
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    points = tuple(i for i in range(49) if i not in anchor)
+    r = set_size - len(anchor)
+    rows = math.comb(len(points), r)
+    subset_words(7, 2, anchor, points, r, 0, 0)  # built before workers fork
+    chunks = [(anchor, points, r, lo, hi)
+              for lo, hi in _blocks(rows, _TAIL_BLOCK)]
+    if mode == "reduced":
+        n, hyp, hist, triples, cex = _sweep(_planar_chunk, chunks, workers,
+                                            rows)
+    else:
+        (n, hyp, hist, triples), cex = _origin_sweep(
+            _planar_chunk, chunks, 7, 2, set_size, workers)
     histogram = {str(k): int(hist[k]) for k in range(9) if hist[k]}
     details = {"mode": mode, "enumerated_sets": n, "hypothesis_sets": hyp,
                "collinear_triples": triples,
@@ -362,6 +312,8 @@ def verify_lm2(workers: int = 1, mode: str = "reduced") -> LemmaReport:
     hypothesis set up to affine equivalence.  mode "direct" reads the
     C(48,6) subsets through the origin and reports every count as over
     all C(49,7) subsets, by translation invariance (_origin_sweep).
+    Either mode reads its anchor (the triangle, or 0) plus each subset
+    of the other points, in row ranges of tables.subset_words.
     """
     return _planar_report("lm2", 7, mode, workers)
 
@@ -527,6 +479,8 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
 # directions of a common plane lie in two parallel planes.
 
 _SLAB_BLOCK = 1 << 15
+# the six-sets of F_3^3 through 0 as (anchor, points, r) of subset_words
+_F33_SETS = ((0,), range(1, 27), 5)
 
 
 def _zero_bits(words: np.ndarray) -> np.ndarray:
@@ -539,26 +493,25 @@ def _zero_bits(words: np.ndarray) -> np.ndarray:
 
 def _slab_chunk(args):
     lo, hi = args
-    rows = _through_origin(27, 6)[lo:hi]
-    words = combination_row_words(3, 3, 27, 6, lo, lo + len(rows))
+    words = subset_words(3, 3, *_F33_SETS, lo, hi)
     # equidistributed along a direction: two points on each of its planes
     orth = orthogonal_direction_bits(3, 3).astype(np.uint16)
     hyp = (np.bitwise_count(_zero_bits(words) & orth) >= 2).any(axis=-1)
     # inside two parallel planes: some plane count is 0
     concl = (bytes_at_least(3, words, 1) < 3).any(axis=-1)
-    viol = hyp & ~concl
-    return len(rows), int(hyp.sum()), [{"set": r.tolist()} for r in rows[viol]]
+    rows = subset_rows(3, 3, *_F33_SETS, lo + np.flatnonzero(hyp & ~concl))
+    return len(words), int(hyp.sum()), [{"set": r} for r in rows.tolist()]
 
 
 def verify_slab_p3(workers: int = 1) -> LemmaReport:
     """Six-point subsets of F_3^3 equidistributed along at least two
     directions of one plane are contained in two parallel planes.
     Both predicates are translation invariant, so the sweep reads the
-    sets through the origin (_origin_sweep)."""
+    sets through the origin (_origin_sweep): row ranges of 0 plus each
+    5-subset of the other 26 points (_F33_SETS, tables.subset_words)."""
     t0 = perf_counter()
     # built once, before the workers fork
-    orthogonal_direction_bits(3, 3), _through_origin(27, 6)
-    combination_words(3, 3, tuple(range(27)), 4)
+    orthogonal_direction_bits(3, 3), subset_words(3, 3, *_F33_SETS, 0, 0)
     (total, hyp), cex = _origin_sweep(
         _slab_chunk, list(_blocks(math.comb(26, 5), _SLAB_BLOCK)), 3, 3, 6,
         workers)
@@ -697,14 +650,13 @@ def _tiles_by_class(spc: Space, rows: np.ndarray, classes: list) -> np.ndarray:
 
 
 def _f33_keys() -> np.ndarray:
-    """The zero-direction key (_zero_bits) of each row of
-    _through_origin(27, 6), the first rows of combination_array(27, 6),
+    """The zero-direction key (_zero_bits) of each six-set of _F33_SETS,
     in row order, WORD_BLOCK rows at a time."""
-    n = len(_through_origin(27, 6))
-    keys = np.empty(n, dtype=np.uint16)
-    for lo, hi in _blocks(n, WORD_BLOCK):
+    anchor, points, r = _F33_SETS
+    keys = np.empty(math.comb(len(points), r), dtype=np.uint16)
+    for lo, hi in _blocks(len(keys), WORD_BLOCK):
         keys[lo:hi] = _zero_bits(
-            combination_row_words(3, 3, 27, 6, lo, hi))[:, 0]
+            subset_words(3, 3, anchor, points, r, lo, hi))[:, 0]
     return keys
 
 
@@ -722,8 +674,8 @@ def _fug33_chunk(args):
 
 
 def _fug33_search(workers: int) -> tuple:
-    """(sets, searched sets, nodes, witnesses) over the rows of
-    _through_origin(27, 6), in two passes.
+    """(sets, searched sets, nodes, witnesses) over the six-sets of
+    _F33_SETS, in two passes.
 
     The calling process keys every row by its zero directions
     (_f33_keys) and forks nothing.  The distinct keys, ascending, make a
@@ -737,10 +689,10 @@ def _fug33_search(workers: int) -> tuple:
               for a, b in _blocks(len(uniq), _F33_KEY_BLOCK)]
     sets, searched, nodes, spectra = _sweep(_fug33_chunk, chunks, workers,
                                             len(keys))
-    rows = _through_origin(27, 6)
-    return sets, searched, nodes, [
-        {"set": rows[i].tolist(), "spectrum": spectrum}
-        for i, spectrum in _rows_with(keys, spectra).items()]
+    found = _rows_with(keys, spectra)
+    rows = subset_rows(3, 3, *_F33_SETS, list(found)).tolist()
+    return sets, searched, nodes, [{"set": row, "spectrum": s}
+                                   for row, s in zip(rows, found.values())]
 
 
 def _spectral_vs_tile(spc: Space, rows: np.ndarray, classes: list) -> tuple:
@@ -1075,8 +1027,7 @@ def _falsify_chunk(args):
     rule = np.concatenate([pruning_rule(spc, rows[lo:hi])
                            for lo, hi in _blocks(count, _PRUNE_BLOCK)])
     hits = np.bincount(rule[rule >= 0], minlength=len(PRUNING_RULES))
-    pruned = {"size_filtered": 0}
-    pruned.update((k, int(h)) for k, h in zip(PRUNING_RULES, hits) if h)
+    pruned = {k: int(h) for k, h in zip(PRUNING_RULES, hits) if h}
     outcomes["none"] = int(hits.sum())
     wits = []
     for row in rows[rule < 0]:

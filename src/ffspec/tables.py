@@ -20,11 +20,10 @@ slab-p3 and the plane_concentration pruning rule read the words
 directly, through uniform_word and bytes_at_least;
 plane_counts is their byte view, which geometry.plane_sup reads.
 combination_words caches the words of every r-subset of a point list,
-in combination_array order, so a sweep over the rows prefix + tail
-reads each row's word as the prefix's word plus one table row: lm1's
-direct chunks and lm2's anchored chunk read them, and
-combination_row_words reads any range of combination_array rows that
-way, for the six-sets of F_3^3 through the origin.
+in combination_array order.  subset_words reads any range of rows of
+the sets anchor + S, S over the r-subsets of a point list, each as a
+base word plus one such table row, and subset_rows gives the sets at
+chosen rows; lm1, lm2, slab-p3 and fuglede-3-3 read their sets so.
 pair_directions is the one pair kernel: direction counts, line_sups (the
 most points of a row on one affine line) and plane directions read it.
 line_table is the one coset layout: row k * p^(d-1) + q is the coset
@@ -135,32 +134,63 @@ def combination_words(p: int, d: int, points: tuple, r: int) -> np.ndarray:
     return words
 
 
-def combination_row_words(p: int, d: int, m: int, size: int, lo: int,
-                          hi: int) -> np.ndarray:
-    """plane_words of rows [lo, hi) of combination_array(m, size), whose
-    rows are point indices, size >= 2.
-
-    The rows come in runs that share their first two points a < b: the
-    run of (a, b) follows them with each (size - 2)-subset of
-    {b + 1 .. m - 1}, and those are the last C(m - 1 - b, size - 2) rows
-    of combination_words(p, d, range(m), size - 2), in order.  So a
-    row's word is its prefix's word plus one table row.  Not cached.
+@lru_cache(maxsize=None)
+def _subset_runs(p: int, d: int, anchor: tuple, points: tuple,
+                 r: int) -> tuple:
+    """(starts, heads, at, bases, tails) of subset_words.  S is a lead of
+    r - t points, t = min(r, 3), then a t-subset of the points after the
+    lead, which ends at position j (-1 if empty): one of the last
+    C(m - 1 - j, t) rows of tails = combination_words(p, d, points, t).
+    So each lead with a tail owns a run: row g of run k, starts[k] <= g
+    < starts[k + 1], is heads[k] (anchor + lead, whose word is bases[k])
+    plus tail row at[k] + g.
     """
-    table = plane_word_table(p, d)
-    tails = combination_words(p, d, tuple(range(m)), size - 2)
-    out = np.empty((hi - lo, table.shape[1]), dtype=table.dtype)
-    start = 0                                   # the run's first row
-    for a, b in itertools.combinations(range(m), 2):
-        if start >= hi:
-            break
-        run = math.comb(m - 1 - b, size - 2)
-        x, y = max(lo, start), min(hi, start + run)
-        if x < y:
-            at = len(tails) - run - start       # row g reads tails[at + g]
-            np.add(tails[at + x:at + y], table[a] + table[b],
-                   out=out[x - lo:y - lo])
-        start += run
+    t, m = min(r, 3), len(points)
+    leads = combination_array(m, r - t)
+    ends = leads[:, -1] + 1 if r > t else np.zeros(len(leads), np.intp)
+    sizes = np.array([math.comb(m - j, t) for j in range(m + 1)])[ends]
+    heads = np.hstack([np.tile(np.array(anchor, dtype=np.intp),
+                               (len(leads), 1)),
+                       np.array(points, dtype=np.intp)[leads]])[sizes > 0]
+    sizes = sizes[sizes > 0]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    tails = combination_words(p, d, points, t)
+    return (starts, heads, len(tails) - sizes - starts[:-1],
+            plane_words(p, d, heads), tails)
+
+
+def subset_words(p: int, d: int, anchor, points, r: int, lo: int,
+                 hi: int) -> np.ndarray:
+    """plane_words of rows [lo, hi) of the sets anchor + S, S over the
+    r-subsets of the point list in combination_array order; hi is
+    clipped to C(len(points), r), as a slice is.  A row's word is its
+    run's base word plus one row of a cached table (_subset_runs): one
+    add per run that meets the range.  Not cached.
+    """
+    starts, _, at, bases, tails = _subset_runs(p, d, tuple(anchor),
+                                               tuple(points), r)
+    lo, hi = min(lo, hi, starts[-1]), min(hi, starts[-1])
+    out = np.empty((hi - lo, tails.shape[1]), dtype=tails.dtype)
+    k = int(np.searchsorted(starts, lo, "right")) - 1
+    while k < len(bases) and starts[k] < hi:
+        x, y = max(lo, starts[k]), min(hi, starts[k + 1])
+        np.add(tails[at[k] + x:at[k] + y], bases[k], out=out[x - lo:y - lo])
+        k += 1
     return out
+
+
+def subset_rows(p: int, d: int, anchor, points, r: int,
+                positions) -> np.ndarray:
+    """The sets at the given row positions of subset_words, as index
+    rows sorted along each row."""
+    starts, heads, at, _, _ = _subset_runs(p, d, tuple(anchor),
+                                           tuple(points), r)
+    pos = np.asarray(positions, dtype=np.intp)
+    k = np.searchsorted(starts, pos, "right") - 1
+    t = len(anchor) + r - heads.shape[1]
+    tail = combination_array(len(points), t)[at[k] + pos]
+    rows = np.hstack([heads[k], np.array(points, dtype=np.intp)[tail]])
+    return np.sort(rows, axis=1)
 
 
 def uniform_word(p: int, c: int) -> int:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-import math
 
 import numpy as np
 

@@ -1,7 +1,7 @@
 """The package's import graph: every intra-package import sits at module
 level, the modules import each other without a cycle, every name a
-module imports is used there, and importing the package loads no
-multiprocessing (run_chunks forks its workers itself)."""
+module or test file imports is used there, and importing the package
+loads no multiprocessing (run_chunks forks its workers itself)."""
 import ast
 import os
 import subprocess
@@ -11,6 +11,7 @@ from pathlib import Path
 import ffspec
 
 PACKAGE = Path(ffspec.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _package_imports(node):
@@ -28,9 +29,9 @@ def _package_imports(node):
     return []
 
 
-def _trees():
+def _trees(folder=PACKAGE):
     return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(PACKAGE.glob("*.py"))}
+            for path in sorted(folder.glob("*.py"))}
 
 
 def test_no_package_import_inside_a_function():
@@ -56,11 +57,14 @@ def test_module_graph_is_acyclic():
 
 
 def test_module_imports_are_used():
-    # __init__.py imports to re-export; every other module imports a
-    # name to use it, so a deletion that strands an import shows here
+    # __init__.py imports to re-export; every other module and test file
+    # imports a name to use it, so a deletion that strands an import
+    # shows here
     unused = []
-    for name, tree in _trees().items():
-        if name == "__init__":
+    trees = [(f"{folder.name}/{name}", tree) for folder in (PACKAGE, TESTS)
+             for name, tree in _trees(folder).items()]
+    for name, tree in trees:
+        if name == f"{PACKAGE.name}/__init__":
             continue
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}

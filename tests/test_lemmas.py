@@ -25,13 +25,12 @@ from ffspec.lemmas import (
     _class_chunk,
     _coord_cex,
     _decode_profile,
-    _direct_chunk,
-    _direct_chunk_list,
     _fillings,
     _fold,
     _fug33_chunk,
     _fug33_search,
     _per_set,
+    _planar_chunk,
     _planar_eval,
     _proj21_chunk,
     _slab_chunk,
@@ -42,9 +41,8 @@ from ffspec.lemmas import (
 )
 from ffspec.spectral import spectrum_search
 from ffspec.tables import (affine_permutation_array, combination_array,
-                           combination_row_words, combination_words,
-                           direction_masks,
-                           plane_word_table, plane_words, uniform_word)
+                           direction_masks, plane_words, subset_words,
+                           uniform_word)
 
 
 class TestLm1:
@@ -127,10 +125,12 @@ class TestLm2:
         assert d["direction_histogram"] == {
             "6": 90, "7": 6450, "8": 115805}
 
-    def test_anchored_tails_stay_int8(self, traced_peak):
-        # intp tails alone would take 5.2 MB
-        combination_array(46, 4), plane_word_table(7, 2)
-        assert traced_peak(lemmas._anchored_chunk, 4) < 4e6
+    def test_anchored_chunk_scratch(self, traced_peak):
+        # words one _EVAL_BLOCK at a time and no tail rows: intp rows of
+        # the 163,185 tails alone would take 5.2 MB
+        chunk = (lemmas._ANCHOR, _REST, 4, 0, math.comb(46, 4))
+        _planar_chunk(chunk)                   # warms the cached tables
+        assert traced_peak(_planar_chunk, chunk) < 4e6
 
     def test_four_collinear_sets_skipped(self):
         # (0,0),(1,0),(2,0),(3,0) collinear among 7 points
@@ -152,6 +152,10 @@ class TestLm2:
         pts = {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (6, 1), (6, 2)}
         assert len(O.direction_set(7, pts)) >= 6
         assert O.line_sup(7, 2, pts) <= 3
+
+
+# the 46 points of F_7^2 outside lm1 and lm2's anchor triangle
+_REST = tuple(i for i in range(49) if i not in lemmas._ANCHOR)
 
 
 def _idx(pts):
@@ -223,104 +227,120 @@ def _explicit_rows(rows, no_k):
     return total
 
 
-def _explicit_chunk(chunk):
-    """_explicit_rows over the chunk's rows [0, i1] + tail."""
-    size, i1, lo, hi = chunk
-    tail = combination_array(48 - i1, size - 2)[lo:hi].astype(np.int64)
-    rows = np.hstack([np.full((len(tail), 2), (0, i1)), tail + i1 + 1])
+def _explicit_chunk(size, i1, block):
+    """_explicit_rows over block `block` (_TAIL_BLOCK rows each) of the
+    rows [0, i1] + tail, tail over the (size - 2)-subsets of
+    {i1 + 1 .. 48}."""
+    lo = block * lemmas._TAIL_BLOCK
+    tail = combination_array(48 - i1, size - 2)[lo:lo + lemmas._TAIL_BLOCK]
+    rows = np.hstack([np.full((len(tail), 2), (0, i1)),
+                      tail.astype(np.int64) + i1 + 1])
     return _explicit_rows(rows, 3 if size == 5 else 4)
 
 
 class TestPrefixSharing:
-    # (size, i1, block): the chunk (size, i1, lo, hi) sums its tails'
-    # words and adds the word of its prefix (0, i1); block 1 of i1 = 1
-    # at size 7 starts at lo = 2^18
+    # (size, i1, block): the direct-mode rows [0, i1] + tail, block
+    # `block` of _TAIL_BLOCK of them, read by one _planar_chunk; they
+    # cross runs of tables.subset_words, and block 1 of i1 = 1 at size 7
+    # starts 2^18 rows in
     @pytest.mark.parametrize("size,i1,block", [
         (7, 1, 1), (5, 10, 0), (7, 10, 1), (5, 43, 0), (7, 43, 0)])
     @pytest.mark.parametrize("min_dirs", [6, 8])
     def test_task_matches_explicit_rows(self, monkeypatch, size, i1, block,
                                         min_dirs):
         monkeypatch.setattr(lemmas, "_MIN_DIRECTIONS", min_dirs)
-        chunk = [c for c in _direct_chunk_list(size) if c[1] == i1][block]
-        if block:
-            assert chunk[2] > 0
-        got, want = _direct_chunk(chunk), _explicit_chunk(chunk)
+        r = size - 1
+        # the r-subsets of 1 .. 48 that begin with i1 follow those that
+        # begin below it
+        start = math.comb(48, r) - math.comb(49 - i1, r)
+        lo = start + block * lemmas._TAIL_BLOCK
+        hi = min(start + math.comb(48 - i1, r - 1), lo + lemmas._TAIL_BLOCK)
+        got = _planar_chunk(((0,), range(1, 49), r, lo, hi))
+        want = _explicit_chunk(size, i1, block)
         assert got[:2] + got[3:] == want[:2] + want[3:]
         assert got[2].tolist() == want[2].tolist()
         # points 44 .. 48 lie on the line y = 6, so i1 = 43 leaves no
         # hypothesis set; elsewhere the raised bound orders real lists
         assert (len(got[4]) > 0) == (min_dirs > 6 and i1 < 43)
 
-    def test_direct_results_independent_of_workers(self):
+    def test_direct_results_independent_of_workers(self, fork_count):
         def dumps(rep):
             return json.dumps(rep.result_dict(), sort_keys=True)
         assert dumps(verify_lm1(workers=1)) == dumps(verify_lm1(workers=2))
+        # lm1's C(48, 4) = 194,580 sets through the origin are one
+        # chunk, so a second worker forks nothing
+        assert fork_count() == 0
 
 
-def _prefix_evals(monkeypatch):
-    """Wrap lemmas._prefix_eval; returns the (prefix, tails, words) of
-    each call."""
+def _eval_words(monkeypatch):
+    """Wrap lemmas._planar_eval; returns the words of each call."""
     calls = []
-    real = lemmas._prefix_eval
+    real = lemmas._planar_eval
 
-    def wrapper(prefix, tails, no_k, words=None):
-        calls.append((prefix, tails, words))
-        return real(prefix, tails, no_k, words)
+    def wrapper(words, no_k):
+        calls.append(words.copy())
+        return real(words, no_k)
 
-    monkeypatch.setattr(lemmas, "_prefix_eval", wrapper)
+    monkeypatch.setattr(lemmas, "_planar_eval", wrapper)
     return calls
 
 
+def _with_origin(rows):
+    return [(0, *row) for row in rows]
+
+
 class TestTailWords:
-    """The chunks read each tail's word from a combination_words slice;
-    every slice must equal the plane_words of the explicit tails."""
+    """The chunks read each row's word as its run's base word plus one
+    row of a cached table (tables.subset_words); the words must equal
+    the plane_words of the explicit rows."""
 
     def test_lm1_tails_at_every_i1(self, monkeypatch):
-        calls = _prefix_evals(monkeypatch)
-        for chunk in _direct_chunk_list(5):
-            _direct_chunk(chunk)
-        assert [c[0] for c in calls] == [(0, i1) for i1 in range(1, 46)]
-        for (_, i1), tails, words in calls:
-            want = np.array(list(itertools.combinations(range(i1 + 1, 49),
-                                                        3)))
-            assert tails.tolist() == want.tolist()
-            assert np.array_equal(words, plane_words(7, 2, want)), i1
+        calls = _eval_words(monkeypatch)
+        _planar_chunk(((0,), range(1, 49), 4, 0, math.comb(48, 4)))
+        assert [len(c) for c in calls] == [lemmas._EVAL_BLOCK] * 97 + [580]
+        want = _with_origin(itertools.combinations(range(1, 49), 4))
+        assert np.array_equal(np.concatenate(calls), plane_words(7, 2, want))
 
-    def test_lm2_direct_tails_sum_their_words(self, monkeypatch):
-        # five-point tails have no table: 122 MB of words
-        calls = _prefix_evals(monkeypatch)
-        _direct_chunk(_direct_chunk_list(7)[-1])
-        assert calls[0][2] is None
+    def test_lm2_direct_tails_read_the_table(self, monkeypatch):
+        # a three-point lead plus one row of the C(48, 3)-row table: the
+        # first rows, and the last 5,005 (those that begin at 34 or up)
+        calls = _eval_words(monkeypatch)
+        n = math.comb(48, 6)
+        _planar_chunk(((0,), range(1, 49), 6, 0, 3000))
+        _planar_chunk(((0,), range(1, 49), 6, n - 5005, n))
+        first = itertools.islice(itertools.combinations(range(1, 49), 6),
+                                 3000)
+        last = itertools.combinations(range(34, 49), 6)
+        want = _with_origin([*first, *last])
+        assert np.array_equal(np.concatenate(calls), plane_words(7, 2, want))
 
     def test_anchored_tails(self, monkeypatch):
-        calls = _prefix_evals(monkeypatch)
-        lemmas._anchored_chunk(4)
-        rest = [i for i in range(49) if i not in lemmas._ANCHOR]
-        # four-point tails run once per first point
-        assert [c[0] for c in calls] == [
-            (*lemmas._ANCHOR, i) for i in rest[:43]]
-        for j, (_, tails, words) in enumerate(calls):
-            want = np.array(list(itertools.combinations(rest[j + 1:], 3)))
-            assert tails.tolist() == want.tolist()
-            assert np.array_equal(words, plane_words(7, 2, want)), j
-        # two-point tails (lm1 reduced) read their table in one run
-        del calls[:]
-        lemmas._anchored_chunk(2)
-        (prefix, tails, words), = calls
-        want = np.array(list(itertools.combinations(rest, 2)))
-        assert prefix == lemmas._ANCHOR and tails.tolist() == want.tolist()
-        assert np.array_equal(words, plane_words(7, 2, want))
+        # lm2 reduced (r = 4) and lm1 reduced (r = 2); with every
+        # hypothesis row a counterexample, the sets come back sorted
+        monkeypatch.setattr(lemmas, "_MIN_DIRECTIONS", 9)
+        calls = _eval_words(monkeypatch)
+        for r in (4, 2):
+            got = _planar_chunk((lemmas._ANCHOR, _REST, r, 0,
+                                 math.comb(46, r)))
+            rows = np.array([(*lemmas._ANCHOR, *tail)
+                             for tail in itertools.combinations(_REST, r)])
+            assert np.array_equal(np.concatenate(calls),
+                                  plane_words(7, 2, rows)), r
+            calls.clear()
+            want = _explicit_rows(np.sort(rows, axis=1), 3 if r == 2 else 4)
+            assert got[:2] + got[3:] == want[:2] + want[3:]
+            assert got[2].tolist() == want[2].tolist() and got[4]
 
     def test_f33_rows(self):
         n = math.comb(26, 5)
-        assert np.array_equal(combination_row_words(3, 3, 27, 6, 0, n),
+        assert np.array_equal(subset_words(3, 3, *lemmas._F33_SETS, 0, n),
                               plane_words(3, 3, _through_origin(27, 6)))
         # any range of combination_array(27, 6), across runs and past
-        # the rows through the origin
+        # its end
         full = combination_array(27, 6)
         for lo, hi in [(0, 1), (12649, 12652), (n - 3, n + 5000),
-                       (0, len(full)), (len(full) - 7, len(full))]:
-            got = combination_row_words(3, 3, 27, 6, lo, hi)
+                       (0, len(full)), (len(full) - 7, len(full) + 9)]:
+            got = subset_words(3, 3, (), range(27), 6, lo, hi)
             assert np.array_equal(got, plane_words(3, 3, full[lo:hi])), lo
 
     def test_f33_keys_are_the_zero_directions(self):
@@ -769,7 +789,7 @@ class TestGroupedSweeps:
         assert one.result_dict() == two.result_dict()
 
     def test_fug33_key_pass_forks_nothing(self, fork_count, traced_peak):
-        combination_words(3, 3, tuple(range(27)), 4)
+        subset_words(3, 3, *lemmas._F33_SETS, 0, 0)   # warms the tables
         n = len(_through_origin(27, 6))
         # 16-bit keys (132 kB) and one WORD_BLOCK of words (213 kB);
         # int64 keys alone would take 526 kB
@@ -1046,11 +1066,10 @@ def _result_sha256(rep) -> str:
 
 
 def _full_enumeration(monkeypatch):
-    """Point the F_3^3 chunks at all 296,010 six-sets instead of those
+    """Point the F_3^3 sweeps at all 296,010 six-sets instead of those
     through the origin; returns their number."""
-    full = combination_array(27, 6)
-    monkeypatch.setattr(lemmas, "_through_origin", lambda n, size: full)
-    return len(full)
+    monkeypatch.setattr(lemmas, "_F33_SETS", ((), range(27), 6))
+    return math.comb(27, 6)
 
 
 class TestOriginSweeps:
@@ -1172,13 +1191,15 @@ class TestSweepDriver:
          "a8101140a3ce17291e2cbe1b0bcff2d3e53edd4f8b26d7972d93236b31f6c884"),
         (lambda: verify_fuglede_small(3, 2, range(1, 10)),
          "a9e9124fb886921940c5185cbbcb97c46a14fd5ab8ea0de0ef57961f82b0a881"),
+        # the falsify pins moved once, when d = 3 rule counts stopped
+        # carrying a size_filtered count of 0
         (lambda: falsify_random(5, 3, 10, 4100, 999),
-         "50ba623db855b7577ccbed512196c6f89381af7e8503d39ab97c0926f30392be"),
+         "8f13dd23fedcc9901e5f606a0a9f741df58fc59bfc1b67885eaad7b945328444"),
         # every trial size-filtered: no falsify size is spectral at d = 2
         (lambda: falsify_random(5, 2, 10, 500, 1),
          "f1adbd4d857ee946af915db8d6c8abf46200b4111c0558fc8ce0b72b4ec5413c"),
         (lambda: falsify_random(7, 3, 21, 8000, 1),
-         "8ce705b74cc620480dfbb9fa7400e590d02fe42c19bbebae90c3362300dec6d8"),
+         "ea1fad8fdc1823ca6925c6dff060b021c9bd7a9d5cb5121ee4dd11aec96f9b6f"),
         (lambda: verify_lm2(mode="direct"),
          "91bf53796ed98c261e4e71153ac7f3afcf55285eb90314d59996de8444a62b14"),
     ], ids=["lm1-reduced", "slab-p3", "fuglede-3-2-all", "falsify-5-3-10",

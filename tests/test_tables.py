@@ -7,13 +7,14 @@ import pytest
 
 import oracles as O
 from ffspec.lemmas import _translates
-from ffspec.tables import (WORD_BLOCK, add_table, bytes_at_least,
-                           combination_array, combination_words,
-                           difference, direction_reps,
+from ffspec.tables import (WORD_BLOCK, _subset_runs, add_table,
+                           bytes_at_least, combination_array,
+                           combination_words, difference, direction_reps,
                            line_sups, line_table,
                            orthogonal_direction_bits,
                            pair_directions, pair_indices, plane_counts,
-                           plane_word_table, plane_words, uniform_word)
+                           plane_word_table, plane_words, subset_rows,
+                           subset_words, uniform_word)
 
 _ALL_SPACES = [(p, d) for p in (3, 5, 7) for d in (1, 2, 3)]
 
@@ -145,6 +146,85 @@ def test_combination_words_scratch_is_the_level_below(traced_peak, p, d,
     assert below < peak - table.nbytes < WORD_BLOCK * table[0].nbytes
 
 
+def _subsets_at(m, r, lo, hi):
+    """Positions of the r-subsets of range(m) at lexicographic ranks
+    lo .. hi - 1: rank lo unranked digit by digit, then successors."""
+    count, c, start = min(hi, math.comb(m, r)) - lo, [], 0
+    if count <= 0:
+        return []
+    for k in range(r, 0, -1):
+        while lo >= math.comb(m - 1 - start, k - 1):
+            lo -= math.comb(m - 1 - start, k - 1)
+            start += 1
+        c.append(start)
+        start += 1
+    rows = [list(c)]
+    for _ in range(count - 1):
+        k = r - 1
+        while c[k] == m - r + k:
+            k -= 1
+        c[k:] = range(c[k] + 1, c[k] + 1 + r - k)
+        rows.append(list(c))
+    return rows
+
+
+_REST = tuple(i for i in range(49) if i not in (0, 1, 7))
+# (p, d, anchor, points, r): lm1 and lm2 direct, lm1 and lm2 reduced,
+# the F_3^3 six-sets through 0 and all of them, an unsorted point list,
+# and the edges r = 0 and r > m
+_SUBSET_FAMILIES = [
+    (7, 2, (0,), range(1, 49), 4),
+    (7, 2, (0,), range(1, 49), 6),
+    (7, 2, (0, 1, 7), _REST, 2),
+    (7, 2, (0, 1, 7), _REST, 4),
+    (3, 3, (0,), range(1, 27), 5),
+    (3, 3, (), range(27), 6),
+    (5, 3, (3,), (124, 60, 7, 99, 0, 31), 5),
+    (3, 2, (4,), (8, 1), 0),
+    (3, 2, (), (4, 8, 1), 4),
+]
+
+
+@pytest.mark.parametrize("p,d,anchor,points,r", _SUBSET_FAMILIES)
+def test_subset_words_and_rows_oracle(p, d, anchor, points, r):
+    m, t = len(points), min(r, 3)
+    n = math.comb(m, r)
+    first_run = math.comb(m - (r - t), t) if r <= m else 0
+    # the first rows, across the end of the first run, across many runs,
+    # the last rows, the last row and past the end, and lo == hi
+    ranges = [(0, 1), (first_run - 3, first_run + 3),
+              (n // 2 - 1500, n // 2 + 1500), (n - 3000, n),
+              (n - 1, n + 40), (n // 3, n // 3)]
+    for lo, hi in ranges:
+        lo = max(lo, 0)
+        rows = np.array([sorted((*anchor, *(points[i] for i in c)))
+                         for c in _subsets_at(m, r, lo, hi)],
+                        dtype=np.int64).reshape(-1, len(anchor) + r)
+        words = subset_words(p, d, anchor, points, r, lo, hi)
+        assert words.dtype == plane_word_table(p, d).dtype
+        assert np.array_equal(words, plane_words(p, d, rows)), (lo, hi)
+        got = subset_rows(p, d, anchor, points, r,
+                          np.arange(lo, lo + len(rows)))
+        assert got.tolist() == rows.tolist(), (lo, hi)
+
+
+@pytest.mark.parametrize("p,d,anchor,points,r", _SUBSET_FAMILIES)
+def test_subset_runs_one_per_lead(p, d, anchor, points, r):
+    # a lead of r - 3 points (none for r <= 3) owns the run of the
+    # 3-subsets after it, if it has 3 points after it
+    t = min(r, 3)
+    starts, heads, at, bases, tails = _subset_runs(p, d, anchor,
+                                                   tuple(points), r)
+    m = len(points)
+    leads = [c for c in itertools.combinations(range(m), r - t)
+             if m - 1 - max(c, default=-1) >= t]
+    assert heads.tolist() == [[*anchor, *(points[i] for i in c)]
+                              for c in leads]
+    assert np.diff(starts).tolist() == [
+        math.comb(m - 1 - max(c, default=-1), t) for c in leads]
+    assert len(tails) == math.comb(m, t)
+
+
 @pytest.mark.parametrize("p,d", _ALL_SPACES)
 def test_bytes_at_least_oracle(p, d, rng):
     n = p ** d
@@ -272,12 +352,16 @@ def test_translation_reps_match_canonical_form(p, d, rng):
                 sum(1 << i for i in r) for r in want)
 
 
-# the (m, r) shapes the sweeps build: lm1 and lm2 direct and reduced,
-# slab-p3 and fuglede-3-3 (and the full enumeration their tests weigh
-# against), fuglede-3-2, fuglede-5-2 at sizes 1, 5, 25
+# (m, r) shapes: those the sweeps and their tests build (lm1 and lm2
+# direct and reduced, slab-p3 and fuglede-3-3 and the full enumeration
+# their tests weigh against, the leads and tail rows of subset_words,
+# fuglede-3-2, fuglede-5-2 at sizes 1, 5, 25), and the (48 - i, 4) and
+# (48 - i, 5) subsets above each point i of the direct sweeps
 _SWEEP_SHAPES = sorted(
     {(48 - i0, 4) for i0 in range(45)} | {(48 - i1, 5) for i1 in range(1, 44)}
     | {(46, 2), (46, 4), (26, 5), (27, 6), (24, 0), (24, 4), (24, 24)}
+    | {(48, 1), (48, 3), (46, 0), (46, 1), (46, 3), (26, 2), (26, 3),
+       (27, 3)}
     | {(9, r) for r in range(1, 10)})
 
 

@@ -6,7 +6,6 @@ import pytest
 
 import oracles as O
 from ffspec import (
-    InternalCheckError,
     PointSet,
     Space,
     tiling_search,
