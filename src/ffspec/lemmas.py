@@ -5,6 +5,10 @@ Every verifier runs through one driver, _sweep.  Its contract:
 
 - the enumeration is split into a fixed chunk list that does not depend
   on the worker count (_blocks cuts a range into [lo, hi) pieces);
+- a chunk is the unit of scheduling and a block the unit of memory:
+  slab-p3, fuglede-3-3 and each searched size of fuglede-3-2 and
+  fuglede-5-2 are one chunk, which walks blocks of rows or classes, so
+  these sweeps fork nothing at any worker count;
 - each chunk returns a tuple, and the tuples are folded field by field
   in chunk order: numbers and arrays add, lists concatenate, sets unite
   and dicts merge key by key, so keys with a zero count stay in place;
@@ -19,8 +23,11 @@ Every verifier runs through one driver, _sweep.  Its contract:
   the r-subsets of a point list: a chunk is a row range [lo, hi), read
   through tables.subset_words and subset_rows;
 - fuglede-3-3 runs in two passes: the calling process keys every set by
-  its zero directions, and the chunks are the distinct keys, so each
-  zero set is searched once at any worker count (_fug33_search).
+  its zero directions, and the chunk is the distinct keys, so each
+  zero set is searched once (_fug33_search);
+- fuglede-3-2 and fuglede-5-2 run one tiling search per affine orbit of
+  translation classes, in the calling process, and pass each class's
+  complement in the chunk (_class_complements).
 
 The deterministic part of a report is therefore identical no matter how
 many workers ran it.
@@ -143,13 +150,19 @@ def _fold(acc, item):
     return acc + item
 
 
+def _fold_all(results) -> list:
+    """Result tuples folded field by field, in order (_fold)."""
+    results = iter(results)
+    total = list(next(results))
+    for res in results:
+        total = [_fold(a, b) for a, b in zip(total, res)]
+    return total
+
+
 def _sweep(fn, chunks: list, workers: int, expected: int | None = None) -> list:
     """Run fn over the fixed chunk list and fold its result tuples field
     by field in chunk order; field 0 must total expected, if given."""
-    results = run_chunks(fn, chunks, workers)
-    total = list(results[0])
-    for res in results[1:]:
-        total = [_fold(a, b) for a, b in zip(total, res)]
+    total = _fold_all(run_chunks(fn, chunks, workers))
     if expected is not None and total[0] != expected:
         raise InternalCheckError(
             f"{fn.__name__} enumerated {total[0]} sets, expected {expected}")
@@ -243,15 +256,16 @@ def _planar_chunk(args):
     the r-subsets of points (tables.subset_words), _EVAL_BLOCK rows at a
     time, with counterexamples as sorted index lists."""
     anchor, points, r, lo, hi = args
-    out = None
-    for a, b in _blocks(hi - lo, _EVAL_BLOCK):
-        words = subset_words(7, 2, anchor, points, r, lo + a, lo + b)
+
+    def block(a, b):
+        words = subset_words(7, 2, anchor, points, r, a, b)
         *res, viol = _planar_eval(words, 3 if len(anchor) + r == 5 else 4)
         sets = subset_rows(7, 2, anchor, points, r,
-                           [lo + a + j for j in viol]).tolist() if viol else []
-        res.append([{"set": row} for row in sets])
-        out = res if out is None else [_fold(x, y) for x, y in zip(out, res)]
-    return out
+                           [a + j for j in viol]).tolist() if viol else []
+        return [*res, [{"set": row} for row in sets]]
+
+    return _fold_all(block(lo + a, lo + b)
+                     for a, b in _blocks(hi - lo, _EVAL_BLOCK))
 
 
 # direct-mode rows per chunk
@@ -478,7 +492,6 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
 # Plane concentration at p = 3: six-point sets equidistributed along two
 # directions of a common plane lie in two parallel planes.
 
-_SLAB_BLOCK = 1 << 15
 # the six-sets of F_3^3 through 0 as (anchor, points, r) of subset_words
 _F33_SETS = ((0,), range(1, 27), 5)
 
@@ -491,16 +504,34 @@ def _zero_bits(words: np.ndarray) -> np.ndarray:
     return np.packbits(zero, axis=-1, bitorder="little").view("<u2")
 
 
-def _slab_chunk(args):
-    lo, hi = args
-    words = subset_words(3, 3, *_F33_SETS, lo, hi)
-    # equidistributed along a direction: two points on each of its planes
+@lru_cache(maxsize=None)
+def _slab_hypotheses() -> np.ndarray:
+    """(2^13,) bool, read-only: slab-p3's hypothesis for each _zero_bits
+    key, two zero directions orthogonal to one direction, that is two
+    zero directions of one plane."""
+    keys = np.arange(1 << 13, dtype=np.uint16)[:, None]
     orth = orthogonal_direction_bits(3, 3).astype(np.uint16)
-    hyp = (np.bitwise_count(_zero_bits(words) & orth) >= 2).any(axis=-1)
-    # inside two parallel planes: some plane count is 0
-    concl = (bytes_at_least(3, words, 1) < 3).any(axis=-1)
-    rows = subset_rows(3, 3, *_F33_SETS, lo + np.flatnonzero(hyp & ~concl))
-    return len(words), int(hyp.sum()), [{"set": r} for r in rows.tolist()]
+    out = (np.bitwise_count(keys & orth) >= 2).any(axis=-1)
+    out.flags.writeable = False
+    return out
+
+
+def _slab_chunk(args):
+    """(rows, hypothesis rows, counterexamples) of rows [lo, hi) of
+    _F33_SETS, WORD_BLOCK rows at a time."""
+    lo, hi = args
+
+    def block(a, b):
+        words = subset_words(3, 3, *_F33_SETS, a, b)
+        hyp = _slab_hypotheses()[_zero_bits(words)[:, 0]]
+        # inside two parallel planes: some plane count is 0
+        concl = (bytes_at_least(3, words, 1) < 3).any(axis=-1)
+        bad = a + np.flatnonzero(hyp & ~concl)
+        rows = subset_rows(3, 3, *_F33_SETS, bad).tolist() if len(bad) else []
+        return len(words), int(hyp.sum()), [{"set": r} for r in rows]
+
+    return tuple(_fold_all(block(lo + a, lo + b)
+                           for a, b in _blocks(hi - lo, WORD_BLOCK)))
 
 
 def verify_slab_p3(workers: int = 1) -> LemmaReport:
@@ -508,13 +539,13 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
     directions of one plane are contained in two parallel planes.
     Both predicates are translation invariant, so the sweep reads the
     sets through the origin (_origin_sweep): row ranges of 0 plus each
-    5-subset of the other 26 points (_F33_SETS, tables.subset_words)."""
+    5-subset of the other 26 points (_F33_SETS, tables.subset_words).
+    The sweep is one chunk, run in the calling process at any worker
+    count; it reads the hypothesis of each row off a table of its zero
+    directions (_slab_hypotheses)."""
     t0 = perf_counter()
-    # built once, before the workers fork
-    orthogonal_direction_bits(3, 3), subset_words(3, 3, *_F33_SETS, 0, 0)
     (total, hyp), cex = _origin_sweep(
-        _slab_chunk, list(_blocks(math.comb(26, 5), _SLAB_BLOCK)), 3, 3, 6,
-        workers)
+        _slab_chunk, [(0, math.comb(26, 5))], 3, 3, 6, workers)
     details = {
         "enumerated_sets": total,
         "hypothesis_sets": hyp,
@@ -558,12 +589,19 @@ def _pointset(spc: Space, row) -> PointSet:
     return PointSet(spc, sum(1 << int(i) for i in row))
 
 
+def _pieces(a: np.ndarray, sizes: list) -> list:
+    """a cut into consecutive pieces of the given sizes, by slicing:
+    np.split swaps axes twice per piece, 7 ms for 2,130 pieces."""
+    ends = np.cumsum(sizes).tolist()
+    return [a[e - n:e] for n, e in zip(sizes, ends)]
+
+
 def _groups(keys: np.ndarray) -> tuple:
     """(first row, members) of each distinct key, in key order."""
     _, first, inverse = np.unique(keys, axis=0, return_index=True,
                                   return_inverse=True)
-    members = np.split(np.argsort(inverse.ravel(), kind="stable"),
-                       np.cumsum(np.bincount(inverse.ravel()))[:-1])
+    members = _pieces(np.argsort(inverse.ravel(), kind="stable"),
+                      np.bincount(inverse.ravel()).tolist())
     return first, members
 
 
@@ -616,31 +654,28 @@ def _spectra_by_zero_set(spc: Space, rows: np.ndarray,
     return spectra
 
 
-def _tiles_by_class(spc: Space, rows: np.ndarray, classes: list) -> np.ndarray:
-    """Tiling verdict of every index row, searched once per translation
-    class; classes holds each class's positions in rows.
+def _tiles_by_class(spc: Space, rows: np.ndarray, classes: list,
+                    complements: list) -> np.ndarray:
+    """Tiling verdict of every index row; classes holds each translation
+    class's positions in rows, and complements its tiling complement, or
+    None where it does not tile (_class_complements).
 
-    One tiling_search_rows call searches the first member of every
-    class.  A complement A of that member R = E + t tiles with every
-    member E too, since E + A = R + A - t.  Every member, R included, is
-    still checked as an exact tiling pair with A, both ways, before it
-    counts as a tile: one tiling_pair_rows call each way takes all the
-    members of the tiling classes.
+    A complement A of one member R = E + t tiles with every member E
+    too, since E + A = R + A - t.  Every member is still checked as an
+    exact tiling pair with A, both ways, before it counts as a tile: one
+    tiling_pair_rows call each way takes all the members of the tiling
+    classes.
     """
     tiles = np.zeros(len(rows), dtype=bool)
-    if not size_can_tile(spc, rows.shape[1]):
-        return tiles
-    found = tiling_search_rows(spc.p, spc.d, rows[[c[0] for c in classes]],
-                               _BUDGET)
-    members, complements = [], []
-    for group, (verdict, complement, _) in zip(classes, found):
-        if _found(verdict):
+    members, paired = [], []
+    for group, complement in zip(classes, complements):
+        if complement is not None:
             members.extend(group.tolist())
-            complements.extend([complement] * len(group))
+            paired.extend([complement] * len(group))
     if members:
         E = rows[members]
-        ok = (tiling_pair_rows(spc.p, spc.d, E, complements)
-              & tiling_pair_rows(spc.p, spc.d, complements, E))
+        ok = (tiling_pair_rows(spc.p, spc.d, E, paired)
+              & tiling_pair_rows(spc.p, spc.d, paired, E))
         if not ok.all():
             raise InternalCheckError(
                 "class tiling complement fails on member set "
@@ -660,14 +695,10 @@ def _f33_keys() -> np.ndarray:
     return keys
 
 
-# distinct zero-direction keys per fuglede-3-3 chunk
-_F33_KEY_BLOCK = 64
-
-
 def _fug33_chunk(args):
-    """(sets, searched sets, nodes, {key: spectrum}) of a chunk of
-    distinct zero-direction keys, each given with its number of
-    six-sets (_search_keys)."""
+    """(sets, searched sets, nodes, {key: spectrum}) of distinct
+    zero-direction keys, each given with its number of six-sets
+    (_search_keys)."""
     keys, counts = args
     return (int(counts.sum()),
             *_search_keys(Space(3, 3), 6, keys.tolist(), counts.tolist()))
@@ -678,34 +709,33 @@ def _fug33_search(workers: int) -> tuple:
     _F33_SETS, in two passes.
 
     The calling process keys every row by its zero directions
-    (_f33_keys) and forks nothing.  The distinct keys, ascending, make a
-    fixed list of chunks, so each zero set is searched once at any
-    worker count, and the rows counted by the chunks must total the rows
-    keyed.  The rows whose key has a spectrum are gathered in row order.
+    (_f33_keys), then searches the distinct keys, ascending, as one
+    chunk, so each zero set is searched once and nothing forks at any
+    worker count; the rows the chunk counts must total the rows keyed.
+    The rows whose key has a spectrum are gathered in row order.
     """
     keys = _f33_keys()
-    uniq, counts = np.unique(keys, return_counts=True)
-    chunks = [(uniq[a:b], counts[a:b])
-              for a, b in _blocks(len(uniq), _F33_KEY_BLOCK)]
-    sets, searched, nodes, spectra = _sweep(_fug33_chunk, chunks, workers,
-                                            len(keys))
+    sets, searched, nodes, spectra = _sweep(
+        _fug33_chunk, [np.unique(keys, return_counts=True)], workers,
+        len(keys))
     found = _rows_with(keys, spectra)
     rows = subset_rows(3, 3, *_F33_SETS, list(found)).tolist()
     return sets, searched, nodes, [{"set": row, "spectrum": s}
                                    for row, s in zip(rows, found.values())]
 
 
-def _spectral_vs_tile(spc: Space, rows: np.ndarray, classes: list) -> tuple:
+def _spectral_vs_tile(spc: Space, rows: np.ndarray, classes: list,
+                      complements: list) -> tuple:
     """Both verdicts for every index row; rows that _immediate_none
-    flags skip the spectral search, and classes holds each translation
-    class's positions in rows.
+    flags skip the spectral search, and classes and complements are
+    those of _tiles_by_class.
 
     At an allowed size the spectral side is the clique stage, once per
     distinct zero set (_spectra_by_zero_set); every other size is
-    spectral nowhere, the search's size filter.  The tiling side
-    searches the first member of each class, all in one call
-    (_tiles_by_class).  Every witness is verified against its own set,
-    both ways, in one batched call per side.
+    spectral nowhere, the search's size filter.  The tiling side reads
+    each class's complement (_tiles_by_class).  Every witness is
+    verified against its own set, both ways, in one batched call per
+    side.
     Returns ({"searched", "spectral", "tiles"} counts, counterexamples).
     """
     zero = zero_directions(spc.p, spc.d, rows)
@@ -715,7 +745,7 @@ def _spectral_vs_tile(spc: Space, rows: np.ndarray, classes: list) -> tuple:
     if rows.shape[1] in allowed_spectral_sizes(spc):
         spectra = _spectra_by_zero_set(spc, rows[searched], zero[:, searched])
         spectral[searched[list(spectra)]] = True
-    tiles = _tiles_by_class(spc, rows, classes)
+    tiles = _tiles_by_class(spc, rows, classes, complements)
     cex = [{"set": [int(i) for i in rows[k]],
             "spectral": "witness" if spectral[k] else "none",
             "tile": "witness" if tiles[k] else "none"}
@@ -725,12 +755,21 @@ def _spectral_vs_tile(spc: Space, rows: np.ndarray, classes: list) -> tuple:
 
 
 # fuglede-5-2's size 5, 2,130 classes of C(24, 4) = 10,626 sets through
-# the origin, is nearly all the work: six chunks of classes, keyed once in
-# the parent, 2,048 rows at a time; each chunk searches its classes' first
-# sets in one batch
-_CLASS_BLOCK, _KEY_BLOCK = 384, 1 << 11
+# the origin, is nearly all the work; its chunk walks the classes 256 at
+# a time: on a 2-core x86-64 host its process peaked at 33.6 MiB, against
+# 34.7 MiB at 384 and 42.4 MiB for all classes at once, in the same time
+_CLASS_BLOCK, _KEY_BLOCK = 256, 1 << 11
 # maps per _cycle_type_counts block: a few hundred kB of scratch at p = 7
 _MAP_BLOCK = 1 << 10
+
+
+def _translation_keys(p: int, rows: np.ndarray) -> np.ndarray:
+    """The least bitmask among the translates E - e, e in E, of each
+    index row E of F_p^2: the sets through the origin of E's class, so
+    the key is the same for every set of one translation class."""
+    # [r, j, i]: point e_i - e_j of the translate E_r - e_j
+    moved = difference(p, 2, rows[:, None, :], rows[:, :, None])
+    return (np.int64(1) << moved).sum(axis=2).min(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -738,16 +777,12 @@ def _translation_classes(p: int, size: int) -> list:
     """Each translation class's positions in _through_origin(p^2, size),
     ascending, so a class's first member is its first set in row order.
 
-    The sets through the origin of E's class are its translates E - e,
-    e in E, so the least of their bitmasks keys the class.  The classes
+    Classes come in the order of their keys (_translation_keys), and
     must number translation_class_counts, Burnside's count of them.
     """
     rows = _through_origin(p * p, size)
-    keys = []
-    for a, b in _blocks(len(rows), _KEY_BLOCK):
-        # [r, j, i]: point e_i - e_j of the translate E_r - e_j
-        moved = difference(p, 2, rows[a:b, None, :], rows[a:b, :, None])
-        keys.append((np.int64(1) << moved).sum(axis=2).min(axis=1))
+    keys = [_translation_keys(p, rows[a:b])
+            for a, b in _blocks(len(rows), _KEY_BLOCK)]
     classes = _groups(np.concatenate(keys))[1]
     want = translation_class_counts(p, 2, (size,))[size]
     if len(classes) != want:
@@ -756,41 +791,115 @@ def _translation_classes(p: int, size: int) -> list:
     return classes
 
 
+def _affine_orbits(p: int, size: int) -> tuple:
+    """(representatives, orbit, map) of the classes of
+    _translation_classes(p, size) under the linear maps x -> Mx, rows of
+    affine_permutation_array(p, 2)[::p^2]: the first class of each
+    orbit, and per class its orbit's position and a map M that takes the
+    first set of its orbit's representative into the class.
+
+    Classes are visited in order.  The first one with no orbit yet maps
+    its first set by every M and keys each image as
+    _translation_classes does; every class hit joins its orbit, with the
+    first map that hits it.
+    """
+    classes = _translation_classes(p, size)
+    rows = _through_origin(p * p, size)
+    keys = _translation_keys(p, rows[[c[0] for c in classes]])  # ascending
+    linear = affine_permutation_array(p, 2)[::p * p]
+    orbit = np.full(len(classes), -1)
+    maps = np.zeros(len(classes), dtype=np.intp)
+    reps = []
+    for c in range(len(classes)):
+        if orbit[c] >= 0:
+            continue
+        images = _translation_keys(p, linear[:, rows[classes[c][0]]])
+        hit = np.searchsorted(keys, images).clip(max=len(keys) - 1)
+        hit, first = np.unique(hit, return_index=True)
+        if (keys[hit] != images[first]).any() or (orbit[hit] >= 0).any():
+            raise InternalCheckError(f"class {c} of {size}-sets maps outside "
+                                     "the keyed classes or into another orbit")
+        orbit[hit], maps[hit] = len(reps), first
+        reps.append(c)
+    return reps, orbit, maps
+
+
+def _class_complements(p: int, size: int) -> list:
+    """The tiling complement of each class of _translation_classes(p,
+    size), as sorted point indices, or None where the class does not
+    tile; one tiling search per affine orbit.
+
+    Tiling commutes with invertible linear maps: if R + A = F_p^2
+    exactly, so does MR + MA.  The orbits (_affine_orbits) must number
+    affine_class_counts.  One tiling_search_rows call searches the first
+    set R of each orbit's representative, and a class that M reaches
+    from R gets MA.  Complements leave here unchecked; _tiles_by_class
+    checks every member against its class's complement, both ways.
+    """
+    classes = _translation_classes(p, size)
+    if not size_can_tile(Space(p, 2), size):
+        return [None] * len(classes)
+    reps, orbit, maps = _affine_orbits(p, size)
+    want = affine_class_counts(p, 2, (size,))[size]
+    if len(reps) != want:
+        raise InternalCheckError(f"found {len(reps)} affine orbits of "
+                                 f"{size}-sets, expected {want}")
+    firsts = _through_origin(p * p, size)[[classes[c][0] for c in reps]]
+    found = [complement if _found(verdict) else None for verdict, complement, _
+             in tiling_search_rows(p, 2, firsts, _BUDGET)]
+    linear = affine_permutation_array(p, 2)[::p * p]
+    out = [None] * len(classes)
+    for o, complement in enumerate(found):
+        if complement is not None:
+            members = np.flatnonzero(orbit == o)
+            images = np.sort(linear[maps[members, None], complement], axis=1)
+            for c, image in zip(members.tolist(), images.tolist()):
+                out[c] = image
+    return out
+
+
 def _class_chunk(args):
     """(sets, {size: counts}, counterexamples) of the sets through the
-    origin of F_p^2 in classes [lo, hi) of _translation_classes(p, size)."""
-    p, size, lo, hi = args
-    classes = _translation_classes(p, size)[lo:hi]
-    rows = _through_origin(p * p, size)[np.concatenate(classes)]
-    local = np.split(np.arange(len(rows)),
-                     np.cumsum([len(c) for c in classes])[:-1])
-    counts, cex = _spectral_vs_tile(Space(p, 2), rows, local)
-    return len(rows), {str(size): {"anchored": len(rows), **counts}}, cex
+    origin of F_p^2 of one size, given each translation class's tiling
+    complement (_class_complements), _CLASS_BLOCK classes at a time."""
+    p, size, complements = args
+    classes = _translation_classes(p, size)
+
+    def block(lo, hi):
+        rows = _through_origin(p * p, size)[np.concatenate(classes[lo:hi])]
+        local = _pieces(np.arange(len(rows)), [len(c) for c in classes[lo:hi]])
+        counts, cex = _spectral_vs_tile(Space(p, 2), rows, local,
+                                        complements[lo:hi])
+        return len(rows), {str(size): {"anchored": len(rows), **counts}}, cex
+
+    return _fold_all(block(lo, hi)
+                     for lo, hi in _blocks(len(classes), _CLASS_BLOCK))
 
 
 def _plane_sweep(spc: Space, sizes: tuple, workers: int) -> tuple:
     """(per-size counts, counterexamples) over the sets through the
-    origin of F_p^2 of the given sizes, in chunks of whole translation
-    classes; counterexamples come in (size, row) order.
+    origin of F_p^2 of the given sizes, one chunk per size;
+    counterexamples come in (size, row) order.
 
-    A size that both size filters reject builds no set and is no chunk:
-    its sets count here as searched once and rejected.
+    The calling process finds each size's tiling complements
+    (_class_complements) and passes them in the chunk.  A size that both
+    size filters reject builds no set and is no chunk: its sets count
+    here as searched once and rejected.
     """
     p = spc.p
     searched = [s for s in sizes
                 if s in allowed_spectral_sizes(spc) or size_can_tile(spc, s)]
     anchored = {s: math.comb(p * p - 1, s - 1) for s in sizes}
-    chunks = [(p, s, lo, hi) for s in searched for lo, hi in
-              _blocks(len(_translation_classes(p, s)), _CLASS_BLOCK)]
     per_size, cex = {}, []
-    if chunks:
+    if searched:
         plane_word_table(p, 2), direction_masks(p, 2)
+        chunks = [(p, s, _class_complements(p, s)) for s in searched]
         _, per_size, cex = _sweep(_class_chunk, chunks, workers,
                                   sum(anchored[s] for s in searched))
     per_size.update((str(s), {"anchored": anchored[s], "searched": anchored[s],
                               "spectral": 0, "tiles": 0})
                     for s in sizes if s not in searched)
-    # chunks take whole classes; the sort restores the order of the sets
+    # blocks take whole classes; the sort restores the order of the sets
     cex.sort(key=lambda c: (len(c["set"]), c["set"]))
     return per_size, cex
 
@@ -801,19 +910,32 @@ def _cycle_type_counts(p: int, d: int) -> tuple:
     cycle lengths), as (cycle type, count) pairs; a tuple, so the cached
     value cannot be changed by a caller.
 
-    A block of permutations acts as one permutation of maps x p^d
+    Conjugating x -> Mx + t by the translation x -> x + s gives
+    x -> Mx + t + (M - I)s, of the same cycle type, so one map is walked
+    per coset t + Im(M - I), its least point t, weighted by |Im(M - I)|.
+    A block of the walked maps acts as one permutation of maps x p^d
     points.  Pointer doubling finds each point's least orbit point:
     after r rounds low[x] = min(x, g x, ..., g^(2^r - 1) x), and
     2^r >= p^d covers every cycle.  Cycle lengths are then the sizes of
     the classes of low, counted at the cycles' least points.
     """
     perms = affine_permutation_array(p, d)
-    maps, n = perms.shape
+    n = perms.shape[1]
+    image = difference(p, d, perms[::n], np.arange(n))      # (M - I)x
+    walked, weights = [], []
+    for lo, hi in _blocks(len(image), max(1, _MAP_BLOCK // n)):
+        # [m, t, s]: t + (M - I)s; t is a coset's least point if no less
+        cosets = add_table(p, d)[np.arange(n)[:, None], image[lo:hi, None, :]]
+        least = cosets.min(axis=2) == np.arange(n)
+        m, t = np.nonzero(least)
+        walked.append((lo + m) * n + t)
+        weights.append(n // least.sum(axis=1)[m])
+    walked, weights = np.concatenate(walked), np.concatenate(weights)
     offsets = n * np.arange(_MAP_BLOCK, dtype=np.int32)[:, None]
     # [map, l]: cycles of length l, at most p^d of them
-    per_map = np.empty((maps, n + 1), dtype=np.int8)
-    for lo, hi in _blocks(maps, _MAP_BLOCK):
-        step = (perms[lo:hi] + offsets[:hi - lo]).ravel()
+    per_map = np.empty((len(walked), n + 1), dtype=np.int8)
+    for lo, hi in _blocks(len(walked), _MAP_BLOCK):
+        step = (perms[walked[lo:hi]] + offsets[:hi - lo]).ravel()
         low = np.arange(step.size, dtype=np.int32)
         for _ in range((n - 1).bit_length()):
             low = np.minimum(low, low.take(step))
@@ -823,8 +945,10 @@ def _cycle_type_counts(p: int, d: int) -> tuple:
         per_map[lo:hi] = np.bincount(least // n * (n + 1) + size[least],
                                      minlength=per_map[lo:hi].size
                                      ).reshape(-1, n + 1)
-    types, mult = np.unique(per_map.view(np.dtype((np.void, n + 1))),
-                            return_counts=True)
+    types, which = np.unique(per_map.view(np.dtype((np.void, n + 1))),
+                             return_inverse=True)
+    mult = np.zeros(len(types), dtype=np.int64)
+    np.add.at(mult, which.ravel(), weights)
     return tuple(
         (tuple(np.repeat(np.arange(n + 1), np.frombuffer(t, np.int8)).tolist()),
          int(c)) for t, c in zip(types, mult))
@@ -874,29 +998,31 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
 
     (3,2) and (5,2): every subset of the given sizes, both predicates,
     assert the equivalence.  Both predicates are translation invariant,
-    so the sweep reads the subsets through the origin, in chunks of
-    whole translation classes keyed once in the parent
-    (_translation_classes), whose number must match
+    so the sweep reads the subsets through the origin, one chunk per
+    size, in blocks of whole translation classes keyed once in the
+    calling process (_translation_classes), whose number must match
     translation_class_counts (_plane_sweep).  (3,2) reports every count
     as over all subsets (_per_set) and a counterexample with all its
     translates; (5,2) reports the sets through the origin, its
     translation-anchored representatives.  (3,3): size 6 only, assert no
     spectra exist, read from the sets through the origin in two passes
     (_fug33_search): the calling process keys each set by its zero
-    directions, and each chunk searches a block of the distinct keys.
+    directions, and one chunk searches the distinct keys.
 
-    The spectral clique stage runs once per distinct zero set: per chunk
-    in (3,2) and (5,2), once in all in (3,3).  In (3,2) and (5,2) the
-    tiling search runs once per translation class, on the class's first
-    set, all of a chunk's classes in one batched search.  Every witness
-    is then checked against its own set, both ways: spectra in one
-    _validate_witness_rows call per chunk (per sweep in (3,3), every
+    The spectral clique stage runs once per distinct zero set: per
+    block in (3,2) and (5,2), once in all in (3,3).  In (3,2) and (5,2)
+    the tiling search runs once per affine orbit of translation classes,
+    whose number must match affine_class_counts, all orbits of a size in
+    one batched search in the calling process; a class's complement is
+    its orbit's mapped by a linear map (_class_complements).  Every
+    witness is then checked against its own set, both ways: spectra in
+    one _validate_witness_rows call per block (per sweep in (3,3), every
     translate included), each tiling class member against its class's
-    complement in one tiling_pair_rows call each way.  Reports count per
-    set, as a per-set search would.  In (3,2) and (5,2) a size that both
-    size filters reject builds no set: the calling process counts its
-    sets as searched once and rejected, so such a size is no chunk.
-    Raises SweepBudgetError if a search runs out of budget.
+    complement in one tiling_pair_rows call each way per block.  Reports
+    count per set, as a per-set search would.  In (3,2) and (5,2) a size
+    that both size filters reject builds no set: the calling process
+    counts its sets as searched once and rejected, so such a size is no
+    chunk.  Raises SweepBudgetError if a search runs out of budget.
     """
     t0 = perf_counter()
     sizes = tuple(sorted(int(s) for s in sizes))
@@ -906,7 +1032,6 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     if key == (3, 3):
         if sizes != (6,):
             raise ValueError("F_3^3 sweep supports size 6 only")
-        direction_masks(3, 3)       # built once, before the workers fork
         *counts, wits = _fug33_search(workers)
         # translation invariant: counted over the sets through the origin
         total, searched, nodes = (_per_set(c, 27, 6) for c in counts)

@@ -195,18 +195,24 @@ def apply_affine(p: int, mapping, pt) -> tuple:
     return ((a * x + b * y + tx) % p, (c * x + e * y + ty) % p)
 
 
+def affine_perms_2d(p: int) -> np.ndarray:
+    """Point-index image of every point under each affine_maps_2d map."""
+    return np.array(
+        [[point_index(p, apply_affine(p, g, pt)) for pt in all_points(p, 2)]
+         for g in affine_maps_2d(p)], dtype=np.int32)
+
+
+def affine_min_image(perms: np.ndarray, combo) -> tuple:
+    """The least sorted image of an index set under the maps of perms:
+    equal exactly for affinely equivalent sets."""
+    return min(map(tuple, np.sort(perms[:, list(combo)], axis=1).tolist()))
+
+
 def affine_class_count(p: int, size: int) -> int:
     """Canonicalize every size-subset of F_p^2 by minimal image."""
-    maps = affine_maps_2d(p)
-    perms = np.array(
-        [[point_index(p, apply_affine(p, g, pt)) for pt in all_points(p, 2)]
-         for g in maps], dtype=np.int32)
-    reps = set()
-    for combo in itertools.combinations(range(p * p), size):
-        images = np.sort(perms[:, combo], axis=1)
-        flat = min(map(tuple, images))
-        reps.add(flat)
-    return len(reps)
+    perms = affine_perms_2d(p)
+    return len({affine_min_image(perms, combo)
+                for combo in itertools.combinations(range(p * p), size)})
 
 
 def translation_class_count(p: int, d: int, size: int) -> int:

@@ -325,9 +325,12 @@ class TestCounterexample:
 
 PARENT_PID = os.getpid()
 F32_THREADS_2 = ["verify", "--lemma", "fuglede-3-2", "--threads", "2"]
-# fuglede-3-2 has one chunk at its README sizes and runs in the calling
-# process; fuglede-5-2 forks at 2 workers
+# fuglede-3-2 and fuglede-5-2 have one chunk at their README sizes and
+# run in the calling process; a falsify run of two chunks forks
 F52_THREADS_2 = ["verify", "--lemma", "fuglede-5-2", "--threads", "2"]
+FALSIFY_THREADS_2 = ["falsify", "--p", "5", "--d", "3", "--size", "10",
+                     "--trials", str(lemmas._FALSIFY_CHUNK + 1), "--seed",
+                     "1", "--threads", "2"]
 
 
 def aborted_search(*args):
@@ -350,7 +353,8 @@ class TestExitPaths:
     """Every documented exit path of cli.main, with a report path given.
     Exits 1 and 3 print one "error:" line (after argparse's usage text
     on a usage error); only exits 0 and 2 write the report.  The exit-3
-    runs use two workers, so each failure crosses the fork."""
+    runs use two workers: fuglede-5-2 is one chunk and fails in the
+    calling process, and the falsify run forks two workers that die."""
 
     CASES = {
         "verified": (F32_THREADS_2, None, 0),
@@ -362,7 +366,8 @@ class TestExitPaths:
                            ("tiling_search_rows", false_tiling), 3),
         "sweep_budget": (F52_THREADS_2,
                          ("_clique_in_zero_set", aborted_search), 3),
-        "worker_died": (F52_THREADS_2, ("_class_chunk", dying_chunk), 3),
+        "worker_died": (FALSIFY_THREADS_2, ("_falsify_chunk", dying_chunk),
+                        3),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -383,7 +388,7 @@ class TestExitPaths:
         cap = capsys.readouterr()
         assert code == want and cap.out == ""
         assert rp.exists() == (want in (0, 2))
-        assert fork_count() == (2 if want == 3 else 0)
+        assert fork_count() == (2 if case == "worker_died" else 0)
         lines = cap.err.splitlines()
         if want in (0, 2):
             assert lines == []

@@ -22,7 +22,6 @@ from ffspec import (
 from ffspec import lemmas, spectral
 from ffspec.fourier import zero_directions, zero_set
 from ffspec.lemmas import (
-    _class_chunk,
     _coord_cex,
     _decode_profile,
     _fillings,
@@ -780,8 +779,8 @@ class TestGroupedSweeps:
         assert fork_count() == 0
         cold_caches()
         two = verify_fuglede_small(3, 3, (6,), workers=2)
-        # only the chunk pass forks: the key pass runs in this process
-        assert fork_count() == 2
+        # both passes run in this process: the keys are one chunk
+        assert fork_count() == 0
         assert seen[0] == seen[1]
         keys = [k for chunk, _ in seen[0] for k in chunk]
         assert keys == sorted(set(keys)) and len(keys) == 469
@@ -810,42 +809,99 @@ class TestGroupedSweeps:
         with pytest.raises(InternalCheckError, match="enumerated"):
             verify_fuglede_small(3, 3, (6,))
 
-    def test_f52_size5_one_tiling_search_per_class(self, monkeypatch,
+    def test_f52_size5_one_tiling_search_per_orbit(self, monkeypatch,
                                                    cold_caches):
         calls = _counting(monkeypatch, "tiling_search_rows")
         rep = verify_fuglede_small(5, 2, (5,))
-        classes = translation_class_counts(5, 2, (5,))[5]
-        # one batched call per chunk, one row per class
-        searched = [tuple(row) for _, _, rows, _ in calls
-                    for row in rows.tolist()]
-        assert len(calls) == 6
-        assert len(searched) == len(set(searched)) == classes == 2130
+        # one batched call, one row per affine orbit of the 2,130
+        # translation classes
+        assert len(calls) == 1 and len(calls[0][2]) == 11
+        assert rep.details["translation_classes"]["5"] == 2130
         assert rep.details["sizes"]["5"] == {
             "anchored": 10626, "searched": 3426, "spectral": 3426,
             "tiles": 3426}
         assert _result_sha256(rep) == (
             "c2da90faa101ce54765397eaf67742909146aa2faa341040692a9d5363875256")
 
-    def test_f52_chunks_hold_whole_classes(self, monkeypatch):
-        # chunks run one at a time: each searches only its own classes
-        searched = _counting(monkeypatch, "tiling_search_rows")
-        pts = O.all_points(5, 2)
-        per_chunk = []
+    @pytest.mark.parametrize("p,size", [(5, 5), (3, 3)])
+    def test_tiling_search_rows_are_affine_orbits(self, monkeypatch, p, size):
+        calls = _counting(monkeypatch, "tiling_search_rows")
+        verify_fuglede_small(p, 2, (size,))
+        (_, _, rows, _), = calls
+        want = affine_class_counts(p, 2, (size,))[size]
+        assert len(rows) == want == {5: 11, 3: 2}[p]
+        # pairwise affinely inequivalent, so every orbit has one row
+        perms = O.affine_perms_2d(p)
+        assert len({O.affine_min_image(perms, row)
+                    for row in rows.tolist()}) == want
 
-        def chunk(args):
-            start = len(searched)
-            out = _class_chunk(args)
-            per_chunk.append({
-                O.translation_min_mask(5, 2, [pts[i] for i in row])
-                for _, _, rows, _ in searched[start:]
-                for row in rows.tolist()})
+    @pytest.mark.parametrize("p,size,want", [(5, 5, 11), (3, 3, 2)])
+    def test_split_orbit_fails_count(self, monkeypatch, p, size, want):
+        # the last class of the first orbit starts an orbit of its own
+        real = lemmas._affine_orbits
+
+        def split(p, size):
+            reps, orbit, maps = real(p, size)
+            last = int(np.flatnonzero(orbit == 0)[-1])
+            orbit[last] = len(reps)
+            return reps + [last], orbit, maps
+
+        monkeypatch.setattr(lemmas, "_affine_orbits", split)
+        with pytest.raises(InternalCheckError, match=(
+                f"found {want + 1} affine orbits of {size}-sets, "
+                f"expected {want}")):
+            verify_fuglede_small(p, 2, (size,))
+
+    def test_false_class_complement_fails_member_check(self, monkeypatch):
+        # class 0 is the line {0, ..., 4}; given itself as complement it
+        # covers the line 5 times and nothing else
+        assert _through_origin(25, 5)[
+            lemmas._translation_classes(5, 5)[0]].tolist() == [[0, 1, 2, 3, 4]]
+        real = lemmas._class_complements
+
+        def false(p, size):
+            out = real(p, size)
+            out[0] = [0, 1, 2, 3, 4]
             return out
 
-        monkeypatch.setattr(lemmas, "_class_chunk", chunk)
-        verify_fuglede_small(5, 2, (5,))
-        assert len(per_chunk) == 6
-        assert sum(map(len, per_chunk)) == len(set().union(*per_chunk)) \
+        monkeypatch.setattr(lemmas, "_class_complements", false)
+        with pytest.raises(InternalCheckError, match=(
+                r"complement fails on member set \[0, 1, 2, 3, 4\]")):
+            verify_fuglede_small(5, 2, (5,))
+
+    def test_f52_blocks_hold_whole_classes(self, monkeypatch, fork_count):
+        # size 5 is one chunk, run in this process; it checks its
+        # classes _CLASS_BLOCK at a time, each class in one block
+        chunks = _counting(monkeypatch, "_class_chunk")
+        real = lemmas._spectral_vs_tile
+        pts = O.all_points(5, 2)
+        per_block = []
+
+        def block(spc, rows, classes, complements):
+            per_block.append([
+                O.translation_min_mask(5, 2, [pts[i] for i in row])
+                for row in rows.tolist()])
+            return real(spc, rows, classes, complements)
+
+        monkeypatch.setattr(lemmas, "_spectral_vs_tile", block)
+        verify_fuglede_small(5, 2, (5,), workers=2)
+        assert len(chunks) == 1 and fork_count() == 0
+        assert len(per_block) == 9 == math.ceil(2130 / lemmas._CLASS_BLOCK)
+        assert sum(map(len, per_block)) == math.comb(24, 4)
+        per_class = [set(keys) for keys in per_block]
+        assert sum(map(len, per_class)) == len(set().union(*per_class)) \
             == translation_class_counts(5, 2, (5,))[5] == 2130
+
+    def test_small_sweeps_fork_nothing(self, fork_count):
+        # slab-p3, fuglede-3-3 and fuglede-5-2 are one chunk each at two
+        # workers; a falsify run of more than one chunk still forks
+        verify_slab_p3(workers=2)
+        verify_fuglede_small(3, 3, (6,), workers=2)
+        verify_fuglede_small(5, 2, (5, 20), workers=2)
+        assert fork_count() == 0
+        rep = falsify_random(5, 3, 10, lemmas._FALSIFY_CHUNK + 1, 1, workers=2)
+        assert rep.details["trials"] == lemmas._FALSIFY_CHUNK + 1
+        assert fork_count() == 2
 
     def test_f52_size5_same_at_one_and_two_workers(self, cold_caches):
         one = verify_fuglede_small(5, 2, (5,), workers=1)
@@ -856,7 +912,7 @@ class TestGroupedSweeps:
     def test_member_tiling_checked_against_class_witness(self, monkeypatch):
         # {0, 2, 5} = {(0,0), (2,0), (2,1)} is {0, 1, 3} - (1,0), and
         # {0, 1, 3}, its class's first set through the origin, tiles with
-        # the y-axis {0, 3, 6}
+        # the diagonal {0, 4, 8}, the class's complement
         real = lemmas.tiling_pair_rows
         seen = []
 
@@ -875,7 +931,7 @@ class TestGroupedSweeps:
         calls = _row_pairs(monkeypatch, lemmas, "tiling_pair_rows")
         rep = verify_fuglede_small(3, 2, (3,))
         tiles = rep.details["sizes"]["3"]["tiles"]
-        # one call each way for the chunk, one row per tiling member
+        # one call each way for the block, one row per tiling member
         # through the origin; the report weighs those 28 sets by 9/3
         assert tiles == 84 and len(calls) == 2
         assert calls[1] == [(A, E) for E, A in calls[0]]
@@ -889,7 +945,7 @@ class TestGroupedSweeps:
         assert rep.details["sizes"][str(size)]["spectral"] == want
         members = []
         for call in calls:
-            # one call per chunk: each (E, A), then each swapped (A, E)
+            # one call per block: each (E, A), then each swapped (A, E)
             half = len(call) // 2
             assert call[half:] == [(A, E) for E, A in call[:half]]
             members += call[:half]
@@ -910,11 +966,13 @@ class TestGroupedSweeps:
     def test_budget_failure_is_named(self, monkeypatch, cold_caches,
                                      fork_count, name, value, workers):
         # at 2 workers the two size chunks run in forked children, which
-        # inherit the patch; the error crosses the fork by type
+        # inherit the patch, and a clique-stage error crosses the fork by
+        # type; the tiling searches run in this process before any fork
         monkeypatch.setattr(lemmas, name, value)
         with pytest.raises(lemmas.SweepBudgetError, match="budget"):
             verify_fuglede_small(3, 2, (3, 9), workers=workers)
-        assert fork_count() == (workers if workers > 1 else 0)
+        forks = workers > 1 and name == "_clique_in_zero_set"
+        assert fork_count() == (workers if forks else 0)
 
     def test_rejected_sizes_are_no_chunk(self, fork_count):
         # both size filters reject size 6 of F_3^2, so the calling
