@@ -9,6 +9,7 @@ from .fourier import (
 )
 from .geometry import (
     DirectionStats,
+    all_directions,
     direction_stats,
     line_sup,
     plane_sup,
@@ -36,10 +37,8 @@ from .space import (
     Direction,
     Point,
     Space,
-    all_directions,
     coords_to_index,
     index_to_coords,
-    quotient_basis,
 )
 from .spectral import (
     InternalCheckError,

@@ -1,4 +1,8 @@
-"""Direction sets and line/plane concentration."""
+"""Directions, direction sets and line/plane concentration.
+
+all_directions is the Direction-object view of tables.direction_reps,
+the one builder of the direction list.
+"""
 from __future__ import annotations
 
 import math
@@ -46,14 +50,21 @@ def _plane_direction_counts(p: int, d: int, dirs: np.ndarray) -> np.ndarray:
     return np.bitwise_count(det[..., None] & orthogonal_direction_bits(p, d))
 
 
+def all_directions(space: Space) -> list:
+    """The (p^d - 1)/(p - 1) directions, in direction id order: sorted by
+    representative index."""
+    return [Direction(space, space.point_at(int(i)))
+            for i in direction_reps(space.p, space.d)]
+
+
 def direction_stats(E: PointSet) -> DirectionStats:
     if E.size < 2:
         raise ValueError("need at least two points to determine a direction")
     space = E.space
     counts = _direction_counts(space.p, space.d, E.indices())
     det = np.flatnonzero(counts)
-    reps = direction_reps(space.p, space.d)
-    dirs = tuple(Direction(space, space.point_at(int(reps[k]))) for k in det)
+    every = all_directions(space)
+    dirs = tuple(every[k] for k in det)
     return DirectionStats(space, dirs,
                           {dr: int(counts[k]) for dr, k in zip(dirs, det)})
 

@@ -6,14 +6,12 @@ the single-point value type; operations on sets of points work on
 these indices and read the cached tables in tables.py.  All arithmetic
 is exact integer arithmetic mod p.
 
-This module owns the one F_p elimination routine (_rank) and
-quotient_basis, built on it: the complement basis from which
-tables.line_table lays out cosets.  It imports no other module of the
-package.
+The direction list is built by index arithmetic in tables.direction_reps
+and viewed as Direction objects through geometry.all_directions.  This
+module imports no other module of the package.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,60 +110,3 @@ class Direction:
 
     space: Space
     rep: Point
-
-    @property
-    def index(self) -> int:
-        return self.rep.index
-
-
-def all_directions(space: Space):
-    """The (p^d - 1)/(p - 1) directions, sorted by representative index.
-
-    Canonical representatives are generated directly: the first nonzero
-    coordinate is pinned to 1 and later coordinates range freely.
-    """
-    p, d = space.p, space.d
-    reps = []
-    for lead in range(d):
-        for tail in itertools.product(range(p), repeat=d - 1 - lead):
-            coords = (0,) * lead + (1,) + tail
-            reps.append(Point(space, coords))
-    reps.sort(key=lambda pt: pt.index)
-    return [Direction(space, r) for r in reps]
-
-
-def quotient_basis(space: Space, delta: Direction) -> list:
-    """Deterministic complement basis for the quotient by a direction.
-
-    Takes the d-1 standard basis vectors of lowest index that stay
-    independent from delta, in increasing index order.  tables.line_table
-    lays out the cosets of span(delta) with it.
-    """
-    chosen = []
-    for i in range(space.d):
-        e = tuple(int(i == j) for j in range(space.d))
-        rows = [delta.rep.coords] + chosen + [e]
-        if _rank(rows, space.p) == len(rows):
-            chosen.append(e)
-        if len(chosen) == space.d - 1:
-            break
-    return [space.point(c) for c in chosen]
-
-
-def _rank(rows, p: int) -> int:
-    """Rank over F_p, by forward elimination: each pivot row clears its
-    column from the rows below it, and the rank is the pivot count."""
-    m = [[v % p for v in r] for r in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank

@@ -26,10 +26,9 @@ base word plus one such table row, and subset_rows gives the sets at
 chosen rows; lm1, lm2, slab-p3 and fuglede-3-3 read their sets so.
 pair_directions is the one pair kernel: direction counts, line_sups (the
 most points of a row on one affine line) and plane directions read it.
-line_table is the one coset layout: row k * p^(d-1) + q is the coset
-of direction k through the point with quotient_basis coefficients q,
-and line_of gives the row of each point's coset in each direction;
-line_sups reads it.
+line_of names every affine line: the line through x in direction k has
+id k * p^d plus its least point index, so two points share an id
+exactly when they lie on one line of one direction; line_sups reads it.
 
 This module owns every cached index table, the permutation tables
 included; sets builds PointSets on top of it, and it imports only
@@ -37,13 +36,12 @@ space.  All arrays are integer or boolean dtypes; nothing here rounds.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from .space import Space, all_directions, quotient_basis
+from .space import Space
 
 
 @lru_cache(maxsize=None)
@@ -60,9 +58,12 @@ def coords_matrix(p: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def direction_reps(p: int, d: int) -> np.ndarray:
-    """Point indices of the canonical direction representatives, sorted."""
-    space = Space(p, d)
-    return np.array([dr.index for dr in all_directions(space)], dtype=np.int64)
+    """Point indices of the canonical direction representatives, sorted:
+    the nonzero points whose lowest-index nonzero coordinate is 1."""
+    Space(p, d)
+    coords = coords_matrix(p, d)
+    lead = coords[np.arange(p ** d), (coords != 0).argmax(axis=1)]
+    return np.flatnonzero(lead == 1).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -285,29 +286,23 @@ def add_table(p: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def gl_matrices(p: int, d: int):
-    """All invertible d x d matrices over F_p (rows are images of basis vectors)."""
-    if d == 1:
-        return tuple(((a,),) for a in range(1, p))
-    if d != 2:
-        raise ValueError("gl_matrices is only provided for d <= 2")
-    mats = []
-    for a, b, c, e in itertools.product(range(p), repeat=4):
-        if (a * e - b * c) % p != 0:
-            mats.append(((a, b), (c, e)))
-    return tuple(mats)
-
-
-@lru_cache(maxsize=None)
 def affine_permutation_array(p: int, d: int) -> np.ndarray:
     """(maps, p^d) int16, read-only: row g is the point-index permutation
     of the map x -> Mx + t, d <= 2; entry [g, i] is the image of point i.
 
-    Maps run over gl_matrices(p, d) and, for each matrix, over t in
-    index order.  Size (p^2-1)(p^2-p)p^2 for d=2.
+    Maps run over the invertible matrices M, then for each over t in
+    index order.  Row j of M is the image of basis vector j, and the
+    matrices run in lexicographic order of their entries read row by
+    row, which is the index order of coords_matrix(p, d^2) with the
+    columns reversed.  Size (p^2-1)(p^2-p)p^2 for d=2.
     """
     n = Space(p, d).order
-    mats = np.array(gl_matrices(p, d), dtype=np.int64)
+    if d > 2:
+        raise ValueError("affine_permutation_array is only provided for d <= 2")
+    mats = coords_matrix(p, d * d)[:, ::-1].reshape(-1, d, d).astype(np.int64)
+    det = mats[:, 0, 0] if d == 1 else (mats[:, 0, 0] * mats[:, 1, 1]
+                                        - mats[:, 0, 1] * mats[:, 1, 0])
+    mats = mats[det % p != 0]
     # image index of x under each linear map: sum_j x_j * row_j
     lin = (coords_matrix(p, d) @ mats % p) @ p ** np.arange(d)     # (maps, n)
     perms = add_table(p, d)[lin[:, None, :], np.arange(n)[:, None]]
@@ -344,37 +339,14 @@ def scale_tables(p: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def line_table(p: int, d: int) -> np.ndarray:
-    """(n_lines, p) point indices of every affine line, duplicate-free:
-    the coset layout.
-
-    Lines are grouped by canonical direction; within a direction the
-    base points run over the quotient transversal in index order.
-    """
-    space = Space(p, d)
-    powers = p ** np.arange(d)
-    # every combination of quotient basis coefficients, in index order
-    quot = coords_matrix(p, d - 1).astype(np.int64)
-    blocks = []
-    for dr in all_directions(space):
-        bmat = np.array([b.coords for b in quotient_basis(space, dr)],
-                        dtype=np.int64).reshape(d - 1, d)
-        steps = np.arange(p)[:, None] * np.array(dr.rep.coords, dtype=np.int64)
-        # (base points, p, d): base point b plus t * rep, t = 0..p-1
-        blocks.append(((quot @ bmat)[:, None, :] + steps) % p @ powers)
-    return np.concatenate(blocks).astype(np.int32)
-
-
-@lru_cache(maxsize=None)
 def line_of(p: int, d: int) -> np.ndarray:
-    """(n_dirs, p^d) int16: entry [k, x] is the line_table row of the
-    line through point x in canonical direction k."""
-    lines = line_table(p, d)
-    lid = np.arange(len(lines))[:, None]
-    out = np.empty((len(direction_reps(p, d)), p ** d), dtype=np.int16)
-    # line ids are contiguous per direction: p^(d-1) lines each
-    out[lid // p ** (d - 1), lines] = lid
-    return out
+    """(n_dirs, p^d) int16: entry [k, x] is k * p^d plus the least point
+    index of the line x + F_p rep_k.  Below n_dirs * p^d <= 57 * 343,
+    so the ids fit int16."""
+    steps = scale_tables(p, d)[:, direction_reps(p, d)].T   # (n_dirs, p)
+    # add_table is symmetric, so row s of it is s + x for every x
+    least = add_table(p, d)[steps].min(axis=1)              # (n_dirs, p^d)
+    return least + p ** d * np.arange(len(steps), dtype=np.int16)[:, None]
 
 
 @lru_cache(maxsize=None)

@@ -11,13 +11,17 @@ import pytest
 
 import ffspec
 from ffspec import (
+    InternalCheckError,
     PointSet,
     Space,
+    read_set,
+    spectrum_search,
+    tiling_search,
     verify_fuglede_small,
     verify_spectral_pair,
     verify_tiling_pair,
 )
-from ffspec import cli, lemmas
+from ffspec import cli, lemmas, spectral, tiling
 from ffspec.cli import main
 from ffspec.parallel import resolve_workers
 
@@ -397,6 +401,38 @@ class TestExitPaths:
             assert [ln for ln in lines if "error:" in ln] == lines[-1:]
         else:
             assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def non_spectrum(space, zmask, n, budget):
+    # a clique stage that answers the line (0, s, 0), s in F_7: no
+    # spectrum of the axis line, whose transform vanishes only off x1 = 0
+    return "witness", tuple(range(0, 7 * n, 7)), 1
+
+
+class TestAnalyzeInternalFailure:
+    """Exit 3 on the analyze path: a search whose own witness check
+    fails raises InternalCheckError, and analyze writes no report."""
+
+    STUBS = {
+        "spectral": (spectral, "_clique_in_zero_set", non_spectrum,
+                     spectrum_search, "witness"),
+        "tiling": (tiling, "tiling_search_rows", false_tiling,
+                   tiling_search, "tiling"),
+    }
+
+    @pytest.mark.parametrize("name", list(STUBS))
+    def test_witness_check_exits_3(self, name, line_file, tmp_path,
+                                   monkeypatch, capsys):
+        module, attr, stub, search, word = self.STUBS[name]
+        monkeypatch.setattr(module, attr, stub)
+        with pytest.raises(InternalCheckError, match=word):
+            search(read_set(line_file))
+        rp = tmp_path / "r.json"
+        code, out, err = run_cli(
+            ["analyze", "--set", line_file, "--report", str(rp)], capsys)
+        assert code == 3 and out == "" and not rp.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert word in err
 
 
 class TestWorkerCap:

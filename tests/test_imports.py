@@ -56,6 +56,16 @@ def test_module_graph_is_acyclic():
         done |= ready
 
 
+def test_tables_build_on_space_alone():
+    # the table builds read only Space from the package, and space reads
+    # nothing of it, so no table is built from Point or Direction objects
+    trees = _trees()
+    imports = {name: [ast.unparse(node) for node in ast.walk(trees[name])
+                      if _package_imports(node)]
+               for name in ("tables", "space")}
+    assert imports == {"tables": ["from .space import Space"], "space": []}
+
+
 def test_module_imports_are_used():
     # __init__.py imports to re-export; every other module and test file
     # imports a name to use it, so a deletion that strands an import

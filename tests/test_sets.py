@@ -9,13 +9,13 @@ from ffspec import (
     PointSet,
     SetFormatError,
     Space,
+    all_directions,
     indicator,
-    quotient_basis,
     read_set,
     write_set,
 )
-from ffspec.space import Direction, all_directions, coords_to_index
-from ffspec.tables import add_table, direction_reps, line_of
+from ffspec.space import coords_to_index
+from ffspec.tables import add_table, dir_of_index, difference, line_of
 
 
 def _translate(E, x):
@@ -24,19 +24,11 @@ def _translate(E, x):
     return PointSet.from_indices(E.space, row.tolist())
 
 
-def _cells(spc, delta, indices):
-    """Quotient-space index of the coset of span(delta) through each
-    point index, from the coset layout of line_table: the point's line_of
-    row, less the p^(d-1) rows of each direction before delta's."""
-    p, d = spc.p, spc.d
-    k = direction_reps(p, d).tolist().index(delta.rep.index)
-    return line_of(p, d)[k, indices] - k * p ** (d - 1)
-
-
-def _projection(E, delta):
-    """Coset counts |E ∩ (c + span(delta))| on the quotient space."""
-    spc = E.space
-    return Counter(_cells(spc, delta, E.indices()).tolist())
+def _projection(E, k):
+    """Coset counts |E ∩ (x + span(rep_k))| along direction id k, keyed
+    by the line_of id of each coset."""
+    ids = line_of(E.space.p, E.space.d)[k, E.indices()]
+    return Counter(ids.tolist())
 
 
 @st.composite
@@ -100,74 +92,66 @@ class TestPointSet:
 
 
 class TestProjection:
-    """Coset counts along a direction, from the layout of
-    tables.line_table: row k * p^(d-1) + q is the coset of direction k
-    through the point with quotient_basis coefficients q."""
+    """Coset counts along a direction, read off the line_of ids: the
+    coset of direction k through x has id k * p^d plus its least point."""
 
     def test_example(self):
         spc = Space(3, 3)
         E = PointSet.from_coords(spc, [(0, 0, 0), (0, 0, 1), (1, 0, 0)])
-        delta = Direction(spc, spc.point((0, 0, 1)))
-        q = _projection(E, delta)
-        assert q == {coords_to_index((0, 0), 3): 2,
-                     coords_to_index((1, 0), 3): 1}
+        k = [dr.rep.coords for dr in all_directions(spc)].index((0, 0, 1))
+        # the cosets through (0, 0, 0) and (1, 0, 0), of least points 0, 1
+        assert _projection(E, k) == {k * 27 + 0: 2, k * 27 + 1: 1}
 
     @given(random_set(), st.data())
     def test_mass_conserved(self, E, data):
         spc = E.space
-        k = data.draw(st.integers(0, len(direction_reps(spc.p, spc.d)) - 1))
-        delta = all_directions(spc)[k]
-        q = _projection(E, delta)
+        n = spc.order
+        k = data.draw(st.integers(0, len(all_directions(spc)) - 1))
+        q = _projection(E, k)
         assert sum(q.values()) == E.size
-        assert all(0 <= c < spc.p ** (spc.d - 1) and v <= spc.p
+        assert all(k * n <= c < (k + 1) * n and v <= spc.p
                    for c, v in q.items())
+        # each point's id names the least point of its coset
+        ids = line_of(spc.p, spc.d)[k, E.indices()] - k * n
+        diff = difference(spc.p, spc.d, E.indices(), ids)
+        assert all(ids <= E.indices())
+        assert set(dir_of_index(spc.p, spc.d)[diff].tolist()) <= {-1, k}
 
     def test_oracle_agreement(self, rng):
-        # every space with d >= 2 and every direction; the oracle finds
-        # each point's coset by walking the quotient basis and delta
+        # every space with d >= 2 and every direction: two points share
+        # an id exactly when the oracle puts them in one coset, found by
+        # walking a quotient basis and delta
         for p, d in [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)]:
             spc = Space(p, d)
-            for delta in all_directions(spc):
+            for k, delta in enumerate(all_directions(spc)):
                 idxs = rng.choice(spc.order, size=6, replace=False)
                 E = PointSet.from_indices(spc, sorted(int(i) for i in idxs))
-                want = Counter()
-                for pt in E:
-                    (cell,) = O.projection_counts(
-                        p, d, [pt.coords], delta.rep.coords)
-                    want[coords_to_index(cell, p)] += 1
-                    assert _cells(spc, delta, [pt.index])[0] == \
-                        coords_to_index(cell, p)
-                assert _projection(E, delta) == want
+                cells = [O.projection_counts(p, d, [pt.coords],
+                                             delta.rep.coords)
+                         for pt in E]
+                ids = line_of(p, d)[k, E.indices()].tolist()
+                assert len(set(zip(map(tuple, cells), ids))) == \
+                    len(set(map(tuple, cells))) == len(set(ids))
 
     def test_projection_translate_commutes(self, rng):
         spc = Space(3, 3)
         for _ in range(10):
             idxs = sorted(int(i) for i in rng.choice(27, 5, replace=False))
             E = PointSet.from_indices(spc, idxs)
-            delta = all_directions(spc)[int(rng.integers(13))]
-            shift = delta.rep.scale(int(rng.integers(3)))
+            k = int(rng.integers(13))
+            shift = all_directions(spc)[k].rep.scale(int(rng.integers(3)))
             # translating along delta leaves every coset count unchanged
-            assert _projection(_translate(E, shift), delta) == \
-                _projection(E, delta)
-
-    def test_quotient_basis(self):
-        spc = Space(7, 3)
-        delta = Direction(spc, spc.point((1, 0, 0)))
-        basis = quotient_basis(spc, delta)
-        assert [b.coords for b in basis] == [(0, 1, 0), (0, 0, 1)]
-        delta2 = Direction(spc, spc.point((0, 0, 1)))
-        basis2 = quotient_basis(spc, delta2)
-        assert [b.coords for b in basis2] == [(1, 0, 0), (0, 1, 0)]
+            assert _projection(_translate(E, shift), k) == _projection(E, k)
 
     def test_cell_constant_along_delta(self):
         spc = Space(5, 2)
-        delta = Direction(spc, spc.point((1, 2)))
+        k = [dr.rep.coords for dr in all_directions(spc)].index((1, 2))
+        delta = all_directions(spc)[k]
+        ids = line_of(5, 2)[k]
         for i in range(spc.order):
             pt = spc.point_at(i)
-            base = _cells(spc, delta, [i])[0]
             for t in range(5):
-                assert _cells(spc, delta, [(pt + delta.rep.scale(t)).index]
-                              )[0] == base
+                assert ids[(pt + delta.rep.scale(t)).index] == ids[i]
 
 
 class TestIndicator:

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 import oracles as O
 from ffspec import Space, all_directions, coords_to_index, index_to_coords
-from ffspec import space
 from ffspec.lemmas import _translates, affine_class_counts
-from ffspec.space import quotient_basis
 from ffspec.tables import (affine_permutation_array, dir_of_index,
-                           direction_reps, gl_matrices, plane_counts)
+                           direction_reps, plane_counts)
 
 SMALL_SPACES = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (7, 3)]
 
@@ -136,27 +134,6 @@ class TestDirections:
         for dr in all_directions(spc):
             assert O.canon_dir(7, dr.rep.coords) == dr.rep.coords
 
-    def test_rank_matches_oracle_on_quotient_basis_matrices(self, monkeypatch):
-        # every matrix quotient_basis ranks, in all nine spaces, and each
-        # of its row prefixes: 1, 2 and 3 rows
-        seen = []
-
-        def recording(rows, p):
-            seen.append((p, [tuple(r) for r in rows]))
-            return real(rows, p)
-
-        real = space._rank
-        monkeypatch.setattr(space, "_rank", recording)
-        for p, d in itertools.product((3, 5, 7), (1, 2, 3)):
-            for dr in all_directions(Space(p, d)):
-                quotient_basis(Space(p, d), dr)
-        monkeypatch.undo()
-        checked = {(p, tuple(rows[:k])) for p, rows in seen
-                   for k in range(1, len(rows) + 1)}
-        assert {len(rows) for _, rows in checked} == {1, 2, 3}
-        for p, rows in checked:
-            assert space._rank(list(rows), p) == O._rank(list(rows), p)
-
 
 class TestCanonicalForm:
     """Translation classes through lemmas._translates, every translate of
@@ -231,8 +208,7 @@ class TestCanonicalForm:
 
     def test_group_orders(self):
         assert len(affine_permutation_array(3, 2)) == 432
-        assert len(gl_matrices(7, 2)) == 2016
-        assert len(gl_matrices(7, 2)) * 49 == 98784
+        assert len(affine_permutation_array(7, 2)) == 98784 == 2016 * 49
         assert len(affine_permutation_array(5, 2)) == 12000 == len(
             O.affine_maps_2d(5))
 
@@ -244,10 +220,18 @@ class TestCanonicalForm:
                           for pt in pts)
                     for g in O.affine_maps_2d(5)}
         assert set(map(tuple, perms.tolist())) == expected
-        # the order: gl_matrices, then translations by index
+        # the order: matrices lexicographic in their entries read row
+        # by row, then translations by index
         digest = hashlib.sha256(bytes(perms.ravel().tolist())).hexdigest()
         assert digest == ("bf16558a978c589b53f90cc273eb7a71"
                           "bb22a370f9bea66c0e80c50e07a5539d")
+
+    def test_affine_permutations_1d(self):
+        # x -> a x + t, a = 1 .. p - 1 outer, t inner
+        for p in (3, 5, 7):
+            want = [[(a * x + t) % p for x in range(p)]
+                    for a in range(1, p) for t in range(p)]
+            assert affine_permutation_array(p, 1).tolist() == want
 
     def test_affine_permutations_are_permutations(self):
         for perm in affine_permutation_array(3, 2)[:50].tolist():

@@ -10,7 +10,7 @@ from ffspec.lemmas import _translates
 from ffspec.tables import (WORD_BLOCK, _subset_runs, add_table,
                            bytes_at_least, combination_array,
                            combination_words, difference, direction_reps,
-                           line_sups, line_table,
+                           line_of, line_sups,
                            orthogonal_direction_bits,
                            pair_directions, pair_indices, plane_counts,
                            plane_word_table, plane_words, subset_rows,
@@ -307,33 +307,54 @@ def test_orthogonal_direction_bits_oracle(p):
         assert int(bits[k]) == want
 
 
-# sha256 of line_table(p, d).tobytes() as built by the per-base-point
-# loop; the vectorized build must give the same bytes
-_LINE_TABLE_SHA256 = {
-    (3, 1): "ad5dc1478de06a4c2728ea528bd9361a4b945e92a414bf4d180cedaaeaa5f4cc",
-    (3, 2): "83448484d136cbb5b5892a2202f983d870f79a921aca583d4026fe87a012c5f7",
-    (3, 3): "a3a532b9d7f6cd51dfffdab1b9cb279584b14b91d4a2753b741588bffcfd0498",
-    (5, 1): "e528f4309e1413e6bc35aea5d8db8519384d2fcc33f9dd5d1126d73f104cf92a",
-    (5, 2): "b343055c60d223dd5159c804a66e8231506f9f4bae1599ef86e7113ff7e432cf",
-    (5, 3): "f73aca7eaa14a738c6675c63ee3c4e69cc264958054bae837f738aa977402345",
-    (7, 1): "e1a613aa4b331588d97b5feef1faabe8e8138d8c488ee9122b8533bfdda3c189",
-    (7, 2): "237749cea15e864148bbf018e59b1b8edd6ab170825afda258a54b7eb65ea7c4",
-    (7, 3): "cf21919eb31bfd8adfea536086a213ccac329b4693c27901737928e2b5c3f670",
+@pytest.mark.parametrize("p,d", _ALL_SPACES)
+def test_direction_reps_oracle(p, d):
+    want = sorted({O.point_index(p, O.canon_dir(p, v))
+                   for v in O.all_points(p, d) if any(v)})
+    got = direction_reps(p, d)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+# sha256 of line_of(p, d).tobytes(): the line table's int16 ids
+_LINE_OF_SHA256 = {
+    (3, 1): "b0f66adc83641586656866813fd9dd0b8ebb63796075661ba45d1aa8089e1d44",
+    (3, 2): "20df39f3df844d8f25ff60d1db9d58caaff1be3c74776ce7ff611484f7f7078e",
+    (3, 3): "5822535756e446f1d29d9fc35ac06d279cc46e28f29c0b695d99aceaa15c0488",
+    (5, 1): "01d448afd928065458cf670b60f5a594d735af0172c8d67f22a81680132681ca",
+    (5, 2): "ec6483a8b028af03265e0562f7976f6d2c7bf1ca9a3eaebc1617a3a26db4ea10",
+    (5, 3): "66343468fff6911ce7aaced17a95b8c1d0a659931761af02474f44731aac5508",
+    (7, 1): "e7ecebbc590bc88b3761fa6cd03d749f87463dabb67021a5c6768c25ec68b3f2",
+    (7, 2): "67bbfd62758aa5fc5d36308c16433a1bb14481f6ec482ca05d78d26ae375fcae",
+    (7, 3): "359959477b06e7ea62a5c41c2a9c6f59d80271e00a3877c987d4f5caf19f3ea2",
 }
 
 
-@pytest.mark.parametrize("p,d", sorted(_LINE_TABLE_SHA256))
+@pytest.mark.parametrize("p,d", _ALL_SPACES)
 def test_line_table_bytes_pinned(p, d):
-    table = line_table(p, d)
-    assert table.dtype == np.int32 and table.shape[1] == p
-    assert hashlib.sha256(table.tobytes()).hexdigest() == \
-        _LINE_TABLE_SHA256[(p, d)]
-    assert {frozenset(row.tolist()) for row in table} == {
-        frozenset(O.point_index(p, pt) for pt in line)
-        for line in O.all_lines(p, d)}
+    # line_of is the line table: the points that share an id in
+    # direction k are one line of that direction, the id is k * p^d
+    # plus its least point, and every line of the space gets one id
+    ids = line_of(p, d)
+    reps = direction_reps(p, d)
+    assert ids.dtype == np.int16 and ids.shape == (len(reps), p ** d)
+    assert hashlib.sha256(ids.tobytes()).hexdigest() == \
+        _LINE_OF_SHA256[(p, d)]
+    pts = O.all_points(p, d)
+    named = {}
+    for k, rep in enumerate(reps):
+        for x, i in enumerate(ids[k].tolist()):
+            named.setdefault(i, set()).add(x)
+        for i in set(ids[k].tolist()):
+            base = min(named[i])
+            assert i == k * p ** d + base
+            assert {pts[x] for x in named[i]} == O.line_points(
+                p, pts[base], pts[rep])
+    assert len(named) == len(O.all_lines(p, d))
+    assert {frozenset(pts[x] for x in line) for line in named.values()} \
+        == O.all_lines(p, d)
 
 
-@pytest.mark.parametrize("p,d", sorted(_LINE_TABLE_SHA256))
+@pytest.mark.parametrize("p,d", _ALL_SPACES)
 def test_translation_reps_match_canonical_form(p, d, rng):
     # lemmas._translates lists every translate of a set once, from
     # add_table; the least of their bitmasks is the translation class's
