@@ -9,7 +9,6 @@ from .fourier import (
 )
 from .geometry import (
     DirectionStats,
-    all_directions,
     direction_stats,
     line_sup,
     plane_sup,
@@ -34,11 +33,8 @@ from .sets import (
     write_set,
 )
 from .space import (
-    Direction,
-    Point,
     Space,
     coords_to_index,
-    index_to_coords,
 )
 from .spectral import (
     InternalCheckError,

@@ -1,6 +1,6 @@
 """Directions, direction sets and line/plane concentration.
 
-all_directions is the Direction-object view of tables.direction_reps,
+A direction is named by its id, its position in tables.direction_reps,
 the one builder of the direction list.
 """
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sets import PointSet
-from .space import Direction, Space
+from .space import Space
 from .tables import (direction_reps, line_sups, orthogonal_direction_bits,
                      pair_directions, plane_counts)
 
@@ -20,7 +20,8 @@ from .tables import (direction_reps, line_sups, orthogonal_direction_bits,
 
 @dataclass(frozen=True)
 class DirectionStats:
-    """Directions determined by a set, with unordered-pair multiplicities."""
+    """Ids of the directions determined by a set, in increasing order,
+    with the unordered-pair multiplicity of each id."""
 
     space: Space
     determined: tuple
@@ -50,23 +51,13 @@ def _plane_direction_counts(p: int, d: int, dirs: np.ndarray) -> np.ndarray:
     return np.bitwise_count(det[..., None] & orthogonal_direction_bits(p, d))
 
 
-def all_directions(space: Space) -> list:
-    """The (p^d - 1)/(p - 1) directions, in direction id order: sorted by
-    representative index."""
-    return [Direction(space, space.point_at(int(i)))
-            for i in direction_reps(space.p, space.d)]
-
-
 def direction_stats(E: PointSet) -> DirectionStats:
     if E.size < 2:
         raise ValueError("need at least two points to determine a direction")
     space = E.space
     counts = _direction_counts(space.p, space.d, E.indices())
-    det = np.flatnonzero(counts)
-    every = all_directions(space)
-    dirs = tuple(every[k] for k in det)
-    return DirectionStats(space, dirs,
-                          {dr: int(counts[k]) for dr, k in zip(dirs, det)})
+    det = tuple(np.flatnonzero(counts).tolist())
+    return DirectionStats(space, det, {k: int(counts[k]) for k in det})
 
 
 # concentration ------------------------------------------------------------

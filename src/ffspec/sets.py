@@ -14,9 +14,10 @@ are an error, an empty body is a valid empty set.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .space import Space, _require_same_space
+from .space import Space, coords_to_index
 from .tables import coords_matrix
 
 
@@ -36,21 +37,21 @@ class PointSet:
     @classmethod
     def from_indices(cls, space: Space, indices) -> "PointSet":
         mask = 0
-        for i in indices:
+        for i in map(operator.index, indices):
             if not 0 <= i < space.order:
                 raise ValueError(f"point index {i} out of range")
             mask |= 1 << i
         return cls(space, mask)
 
     @classmethod
-    def from_points(cls, space: Space, points) -> "PointSet":
-        for pt in points:
-            _require_same_space(space.zero(), pt)
-        return cls.from_indices(space, [pt.index for pt in points])
-
-    @classmethod
     def from_coords(cls, space: Space, coord_rows) -> "PointSet":
-        return cls.from_points(space, [space.point(r) for r in coord_rows])
+        """The set of the given coordinate rows, each reduced mod p."""
+        indices = []
+        for row in coord_rows:
+            if len(row) != space.d:
+                raise ValueError("coordinate count does not match dimension")
+            indices.append(coords_to_index(row, space.p))
+        return cls.from_indices(space, indices)
 
     @property
     def size(self) -> int:
@@ -65,15 +66,9 @@ class PointSet:
             m ^= low
         return out
 
-    def points(self) -> list:
-        return [self.space.point_at(i) for i in self.indices()]
-
     def coord_rows(self) -> list:
         """Coordinate rows in index order; the JSON witness format."""
         return coords_matrix(self.space.p, self.space.d)[self.indices()].tolist()
-
-    def __iter__(self):
-        return iter(self.points())
 
 
 @dataclass(frozen=True)
@@ -91,13 +86,6 @@ class QuotientFunction:
             raise ValueError("value table does not match space order")
         if any(v < 0 for v in self.values):
             raise ValueError("values must be nonnegative integers")
-
-    @property
-    def total(self) -> int:
-        return sum(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
 
 
 def indicator(E: PointSet) -> QuotientFunction:

@@ -1,7 +1,7 @@
 """Cached numpy lookup tables for a space: the one index arithmetic.
 
-Point is the single-point value type; every set-level operation works
-on integer point indices and reads the tables here.  Sums come from
+Points are integer indices (see space.py); every operation on them
+reads the tables here, and coords_matrix gives their coordinates.  Sums come from
 add_table, differences from add_table and the negation row of
 scale_tables (difference), directions from dir_of_index.
 
@@ -343,10 +343,17 @@ def line_of(p: int, d: int) -> np.ndarray:
     """(n_dirs, p^d) int16: entry [k, x] is k * p^d plus the least point
     index of the line x + F_p rep_k.  Below n_dirs * p^d <= 57 * 343,
     so the ids fit int16."""
-    steps = scale_tables(p, d)[:, direction_reps(p, d)].T   # (n_dirs, p)
-    # add_table is symmetric, so row s of it is s + x for every x
-    least = add_table(p, d)[steps].min(axis=1)              # (n_dirs, p^d)
-    return least + p ** d * np.arange(len(steps), dtype=np.int16)[:, None]
+    steps = scale_tables(p, d)[:, direction_reps(p, d)]     # (p, n_dirs)
+    # add_table is symmetric, so row s of it is s + x for every x; a
+    # running minimum over the steps c * rep, c = 1 .. p - 1, holds one
+    # (n_dirs, p^d) block at a time, and step 0 adds x itself
+    table = add_table(p, d)
+    least = table[steps[1]]
+    for c in range(2, p):
+        np.minimum(least, table[steps[c]], out=least)
+    np.minimum(least, np.arange(p ** d, dtype=least.dtype), out=least)
+    least += p ** d * np.arange(len(least), dtype=np.int16)[:, None]
+    return least
 
 
 @lru_cache(maxsize=None)

@@ -7,14 +7,24 @@ import pytest
 import oracles as O
 from ffspec import PointSet, Space, direction_stats, line_sup, plane_sup
 from ffspec.geometry import _plane_direction_counts
+from ffspec.space import coords_to_index
 from ffspec.tables import (add_table, affine_permutation_array,
-                           direction_reps, pair_directions)
+                           coords_matrix, direction_reps, pair_directions)
 
 E0_COORDS = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def _set(p, d, coords):
     return PointSet.from_coords(Space(p, d), coords)
+
+
+def _rows(E):
+    return [tuple(r) for r in E.coord_rows()]
+
+
+def _rep(p, d, k):
+    """The representative coordinates of direction id k."""
+    return tuple(coords_matrix(p, d)[direction_reps(p, d)[k]].tolist())
 
 
 def _per_plane(E):
@@ -36,7 +46,7 @@ class TestDirectionStats:
         E = _set(7, 2, E0_COORDS)
         stats = direction_stats(E)
         assert stats.count == 6
-        got = {dr.rep.coords for dr in stats.determined}
+        got = {_rep(7, 2, k) for k in stats.determined}
         assert got == O.direction_set(7, E0_COORDS)
         assert got == {(0, 1), (1, 0), (1, 1), (1, 2), (1, 4), (1, 6)}
 
@@ -50,15 +60,14 @@ class TestDirectionStats:
                                 rng.choice(spc.order, size, replace=False)))
                 stats = direction_stats(E)
                 assert sum(stats.multiplicity.values()) == math.comb(size, 2)
-                assert stats.count == len(
-                    O.direction_set(p, [pt.coords for pt in E]))
-                pts = [pt.coords for pt in E]
+                pts = _rows(E)
+                assert stats.count == len(O.direction_set(p, pts))
                 expected = Counter(
                     O.canon_dir(p, tuple((a - b) % p for a, b in zip(x, y)))
                     for i, x in enumerate(pts) for y in pts[i + 1:])
-                assert {dr.rep.coords: m for dr, m in
+                assert {_rep(p, d, k): m for k, m in
                         stats.multiplicity.items()} == dict(expected)
-                assert [dr.rep.coords for dr in stats.determined] == sorted(
+                assert [_rep(p, d, k) for k in stats.determined] == sorted(
                     expected, key=lambda v: O.point_index(p, v))
 
     def test_small_sets_rejected(self):
@@ -95,8 +104,7 @@ class TestConcentration:
                 E = PointSet.from_indices(
                     spc, sorted(int(i) for i in
                                 rng.choice(spc.order, size, replace=False)))
-                assert line_sup(E) == O.line_sup(
-                    p, d, [pt.coords for pt in E])
+                assert line_sup(E) == O.line_sup(p, d, _rows(E))
 
     def test_plane_sup(self, rng):
         spc = Space(7, 3)
@@ -109,7 +117,7 @@ class TestConcentration:
             E = PointSet.from_indices(
                 spc3, sorted(int(i) for i in
                              rng.choice(27, size, replace=False)))
-            assert plane_sup(E) == O.plane_sup_3d(3, [pt.coords for pt in E])
+            assert plane_sup(E) == O.plane_sup_3d(3, _rows(E))
 
     def test_plane_sup_needs_d3(self):
         with pytest.raises(ValueError):
@@ -117,9 +125,7 @@ class TestConcentration:
 
     def test_concentration_report(self):
         assert line_sup(_set(7, 2, E0_COORDS)) == 2
-        spc = Space(3, 3)
-        E = PointSet.from_coords(
-            spc, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        E = _set(3, 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert line_sup(E) == 2
         assert plane_sup(E) == 3
         # per-plane counts agree with the determined directions that are
@@ -128,10 +134,9 @@ class TestConcentration:
         per_plane = _per_plane(E)
         assert len(per_plane) == 13
         for normal_index, count in per_plane.items():
-            normal = spc.point_at(normal_index).coords
+            normal = O.all_points(3, 3)[normal_index]
             assert count == sum(
-                1 for dr in determined
-                if sum(a * b for a, b in zip(dr.rep.coords, normal)) % 3 == 0)
+                1 for k in determined if O.dot(3, _rep(3, 3, k), normal) == 0)
 
     def test_plane_direction_counts_oracle(self, rng):
         for p in (5, 7):
@@ -140,7 +145,7 @@ class TestConcentration:
             for size in (2, 6, 14):
                 E = PointSet.from_indices(
                     spc, rng.choice(spc.order, size, replace=False).tolist())
-                dirs = O.direction_set(p, [pt.coords for pt in E])
+                dirs = O.direction_set(p, _rows(E))
                 expected = {
                     O.point_index(p, nrm): sum(
                         1 for v in dirs
@@ -153,7 +158,7 @@ class TestPlaneDirectionCount:
     def test_pinned_instances(self):
         spc = Space(7, 3)
         # the plane z = 0, spanned by (1, 0, 0) and (0, 1, 0)
-        normal = spc.point((0, 0, 1)).index
+        normal = coords_to_index((0, 0, 1), 7)
         stacked = PointSet.from_coords(
             spc, [(t, 0, z) for z in range(3) for t in range(7)])
         coplanar = PointSet.from_coords(
@@ -169,7 +174,7 @@ class TestSumset:
         B = _set(7, 1, [(0,), (2,), (3,)])
         S = _sumset(A, B)
         assert S.size == 7
-        assert {pt.coords[0] for pt in S} == O.sumset(7, [0, 1, 3], [0, 2, 3])
+        assert set(S.indices()) == O.sumset(7, [0, 1, 3], [0, 2, 3])
         assert S.size >= min(7, A.size + B.size - 1)
 
     def test_cauchy_davenport_battery(self, rng):
@@ -186,8 +191,9 @@ class TestSumset:
                                 rng.choice(p, sb, replace=False)))
                 # Cauchy-Davenport
                 assert _sumset(A, B).size >= min(p, sa + sb - 1)
-                assert {pt.coords[0] for pt in _sumset(A, B)} == O.sumset(
-                    p, [pt.coords[0] for pt in A], [pt.coords[0] for pt in B])
+                # in F_p^1 a point's index is its coordinate
+                assert set(_sumset(A, B).indices()) == O.sumset(
+                    p, A.indices(), B.indices())
 
     def test_sumset_d3_oracle(self, rng):
         class Vec(tuple):
@@ -204,12 +210,12 @@ class TestSumset:
                 A, B = (PointSet.from_indices(
                     spc, rng.choice(spc.order, s, replace=False).tolist())
                     for s in (sa, sb))
-                assert {pt.coords for pt in _sumset(A, B)} == O.sumset(
-                    p, [Vec(pt.coords) for pt in A], [Vec(pt.coords) for pt in B])
+                assert set(_rows(_sumset(A, B))) == O.sumset(
+                    p, list(map(Vec, _rows(A))), list(map(Vec, _rows(B))))
 
     def test_sumset_any_d(self):
         spc = Space(3, 2)
         A = PointSet.from_coords(spc, [(0, 0), (1, 0)])
         B = PointSet.from_coords(spc, [(0, 0), (0, 1)])
-        assert {pt.coords for pt in _sumset(A, B)} == {
+        assert set(_rows(_sumset(A, B))) == {
             (0, 0), (1, 0), (0, 1), (1, 1)}

@@ -58,7 +58,7 @@ def test_module_graph_is_acyclic():
 
 def test_tables_build_on_space_alone():
     # the table builds read only Space from the package, and space reads
-    # nothing of it, so no table is built from Point or Direction objects
+    # nothing of it, so every table is index arithmetic on p and d alone
     trees = _trees()
     imports = {name: [ast.unparse(node) for node in ast.walk(trees[name])
                       if _package_imports(node)]

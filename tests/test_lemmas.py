@@ -12,7 +12,6 @@ from ffspec import (
     InternalCheckError,
     PointSet,
     Space,
-    all_directions,
     falsify_random,
     verify_fuglede_small,
     verify_lm1,
@@ -40,8 +39,8 @@ from ffspec.lemmas import (
 )
 from ffspec.spectral import spectrum_search
 from ffspec.tables import (affine_permutation_array, combination_array,
-                           direction_masks, plane_words, subset_words,
-                           uniform_word)
+                           coords_matrix, direction_masks, direction_reps,
+                           plane_words, subset_words, uniform_word)
 
 
 class TestLm1:
@@ -487,9 +486,19 @@ class TestProj21:
         assert list(zip(reps.tolist(), wts.tolist())) == want
 
 
+def _coords(E):
+    return [tuple(r) for r in E.coord_rows()]
+
+
+def _direction_coords(spc):
+    """The direction representatives, as oracle coordinate tuples."""
+    return [tuple(r) for r in
+            coords_matrix(spc.p, spc.d)[direction_reps(spc.p, spc.d)].tolist()]
+
+
 def _slab_hypothesis(E):
-    p, pts = E.space.p, [pt.coords for pt in E]
-    reps = [dr.rep.coords for dr in all_directions(E.space)]
+    p, pts = E.space.p, _coords(E)
+    reps = _direction_coords(E.space)
     zero_dirs = [r for r in reps
                  if len(set(O.residue_counts(p, pts, r))) == 1]
     for normal in reps:
@@ -499,9 +508,9 @@ def _slab_hypothesis(E):
 
 
 def _slab_conclusion(E):
-    pts = [pt.coords for pt in E]
-    return any(0 in O.residue_counts(E.space.p, pts, dr.rep.coords)
-               for dr in all_directions(E.space))
+    pts = _coords(E)
+    return any(0 in O.residue_counts(E.space.p, pts, rep)
+               for rep in _direction_coords(E.space))
 
 
 class TestSlabP3:

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,19 +10,28 @@ from ffspec import (
     PointSet,
     SetFormatError,
     Space,
-    all_directions,
     indicator,
     read_set,
     write_set,
 )
 from ffspec.space import coords_to_index
-from ffspec.tables import add_table, dir_of_index, difference, line_of
+from ffspec.tables import (add_table, coords_matrix, dir_of_index,
+                           difference, direction_reps, line_of, scale_tables)
 
 
 def _translate(E, x):
-    """E + x, read from the translation rows of add_table."""
-    row = add_table(E.space.p, E.space.d)[x.index, E.indices()]
+    """E + x for a point index x, read from the translation rows of
+    add_table."""
+    row = add_table(E.space.p, E.space.d)[x, E.indices()]
     return PointSet.from_indices(E.space, row.tolist())
+
+
+def _rows(E):
+    return [tuple(r) for r in E.coord_rows()]
+
+
+def _direction_id(p, d, coords):
+    return direction_reps(p, d).tolist().index(coords_to_index(coords, p))
 
 
 def _projection(E, k):
@@ -71,24 +81,46 @@ class TestPointSet:
     def test_contains(self):
         spc = Space(5, 2)
         E = PointSet.from_coords(spc, [(1, 2)])
-        assert spc.point((1, 2)) in list(E)
-        assert spc.point((2, 1)) not in list(E)
+        assert E.mask >> coords_to_index((1, 2), 5) & 1
+        assert not E.mask >> coords_to_index((2, 1), 5) & 1
         assert E.indices() == [coords_to_index((1, 2), 5)]
+
+    def test_from_coords_rows(self):
+        # each row needs d entries, and entries are read mod p
+        spc = Space(7, 3)
+        with pytest.raises(ValueError, match="coordinate count"):
+            PointSet.from_coords(spc, [(1, 2, 3), (1, 2)])
+        assert PointSet.from_coords(spc, [(-1, 0, 0)]) == \
+            PointSet.from_coords(spc, [(6, 0, 0)]) == \
+            PointSet.from_indices(spc, [6])
+
+    def test_numpy_integers(self):
+        # numpy indices and coordinates build the same Python-int mask;
+        # 1 << np.int64(162) would wrap to 0
+        spc = Space(7, 3)
+        want = PointSet.from_indices(spc, [162, 342])
+        assert PointSet.from_coords(spc, coords_matrix(7, 3)[[162, 342]]) \
+            == want
+        E = PointSet.from_indices(spc, np.array([342, 162, 5]))
+        assert E.indices() == [5, 162, 342]
+        assert type(E.mask) is int
+        with pytest.raises(TypeError):
+            PointSet.from_indices(spc, [1.0])
 
     @given(random_set(), st.data())
     def test_translate_is_bijection(self, E, data):
         spc = E.space
-        x = spc.point_at(data.draw(st.integers(0, spc.order - 1)))
+        x = data.draw(st.integers(0, spc.order - 1))
         out = _translate(E, x)
         assert out.size == E.size
-        assert _translate(out, x.scale(-1)) == E
-        assert {pt.coords for pt in out} == set(
-            O.translate(spc.p, [pt.coords for pt in E], x.coords))
+        assert _translate(out, scale_tables(spc.p, spc.d)[-1, x]) == E
+        assert set(_rows(out)) == set(O.translate(
+            spc.p, _rows(E), O.all_points(spc.p, spc.d)[x]))
 
     def test_translate_zero(self):
         spc = Space(3, 3)
         E = PointSet.from_indices(spc, [1, 5, 20])
-        assert _translate(E, spc.zero()) == E
+        assert _translate(E, 0) == E
 
 
 class TestProjection:
@@ -98,7 +130,7 @@ class TestProjection:
     def test_example(self):
         spc = Space(3, 3)
         E = PointSet.from_coords(spc, [(0, 0, 0), (0, 0, 1), (1, 0, 0)])
-        k = [dr.rep.coords for dr in all_directions(spc)].index((0, 0, 1))
+        k = _direction_id(3, 3, (0, 0, 1))
         # the cosets through (0, 0, 0) and (1, 0, 0), of least points 0, 1
         assert _projection(E, k) == {k * 27 + 0: 2, k * 27 + 1: 1}
 
@@ -106,7 +138,7 @@ class TestProjection:
     def test_mass_conserved(self, E, data):
         spc = E.space
         n = spc.order
-        k = data.draw(st.integers(0, len(all_directions(spc)) - 1))
+        k = data.draw(st.integers(0, len(direction_reps(spc.p, spc.d)) - 1))
         q = _projection(E, k)
         assert sum(q.values()) == E.size
         assert all(k * n <= c < (k + 1) * n and v <= spc.p
@@ -123,12 +155,12 @@ class TestProjection:
         # walking a quotient basis and delta
         for p, d in [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)]:
             spc = Space(p, d)
-            for k, delta in enumerate(all_directions(spc)):
+            reps = coords_matrix(p, d)[direction_reps(p, d)].tolist()
+            for k, delta in enumerate(reps):
                 idxs = rng.choice(spc.order, size=6, replace=False)
                 E = PointSet.from_indices(spc, sorted(int(i) for i in idxs))
-                cells = [O.projection_counts(p, d, [pt.coords],
-                                             delta.rep.coords)
-                         for pt in E]
+                cells = [O.projection_counts(p, d, [pt], delta)
+                         for pt in _rows(E)]
                 ids = line_of(p, d)[k, E.indices()].tolist()
                 assert len(set(zip(map(tuple, cells), ids))) == \
                     len(set(map(tuple, cells))) == len(set(ids))
@@ -139,19 +171,18 @@ class TestProjection:
             idxs = sorted(int(i) for i in rng.choice(27, 5, replace=False))
             E = PointSet.from_indices(spc, idxs)
             k = int(rng.integers(13))
-            shift = all_directions(spc)[k].rep.scale(int(rng.integers(3)))
+            rep = direction_reps(3, 3)[k]
+            shift = scale_tables(3, 3)[int(rng.integers(3)), rep]
             # translating along delta leaves every coset count unchanged
             assert _projection(_translate(E, shift), k) == _projection(E, k)
 
     def test_cell_constant_along_delta(self):
-        spc = Space(5, 2)
-        k = [dr.rep.coords for dr in all_directions(spc)].index((1, 2))
-        delta = all_directions(spc)[k]
+        k = _direction_id(5, 2, (1, 2))
         ids = line_of(5, 2)[k]
-        for i in range(spc.order):
-            pt = spc.point_at(i)
+        for i, pt in enumerate(O.all_points(5, 2)):
             for t in range(5):
-                assert ids[(pt + delta.rep.scale(t)).index] == ids[i]
+                moved = ((pt[0] + t) % 5, (pt[1] + 2 * t) % 5)
+                assert ids[O.point_index(5, moved)] == ids[i]
 
 
 class TestIndicator:
@@ -159,8 +190,8 @@ class TestIndicator:
         spc = Space(3, 2)
         E = PointSet.from_indices(spc, [0, 5])
         f = indicator(E)
-        assert f.total == 2
-        assert f[0] == 1 and f[5] == 1 and f[1] == 0
+        assert sum(f.values) == 2
+        assert f.values[0] == 1 and f.values[5] == 1 and f.values[1] == 0
 
     def test_negative_rejected(self):
         from ffspec import QuotientFunction

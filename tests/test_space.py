@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as O
-from ffspec import Space, all_directions, coords_to_index, index_to_coords
+from ffspec import Space, coords_to_index
 from ffspec.lemmas import _translates, affine_class_counts
-from ffspec.tables import (affine_permutation_array, dir_of_index,
-                           direction_reps, plane_counts)
+from ffspec.tables import (affine_permutation_array, coords_matrix,
+                           dir_of_index, direction_reps, plane_counts,
+                           scale_tables)
 
 SMALL_SPACES = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (7, 3)]
 
@@ -21,37 +22,20 @@ def spaces():
 @st.composite
 def space_and_point(draw):
     spc = draw(spaces())
-    idx = draw(st.integers(0, spc.order - 1))
-    return spc, spc.point_at(idx)
+    return spc, draw(st.integers(0, spc.order - 1))
 
 
 class TestIndexing:
     def test_round_trip_all_small(self):
         for p, d in SMALL_SPACES:
-            spc = Space(p, d)
-            for i in range(spc.order):
-                pt = spc.point_at(i)
-                assert pt.index == i
-                assert coords_to_index(pt.coords, p) == i
-                assert index_to_coords(i, p, d) == pt.coords
+            pts = O.all_points(p, d)
+            for i, row in enumerate(coords_matrix(p, d).tolist()):
+                assert coords_to_index(row, p) == i
+                assert tuple(row) == pts[i]
 
     def test_little_endian_layout(self):
         assert coords_to_index((1, 2, 3), 7) == 1 + 2 * 7 + 3 * 49
-        assert index_to_coords(162, 7, 3) == (1, 2, 3)
-
-    def test_point_at_range(self):
-        spc = Space(3, 2)
-        with pytest.raises(ValueError):
-            spc.point_at(9)
-        with pytest.raises(ValueError):
-            spc.point_at(-1)
-
-    def test_point_validation(self):
-        spc = Space(5, 2)
-        with pytest.raises(ValueError):
-            spc.point_at(0).__class__(spc, (1, 2, 3))
-        with pytest.raises(ValueError):
-            spc.point_at(0).__class__(spc, (5, 0))
+        assert coords_matrix(7, 3)[162].tolist() == [1, 2, 3]
 
     def test_space_validation(self):
         for p, d in [(2, 2), (4, 2), (9, 2), (37, 2), (3, 0), (3, 5),
@@ -61,17 +45,6 @@ class TestIndexing:
 
 
 class TestArithmetic:
-    @given(space_and_point(), st.data())
-    def test_group_laws(self, sp, data):
-        spc, x = sp
-        y = spc.point_at(data.draw(st.integers(0, spc.order - 1)))
-        assert (x + y).coords == tuple(
-            (a + b) % spc.p for a, b in zip(x.coords, y.coords))
-        assert (x + y) + y.scale(-1) == x
-        assert x + x.scale(-1) == spc.zero()
-        assert x.scale(1) == x
-        assert x.scale(spc.p) == spc.zero()
-
     def test_dot_example(self):
         # (1, 2, 3) lies on the plane x . (1, 1, 1) = 6 of F_7^3
         k = direction_reps(7, 3).tolist().index(coords_to_index((1, 1, 1), 7))
@@ -79,50 +52,41 @@ class TestArithmetic:
         assert counts.tolist() == [0, 0, 0, 0, 0, 0, 1]
         assert O.dot(7, (1, 2, 3), (1, 1, 1)) == 6
 
-    def test_mismatched_spaces(self):
-        with pytest.raises(ValueError, match="mismatched spaces"):
-            Space(3, 2).zero() + Space(5, 2).zero()
-
 
 class TestDirections:
     def test_counts(self):
-        assert len(all_directions(Space(7, 3))) == 57
-        assert len(all_directions(Space(7, 2))) == 8
-        assert len(all_directions(Space(5, 3))) == 31
+        assert len(direction_reps(7, 3)) == 57
+        assert len(direction_reps(7, 2)) == 8
+        assert len(direction_reps(5, 3)) == 31
         for p, d in SMALL_SPACES:
-            spc = Space(p, d)
-            dirs = all_directions(spc)
-            assert len(dirs) == (p ** d - 1) // (p - 1) == len(
-                direction_reps(p, d))
+            assert len(direction_reps(p, d)) == (p ** d - 1) // (p - 1)
 
     def test_canonical_reps(self):
         for p, d in [(3, 3), (7, 2)]:
-            spc = Space(p, d)
-            for dr in all_directions(spc):
-                lead = next(c for c in dr.rep.coords if c)
+            for rep in coords_matrix(p, d)[direction_reps(p, d)].tolist():
+                lead = next(c for c in rep if c)
                 assert lead == 1
 
     def test_directions_partition_nonzero(self):
-        spc = Space(5, 3)
+        scl = scale_tables(5, 3)
         seen = set()
-        for dr in all_directions(spc):
-            pts = [dr.rep.scale(c) for c in range(1, spc.p)]
-            for pt in pts:
-                assert pt.index not in seen
-                seen.add(pt.index)
-        assert len(seen) == spc.order - 1
+        for rep in direction_reps(5, 3).tolist():
+            for c in range(1, 5):
+                assert int(scl[c, rep]) not in seen
+                seen.add(int(scl[c, rep]))
+        assert len(seen) == 5 ** 3 - 1
 
     @given(space_and_point(), st.data())
     def test_scalar_invariance(self, sp, data):
         # dir_of_index names the direction a nonzero vector spans
         spc, x = sp
-        if x == spc.zero():
-            x = spc.point_at(1)
+        x = x or 1
         c = data.draw(st.integers(1, spc.p - 1))
         ids = dir_of_index(spc.p, spc.d)
-        assert ids[x.index] == ids[x.scale(c).index] >= 0
-        assert direction_reps(spc.p, spc.d)[ids[x.index]] == \
-            O.point_index(spc.p, O.canon_dir(spc.p, x.coords))
+        assert ids[x] == ids[scale_tables(spc.p, spc.d)[c, x]] >= 0
+        coords = O.all_points(spc.p, spc.d)[x]
+        assert direction_reps(spc.p, spc.d)[ids[x]] == \
+            O.point_index(spc.p, O.canon_dir(spc.p, coords))
 
     def test_zero_vector_rejected(self):
         # the zero vector spans no direction
@@ -130,9 +94,8 @@ class TestDirections:
             assert dir_of_index(p, d)[0] == -1
 
     def test_oracle_agreement(self):
-        spc = Space(7, 3)
-        for dr in all_directions(spc):
-            assert O.canon_dir(7, dr.rep.coords) == dr.rep.coords
+        for rep in coords_matrix(7, 3)[direction_reps(7, 3)].tolist():
+            assert O.canon_dir(7, rep) == tuple(rep)
 
 
 class TestCanonicalForm:

@@ -17,11 +17,18 @@ from ffspec import (
 from ffspec import spectral as spectral_mod
 from ffspec.lemmas import _PRUNE_BLOCK
 from ffspec.spectral import PRUNING_RULES, pruning_rule, spectral_pair_rows
+from ffspec.tables import add_table, scale_tables
 
 
 def line(spc, vec):
-    return PointSet.from_points(
-        spc, [spc.point(vec).scale(t) for t in range(spc.p)])
+    """The line through 0 spanned by vec: the multiples t * vec, read
+    mod p by from_coords."""
+    return PointSet.from_coords(
+        spc, [[t * c for c in vec] for t in range(spc.p)])
+
+
+def rows(E):
+    return [tuple(r) for r in E.coord_rows()]
 
 
 def plane_x1_zero(spc):
@@ -39,8 +46,7 @@ class TestVerify:
         spc = Space(7, 3)
         L = line(spc, (1, 0, 0))
         assert verify_spectral_pair(L, L)
-        assert O.is_spectral_pair(
-            7, 3, [pt.coords for pt in L], [pt.coords for pt in L])
+        assert O.is_spectral_pair(7, 3, rows(L), rows(L))
 
     def test_plane_self_pair(self):
         spc = Space(7, 3)
@@ -66,8 +72,7 @@ class TestVerify:
         # differences of A stay orthogonal to L, where fhat_L never vanishes
         A = PointSet.from_coords(spc, [(0, t, 0) for t in range(7)])
         got = verify_spectral_pair(L, A)
-        assert got == O.is_spectral_pair(
-            7, 3, [pt.coords for pt in L], [pt.coords for pt in A])
+        assert got == O.is_spectral_pair(7, 3, rows(L), rows(A))
         assert not got
 
     def test_mismatched_spaces(self):
@@ -98,7 +103,7 @@ class TestVerify:
             E = random_subset(rng, spc, size)
             A = random_subset(rng, spc, size)
             assert verify_spectral_pair(E, A) == O.is_spectral_pair(
-                5, 3, [pt.coords for pt in E], [pt.coords for pt in A])
+                5, 3, rows(E), rows(A))
 
     def test_route_disagreement_trips(self, monkeypatch):
         spc = Space(7, 3)
@@ -243,8 +248,7 @@ class TestSearch:
     def test_translation_invariance_of_witnesses(self, monkeypatch):
         spc = Space(5, 3)
         L = line(spc, (1, 2, 0))
-        M = PointSet.from_coords(spc, O.translate(5, [pt.coords for pt in L],
-                                                  (1, 1, 1)))
+        M = PointSet.from_coords(spc, O.translate(5, rows(L), (1, 1, 1)))
         validated = []
 
         def counting(E, A):
@@ -319,9 +323,10 @@ def _line_violator(rng, spc, size, m):
     """Random set of size mp with min(m, p-m)+1 points on one line."""
     p = spc.p
     want = min(m, p - m) + 1
-    base = spc.point_at(int(rng.integers(spc.order)))
-    vec = spc.point_at(int(rng.integers(1, spc.order)))
-    pts = {(base + vec.scale(t)).index for t in range(want)}
+    base = int(rng.integers(spc.order))
+    vec = int(rng.integers(1, spc.order))
+    steps = scale_tables(p, spc.d)[:want, vec]
+    pts = set(add_table(p, spc.d)[base, steps].tolist())
     while len(pts) < size:
         pts.add(int(rng.integers(spc.order)))
     return PointSet.from_indices(spc, sorted(pts))

@@ -13,8 +13,8 @@ from ffspec.tables import (WORD_BLOCK, _subset_runs, add_table,
                            line_of, line_sups,
                            orthogonal_direction_bits,
                            pair_directions, pair_indices, plane_counts,
-                           plane_word_table, plane_words, subset_rows,
-                           subset_words, uniform_word)
+                           plane_word_table, plane_words, scale_tables,
+                           subset_rows, subset_words, uniform_word)
 
 _ALL_SPACES = [(p, d) for p in (3, 5, 7) for d in (1, 2, 3)]
 
@@ -352,6 +352,16 @@ def test_line_table_bytes_pinned(p, d):
     assert len(named) == len(O.all_lines(p, d))
     assert {frozenset(pts[x] for x in line) for line in named.values()} \
         == O.all_lines(p, d)
+
+
+def test_line_table_scratch_is_one_block(traced_peak):
+    # the cold build keeps one (n_dirs, p^d) block of step minima; the
+    # gather of all p steps at once would take 7 times the table
+    add_table(7, 3)
+    scale_tables(7, 3)
+    direction_reps(7, 3)
+    out = line_of(7, 3)
+    assert traced_peak(line_of.__wrapped__, 7, 3) < 3 * out.nbytes
 
 
 @pytest.mark.parametrize("p,d", _ALL_SPACES)

@@ -14,6 +14,10 @@ from ffspec import (
 from ffspec.tiling import tiling_pair_rows, tiling_search_rows
 
 
+def _coords(E):
+    return [tuple(r) for r in E.coord_rows()]
+
+
 class TestVerify:
     def test_line_times_plane(self):
         spc = Space(7, 3)
@@ -113,7 +117,7 @@ class TestSearch:
             for combo in itertools.combinations(range(9), r):
                 E = PointSet.from_indices(spc, combo)
                 cert = tiling_search(E)
-                want = O.tiles(3, 2, [pt.coords for pt in E])
+                want = O.tiles(3, 2, _coords(E))
                 assert (cert.verdict == "witness") == want
                 if cert.verdict == "witness":
                     hits += 1
@@ -127,7 +131,7 @@ class TestSearch:
     def test_lifted_tromino(self):
         spc = Space(3, 3)
         E = PointSet.from_coords(spc, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-        assert O.tiles(3, 3, [pt.coords for pt in E])
+        assert O.tiles(3, 3, _coords(E))
         cert = tiling_search(E)
         assert cert.verdict == "witness"
         assert cert.witness.size == 9
@@ -172,7 +176,7 @@ class TestSearch:
         E = PointSet.from_coords(spc, [(t, 0) for t in range(5)])
         cert = tiling_search(E)
         assert cert.verdict == "witness"
-        assert {pt.coords for pt in cert.witness} == {(0, t) for t in range(5)}
+        assert set(_coords(cert.witness)) == {(0, t) for t in range(5)}
 
     @pytest.mark.parametrize("p,d,idx,verdict,nodes", [
         (5, 3, [21, 34, 55, 71, 85], "witness", 5674),
@@ -194,7 +198,7 @@ class TestSearch:
             spc, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0),
                   (2, 1, 0), (0, 2, 0), (1, 2, 0), (0, 0, 1)])
         cert = tiling_search(E)
-        want = O.tiles(3, 3, [pt.coords for pt in E])
+        want = O.tiles(3, 3, _coords(E))
         assert (cert.verdict == "witness") == want
 
 
