@@ -203,8 +203,8 @@ def main(argv=None) -> int:
     if getattr(args, "budget", 1) < 1:
         parser.error(f"argument --budget: must be >= 1, got {args.budget}")
     # a report path that cannot be written fails before the run, not after it
-    report = args.report and Path(args.report)
-    problem = report and (
+    report = None if args.report is None else Path(args.report)
+    problem = report is not None and (
         report.is_dir() and f"report path {report} is a directory"
         or not report.parent.is_dir()
         and f"report directory {report.parent} does not exist"

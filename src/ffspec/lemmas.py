@@ -6,28 +6,28 @@ Every verifier runs through one driver, _sweep.  Its contract:
 - the enumeration is split into a fixed chunk list that does not depend
   on the worker count (_blocks cuts a range into [lo, hi) pieces);
 - a chunk is the unit of scheduling and a block the unit of memory:
-  slab-p3, fuglede-3-3 and each searched size of fuglede-3-2 and
-  fuglede-5-2 are one chunk, which walks blocks of rows or classes, so
-  these sweeps fork nothing at any worker count;
+  slab-p3 and each searched size of fuglede-3-3, fuglede-3-2 and
+  fuglede-5-2 are one chunk, which walks blocks of rows, so these sweeps
+  fork nothing at any worker count;
 - each chunk returns a tuple, and the tuples are folded field by field
   in chunk order: numbers and arrays add, lists concatenate, sets unite
   and dicts merge key by key, so keys with a zero count stay in place;
-- field 0 counts the sets the chunk enumerated, and a total that differs
-  from the expected one raises InternalCheckError (a miscount);
+- field 0 counts what the chunk enumerated, sets or functions, and a
+  total that differs from the expected one raises InternalCheckError (a
+  miscount);
 - counterexamples leave the chunks as point-index lists and become
   coordinate rows in one place, _coord_cex;
 - a sweep of translation-invariant counts reads only the sets through
   the origin and reports them as over all sets (_origin_sweep, and
-  _plane_sweep with _per_set for fuglede-3-2);
-- lm1, lm2, slab-p3 and fuglede-3-3 sweep the sets anchor + S, S over
-  the r-subsets of a point list: a chunk is a row range [lo, hi), read
-  through tables.subset_words and subset_rows;
-- fuglede-3-3 runs in two passes: the calling process keys every set by
-  its zero directions, and the chunk is the distinct keys, so each
-  zero set is searched once (_fug33_search);
-- fuglede-3-2 and fuglede-5-2 run one tiling search per affine orbit of
-  translation classes, in the calling process, and pass each class's
-  complement in the chunk (_class_complements).
+  _per_set for fuglede-3-3 and fuglede-3-2);
+- lm1, lm2, slab-p3 and the fuglede sweeps read the sets anchor + S, S
+  over the r-subsets of a point list, through tables.subset_words and
+  subset_rows; the sets through the origin are _origin_sets;
+- the fuglede sweeps share one chunk per size, _size_chunk: it keys
+  every set of the size by its zero directions and searches each
+  distinct key once, and it checks each set against its own tiling
+  complement, which the calling process finds with one tiling search per
+  affine orbit of translation classes (_row_complements).
 
 The deterministic part of a report is therefore identical no matter how
 many workers ran it.
@@ -42,7 +42,6 @@ from time import perf_counter
 
 import numpy as np
 
-from .fourier import zero_directions
 from .parallel import run_chunks
 from .sets import PointSet
 from .space import Space
@@ -159,11 +158,11 @@ def _fold_all(results) -> list:
     return total
 
 
-def _sweep(fn, chunks: list, workers: int, expected: int | None = None) -> list:
+def _sweep(fn, chunks: list, workers: int, expected: int) -> list:
     """Run fn over the fixed chunk list and fold its result tuples field
-    by field in chunk order; field 0 must total expected, if given."""
+    by field in chunk order; field 0 must total expected."""
     total = _fold_all(run_chunks(fn, chunks, workers))
-    if expected is not None and total[0] != expected:
+    if total[0] != expected:
         raise InternalCheckError(
             f"{fn.__name__} enumerated {total[0]} sets, expected {expected}")
     return total
@@ -178,6 +177,13 @@ def _sweep(fn, chunks: list, workers: int, expected: int | None = None) -> list:
 def _through_origin(n: int, size: int) -> np.ndarray:
     """The size-subsets of range(n) that contain 0, lexicographic."""
     return np.pad(combination_array(n - 1, size - 1) + 1, ((0, 0), (1, 0)))
+
+
+def _origin_sets(p: int, d: int, size: int) -> tuple:
+    """The size-sets of F_p^d through 0 as (anchor, points, r) of
+    tables.subset_words: 0 plus each (size - 1)-subset of the other
+    points, in the row order of _through_origin."""
+    return (0,), range(1, p ** d), size - 1
 
 
 def _per_set(count, points: int, size: int):
@@ -383,10 +389,10 @@ def _decode_profile(code: int) -> list:
 
 
 def _proj21_chunk(args):
-    """(raw pairs, weighted functions, weighted equidistribution
-    histogram, profiles, counterexamples) for one block of first-row
-    representatives; weights count both the filling orbit and the orbit
-    of the row triple.
+    """(weighted functions enumerated, weighted hypothesis functions,
+    weighted equidistribution histogram, profiles, counterexamples) for
+    one block of first-row representatives; weights count both the
+    filling orbit and the orbit of the row triple.
 
     A function on the support rows is a multiset of points of F_7^2, so
     its packed line words are the sums of its three rows' words; no byte
@@ -404,8 +410,7 @@ def _proj21_chunk(args):
              + 64 * (V == 3).sum(axis=1))
     vals, ids = np.unique(codes, return_inverse=True)
     onehot = ids[:, None] == np.arange(len(vals))
-    hyp_raw = 0
-    hyp_weighted = 0
+    enumerated = hyp_weighted = 0
     equi_hist = np.zeros(8, np.int64)
     profiles: set = set()
     cex = []
@@ -425,9 +430,8 @@ def _proj21_chunk(args):
         ok = (high & uniform_word(7, 0x80)) == 0
         if not has3[j1]:
             ok &= has3[:, None] | has3[None, :]
-        n_ok = int(np.count_nonzero(ok))
-        hyp_raw += n_ok
-        hyp_weighted += w1 * n_ok
+        enumerated += w1 * len(V) ** 2
+        hyp_weighted += w1 * int(np.count_nonzero(ok))
         equi_hist += w1 * np.bincount(equi[ok], minlength=8)
         for j2, j3 in np.argwhere(ok & (equi > 2)):
             cex.append({
@@ -438,7 +442,7 @@ def _proj21_chunk(args):
         profiles |= {tuple(sorted((int(codes[j1]), int(vals[a]),
                                    int(vals[b]))))
                      for a, b in np.argwhere(seen)}
-    return hyp_raw, hyp_weighted, equi_hist, profiles, cex
+    return enumerated, hyp_weighted, equi_hist, profiles, cex
 
 
 def verify_proj21(workers: int = 1) -> LemmaReport:
@@ -458,8 +462,9 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
     plane_word_table(7, 2)          # built once, before the workers fork
     chunks = [(rep, lo, hi) for rep, _ in orbits
               for lo, hi in _blocks(len(reps), 8)]
+    card = 35 * len(V) ** 3
     _, hyp_weighted, equi_hist, profiles, cex = _sweep(
-        _proj21_chunk, chunks, workers)
+        _proj21_chunk, chunks, workers, card)
     details = {
         "fillings_per_line": int(len(V)),
         "f1_orbit_reps": int(len(reps)),
@@ -475,7 +480,6 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
             [_decode_profile(c) for c in prof] for prof in sorted(profiles)
         ],
     }
-    card = 35 * len(V) ** 3
     return LemmaReport(
         "proj21",
         "functions on 3 parallel support lines in F_7^2, row sums 7",
@@ -492,16 +496,16 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
 # Plane concentration at p = 3: six-point sets equidistributed along two
 # directions of a common plane lie in two parallel planes.
 
-# the six-sets of F_3^3 through 0 as (anchor, points, r) of subset_words
-_F33_SETS = ((0,), range(1, 27), 5)
-
-
-def _zero_bits(words: np.ndarray) -> np.ndarray:
-    """(rows, 1) <u2 of F_3^3 six-set words: bit k is set when the set
-    has two points on each plane of direction k, that is when its
-    Fourier transform vanishes along direction k."""
-    zero = words == uniform_word(3, 2)
-    return np.packbits(zero, axis=-1, bitorder="little").view("<u2")
+def _zero_bits(p: int, words: np.ndarray, size: int) -> np.ndarray:
+    """(rows,) <u2 keys of the packed plane words of size-sets: bit k is
+    set when the set has size / p points on each plane of direction k,
+    that is when its Fourier transform vanishes along direction k.
+    Every swept space has at most 16 directions."""
+    zero = np.packbits(words == uniform_word(p, size // p), axis=-1,
+                       bitorder="little")
+    bits = np.zeros((len(words), 2), dtype=np.uint8)
+    bits[:, :zero.shape[1]] = zero
+    return bits.view("<u2")[:, 0]
 
 
 @lru_cache(maxsize=None)
@@ -517,17 +521,19 @@ def _slab_hypotheses() -> np.ndarray:
 
 
 def _slab_chunk(args):
-    """(rows, hypothesis rows, counterexamples) of rows [lo, hi) of
-    _F33_SETS, WORD_BLOCK rows at a time."""
+    """(rows, hypothesis rows, counterexamples) of rows [lo, hi) of the
+    six-sets of F_3^3 through 0 (_origin_sets), WORD_BLOCK rows at a
+    time."""
     lo, hi = args
+    sets = _origin_sets(3, 3, 6)
 
     def block(a, b):
-        words = subset_words(3, 3, *_F33_SETS, a, b)
-        hyp = _slab_hypotheses()[_zero_bits(words)[:, 0]]
+        words = subset_words(3, 3, *sets, a, b)
+        hyp = _slab_hypotheses()[_zero_bits(3, words, 6)]
         # inside two parallel planes: some plane count is 0
         concl = (bytes_at_least(3, words, 1) < 3).any(axis=-1)
         bad = a + np.flatnonzero(hyp & ~concl)
-        rows = subset_rows(3, 3, *_F33_SETS, bad).tolist() if len(bad) else []
+        rows = subset_rows(3, 3, *sets, bad).tolist() if len(bad) else []
         return len(words), int(hyp.sum()), [{"set": r} for r in rows]
 
     return tuple(_fold_all(block(lo + a, lo + b)
@@ -539,7 +545,7 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
     directions of one plane are contained in two parallel planes.
     Both predicates are translation invariant, so the sweep reads the
     sets through the origin (_origin_sweep): row ranges of 0 plus each
-    5-subset of the other 26 points (_F33_SETS, tables.subset_words).
+    5-subset of the other 26 points (_origin_sets, tables.subset_words).
     The sweep is one chunk, run in the calling process at any worker
     count; it reads the hypothesis of each row off a table of its zero
     directions (_slab_hypotheses)."""
@@ -561,19 +567,6 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # Small-space spectral-versus-tile sweeps.
 
-def _immediate_none(spc: Space, size: int, zero_dirs):
-    """Whether the spectrum search of a set of this size with this many
-    zero directions (a count or an array of counts) answers none
-    without searching.
-
-    At a size a spectral set may have, the clique stage needs |E| - 1
-    points in the zero set, and each zero direction holds p - 1 of them.
-    Other sizes are left to the search's own size filter.
-    """
-    few = (spc.p - 1) * np.asarray(zero_dirs) < size - 1
-    return few & (size in allowed_spectral_sizes(spc))
-
-
 _BUDGET = 10 ** 9
 
 
@@ -589,35 +582,32 @@ def _pointset(spc: Space, row) -> PointSet:
     return PointSet(spc, sum(1 << int(i) for i in row))
 
 
-def _pieces(a: np.ndarray, sizes: list) -> list:
-    """a cut into consecutive pieces of the given sizes, by slicing:
-    np.split swaps axes twice per piece, 7 ms for 2,130 pieces."""
-    ends = np.cumsum(sizes).tolist()
-    return [a[e - n:e] for n, e in zip(sizes, ends)]
-
-
-def _groups(keys: np.ndarray) -> tuple:
-    """(first row, members) of each distinct key, in key order."""
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    members = _pieces(np.argsort(inverse.ravel(), kind="stable"),
-                      np.bincount(inverse.ravel()).tolist())
-    return first, members
+def _zero_keys(p: int, d: int, size: int) -> np.ndarray:
+    """The zero-direction key (_zero_bits) of each set of
+    _origin_sets(p, d, size), in row order, WORD_BLOCK rows at a time."""
+    anchor, points, r = _origin_sets(p, d, size)
+    keys = np.empty(math.comb(len(points), r), dtype=np.uint16)
+    for lo, hi in _blocks(len(keys), WORD_BLOCK):
+        keys[lo:hi] = _zero_bits(
+            p, subset_words(p, d, anchor, points, r, lo, hi), size)
+    return keys
 
 
 def _search_keys(spc: Space, size: int, keys, counts) -> tuple:
     """(searched sets, nodes, {key: spectrum}) of distinct zero-direction
-    keys (bit k: direction k), each with its number of sets.
+    keys (bit k: direction k), each with its number of sets, at a size a
+    spectral set may have.
 
     The clique stage is a function of (zero set, size, budget) alone, so
-    it runs once per key, and its nodes count once per set; the keys that
-    _immediate_none flags are not searched.
+    it runs once per key, and its nodes count once per set.  It needs
+    |E| - 1 points in the zero set, and each zero direction holds p - 1
+    of them, so a key with fewer is answered none without a search.
     """
     dmasks = direction_masks(spc.p, spc.d)
     searched = nodes = 0
     spectra = {}
     for key, count in zip(keys, counts):
-        if _immediate_none(spc, size, key.bit_count()):
+        if (spc.p - 1) * key.bit_count() < size - 1:
             continue
         zmask = sum(m for k, m in enumerate(dmasks) if key >> k & 1)
         verdict, spectrum, n = _clique_in_zero_set(spc, zmask, size, _BUDGET)
@@ -628,137 +618,74 @@ def _search_keys(spc: Space, size: int, keys, counts) -> tuple:
     return searched, nodes, spectra
 
 
-def _rows_with(keys: np.ndarray, spectra: dict) -> dict:
-    """{row position: spectrum} of the rows whose key has a spectrum."""
-    hit = np.flatnonzero(np.isin(keys, list(spectra)))
-    return dict(zip(hit.tolist(), map(spectra.get, keys[hit].tolist())))
+# rows checked per block of _size_chunk: at fuglede-5-2's size 5, with
+# 3,426 rows to check, blocks of 512 peaked at 1.4 MB of scratch, and
+# all the rows at once at 9.0 MB
+_CHECK_BLOCK = 1 << 9
 
 
-def _spectra_by_zero_set(spc: Space, rows: np.ndarray,
-                         zero: np.ndarray) -> tuple:
-    """Spectral verdicts of index rows of one allowed size, from their
-    zero directions (n_dirs, n_rows), searched once per distinct zero set
-    (_search_keys).  A spectrum is still checked against every row with
-    its zero set, both ways: one _validate_witness_rows call takes all
-    the rows of the chunk that have one.
-    Returns {row position: spectrum indices} in row order.
+def _size_chunk(args):
+    """(sets, nodes, {size: counts}, counterexamples) of the size-sets of
+    F_p^d through 0 (_origin_sets), given each row's tiling complement
+    (_row_complements), or None where the size cannot tile.
+
+    At a size a spectral set may have, every row is keyed by its zero
+    directions (_zero_keys) and each distinct key is searched once
+    (_search_keys); every other size is spectral nowhere, the search's
+    size filter.  A row tiles when it has a complement.  Every witness
+    is checked against its own row, both ways, _CHECK_BLOCK rows at a
+    time: the spectrum of a row's key in one _validate_witness_rows call,
+    the row's complement in one tiling_pair_rows call each way.
+    Counterexamples, the rows with one witness but not the other, come
+    in row order, each with its spectrum or None.
     """
-    keys = (np.int64(1) << np.arange(len(zero), dtype=np.int64)) @ zero
-    uniq, counts = np.unique(keys, return_counts=True)
-    *_, found = _search_keys(spc, rows.shape[1], uniq.tolist(),
-                             counts.tolist())
-    spectra = _rows_with(keys, found)
-    if spectra:
-        _validate_witness_rows(spc.p, spc.d, rows[list(spectra)],
-                               list(spectra.values()))
-    return spectra
+    p, d, size, complements = args
+    spc = Space(p, d)
+    origin = _origin_sets(p, d, size)
+    n = math.comb(len(origin[1]), origin[2])
+    searched, nodes, found = n, 0, {}         # found: {row: spectrum}
+    if size in allowed_spectral_sizes(spc):
+        keys = _zero_keys(p, d, size)
+        uniq, counts = np.unique(keys, return_counts=True)
+        searched, nodes, spectra = _search_keys(spc, size, uniq.tolist(),
+                                                counts.tolist())
+        hit = np.flatnonzero(np.isin(keys, list(spectra)))
+        found = dict(zip(hit.tolist(), map(spectra.get, keys[hit].tolist())))
+    spectral = np.zeros(n, dtype=bool)
+    spectral[list(found)] = True
+    tiles = (np.zeros(n, dtype=bool) if complements is None
+             else complements[:, 0] >= 0)
+
+    def block(pos):
+        E = subset_rows(p, d, *origin, pos)
+        s, t = spectral[pos], tiles[pos]
+        if s.any():
+            _validate_witness_rows(p, d, E[s],
+                                   [found[i] for i in pos[s].tolist()])
+        if t.any():
+            A = complements[pos[t]]
+            ok = (tiling_pair_rows(p, d, E[t], A)
+                  & tiling_pair_rows(p, d, A, E[t]))
+            if not ok.all():
+                raise InternalCheckError(
+                    "class tiling complement fails on member set "
+                    f"{E[t][int(np.argmin(ok))].tolist()}")
+        return [{"set": E[k].tolist(),
+                 "spectral": "witness" if s[k] else "none",
+                 "tile": "witness" if t[k] else "none",
+                 "spectrum": found.get(int(pos[k]))}
+                for k in np.flatnonzero(s != t).tolist()]
+
+    checked = np.flatnonzero(spectral | tiles)
+    cex = [c for lo, hi in _blocks(len(checked), _CHECK_BLOCK)
+           for c in block(checked[lo:hi])]
+    return n, nodes, {str(size): {
+        "anchored": n, "searched": searched,
+        "spectral": int(spectral.sum()), "tiles": int(tiles.sum())}}, cex
 
 
-def _tiles_by_class(spc: Space, rows: np.ndarray, classes: list,
-                    complements: list) -> np.ndarray:
-    """Tiling verdict of every index row; classes holds each translation
-    class's positions in rows, and complements its tiling complement, or
-    None where it does not tile (_class_complements).
-
-    A complement A of one member R = E + t tiles with every member E
-    too, since E + A = R + A - t.  Every member is still checked as an
-    exact tiling pair with A, both ways, before it counts as a tile: one
-    tiling_pair_rows call each way takes all the members of the tiling
-    classes.
-    """
-    tiles = np.zeros(len(rows), dtype=bool)
-    members, paired = [], []
-    for group, complement in zip(classes, complements):
-        if complement is not None:
-            members.extend(group.tolist())
-            paired.extend([complement] * len(group))
-    if members:
-        E = rows[members]
-        ok = (tiling_pair_rows(spc.p, spc.d, E, paired)
-              & tiling_pair_rows(spc.p, spc.d, paired, E))
-        if not ok.all():
-            raise InternalCheckError(
-                "class tiling complement fails on member set "
-                f"{E[int(np.argmin(ok))].tolist()}")
-        tiles[members] = True
-    return tiles
-
-
-def _f33_keys() -> np.ndarray:
-    """The zero-direction key (_zero_bits) of each six-set of _F33_SETS,
-    in row order, WORD_BLOCK rows at a time."""
-    anchor, points, r = _F33_SETS
-    keys = np.empty(math.comb(len(points), r), dtype=np.uint16)
-    for lo, hi in _blocks(len(keys), WORD_BLOCK):
-        keys[lo:hi] = _zero_bits(
-            subset_words(3, 3, anchor, points, r, lo, hi))[:, 0]
-    return keys
-
-
-def _fug33_chunk(args):
-    """(sets, searched sets, nodes, {key: spectrum}) of distinct
-    zero-direction keys, each given with its number of six-sets
-    (_search_keys)."""
-    keys, counts = args
-    return (int(counts.sum()),
-            *_search_keys(Space(3, 3), 6, keys.tolist(), counts.tolist()))
-
-
-def _fug33_search(workers: int) -> tuple:
-    """(sets, searched sets, nodes, witnesses) over the six-sets of
-    _F33_SETS, in two passes.
-
-    The calling process keys every row by its zero directions
-    (_f33_keys), then searches the distinct keys, ascending, as one
-    chunk, so each zero set is searched once and nothing forks at any
-    worker count; the rows the chunk counts must total the rows keyed.
-    The rows whose key has a spectrum are gathered in row order.
-    """
-    keys = _f33_keys()
-    sets, searched, nodes, spectra = _sweep(
-        _fug33_chunk, [np.unique(keys, return_counts=True)], workers,
-        len(keys))
-    found = _rows_with(keys, spectra)
-    rows = subset_rows(3, 3, *_F33_SETS, list(found)).tolist()
-    return sets, searched, nodes, [{"set": row, "spectrum": s}
-                                   for row, s in zip(rows, found.values())]
-
-
-def _spectral_vs_tile(spc: Space, rows: np.ndarray, classes: list,
-                      complements: list) -> tuple:
-    """Both verdicts for every index row; rows that _immediate_none
-    flags skip the spectral search, and classes and complements are
-    those of _tiles_by_class.
-
-    At an allowed size the spectral side is the clique stage, once per
-    distinct zero set (_spectra_by_zero_set); every other size is
-    spectral nowhere, the search's size filter.  The tiling side reads
-    each class's complement (_tiles_by_class).  Every witness is
-    verified against its own set, both ways, in one batched call per
-    side.
-    Returns ({"searched", "spectral", "tiles"} counts, counterexamples).
-    """
-    zero = zero_directions(spc.p, spc.d, rows)
-    searched = np.flatnonzero(~_immediate_none(spc, rows.shape[1],
-                                               zero.sum(axis=0)))
-    spectral = np.zeros(len(rows), dtype=bool)
-    if rows.shape[1] in allowed_spectral_sizes(spc):
-        spectra = _spectra_by_zero_set(spc, rows[searched], zero[:, searched])
-        spectral[searched[list(spectra)]] = True
-    tiles = _tiles_by_class(spc, rows, classes, complements)
-    cex = [{"set": [int(i) for i in rows[k]],
-            "spectral": "witness" if spectral[k] else "none",
-            "tile": "witness" if tiles[k] else "none"}
-           for k in np.flatnonzero(spectral != tiles)]
-    return {"searched": len(searched), "spectral": int(spectral.sum()),
-            "tiles": int(tiles.sum())}, cex
-
-
-# fuglede-5-2's size 5, 2,130 classes of C(24, 4) = 10,626 sets through
-# the origin, is nearly all the work; its chunk walks the classes 256 at
-# a time: on a 2-core x86-64 host its process peaked at 33.6 MiB, against
-# 34.7 MiB at 384 and 42.4 MiB for all classes at once, in the same time
-_CLASS_BLOCK, _KEY_BLOCK = 256, 1 << 11
+# rows per _translation_keys call
+_KEY_BLOCK = 1 << 11
 # maps per _cycle_type_counts block: a few hundred kB of scratch at p = 7
 _MAP_BLOCK = 1 << 10
 
@@ -773,22 +700,23 @@ def _translation_keys(p: int, rows: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _translation_classes(p: int, size: int) -> list:
-    """Each translation class's positions in _through_origin(p^2, size),
-    ascending, so a class's first member is its first set in row order.
+def _translation_classes(p: int, size: int) -> tuple:
+    """(first, class), read-only: each translation class's first row in
+    _through_origin(p^2, size), and each row's class.
 
     Classes come in the order of their keys (_translation_keys), and
     must number translation_class_counts, Burnside's count of them.
     """
     rows = _through_origin(p * p, size)
-    keys = [_translation_keys(p, rows[a:b])
-            for a, b in _blocks(len(rows), _KEY_BLOCK)]
-    classes = _groups(np.concatenate(keys))[1]
+    keys = np.concatenate([_translation_keys(p, rows[a:b])
+                           for a, b in _blocks(len(rows), _KEY_BLOCK)])
+    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
     want = translation_class_counts(p, 2, (size,))[size]
-    if len(classes) != want:
-        raise InternalCheckError(f"keyed {len(classes)} translation classes "
+    if len(first) != want:
+        raise InternalCheckError(f"keyed {len(first)} translation classes "
                                  f"of {size}-sets, expected {want}")
-    return classes
+    first.flags.writeable = cls.flags.writeable = False
+    return first, cls
 
 
 def _affine_orbits(p: int, size: int) -> tuple:
@@ -803,105 +731,58 @@ def _affine_orbits(p: int, size: int) -> tuple:
     _translation_classes does; every class hit joins its orbit, with the
     first map that hits it.
     """
-    classes = _translation_classes(p, size)
+    first, _ = _translation_classes(p, size)
     rows = _through_origin(p * p, size)
-    keys = _translation_keys(p, rows[[c[0] for c in classes]])  # ascending
+    keys = _translation_keys(p, rows[first])                # ascending
     linear = affine_permutation_array(p, 2)[::p * p]
-    orbit = np.full(len(classes), -1)
-    maps = np.zeros(len(classes), dtype=np.intp)
+    orbit = np.full(len(first), -1)
+    maps = np.zeros(len(first), dtype=np.intp)
     reps = []
-    for c in range(len(classes)):
+    for c in range(len(first)):
         if orbit[c] >= 0:
             continue
-        images = _translation_keys(p, linear[:, rows[classes[c][0]]])
+        images = _translation_keys(p, linear[:, rows[first[c]]])
         hit = np.searchsorted(keys, images).clip(max=len(keys) - 1)
-        hit, first = np.unique(hit, return_index=True)
-        if (keys[hit] != images[first]).any() or (orbit[hit] >= 0).any():
+        hit, at = np.unique(hit, return_index=True)
+        if (keys[hit] != images[at]).any() or (orbit[hit] >= 0).any():
             raise InternalCheckError(f"class {c} of {size}-sets maps outside "
                                      "the keyed classes or into another orbit")
-        orbit[hit], maps[hit] = len(reps), first
+        orbit[hit], maps[hit] = len(reps), at
         reps.append(c)
     return reps, orbit, maps
 
 
-def _class_complements(p: int, size: int) -> list:
-    """The tiling complement of each class of _translation_classes(p,
-    size), as sorted point indices, or None where the class does not
-    tile; one tiling search per affine orbit.
+def _row_complements(p: int, size: int) -> np.ndarray:
+    """(rows, p^2 / size) int16: the tiling complement of each row of
+    _through_origin(p^2, size), as sorted point indices, or -1 where the
+    row does not tile; one tiling search per affine orbit of translation
+    classes, for a size that can tile.
 
-    Tiling commutes with invertible linear maps: if R + A = F_p^2
-    exactly, so does MR + MA.  The orbits (_affine_orbits) must number
-    affine_class_counts.  One tiling_search_rows call searches the first
-    set R of each orbit's representative, and a class that M reaches
-    from R gets MA.  Complements leave here unchecked; _tiles_by_class
-    checks every member against its class's complement, both ways.
+    A complement A of one member R = E + t of a class tiles with every
+    member E too, since E + A = R + A - t, and tiling commutes with
+    invertible linear maps: if R + A = F_p^2 exactly, so does MR + MA.
+    The orbits (_affine_orbits) must number affine_class_counts.  One
+    tiling_search_rows call searches the first set R of each orbit's
+    representative, a class that M reaches from R gets MA, and each row
+    its class's.  Complements leave here unchecked; _size_chunk checks
+    each row against its own, both ways.
     """
-    classes = _translation_classes(p, size)
-    if not size_can_tile(Space(p, 2), size):
-        return [None] * len(classes)
+    first, cls = _translation_classes(p, size)
     reps, orbit, maps = _affine_orbits(p, size)
     want = affine_class_counts(p, 2, (size,))[size]
     if len(reps) != want:
         raise InternalCheckError(f"found {len(reps)} affine orbits of "
                                  f"{size}-sets, expected {want}")
-    firsts = _through_origin(p * p, size)[[classes[c][0] for c in reps]]
-    found = [complement if _found(verdict) else None for verdict, complement, _
-             in tiling_search_rows(p, 2, firsts, _BUDGET)]
+    rows = _through_origin(p * p, size)[first[reps]]
     linear = affine_permutation_array(p, 2)[::p * p]
-    out = [None] * len(classes)
-    for o, complement in enumerate(found):
-        if complement is not None:
+    out = np.full((len(first), p * p // size), -1, dtype=np.int16)
+    for o, (verdict, complement, _) in enumerate(
+            tiling_search_rows(p, 2, rows, _BUDGET)):
+        if _found(verdict):
             members = np.flatnonzero(orbit == o)
-            images = np.sort(linear[maps[members, None], complement], axis=1)
-            for c, image in zip(members.tolist(), images.tolist()):
-                out[c] = image
-    return out
-
-
-def _class_chunk(args):
-    """(sets, {size: counts}, counterexamples) of the sets through the
-    origin of F_p^2 of one size, given each translation class's tiling
-    complement (_class_complements), _CLASS_BLOCK classes at a time."""
-    p, size, complements = args
-    classes = _translation_classes(p, size)
-
-    def block(lo, hi):
-        rows = _through_origin(p * p, size)[np.concatenate(classes[lo:hi])]
-        local = _pieces(np.arange(len(rows)), [len(c) for c in classes[lo:hi]])
-        counts, cex = _spectral_vs_tile(Space(p, 2), rows, local,
-                                        complements[lo:hi])
-        return len(rows), {str(size): {"anchored": len(rows), **counts}}, cex
-
-    return _fold_all(block(lo, hi)
-                     for lo, hi in _blocks(len(classes), _CLASS_BLOCK))
-
-
-def _plane_sweep(spc: Space, sizes: tuple, workers: int) -> tuple:
-    """(per-size counts, counterexamples) over the sets through the
-    origin of F_p^2 of the given sizes, one chunk per size;
-    counterexamples come in (size, row) order.
-
-    The calling process finds each size's tiling complements
-    (_class_complements) and passes them in the chunk.  A size that both
-    size filters reject builds no set and is no chunk: its sets count
-    here as searched once and rejected.
-    """
-    p = spc.p
-    searched = [s for s in sizes
-                if s in allowed_spectral_sizes(spc) or size_can_tile(spc, s)]
-    anchored = {s: math.comb(p * p - 1, s - 1) for s in sizes}
-    per_size, cex = {}, []
-    if searched:
-        plane_word_table(p, 2), direction_masks(p, 2)
-        chunks = [(p, s, _class_complements(p, s)) for s in searched]
-        _, per_size, cex = _sweep(_class_chunk, chunks, workers,
-                                  sum(anchored[s] for s in searched))
-    per_size.update((str(s), {"anchored": anchored[s], "searched": anchored[s],
-                              "spectral": 0, "tiles": 0})
-                    for s in sizes if s not in searched)
-    # blocks take whole classes; the sort restores the order of the sets
-    cex.sort(key=lambda c: (len(c["set"]), c["set"]))
-    return per_size, cex
+            out[members] = np.sort(linear[maps[members, None], complement],
+                                   axis=1)
+    return out[cls]
 
 
 @lru_cache(maxsize=None)
@@ -997,107 +878,117 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     """Spectral-versus-tile sweeps over small spaces.
 
     (3,2) and (5,2): every subset of the given sizes, both predicates,
-    assert the equivalence.  Both predicates are translation invariant,
-    so the sweep reads the subsets through the origin, one chunk per
-    size, in blocks of whole translation classes keyed once in the
-    calling process (_translation_classes), whose number must match
-    translation_class_counts (_plane_sweep).  (3,2) reports every count
-    as over all subsets (_per_set) and a counterexample with all its
-    translates; (5,2) reports the sets through the origin, its
-    translation-anchored representatives.  (3,3): size 6 only, assert no
-    spectra exist, read from the sets through the origin in two passes
-    (_fug33_search): the calling process keys each set by its zero
-    directions, and one chunk searches the distinct keys.
+    assert the equivalence.  (3,3): size 6 only, which cannot tile, so
+    assert no spectra exist.  Both predicates are translation invariant,
+    so the sweep reads the subsets through the origin, one chunk per size
+    (_size_chunk).  The chunk keys every set of its size by its zero
+    directions and runs the clique stage once per distinct key, over the
+    whole size, and it checks each set against its own tiling complement.
+    The calling process finds those complements (_row_complements): it
+    keys the translation classes, whose number must match
+    translation_class_counts, and runs one batched tiling search over
+    the affine orbits of classes, whose number must match
+    affine_class_counts; a class's complement is its orbit's mapped by a
+    linear map.  Every witness is then checked against its own set, both
+    ways, in blocks of rows.  Reports count per set, as a per-set search
+    would.  A size that both size filters reject builds no set: the
+    calling process counts its sets as searched once and rejected, so
+    such a size is no chunk.
 
-    The spectral clique stage runs once per distinct zero set: per
-    block in (3,2) and (5,2), once in all in (3,3).  In (3,2) and (5,2)
-    the tiling search runs once per affine orbit of translation classes,
-    whose number must match affine_class_counts, all orbits of a size in
-    one batched search in the calling process; a class's complement is
-    its orbit's mapped by a linear map (_class_complements).  Every
-    witness is then checked against its own set, both ways: spectra in
-    one _validate_witness_rows call per block (per sweep in (3,3), every
-    translate included), each tiling class member against its class's
-    complement in one tiling_pair_rows call each way per block.  Reports
-    count per set, as a per-set search would.  In (3,2) and (5,2) a size
-    that both size filters reject builds no set: the calling process
-    counts its sets as searched once and rejected, so such a size is no
-    chunk.  Raises SweepBudgetError if a search runs out of budget.
+    (3,3) reports every count as over all six-sets (_per_set) and a
+    spectral set with all its translates, each verified against its own
+    set; (3,2) reports every count as over all subsets and a
+    counterexample with all its translates; (5,2) reports the sets
+    through the origin, its translation-anchored representatives.
+    Raises SweepBudgetError if a search runs out of budget.
     """
     t0 = perf_counter()
     sizes = tuple(sorted(int(s) for s in sizes))
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"sizes repeat: {list(sizes)}")
-    key = (p, d)
-    if key == (3, 3):
-        if sizes != (6,):
-            raise ValueError("F_3^3 sweep supports size 6 only")
-        *counts, wits = _fug33_search(workers)
+    if (p, d) not in ((3, 3), (3, 2), (5, 2)):
+        raise ValueError(f"unsupported sweep ({p}, {d})")
+    if (p, d) == (3, 3) and sizes != (6,):
+        raise ValueError("F_3^3 sweep supports size 6 only")
+    spc = Space(p, d)
+    n = spc.order
+    if not sizes or not all(1 <= s <= n for s in sizes):
+        raise ValueError(f"F_{p}^{d} sweep needs sizes within 1..{n}")
+    searched = [s for s in sizes
+                if s in allowed_spectral_sizes(spc) or size_can_tile(spc, s)]
+    anchored = {s: math.comb(n - 1, s - 1) for s in sizes}
+    nodes, per_size, cex = 0, {}, []
+    if searched:
+        plane_word_table(p, d), direction_masks(p, d)
+        chunks = [(p, d, s, _row_complements(p, s)
+                   if size_can_tile(spc, s) else None) for s in searched]
+        _, nodes, per_size, cex = _sweep(_size_chunk, chunks, workers,
+                                         sum(anchored[s] for s in searched))
+    per_size.update((str(s), {"anchored": anchored[s], "searched": anchored[s],
+                              "spectral": 0, "tiles": 0})
+                    for s in sizes if s not in searched)
+
+    if d == 3:
         # translation invariant: counted over the sets through the origin
-        total, searched, nodes = (_per_set(c, 27, 6) for c in counts)
-        wits = _translates(3, 3, wits)
+        total, searched, nodes = (
+            _per_set(c, n, 6)
+            for c in (per_size["6"]["anchored"], per_size["6"]["searched"],
+                      nodes))
+        wits = _translates(3, 3, [{"set": c["set"], "spectrum": c["spectrum"]}
+                                  for c in cex])
         if wits:
             _validate_witness_rows(3, 3, [w["set"] for w in wits],
                                    [w["spectrum"] for w in wits])
-        cex = _coord_cex(3, 3, wits)
         details = {
             "sizes": {"6": {
                 "sets": total,
                 "immediate_none": total - searched,
                 "searched": searched,
-                "spectral": len(cex),
+                "spectral": len(wits),
                 "nodes": nodes,
             }},
             "pruning": "off",
         }
         return LemmaReport(
             "fuglede-3-3", "6-point subsets of F_3^3", total, "none", total,
-            cex, details, round(perf_counter() - t0, 3), workers)
+            _coord_cex(3, 3, wits), details, round(perf_counter() - t0, 3),
+            workers)
 
-    if key in ((3, 2), (5, 2)):
-        spc = Space(p, d)
-        if not sizes or not all(1 <= s <= spc.order for s in sizes):
-            raise ValueError(
-                f"F_{p}^{d} sweep needs sizes within 1..{spc.order}")
-        per_size, cex = _plane_sweep(spc, sizes, workers)
-    if key == (3, 2):
+    cex = [{k: c[k] for k in ("set", "spectral", "tile")} for c in cex]
+    if p == 3:
         # translation invariant: counted over the sets through the origin
         per_size = {k: {"sets": _per_set(c["anchored"], 9, int(k)),
                         "spectral": _per_set(c["spectral"], 9, int(k)),
                         "tiles": _per_set(c["tiles"], 9, int(k))}
                     for k, c in per_size.items()}
-        cex = _translates(3, 2, cex)
         card = sum(math.comb(9, s) for s in sizes)
         details = {"sizes": per_size, "pruning": "off"}
         return LemmaReport(
             "fuglede-3-2",
             f"subsets of F_3^2 of sizes {list(sizes)}",
-            card, "none", card, _coord_cex(3, 2, cex), details,
-            round(perf_counter() - t0, 3), workers)
+            card, "none", card, _coord_cex(3, 2, _translates(3, 2, cex)),
+            details, round(perf_counter() - t0, 3), workers)
 
-    if key == (5, 2):
-        details = {
-            "sizes": per_size,
-            "pruning": "off",
-            "affine_classes": {
-                str(s): c for s, c in affine_class_counts(5, 2, sizes).items()
-            },
-            "translation_classes": {
-                str(s): c
-                for s, c in translation_class_counts(5, 2, sizes).items()
-            },
-        }
-        card = sum(math.comb(25, s) for s in sizes)
-        return LemmaReport(
-            "fuglede-5-2",
-            f"translation-anchored subsets of F_5^2 of sizes {list(sizes)}",
-            card,
-            "translations of F_5^2, order 25",
-            sum(math.comb(24, s - 1) for s in sizes),
-            _coord_cex(5, 2, cex), details,
-            round(perf_counter() - t0, 3), workers)
-
-    raise ValueError(f"unsupported sweep ({p}, {d})")
+    details = {
+        "sizes": per_size,
+        "pruning": "off",
+        "affine_classes": {
+            str(s): c for s, c in affine_class_counts(5, 2, sizes).items()
+        },
+        "translation_classes": {
+            str(s): c
+            for s, c in translation_class_counts(5, 2, sizes).items()
+        },
+    }
+    card = sum(math.comb(25, s) for s in sizes)
+    return LemmaReport(
+        "fuglede-5-2",
+        f"translation-anchored subsets of F_5^2 of sizes {list(sizes)}",
+        card,
+        "translations of F_5^2, order 25",
+        sum(anchored.values()),
+        _coord_cex(5, 2, cex), details,
+        round(perf_counter() - t0, 3), workers)
 
 
 # ---------------------------------------------------------------------------

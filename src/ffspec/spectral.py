@@ -19,11 +19,11 @@ Everything after the zero set, that is the candidate list, adjacency,
 degree order and clique search, is a function of (zero set, size,
 budget) alone.  That clique stage is memoized per process, so sets that
 share a zero set (all translates of a set, and most sets of a sweep)
-search once; the exhaustive sweeps also group their sets by zero set
-and call it once per group.  Witness validation is not shared: every
-witness is re-verified against its own set, by both routes and both
-ways, on a cache hit too; a sweep checks all the witnesses of a chunk
-in one batched call.
+search once; the exhaustive sweeps also key every set of a size by its
+zero set and call it once per distinct key.  Witness validation is not
+shared: every witness is re-verified against its own set, by both
+routes and both ways, on a cache hit too; a sweep checks the witnesses
+of a block of rows in one batched call.
 """
 from __future__ import annotations
 

@@ -191,6 +191,10 @@ class TestReportPath:
         code, out, err = run_cli(self.argv(cmd, line_file, tmp_path), capsys)
         assert code == 1 and out == ""
         assert err == f"error: report path {tmp_path} is a directory\n"
+        # an empty path names the working directory
+        code, out, err = run_cli(self.argv(cmd, line_file, ""), capsys)
+        assert code == 1 and out == ""
+        assert err == "error: report path . is a directory\n"
         # a directory without write access; os.access is patched because
         # a root process may write anywhere
         monkeypatch.setattr(cli.os, "access", lambda path, mode: False)

@@ -25,12 +25,12 @@ from ffspec.lemmas import (
     _decode_profile,
     _fillings,
     _fold,
-    _fug33_chunk,
-    _fug33_search,
     _per_set,
     _planar_chunk,
     _planar_eval,
     _proj21_chunk,
+    _row_triple_orbits,
+    _size_chunk,
     _slab_chunk,
     _sweep,
     _through_origin,
@@ -331,7 +331,8 @@ class TestTailWords:
 
     def test_f33_rows(self):
         n = math.comb(26, 5)
-        assert np.array_equal(subset_words(3, 3, *lemmas._F33_SETS, 0, n),
+        assert np.array_equal(subset_words(3, 3, *lemmas._origin_sets(3, 3, 6),
+                                           0, n),
                               plane_words(3, 3, _through_origin(27, 6)))
         # any range of combination_array(27, 6), across runs and past
         # its end
@@ -342,9 +343,11 @@ class TestTailWords:
             assert np.array_equal(got, plane_words(3, 3, full[lo:hi])), lo
 
     def test_f33_keys_are_the_zero_directions(self):
-        zero = zero_directions(3, 3, _through_origin(27, 6))   # (13, n)
-        want = (1 << np.arange(13)) @ zero
-        assert lemmas._f33_keys().tolist() == want.tolist()
+        # the keys of every fuglede sweep's largest searched size
+        for p, d, size in [(3, 3, 6), (5, 2, 5), (3, 2, 3)]:
+            zero = zero_directions(p, d, _through_origin(p ** d, size))
+            want = (1 << np.arange(len(zero))) @ zero      # (n_dirs, n)
+            assert lemmas._zero_keys(p, d, size).tolist() == want.tolist()
 
 
 class TestProj21:
@@ -358,12 +361,26 @@ class TestProj21:
             assert sorted(row.tolist()) == _decode_profile(code)
 
     def test_single_chunk(self):
-        raw, weighted, hist, profiles, cex = _proj21_chunk(((0, 1, 2), 0, 2))
+        functions, weighted, hist, profiles, cex = _proj21_chunk(
+            ((0, 1, 2), 0, 2))
         assert cex == []
-        assert raw > 0 and weighted >= raw
+        # both representatives, each weighed by its two orbits, times
+        # every filling of the other two rows
+        _, wts = lemmas._f1_orbit_reps()
+        assert functions == (dict(_row_triple_orbits())[(0, 1, 2)]
+                             * int(wts[:2].sum()) * 1128 ** 2)
+        assert 0 < weighted < functions
         assert all(int(hist[k]) == 0 for k in range(3, 8))
         for prof in profiles:
             assert all(sum(_decode_profile(c)) == 7 for c in prof)
+
+    def test_skipped_representatives_fail_count(self, monkeypatch):
+        # chunks that skip the representatives of their blocks enumerate
+        # no function
+        monkeypatch.setattr(lemmas, "_proj21_chunk",
+                            lambda args: _proj21_chunk((*args[:2], args[1])))
+        with pytest.raises(InternalCheckError, match="enumerated 0 sets"):
+            lemmas.verify_proj21()
 
     # the first representative has a value 3; the last, (1, ..., 1), has
     # none, so only there does the chunk ask the other rows for a 3
@@ -408,7 +425,7 @@ class TestProj21:
                 for t in np.unique(np.sort(np.concatenate(trips), axis=1),
                                    axis=0)}
         got = _proj21_chunk((rows, lo, lo + 1))
-        assert got[0] == raw > 0
+        assert raw > 0 and got[0] == w1 * 1128 ** 2
         assert got[1] == w1 * raw
         assert got[2].tolist() == hist.tolist()
         assert got[3] == want
@@ -656,18 +673,25 @@ class TestFugledeSweeps:
         pytest.param(p, change, id=name + suffix)
         for p, suffix in [(5, ""), (3, "-p3")]
         for name, change in [
-            ("drop-one", lambda classes: classes[1:]),
-            ("merge-two",
-             lambda classes: [np.concatenate(classes[:2])] + classes[2:])]])
+            # (key, the key it becomes): the first class joins the last,
+            # or the second the first
+            ("drop-one", lambda keys: (keys[0], keys[-1])),
+            ("merge-two", lambda keys: (keys[1], keys[0]))]])
     def test_f52_classes_cross_checked(self, monkeypatch, p, change):
         # the keyed classes must number what Burnside's count gives
         want = {3: [1, 4, 12, 14, 14, 12, 4, 1, 1],
                 5: [1, 12, 92, 506, 2130, 7084]}[p]
-        assert [len(lemmas._translation_classes(p, s))
+        assert [len(lemmas._translation_classes(p, s)[0])
                 for s in range(1, len(want) + 1)] == want
-        real = lemmas._groups
-        monkeypatch.setattr(lemmas, "_groups",
-                            lambda keys: (real(keys)[0], change(real(keys)[1])))
+        # two classes of 3-sets share a key
+        real = lemmas._translation_keys
+        old, new = change(np.unique(real(p, _through_origin(p * p, 3))))
+
+        def shared(p, rows):
+            keys = real(p, rows)
+            return np.where(keys == old, new, keys)
+
+        monkeypatch.setattr(lemmas, "_translation_keys", shared)
         lemmas._translation_classes.cache_clear()
         try:
             with pytest.raises(InternalCheckError, match=(
@@ -729,11 +753,11 @@ def cold_caches():
 class TestGroupedSweeps:
     def test_fug33_chunk_matches_per_row_search(self, monkeypatch):
         # rows [lo, hi) of the six-sets through the origin, searched one
-        # by one, against a chunk of their distinct keys
+        # by one, against one search of their distinct keys
         lo, hi = 32000, 35000
         space = Space(3, 3)
         dmasks = direction_masks(3, 3)
-        keys = lemmas._f33_keys()[lo:hi]
+        keys = lemmas._zero_keys(3, 3, 6)[lo:hi]
         total = searched = nodes = 0
         zero_sets = set()
         for row, key in zip(_through_origin(27, 6)[lo:hi], keys.tolist()):
@@ -752,69 +776,79 @@ class TestGroupedSweeps:
             nodes += cert.nodes_explored
         calls = _counting(monkeypatch, "_clique_in_zero_set")
         uniq, counts = np.unique(keys, return_counts=True)
-        assert _fug33_chunk((uniq, counts)) == (total, searched, nodes, {})
+        got = lemmas._search_keys(space, 6, uniq.tolist(), counts.tolist())
+        assert (int(counts.sum()), *got) == (total, searched, nodes, {})
         assert searched and nodes
         # one clique stage per distinct zero set of the searched rows
         assert sorted(c[1] for c in calls) == sorted(zero_sets)
         assert {c[2] for c in calls} == {6}
 
+    @pytest.mark.parametrize("p,d,size,stages", [
+        (3, 3, 6, 377), (5, 2, 5, 27), (3, 2, 3, 8)])
     def test_fug33_one_clique_stage_per_zero_set(self, monkeypatch,
-                                                 cold_caches):
-        # the zero sets of 5 or more points among the explicit rows
-        zero = np.unique(zero_directions(3, 3, _through_origin(27, 6)).T,
-                         axis=0)
-        want = {sum(itertools.compress(direction_masks(3, 3), z))
-                for z in zero if 2 * z.sum() >= 5}
+                                                 cold_caches, p, d, size,
+                                                 stages):
+        # the zero sets of size - 1 or more points among the explicit
+        # rows, searched once each over the whole size
+        zero = np.unique(
+            zero_directions(p, d, _through_origin(p ** d, size)).T, axis=0)
+        want = {sum(itertools.compress(direction_masks(p, d), z))
+                for z in zero if (p - 1) * z.sum() >= size - 1}
         calls = _counting(monkeypatch, "_clique_in_zero_set")
-        rep = verify_fuglede_small(3, 3, (6,))
-        assert len(calls) == len(want) == 377
+        rep = verify_fuglede_small(p, d, (size,))
+        assert len(calls) == len(want) == stages
         assert {c[1] for c in calls} == want
-        assert rep.details["sizes"]["6"] == {
-            "sets": 296010, "immediate_none": 206388, "searched": 89622,
-            "spectral": 0, "nodes": 105174}
+        if d == 3:
+            assert rep.details["sizes"]["6"] == {
+                "sets": 296010, "immediate_none": 206388,
+                "searched": 89622, "spectral": 0, "nodes": 105174}
 
     def test_fug33_key_chunks_independent_of_workers(self, monkeypatch,
                                                      cold_caches,
                                                      fork_count):
-        seen = []
-        real = lemmas._sweep
+        seen, searches = [], []
+        real, search = lemmas._sweep, lemmas._search_keys
 
-        def sweep(fn, chunks, workers, expected=None):
-            seen.append([(k.tolist(), c.tolist()) for k, c in chunks])
+        def sweep(fn, chunks, workers, expected):
+            seen.append(chunks)
             return real(fn, chunks, workers, expected)
 
+        def search_keys(spc, size, keys, counts):
+            searches.append((keys, counts))
+            return search(spc, size, keys, counts)
+
         monkeypatch.setattr(lemmas, "_sweep", sweep)
+        monkeypatch.setattr(lemmas, "_search_keys", search_keys)
         one = verify_fuglede_small(3, 3, (6,), workers=1)
         assert fork_count() == 0
         cold_caches()
         two = verify_fuglede_small(3, 3, (6,), workers=2)
-        # both passes run in this process: the keys are one chunk
+        # the size is one chunk, run in this process, which searches
+        # the distinct keys of all its rows at once
         assert fork_count() == 0
-        assert seen[0] == seen[1]
-        keys = [k for chunk, _ in seen[0] for k in chunk]
+        assert seen[0] == seen[1] == [(3, 3, 6, None)]
+        assert searches[0] == searches[1]
+        keys, counts = searches[0]
         assert keys == sorted(set(keys)) and len(keys) == 469
-        assert sum(sum(c) for _, c in seen[0]) == math.comb(26, 5)
+        assert sum(counts) == math.comb(26, 5)
         assert one.result_dict() == two.result_dict()
 
     def test_fug33_key_pass_forks_nothing(self, fork_count, traced_peak):
-        subset_words(3, 3, *lemmas._F33_SETS, 0, 0)   # warms the tables
+        subset_words(3, 3, *lemmas._origin_sets(3, 3, 6), 0, 0)   # warm
         n = len(_through_origin(27, 6))
         # 16-bit keys (132 kB) and one WORD_BLOCK of words (213 kB);
         # int64 keys alone would take 526 kB
-        assert traced_peak(lemmas._f33_keys) < 4.5e5
+        assert traced_peak(lemmas._zero_keys, 3, 3, 6) < 4.5e5
         assert fork_count() == 0
-        keys = lemmas._f33_keys()
+        keys = lemmas._zero_keys(3, 3, 6)
         assert keys.dtype == np.uint16 and keys.shape == (n,)
 
     def test_fug33_chunk_miscount_raises(self, monkeypatch):
-        # a chunk that loses one key's rows fails the sweep's count
-        real = lemmas._fug33_chunk
-
-        def dropping(args):
-            keys, counts = args
-            return real((keys[1:], counts[1:]))
-
-        monkeypatch.setattr(lemmas, "_fug33_chunk", dropping)
+        # a chunk that loses the rows of its last point fails the
+        # sweep's count
+        monkeypatch.setattr(lemmas, "_origin_sets",
+                            lambda p, d, size: ((0,), range(1, p ** d - 1),
+                                                size - 1))
         with pytest.raises(InternalCheckError, match="enumerated"):
             verify_fuglede_small(3, 3, (6,))
 
@@ -862,44 +896,33 @@ class TestGroupedSweeps:
             verify_fuglede_small(p, 2, (size,))
 
     def test_false_class_complement_fails_member_check(self, monkeypatch):
-        # class 0 is the line {0, ..., 4}; given itself as complement it
-        # covers the line 5 times and nothing else
-        assert _through_origin(25, 5)[
-            lemmas._translation_classes(5, 5)[0]].tolist() == [[0, 1, 2, 3, 4]]
-        real = lemmas._class_complements
+        # row 0 is the line {0, ..., 4}, the first set of class 0; given
+        # itself as complement it covers the line 5 times and nothing else
+        first, cls = lemmas._translation_classes(5, 5)
+        assert first[0] == cls[0] == 0
+        assert _through_origin(25, 5)[0].tolist() == [0, 1, 2, 3, 4]
+        real = lemmas._row_complements
 
         def false(p, size):
             out = real(p, size)
             out[0] = [0, 1, 2, 3, 4]
             return out
 
-        monkeypatch.setattr(lemmas, "_class_complements", false)
+        monkeypatch.setattr(lemmas, "_row_complements", false)
         with pytest.raises(InternalCheckError, match=(
                 r"complement fails on member set \[0, 1, 2, 3, 4\]")):
             verify_fuglede_small(5, 2, (5,))
 
-    def test_f52_blocks_hold_whole_classes(self, monkeypatch, fork_count):
-        # size 5 is one chunk, run in this process; it checks its
-        # classes _CLASS_BLOCK at a time, each class in one block
-        chunks = _counting(monkeypatch, "_class_chunk")
-        real = lemmas._spectral_vs_tile
-        pts = O.all_points(5, 2)
-        per_block = []
-
-        def block(spc, rows, classes, complements):
-            per_block.append([
-                O.translation_min_mask(5, 2, [pts[i] for i in row])
-                for row in rows.tolist()])
-            return real(spc, rows, classes, complements)
-
-        monkeypatch.setattr(lemmas, "_spectral_vs_tile", block)
+    def test_size_chunk_scratch_is_one_check_block(self, fork_count,
+                                                   traced_peak):
+        # size 5 is one chunk, run in this process; it checks its 3,426
+        # spectral and tiling rows _CHECK_BLOCK at a time, where all of
+        # them at once took 9.0 MB
+        args = (5, 2, 5, lemmas._row_complements(5, 5))
+        _size_chunk(args)                  # warms the tables and the memo
+        assert traced_peak(_size_chunk, args) < 2e6
         verify_fuglede_small(5, 2, (5,), workers=2)
-        assert len(chunks) == 1 and fork_count() == 0
-        assert len(per_block) == 9 == math.ceil(2130 / lemmas._CLASS_BLOCK)
-        assert sum(map(len, per_block)) == math.comb(24, 4)
-        per_class = [set(keys) for keys in per_block]
-        assert sum(map(len, per_class)) == len(set().union(*per_class)) \
-            == translation_class_counts(5, 2, (5,))[5] == 2130
+        assert fork_count() == 0
 
     def test_small_sweeps_fork_nothing(self, fork_count):
         # slab-p3, fuglede-3-3 and fuglede-5-2 are one chunk each at two
@@ -1135,8 +1158,15 @@ def _result_sha256(rep) -> str:
 def _full_enumeration(monkeypatch):
     """Point the F_3^3 sweeps at all 296,010 six-sets instead of those
     through the origin; returns their number."""
-    monkeypatch.setattr(lemmas, "_F33_SETS", ((), range(27), 6))
+    monkeypatch.setattr(lemmas, "_origin_sets",
+                        lambda p, d, size: ((), range(p ** d), size))
     return math.comb(27, 6)
+
+
+def _f33_counts():
+    """(sets, searched sets, nodes) of the fuglede-3-3 chunk."""
+    sets, nodes, per_size, _ = _size_chunk((3, 3, 6, None))
+    return sets, per_size["6"]["searched"], nodes
 
 
 class TestOriginSweeps:
@@ -1151,12 +1181,12 @@ class TestOriginSweeps:
 
     def test_counts_weigh_to_the_full_enumeration(self, monkeypatch):
         n = math.comb(26, 5)
-        slab, f33 = _slab_chunk((0, n)), _fug33_search(1)
+        slab, f33 = _slab_chunk((0, n)), _f33_counts()
         full = _full_enumeration(monkeypatch)
-        full_slab, full_f33 = _slab_chunk((0, full)), _fug33_search(1)
+        full_slab, full_f33 = _slab_chunk((0, full)), _f33_counts()
         assert full_slab[:2] == (296010, 203346)
         assert full_slab[:2] == tuple(_per_set(c, 27, 6) for c in slab[:2])
-        assert full_f33[:3] == tuple(_per_set(c, 27, 6) for c in f33[:3])
+        assert full_f33 == tuple(_per_set(c, 27, 6) for c in f33)
 
     @pytest.mark.parametrize("n", [1, 3, 65779])
     def test_per_set_rejects_fractional_weights(self, n):
@@ -1197,7 +1227,8 @@ class TestOriginSweeps:
         rep = verify_fuglede_small(3, 3, (6,))
         last = validated[-1]
         _full_enumeration(monkeypatch)
-        _, _, _, want = _fug33_search(1)
+        *_, cex = _size_chunk((3, 3, 6, None))
+        want = [{"set": c["set"], "spectrum": c["spectrum"]} for c in cex]
         assert len(want) == rep.details["sizes"]["6"]["spectral"] == 468
         assert rep.counterexamples == _coord_cex(3, 3, want)
         # every translate is validated, in one call
