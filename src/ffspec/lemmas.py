@@ -27,7 +27,7 @@ Every verifier runs through one driver, _sweep.  Its contract:
   every set of the size by its zero directions and searches each
   distinct key once, and it checks each set against its own tiling
   complement, which the calling process finds with one tiling search per
-  affine orbit of translation classes (_row_complements).
+  affine orbit of the sets through the origin (_row_complements).
 
 The deterministic part of a report is therefore identical no matter how
 many workers ran it.
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
@@ -164,7 +165,7 @@ def _sweep(fn, chunks: list, workers: int, expected: int) -> list:
     total = _fold_all(run_chunks(fn, chunks, workers))
     if total[0] != expected:
         raise InternalCheckError(
-            f"{fn.__name__} enumerated {total[0]} sets, expected {expected}")
+            f"{fn.__name__} enumerated {total[0]}, expected {expected}")
     return total
 
 
@@ -286,15 +287,16 @@ def _planar_report(lemma_id, set_size, mode, workers):
     card = math.comb(49, set_size)
     if mode == "reduced":
         # |AGL(2,7)| = 49 * 48 * 42
-        anchor, group = _ANCHOR, "AGL(2,7), order 98784, anchored triangle"
-        extra = {"anchor": _coord_rows(7, 2, _ANCHOR)}
+        group = "AGL(2,7), order 98784, anchored triangle"
+        anchor, r = _ANCHOR, set_size - len(_ANCHOR)
+        points = tuple(i for i in range(49) if i not in anchor)
+        extra = {"anchor": _coord_rows(7, 2, anchor)}
     elif mode == "direct":
         # collinearity and directions are translation invariant
-        anchor, group, extra = (0,), "none", {}
+        anchor, points, r = _origin_sets(7, 2, set_size)
+        group, extra = "none", {}
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    points = tuple(i for i in range(49) if i not in anchor)
-    r = set_size - len(anchor)
     rows = math.comb(len(points), r)
     subset_words(7, 2, anchor, points, r, 0, 0)  # built before workers fork
     chunks = [(anchor, points, r, lo, hi)
@@ -684,105 +686,79 @@ def _size_chunk(args):
         "spectral": int(spectral.sum()), "tiles": int(tiles.sum())}}, cex
 
 
-# rows per _translation_keys call
-_KEY_BLOCK = 1 << 11
 # maps per _cycle_type_counts block: a few hundred kB of scratch at p = 7
 _MAP_BLOCK = 1 << 10
 
 
-def _translation_keys(p: int, rows: np.ndarray) -> np.ndarray:
-    """The least bitmask among the translates E - e, e in E, of each
-    index row E of F_p^2: the sets through the origin of E's class, so
-    the key is the same for every set of one translation class."""
-    # [r, j, i]: point e_i - e_j of the translate E_r - e_j
-    moved = difference(p, 2, rows[:, None, :], rows[:, :, None])
-    return (np.int64(1) << moved).sum(axis=2).min(axis=1)
-
-
-@lru_cache(maxsize=None)
-def _translation_classes(p: int, size: int) -> tuple:
-    """(first, class), read-only: each translation class's first row in
-    _through_origin(p^2, size), and each row's class.
-
-    Classes come in the order of their keys (_translation_keys), and
-    must number translation_class_counts, Burnside's count of them.
-    """
-    rows = _through_origin(p * p, size)
-    keys = np.concatenate([_translation_keys(p, rows[a:b])
-                           for a, b in _blocks(len(rows), _KEY_BLOCK)])
-    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
-    want = translation_class_counts(p, 2, (size,))[size]
-    if len(first) != want:
-        raise InternalCheckError(f"keyed {len(first)} translation classes "
-                                 f"of {size}-sets, expected {want}")
-    first.flags.writeable = cls.flags.writeable = False
-    return first, cls
-
-
 def _affine_orbits(p: int, size: int) -> tuple:
-    """(representatives, orbit, map) of the classes of
-    _translation_classes(p, size) under the linear maps x -> Mx, rows of
-    affine_permutation_array(p, 2)[::p^2]: the first class of each
-    orbit, and per class its orbit's position and a map M that takes the
-    first set of its orbit's representative into the class.
+    """(representatives, orbit, map) of the rows of _through_origin(p^2,
+    size) under the affine maps of F_p^2: the first row of each orbit,
+    and per row its orbit's position and a linear map x -> Mx, a row of
+    affine_permutation_array(p, 2)[::p^2], with R = M(rep) - e for some
+    point e of M(rep).
 
-    Classes are visited in order.  The first one with no orbit yet maps
-    its first set by every M and keys each image as
-    _translation_classes does; every class hit joins its orbit, with the
-    first map that hits it.
+    The sets through 0 of the affine class of a row are the sets ME - e,
+    e in ME, so one pass finds every orbit.  Every row is keyed by its
+    bitmask once.  The first row with no orbit yet is mapped by every M,
+    each image is translated by each of its own points, and every row
+    hit joins the orbit, with the first map that hits it.
     """
-    first, _ = _translation_classes(p, size)
     rows = _through_origin(p * p, size)
-    keys = _translation_keys(p, rows[first])                # ascending
+    keys = (np.int64(1) << rows).sum(axis=1)
+    order = np.argsort(keys)
+    keys = keys[order]
     linear = affine_permutation_array(p, 2)[::p * p]
-    orbit = np.full(len(first), -1)
-    maps = np.zeros(len(first), dtype=np.intp)
+    orbit = np.full(len(rows), -1)
+    maps = np.zeros(len(rows), dtype=np.intp)
     reps = []
-    for c in range(len(first)):
-        if orbit[c] >= 0:
-            continue
-        images = _translation_keys(p, linear[:, rows[first[c]]])
-        hit = np.searchsorted(keys, images).clip(max=len(keys) - 1)
-        hit, at = np.unique(hit, return_index=True)
-        if (keys[hit] != images[at]).any() or (orbit[hit] >= 0).any():
-            raise InternalCheckError(f"class {c} of {size}-sets maps outside "
-                                     "the keyed classes or into another orbit")
-        orbit[hit], maps[hit] = len(reps), at
-        reps.append(c)
+    while (free := orbit < 0).any():
+        r = int(free.argmax())
+        images = linear[:, rows[r]]
+        # [m, j, i]: point i minus point j of image m; the keys of the
+        # translates come map by map, size of them per map
+        moved = difference(p, 2, images[:, None, :], images[:, :, None])
+        hits = (np.int64(1) << moved).sum(axis=2).ravel()
+        at = np.searchsorted(keys, hits).clip(max=len(keys) - 1)
+        if (keys[at] != hits).any():
+            raise InternalCheckError(f"row {r} of {size}-sets maps outside "
+                                     "the rows")
+        hit, first = np.unique(order[at], return_index=True)
+        if (orbit[hit] >= 0).any():
+            raise InternalCheckError(f"row {r} of {size}-sets maps into "
+                                     "another orbit")
+        orbit[hit], maps[hit] = len(reps), first // size
+        reps.append(r)
     return reps, orbit, maps
 
 
 def _row_complements(p: int, size: int) -> np.ndarray:
     """(rows, p^2 / size) int16: the tiling complement of each row of
     _through_origin(p^2, size), as sorted point indices, or -1 where the
-    row does not tile; one tiling search per affine orbit of translation
-    classes, for a size that can tile.
+    row does not tile; one tiling search per affine orbit, for a size
+    that can tile.
 
-    A complement A of one member R = E + t of a class tiles with every
-    member E too, since E + A = R + A - t, and tiling commutes with
-    invertible linear maps: if R + A = F_p^2 exactly, so does MR + MA.
-    The orbits (_affine_orbits) must number affine_class_counts.  One
-    tiling_search_rows call searches the first set R of each orbit's
-    representative, a class that M reaches from R gets MA, and each row
-    its class's.  Complements leave here unchecked; _size_chunk checks
-    each row against its own, both ways.
+    Tiling commutes with invertible linear maps and with translations:
+    if R + A = F_p^2 exactly, so does (MR - e) + MA.  The orbits
+    (_affine_orbits) must number affine_class_counts.  One
+    tiling_search_rows call searches each orbit's representative R, and
+    a row that M reaches from R gets MA.  Complements leave here
+    unchecked; _size_chunk checks each row against its own, both ways.
     """
-    first, cls = _translation_classes(p, size)
     reps, orbit, maps = _affine_orbits(p, size)
     want = affine_class_counts(p, 2, (size,))[size]
     if len(reps) != want:
         raise InternalCheckError(f"found {len(reps)} affine orbits of "
                                  f"{size}-sets, expected {want}")
-    rows = _through_origin(p * p, size)[first[reps]]
+    rows = _through_origin(p * p, size)
     linear = affine_permutation_array(p, 2)[::p * p]
-    out = np.full((len(first), p * p // size), -1, dtype=np.int16)
+    out = np.full((len(rows), p * p // size), -1, dtype=np.int16)
     for o, (verdict, complement, _) in enumerate(
-            tiling_search_rows(p, 2, rows, _BUDGET)):
+            tiling_search_rows(p, 2, rows[reps], _BUDGET)):
         if _found(verdict):
             members = np.flatnonzero(orbit == o)
             out[members] = np.sort(linear[maps[members, None], complement],
                                    axis=1)
-    return out[cls]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -884,16 +860,15 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     (_size_chunk).  The chunk keys every set of its size by its zero
     directions and runs the clique stage once per distinct key, over the
     whole size, and it checks each set against its own tiling complement.
-    The calling process finds those complements (_row_complements): it
-    keys the translation classes, whose number must match
-    translation_class_counts, and runs one batched tiling search over
-    the affine orbits of classes, whose number must match
-    affine_class_counts; a class's complement is its orbit's mapped by a
-    linear map.  Every witness is then checked against its own set, both
-    ways, in blocks of rows.  Reports count per set, as a per-set search
-    would.  A size that both size filters reject builds no set: the
-    calling process counts its sets as searched once and rejected, so
-    such a size is no chunk.
+    The calling process finds those complements (_row_complements): one
+    pass groups the sets through the origin into affine orbits, whose
+    number must match affine_class_counts, and one batched tiling search
+    runs over the orbits' first sets; a set's complement is its orbit's
+    mapped by a linear map.  Every witness is then checked against its
+    own set, both ways, in blocks of rows.  Reports count per set, as a
+    per-set search would.  A size that both size filters reject builds
+    no set: the calling process counts its sets as searched once and
+    rejected, so such a size is no chunk.
 
     (3,3) reports every count as over all six-sets (_per_set) and a
     spectral set with all its translates, each verified against its own
@@ -903,7 +878,8 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     Raises SweepBudgetError if a search runs out of budget.
     """
     t0 = perf_counter()
-    sizes = tuple(sorted(int(s) for s in sizes))
+    p, d = operator.index(p), operator.index(d)
+    sizes = tuple(sorted(map(operator.index, sizes)))
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"sizes repeat: {list(sizes)}")
     if (p, d) not in ((3, 3), (3, 2), (5, 2)):
@@ -1072,6 +1048,7 @@ def falsify_random(p: int, d: int, size: int, trials: int, seed: int,
     chunk's PCG64 generator, read off its raw words (_choice_rows).
     """
     t0 = perf_counter()
+    size, trials = operator.index(size), operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     if size % p != 0 or not 2 <= size // p <= p - 1:

@@ -26,6 +26,10 @@ class Space:
     d: int
 
     def __post_init__(self):
+        # operator.index takes numpy integers and rejects 7.0 before any
+        # table is sized by it
+        object.__setattr__(self, "p", operator.index(self.p))
+        object.__setattr__(self, "d", operator.index(self.d))
         if self.p not in (3, 5, 7):
             raise ValueError(f"p must be the prime 3, 5 or 7, got {self.p}")
         if self.d not in (1, 2, 3):

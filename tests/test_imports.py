@@ -1,7 +1,8 @@
 """The package's import graph: every intra-package import sits at module
 level, the modules import each other without a cycle, every name a
-module or test file imports is used there, and importing the package
-loads no multiprocessing (run_chunks forks its workers itself)."""
+module or test file imports is used there, every private module-level
+name is used somewhere in the package, and importing the package loads
+no multiprocessing (run_chunks forks its workers itself)."""
 import ast
 import os
 import subprocess
@@ -102,3 +103,33 @@ def test_import_leaves_multiprocessing_out():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_private_names_are_used():
+    # a private module-level name that no module of the package loads,
+    # reads as an attribute or imports is left over from deleted code
+    trees = _trees()
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}.py:{node.lineno} {d}" for d in defined
+                       if d.startswith("_") and not d.startswith("__")
+                       and d not in used]
+    assert unused == []

@@ -38,9 +38,10 @@ from ffspec.lemmas import (
     translation_class_counts,
 )
 from ffspec.spectral import spectrum_search
-from ffspec.tables import (affine_permutation_array, combination_array,
-                           coords_matrix, direction_masks, direction_reps,
-                           plane_words, subset_words, uniform_word)
+from ffspec.tables import (add_table, affine_permutation_array,
+                           combination_array, coords_matrix, difference,
+                           direction_masks, direction_reps, plane_words,
+                           subset_words, uniform_word)
 
 
 class TestLm1:
@@ -379,8 +380,11 @@ class TestProj21:
         # no function
         monkeypatch.setattr(lemmas, "_proj21_chunk",
                             lambda args: _proj21_chunk((*args[:2], args[1])))
-        with pytest.raises(InternalCheckError, match="enumerated 0 sets"):
+        with pytest.raises(InternalCheckError,
+                           match="enumerated 0, expected") as err:
             lemmas.verify_proj21()
+        # field 0 counts weighted functions, not sets
+        assert "sets" not in str(err.value)
 
     # the first representative has a value 3; the last, (1, ..., 1), has
     # none, so only there does the chunk ask the other rows for a 3
@@ -616,10 +620,36 @@ class TestFugledeSweeps:
             with pytest.raises(ValueError, match="sizes repeat"):
                 verify_fuglede_small(p, d, sizes)
 
+    def test_non_integer_arguments_fail_before_work(self, monkeypatch):
+        # read as numbers, 7.0 would size a Space of order 343.0, 5.7 a
+        # sweep of size 5 and 21.0 a draw inside numpy's PCG64
+        def no_work(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(lemmas, "run_chunks", no_work)
+        with pytest.raises(TypeError):
+            Space(7.0, 3)
+        with pytest.raises(TypeError):
+            verify_fuglede_small(5, 2, (5.7,))
+        with pytest.raises(TypeError):
+            falsify_random(7, 3, 21.0, 10, 1)
+        # numpy integers are integers
+        spc = Space(np.int64(7), np.uint8(3))
+        assert spc == Space(7, 3) and type(spc.order) is int
+        monkeypatch.undo()
+        rep = verify_fuglede_small(np.int64(3), np.int8(2), (np.int16(3),))
+        assert rep.result_dict() == verify_fuglede_small(3, 2, (3,)).result_dict()
+
     def test_class_counts_match_oracle(self):
         assert translation_class_counts(5, 2, (1, 2, 3)) == {
             1: 1, 2: 12, 3: 92}
         assert translation_class_counts(5, 2, (5,))[5] == 2130
+        # values of keying every set through the origin by the least
+        # bitmask among its translates
+        assert list(translation_class_counts(3, 2, range(1, 10)).values()) \
+            == [1, 4, 12, 14, 14, 12, 4, 1, 1]
+        assert list(translation_class_counts(5, 2, range(1, 7)).values()) \
+            == [1, 12, 92, 506, 2130, 7084]
         assert affine_class_counts(5, 2, (1, 2, 3)) == {1: 1, 2: 1, 3: 2}
         assert affine_class_counts(3, 2, (3, 4)) == {3: 2, 4: 2}
 
@@ -668,37 +698,6 @@ class TestFugledeSweeps:
     def test_translation_count_oracle_size5(self):
         assert O.translation_class_count(5, 2, 2) == 12
         assert O.translation_class_count(5, 2, 3) == 92
-
-    @pytest.mark.parametrize("p,change", [
-        pytest.param(p, change, id=name + suffix)
-        for p, suffix in [(5, ""), (3, "-p3")]
-        for name, change in [
-            # (key, the key it becomes): the first class joins the last,
-            # or the second the first
-            ("drop-one", lambda keys: (keys[0], keys[-1])),
-            ("merge-two", lambda keys: (keys[1], keys[0]))]])
-    def test_f52_classes_cross_checked(self, monkeypatch, p, change):
-        # the keyed classes must number what Burnside's count gives
-        want = {3: [1, 4, 12, 14, 14, 12, 4, 1, 1],
-                5: [1, 12, 92, 506, 2130, 7084]}[p]
-        assert [len(lemmas._translation_classes(p, s)[0])
-                for s in range(1, len(want) + 1)] == want
-        # two classes of 3-sets share a key
-        real = lemmas._translation_keys
-        old, new = change(np.unique(real(p, _through_origin(p * p, 3))))
-
-        def shared(p, rows):
-            keys = real(p, rows)
-            return np.where(keys == old, new, keys)
-
-        monkeypatch.setattr(lemmas, "_translation_keys", shared)
-        lemmas._translation_classes.cache_clear()
-        try:
-            with pytest.raises(InternalCheckError, match=(
-                    f"keyed {want[2] - 1} translation classes")):
-                lemmas._translation_classes(p, 3)
-        finally:
-            lemmas._translation_classes.cache_clear()
 
     def test_f52_both_filtered_strata_pinned(self):
         # sizes 10, 15 and 20 fail both size filters in F_5^2; the hash
@@ -856,8 +855,8 @@ class TestGroupedSweeps:
                                                    cold_caches):
         calls = _counting(monkeypatch, "tiling_search_rows")
         rep = verify_fuglede_small(5, 2, (5,))
-        # one batched call, one row per affine orbit of the 2,130
-        # translation classes
+        # one batched call, one row per affine orbit of the 10,626 sets
+        # through the origin
         assert len(calls) == 1 and len(calls[0][2]) == 11
         assert rep.details["translation_classes"]["5"] == 2130
         assert rep.details["sizes"]["5"] == {
@@ -878,28 +877,75 @@ class TestGroupedSweeps:
         assert len({O.affine_min_image(perms, row)
                     for row in rows.tolist()}) == want
 
-    @pytest.mark.parametrize("p,size,want", [(5, 5, 11), (3, 3, 2)])
-    def test_split_orbit_fails_count(self, monkeypatch, p, size, want):
-        # the last class of the first orbit starts an orbit of its own
+    @pytest.mark.parametrize("p,size,want,change,found", [
+        pytest.param(5, 5, 11, "split", 12, id="5-5-11"),
+        pytest.param(3, 3, 2, "split", 3, id="3-3-2"),
+        pytest.param(5, 5, 11, "merge", 10, id="5-5-11-merge")])
+    def test_split_orbit_fails_count(self, monkeypatch, p, size, want,
+                                     change, found):
+        # split: the last row of the first orbit starts an orbit of its
+        # own; merge: orbit 1 joins orbit 0
         real = lemmas._affine_orbits
 
-        def split(p, size):
+        def changed(p, size):
             reps, orbit, maps = real(p, size)
-            last = int(np.flatnonzero(orbit == 0)[-1])
-            orbit[last] = len(reps)
-            return reps + [last], orbit, maps
+            if change == "split":
+                last = int(np.flatnonzero(orbit == 0)[-1])
+                orbit[last] = len(reps)
+                return reps + [last], orbit, maps
+            orbit[orbit == 1] = 0
+            return reps[:1] + reps[2:], orbit - (orbit > 1), maps
 
-        monkeypatch.setattr(lemmas, "_affine_orbits", split)
+        monkeypatch.setattr(lemmas, "_affine_orbits", changed)
         with pytest.raises(InternalCheckError, match=(
-                f"found {want + 1} affine orbits of {size}-sets, "
+                f"found {found} affine orbits of {size}-sets, "
                 f"expected {want}")):
             verify_fuglede_small(p, 2, (size,))
 
+    @pytest.mark.parametrize("p,size,sample", [(3, 3, None), (3, 4, None),
+                                               (5, 5, 400)])
+    def test_affine_orbits_match_oracle(self, p, size, sample):
+        rows = _through_origin(p * p, size)
+        reps, orbit, maps = lemmas._affine_orbits(p, size)
+        assert orbit.min() == 0 and len(reps) == orbit.max() + 1
+        assert [orbit[r] for r in reps] == list(range(len(reps)))
+        # every row is M(rep) - e for a point e of M(rep)
+        linear = affine_permutation_array(p, 2)[::p * p]
+        image = linear[maps[:, None], rows[np.array(reps)[orbit]]]
+        moved = np.sort(difference(p, 2, image[:, None, :],
+                                   image[:, :, None]), axis=2)
+        assert (moved == rows[:, None, :]).all(axis=2).any(axis=1).all()
+        # two rows share an orbit exactly when their least affine
+        # images agree; the sample holds every representative
+        picked = np.arange(len(rows))
+        if sample is not None:
+            rng = np.random.default_rng(5)
+            picked = np.union1d(reps, rng.choice(len(rows), sample,
+                                                 replace=False))
+        perms = O.affine_perms_2d(p)
+        canon = {}
+        for r in picked.tolist():
+            canon.setdefault(int(orbit[r]), set()).add(
+                O.affine_min_image(perms, rows[r].tolist()))
+        assert len(canon) == len(reps)
+        assert all(len(c) == 1 for c in canon.values())
+        assert len(set.union(*canon.values())) == len(reps)
+
+    def test_images_translated_the_wrong_way_fail(self, monkeypatch):
+        # M(rep) + e is no set through the origin once M(rep) leaves the
+        # line through 0 that row 0 is
+        monkeypatch.setattr(lemmas, "difference",
+                            lambda p, d, a, b: add_table(p, d)[a, b])
+        with pytest.raises(InternalCheckError,
+                           match="row 1 of 5-sets maps outside the rows"):
+            lemmas._affine_orbits(5, 5)
+
     def test_false_class_complement_fails_member_check(self, monkeypatch):
-        # row 0 is the line {0, ..., 4}, the first set of class 0; given
-        # itself as complement it covers the line 5 times and nothing else
-        first, cls = lemmas._translation_classes(5, 5)
-        assert first[0] == cls[0] == 0
+        # row 0 is the line {0, ..., 4}, the representative of orbit 0;
+        # given itself as complement it covers the line 5 times and
+        # nothing else
+        reps, orbit, _ = lemmas._affine_orbits(5, 5)
+        assert reps[0] == orbit[0] == 0
         assert _through_origin(25, 5)[0].tolist() == [0, 1, 2, 3, 4]
         real = lemmas._row_complements
 
@@ -943,8 +989,8 @@ class TestGroupedSweeps:
 
     def test_member_tiling_checked_against_class_witness(self, monkeypatch):
         # {0, 2, 5} = {(0,0), (2,0), (2,1)} is {0, 1, 3} - (1,0), and
-        # {0, 1, 3}, its class's first set through the origin, tiles with
-        # the diagonal {0, 4, 8}, the class's complement
+        # {0, 1, 3}, the first set of its affine orbit, tiles with the
+        # diagonal {0, 4, 8}, the complement {0, 2, 5} gets too
         real = lemmas.tiling_pair_rows
         seen = []
 
@@ -1312,7 +1358,7 @@ class TestSweepDriver:
             _sweep(_slab_chunk_dropping_last, chunks, 1, expected=200)
         # a chunk past the end of the rows counts only the rows it built
         n = math.comb(26, 5)
-        with pytest.raises(InternalCheckError, match="enumerated 80 sets"):
+        with pytest.raises(InternalCheckError, match="enumerated 80, expected 100"):
             _sweep(_slab_chunk, [(n - 80, n + 20)], 1, expected=100)
 
     @pytest.mark.parametrize("workers", [1, 2])
