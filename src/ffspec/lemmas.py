@@ -177,7 +177,9 @@ def _sweep(fn, chunks: list, workers: int, expected: int) -> list:
 @lru_cache(maxsize=None)
 def _through_origin(n: int, size: int) -> np.ndarray:
     """The size-subsets of range(n) that contain 0, lexicographic."""
-    return np.pad(combination_array(n - 1, size - 1) + 1, ((0, 0), (1, 0)))
+    out = np.pad(combination_array(n - 1, size - 1) + 1, ((0, 0), (1, 0)))
+    out.flags.writeable = False
+    return out
 
 
 def _origin_sets(p: int, d: int, size: int) -> tuple:
@@ -349,7 +351,9 @@ def verify_lm2(workers: int = 1, mode: str = "reduced") -> LemmaReport:
 def _fillings() -> np.ndarray:
     """All rows v in {0..3}^7 with sum 7, lexicographic."""
     rows = [v for v in itertools.product(range(4), repeat=7) if sum(v) == 7]
-    return np.array(rows, np.int8)
+    out = np.array(rows, np.int8)
+    out.flags.writeable = False
+    return out
 
 
 def _orbit_reps(V: np.ndarray, base: int):
@@ -369,7 +373,9 @@ def _orbit_reps(V: np.ndarray, base: int):
 @lru_cache(maxsize=None)
 def _f1_orbit_reps():
     """Representatives of filling orbits under x -> a x + c, with sizes."""
-    return _orbit_reps(_fillings(), 4)
+    reps, weights = _orbit_reps(_fillings(), 4)
+    reps.flags.writeable = weights.flags.writeable = False
+    return reps, weights
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,10 @@
 """Subsets of F_p^d as bitmasks, integer functions on F_p^d and file I/O.
 
 A PointSet stores its space and a bit vector of length p^d packed into
-a Python int; bit i is point index i.  The on-disk format is ASCII:
+a Python int; bit i is point index i.  bit_rows packs boolean rows into
+such ints and mask_indices reads one back, both through numpy's bit
+packing; the searches build their bit rows with the first.  The
+on-disk format is ASCII:
 
     # optional comment lines
     p 7
@@ -15,7 +18,10 @@ are an error, an empty body is a valid empty set.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from .space import Space, coords_to_index
 from .tables import coords_matrix
@@ -25,20 +31,47 @@ class SetFormatError(ValueError):
     """Raised for malformed set files."""
 
 
+def bit_rows(bits) -> list:
+    """Python-int bitmasks of boolean rows: bits of shape (..., k) give
+    nested lists of the leading shape, and bit j of entry [...] is set
+    where bits[..., j] is.  One np.packbits pass; each packed row comes
+    out as one bytes object and becomes one int.from_bytes."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    w = packed.shape[-1]
+    if w == 0:
+        return np.zeros(packed.shape[:-1], dtype=int).tolist()
+    rows = packed.reshape(-1, w).view(f"V{w}").ravel().tolist()
+    out = list(map(int.from_bytes, rows, repeat("little")))
+    for k in reversed(packed.shape[1:-1]):
+        out = [out[i:i + k] for i in range(0, len(out), k)]
+    return out
+
+
+def mask_indices(mask: int, n: int) -> tuple:
+    """The set bits of an n-bit mask, ascending, read with np.unpackbits."""
+    bits = np.unpackbits(np.frombuffer(mask.to_bytes(-(-n // 8), "little"),
+                                       dtype=np.uint8), bitorder="little")
+    return tuple(np.flatnonzero(bits).tolist())
+
+
 @dataclass(frozen=True)
 class PointSet:
     space: Space
     mask: int
+    # the point indices, ascending, read once when the set is built
+    _indices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mask < 0 or self.mask >> self.space.order:
             raise ValueError("mask has bits outside the space")
+        object.__setattr__(self, "_indices",
+                           mask_indices(self.mask, self.space.order))
 
     @classmethod
     def from_indices(cls, space: Space, indices) -> "PointSet":
-        mask = 0
+        mask, n = 0, space.order
         for i in map(operator.index, indices):
-            if not 0 <= i < space.order:
+            if not 0 <= i < n:
                 raise ValueError(f"point index {i} out of range")
             mask |= 1 << i
         return cls(space, mask)
@@ -58,13 +91,7 @@ class PointSet:
         return self.mask.bit_count()
 
     def indices(self) -> list:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return list(self._indices)
 
     def coord_rows(self) -> list:
         """Coordinate rows in index order; the JSON witness format."""

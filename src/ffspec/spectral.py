@@ -34,7 +34,7 @@ import numpy as np
 
 from .fourier import zero_directions, zero_set
 from .geometry import _plane_direction_counts
-from .sets import PointSet
+from .sets import PointSet, bit_rows, mask_indices
 from .tables import (bytes_at_least, coords_matrix, difference, line_sups,
                      pair_directions, pair_indices, plane_words)
 
@@ -280,24 +280,17 @@ def _clique_in_zero_set(space, zmask: int, n: int, budget: int) -> tuple:
     Returns (verdict, spectrum indices as a tuple or None, nodes).  The
     result is a function of the four arguments alone, so it is cached.
     """
-    cand = PointSet(space, zmask).indices()
+    cand = mask_indices(zmask, space.order)
     if len(cand) < n - 1:
         return "none", None, 0
     # adjacency over candidate slots, ordered by descending degree then index
     ci = np.array(cand, dtype=np.int64)
-    k = len(cand)
     zbits = np.zeros(space.order, dtype=bool)
     zbits[ci] = True
     adj_bool = zbits[difference(space.p, space.d, ci[:, None], ci)]
     np.fill_diagonal(adj_bool, False)
     order = np.lexsort((ci, -adj_bool.sum(axis=1)))
-    # one packbits call: row s is bytes [s * w, (s + 1) * w) of packed
-    packed = np.packbits(adj_bool[np.ix_(order, order)], axis=1,
-                         bitorder="little")
-    w = packed.shape[1]
-    packed = packed.tobytes()
-    adj = [int.from_bytes(packed[s * w:(s + 1) * w], "little")
-           for s in range(k)]
+    adj = bit_rows(adj_bool[np.ix_(order, order)])
     verdict, slots, nodes = _clique_of_size(adj, n - 1, budget)
     if verdict != "witness":
         return verdict, None, nodes

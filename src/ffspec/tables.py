@@ -53,6 +53,7 @@ def coords_matrix(p: int, d: int) -> np.ndarray:
     for k in range(d):
         out[:, k] = idx % p
         idx //= p
+    out.flags.writeable = False
     return out
 
 
@@ -63,7 +64,9 @@ def direction_reps(p: int, d: int) -> np.ndarray:
     Space(p, d)
     coords = coords_matrix(p, d)
     lead = coords[np.arange(p ** d), (coords != 0).argmax(axis=1)]
-    return np.flatnonzero(lead == 1).astype(np.int64)
+    out = np.flatnonzero(lead == 1).astype(np.int64)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -156,8 +159,11 @@ def _subset_runs(p: int, d: int, anchor: tuple, points: tuple,
     sizes = sizes[sizes > 0]
     starts = np.concatenate([[0], np.cumsum(sizes)])
     tails = combination_words(p, d, points, t)
-    return (starts, heads, len(tails) - sizes - starts[:-1],
-            plane_words(p, d, heads), tails)
+    out = (starts, heads, len(tails) - sizes - starts[:-1],
+           plane_words(p, d, heads), tails)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def subset_words(p: int, d: int, anchor, points, r: int, lo: int,
@@ -263,7 +269,9 @@ def orthogonal_direction_bits(p: int, d: int) -> np.ndarray:
     for n_dirs <= 64 (every d = 3 space here)."""
     reps = coords_matrix(p, d)[direction_reps(p, d)].astype(np.int64)
     orth = ((reps @ reps.T) % p == 0).astype(np.uint64)
-    return (orth << np.arange(len(orth), dtype=np.uint64)).sum(1, np.uint64)
+    out = (orth << np.arange(len(orth), dtype=np.uint64)).sum(1, np.uint64)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -277,11 +285,13 @@ def direction_masks(p: int, d: int) -> tuple:
 @lru_cache(maxsize=None)
 def add_table(p: int, d: int) -> np.ndarray:
     """(p^d, p^d) int16 table: entry [i, j] is the index of point i + point j."""
+    n = Space(p, d).order
     coords = coords_matrix(p, d)
-    out = np.zeros((p ** d, p ** d), dtype=np.int16)
+    out = np.zeros((n, n), dtype=np.int16)
     for k in range(d):
         col = coords[:, k]
         out += (col[:, None] + col[None, :]) % p * np.int16(p ** k)
+    out.flags.writeable = False
     return out
 
 
@@ -330,11 +340,13 @@ def difference(p: int, d: int, a, b) -> np.ndarray:
 @lru_cache(maxsize=None)
 def scale_tables(p: int, d: int) -> np.ndarray:
     """(p, p^d) table: row c is the index of c*x for each point index x."""
+    n = Space(p, d).order
     coords = coords_matrix(p, d).astype(np.int64)
     powers = p ** np.arange(d)
-    out = np.zeros((p, p ** d), dtype=np.int32)
+    out = np.zeros((p, n), dtype=np.int32)
     for c in range(p):
         out[c] = ((coords * c) % p) @ powers
+    out.flags.writeable = False
     return out
 
 
@@ -353,6 +365,7 @@ def line_of(p: int, d: int) -> np.ndarray:
         np.minimum(least, table[steps[c]], out=least)
     np.minimum(least, np.arange(p ** d, dtype=least.dtype), out=least)
     least += p ** d * np.arange(len(least), dtype=np.int16)[:, None]
+    least.flags.writeable = False
     return least
 
 
@@ -363,6 +376,7 @@ def dir_of_index(p: int, d: int) -> np.ndarray:
     scl = scale_tables(p, d)
     for k, rep in enumerate(direction_reps(p, d)):
         out[scl[1:, rep]] = k
+    out.flags.writeable = False
     return out
 
 
@@ -392,4 +406,5 @@ def combination_array(m: int, r: int) -> np.ndarray:
             grown[:, j] = np.repeat(out[:, j], counts)
         grown[:, k] = last
         out = grown
+    out.flags.writeable = False
     return out

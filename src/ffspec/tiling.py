@@ -2,26 +2,35 @@
 
 A tiles F_p^d by E iff the translates E + a, a in A, partition the
 space.  tiling_search_rows runs a deterministic exact-cover backtrack
-over translates for each row of a block of sets of one size: branch on
-the lowest-index uncovered point, candidate translates in ascending
-index order, with the translate by 0 forced first (a tiling exists iff
-one containing 0 does).  The translate bitmasks of a block of rows come
-from one np.packbits pass and their covering lists from one argsort;
-only the backtrack runs row by row.  It returns bare complements: a
-caller checks them, tiling_search with verify_tiling_pair both ways,
-the exhaustive sweeps with one batched tiling_pair_rows call each way.
+over translates for each row of a block of sets of one size, with the
+translate by 0 forced first (a tiling exists iff one containing 0
+does).  Every node branches on the uncovered point with the fewest
+covering translates still disjoint from the cover, ties to the lowest
+index, and tries those translates in ascending index; a point with
+none ends the branch (minimum remaining values, as in Knuth's Dancing
+Links).  The counts are kept incrementally, as bit planes over the
+points.  The translate bitmasks of a block of rows, and the covering
+translates of each point, are packed from one add_table gather by
+sets.bit_rows; only the backtrack runs row by row.  It returns bare
+complements: a caller checks them, tiling_search with
+verify_tiling_pair both ways, the exhaustive sweeps with one batched
+tiling_pair_rows call each way.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
+
 import numpy as np
 
-from .sets import PointSet
+from .sets import PointSet, bit_rows
 from .space import Space
 from .spectral import InternalCheckError, SearchCertificate
 from .tables import add_table
 
-# rows per mask build: the hit table of _translate_masks holds 8.4 MB
-# at p^d = 343
+# rows per mask build: the one hit table of _translate_masks, which
+# serves the translate and the covering masks in turn, holds 7.5 MB at
+# p^d = 343
 _MASK_BLOCK = 64
 
 
@@ -56,46 +65,108 @@ def verify_tiling_pair(E: PointSet, A: PointSet) -> bool:
                                  [A.indices()])[0])
 
 
-def _translate_masks(table: np.ndarray) -> list:
-    """Bitmask of every translate in a (rows, p^d, m) translate table,
-    as nested lists of ints: entry [r][a] has bit x set for x in E_r + a.
+def _translate_masks(table: np.ndarray, n: int) -> tuple:
+    """The translate and covering bitmasks of a (rows, n, m) translate
+    table [r, a, j] = point j of E_r + a, as nested lists of ints:
+    masks[r][a] has bit x set for x in E_r + a, and covers[r][x] has
+    bit a set for the same pairs.  One boolean hit table, (rows, n, n),
+    serves both: filled as [r, a, x] and packed, then cleared, filled
+    as [r, x, a] and packed (packing a transposed view is an order of
+    magnitude slower).  Its flat positions are computed in place in
+    one index array the size of table."""
+    shift = n * n * np.arange(len(table))[:, None, None]
+    a = np.arange(n)[:, None]
+    hit = np.zeros(len(table) * n * n, dtype=bool)
+    at = table.astype(np.intp)
+    at += shift + n * a                      # [r, a, x]
+    hit[at] = True
+    masks = bit_rows(hit.reshape(-1, n, n))
+    at -= shift + n * a
+    at *= n
+    at += shift + a                          # [r, x, a]
+    hit[...] = False
+    hit[at] = True
+    del at                                   # before the second packing
+    return masks, bit_rows(hit.reshape(-1, n, n))
+
+
+def _backtrack(points: np.ndarray, masks: list, covers: list,
+               full: int, budget: int) -> tuple:
+    """(verdict, complement, nodes) of one set's exact-cover search;
+    points[a] lists the points of E + a.
+
+    A node has chosen translate a.  It drops from avail the translates
+    that meet E + a, those that cover one of its points, and keeps each
+    uncovered point's count of covering translates left in avail as
+    bit planes, complemented: bit x of zeros[k] is clear when bit k of
+    x's count is set.  Counts start at m = |E|.  A translate b that
+    leaves avail takes one off each of its uncovered points; it has
+    none when E + b = E + a, that is when b - a is a period of E.  When
+    fewer translates stay than leave, the counts are summed afresh from
+    those that stay.  If E is a coset of its periods, every uncovered
+    point keeps all m translates, so no count ever moves.
     """
-    rows, n, _ = table.shape
-    # whole 64-bit words per mask, low bits first
-    hit = np.zeros((rows, n, -(-n // 64) * 64), dtype=bool)
-    np.put_along_axis(hit, table, True, axis=2)
-    words = np.packbits(hit, axis=2, bitorder="little").view("<u8")
-    masks = words[..., 0].astype(object)
-    for k in range(1, words.shape[2]):
-        masks |= words[..., k].astype(object) << 64 * k
-    return masks.tolist()
-
-
-def _backtrack(masks: list, covers: list, full: int, budget: int) -> tuple:
-    """(verdict, complement, nodes) of one set's exact-cover search."""
     nodes = 0
     aborted = False
+    cover_of = covers.__getitem__
+    m = points.shape[1]
+    periods = reduce(and_, map(cover_of, points[0].tolist()))
+    coset, aperiodic = periods.bit_count() == m, periods == 1
 
-    def extend(cover: int, chosen: list):
+    def extend(cover: int, avail: int, zeros: list, a: int,
+               chosen: list):
         nonlocal nodes, aborted
         nodes += 1
         if nodes > budget:
             aborted = True
             return None
+        cover |= masks[a]
         if cover == full:
             return chosen
-        uncov = ~cover & full
-        x = (uncov & -uncov).bit_length() - 1
-        for a in covers[x]:
-            t = masks[a]
-            if t & cover:
-                continue
-            got = extend(cover | t, chosen + [a])
+        best = full ^ cover                  # uncovered
+        if not coset:
+            on = points[a].tolist()
+            gone = avail & reduce(or_, map(cover_of, on))
+            avail ^= gone
+            rest = gone & ~(1 << a if aperiodic
+                            else reduce(and_, map(cover_of, on)))
+            if rest:
+                if rest.bit_count() <= avail.bit_count():
+                    zeros, down = list(zeros), True
+                else:
+                    zeros, down, rest = [full] * len(zeros), False, avail
+                while rest:
+                    low = rest & -rest
+                    carry = masks[low.bit_length() - 1] & best
+                    rest ^= low
+                    k = 0
+                    while carry:             # one bit-sliced step
+                        qk = zeros[k]
+                        zeros[k] = qk ^ carry
+                        carry &= qk if down else ~qk
+                        k += 1
+            # narrow best to the uncovered points of fewest translates,
+            # high bit first; a dead end if that count is 0
+            dead = True
+            for qk in reversed(zeros):
+                if best & qk:
+                    best &= qk
+                else:
+                    dead = False
+            if dead:
+                return None
+        rest = covers[(best & -best).bit_length() - 1] & avail
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            rest ^= low
+            got = extend(cover, avail, zeros, b, chosen + [b])
             if got is not None or aborted:
                 return got
         return None
 
-    got = extend(masks[0], [0])
+    got = extend(0, full, [0 if m >> k & 1 else full
+                           for k in range(m.bit_length())], 0, [0])
     if aborted:
         return "aborted", None, nodes
     if got is None:
@@ -120,13 +191,9 @@ def tiling_search_rows(p: int, d: int, rows, budget: int = 10 ** 9) -> list:
         # [r, a, j]: point j of E_r + a
         table = add_table(p, d)[:, rows[lo:lo + _MASK_BLOCK]]
         table = table.transpose(1, 0, 2)
-        # covers[r][x]: the translates a = x - e that cover x, ascending;
-        # each x occurs once per e in E_r's table, in ascending rows a
-        covers = (np.argsort(table.reshape(len(table), n * size), axis=1,
-                             kind="stable") // size).reshape(table.shape)
-        out.extend(_backtrack(masks, cov, (1 << n) - 1, budget)
-                   for masks, cov in zip(_translate_masks(table),
-                                         covers.tolist()))
+        masks, covers = _translate_masks(table, n)
+        out.extend(_backtrack(*row, (1 << n) - 1, budget)
+                   for row in zip(table, masks, covers))
     return out
 
 

@@ -171,6 +171,53 @@ def tiles(p: int, d: int, E) -> bool:
     return False
 
 
+class _Budget(Exception):
+    pass
+
+
+def fewest_translates_search(p: int, d: int, E, budget: int) -> tuple:
+    """Exact-cover search for a tiling complement of E anchored at 0,
+    branching by a full rescan at every node: on the uncovered point
+    with the fewest translates E + a that cover it and miss the cover
+    (ties to the lowest index; a point with none ends the branch), then
+    on those translates in ascending index, translate 0 forced first.
+    Returns (verdict, sorted complement indices or None, nodes), a node
+    being one translate placed."""
+    pts = all_points(p, d)
+    n = len(pts)
+    shifts = [frozenset(point_index(p, tuple((u + v) % p
+                                            for u, v in zip(e, a)))
+                        for e in E) for a in pts]
+    nodes = 0
+
+    def extend(cover, chosen):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _Budget
+        if len(cover) == n:
+            return chosen
+        fits = [a for a in range(n) if not shifts[a] & cover]
+        counts = {x: sum(x in shifts[a] for a in fits)
+                  for x in range(n) if x not in cover}
+        x = min(counts, key=lambda y: (counts[y], y))
+        if counts[x] == 0:
+            return None
+        for a in fits:
+            if x in shifts[a]:
+                got = extend(cover | shifts[a], chosen + [a])
+                if got is not None:
+                    return got
+        return None
+
+    try:
+        got = extend(shifts[0], [0])
+    except _Budget:
+        return "aborted", None, nodes
+    return ("none", None, nodes) if got is None else ("witness",
+                                                      sorted(got), nodes)
+
+
 def is_tiling_pair(p: int, d: int, E, A) -> bool:
     """The translates E + a, a in A, cover every point exactly once."""
     sums = sorted(tuple((x + y) % p for x, y in zip(e, a))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -108,6 +109,26 @@ class TestAnalyze:
         res = json.loads(out)["result"]
         assert res["spectral"]["status"] == "aborted"
         assert res["tile"]["status"] == "aborted"
+
+    def test_seven_points_tile_within_small_budget(self, tmp_path, capsys):
+        # the first of random.Random(1)'s 7-point sets of F_7^3: it has a
+        # spectrum, so it tiles, and branching on the most constrained
+        # point finds the tiling in 61 nodes (the lowest uncovered point
+        # first found none in 2 * 10^5)
+        idx = sorted(random.Random(1).sample(range(343), 7))
+        f = write_lines(tmp_path / "seven.txt", "p 7", "d 3",
+                        *(f"{i % 7} {i // 7 % 7} {i // 49}" for i in idx))
+        code, out, _ = run_cli(["analyze", "--set", f, "--budget", "200"],
+                               capsys)
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["spectral"]["status"] == "witness"
+        assert res["tile"]["status"] == "witness"
+        assert res["tile"]["nodes"] <= 200
+        spc = Space(7, 3)
+        T = PointSet.from_coords(spc, [tuple(r)
+                                       for r in res["tile"]["witness"]])
+        assert verify_tiling_pair(PointSet.from_indices(spc, idx), T)
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_usage_error(self, budget, line_file,
@@ -579,7 +600,10 @@ _LINES = [((0, 0, 1), (1, 2, 0)), ((0, 2, 5), (1, 6, 5)),
 
 class TestAnalyzePinned:
     """One set per class of the analyze benchmark; full result hashes
-    taken from the Point-object implementation of the set operations."""
+    taken from the Point-object implementation of the set operations.
+    The ppoint hash was re-taken when the tiling search began to branch
+    on the most constrained point: its tile section went from 135 nodes
+    to 25 and names another complement."""
 
     SETS = {
         # graph of f: F_7^2 -> F_7
@@ -587,7 +611,7 @@ class TestAnalyzePinned:
                       for x in range(7) for y in range(7)],
                   "485d8ecc54df3b66cb715f6468872f4fb0a8dc6d033c8610d90ca552b56b7d12"),
         "ppoint": (5, [(0, 4, 4), (1, 2, 4), (2, 0, 4), (3, 4, 3), (4, 3, 4)],
-                   "d531ff36a3c21bdc783e5e9ce147f5eb0d98f5a7ab61ba059159cf0f78e1eccc"),
+                   "bb0c853240c8956b2064036b475f7796b0a23692fc5c2d87de1fc0ab634bd941"),
         # six disjoint lines of F_7^3
         "lines": (7, [tuple((b[k] + t * v[k]) % 7 for k in range(3))
                       for b, v in _LINES for t in range(7)],

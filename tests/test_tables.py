@@ -1,11 +1,15 @@
 import hashlib
+import importlib
 import itertools
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import ffspec
 import oracles as O
+from ffspec import Space
 from ffspec.lemmas import _translates
 from ffspec.tables import (WORD_BLOCK, _subset_runs, add_table,
                            bytes_at_least, combination_array,
@@ -415,3 +419,73 @@ def _assert_combinations(m, r):
     assert got.dtype == np.int8 and got.flags.c_contiguous
     assert got.shape == (math.comb(m, r), r)
     assert got.tobytes() == want.tobytes(), (m, r)
+
+
+# one small call per cached builder in the package
+_CACHED_CALLS = {
+    "cli.build_parser": (),
+    "lemmas._through_origin": (9, 3),
+    "lemmas._fillings": (),
+    "lemmas._f1_orbit_reps": (),
+    "lemmas._row_triple_orbits": (),
+    "lemmas._slab_hypotheses": (),
+    "lemmas._cycle_type_counts": (3, 1),
+    "spectral.allowed_spectral_sizes": (Space(3, 2),),
+    "spectral._clique_in_zero_set": (Space(3, 2), 0b111111000, 3, 100),
+    "tables.coords_matrix": (3, 2),
+    "tables.direction_reps": (3, 2),
+    "tables.plane_word_table": (3, 2),
+    "tables.combination_words": (3, 2, (1, 2, 3), 2),
+    "tables._subset_runs": (3, 2, (0,), (1, 2, 3, 4), 2),
+    "tables.orthogonal_direction_bits": (3, 3),
+    "tables.direction_masks": (3, 2),
+    "tables.add_table": (3, 2),
+    "tables.affine_permutation_array": (3, 1),
+    "tables.pair_indices": (4,),
+    "tables.scale_tables": (3, 2),
+    "tables.line_of": (3, 2),
+    "tables.dir_of_index": (3, 2),
+    "tables.combination_array": (5, 2),
+}
+
+
+def _cached_builders() -> dict:
+    """Every function with a cache_info in the package's modules."""
+    out = {}
+    for info in pkgutil.iter_modules(ffspec.__path__):
+        mod = importlib.import_module(f"ffspec.{info.name}")
+        for name, obj in vars(mod).items():
+            if (hasattr(obj, "cache_info")
+                    and getattr(obj, "__module__", None) == mod.__name__):
+                out[f"{info.name}.{name}"] = obj
+    return out
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _arrays(v)
+
+
+def test_cached_builders_return_read_only_arrays():
+    # a cached array is shared by every later caller in the process and
+    # by forked workers, so no caller may write into it
+    builders = _cached_builders()
+    assert set(builders) == set(_CACHED_CALLS)
+    seen = 0
+    for name, args in _CACHED_CALLS.items():
+        for a in _arrays(builders[name](*args)):
+            seen += 1
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a.reshape(-1)[:1] = 0
+    assert seen >= 20
+
+
+@pytest.mark.parametrize("fn,p,d", [(add_table, 11, 1),
+                                    (scale_tables, 2, 3)])
+def test_table_builders_check_the_space_first(fn, p, d):
+    with pytest.raises(ValueError, match="must be"):
+        fn(p, d)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import numpy as np
@@ -8,9 +9,11 @@ import oracles as O
 from ffspec import (
     PointSet,
     Space,
+    spectrum_search,
     tiling_search,
     verify_tiling_pair,
 )
+from ffspec.tables import add_table
 from ffspec.tiling import tiling_pair_rows, tiling_search_rows
 
 
@@ -179,15 +182,17 @@ class TestSearch:
         assert set(_coords(cert.witness)) == {(0, t) for t in range(5)}
 
     @pytest.mark.parametrize("p,d,idx,verdict,nodes", [
-        (5, 3, [21, 34, 55, 71, 85], "witness", 5674),
-        (5, 3, [17, 38, 63, 64, 98], "none", 6318),
-        (5, 3, [1, 38, 92, 108, 115], "none", 11535),
-        (7, 2, [9, 20, 22, 25, 31, 33, 37], "none", 5),
+        (5, 3, [21, 34, 55, 71, 85], "witness", 28),
+        (5, 3, [17, 38, 63, 64, 98], "none", 7),
+        (5, 3, [1, 38, 92, 108, 115], "none", 4),
+        (7, 2, [9, 20, 22, 25, 31, 33, 37], "none", 2),
         (7, 2, [2, 9, 10, 11, 23, 44, 47], "witness", 7),
     ])
     def test_search_order_pinned(self, p, d, idx, verdict, nodes):
-        # node counts pin the branching order: the lowest uncovered
-        # point, then its covering translates in ascending index
+        # node counts pin the branching order: the uncovered point with
+        # the fewest covering translates disjoint from the cover (ties
+        # to the lowest index; none ends the branch), then those
+        # translates in ascending index
         cert = tiling_search(PointSet.from_indices(Space(p, d), idx))
         assert (cert.verdict, cert.nodes_explored) == (verdict, nodes)
 
@@ -231,11 +236,11 @@ class TestSearchRows:
                  [1, 38, 92, 108, 115], [0, 1, 2, 3, 4]]
         got = tiling_search_rows(5, 3, cases)
         assert [(v, n) for v, _, n in got[:3]] == [
-            ("witness", 5674), ("none", 6318), ("none", 11535)]
+            ("witness", 28), ("none", 7), ("none", 4)]
         assert got == [_one_row(Space(5, 3), row) for row in cases]
         sevens = [[9, 20, 22, 25, 31, 33, 37], [2, 9, 10, 11, 23, 44, 47]]
         assert [(v, n) for v, _, n in tiling_search_rows(7, 2, sevens)] == [
-            ("none", 5), ("witness", 7)]
+            ("none", 2), ("witness", 7)]
 
     @pytest.mark.parametrize("p,size,count", [(5, 5, 90), (5, 25, 6),
                                               (7, 7, 70), (7, 49, 3)])
@@ -249,6 +254,37 @@ class TestSearchRows:
                        for row in rows]
         assert got[0][0] == "witness"
 
+    # (p, d, size, random rows, budget); the fixed rows add, per space,
+    # sets whose periods are a line but which are no coset: two or three
+    # parallel lines, with one point moved where the size allows
+    @pytest.mark.parametrize("p,d,size,count,budget", [
+        (3, 2, 3, 12, 10 ** 9), (3, 3, 3, 12, 10 ** 9),
+        (3, 3, 9, 12, 10 ** 9), (5, 2, 5, 12, 10 ** 9),
+        (7, 2, 7, 12, 10 ** 9), (5, 3, 5, 4, 40), (3, 3, 9, 12, 3)])
+    def test_branching_matches_rescan_oracle(self, rng, p, d, size, count,
+                                             budget):
+        # every node count, verdict and complement equals that of a
+        # search that recounts every uncovered point at every node
+        pts = O.all_points(p, d)
+        rows = [sorted(r) for r in _random_rows(rng, p, d, size, count)]
+        rows.append(list(range(size)))             # a coset of a subgroup
+        if d == 3 and size == 9:
+            lines = [O.point_index(p, (t, y, z)) for t in range(3)
+                     for y, z in ((0, 0), (1, 0), (0, 1))]
+            rows += [sorted(lines), sorted(lines[:8] + [26])]
+        got = tiling_search_rows(p, d, np.array(rows), budget)
+        assert got == [O.fewest_translates_search(
+            p, d, [pts[i] for i in row], budget) for row in rows]
+        assert {v for v, _, _ in got} >= {"witness"}
+
+    def test_mask_block_scratch(self, rng, traced_peak):
+        # one 64-row block at p^d = 343: a 7.5 MB hit table serves the
+        # translate and the covering masks in turn, and the block,
+        # packed rows and ints included, peaks near 14 MB
+        add_table(7, 3)
+        rows = _random_rows(rng, 7, 3, 7, 64)
+        assert traced_peak(tiling_search_rows, 7, 3, rows, 1) < 15e6
+
     def test_budget_one_aborts_every_row(self):
         rows = [[0, 1, 2], [0, 1, 3], [0, 4, 8]]
         got = tiling_search_rows(3, 2, rows, budget=1)
@@ -260,3 +296,34 @@ class TestSearchRows:
             tiling_search_rows(3, 2, [[0, 1, 2, 3]])
         with pytest.raises(ValueError, match="size 0 cannot tile"):
             tiling_search_rows(3, 2, np.zeros((1, 0), dtype=np.int64))
+
+
+class TestSpectralEqualsTile:
+    """The source paper's theorem as the oracle: in F_p^3, p = 5 and 7,
+    a set tiles exactly when it is spectral.  Both searches must decide
+    each set within 10^3 nodes, and their verdicts must agree."""
+
+    @staticmethod
+    def verdicts(E):
+        tile = tiling_search(E, budget=10 ** 3)
+        spectral = spectrum_search(E, budget=10 ** 3)
+        assert "aborted" not in (tile.verdict, spectral.verdict)
+        return tile.verdict, spectral.verdict
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_seeded_p_point_sets(self, p):
+        rng = random.Random(1)
+        found = set()
+        for _ in range(50):
+            E = PointSet.from_indices(Space(p, 3),
+                                      rng.sample(range(p ** 3), p))
+            tile, spectral = self.verdicts(E)
+            assert tile == spectral
+            found.add(tile)
+        assert found == {"witness", "none"}
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_subspaces_of_f7_cubed(self, dims):
+        # a line, a plane and the whole space
+        E = PointSet.from_indices(Space(7, 3), range(7 ** dims))
+        assert self.verdicts(E) == ("witness", "witness")
