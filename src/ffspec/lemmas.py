@@ -60,6 +60,7 @@ from .tables import (
     direction_masks,
     orthogonal_direction_bits,
     plane_word_table,
+    read_only,
     subset_rows,
     subset_words,
     uniform_word,
@@ -177,9 +178,8 @@ def _sweep(fn, chunks: list, workers: int, expected: int) -> list:
 @lru_cache(maxsize=None)
 def _through_origin(n: int, size: int) -> np.ndarray:
     """The size-subsets of range(n) that contain 0, lexicographic."""
-    out = np.pad(combination_array(n - 1, size - 1) + 1, ((0, 0), (1, 0)))
-    out.flags.writeable = False
-    return out
+    return read_only(np.pad(combination_array(n - 1, size - 1) + 1,
+                            ((0, 0), (1, 0))))
 
 
 def _origin_sets(p: int, d: int, size: int) -> tuple:
@@ -351,9 +351,7 @@ def verify_lm2(workers: int = 1, mode: str = "reduced") -> LemmaReport:
 def _fillings() -> np.ndarray:
     """All rows v in {0..3}^7 with sum 7, lexicographic."""
     rows = [v for v in itertools.product(range(4), repeat=7) if sum(v) == 7]
-    out = np.array(rows, np.int8)
-    out.flags.writeable = False
-    return out
+    return read_only(np.array(rows, np.int8))
 
 
 def _orbit_reps(V: np.ndarray, base: int):
@@ -373,9 +371,7 @@ def _orbit_reps(V: np.ndarray, base: int):
 @lru_cache(maxsize=None)
 def _f1_orbit_reps():
     """Representatives of filling orbits under x -> a x + c, with sizes."""
-    reps, weights = _orbit_reps(_fillings(), 4)
-    reps.flags.writeable = weights.flags.writeable = False
-    return reps, weights
+    return tuple(map(read_only, _orbit_reps(_fillings(), 4)))
 
 
 @lru_cache(maxsize=None)
@@ -523,9 +519,7 @@ def _slab_hypotheses() -> np.ndarray:
     zero directions of one plane."""
     keys = np.arange(1 << 13, dtype=np.uint16)[:, None]
     orth = orthogonal_direction_bits(3, 3).astype(np.uint16)
-    out = (np.bitwise_count(keys & orth) >= 2).any(axis=-1)
-    out.flags.writeable = False
-    return out
+    return read_only((np.bitwise_count(keys & orth) >= 2).any(axis=-1))
 
 
 def _slab_chunk(args):

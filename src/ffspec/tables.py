@@ -44,6 +44,13 @@ import numpy as np
 from .space import Space
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only; every cached table goes out so, since all
+    later callers in the process, and forked workers, share it."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
 def coords_matrix(p: int, d: int) -> np.ndarray:
     """(p^d, d) int16 array, row i = coordinates of point index i."""
@@ -53,8 +60,7 @@ def coords_matrix(p: int, d: int) -> np.ndarray:
     for k in range(d):
         out[:, k] = idx % p
         idx //= p
-    out.flags.writeable = False
-    return out
+    return read_only(out)
 
 
 @lru_cache(maxsize=None)
@@ -64,9 +70,7 @@ def direction_reps(p: int, d: int) -> np.ndarray:
     Space(p, d)
     coords = coords_matrix(p, d)
     lead = coords[np.arange(p ** d), (coords != 0).argmax(axis=1)]
-    out = np.flatnonzero(lead == 1).astype(np.int64)
-    out.flags.writeable = False
-    return out
+    return read_only(np.flatnonzero(lead == 1).astype(np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -80,9 +84,7 @@ def plane_word_table(p: int, d: int) -> np.ndarray:
     coords = coords_matrix(p, d).astype(np.int64)
     dots = (coords @ coords[direction_reps(p, d)].T) % p    # (p^d, n_dirs)
     dtype = np.dtype("<u4" if p == 3 else "<u8")
-    out = np.left_shift(1, 8 * dots).astype(dtype)
-    out.flags.writeable = False
-    return out
+    return read_only(np.left_shift(1, 8 * dots).astype(dtype))
 
 
 WORD_BLOCK = 1 << 12
@@ -134,8 +136,7 @@ def combination_words(p: int, d: int, points: tuple, r: int) -> np.ndarray:
             np.add(below[len(below) - run:], table[points[i]],
                    out=words[lo:lo + run])
             lo += run
-    words.flags.writeable = False
-    return words
+    return read_only(words)
 
 
 @lru_cache(maxsize=None)
@@ -159,11 +160,9 @@ def _subset_runs(p: int, d: int, anchor: tuple, points: tuple,
     sizes = sizes[sizes > 0]
     starts = np.concatenate([[0], np.cumsum(sizes)])
     tails = combination_words(p, d, points, t)
-    out = (starts, heads, len(tails) - sizes - starts[:-1],
-           plane_words(p, d, heads), tails)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    at = len(tails) - sizes - starts[:-1]
+    return tuple(map(read_only, (starts, heads, at, plane_words(p, d, heads),
+                                 tails)))
 
 
 def subset_words(p: int, d: int, anchor, points, r: int, lo: int,
@@ -269,9 +268,8 @@ def orthogonal_direction_bits(p: int, d: int) -> np.ndarray:
     for n_dirs <= 64 (every d = 3 space here)."""
     reps = coords_matrix(p, d)[direction_reps(p, d)].astype(np.int64)
     orth = ((reps @ reps.T) % p == 0).astype(np.uint64)
-    out = (orth << np.arange(len(orth), dtype=np.uint64)).sum(1, np.uint64)
-    out.flags.writeable = False
-    return out
+    return read_only((orth << np.arange(len(orth), dtype=np.uint64))
+                     .sum(1, np.uint64))
 
 
 @lru_cache(maxsize=None)
@@ -291,8 +289,7 @@ def add_table(p: int, d: int) -> np.ndarray:
     for k in range(d):
         col = coords[:, k]
         out += (col[:, None] + col[None, :]) % p * np.int16(p ** k)
-    out.flags.writeable = False
-    return out
+    return read_only(out)
 
 
 @lru_cache(maxsize=None)
@@ -316,9 +313,7 @@ def affine_permutation_array(p: int, d: int) -> np.ndarray:
     # image index of x under each linear map: sum_j x_j * row_j
     lin = (coords_matrix(p, d) @ mats % p) @ p ** np.arange(d)     # (maps, n)
     perms = add_table(p, d)[lin[:, None, :], np.arange(n)[:, None]]
-    perms = perms.reshape(-1, n)
-    perms.flags.writeable = False
-    return perms
+    return read_only(perms.reshape(-1, n))
 
 
 # bounded: at n = 343 one entry holds 0.9 MB
@@ -326,9 +321,7 @@ def affine_permutation_array(p: int, d: int) -> np.ndarray:
 def pair_indices(n: int) -> tuple:
     """np.triu_indices(n, 1), read-only: the index pairs i < j of an
     n-point row."""
-    ii, jj = np.triu_indices(n, k=1)
-    ii.flags.writeable = jj.flags.writeable = False
-    return ii, jj
+    return tuple(map(read_only, np.triu_indices(n, k=1)))
 
 
 def difference(p: int, d: int, a, b) -> np.ndarray:
@@ -346,8 +339,7 @@ def scale_tables(p: int, d: int) -> np.ndarray:
     out = np.zeros((p, n), dtype=np.int32)
     for c in range(p):
         out[c] = ((coords * c) % p) @ powers
-    out.flags.writeable = False
-    return out
+    return read_only(out)
 
 
 @lru_cache(maxsize=None)
@@ -365,8 +357,7 @@ def line_of(p: int, d: int) -> np.ndarray:
         np.minimum(least, table[steps[c]], out=least)
     np.minimum(least, np.arange(p ** d, dtype=least.dtype), out=least)
     least += p ** d * np.arange(len(least), dtype=np.int16)[:, None]
-    least.flags.writeable = False
-    return least
+    return read_only(least)
 
 
 @lru_cache(maxsize=None)
@@ -376,8 +367,7 @@ def dir_of_index(p: int, d: int) -> np.ndarray:
     scl = scale_tables(p, d)
     for k, rep in enumerate(direction_reps(p, d)):
         out[scl[1:, rep]] = k
-    out.flags.writeable = False
-    return out
+    return read_only(out)
 
 
 @lru_cache(maxsize=None)
@@ -406,5 +396,4 @@ def combination_array(m: int, r: int) -> np.ndarray:
             grown[:, j] = np.repeat(out[:, j], counts)
         grown[:, k] = last
         out = grown
-    out.flags.writeable = False
-    return out
+    return read_only(out)
