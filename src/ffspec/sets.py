@@ -40,7 +40,8 @@ def bit_rows(bits) -> list:
     w = packed.shape[-1]
     if w == 0:
         return np.zeros(packed.shape[:-1], dtype=int).tolist()
-    rows = packed.reshape(-1, w).view(f"V{w}").ravel().tolist()
+    rows = np.ascontiguousarray(packed).reshape(-1, w).view(f"V{w}")
+    rows = rows.ravel().tolist()
     out = list(map(int.from_bytes, rows, repeat("little")))
     for k in reversed(packed.shape[1:-1]):
         out = [out[i:i + k] for i in range(0, len(out), k)]

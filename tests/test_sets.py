@@ -14,6 +14,7 @@ from ffspec import (
     read_set,
     write_set,
 )
+from ffspec.sets import bit_rows, mask_indices
 from ffspec.space import coords_to_index
 from ffspec.tables import (add_table, coords_matrix, dir_of_index,
                            difference, direction_reps, line_of, scale_tables)
@@ -121,6 +122,35 @@ class TestPointSet:
         spc = Space(3, 3)
         E = PointSet.from_indices(spc, [1, 5, 20])
         assert _translate(E, 0) == E
+
+
+class TestBitRows:
+    # the one packer of both searches' bit rows, and its inverse
+    def test_matches_bit_by_bit_ints(self, rng):
+        bits = rng.random((3, 4, 343)) < 0.3
+        want = [[sum(1 << j for j in np.flatnonzero(row).tolist())
+                 for row in block] for block in bits]
+        assert bit_rows(bits) == want
+        # a transposed view, whose rows are not contiguous
+        assert bit_rows(bits[0].T) == [
+            sum(1 << j for j in np.flatnonzero(col).tolist())
+            for col in bits[0].T]
+        assert [mask_indices(m, 343) for m in want[1]] == [
+            tuple(np.flatnonzero(row).tolist()) for row in bits[1]]
+
+    def test_empty_rows(self):
+        assert bit_rows(np.zeros((2, 3, 0), dtype=bool)) == [[0] * 3] * 2
+        assert bit_rows(np.zeros((0, 0), dtype=bool)) == []
+        assert mask_indices(0, 9) == ()
+
+    def test_indices_read_once(self):
+        spc = Space(5, 2)
+        E = PointSet.from_indices(spc, [24, 3, 7])
+        assert E.indices() == [3, 7, 24]
+        E.indices().append(0)           # a caller's copy, not the set's
+        assert E.indices() == [3, 7, 24]
+        assert E == PointSet(spc, E.mask) and hash(E) == hash(
+            PointSet(spc, E.mask))
 
 
 class TestProjection:
