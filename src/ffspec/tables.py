@@ -53,7 +53,11 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def coords_matrix(p: int, d: int) -> np.ndarray:
-    """(p^d, d) int16 array, row i = coordinates of point index i."""
+    """(p^d, d) int16 array, row i = coordinates of point index i.
+
+    It cannot check Space(p, d) first, as the other (p, d) builders do:
+    affine_permutation_array reads coords_matrix(p, d^2) as its list of
+    d x d matrices."""
     n = p ** d
     out = np.zeros((n, d), dtype=np.int16)
     idx = np.arange(n)

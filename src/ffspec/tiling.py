@@ -146,15 +146,10 @@ def _backtrack(points: np.ndarray, masks: list, covers: list,
                         carry &= qk if down else ~qk
                         k += 1
             # narrow best to the uncovered points of fewest translates,
-            # high bit first; a dead end if that count is 0
-            dead = True
+            # high bit first; if that count is 0, no candidate is left
             for qk in reversed(zeros):
                 if best & qk:
                     best &= qk
-                else:
-                    dead = False
-            if dead:
-                return None
         rest = covers[(best & -best).bit_length() - 1] & avail
         while rest:
             low = rest & -rest
