@@ -110,8 +110,9 @@ def _backtrack(points: np.ndarray, masks: list, covers: list,
     aborted = False
     cover_of = covers.__getitem__
     m = points.shape[1]
+    # the periods of E: the translates b with E + b = E
     periods = reduce(and_, map(cover_of, points[0].tolist()))
-    coset, aperiodic = periods.bit_count() == m, periods == 1
+    coset = periods.bit_count() == m
 
     def extend(cover: int, avail: int, zeros: list, a: int,
                chosen: list):
@@ -128,8 +129,7 @@ def _backtrack(points: np.ndarray, masks: list, covers: list,
             on = points[a].tolist()
             gone = avail & reduce(or_, map(cover_of, on))
             avail ^= gone
-            rest = gone & ~(1 << a if aperiodic
-                            else reduce(and_, map(cover_of, on)))
+            rest = gone & ~reduce(and_, map(cover_of, on))
             if rest:
                 if rest.bit_count() <= avail.bit_count():
                     zeros, down = list(zeros), True
