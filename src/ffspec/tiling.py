@@ -65,7 +65,7 @@ def verify_tiling_pair(E: PointSet, A: PointSet) -> bool:
                                  [A.indices()])[0])
 
 
-def _translate_masks(table: np.ndarray, n: int) -> tuple:
+def _translate_masks(table: np.ndarray) -> tuple:
     """The translate and covering bitmasks of a (rows, n, m) translate
     table [r, a, j] = point j of E_r + a, as nested lists of ints:
     masks[r][a] has bit x set for x in E_r + a, and covers[r][x] has
@@ -74,6 +74,7 @@ def _translate_masks(table: np.ndarray, n: int) -> tuple:
     as [r, x, a] and packed (packing a transposed view is an order of
     magnitude slower).  Its flat positions are computed in place in
     one index array the size of table."""
+    n = table.shape[1]
     shift = n * n * np.arange(len(table))[:, None, None]
     a = np.arange(n)[:, None]
     hit = np.zeros(len(table) * n * n, dtype=bool)
@@ -186,7 +187,7 @@ def tiling_search_rows(p: int, d: int, rows, budget: int = 10 ** 9) -> list:
         # [r, a, j]: point j of E_r + a
         table = add_table(p, d)[:, rows[lo:lo + _MASK_BLOCK]]
         table = table.transpose(1, 0, 2)
-        masks, covers = _translate_masks(table, n)
+        masks, covers = _translate_masks(table)
         out.extend(_backtrack(*row, (1 << n) - 1, budget)
                    for row in zip(table, masks, covers))
     return out
