@@ -972,7 +972,9 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
 
 _FALSIFY_CHUNK = 2000
 # rows per pruning_rule call: in falsify 7/3/21, 32 to 512 rows were no
-# faster than 96; 128, 256 and 512 raised peak RSS by 0.3, 2.6 and 5 MiB
+# faster than 96; 128, 256 and 512 raised peak RSS by 0.3, 2.6 and 5 MiB.
+# With the one-gather pair kernel, 192 and 384 rows were no faster in a
+# perfbench falsify run, and 384 raised peak RSS by 0.7 MiB
 _PRUNE_BLOCK = 96
 
 
@@ -983,13 +985,16 @@ def _choice_rows(child_seed, n: int, size: int, count: int):
     n - size .. n - 1 (Floyd: j if drawn before), then shuffles with
     draws in [0, i], i = size - 1 .. 1.  A draw below b takes the next
     32-bit word w (PCG64 gives each output low half first), m = w b, and
-    is m >> 32 unless m mod 2^32 < 2^32 mod b rejects w (Lemire)."""
+    is m >> 32 unless m mod 2^32 < 2^32 mod b rejects w (Lemire).  The
+    draws are kept column-major, one (count,) row per draw, so Floyd's
+    test against the earlier draws reduces along contiguous rows; the
+    result is that buffer's transpose, a (count, size) view."""
     if n > 10_000:
         return None
     width = 2 * size - 1
     raw = np.random.PCG64(child_seed).random_raw(-(-count * width // 2))
     words = raw.astype("<u8", copy=False).view("<u4")[:count * width]
-    rows = np.empty((count, size), np.int16)      # indices below 10,000
+    cols = np.empty((size, count), np.int16)      # indices below 10,000
     # one pass per draw: no temporary is wider than one column
     for c, b in enumerate([*range(n - size + 1, n + 1), *range(size, 1, -1)]):
         m = words[c::width] * np.uint64(b)
@@ -997,8 +1002,8 @@ def _choice_rows(child_seed, n: int, size: int, count: int):
             return None
         if c < size:
             v = (m >> 32).astype(np.int16)
-            rows[:, c] = np.where((rows[:, :c] == v[:, None]).any(1), b - 1, v)
-    return rows
+            cols[c] = np.where((cols[:c] == v).any(axis=0), b - 1, v)
+    return cols.T
 
 
 def _falsify_chunk(args):

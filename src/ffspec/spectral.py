@@ -35,8 +35,9 @@ import numpy as np
 from .fourier import zero_directions, zero_set
 from .geometry import _plane_direction_counts
 from .sets import PointSet, bit_rows, mask_indices
-from .tables import (bytes_at_least, coords_matrix, difference, line_sups,
-                     pair_directions, pair_indices, plane_words)
+from .tables import (add_table, bytes_at_least, coords_matrix,
+                     pair_directions, pair_indices, pair_line_ids,
+                     plane_words, scale_tables)
 
 
 class InternalCheckError(RuntimeError):
@@ -83,9 +84,10 @@ def _pair_criterion(p: int, d: int, E_rows: np.ndarray,
     """Difference-set route, per row: every a_i - a_j lies in the zero
     set of E.
 
-    Differences come from index arithmetic (tables.pair_directions) and
-    are looked up by direction in E's zero_directions columns, so this
-    route shares no difference step with the Gram route's coordinate rows.
+    Each pair's direction is read off the line through it, one gather
+    from the point-pair table (tables.pair_directions), and looked up in
+    E's zero_directions columns, so this route shares no difference step
+    with the Gram route's coordinate rows.
     """
     zero = zero_directions(p, d, E_rows)                # (n_dirs, n)
     dirs = pair_directions(p, d, A_rows)
@@ -232,14 +234,22 @@ def pruning_rule(space, rows: np.ndarray) -> np.ndarray:
     """
     p, d = space.p, space.d
     m = rows.shape[-1] // p
-    dirs = pair_directions(p, d, rows)     # read by the line and plane rules
-    ls = line_sups(p, d, rows, dirs)
-    rule = np.where(ls > min(m, p - m), 0, -1)
+    ids = pair_line_ids(p, d, rows)        # read by the line and plane rules
+    # line concentration: some line holds t = min(m, p - m) + 1 points,
+    # that is, C(t, 2) sorted line ids are equal.  At m = p - 1, t = 2
+    # and r = 0, so the second slice ends at len - r, never at -0
+    t = min(m, p - m) + 1
+    r = t * (t - 1) // 2 - 1
+    s = np.sort(ids, axis=-1)
+    hit = (s[..., r:] == s[..., :s.shape[-1] - r]).any(axis=-1)
+    rule = np.where(hit, 0, -1)
     if d == 3:
         # the plane rules see only the rows line concentration passed
         rest = np.flatnonzero(rule < 0)
-        words = plane_words(p, 3, rows[rest])              # (n, n_dirs)
-        per_plane = _plane_direction_counts(p, 3, dirs[rest])
+        kept = rows[rest]
+        words = plane_words(p, 3, kept)                    # (n, n_dirs)
+        per_plane = _plane_direction_counts(
+            p, 3, pair_directions(p, 3, kept, ids[rest]))
         fired = np.array([
             bytes_at_least(p, words, p + 1).any(axis=-1),
             per_plane.max(axis=-1) > p,
@@ -287,9 +297,13 @@ def _clique_in_zero_set(space, zmask: int, n: int, budget: int) -> tuple:
     ci = np.array(cand, dtype=np.int64)
     zbits = np.zeros(space.order, dtype=bool)
     zbits[ci] = True
-    # take and two one-axis gathers: fancy indexing with the int16
-    # differences, or with np.ix_, is several times slower
-    adj_bool = zbits.take(difference(space.p, space.d, ci[:, None], ci))
+    # differences ci[i] - ci[j] by two one-axis takes, then a take of the
+    # bits: np.ix_ or fancy indexing with the int16 differences is
+    # several times slower, and one flat intp index (tables.difference)
+    # took 241 against 159 us at k = 294
+    diff = add_table(space.p, space.d).take(ci, 0).take(
+        scale_tables(space.p, space.d)[space.p - 1][ci], 1)
+    adj_bool = zbits.take(diff)
     np.fill_diagonal(adj_bool, False)
     order = np.lexsort((ci, -adj_bool.sum(axis=1)))
     adj = bit_rows(adj_bool[order][:, order])

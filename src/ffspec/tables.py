@@ -3,7 +3,8 @@
 Points are integer indices (see space.py); every operation on them
 reads the tables here, and coords_matrix gives their coordinates.  Sums come from
 add_table, differences from add_table and the negation row of
-scale_tables (difference), directions from dir_of_index.
+scale_tables (difference), the direction of a point from dir_of_index,
+and the line and direction of a pair of points from pair_lines.
 
 plane_words is the one equidistribution count: how many points of an
 index row lie on each hyperplane x . rep = c, for every canonical
@@ -14,21 +15,23 @@ is one WORD_BLOCK = 4,096-row gather, whatever the caller passes.  A
 plane of F_p^d holds at most p^(d-1) <= 49 points, so no byte carries
 into the next.  In F_7^2 the planes are lines, so the words also
 count the points of a row on every line; lm1, lm2 and proj21 read them
-(proj21 adds the words of its three support rows), and no table here
-is indexed by point pairs.  The zero set of a Fourier transform,
-slab-p3 and the plane_concentration pruning rule read the words
-directly, through uniform_word and bytes_at_least;
+(proj21 adds the words of its three support rows).  The zero set of a
+Fourier transform, slab-p3 and the plane_concentration pruning rule
+read the words directly, through uniform_word and bytes_at_least;
 plane_counts is their byte view, which geometry.plane_sup reads.
 combination_words caches the words of every r-subset of a point list,
 in combination_array order.  subset_words reads any range of rows of
 the sets anchor + S, S over the r-subsets of a point list, each as a
 base word plus one such table row, and subset_rows gives the sets at
 chosen rows; lm1, lm2, slab-p3 and fuglede-3-3 read their sets so.
-pair_directions is the one pair kernel: direction counts, line_sups (the
-most points of a row on one affine line) and plane directions read it.
 line_of names every affine line: the line through x in direction k has
 id k * p^d plus its least point index, so two points share an id
-exactly when they lie on one line of one direction; line_sups reads it.
+exactly when they lie on one line of one direction.  pair_lines is the
+one table indexed by point pairs: entry x * p^d + y is the id of the
+line through x and y.  pair_line_ids is the one pair kernel, one gather
+from it per row set: line_sups (the most points of a row on one affine
+line) sorts its ids, and pair_directions divides them by p^d for the
+direction counts, the plane directions and the spectral pair criterion.
 
 This module owns every cached index table, the permutation tables
 included; sets builds PointSets on top of it, and it imports only
@@ -233,29 +236,37 @@ def plane_counts(p: int, d: int, rows) -> np.ndarray:
     return counts.transpose(-2, *range(counts.ndim - 2), -1)
 
 
-def pair_directions(p: int, d: int, rows) -> np.ndarray:
-    """Direction id of every unordered pair of each index row, in
-    pair_indices order: (..., m) gives (..., C(m, 2)) int16.  Not cached."""
+def pair_line_ids(p: int, d: int, rows) -> np.ndarray:
+    """pair_lines id of every unordered pair of each index row, in
+    pair_indices order: (..., m) gives (..., C(m, 2)) int16, one gather.
+    Not cached."""
     rows = np.asarray(rows, dtype=np.intp)
     ii, jj = pair_indices(rows.shape[-1])
     # int16 indices gather at half the speed of intp ones
-    diff = difference(p, d, rows[..., ii], rows[..., jj])
-    return dir_of_index(p, d)[diff.astype(np.intp)]
+    return pair_lines(p, d)[(rows * p ** d)[..., ii] + rows[..., jj]]
 
 
-def line_sups(p: int, d: int, rows, dirs=None) -> np.ndarray:
+def pair_directions(p: int, d: int, rows, ids=None) -> np.ndarray:
+    """Direction id of every unordered pair of each index row, in
+    pair_indices order: (..., m) gives (..., C(m, 2)) int16, the pair's
+    line id (pair_line_ids, or ids if the caller has them) divided by
+    p^d.  Not cached."""
+    ids = pair_line_ids(p, d, rows) if ids is None else ids
+    return ids // p ** d
+
+
+def line_sups(p: int, d: int, rows, ids=None) -> np.ndarray:
     """Most points of each index row on one affine line.
 
     rows holds point indices, shape (..., m); the result has shape (...).
-    dirs (pair_directions) names each pair's line.  t points share a line
+    ids (pair_line_ids) names each pair's line.  t points share a line
     exactly when C(t, 2) sorted line ids are equal: s[..., r:] ==
     s[..., :-r] somewhere, for r = C(t, 2) - 1.  Not cached.
     """
-    rows = np.asarray(rows, dtype=np.intp)
+    rows = np.asarray(rows)
     m = rows.shape[-1]
-    dirs = pair_directions(p, d, rows) if dirs is None else dirs
-    flat = p ** d * dirs.astype(np.intp) + rows[..., pair_indices(m)[0]]
-    s = np.sort(line_of(p, d).ravel()[flat], axis=-1)
+    ids = pair_line_ids(p, d, rows) if ids is None else ids
+    s = np.sort(ids, axis=-1)
     sup = np.full(rows.shape[:-1], min(m, 2), dtype=np.int64)
     for t in range(3, min(m, p) + 1):
         r = t * (t - 1) // 2 - 1
@@ -290,9 +301,16 @@ def add_table(p: int, d: int) -> np.ndarray:
     n = Space(p, d).order
     coords = coords_matrix(p, d)
     out = np.zeros((n, n), dtype=np.int16)
+    # one (n, n) temporary, updated in place: the three temporaries of
+    # an expression per coordinate raised a falsify run's peak RSS by
+    # 0.2 MiB at (7, 3)
+    term = np.empty_like(out)
     for k in range(d):
         col = coords[:, k]
-        out += (col[:, None] + col[None, :]) % p * np.int16(p ** k)
+        np.add(col[:, None], col[None, :], out=term)
+        term %= p
+        term *= np.int16(p ** k)
+        out += term
     return read_only(out)
 
 
@@ -362,6 +380,28 @@ def line_of(p: int, d: int) -> np.ndarray:
     np.minimum(least, np.arange(p ** d, dtype=least.dtype), out=least)
     least += p ** d * np.arange(len(least), dtype=np.int16)[:, None]
     return read_only(least)
+
+
+@lru_cache(maxsize=None)
+def pair_lines(p: int, d: int) -> np.ndarray:
+    """(p^d * p^d,) int16, read-only: entry x * p^d + y is the line_of id
+    of the line through points x and y, and -1 where x = y.
+
+    y - x is c * rep_k for exactly one step c = 1 .. p - 1 and direction
+    k, so the pairs of one step are add_table[steps[c]] (entry [k, x] is
+    x + c * rep_k), scattered with line_of's ids one (n_dirs, p^d) block
+    at a time.  235 KB at (7, 3).
+    """
+    n = Space(p, d).order
+    steps = scale_tables(p, d)[:, direction_reps(p, d)]     # (p, n_dirs)
+    table, ids = add_table(p, d), line_of(p, d)
+    out = np.full(n * n, -1, dtype=np.int16)
+    row_starts = n * np.arange(n)                           # x * p^d
+    for c in range(1, p):
+        flat = table[steps[c]].astype(np.intp)
+        flat += row_starts
+        out[flat] = ids
+    return read_only(out)
 
 
 @lru_cache(maxsize=None)

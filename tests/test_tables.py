@@ -15,8 +15,9 @@ from ffspec.tables import (WORD_BLOCK, _subset_runs, add_table,
                            bytes_at_least, combination_array,
                            combination_words, difference, direction_reps,
                            line_of, line_sups,
-                           orthogonal_direction_bits,
-                           pair_directions, pair_indices, plane_counts,
+                           orthogonal_direction_bits, pair_directions,
+                           pair_indices, pair_line_ids, pair_lines,
+                           plane_counts,
                            plane_word_table, plane_words, scale_tables,
                            subset_rows, subset_words, uniform_word)
 
@@ -274,7 +275,7 @@ def test_line_sups_oracle(p, d, rng):
             assert np.array_equal(line_sups(p, d, rows.reshape(2, 2, size)),
                                   got.reshape(2, 2))
             assert np.array_equal(
-                line_sups(p, d, rows, pair_directions(p, d, rows)), got)
+                line_sups(p, d, rows, pair_line_ids(p, d, rows)), got)
 
 
 @pytest.mark.parametrize("p,d", _ALL_SPACES)
@@ -292,11 +293,52 @@ def test_pair_directions_oracle(p, d, rng):
             got = pair_directions(p, d, rows.astype(dtype))
             assert got.shape == (6, size * (size - 1) // 2)
             assert got.tolist() == want
+            assert pair_directions(p, d, rows, pair_line_ids(
+                p, d, rows.astype(dtype))).tolist() == want
             assert np.array_equal(
                 pair_directions(p, d, rows.astype(dtype).reshape(2, 3, size)),
                 got.reshape(2, 3, -1))
             assert pair_directions(p, d, rows[0].astype(dtype)).tolist() \
                 == want[0]
+
+
+@pytest.mark.parametrize("p,d", _ALL_SPACES)
+def test_pair_lines_oracle(p, d):
+    # entry x * p^d + y names the line through x and y in line_of, and
+    # that line holds both points; the diagonal is -1
+    n = p ** d
+    pts = O.all_points(p, d)
+    reps = [pts[i] for i in direction_reps(p, d)]
+    ids = line_of(p, d)
+    got = pair_lines(p, d)
+    assert got.dtype == np.int16 and got.shape == (n * n,)
+    table = got.reshape(n, n)
+    assert (np.diagonal(table) == -1).all()
+    on_line = {}
+    for k in range(len(reps)):
+        for x, i in enumerate(ids[k].tolist()):
+            on_line.setdefault(i, set()).add(x)
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            k = reps.index(O.canon_dir(p, tuple(
+                (b - a) % p for a, b in zip(pts[x], pts[y]))))
+            i = int(table[x, y])
+            assert i == ids[k, x]
+            assert {x, y} <= on_line[i]
+
+
+def test_pair_lines_scratch_is_one_block(traced_peak):
+    # the cold build scatters one step's (n_dirs, p^d) block at a time;
+    # all p - 1 steps at once would hold several times the table
+    add_table(7, 3)
+    scale_tables(7, 3)
+    direction_reps(7, 3)
+    line_of(7, 3)
+    out = pair_lines(7, 3)
+    assert out.nbytes == 343 * 343 * 2
+    assert traced_peak(pair_lines.__wrapped__, 7, 3) < 3 * out.nbytes
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -444,6 +486,7 @@ _CACHED_CALLS = {
     "tables.pair_indices": (4,),
     "tables.scale_tables": (3, 2),
     "tables.line_of": (3, 2),
+    "tables.pair_lines": (3, 2),
     "tables.dir_of_index": (3, 2),
     "tables.combination_array": (5, 2),
 }
@@ -485,7 +528,8 @@ def test_cached_builders_return_read_only_arrays():
 
 
 @pytest.mark.parametrize("fn,p,d", [(add_table, 11, 1),
-                                    (scale_tables, 2, 3)])
+                                    (scale_tables, 2, 3),
+                                    (pair_lines, 11, 1)])
 def test_table_builders_check_the_space_first(fn, p, d):
     with pytest.raises(ValueError, match="must be"):
         fn(p, d)
