@@ -27,7 +27,10 @@ Every verifier runs through one driver, _sweep.  Its contract:
   every set of the size by its zero directions and searches each
   distinct key once, and it checks each set against its own tiling
   complement, which the calling process finds with one tiling search per
-  affine orbit of the sets through the origin (_row_complements).
+  affine orbit of the sets through the origin (_row_complements);
+- every symmetry reduction, proj21's filling and row-triple orbits and
+  the fuglede sweeps' affine orbits, is one orbit pass (_orbits) whose
+  orbit count must equal the cycle index's (_orbit_count).
 
 The deterministic part of a report is therefore identical no matter how
 many workers ran it.
@@ -175,17 +178,10 @@ def _sweep(fn, chunks: list, workers: int, expected: int) -> list:
 # (E, e in E) -> (E - e, e) makes k C(n, k) = n C(n - 1, k - 1), so a count
 # over all k-sets is n/k of its count over the k-sets through 0.
 
-@lru_cache(maxsize=None)
-def _through_origin(n: int, size: int) -> np.ndarray:
-    """The size-subsets of range(n) that contain 0, lexicographic."""
-    return read_only(np.pad(combination_array(n - 1, size - 1) + 1,
-                            ((0, 0), (1, 0))))
-
-
 def _origin_sets(p: int, d: int, size: int) -> tuple:
     """The size-sets of F_p^d through 0 as (anchor, points, r) of
     tables.subset_words: 0 plus each (size - 1)-subset of the other
-    points, in the row order of _through_origin."""
+    points, in lexicographic order."""
     return (0,), range(1, p ** d), size - 1
 
 
@@ -354,37 +350,33 @@ def _fillings() -> np.ndarray:
     return read_only(np.array(rows, np.int8))
 
 
-def _orbit_reps(V: np.ndarray, base: int):
-    """Orbit representatives of value rows on F_7 under x -> a x + c:
-    their positions in V, and the orbit sizes.  A key reads a row as
-    base-`base` digits, position 0 most significant; a representative's
-    own key is the smallest of its orbit."""
-    powers = base ** np.arange(6, -1, -1, dtype=np.int64)
-    keys = V[:, affine_permutation_array(7, 1)] @ powers     # (rows, 42)
-    reps = np.flatnonzero(V @ powers == keys.min(axis=1))
-    weights = 1 + (np.diff(np.sort(keys[reps], axis=1)) != 0).sum(axis=1)
-    if int(weights.sum()) != len(V):
-        raise InternalCheckError("orbits do not partition")
-    return reps, weights
+def _line_orbits(rows: np.ndarray, top: int, total: int) -> tuple:
+    """(representatives, sizes) of the orbits of value rows on F_7 with
+    entries 0..top summing to total under x -> a x + c (_orbits); rows in
+    lexicographic order, so a representative is its orbit's least row."""
+    perms = affine_permutation_array(7, 1)
+    powers = (top + 1) ** np.arange(7, dtype=np.int64)
+    reps, orbit, _ = _orbits(
+        rows @ powers, lambda r: rows[r, perms] @ powers,
+        _orbit_count(_cycle_type_counts(7, 1), top, total),
+        f"rows of F_7 -> 0..{top} summing to {total}")
+    return np.array(reps), np.bincount(orbit)
 
 
 @lru_cache(maxsize=None)
 def _f1_orbit_reps():
     """Representatives of filling orbits under x -> a x + c, with sizes."""
-    return tuple(map(read_only, _orbit_reps(_fillings(), 4)))
+    return tuple(map(read_only, _line_orbits(_fillings(), 3, 7)))
 
 
 @lru_cache(maxsize=None)
 def _row_triple_orbits() -> tuple:
-    """Orbits of 3-subsets of F_7 under x -> a x + c: (rep, weight)."""
-    trips = list(itertools.combinations(range(7), 3))
-    # a triple goes in as the row 1 - indicator, in base 2: its members
-    # are the 0 digits, so the smallest key is the lexicographically
-    # smallest sorted triple of its orbit
-    rows = np.ones((len(trips), 7), np.int64)
-    rows[np.arange(len(trips))[:, None], trips] = 0
-    reps, weights = _orbit_reps(rows, 2)
-    return tuple((trips[r], int(w)) for r, w in zip(reps, weights))
+    """Orbits of 3-subsets of F_7 under x -> a x + c: (rep, weight); a
+    triple goes in as its indicator row."""
+    trips = combination_array(7, 3)
+    rows = (trips[:, :, None] == np.arange(7)).any(axis=1)
+    return tuple((tuple(trips[r].tolist()), int(w))
+                 for r, w in zip(*_line_orbits(rows, 1, 3)))
 
 
 def _decode_profile(code: int) -> list:
@@ -455,9 +447,10 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
     value 3, are equidistributed on at most two direction families.
 
     Support lines are taken horizontal (the affine group is transitive
-    on direction families); row triples run over orbit representatives
-    of the affine line action, and the first support row over filling
-    orbits under the simultaneous column maps x -> a x + c.
+    on direction families); row triples run over the 2 orbits of the
+    affine line action, and the first support row over the 31 filling
+    orbits under the simultaneous column maps x -> a x + c, each number
+    checked against the cycle index (_line_orbits).
     """
     t0 = perf_counter()
     V = _fillings()
@@ -686,70 +679,81 @@ def _size_chunk(args):
         "spectral": int(spectral.sum()), "tiles": int(tiles.sum())}}, cex
 
 
+def _orbits(keys: np.ndarray, images, expected: int, what: str) -> tuple:
+    """(representatives, orbit, first) of rows with distinct int keys: the
+    first row of each orbit, and per row its orbit and the position in
+    images(rep) of the first image that hits it.  The first row with no
+    orbit starts one, images(r) gives the keys of its images under the
+    group, and searchsorted finds them.  An image that is no row, a row
+    hit by two orbits, or an orbit count other than expected (the cycle
+    index, _orbit_count) raises InternalCheckError."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    orbit, first = np.full(len(keys), -1), np.zeros(len(keys), np.intp)
+    reps = []
+    while (free := orbit < 0).any():
+        r = int(free.argmax())
+        hits = np.ravel(images(r))
+        at = np.searchsorted(keys, hits).clip(max=len(keys) - 1)
+        if (keys[at] != hits).any():
+            raise InternalCheckError(f"row {r} of {what} maps outside the "
+                                     "rows")
+        hit, pos = np.unique(order[at], return_index=True)
+        if (orbit[hit] >= 0).any():
+            raise InternalCheckError(f"row {r} of {what} maps into another "
+                                     "orbit")
+        orbit[hit], first[hit] = len(reps), pos
+        reps.append(r)
+    if len(reps) != expected:
+        raise InternalCheckError(
+            f"found {len(reps)} orbits of {what}, expected {expected}")
+    return reps, orbit, first
+
+
 # maps per _cycle_type_counts block: a few hundred kB of scratch at p = 7
 _MAP_BLOCK = 1 << 10
 
 
-def _affine_orbits(p: int, size: int) -> tuple:
-    """(representatives, orbit, map) of the rows of _through_origin(p^2,
-    size) under the affine maps of F_p^2: the first row of each orbit,
-    and per row its orbit's position and a linear map x -> Mx, a row of
-    affine_permutation_array(p, 2)[::p^2], with R = M(rep) - e for some
-    point e of M(rep).
-
-    The sets through 0 of the affine class of a row are the sets ME - e,
-    e in ME, so one pass finds every orbit.  Every row is keyed by its
-    bitmask once.  The first row with no orbit yet is mapped by every M,
-    each image is translated by each of its own points, and every row
-    hit joins the orbit, with the first map that hits it.
-    """
-    rows = _through_origin(p * p, size)
-    keys = (np.int64(1) << rows).sum(axis=1)
-    order = np.argsort(keys)
-    keys = keys[order]
+def _affine_orbits(p: int, rows: np.ndarray) -> tuple:
+    """(representatives, orbit, map) of rows, the size-sets of F_p^2
+    through 0, under the affine maps (_orbits), with per row a linear map
+    x -> Mx, a row of affine_permutation_array(p, 2)[::p^2], such that
+    the row is M(rep) - e for a point e of M(rep).  The sets through 0 of
+    the affine class of E are the sets ME - e, e in ME, so the images of
+    a row are its images under every M, each translated by each of its
+    own points; the orbits must number affine_class_counts."""
+    size = rows.shape[1]
     linear = affine_permutation_array(p, 2)[::p * p]
-    orbit = np.full(len(rows), -1)
-    maps = np.zeros(len(rows), dtype=np.intp)
-    reps = []
-    while (free := orbit < 0).any():
-        r = int(free.argmax())
-        images = linear[:, rows[r]]
+
+    def images(r):
+        image = linear[:, rows[r]]
         # [m, j, i]: point i minus point j of image m; the keys of the
         # translates come map by map, size of them per map
-        moved = difference(p, 2, images[:, None, :], images[:, :, None])
-        hits = (np.int64(1) << moved).sum(axis=2).ravel()
-        at = np.searchsorted(keys, hits).clip(max=len(keys) - 1)
-        if (keys[at] != hits).any():
-            raise InternalCheckError(f"row {r} of {size}-sets maps outside "
-                                     "the rows")
-        hit, first = np.unique(order[at], return_index=True)
-        if (orbit[hit] >= 0).any():
-            raise InternalCheckError(f"row {r} of {size}-sets maps into "
-                                     "another orbit")
-        orbit[hit], maps[hit] = len(reps), first // size
-        reps.append(r)
-    return reps, orbit, maps
+        moved = difference(p, 2, image[:, None, :], image[:, :, None])
+        return (np.int64(1) << moved).sum(axis=2)
+
+    reps, orbit, first = _orbits(
+        (np.int64(1) << rows).sum(axis=1), images,
+        affine_class_counts(p, 2, (size,))[size], f"{size}-sets")
+    return reps, orbit, first // size
 
 
 def _row_complements(p: int, size: int) -> np.ndarray:
-    """(rows, p^2 / size) int16: the tiling complement of each row of
-    _through_origin(p^2, size), as sorted point indices, or -1 where the
-    row does not tile; one tiling search per affine orbit, for a size
+    """(rows, p^2 / size) int16: the tiling complement of each size-set of
+    F_p^2 through 0 (_origin_sets), as sorted point indices, or -1 where
+    the set does not tile; one tiling search per affine orbit, for a size
     that can tile.
 
     Tiling commutes with invertible linear maps and with translations:
-    if R + A = F_p^2 exactly, so does (MR - e) + MA.  The orbits
-    (_affine_orbits) must number affine_class_counts.  One
-    tiling_search_rows call searches each orbit's representative R, and
-    a row that M reaches from R gets MA.  Complements leave here
-    unchecked; _size_chunk checks each row against its own, both ways.
+    if R + A = F_p^2 exactly, so does (MR - e) + MA.  One
+    tiling_search_rows call searches each orbit's representative R
+    (_affine_orbits), and a row that M reaches from R gets MA.
+    Complements leave here unchecked; _size_chunk checks each row
+    against its own, both ways.
     """
-    reps, orbit, maps = _affine_orbits(p, size)
-    want = affine_class_counts(p, 2, (size,))[size]
-    if len(reps) != want:
-        raise InternalCheckError(f"found {len(reps)} affine orbits of "
-                                 f"{size}-sets, expected {want}")
-    rows = _through_origin(p * p, size)
+    rows = subset_rows(p, 2, *_origin_sets(p, 2, size),
+                       np.arange(math.comb(p * p - 1, size - 1)))
+    reps, orbit, maps = _affine_orbits(p, rows)
     linear = affine_permutation_array(p, 2)[::p * p]
     out = np.full((len(rows), p * p // size), -1, dtype=np.int16)
     for o, (verdict, complement, _) in enumerate(
@@ -811,43 +815,37 @@ def _cycle_type_counts(p: int, d: int) -> tuple:
          int(c)) for t, c in zip(types, mult))
 
 
+def _orbit_count(types, top: int, total: int) -> int:
+    """Orbits of the value rows with entries 0..top summing to total under
+    a group given as (cycle type, count) pairs: a row fixed by a map is
+    constant on its cycles, so the cycle index, a cycle of length l read
+    as the sum over v of x^(l v), counts them at x^total (Burnside)."""
+    fixed = order = 0
+    for ctype, mult in types:
+        poly = np.bincount([0], minlength=total + 1)
+        for ln in ctype:
+            poly = np.convolve(poly, np.bincount(ln * np.arange(top + 1)))
+            poly = poly[:total + 1]
+        fixed += mult * int(poly[total])
+        order += mult
+    if fixed % order:
+        raise InternalCheckError("orbit count not integral")
+    return fixed // order
+
+
 def affine_class_counts(p: int, d: int, sizes: tuple) -> dict:
     """Number of affine equivalence classes of s-subsets of F_p^d, via
     the cycle index of the affine permutation action (d <= 2)."""
     types = _cycle_type_counts(p, d)
-    order = sum(mult for _, mult in types)
-    out = {}
-    for s in sizes:
-        total = 0
-        for ctype, mult in types:
-            poly = np.zeros(s + 1, np.int64)
-            poly[0] = 1
-            for ln in ctype:
-                f = np.zeros(min(ln, s) + 1, np.int64)
-                f[0] = 1
-                if ln <= s:
-                    f[ln] = 1
-                poly = np.convolve(poly, f)[:s + 1]
-            total += mult * int(poly[s])
-        if total % order:
-            raise InternalCheckError("orbit count not integral")
-        out[s] = total // order
-    return out
+    return {s: _orbit_count(types, 1, s) for s in sizes}
 
 
 def translation_class_counts(p: int, d: int, sizes: tuple) -> dict:
-    """Number of translation classes of s-subsets of F_p^d."""
+    """Number of translation classes of s-subsets of F_p^d: the identity,
+    and p^d - 1 translations with p^(d-1) cycles of length p each."""
     n = p ** d
-    out = {}
-    for s in sizes:
-        total = math.comb(n, s)
-        if s % p == 0:
-            # nonzero translations have n/p cycles of length p
-            total += (n - 1) * math.comb(n // p, s // p)
-        if total % n:
-            raise InternalCheckError("orbit count not integral")
-        out[s] = total // n
-    return out
+    types = (((1,) * n, 1), ((p,) * (n // p), n - 1))
+    return {s: _orbit_count(types, 1, s) for s in sizes}
 
 
 def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport:
@@ -1053,12 +1051,12 @@ def falsify_random(p: int, d: int, size: int, trials: int, seed: int,
     chunk's PCG64 generator, read off its raw words (_choice_rows).
     """
     t0 = perf_counter()
+    spc = Space(p, d)
     size, trials = operator.index(size), operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     if size % p != 0 or not 2 <= size // p <= p - 1:
         raise ValueError(f"size must be mp with 2 <= m <= p-1, got {size}")
-    spc = Space(p, d)
     if size > spc.order:
         raise ValueError(f"size {size} exceeds p^d = {spc.order}")
     blocks = list(_blocks(trials, _FALSIFY_CHUNK))

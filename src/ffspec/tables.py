@@ -23,7 +23,8 @@ combination_words caches the words of every r-subset of a point list,
 in combination_array order.  subset_words reads any range of rows of
 the sets anchor + S, S over the r-subsets of a point list, each as a
 base word plus one such table row, and subset_rows gives the sets at
-chosen rows; lm1, lm2, slab-p3 and fuglede-3-3 read their sets so.
+chosen rows; lm1, lm2, slab-p3 and the fuglede sweeps (3-3, 3-2 and
+5-2) read their sets so.
 line_of names every affine line: the line through x in direction k has
 id k * p^d plus its least point index, so two points share an id
 exactly when they lie on one line of one direction.  pair_lines is the

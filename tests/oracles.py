@@ -225,6 +225,16 @@ def is_tiling_pair(p: int, d: int, E, A) -> bool:
     return sums == sorted(all_points(p, d))
 
 
+@functools.lru_cache(maxsize=None)
+def through_origin(n: int, size: int) -> np.ndarray:
+    """The size-subsets of range(n) that contain 0, lexicographic, as a
+    read-only index array."""
+    rows = np.array([(0, *c) for c in itertools.combinations(range(1, n),
+                                                             size - 1)])
+    rows.flags.writeable = False
+    return rows
+
+
 def affine_maps_2d(p: int) -> list:
     """All invertible affine maps of F_p^2 as (matrix, shift)."""
     out = []

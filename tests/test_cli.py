@@ -560,13 +560,14 @@ class TestFalsify:
             main(["falsify", "--p", "7", "--d", "3"])
         assert exc.value.code == 1
 
-    def test_space_outside_domain_exits_1(self, capsys):
+    @pytest.mark.parametrize("p", [17, 0, -7])
+    def test_space_outside_domain_exits_1(self, capsys, p):
+        # the space is checked before the size is read against p
         code, out, err = run_cli(
-            ["falsify", "--p", "17", "--d", "3", "--size", "34",
+            ["falsify", "--p", str(p), "--d", "3", "--size", "21",
              "--trials", "1", "--seed", "1"], capsys)
         assert code == 1 and out == ""
-        assert "p must be the prime 3, 5 or 7, got 17" in err
-        assert "table" not in err
+        assert err == f"error: p must be the prime 3, 5 or 7, got {p}\n"
 
 
 class TestParserReuse:

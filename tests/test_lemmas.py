@@ -33,7 +33,6 @@ from ffspec.lemmas import (
     _size_chunk,
     _slab_chunk,
     _sweep,
-    _through_origin,
     affine_class_counts,
     translation_class_counts,
 )
@@ -41,7 +40,7 @@ from ffspec.spectral import spectrum_search
 from ffspec.tables import (add_table, affine_permutation_array,
                            combination_array, coords_matrix, difference,
                            direction_masks, direction_reps, plane_words,
-                           subset_words, uniform_word)
+                           subset_rows, subset_words, uniform_word)
 
 
 class TestLm1:
@@ -334,7 +333,7 @@ class TestTailWords:
         n = math.comb(26, 5)
         assert np.array_equal(subset_words(3, 3, *lemmas._origin_sets(3, 3, 6),
                                            0, n),
-                              plane_words(3, 3, _through_origin(27, 6)))
+                              plane_words(3, 3, O.through_origin(27, 6)))
         # any range of combination_array(27, 6), across runs and past
         # its end
         full = combination_array(27, 6)
@@ -346,7 +345,7 @@ class TestTailWords:
     def test_f33_keys_are_the_zero_directions(self):
         # the keys of every fuglede sweep's largest searched size
         for p, d, size in [(3, 3, 6), (5, 2, 5), (3, 2, 3)]:
-            zero = zero_directions(p, d, _through_origin(p ** d, size))
+            zero = zero_directions(p, d, O.through_origin(p ** d, size))
             want = (1 << np.arange(len(zero))) @ zero      # (n_dirs, n)
             assert lemmas._zero_keys(p, d, size).tolist() == want.tolist()
 
@@ -710,6 +709,55 @@ class TestFugledeSweeps:
             "fd6d8b1a377c7605c7f464dcc9b6e22cdc201b244efd42a7c031219bec22950e")
 
 
+def _walked_cycle_types(perms) -> tuple:
+    """(cycle type, count) pairs of the rows of a permutation array, each
+    cycle walked in Python."""
+    types = Counter()
+    for perm in perms.tolist():
+        seen, lens = set(), []
+        for x in range(len(perm)):
+            n = 0
+            while x not in seen:
+                seen.add(x)
+                x, n = perm[x], n + 1
+            if n:
+                lens.append(n)
+        types[tuple(sorted(lens))] += 1
+    return tuple(types.items())
+
+
+@pytest.mark.parametrize("case,want", [
+    ("fillings", 31), ("triples", 2), ("fillings-translations", 162),
+    ("plane-3-3", 2), ("plane-3-4", 2), ("plane-5-5", 11)])
+def test_orbit_pass_matches_cycle_index(case, want):
+    # the one orbit pass against the one count, over the groups of proj21
+    # (fillings and row triples under x -> a x + c), the fillings under
+    # the translations of F_7 alone, and the plane sweeps' affine groups
+    if case.startswith("plane"):
+        p, size = map(int, case.split("-")[1:])
+        rows = O.through_origin(p * p, size)
+        count = lemmas._orbit_count(
+            _walked_cycle_types(affine_permutation_array(p, 2)), 1, size)
+        reps, orbit, _ = lemmas._affine_orbits(p, rows)
+    else:
+        if case == "triples":
+            rows = np.array([[int(x in t) for x in range(7)]
+                             for t in itertools.combinations(range(7), 3)])
+            top, total = 1, 3
+        else:
+            rows, top, total = _fillings(), 3, 7
+        perms = (add_table(7, 1) if case.endswith("translations")
+                 else affine_permutation_array(7, 1))
+        count = lemmas._orbit_count(_walked_cycle_types(perms), top, total)
+        powers = (top + 1) ** np.arange(7)
+        reps, orbit, _ = lemmas._orbits(rows @ powers,
+                                        lambda r: rows[r, perms] @ powers,
+                                        count, case)
+    assert len(reps) == count == want
+    assert len(orbit) == len(rows) and orbit.min() == 0
+    assert sorted(orbit[reps].tolist()) == list(range(want))
+
+
 def _counting(monkeypatch, name):
     """Wrap lemmas.<name>; returns the list of argument tuples it saw."""
     calls = []
@@ -759,7 +807,7 @@ class TestGroupedSweeps:
         keys = lemmas._zero_keys(3, 3, 6)[lo:hi]
         total = searched = nodes = 0
         zero_sets = set()
-        for row, key in zip(_through_origin(27, 6)[lo:hi], keys.tolist()):
+        for row, key in zip(O.through_origin(27, 6)[lo:hi], keys.tolist()):
             assert row[0] == 0
             E = PointSet.from_indices(space, row.tolist())
             z = zero_set(E)
@@ -790,7 +838,7 @@ class TestGroupedSweeps:
         # the zero sets of size - 1 or more points among the explicit
         # rows, searched once each over the whole size
         zero = np.unique(
-            zero_directions(p, d, _through_origin(p ** d, size)).T, axis=0)
+            zero_directions(p, d, O.through_origin(p ** d, size)).T, axis=0)
         want = {sum(itertools.compress(direction_masks(p, d), z))
                 for z in zero if (p - 1) * z.sum() >= size - 1}
         calls = _counting(monkeypatch, "_clique_in_zero_set")
@@ -834,7 +882,7 @@ class TestGroupedSweeps:
 
     def test_fug33_key_pass_forks_nothing(self, fork_count, traced_peak):
         subset_words(3, 3, *lemmas._origin_sets(3, 3, 6), 0, 0)   # warm
-        n = len(_through_origin(27, 6))
+        n = len(O.through_origin(27, 6))
         # 16-bit keys (132 kB) and one WORD_BLOCK of words (213 kB);
         # int64 keys alone would take 526 kB
         assert traced_peak(lemmas._zero_keys, 3, 3, 6) < 4.5e5
@@ -877,36 +925,33 @@ class TestGroupedSweeps:
         assert len({O.affine_min_image(perms, row)
                     for row in rows.tolist()}) == want
 
-    @pytest.mark.parametrize("p,size,want,change,found", [
-        pytest.param(5, 5, 11, "split", 12, id="5-5-11"),
-        pytest.param(3, 3, 2, "split", 3, id="3-3-2"),
-        pytest.param(5, 5, 11, "merge", 10, id="5-5-11-merge")])
-    def test_split_orbit_fails_count(self, monkeypatch, p, size, want,
-                                     change, found):
-        # split: the last row of the first orbit starts an orbit of its
-        # own; merge: orbit 1 joins orbit 0
-        real = lemmas._affine_orbits
+    @pytest.mark.parametrize("p,size,change,match", [
+        pytest.param(5, 5, 1, "found 11 orbits of 5-sets, expected 12",
+                     id="5-5-count"),
+        pytest.param(3, 3, -1, "found 2 orbits of 3-sets, expected 1",
+                     id="3-3-count"),
+        pytest.param(5, 5, "map", "row 651 of 5-sets maps into another orbit",
+                     id="5-5-map")])
+    def test_changed_pass_input_fails(self, monkeypatch, p, size, change,
+                                      match):
+        # the affine orbit pass told a count off by one, or given the
+        # images under every linear map but the first
+        real = lemmas._orbits
 
-        def changed(p, size):
-            reps, orbit, maps = real(p, size)
-            if change == "split":
-                last = int(np.flatnonzero(orbit == 0)[-1])
-                orbit[last] = len(reps)
-                return reps + [last], orbit, maps
-            orbit[orbit == 1] = 0
-            return reps[:1] + reps[2:], orbit - (orbit > 1), maps
+        def changed(keys, images, expected, what):
+            if change == "map":
+                return real(keys, lambda r: images(r)[1:], expected, what)
+            return real(keys, images, expected + change, what)
 
-        monkeypatch.setattr(lemmas, "_affine_orbits", changed)
-        with pytest.raises(InternalCheckError, match=(
-                f"found {found} affine orbits of {size}-sets, "
-                f"expected {want}")):
+        monkeypatch.setattr(lemmas, "_orbits", changed)
+        with pytest.raises(InternalCheckError, match=match):
             verify_fuglede_small(p, 2, (size,))
 
     @pytest.mark.parametrize("p,size,sample", [(3, 3, None), (3, 4, None),
                                                (5, 5, 400)])
     def test_affine_orbits_match_oracle(self, p, size, sample):
-        rows = _through_origin(p * p, size)
-        reps, orbit, maps = lemmas._affine_orbits(p, size)
+        rows = O.through_origin(p * p, size)
+        reps, orbit, maps = lemmas._affine_orbits(p, rows)
         assert orbit.min() == 0 and len(reps) == orbit.max() + 1
         assert [orbit[r] for r in reps] == list(range(len(reps)))
         # every row is M(rep) - e for a point e of M(rep)
@@ -938,15 +983,15 @@ class TestGroupedSweeps:
                             lambda p, d, a, b: add_table(p, d)[a, b])
         with pytest.raises(InternalCheckError,
                            match="row 1 of 5-sets maps outside the rows"):
-            lemmas._affine_orbits(5, 5)
+            lemmas._affine_orbits(5, O.through_origin(25, 5))
 
     def test_false_class_complement_fails_member_check(self, monkeypatch):
         # row 0 is the line {0, ..., 4}, the representative of orbit 0;
         # given itself as complement it covers the line 5 times and
         # nothing else
-        reps, orbit, _ = lemmas._affine_orbits(5, 5)
+        reps, orbit, _ = lemmas._affine_orbits(5, O.through_origin(25, 5))
         assert reps[0] == orbit[0] == 0
-        assert _through_origin(25, 5)[0].tolist() == [0, 1, 2, 3, 4]
+        assert O.through_origin(25, 5)[0].tolist() == [0, 1, 2, 3, 4]
         real = lemmas._row_complements
 
         def false(p, size):
@@ -1221,7 +1266,9 @@ class TestOriginSweeps:
 
     def test_rows_are_the_sets_through_the_origin(self):
         full = combination_array(27, 6)
-        assert _through_origin(27, 6).tolist() \
+        rows = subset_rows(3, 3, *lemmas._origin_sets(3, 3, 6),
+                           np.arange(math.comb(26, 5)))
+        assert rows.tolist() == O.through_origin(27, 6).tolist() \
             == full[full[:, 0] == 0].tolist()
         assert len(full[full[:, 0] == 0]) == math.comb(26, 5) == 65780
 

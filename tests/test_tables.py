@@ -466,7 +466,6 @@ def _assert_combinations(m, r):
 # one small call per cached builder in the package
 _CACHED_CALLS = {
     "cli.build_parser": (),
-    "lemmas._through_origin": (9, 3),
     "lemmas._fillings": (),
     "lemmas._f1_orbit_reps": (),
     "lemmas._row_triple_orbits": (),
