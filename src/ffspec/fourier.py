@@ -18,12 +18,10 @@ diagnostics only.
 """
 from __future__ import annotations
 
-from itertools import compress
-
 import numpy as np
 
 from .sets import PointSet, QuotientFunction
-from .tables import direction_masks, plane_words, uniform_word
+from .tables import direction_points, plane_words, uniform_word
 
 
 def zero_directions(p: int, d: int, rows) -> np.ndarray:
@@ -44,12 +42,14 @@ def zero_set(E: PointSet) -> PointSet:
     """All nonzero xi with fhat_E(xi) = 0, exactly.
 
     Computed once per canonical direction and expanded to scalar
-    multiples: x . (c xi) runs over the same hyperplane partition, so
-    the transform vanishes at xi iff it vanishes at every c xi, c != 0.
+    multiples (tables.direction_points): x . (c xi) runs over the same
+    hyperplane partition, so the transform vanishes at xi iff it
+    vanishes at every c xi, c != 0.
     """
     p, d = E.space.p, E.space.d
     zero = zero_directions(p, d, np.array(E.indices(), dtype=np.int64))
-    return PointSet(E.space, sum(compress(direction_masks(p, d), zero)))
+    key = sum(1 << k for k in np.flatnonzero(zero).tolist())
+    return PointSet(E.space, direction_points(p, d, key).tolist())
 
 
 # ---------------------------------------------------------------------------

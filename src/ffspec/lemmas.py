@@ -60,7 +60,7 @@ from .tables import (
     combination_array,
     coords_matrix,
     difference,
-    direction_masks,
+    dir_of_index,
     orthogonal_direction_bits,
     plane_word_table,
     read_only,
@@ -573,10 +573,6 @@ def _found(verdict: str) -> bool:
     return verdict == "witness"
 
 
-def _pointset(spc: Space, row) -> PointSet:
-    return PointSet(spc, sum(1 << int(i) for i in row))
-
-
 def _zero_keys(p: int, d: int, size: int) -> np.ndarray:
     """The zero-direction key (_zero_bits) of each set of
     _origin_sets(p, d, size), in row order, WORD_BLOCK rows at a time."""
@@ -593,19 +589,18 @@ def _search_keys(spc: Space, size: int, keys, counts) -> tuple:
     keys (bit k: direction k), each with its number of sets, at a size a
     spectral set may have.
 
-    The clique stage is a function of (zero set, size, budget) alone, so
-    it runs once per key, and its nodes count once per set.  It needs
-    |E| - 1 points in the zero set, and each zero direction holds p - 1
-    of them, so a key with fewer is answered none without a search.
+    The clique stage is keyed by (key, size, budget), as spectrum_search
+    calls it, so it runs once per key, and its nodes count once per set.
+    It needs |E| - 1 points in the zero set, and each zero direction
+    holds p - 1 of them, so a key with fewer is answered none without a
+    search.
     """
-    dmasks = direction_masks(spc.p, spc.d)
     searched = nodes = 0
     spectra = {}
     for key, count in zip(keys, counts):
         if (spc.p - 1) * key.bit_count() < size - 1:
             continue
-        zmask = sum(m for k, m in enumerate(dmasks) if key >> k & 1)
-        verdict, spectrum, n = _clique_in_zero_set(spc, zmask, size, _BUDGET)
+        verdict, spectrum, n = _clique_in_zero_set(spc, key, size, _BUDGET)
         searched += count
         nodes += n * count
         if _found(verdict):
@@ -893,7 +888,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     anchored = {s: math.comb(n - 1, s - 1) for s in sizes}
     nodes, per_size, cex = 0, {}, []
     if searched:
-        plane_word_table(p, d), direction_masks(p, d)
+        plane_word_table(p, d), dir_of_index(p, d)
         chunks = [(p, d, s, _row_complements(p, s)
                    if size_can_tile(spc, s) else None) for s in searched]
         _, nodes, per_size, cex = _sweep(_size_chunk, chunks, workers,
@@ -1027,7 +1022,7 @@ def _falsify_chunk(args):
     wits = []
     for row in rows[rule < 0]:
         # no rule rejects the row, so the search runs in full
-        cert = spectrum_search(_pointset(spc, row))
+        cert = spectrum_search(PointSet(spc, row.tolist()))
         outcomes[cert.verdict] += 1
         if cert.verdict == "witness":
             wits.append({

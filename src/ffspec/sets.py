@@ -1,10 +1,11 @@
-"""Subsets of F_p^d as bitmasks, integer functions on F_p^d and file I/O.
+"""Subsets of F_p^d as point indices, integer functions on F_p^d and
+file I/O.
 
-A PointSet stores its space and a bit vector of length p^d packed into
-a Python int; bit i is point index i.  bit_rows packs boolean rows into
-such ints and mask_indices reads one back, both through numpy's bit
-packing; the searches build their bit rows with the first.  The
-on-disk format is ASCII:
+A PointSet stores its space and its point indices, one sorted tuple of
+distinct ints, and its constructor is the one builder.  bit_rows packs
+boolean rows into Python-int bitmasks, the searches' adjacency and
+translate rows; the clique stage is keyed by zero directions
+(tables.direction_points), never by a set.  The on-disk format is ASCII:
 
     # optional comment lines
     p 7
@@ -18,7 +19,7 @@ are an error, an empty body is a valid empty set.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -48,34 +49,21 @@ def bit_rows(bits) -> list:
     return out
 
 
-def mask_indices(mask: int, n: int) -> tuple:
-    """The set bits of an n-bit mask, ascending, read with np.unpackbits."""
-    bits = np.unpackbits(np.frombuffer(mask.to_bytes(-(-n // 8), "little"),
-                                       dtype=np.uint8), bitorder="little")
-    return tuple(np.flatnonzero(bits).tolist())
-
-
 @dataclass(frozen=True)
 class PointSet:
+    """A set of points of a space, held as its point indices: built from
+    any iterable of integers (numpy ones included), stored as one sorted
+    tuple in which repeats count once."""
+
     space: Space
-    mask: int
-    # the point indices, ascending, read once when the set is built
-    _indices: tuple = field(init=False, repr=False, compare=False)
+    points: tuple
 
     def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.space.order:
-            raise ValueError("mask has bits outside the space")
-        object.__setattr__(self, "_indices",
-                           mask_indices(self.mask, self.space.order))
-
-    @classmethod
-    def from_indices(cls, space: Space, indices) -> "PointSet":
-        mask, n = 0, space.order
-        for i in map(operator.index, indices):
-            if not 0 <= i < n:
-                raise ValueError(f"point index {i} out of range")
-            mask |= 1 << i
-        return cls(space, mask)
+        points = tuple(sorted(set(map(operator.index, self.points))))
+        if points and (points[0] < 0 or points[-1] >= self.space.order):
+            bad = points[0] if points[0] < 0 else points[-1]
+            raise ValueError(f"point index {bad} out of range")
+        object.__setattr__(self, "points", points)
 
     @classmethod
     def from_coords(cls, space: Space, coord_rows) -> "PointSet":
@@ -85,14 +73,14 @@ class PointSet:
             if len(row) != space.d:
                 raise ValueError("coordinate count does not match dimension")
             indices.append(coords_to_index(row, space.p))
-        return cls.from_indices(space, indices)
+        return cls(space, indices)
 
     @property
     def size(self) -> int:
-        return self.mask.bit_count()
+        return len(self.points)
 
     def indices(self) -> list:
-        return list(self._indices)
+        return list(self.points)
 
     def coord_rows(self) -> list:
         """Coordinate rows in index order; the JSON witness format."""

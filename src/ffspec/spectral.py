@@ -16,14 +16,16 @@ degree (ties by point index) and subtrees are explored in that order
 with greedy-coloring upper bounds.
 
 Everything after the zero set, that is the candidate list, adjacency,
-degree order and clique search, is a function of (zero set, size,
-budget) alone.  That clique stage is memoized per process, so sets that
-share a zero set (all translates of a set, and most sets of a sweep)
-search once; the exhaustive sweeps also key every set of a size by its
-zero set and call it once per distinct key.  Witness validation is not
-shared: every witness is re-verified against its own set, by both
-routes and both ways, on a cache hit too; a sweep checks the witnesses
-of a block of rows in one batched call.
+degree order and clique search, is a function of (zero directions,
+size, budget) alone.  That clique stage is memoized per process and
+keyed by the direction key, an int with bit k for direction k, so sets
+that share a zero set (all translates of a set, and most sets of a
+sweep) search once; spectrum_search reads the key off its zero set,
+and the exhaustive sweeps key every set of a size by its zero
+directions, so both meet the same cache entries.  Witness validation
+is not shared: every witness is re-verified against its own set, by
+both routes and both ways, on a cache hit too; a sweep checks the
+witnesses of a block of rows in one batched call.
 """
 from __future__ import annotations
 
@@ -34,10 +36,10 @@ import numpy as np
 
 from .fourier import zero_directions, zero_set
 from .geometry import _plane_direction_counts
-from .sets import PointSet, bit_rows, mask_indices
-from .tables import (add_table, bytes_at_least, coords_matrix,
-                     pair_directions, pair_indices, pair_line_ids,
-                     plane_words, scale_tables)
+from .sets import PointSet, bit_rows
+from .tables import (add_table, bytes_at_least, coords_matrix, dir_of_index,
+                     direction_points, pair_directions, pair_indices,
+                     pair_line_ids, plane_words, scale_tables)
 
 
 class InternalCheckError(RuntimeError):
@@ -271,30 +273,31 @@ def spectrum_search(E: PointSet, budget: int = 10 ** 9) -> SearchCertificate:
     n = E.size
     if n not in allowed_spectral_sizes(space):
         return SearchCertificate("none", None, 0, size_filtered=True)
-    verdict, spectrum, nodes = _clique_in_zero_set(space, zero_set(E).mask,
-                                                   n, budget)
+    dirs = dir_of_index(space.p, space.d)[zero_set(E).indices()]
+    key = sum(1 << k for k in set(dirs.tolist()))
+    verdict, spectrum, nodes = _clique_in_zero_set(space, key, n, budget)
     if verdict != "witness":
         return SearchCertificate(verdict, None, nodes)
-    witness = PointSet.from_indices(space, spectrum)
+    witness = PointSet(space, spectrum)
     _validate_witness(E, witness)
     return SearchCertificate("witness", witness, nodes)
 
 
-# bounded: a sweep meets a few hundred zero sets, but a long sampling
-# run can meet a new one on every trial
+# bounded: a sweep meets a few hundred keys, but a long sampling run
+# can meet a new one on every trial
 @lru_cache(maxsize=4096)
-def _clique_in_zero_set(space, zmask: int, n: int, budget: int) -> tuple:
+def _clique_in_zero_set(space, key: int, n: int, budget: int) -> tuple:
     """Clique stage of spectrum_search: an n-clique containing 0 in the
-    Cayley graph on the zero set zmask.
+    Cayley graph on the zero set of direction key `key` (bit k for
+    canonical direction k), tables.direction_points.
 
     Returns (verdict, spectrum indices as a tuple or None, nodes).  The
     result is a function of the four arguments alone, so it is cached.
     """
-    cand = mask_indices(zmask, space.order)
-    if len(cand) < n - 1:
+    ci = direction_points(space.p, space.d, key)
+    if len(ci) < n - 1:
         return "none", None, 0
     # adjacency over candidate slots, ordered by descending degree then index
-    ci = np.array(cand, dtype=np.int64)
     zbits = np.zeros(space.order, dtype=bool)
     zbits[ci] = True
     # differences ci[i] - ci[j] by two one-axis takes, then a take of the
@@ -310,7 +313,7 @@ def _clique_in_zero_set(space, zmask: int, n: int, budget: int) -> tuple:
     verdict, slots, nodes = _clique_of_size(adj, n - 1, budget)
     if verdict != "witness":
         return verdict, None, nodes
-    return verdict, (0, *(cand[order[s]] for s in slots)), nodes
+    return verdict, (0, *ci[order[slots]].tolist()), nodes
 
 
 def _validate_witness(E: PointSet, A: PointSet) -> None:

@@ -4,7 +4,10 @@ Points are integer indices (see space.py); every operation on them
 reads the tables here, and coords_matrix gives their coordinates.  Sums come from
 add_table, differences from add_table and the negation row of
 scale_tables (difference), the direction of a point from dir_of_index,
-and the line and direction of a pair of points from pair_lines.
+and the line and direction of a pair of points from pair_lines.  A set
+of directions is a direction key, an int with bit k for direction k;
+direction_points expands one to its points, which is how zero_set and
+the clique stage that spectrum_search and the sweeps share read it.
 
 plane_words is the one equidistribution count: how many points of an
 index row lie on each hyperplane x . rep = c, for every canonical
@@ -201,10 +204,12 @@ def subset_rows(p: int, d: int, anchor, points, r: int,
                                            tuple(points), r)
     pos = np.asarray(positions, dtype=np.intp)
     k = np.searchsorted(starts, pos, "right") - 1
-    t = len(anchor) + r - heads.shape[1]
-    tail = combination_array(len(points), t)[at[k] + pos]
-    rows = np.hstack([heads[k], np.array(points, dtype=np.intp)[tail]])
-    return np.sort(rows, axis=1)
+    h = heads.shape[1]
+    tail = combination_array(len(points), len(anchor) + r - h)[at[k] + pos]
+    rows = np.empty((len(pos), h + tail.shape[1]), dtype=np.intp)
+    rows[:, :h], rows[:, h:] = heads[k], np.array(points, dtype=np.intp)[tail]
+    rows.sort(axis=1)
+    return rows
 
 
 def uniform_word(p: int, c: int) -> int:
@@ -256,18 +261,17 @@ def pair_directions(p: int, d: int, rows, ids=None) -> np.ndarray:
     return ids // p ** d
 
 
-def line_sups(p: int, d: int, rows, ids=None) -> np.ndarray:
+def line_sups(p: int, d: int, rows) -> np.ndarray:
     """Most points of each index row on one affine line.
 
     rows holds point indices, shape (..., m); the result has shape (...).
-    ids (pair_line_ids) names each pair's line.  t points share a line
+    pair_line_ids names each pair's line, and t points share a line
     exactly when C(t, 2) sorted line ids are equal: s[..., r:] ==
     s[..., :-r] somewhere, for r = C(t, 2) - 1.  Not cached.
     """
     rows = np.asarray(rows)
     m = rows.shape[-1]
-    ids = pair_line_ids(p, d, rows) if ids is None else ids
-    s = np.sort(ids, axis=-1)
+    s = np.sort(pair_line_ids(p, d, rows), axis=-1)
     sup = np.full(rows.shape[:-1], min(m, 2), dtype=np.int64)
     for t in range(3, min(m, p) + 1):
         r = t * (t - 1) // 2 - 1
@@ -286,14 +290,6 @@ def orthogonal_direction_bits(p: int, d: int) -> np.ndarray:
     orth = ((reps @ reps.T) % p == 0).astype(np.uint64)
     return read_only((orth << np.arange(len(orth), dtype=np.uint64))
                      .sum(1, np.uint64))
-
-
-@lru_cache(maxsize=None)
-def direction_masks(p: int, d: int) -> tuple:
-    """Per canonical direction, the bitmask of its p - 1 nonzero points."""
-    ids = dir_of_index(p, d)
-    return tuple(sum(1 << int(i) for i in np.flatnonzero(ids == k))
-                 for k in range(len(direction_reps(p, d))))
 
 
 @lru_cache(maxsize=None)
@@ -413,6 +409,17 @@ def dir_of_index(p: int, d: int) -> np.ndarray:
     for k, rep in enumerate(direction_reps(p, d)):
         out[scl[1:, rep]] = k
     return read_only(out)
+
+
+def direction_points(p: int, d: int, key: int) -> np.ndarray:
+    """The nonzero points, ascending, whose canonical direction k
+    (dir_of_index) has bit k set in the direction key: the zero set of
+    a transform that vanishes along exactly those directions.  Not
+    cached."""
+    dirs = dir_of_index(p, d)
+    on = [key >> k & 1 for k in range(len(direction_reps(p, d)))]
+    # point 0, of direction -1, reads the trailing 0
+    return np.flatnonzero(np.array(on + [0], dtype=bool)[dirs])
 
 
 @lru_cache(maxsize=None)

@@ -204,7 +204,7 @@ def tiling_search(E: PointSet, budget: int = 10 ** 9) -> SearchCertificate:
         space.p, space.d, [E.indices()], budget)
     if verdict != "witness":
         return SearchCertificate(verdict, None, nodes)
-    witness = PointSet.from_indices(space, complement)
+    witness = PointSet(space, complement)
     if not verify_tiling_pair(E, witness):
         raise InternalCheckError("search produced a non-verifying tiling")
     if not verify_tiling_pair(witness, E):

@@ -161,7 +161,7 @@ def test_criterion_07_exact_float_agreement():
     for _ in range(10_000):
         size = int(rng.integers(1, 40))
         idxs = np.sort(rng.choice(343, size, replace=False))
-        E = PointSet.from_indices(spc, [int(i) for i in idxs])
+        E = PointSet(spc, [int(i) for i in idxs])
         raw = np.abs(float_dft(E)) * 343
         zmask = np.zeros(343, bool)
         zmask[zero_set(E).indices()] = True
@@ -200,7 +200,7 @@ def test_criterion_10_spectrum_symmetry():
     spc32 = Space(3, 2)
     for size in range(1, 10):
         for combo in itertools.combinations(range(9), size):
-            E = PointSet.from_indices(spc32, combo)
+            E = PointSet(spc32, combo)
             cert = spectrum_search(E)
             if cert.verdict == "witness":
                 pairs.append((E, cert.witness))
@@ -218,7 +218,7 @@ def test_criterion_10_spectrum_symmetry():
     found = 0
     while found < 30:
         tail = np.sort(rng.choice(np.arange(1, 25), 4, replace=False))
-        E = PointSet.from_indices(spc52, [0] + [int(t) for t in tail])
+        E = PointSet(spc52, [0] + [int(t) for t in tail])
         cert = spectrum_search(E)
         if cert.verdict == "witness":
             pairs.append((E, cert.witness))

@@ -128,7 +128,7 @@ class TestAnalyze:
         spc = Space(7, 3)
         T = PointSet.from_coords(spc, [tuple(r)
                                        for r in res["tile"]["witness"]])
-        assert verify_tiling_pair(PointSet.from_indices(spc, idx), T)
+        assert verify_tiling_pair(PointSet(spc, idx), T)
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_usage_error(self, budget, line_file,

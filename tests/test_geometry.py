@@ -38,7 +38,7 @@ def _per_plane(E):
 def _sumset(A, B):
     """A + B, read from add_table."""
     sums = add_table(A.space.p, A.space.d)[np.ix_(A.indices(), B.indices())]
-    return PointSet.from_indices(A.space, np.unique(sums).tolist())
+    return PointSet(A.space, np.unique(sums).tolist())
 
 
 class TestDirectionStats:
@@ -55,7 +55,7 @@ class TestDirectionStats:
             spc = Space(p, d)
             for _ in range(10):
                 size = int(rng.integers(2, 9))
-                E = PointSet.from_indices(
+                E = PointSet(
                     spc, sorted(int(i) for i in
                                 rng.choice(spc.order, size, replace=False)))
                 stats = direction_stats(E)
@@ -81,7 +81,7 @@ class TestDirectionStats:
         base = direction_stats(E)
         base_mults = sorted(base.multiplicity.values())
         for k in rng.choice(len(perms), size=12, replace=False):
-            img = PointSet.from_indices(spc, perms[k, E.indices()].tolist())
+            img = PointSet(spc, perms[k, E.indices()].tolist())
             istats = direction_stats(img)
             assert istats.count == base.count
             assert sorted(istats.multiplicity.values()) == base_mults
@@ -93,7 +93,7 @@ class TestConcentration:
         line = _set(7, 2, [(t, 3) for t in range(7)])
         assert line_sup(line) == 7
         assert line_sup(_set(7, 2, E0_COORDS)) == 2
-        assert line_sup(PointSet(Space(3, 2), 0)) == 0
+        assert line_sup(PointSet(Space(3, 2), ())) == 0
         assert line_sup(_set(3, 3, [(1, 1, 1)])) == 1
 
     def test_line_sup_oracle(self, rng):
@@ -101,7 +101,7 @@ class TestConcentration:
             spc = Space(p, d)
             for _ in range(8):
                 size = int(rng.integers(2, 8))
-                E = PointSet.from_indices(
+                E = PointSet(
                     spc, sorted(int(i) for i in
                                 rng.choice(spc.order, size, replace=False)))
                 assert line_sup(E) == O.line_sup(p, d, _rows(E))
@@ -114,7 +114,7 @@ class TestConcentration:
         spc3 = Space(3, 3)
         for _ in range(10):
             size = int(rng.integers(1, 9))
-            E = PointSet.from_indices(
+            E = PointSet(
                 spc3, sorted(int(i) for i in
                              rng.choice(27, size, replace=False)))
             assert plane_sup(E) == O.plane_sup_3d(3, _rows(E))
@@ -143,7 +143,7 @@ class TestConcentration:
             spc = Space(p, 3)
             normals = {O.canon_dir(p, v) for v in O.all_points(p, 3) if any(v)}
             for size in (2, 6, 14):
-                E = PointSet.from_indices(
+                E = PointSet(
                     spc, rng.choice(spc.order, size, replace=False).tolist())
                 dirs = O.direction_set(p, _rows(E))
                 expected = {
@@ -183,10 +183,10 @@ class TestSumset:
             for _ in range(200):
                 sa = int(rng.integers(1, p + 1))
                 sb = int(rng.integers(1, p + 1))
-                A = PointSet.from_indices(
+                A = PointSet(
                     spc, sorted(int(i) for i in
                                 rng.choice(p, sa, replace=False)))
-                B = PointSet.from_indices(
+                B = PointSet(
                     spc, sorted(int(i) for i in
                                 rng.choice(p, sb, replace=False)))
                 # Cauchy-Davenport
@@ -207,7 +207,7 @@ class TestSumset:
         for p in (5, 7):
             spc = Space(p, 3)
             for sa, sb in [(1, 6), (5, 5), (9, 3)]:
-                A, B = (PointSet.from_indices(
+                A, B = (PointSet(
                     spc, rng.choice(spc.order, s, replace=False).tolist())
                     for s in (sa, sb))
                 assert set(_rows(_sumset(A, B))) == O.sumset(

@@ -39,8 +39,9 @@ from ffspec.lemmas import (
 from ffspec.spectral import spectrum_search
 from ffspec.tables import (add_table, affine_permutation_array,
                            combination_array, coords_matrix, difference,
-                           direction_masks, direction_reps, plane_words,
-                           subset_rows, subset_words, uniform_word)
+                           dir_of_index, direction_points, direction_reps,
+                           plane_words, subset_rows, subset_words,
+                           uniform_word)
 
 
 class TestLm1:
@@ -556,7 +557,7 @@ class TestSlabP3:
         hyp_seen = skip_seen = 0
         for _ in range(200):
             idxs = sorted(int(i) for i in rng.choice(27, 6, replace=False))
-            E = PointSet.from_indices(spc, idxs)
+            E = PointSet(spc, idxs)
             if _slab_hypothesis(E):
                 hyp_seen += 1
                 assert _slab_conclusion(E)
@@ -803,43 +804,59 @@ class TestGroupedSweeps:
         # by one, against one search of their distinct keys
         lo, hi = 32000, 35000
         space = Space(3, 3)
-        dmasks = direction_masks(3, 3)
+        dirs = dir_of_index(3, 3).tolist()
         keys = lemmas._zero_keys(3, 3, 6)[lo:hi]
         total = searched = nodes = 0
-        zero_sets = set()
+        searched_keys = set()
         for row, key in zip(O.through_origin(27, 6)[lo:hi], keys.tolist()):
             assert row[0] == 0
-            E = PointSet.from_indices(space, row.tolist())
+            E = PointSet(space, row.tolist())
             z = zero_set(E)
             # bit k of the key: direction k, whose p - 1 points are zeros
-            assert z.mask == sum(m for k, m in enumerate(dmasks)
-                                 if key >> k & 1)
+            assert z.indices() == [x for x in range(1, 27)
+                                   if key >> dirs[x] & 1]
             cert = spectrum_search(E)
             assert cert.verdict == "none"
             total += 1
             if z.size >= 5:
                 searched += 1
-                zero_sets.add(z.mask)
+                searched_keys.add(key)
             nodes += cert.nodes_explored
         calls = _counting(monkeypatch, "_clique_in_zero_set")
         uniq, counts = np.unique(keys, return_counts=True)
         got = lemmas._search_keys(space, 6, uniq.tolist(), counts.tolist())
         assert (int(counts.sum()), *got) == (total, searched, nodes, {})
         assert searched and nodes
-        # one clique stage per distinct zero set of the searched rows
-        assert sorted(c[1] for c in calls) == sorted(zero_sets)
+        # one clique stage per distinct key of the searched rows
+        assert sorted(c[1] for c in calls) == sorted(searched_keys)
         assert {c[2] for c in calls} == {6}
+
+    def test_fug33_search_and_sweep_share_a_clique_entry(self, cold_caches):
+        # spectrum_search keys the clique stage by the zero directions it
+        # reads off its zero set, as the sweep keys a row: one entry
+        space = Space(3, 3)
+        keys = lemmas._zero_keys(3, 3, 6)
+        i = int(np.flatnonzero(np.bitwise_count(keys) >= 3)[0])
+        cert = spectrum_search(
+            PointSet(space, O.through_origin(27, 6)[i].tolist()))
+        info = spectral._clique_in_zero_set.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+        got = lemmas._search_keys(space, 6, [int(keys[i])], [1])
+        info = spectral._clique_in_zero_set.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert cert.nodes_explored > 0
+        assert got == (1, cert.nodes_explored, {})
 
     @pytest.mark.parametrize("p,d,size,stages", [
         (3, 3, 6, 377), (5, 2, 5, 27), (3, 2, 3, 8)])
     def test_fug33_one_clique_stage_per_zero_set(self, monkeypatch,
                                                  cold_caches, p, d, size,
                                                  stages):
-        # the zero sets of size - 1 or more points among the explicit
-        # rows, searched once each over the whole size
+        # the direction keys of zero sets of size - 1 or more points
+        # among the explicit rows, searched once each over the whole size
         zero = np.unique(
             zero_directions(p, d, O.through_origin(p ** d, size)).T, axis=0)
-        want = {sum(itertools.compress(direction_masks(p, d), z))
+        want = {sum(1 << k for k in np.flatnonzero(z).tolist())
                 for z in zero if (p - 1) * z.sum() >= size - 1}
         calls = _counting(monkeypatch, "_clique_in_zero_set")
         rep = verify_fuglede_small(p, d, (size,))
@@ -1307,10 +1324,10 @@ class TestOriginSweeps:
         # 9 directions, made from the zero set alone; validation records
         real = lemmas._clique_in_zero_set
 
-        def clique(spc, zmask, n, budget):
-            if bin(zmask).count("1") == 18:
-                return "witness", [zmask.bit_length() - 1, 0], 1
-            return real(spc, zmask, n, budget)
+        def clique(spc, key, n, budget):
+            if key.bit_count() == 9:
+                return "witness", [int(direction_points(3, 3, key)[-1]), 0], 1
+            return real(spc, key, n, budget)
 
         validated = []
         monkeypatch.setattr(lemmas, "_clique_in_zero_set", clique)

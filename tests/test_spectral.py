@@ -38,7 +38,7 @@ def plane_x1_zero(spc):
 
 def random_subset(rng, spc, size):
     idxs = rng.choice(spc.order, size=size, replace=False)
-    return PointSet.from_indices(spc, sorted(int(i) for i in idxs))
+    return PointSet(spc, sorted(int(i) for i in idxs))
 
 
 class TestVerify:
@@ -55,16 +55,16 @@ class TestVerify:
 
     def test_trivial_pairs(self):
         spc = Space(3, 2)
-        full = PointSet.from_indices(spc, range(spc.order))
+        full = PointSet(spc, range(spc.order))
         assert verify_spectral_pair(full, full)
-        single = PointSet.from_indices(spc, [4])
-        other = PointSet.from_indices(spc, [7])
+        single = PointSet(spc, [4])
+        other = PointSet(spc, [7])
         assert verify_spectral_pair(single, other)
 
     def test_size_mismatch(self):
         spc = Space(7, 3)
         assert not verify_spectral_pair(
-            line(spc, (1, 0, 0)), PointSet.from_indices(spc, [0, 1]))
+            line(spc, (1, 0, 0)), PointSet(spc, [0, 1]))
 
     def test_non_pair(self):
         spc = Space(7, 3)
@@ -78,8 +78,8 @@ class TestVerify:
     def test_mismatched_spaces(self):
         with pytest.raises(ValueError):
             verify_spectral_pair(
-                PointSet.from_indices(Space(3, 2), [0]),
-                PointSet.from_indices(Space(5, 2), [0]))
+                PointSet(Space(3, 2), [0]),
+                PointSet(Space(5, 2), [0]))
 
     def test_dual_route_battery(self, rng):
         # both internal routes must agree on every call; any split raises
@@ -210,7 +210,7 @@ class TestSymmetry:
     def test_rejects_non_pair(self):
         spc = Space(7, 3)
         L = line(spc, (1, 0, 0))
-        A = PointSet.from_indices(spc, [0, 1])
+        A = PointSet(spc, [0, 1])
         with pytest.raises(ValueError):
             symmetry_check(L, A)
 
@@ -224,13 +224,13 @@ class TestAllowedSizes:
 
     def test_search_filters_size(self):
         spc = Space(7, 2)
-        E = PointSet.from_indices(spc, [0, 1, 2, 3])
+        E = PointSet(spc, [0, 1, 2, 3])
         cert = spectrum_search(E)
         assert cert.verdict == "none"
         assert cert.nodes_explored == 0
         assert cert.size_filtered
         # size 7 = p passes the filter and is searched
-        searched = spectrum_search(PointSet.from_indices(spc, range(7)))
+        searched = spectrum_search(PointSet(spc, range(7)))
         assert searched.verdict == "witness"
         assert not searched.size_filtered
 
@@ -273,7 +273,7 @@ class TestSearch:
 
     def test_singleton(self):
         spc = Space(3, 3)
-        cert = spectrum_search(PointSet.from_indices(spc, [13]))
+        cert = spectrum_search(PointSet(spc, [13]))
         assert cert.verdict == "witness"
         assert cert.witness.indices() == [0]
 
@@ -299,7 +299,7 @@ class TestSearch:
         try:
             # a 343-point spectrum recurses 342 levels deep; the whole
             # search fits in about 350 frames, under the limit of 1000
-            full = PointSet.from_indices(spc, range(spc.order))
+            full = PointSet(spc, range(spc.order))
             cert = spectrum_search(full)
             assert cert.verdict == "witness"
             assert stage.cache_info().misses == 1
@@ -329,7 +329,7 @@ def _line_violator(rng, spc, size, m):
     pts = set(add_table(p, spc.d)[base, steps].tolist())
     while len(pts) < size:
         pts.add(int(rng.integers(spc.order)))
-    return PointSet.from_indices(spc, sorted(pts))
+    return PointSet(spc, sorted(pts))
 
 
 def _plane_violator(rng, spc):
@@ -337,7 +337,7 @@ def _plane_violator(rng, spc):
     p = spc.p
     while True:
         in_plane = rng.choice(p * p, size=p + 1, replace=False)
-        E = PointSet.from_indices(
+        E = PointSet(
             spc, sorted(int(i) for i in in_plane))  # plane x3 = 0
         from ffspec import line_sup
         if line_sup(E) <= 2:
@@ -345,7 +345,7 @@ def _plane_violator(rng, spc):
     pts = set(E.indices())
     while len(pts) < 2 * p:
         pts.add(int(rng.integers(spc.order)))
-    return PointSet.from_indices(spc, sorted(pts))
+    return PointSet(spc, sorted(pts))
 
 
 def _one_row_rule(E):

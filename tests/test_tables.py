@@ -13,8 +13,8 @@ from ffspec import Space
 from ffspec.lemmas import _translates
 from ffspec.tables import (WORD_BLOCK, _subset_runs, add_table,
                            bytes_at_least, combination_array,
-                           combination_words, difference, direction_reps,
-                           line_of, line_sups,
+                           combination_words, difference, direction_points,
+                           direction_reps, line_of, line_sups,
                            orthogonal_direction_bits, pair_directions,
                            pair_indices, pair_line_ids, pair_lines,
                            plane_counts,
@@ -274,8 +274,21 @@ def test_line_sups_oracle(p, d, rng):
             assert [int(line_sups(p, d, row)) for row in rows] == want
             assert np.array_equal(line_sups(p, d, rows.reshape(2, 2, size)),
                                   got.reshape(2, 2))
-            assert np.array_equal(
-                line_sups(p, d, rows, pair_line_ids(p, d, rows)), got)
+
+
+@pytest.mark.parametrize("p,d", _ALL_SPACES)
+def test_direction_points_oracle(p, d, rng):
+    # a key's points are the nonzero multiples of its directions'
+    # representatives, ascending; the last direction counts too
+    pts = O.all_points(p, d)
+    reps = [pts[i] for i in direction_reps(p, d).tolist()]
+    top = (1 << len(reps)) - 1
+    for key in {0, top, 1 << len(reps) - 1, int(rng.integers(top + 1))}:
+        want = sorted(O.point_index(p, tuple(c * v % p for v in rep))
+                      for k, rep in enumerate(reps) if key >> k & 1
+                      for c in range(1, p))
+        assert direction_points(p, d, key).tolist() == want
+    assert direction_points(p, d, top).tolist() == list(range(1, len(pts)))
 
 
 @pytest.mark.parametrize("p,d", _ALL_SPACES)
@@ -472,14 +485,13 @@ _CACHED_CALLS = {
     "lemmas._slab_hypotheses": (),
     "lemmas._cycle_type_counts": (3, 1),
     "spectral.allowed_spectral_sizes": (Space(3, 2),),
-    "spectral._clique_in_zero_set": (Space(3, 2), 0b111111000, 3, 100),
+    "spectral._clique_in_zero_set": (Space(3, 2), 0b1111, 3, 100),
     "tables.coords_matrix": (3, 2),
     "tables.direction_reps": (3, 2),
     "tables.plane_word_table": (3, 2),
     "tables.combination_words": (3, 2, (1, 2, 3), 2),
     "tables._subset_runs": (3, 2, (0,), (1, 2, 3, 4), 2),
     "tables.orthogonal_direction_bits": (3, 3),
-    "tables.direction_masks": (3, 2),
     "tables.add_table": (3, 2),
     "tables.affine_permutation_array": (3, 1),
     "tables.pair_indices": (4,),

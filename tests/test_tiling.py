@@ -45,15 +45,15 @@ class TestVerify:
     def test_mismatched_spaces(self):
         with pytest.raises(ValueError):
             verify_tiling_pair(
-                PointSet.from_indices(Space(3, 2), [0]),
-                PointSet.from_indices(Space(5, 2), [0]))
+                PointSet(Space(3, 2), [0]),
+                PointSet(Space(5, 2), [0]))
 
     def test_trivial(self):
         spc = Space(3, 2)
-        assert verify_tiling_pair(PointSet.from_indices(spc, range(spc.order)),
-                                  PointSet.from_indices(spc, [0]))
-        assert verify_tiling_pair(PointSet.from_indices(spc, [0]),
-                                  PointSet.from_indices(spc, range(spc.order)))
+        assert verify_tiling_pair(PointSet(spc, range(spc.order)),
+                                  PointSet(spc, [0]))
+        assert verify_tiling_pair(PointSet(spc, [0]),
+                                  PointSet(spc, range(spc.order)))
 
 
 def _tiling_rows(rng, p, d, k, n):
@@ -118,7 +118,7 @@ class TestSearch:
         for r in range(10):
             hits = 0
             for combo in itertools.combinations(range(9), r):
-                E = PointSet.from_indices(spc, combo)
+                E = PointSet(spc, combo)
                 cert = tiling_search(E)
                 want = O.tiles(3, 2, _coords(E))
                 assert (cert.verdict == "witness") == want
@@ -144,15 +144,15 @@ class TestSearch:
 
     def test_size_filter(self):
         spc = Space(3, 2)
-        cert = tiling_search(PointSet.from_indices(spc, [0, 1, 2, 3]))
+        cert = tiling_search(PointSet(spc, [0, 1, 2, 3]))
         assert cert.verdict == "none"
         assert cert.nodes_explored == 0
         assert cert.size_filtered
-        empty = tiling_search(PointSet(spc, 0))
+        empty = tiling_search(PointSet(spc, ()))
         assert empty.verdict == "none"
         assert empty.size_filtered
         # size 3 divides 9, so the line {0, 1, 2} is searched
-        searched = tiling_search(PointSet.from_indices(spc, [0, 1, 2]))
+        searched = tiling_search(PointSet(spc, [0, 1, 2]))
         assert searched.verdict == "witness"
         assert not searched.size_filtered
 
@@ -162,7 +162,7 @@ class TestSearch:
         try:
             # 343 translates of one point recurse 343 levels deep; the
             # whole search fits in about 350 frames, under the limit of 1000
-            cert = tiling_search(PointSet.from_indices(Space(7, 3), [0]))
+            cert = tiling_search(PointSet(Space(7, 3), [0]))
             assert cert.verdict == "witness"
             assert sys.getrecursionlimit() == 1000
         finally:
@@ -193,7 +193,7 @@ class TestSearch:
         # the fewest covering translates disjoint from the cover (ties
         # to the lowest index; none ends the branch), then those
         # translates in ascending index
-        cert = tiling_search(PointSet.from_indices(Space(p, d), idx))
+        cert = tiling_search(PointSet(Space(p, d), idx))
         assert (cert.verdict, cert.nodes_explored) == (verdict, nodes)
 
     def test_non_tile_3d(self):
@@ -209,7 +209,7 @@ class TestSearch:
 
 def _one_row(space, row, budget=10 ** 9):
     """tiling_search on one index row, as a tiling_search_rows triple."""
-    cert = tiling_search(PointSet.from_indices(space, row), budget=budget)
+    cert = tiling_search(PointSet(space, row), budget=budget)
     return (cert.verdict, cert.witness and cert.witness.indices(),
             cert.nodes_explored)
 
@@ -315,7 +315,7 @@ class TestSpectralEqualsTile:
         rng = random.Random(1)
         found = set()
         for _ in range(50):
-            E = PointSet.from_indices(Space(p, 3),
+            E = PointSet(Space(p, 3),
                                       rng.sample(range(p ** 3), p))
             tile, spectral = self.verdicts(E)
             assert tile == spectral
@@ -325,5 +325,5 @@ class TestSpectralEqualsTile:
     @pytest.mark.parametrize("dims", [1, 2, 3])
     def test_subspaces_of_f7_cubed(self, dims):
         # a line, a plane and the whole space
-        E = PointSet.from_indices(Space(7, 3), range(7 ** dims))
+        E = PointSet(Space(7, 3), range(7 ** dims))
         assert self.verdicts(E) == ("witness", "witness")
