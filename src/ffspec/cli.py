@@ -3,8 +3,10 @@ verifiers, run the randomized falsifier, emit JSON reports.
 
 Report files have two top-level keys: "result" holds the deterministic
 payload (alphabetical keys, hashed into meta.result_sha256) and "meta"
-holds wall time, worker count, timestamp and host.  Reproducibility
-checks should diff only "result".
+holds wall time, worker count, timestamp and host.  For verify and
+falsify the result is the LemmaReport's fields (result_dict); its wall
+time is measured here, around the library call, as analyze's is around
+its searches.  Reproducibility checks should diff only "result".
 
 Exit codes: 0 verified or none found, 1 usage or input error or a
 counterexample, 2 inconclusive (budget exhausted in analyze), 3 internal
@@ -129,27 +131,30 @@ def cmd_analyze(args) -> int:
     return 2 if aborted else 0
 
 
-def cmd_verify(args) -> int:
-    report = LEMMAS[args.lemma](resolve_workers(args.threads))
-    _write_report(report.result_dict(), report.elapsed_seconds,
-                  report.workers, args.report)
+def _run_lemma(args, name: str, found: str, run) -> int:
+    """Time run(workers) at the resolved worker count and write its
+    report; a run with counterexamples prints one line and exits 1."""
+    workers = resolve_workers(args.threads)
+    t0 = perf_counter()
+    report = run(workers)
+    _write_report(report.result_dict(), perf_counter() - t0, workers,
+                  args.report)
     if report.counterexamples:
-        print(f"{args.lemma}: {len(report.counterexamples)} counterexamples",
+        print(f"{name}: {len(report.counterexamples)} {found}",
               file=sys.stderr)
         return 1
     return 0
+
+
+def cmd_verify(args) -> int:
+    return _run_lemma(args, args.lemma, "counterexamples", LEMMAS[args.lemma])
 
 
 def cmd_falsify(args) -> int:
-    report = falsify_random(args.p, args.d, args.size, args.trials,
-                            args.seed, workers=resolve_workers(args.threads))
-    _write_report(report.result_dict(), report.elapsed_seconds,
-                  report.workers, args.report)
-    if report.counterexamples:
-        print(f"falsify: {len(report.counterexamples)} spectral witnesses",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _run_lemma(args, "falsify", "spectral witnesses",
+                      lambda workers: falsify_random(
+                          args.p, args.d, args.size, args.trials, args.seed,
+                          workers=workers))
 
 
 # one parser per process: parse_args does not change it, and a build

@@ -32,17 +32,16 @@ Every verifier runs through one driver, _sweep.  Its contract:
   the fuglede sweeps' affine orbits, is one orbit pass (_orbits) whose
   orbit count must equal the cycle index's (_orbit_count).
 
-The deterministic part of a report is therefore identical no matter how
-many workers ran it.
+A report is therefore identical no matter how many workers ran it; it
+holds no wall time or worker count, which the caller measures.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from time import perf_counter
 
 import numpy as np
 
@@ -89,10 +88,12 @@ class SweepBudgetError(RuntimeError):
 
 @dataclass
 class LemmaReport:
-    """Outcome of one verification run.
+    """Deterministic outcome of one verification run: the same at any
+    worker count.  Wall time and worker count are the caller's to
+    measure; the CLI puts them in its report's "meta".
 
     counterexamples and details hold only JSON-ready values so the
-    deterministic payload can be serialized and hashed directly.
+    payload can be serialized and hashed directly.
     """
 
     lemma_id: str
@@ -102,8 +103,6 @@ class LemmaReport:
     orbit_count: int
     counterexamples: list
     details: dict
-    elapsed_seconds: float
-    workers: int
     seed: int | None = None
 
     @property
@@ -111,19 +110,10 @@ class LemmaReport:
         return not self.counterexamples
 
     def result_dict(self) -> dict:
-        """Deterministic payload; wall time and worker count stay out."""
-        out = {
-            "counterexamples": self.counterexamples,
-            "details": self.details,
-            "lemma_id": self.lemma_id,
-            "orbit_count": self.orbit_count,
-            "space_cardinality": self.space_cardinality,
-            "space_description": self.space_description,
-            "symmetry_group": self.symmetry_group,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        """The payload the CLI hashes: every field by name, seed only
+        when it is set."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "seed" or self.seed is not None}
 
 
 def _coord_rows(p: int, d: int, indices) -> list:
@@ -281,7 +271,6 @@ _ANCHOR = (0, 1, 7)
 
 
 def _planar_report(lemma_id, set_size, mode, workers):
-    t0 = perf_counter()
     card = math.comb(49, set_size)
     if mode == "reduced":
         # |AGL(2,7)| = 49 * 48 * 42
@@ -311,7 +300,7 @@ def _planar_report(lemma_id, set_size, mode, workers):
                "direction_histogram": histogram, **extra}
     return LemmaReport(
         lemma_id, f"{set_size}-point subsets of F_7^2", card, group, n,
-        _coord_cex(7, 2, cex), details, round(perf_counter() - t0, 3), workers)
+        _coord_cex(7, 2, cex), details)
 
 
 def verify_lm1(workers: int = 1, mode: str = "direct") -> LemmaReport:
@@ -452,7 +441,6 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
     orbits under the simultaneous column maps x -> a x + c, each number
     checked against the cycle index (_line_orbits).
     """
-    t0 = perf_counter()
     V = _fillings()
     reps, _ = _f1_orbit_reps()
     orbits = _row_triple_orbits()
@@ -483,10 +471,7 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
         card,
         "row triples and column maps under x -> a x + c (order 42 each)",
         len(orbits) * len(reps),
-        cex,
-        details,
-        round(perf_counter() - t0, 3),
-        workers)
+        cex, details)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +529,6 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
     The sweep is one chunk, run in the calling process at any worker
     count; it reads the hypothesis of each row off a table of its zero
     directions (_slab_hypotheses)."""
-    t0 = perf_counter()
     (total, hyp), cex = _origin_sweep(
         _slab_chunk, [(0, math.comb(26, 5))], 3, 3, 6, workers)
     details = {
@@ -556,7 +540,7 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
     }
     return LemmaReport(
         "slab-p3", "6-point subsets of F_3^3", total, "none", total,
-        _coord_cex(3, 3, cex), details, round(perf_counter() - t0, 3), workers)
+        _coord_cex(3, 3, cex), details)
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +854,6 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     through the origin, its translation-anchored representatives.
     Raises SweepBudgetError if a search runs out of budget.
     """
-    t0 = perf_counter()
     p, d = operator.index(p), operator.index(d)
     sizes = tuple(sorted(map(operator.index, sizes)))
     if len(set(sizes)) != len(sizes):
@@ -920,8 +903,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
         }
         return LemmaReport(
             "fuglede-3-3", "6-point subsets of F_3^3", total, "none", total,
-            _coord_cex(3, 3, wits), details, round(perf_counter() - t0, 3),
-            workers)
+            _coord_cex(3, 3, wits), details)
 
     cex = [{k: c[k] for k in ("set", "spectral", "tile")} for c in cex]
     if p == 3:
@@ -936,7 +918,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
             "fuglede-3-2",
             f"subsets of F_3^2 of sizes {list(sizes)}",
             card, "none", card, _coord_cex(3, 2, _translates(3, 2, cex)),
-            details, round(perf_counter() - t0, 3), workers)
+            details)
 
     details = {
         "sizes": per_size,
@@ -956,8 +938,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
         card,
         "translations of F_5^2, order 25",
         sum(anchored.values()),
-        _coord_cex(5, 2, cex), details,
-        round(perf_counter() - t0, 3), workers)
+        _coord_cex(5, 2, cex), details)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,11 +1026,12 @@ def falsify_random(p: int, d: int, size: int, trials: int, seed: int,
     trials no rule rejects.  The trials equal rng.choice draws on the
     chunk's PCG64 generator, read off its raw words (_choice_rows).
     """
-    t0 = perf_counter()
     spc = Space(p, d)
-    size, trials = operator.index(size), operator.index(trials)
+    size, trials, seed = map(operator.index, (size, trials, seed))
     if trials < 1:
         raise ValueError("trials must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if size % p != 0 or not 2 <= size // p <= p - 1:
         raise ValueError(f"size must be mp with 2 <= m <= p-1, got {size}")
     if size > spc.order:
@@ -1073,5 +1055,4 @@ def falsify_random(p: int, d: int, size: int, trials: int, seed: int,
         f"random {size}-point subsets of F_{p}^{d}",
         math.comb(p ** d, size),
         "none (random sampling)",
-        trials, _coord_cex(p, d, wits), details,
-        round(perf_counter() - t0, 3), workers, seed=seed)
+        trials, _coord_cex(p, d, wits), details, seed=seed)

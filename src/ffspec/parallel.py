@@ -23,6 +23,7 @@ holds.
 """
 from __future__ import annotations
 
+import operator
 import os
 import pickle
 import signal
@@ -38,7 +39,7 @@ class WorkerError(RuntimeError):
 def resolve_workers(requested: int | None = None) -> int:
     """Explicit argument, else FFSPEC_THREADS, else 1; capped at
     os.cpu_count(), so no count can fork more processes than cores.
-    Library workers= arguments skip this and stay uncapped."""
+    Library workers= arguments skip this: uncapped, but at least 1."""
     if requested is not None:
         if requested < 1:
             raise ValueError("worker count must be positive")
@@ -58,6 +59,9 @@ def resolve_workers(requested: int | None = None) -> int:
 
 def run_chunks(fn, chunk_args: list, workers: int) -> list:
     """Apply fn to every chunk argument, results in chunk order."""
+    workers = operator.index(workers)
+    if workers < 1:
+        raise ValueError("worker count must be positive")
     w = min(workers, len(chunk_args))
     if w <= 1:
         return [fn(a) for a in chunk_args]

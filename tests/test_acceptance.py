@@ -1,13 +1,15 @@
 """Acceptance suite: one criterion per test, one printed status line each.
 
 The exhaustive verifiers are run once per worker count (1, 4, 8) in a
-shared fixture; the per-criterion tests read the 4-worker reports and the
-determinism criterion compares the result payloads across all three.
+shared fixture, which times each call; the per-criterion tests read the
+4-worker reports and times, and the determinism criterion compares the
+result payloads across all three.
 """
 import hashlib
 import itertools
 import json
 import math
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -41,29 +43,46 @@ def crit(num, ok, desc):
     assert ok, f"criterion {num}: {desc}"
 
 
+SWEEPS = {
+    "lm1": lambda w: verify_lm1(workers=w),
+    "lm2": lambda w: verify_lm2(workers=w),
+    "proj21": lambda w: verify_proj21(workers=w),
+    "slab": lambda w: verify_slab_p3(workers=w),
+    "f33": lambda w: verify_fuglede_small(3, 3, (6,), workers=w),
+    "f32": lambda w: verify_fuglede_small(3, 2, (3, 6), workers=w),
+    "f52": lambda w: verify_fuglede_small(5, 2, (5, 10, 15, 20), workers=w),
+}
+
+
+def timed(run, *args, **kwargs):
+    """(report, wall seconds) of one verifier call."""
+    t0 = perf_counter()
+    return run(*args, **kwargs), perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
-def sweeps():
+def seconds():
+    """Wall seconds of each run in sweeps, filled in by that fixture."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def sweeps(seconds):
     out = {}
     for w in WORKERS:
-        out["lm1", w] = verify_lm1(workers=w)
-        out["lm2", w] = verify_lm2(workers=w)
-        out["proj21", w] = verify_proj21(workers=w)
-        out["slab", w] = verify_slab_p3(workers=w)
-        out["f33", w] = verify_fuglede_small(3, 3, (6,), workers=w)
-        out["f32", w] = verify_fuglede_small(3, 2, (3, 6), workers=w)
-        out["f52", w] = verify_fuglede_small(5, 2, (5, 10, 15, 20),
-                                             workers=w)
+        for key, run in SWEEPS.items():
+            out[key, w], seconds[key, w] = timed(run, w)
     return out
 
 
-def test_criterion_01_five_point_directions(sweeps):
+def test_criterion_01_five_point_directions(sweeps, seconds):
     rep = sweeps["lm1", 4]
     d = rep.details
     ok = (rep.passed
           and d["mode"] == "direct"
           and d["enumerated_sets"] == 1906884
           and all(int(k) >= 6 for k in d["direction_histogram"])
-          and rep.elapsed_seconds < 60)
+          and seconds["lm1", 4] < 60)
     crit(1, ok, "5-point no-3-collinear subsets of F_7^2 determine >= 6 "
          "directions, exhaustive, 0 counterexamples")
 
@@ -80,9 +99,9 @@ LM2_DIRECT_SHA256 = (
     "91bf53796ed98c261e4e71153ac7f3afcf55285eb90314d59996de8444a62b14")
 
 
-def test_criterion_02_seven_point_directions(sweeps):
+def test_criterion_02_seven_point_directions(sweeps, seconds):
     red = sweeps["lm2", 4]
-    direct = verify_lm2(workers=4, mode="direct")
+    direct, direct_seconds = timed(verify_lm2, workers=4, mode="direct")
     dd, dr = direct.details, red.details
     # orbit accounting: each hypothesis set holds 35 triples, the
     # collinear ones are not anchors, and ordered anchors come in 6s
@@ -94,13 +113,13 @@ def test_criterion_02_seven_point_directions(sweeps):
           and all(int(k) >= 6 for k in dd["direction_histogram"])
           and all(int(k) >= 6 for k in dr["direction_histogram"])
           and agree
-          and red.elapsed_seconds < 300
-          and direct.elapsed_seconds < 1800)
+          and seconds["lm2", 4] < 300
+          and direct_seconds < 1800)
     crit(2, ok, "7-point no-4-collinear subsets of F_7^2 determine >= 6 "
          "directions, direct and reduced runs agree")
 
 
-def test_criterion_03_projection_functions(sweeps):
+def test_criterion_03_projection_functions(sweeps, seconds):
     rep = sweeps["proj21", 4]
     d = rep.details
     hist_total = sum(int(v) for v in
@@ -109,21 +128,21 @@ def test_criterion_03_projection_functions(sweeps):
           and d["fillings_per_line"] == 1128 == O.filling_count(4, 7, 7)
           and hist_total == d["hypothesis_functions"]
           and max(int(k) for k in d["equidistribution_histogram"]) <= 2
-          and rep.elapsed_seconds < 3600)
+          and seconds["proj21", 4] < 3600)
     crit(3, ok, "3-line support functions with value 3 equidistribute on "
          "<= 2 direction families, 0 counterexamples")
 
 
-def test_criterion_04_slab_containment(sweeps):
+def test_criterion_04_slab_containment(sweeps, seconds):
     rep = sweeps["slab", 4]
     ok = (rep.passed
           and rep.details["enumerated_sets"] == 296010
-          and rep.elapsed_seconds < 600)
+          and seconds["slab", 4] < 600)
     crit(4, ok, "6-point subsets of F_3^3 equidistributed along 2 plane "
          "directions lie in 2 parallel planes, exhaustive")
 
 
-def test_criterion_05_no_spectra_f33(sweeps):
+def test_criterion_05_no_spectra_f33(sweeps, seconds):
     rep = sweeps["f33", 4]
     rec = rep.details["sizes"]["6"]
     ok = (rep.passed
@@ -131,12 +150,12 @@ def test_criterion_05_no_spectra_f33(sweeps):
           and rec["sets"] == 296010
           and rec["spectral"] == 0
           and rec["immediate_none"] + rec["searched"] == 296010
-          and rep.elapsed_seconds < 900)
+          and seconds["f33", 4] < 900)
     crit(5, ok, "no 6-point subset of F_3^3 admits a spectrum, "
          "exhaustive with pruning off")
 
 
-def test_criterion_06_small_space_equivalence(sweeps):
+def test_criterion_06_small_space_equivalence(sweeps, seconds):
     f32 = sweeps["f32", 4]
     f52 = sweeps["f52", 4]
     s32 = f32.details["sizes"]
@@ -149,7 +168,7 @@ def test_criterion_06_small_space_equivalence(sweeps):
                   for k in ("5", "10", "15", "20"))
           and f52.details["affine_classes"] == {
               "5": 11, "10": 319, "15": 319, "20": 11}
-          and f52.elapsed_seconds < 1800)
+          and seconds["f52", 4] < 1800)
     crit(6, ok, "spectral iff tile for all 168 sets in F_3^2 and all "
          "translation-anchored sets of sizes 5/10/15/20 in F_5^2")
 

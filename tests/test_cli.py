@@ -248,6 +248,48 @@ class TestReportPath:
         assert str(tmp_path) in err
 
 
+class TestReportLayout:
+    """meta holds the CLI's own measurements; result holds no time."""
+    ARGS = TestReportPath.ARGS
+    META = {"elapsed_seconds", "workers", "timestamp", "host",
+            "result_sha256"}
+
+    def report(self, cmd, line_file, capsys):
+        extra = [line_file] if cmd == "analyze" else []
+        code, out, err = run_cli(self.ARGS[cmd] + extra, capsys)
+        assert code == 0 and err == ""
+        return json.loads(out)
+
+    @pytest.mark.parametrize("cmd", ["verify", "falsify", "analyze"])
+    def test_meta_and_result_keys(self, cmd, line_file, capsys):
+        payload = self.report(cmd, line_file, capsys)
+        meta, res = payload["meta"], payload["result"]
+        assert set(meta) == self.META
+        secs = meta["elapsed_seconds"]
+        assert type(secs) in (int, float) and secs >= 0
+        assert meta["workers"] == (1 if cmd == "analyze" else resolve_workers())
+        assert not any(k in res for k in ("elapsed_seconds", "workers"))
+        assert not any("time" in k or "second" in k for k in res)
+
+    @pytest.mark.parametrize("cmd", ["verify", "falsify", "analyze"])
+    def test_cli_clock_times_the_library_call(self, cmd, line_file,
+                                              monkeypatch, capsys):
+        # a fake clock that only the library call advances
+        now = [10.0]
+        name = {"verify": "verify_fuglede_small", "falsify": "falsify_random",
+                "analyze": "spectrum_search"}[cmd]
+        work = getattr(cli, name)
+
+        def slow_work(*args, **kwargs):
+            now[0] += 2.5
+            return work(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "perf_counter", lambda: now[0])
+        monkeypatch.setattr(cli, name, slow_work)
+        payload = self.report(cmd, line_file, capsys)
+        assert payload["meta"]["elapsed_seconds"] == 2.5
+
+
 class TestVerify:
     def test_unknown_lemma_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -338,7 +380,7 @@ class TestCounterexample:
         argv, work, line = self.RUNS[cmd]
         cex = {"set": [[0, 0, 0], [1, 0, 0]], "spectrum": [[0, 0, 0]]}
         report = lemmas.LemmaReport(cmd, "F_5^3", 125, "translations", 1,
-                                    [cex], {}, 0.0, 1)
+                                    [cex], {})
         monkeypatch.setattr(cli, work, lambda *args, **kwargs: report)
         rp = tmp_path / "r.json"
         code, out, err = run_cli(argv + ["--report", str(rp)], capsys)
@@ -554,6 +596,15 @@ class TestFalsify:
              "--trials", "5", "--seed", "1", "--threads", threads], capsys)
         assert code == 1 and out == ""
         assert err == "error: size 14 exceeds p^d = 7\n"
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        rp = tmp_path / "r.json"
+        code, out, err = run_cli(
+            ["falsify", "--p", "5", "--d", "3", "--size", "10",
+             "--trials", "5", "--seed", "-1", "--report", str(rp)], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
+        assert not rp.exists()
 
     def test_missing_required_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

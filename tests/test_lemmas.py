@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,6 +11,7 @@ import pytest
 import oracles as O
 from ffspec import (
     InternalCheckError,
+    LemmaReport,
     PointSet,
     Space,
     falsify_random,
@@ -1136,6 +1138,11 @@ class TestFalsify:
             falsify_random(7, 3, 49, 10, 1)   # m = 7 out of range
         with pytest.raises(ValueError):
             falsify_random(5, 3, 10, 0, 1)
+        with pytest.raises(ValueError, match="^seed must be non-negative, "
+                                             "got -1$"):
+            falsify_random(5, 3, 10, 5, -1)
+        with pytest.raises(TypeError):
+            falsify_random(5, 3, 10, 5, 1.0)
 
     def test_deterministic_across_runs_and_workers(self):
         a = falsify_random(5, 3, 10, 4100, 999, workers=1)
@@ -1250,6 +1257,24 @@ class TestReportPlumbing:
             "space_cardinality", "space_description", "symmetry_group"}
         json.dumps(payload)  # JSON-ready throughout
         assert rep.passed
+
+    def test_result_dict_keys_are_the_fields(self):
+        # a report holds no wall time or worker count: its fields are
+        # its deterministic payload, seed only on falsify
+        names = {f.name for f in dataclasses.fields(LemmaReport)}
+        assert names == {
+            "counterexamples", "details", "lemma_id", "orbit_count",
+            "space_cardinality", "space_description", "symmetry_group",
+            "seed"}
+        verify = verify_fuglede_small(3, 2, (3,)).result_dict()
+        falsify = falsify_random(5, 3, 10, 5, 1).result_dict()
+        assert set(verify) == names - {"seed"}
+        assert set(falsify) == names and falsify["seed"] == 1
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_raises(self, workers):
+        with pytest.raises(ValueError, match="worker count must be positive"):
+            verify_fuglede_small(3, 2, (3,), workers=workers)
 
     def test_worker_determinism_exhaustive(self):
         a = verify_slab_p3(workers=1)

@@ -52,6 +52,17 @@ def test_results_in_chunk_order(workers, n):
     assert all(pids[i] == pids[i % w] for i in range(n))
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_below_one_raises(workers):
+    with pytest.raises(ValueError, match="^worker count must be positive$"):
+        run_chunks(tagged, [0, 1], workers)
+
+
+def test_worker_count_must_be_an_integer():
+    with pytest.raises(TypeError):
+        run_chunks(tagged, [0, 1], 2.0)
+
+
 def test_large_results_cross_the_pipe():
     # far more than a pipe buffer from each child
     out = run_chunks(lambda a: bytes([a]) * (1 << 20), list(range(4)), 2)
