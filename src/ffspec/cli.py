@@ -203,8 +203,10 @@ def main(argv=None) -> int:
     report = None if args.report is None else Path(args.report)
     problem = report is not None and (
         report.is_dir() and f"report path {report} is a directory"
-        or not report.parent.is_dir()
+        or not report.parent.exists()
         and f"report directory {report.parent} does not exist"
+        or not report.parent.is_dir()
+        and f"report directory {report.parent} is not a directory"
         or not os.access(report.parent, os.W_OK)
         and f"report directory {report.parent} is not writable")
     if problem:

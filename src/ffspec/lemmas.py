@@ -6,9 +6,9 @@ Every verifier runs through one driver, _sweep.  Its contract:
 - the enumeration is split into a fixed chunk list that does not depend
   on the worker count (_blocks cuts a range into [lo, hi) pieces);
 - a chunk is the unit of scheduling and a block the unit of memory:
-  slab-p3 and each searched size of fuglede-3-3, fuglede-3-2 and
-  fuglede-5-2 are one chunk, which walks blocks of rows, so these sweeps
-  fork nothing at any worker count;
+  slab-p3 and each size of fuglede-3-3, fuglede-3-2 and fuglede-5-2 are
+  one chunk, which walks blocks of rows, so these sweeps fork nothing at
+  any worker count;
 - each chunk returns a tuple, and the tuples are folded field by field
   in chunk order: numbers and arrays add, lists concatenate, sets unite
   and dicts merge key by key, so keys with a zero count stay in place;
@@ -18,16 +18,18 @@ Every verifier runs through one driver, _sweep.  Its contract:
 - counterexamples leave the chunks as point-index lists and become
   coordinate rows in one place, _coord_cex;
 - a sweep of translation-invariant counts reads only the sets through
-  the origin and reports them as over all sets (_origin_sweep, and
-  _per_set for fuglede-3-3 and fuglede-3-2);
+  the origin and reports them as over all sets (_origin_sweep: lm1 and
+  lm2 direct, slab-p3, fuglede-3-3 and fuglede-3-2);
 - lm1, lm2, slab-p3 and the fuglede sweeps read the sets anchor + S, S
   over the r-subsets of a point list, through tables.subset_words and
   subset_rows; the sets through the origin are _origin_sets;
-- the fuglede sweeps share one chunk per size, _size_chunk: it keys
-  every set of the size by its zero directions and searches each
-  distinct key once, and it checks each set against its own tiling
-  complement, which the calling process finds with one tiling search per
-  affine orbit of the sets through the origin (_row_complements);
+- the fuglede sweeps run one sweep of one chunk per size, _size_chunk,
+  which does all the work of its size: it finds each set's tiling
+  complement with one tiling search per affine orbit of the sets
+  through the origin (_row_complements), keys every set by its zero
+  directions and searches each distinct key once, and checks each set
+  against its own witnesses; a size that both size filters reject
+  builds no set;
 - every symmetry reduction, proj21's filling and row-triple orbits and
   the fuglede sweeps' affine orbits, is one orbit pass (_orbits) whose
   orbit count must equal the cycle index's (_orbit_count).
@@ -59,7 +61,6 @@ from .tables import (
     combination_array,
     coords_matrix,
     difference,
-    dir_of_index,
     orthogonal_direction_bits,
     plane_word_table,
     read_only,
@@ -599,26 +600,33 @@ _CHECK_BLOCK = 1 << 9
 
 
 def _size_chunk(args):
-    """(sets, nodes, {size: counts}, counterexamples) of the size-sets of
-    F_p^d through 0 (_origin_sets), given each row's tiling complement
-    (_row_complements), or None where the size cannot tile.
+    """(sets, searched sets, spectral sets, tiling sets, nodes,
+    counterexamples) of the size-sets of F_p^d through 0 (_origin_sets);
+    a size that both size filters reject is (sets, sets, 0, 0, 0, []),
+    every set searched once and rejected, and builds no row.
 
     At a size a spectral set may have, every row is keyed by its zero
     directions (_zero_keys) and each distinct key is searched once
     (_search_keys); every other size is spectral nowhere, the search's
-    size filter.  A row tiles when it has a complement.  Every witness
-    is checked against its own row, both ways, _CHECK_BLOCK rows at a
-    time: the spectrum of a row's key in one _validate_witness_rows call,
-    the row's complement in one tiling_pair_rows call each way.
-    Counterexamples, the rows with one witness but not the other, come
-    in row order, each with its spectrum or None.
+    size filter.  At a size that can tile, a row tiles when it has a
+    complement (_row_complements).  Every witness is checked against its
+    own row, both ways, _CHECK_BLOCK rows at a time: the spectrum of a
+    row's key in one _validate_witness_rows call, the row's complement
+    in one tiling_pair_rows call each way.  Counterexamples, the rows
+    with one witness but not the other, come in row order, each with its
+    spectrum or None.
     """
-    p, d, size, complements = args
+    p, d, size = args
     spc = Space(p, d)
     origin = _origin_sets(p, d, size)
     n = math.comb(len(origin[1]), origin[2])
+    can_search = size in allowed_spectral_sizes(spc)
+    can_tile = size_can_tile(spc, size)
+    if not (can_search or can_tile):
+        return n, n, 0, 0, 0, []
+    complements = _row_complements(p, size) if can_tile else None
     searched, nodes, found = n, 0, {}         # found: {row: spectrum}
-    if size in allowed_spectral_sizes(spc):
+    if can_search:
         keys = _zero_keys(p, d, size)
         uniq, counts = np.unique(keys, return_counts=True)
         searched, nodes, spectra = _search_keys(spc, size, uniq.tolist(),
@@ -627,8 +635,7 @@ def _size_chunk(args):
         found = dict(zip(hit.tolist(), map(spectra.get, keys[hit].tolist())))
     spectral = np.zeros(n, dtype=bool)
     spectral[list(found)] = True
-    tiles = (np.zeros(n, dtype=bool) if complements is None
-             else complements[:, 0] >= 0)
+    tiles = complements[:, 0] >= 0 if can_tile else np.zeros(n, dtype=bool)
 
     def block(pos):
         E = subset_rows(p, d, *origin, pos)
@@ -653,9 +660,8 @@ def _size_chunk(args):
     checked = np.flatnonzero(spectral | tiles)
     cex = [c for lo, hi in _blocks(len(checked), _CHECK_BLOCK)
            for c in block(checked[lo:hi])]
-    return n, nodes, {str(size): {
-        "anchored": n, "searched": searched,
-        "spectral": int(spectral.sum()), "tiles": int(tiles.sum())}}, cex
+    return (n, searched, int(spectral.sum()), int(tiles.sum()), nodes,
+            cex)
 
 
 def _orbits(keys: np.ndarray, images, expected: int, what: str) -> tuple:
@@ -833,26 +839,26 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     (3,2) and (5,2): every subset of the given sizes, both predicates,
     assert the equivalence.  (3,3): size 6 only, which cannot tile, so
     assert no spectra exist.  Both predicates are translation invariant,
-    so the sweep reads the subsets through the origin, one chunk per size
-    (_size_chunk).  The chunk keys every set of its size by its zero
+    so the sweep reads the subsets through the origin: each size is one
+    sweep of one chunk (_size_chunk), run in the calling process at any
+    worker count.  The chunk keys every set of its size by its zero
     directions and runs the clique stage once per distinct key, over the
-    whole size, and it checks each set against its own tiling complement.
-    The calling process finds those complements (_row_complements): one
-    pass groups the sets through the origin into affine orbits, whose
-    number must match affine_class_counts, and one batched tiling search
-    runs over the orbits' first sets; a set's complement is its orbit's
-    mapped by a linear map.  Every witness is then checked against its
-    own set, both ways, in blocks of rows.  Reports count per set, as a
-    per-set search would.  A size that both size filters reject builds
-    no set: the calling process counts its sets as searched once and
-    rejected, so such a size is no chunk.
+    whole size, and it checks each set against its own tiling complement,
+    which it finds too (_row_complements): one pass groups the sets
+    through the origin into affine orbits, whose number must match
+    affine_class_counts, and one batched tiling search runs over the
+    orbits' first sets; a set's complement is its orbit's mapped by a
+    linear map.  Every witness is then checked against its own set, both
+    ways, in blocks of rows.  Reports count per set, as a per-set search
+    would.  A size that both size filters reject builds no set: its chunk
+    counts its sets as searched once and rejected.
 
-    (3,3) reports every count as over all six-sets (_per_set) and a
-    spectral set with all its translates, each verified against its own
-    set; (3,2) reports every count as over all subsets and a
-    counterexample with all its translates; (5,2) reports the sets
-    through the origin, its translation-anchored representatives.
-    Raises SweepBudgetError if a search runs out of budget.
+    (3,3) and (3,2) report every count as over all subsets and a
+    counterexample with all its translates (_origin_sweep); each
+    spectral six-set of F_3^3 is verified against its own set.  (5,2)
+    reports the sets through the origin, its translation-anchored
+    representatives.  Raises SweepBudgetError if a search runs out of
+    budget.
     """
     p, d = operator.index(p), operator.index(d)
     sizes = tuple(sorted(map(operator.index, sizes)))
@@ -862,32 +868,23 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
         raise ValueError(f"unsupported sweep ({p}, {d})")
     if (p, d) == (3, 3) and sizes != (6,):
         raise ValueError("F_3^3 sweep supports size 6 only")
-    spc = Space(p, d)
-    n = spc.order
+    n = Space(p, d).order
     if not sizes or not all(1 <= s <= n for s in sizes):
         raise ValueError(f"F_{p}^{d} sweep needs sizes within 1..{n}")
-    searched = [s for s in sizes
-                if s in allowed_spectral_sizes(spc) or size_can_tile(spc, s)]
-    anchored = {s: math.comb(n - 1, s - 1) for s in sizes}
-    nodes, per_size, cex = 0, {}, []
-    if searched:
-        plane_word_table(p, d), dir_of_index(p, d)
-        chunks = [(p, d, s, _row_complements(p, s)
-                   if size_can_tile(spc, s) else None) for s in searched]
-        _, nodes, per_size, cex = _sweep(_size_chunk, chunks, workers,
-                                         sum(anchored[s] for s in searched))
-    per_size.update((str(s), {"anchored": anchored[s], "searched": anchored[s],
-                              "spectral": 0, "tiles": 0})
-                    for s in sizes if s not in searched)
+    per_size, cex = {}, []
+    for s in sizes:
+        if p == 3:
+            counts, found = _origin_sweep(_size_chunk, [(p, d, s)], p, d, s,
+                                          workers)
+        else:
+            *counts, found = _sweep(_size_chunk, [(p, d, s)], workers,
+                                    math.comb(n - 1, s - 1))
+        per_size[s] = counts
+        cex += found
 
     if d == 3:
-        # translation invariant: counted over the sets through the origin
-        total, searched, nodes = (
-            _per_set(c, n, 6)
-            for c in (per_size["6"]["anchored"], per_size["6"]["searched"],
-                      nodes))
-        wits = _translates(3, 3, [{"set": c["set"], "spectrum": c["spectrum"]}
-                                  for c in cex])
+        total, searched, spectral, _, nodes = per_size[6]
+        wits = [{"set": c["set"], "spectrum": c["spectrum"]} for c in cex]
         if wits:
             _validate_witness_rows(3, 3, [w["set"] for w in wits],
                                    [w["spectrum"] for w in wits])
@@ -896,7 +893,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
                 "sets": total,
                 "immediate_none": total - searched,
                 "searched": searched,
-                "spectral": len(wits),
+                "spectral": spectral,
                 "nodes": nodes,
             }},
             "pruning": "off",
@@ -907,21 +904,20 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
 
     cex = [{k: c[k] for k in ("set", "spectral", "tile")} for c in cex]
     if p == 3:
-        # translation invariant: counted over the sets through the origin
-        per_size = {k: {"sets": _per_set(c["anchored"], 9, int(k)),
-                        "spectral": _per_set(c["spectral"], 9, int(k)),
-                        "tiles": _per_set(c["tiles"], 9, int(k))}
-                    for k, c in per_size.items()}
         card = sum(math.comb(9, s) for s in sizes)
-        details = {"sizes": per_size, "pruning": "off"}
+        details = {"sizes": {str(s): {"sets": c[0], "spectral": c[2],
+                                      "tiles": c[3]}
+                             for s, c in per_size.items()},
+                   "pruning": "off"}
         return LemmaReport(
             "fuglede-3-2",
             f"subsets of F_3^2 of sizes {list(sizes)}",
-            card, "none", card, _coord_cex(3, 2, _translates(3, 2, cex)),
-            details)
+            card, "none", card, _coord_cex(3, 2, cex), details)
 
     details = {
-        "sizes": per_size,
+        "sizes": {str(s): {"anchored": c[0], "searched": c[1],
+                           "spectral": c[2], "tiles": c[3]}
+                  for s, c in per_size.items()},
         "pruning": "off",
         "affine_classes": {
             str(s): c for s, c in affine_class_counts(5, 2, sizes).items()
@@ -937,7 +933,7 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
         f"translation-anchored subsets of F_5^2 of sizes {list(sizes)}",
         card,
         "translations of F_5^2, order 25",
-        sum(anchored.values()),
+        sum(c[0] for c in per_size.values()),
         _coord_cex(5, 2, cex), details)
 
 

@@ -203,6 +203,23 @@ class TestReportPath:
             "does not exist\n"
 
     @pytest.mark.parametrize("cmd", ["verify", "falsify", "analyze"])
+    def test_file_as_directory_fails_before_work(self, cmd, line_file,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+        # the directory part names a regular file, which does exist
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the report check")
+
+        monkeypatch.setattr(cli, self.WORK[cmd], no_work)
+        parent = tmp_path / "file.txt"
+        parent.write_text("")
+        report = parent / "out.json"
+        code, out, err = run_cli(self.argv(cmd, line_file, report), capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: report directory {parent} " \
+            "is not a directory\n"
+
+    @pytest.mark.parametrize("cmd", ["verify", "falsify", "analyze"])
     def test_unwritable_path_fails_before_work(self, cmd, line_file,
                                                tmp_path, monkeypatch, capsys):
         def no_work(*args, **kwargs):

@@ -1,8 +1,9 @@
 """The package's import graph: every intra-package import sits at module
 level, the modules import each other without a cycle, every name a
 module or test file imports is used there, every private module-level
-name is used somewhere in the package, and importing the package loads
-no multiprocessing (run_chunks forks its workers itself)."""
+name is used somewhere in the package, lemmas hands chunks to run_chunks
+in _sweep alone, and importing the package loads no multiprocessing
+(run_chunks forks its workers itself)."""
 import ast
 import os
 import subprocess
@@ -65,6 +66,23 @@ def test_tables_build_on_space_alone():
                       if _package_imports(node)]
                for name in ("tables", "space")}
     assert imports == {"tables": ["from .space import Space"], "space": []}
+
+
+def test_lemmas_run_chunks_only_in_sweep():
+    # lemmas' docstring: every verifier runs through one driver, _sweep,
+    # so no other function of the module hands chunks to run_chunks
+    def named(node):
+        return sorted(n.lineno for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and n.id == "run_chunks"
+                      or isinstance(n, ast.Attribute)
+                      and n.attr == "run_chunks")
+
+    body = _trees()["lemmas"].body
+    sweep = [node for node in body
+             if isinstance(node, ast.FunctionDef) and node.name == "_sweep"]
+    assert len(sweep) == 1 and named(sweep[0])
+    assert [line for node in body if node not in sweep
+            for line in named(node)] == []
 
 
 def test_module_imports_are_used():

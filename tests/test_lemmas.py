@@ -18,6 +18,7 @@ from ffspec import (
     verify_fuglede_small,
     verify_lm1,
     verify_lm2,
+    verify_proj21,
     verify_slab_p3,
 )
 from ffspec import lemmas, spectral
@@ -892,7 +893,7 @@ class TestGroupedSweeps:
         # the size is one chunk, run in this process, which searches
         # the distinct keys of all its rows at once
         assert fork_count() == 0
-        assert seen[0] == seen[1] == [(3, 3, 6, None)]
+        assert seen[0] == seen[1] == [(3, 3, 6)]
         assert searches[0] == searches[1]
         keys, counts = searches[0]
         assert keys == sorted(set(keys)) and len(keys) == 469
@@ -1025,21 +1026,25 @@ class TestGroupedSweeps:
 
     def test_size_chunk_scratch_is_one_check_block(self, fork_count,
                                                    traced_peak):
-        # size 5 is one chunk, run in this process; it checks its 3,426
-        # spectral and tiling rows _CHECK_BLOCK at a time, where all of
-        # them at once took 9.0 MB
-        args = (5, 2, 5, lemmas._row_complements(5, 5))
+        # size 5 is one chunk, run in this process; it finds the tiling
+        # complements of its rows and checks its 3,426 spectral and
+        # tiling rows _CHECK_BLOCK at a time, where all of them at once
+        # took 9.0 MB
+        args = (5, 2, 5)
         _size_chunk(args)                  # warms the tables and the memo
         assert traced_peak(_size_chunk, args) < 2e6
         verify_fuglede_small(5, 2, (5,), workers=2)
         assert fork_count() == 0
 
     def test_small_sweeps_fork_nothing(self, fork_count):
-        # slab-p3, fuglede-3-3 and fuglede-5-2 are one chunk each at two
-        # workers; a falsify run of more than one chunk still forks
+        # slab-p3 is one chunk and each fuglede size one sweep of one
+        # chunk, at two workers too, for any list of sizes; a falsify run
+        # of more than one chunk still forks
         verify_slab_p3(workers=2)
         verify_fuglede_small(3, 3, (6,), workers=2)
         verify_fuglede_small(5, 2, (5, 20), workers=2)
+        verify_fuglede_small(3, 2, (3, 9), workers=2)
+        verify_fuglede_small(5, 2, (1, 2, 25), workers=2)
         assert fork_count() == 0
         rep = falsify_random(5, 3, 10, lemmas._FALSIFY_CHUNK + 1, 1, workers=2)
         assert rep.details["trials"] == lemmas._FALSIFY_CHUNK + 1
@@ -1107,25 +1112,32 @@ class TestGroupedSweeps:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_budget_failure_is_named(self, monkeypatch, cold_caches,
                                      fork_count, name, value, workers):
-        # at 2 workers the two size chunks run in forked children, which
-        # inherit the patch, and a clique-stage error crosses the fork by
-        # type; the tiling searches run in this process before any fork
+        # each size is one sweep of one chunk, which runs its tiling
+        # searches and clique stages in this process at any worker
+        # count; test_parallel covers an error crossing a fork
         monkeypatch.setattr(lemmas, name, value)
         with pytest.raises(lemmas.SweepBudgetError, match="budget"):
             verify_fuglede_small(3, 2, (3, 9), workers=workers)
-        forks = workers > 1 and name == "_clique_in_zero_set"
-        assert fork_count() == (workers if forks else 0)
+        assert fork_count() == 0
 
-    def test_rejected_sizes_are_no_chunk(self, fork_count):
-        # both size filters reject size 6 of F_3^2, so the calling
-        # process counts it and size 3 is the one chunk: nothing forks
-        rep = verify_fuglede_small(3, 2, (3, 6), workers=2)
+    def test_rejected_sizes_build_no_set(self, monkeypatch):
+        # both size filters reject sizes 10, 15 and 20 of F_5^2 and size
+        # 6 of F_3^2: their chunks count the sets without building a
+        # row, a key or a complement
+        def no_rows(*args):
+            raise AssertionError("a rejected size built a set")
+
+        for name in ("_zero_keys", "_row_complements", "subset_rows"):
+            monkeypatch.setattr(lemmas, name, no_rows)
+        for args, want in [
+                ((5, 2, (10, 15, 20)), "fd6d8b1a377c7605c7f464dcc9b6e22c"
+                 "dc201b244efd42a7c031219bec22950e"),
+                ((3, 2, (6,)), "65bf1e519ceb977d8209ab9c18f94c22"
+                 "48e53b188760bc6afebe8c6c7d9faf11")]:
+            rep = verify_fuglede_small(*args, workers=2)
+            assert _result_sha256(rep) == want
         assert rep.details["sizes"]["6"] == {
             "sets": 84, "spectral": 0, "tiles": 0}
-        assert fork_count() == 0
-        # F_5^2 sizes 1 and 25 are a chunk each, size 2 none
-        verify_fuglede_small(5, 2, (1, 2, 25), workers=2)
-        assert fork_count() == 2
 
 
 class TestFalsify:
@@ -1273,8 +1285,22 @@ class TestReportPlumbing:
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_below_one_raises(self, workers):
-        with pytest.raises(ValueError, match="worker count must be positive"):
-            verify_fuglede_small(3, 2, (3,), workers=workers)
+        # every entry point, the fuglede sizes that both size filters
+        # reject and falsify's size-filtered d = 2 path included
+        runs = [
+            verify_lm1, lambda w: verify_lm1(w, "reduced"),
+            verify_lm2, lambda w: verify_lm2(w, "direct"),
+            verify_proj21, verify_slab_p3,
+            lambda w: verify_fuglede_small(3, 2, (3,), workers=w),
+            lambda w: verify_fuglede_small(5, 2, (2,), workers=w),
+            lambda w: verify_fuglede_small(3, 2, (6,), workers=w),
+            lambda w: verify_fuglede_small(5, 2, (3, 4, 7), workers=w),
+            lambda w: falsify_random(5, 2, 10, 500, 1, workers=w),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError,
+                               match="worker count must be positive"):
+                run(workers)
 
     def test_worker_determinism_exhaustive(self):
         a = verify_slab_p3(workers=1)
@@ -1298,8 +1324,8 @@ def _full_enumeration(monkeypatch):
 
 def _f33_counts():
     """(sets, searched sets, nodes) of the fuglede-3-3 chunk."""
-    sets, nodes, per_size, _ = _size_chunk((3, 3, 6, None))
-    return sets, per_size["6"]["searched"], nodes
+    sets, searched, _, _, nodes, _ = _size_chunk((3, 3, 6))
+    return sets, searched, nodes
 
 
 class TestOriginSweeps:
@@ -1362,7 +1388,7 @@ class TestOriginSweeps:
         rep = verify_fuglede_small(3, 3, (6,))
         last = validated[-1]
         _full_enumeration(monkeypatch)
-        *_, cex = _size_chunk((3, 3, 6, None))
+        *_, cex = _size_chunk((3, 3, 6))
         want = [{"set": c["set"], "spectrum": c["spectrum"]} for c in cex]
         assert len(want) == rep.details["sizes"]["6"]["spectral"] == 468
         assert rep.counterexamples == _coord_cex(3, 3, want)
