@@ -10,11 +10,11 @@ Exact zero testing never touches floats: a character sum is stored as
 the p residue-class counts c_j = #{x in E : x . xi = j}, and the value
 sum_j c_j zeta^j vanishes over the cyclotomic integers iff all counts
 are equal (the minimal polynomial of zeta over Q is 1 + x + ... +
-x^(p-1)).  zero_set reads these counts for every canonical direction
-at once from tables.plane_words, the one equidistribution count, as
-packed words: a direction is a zero exactly when its word is the one
-with all p counts equal to |E| / p.  Floating values exist for
-diagnostics only.
+x^(p-1)).  tables.plane_words packs these counts for every canonical
+direction at once, and zero_keys is the one zero test: bit k of a key
+is set when word k has all p counts equal to |E| / p.  zero_set, the
+spectral pair criterion and the sweeps read these keys.  Floating
+values exist for diagnostics only.
 """
 from __future__ import annotations
 
@@ -24,18 +24,21 @@ from .sets import PointSet, QuotientFunction
 from .tables import direction_points, plane_words, uniform_word
 
 
-def zero_directions(p: int, d: int, rows) -> np.ndarray:
-    """(n_dirs, ...) bool over index rows of shape (..., m): the
-    transform of the row's set vanishes along canonical direction k.
+def zero_keys(p: int, words: np.ndarray, m: int) -> np.ndarray:
+    """Direction keys of sets of size m from their packed plane words
+    (tables.plane_words, subset_words): shape (..., n_dirs) gives (...),
+    and bit k is set when the transform vanishes along direction k.
 
     The p plane counts along a direction must all equal m / p, so the
-    packed word must be uniform_word(p, m // p).  An empty row vanishes
+    word must be uniform_word(p, m // p).  An empty row vanishes
     everywhere.  The counts of a row sum to m, so a row of size prime to
-    p never matches and vanishes nowhere.
+    p never matches and vanishes nowhere.  Keys are the narrowest
+    little-endian uints of n_dirs bits: u1 at d <= 2, and u2, u4 and u8
+    at F_3^3, F_5^3 and F_7^3 (13, 31 and 57 directions).
     """
-    m = np.shape(rows)[-1]
-    zero = plane_words(p, d, rows) == uniform_word(p, m // p)
-    return zero.transpose(-1, *range(zero.ndim - 1))
+    zero = np.packbits(words == uniform_word(p, m // p), axis=-1,
+                       bitorder="little")
+    return zero.view(f"<u{zero.shape[-1]}")[..., 0]
 
 
 def zero_set(E: PointSet) -> PointSet:
@@ -47,9 +50,8 @@ def zero_set(E: PointSet) -> PointSet:
     vanishes at every c xi, c != 0.
     """
     p, d = E.space.p, E.space.d
-    zero = zero_directions(p, d, np.array(E.indices(), dtype=np.int64))
-    key = sum(1 << k for k in np.flatnonzero(zero).tolist())
-    return PointSet(E.space, direction_points(p, d, key).tolist())
+    key = zero_keys(p, plane_words(p, d, E.indices()), E.size)
+    return PointSet(E.space, direction_points(p, d, int(key)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ Every verifier runs through one driver, _sweep.  Its contract:
   which does all the work of its size: it finds each set's tiling
   complement with one tiling search per affine orbit of the sets
   through the origin (_row_complements), keys every set by its zero
-  directions and searches each distinct key once, and checks each set
-  against its own witnesses; a size that both size filters reject
-  builds no set;
+  directions (fourier.zero_keys, as slab-p3 does) and searches each
+  distinct key once, and checks each set against its own witnesses; a
+  size that both size filters reject builds no set;
 - every symmetry reduction, proj21's filling and row-triple orbits and
   the fuglede sweeps' affine orbits, is one orbit pass (_orbits) whose
   orbit count must equal the cycle index's (_orbit_count).
@@ -43,10 +43,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from .fourier import zero_keys
 from .parallel import run_chunks
 from .sets import PointSet
 from .space import Space
@@ -479,23 +480,12 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
 # Plane concentration at p = 3: six-point sets equidistributed along two
 # directions of a common plane lie in two parallel planes.
 
-def _zero_bits(p: int, words: np.ndarray, size: int) -> np.ndarray:
-    """(rows,) <u2 keys of the packed plane words of size-sets: bit k is
-    set when the set has size / p points on each plane of direction k,
-    that is when its Fourier transform vanishes along direction k.
-    Every swept space has at most 16 directions."""
-    zero = np.packbits(words == uniform_word(p, size // p), axis=-1,
-                       bitorder="little")
-    bits = np.zeros((len(words), 2), dtype=np.uint8)
-    bits[:, :zero.shape[1]] = zero
-    return bits.view("<u2")[:, 0]
-
-
 @lru_cache(maxsize=None)
 def _slab_hypotheses() -> np.ndarray:
-    """(2^13,) bool, read-only: slab-p3's hypothesis for each _zero_bits
-    key, two zero directions orthogonal to one direction, that is two
-    zero directions of one plane."""
+    """(2^13,) bool, read-only: slab-p3's hypothesis for each F_3^3
+    zero-direction key (fourier.zero_keys), two zero directions
+    orthogonal to one direction, that is two zero directions of one
+    plane."""
     keys = np.arange(1 << 13, dtype=np.uint16)[:, None]
     orth = orthogonal_direction_bits(3, 3).astype(np.uint16)
     return read_only((np.bitwise_count(keys & orth) >= 2).any(axis=-1))
@@ -510,7 +500,7 @@ def _slab_chunk(args):
 
     def block(a, b):
         words = subset_words(3, 3, *sets, a, b)
-        hyp = _slab_hypotheses()[_zero_bits(3, words, 6)]
+        hyp = _slab_hypotheses()[zero_keys(3, words, 6)]
         # inside two parallel planes: some plane count is 0
         concl = (bytes_at_least(3, words, 1) < 3).any(axis=-1)
         bad = a + np.flatnonzero(hyp & ~concl)
@@ -528,8 +518,8 @@ def verify_slab_p3(workers: int = 1) -> LemmaReport:
     sets through the origin (_origin_sweep): row ranges of 0 plus each
     5-subset of the other 26 points (_origin_sets, tables.subset_words).
     The sweep is one chunk, run in the calling process at any worker
-    count; it reads the hypothesis of each row off a table of its zero
-    directions (_slab_hypotheses)."""
+    count; it reads the hypothesis of each row off a table indexed by
+    its zero-direction key (_slab_hypotheses)."""
     (total, hyp), cex = _origin_sweep(
         _slab_chunk, [(0, math.comb(26, 5))], 3, 3, 6, workers)
     details = {
@@ -559,13 +549,15 @@ def _found(verdict: str) -> bool:
 
 
 def _zero_keys(p: int, d: int, size: int) -> np.ndarray:
-    """The zero-direction key (_zero_bits) of each set of
-    _origin_sets(p, d, size), in row order, WORD_BLOCK rows at a time."""
+    """The zero-direction key (fourier.zero_keys) of each set of
+    _origin_sets(p, d, size), in row order, WORD_BLOCK rows at a time
+    into one array of the keys' own width."""
     anchor, points, r = _origin_sets(p, d, size)
-    keys = np.empty(math.comb(len(points), r), dtype=np.uint16)
+    words = partial(subset_words, p, d, anchor, points, r)
+    keys = np.empty(math.comb(len(points), r),
+                    dtype=zero_keys(p, words(0, 0), size).dtype)
     for lo, hi in _blocks(len(keys), WORD_BLOCK):
-        keys[lo:hi] = _zero_bits(
-            p, subset_words(p, d, anchor, points, r, lo, hi), size)
+        keys[lo:hi] = zero_keys(p, words(lo, hi), size)
     return keys
 
 

@@ -117,12 +117,15 @@ def indicator(E: PointSet) -> QuotientFunction:
 
 
 def read_set(path) -> PointSet:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()       # at \n, \r\n and \r alone
     p = d = None
     rows = []
     for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
+        try:
+            line = raw.decode("ascii").strip()
+        except UnicodeDecodeError:
+            raise SetFormatError(f"line {lineno}: non-ASCII byte") from None
         if not line or line.startswith("#"):
             continue
         parts = line.split()

@@ -5,7 +5,7 @@ orthogonal basis of L^2(E).  For odd p this is equivalent to |A| = |E|
 together with fhat_E(a1 - a2) = 0 for all distinct a1, a2 in A.
 spectral_pair_rows decides this for many (E, A) index-row pairs at once
 by two routes that share no difference step, the difference-set
-criterion over E's zero directions and the definitional Gram
+criterion over E's fourier.zero_keys bits and the definitional Gram
 orthogonality test on exact residue counts, and insists they agree on
 every row.  verify_spectral_pair is its one-row call.
 
@@ -21,11 +21,11 @@ size, budget) alone.  That clique stage is memoized per process and
 keyed by the direction key, an int with bit k for direction k, so sets
 that share a zero set (all translates of a set, and most sets of a
 sweep) search once; spectrum_search reads the key off its zero set,
-and the exhaustive sweeps key every set of a size by its zero
-directions, so both meet the same cache entries.  Witness validation
-is not shared: every witness is re-verified against its own set, by
-both routes and both ways, on a cache hit too; a sweep checks the
-witnesses of a block of rows in one batched call.
+and the exhaustive sweeps key every set of a size with zero_keys, so
+both meet the same cache entries.  Witness validation is not shared:
+every witness is re-verified against its own set, by both routes and
+both ways, on a cache hit too; a sweep checks the witnesses of a block
+of rows in one batched call.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fourier import zero_directions, zero_set
+from .fourier import zero_keys, zero_set
 from .geometry import _plane_direction_counts
 from .sets import PointSet, bit_rows
 from .tables import (add_table, bytes_at_least, coords_matrix, dir_of_index,
@@ -87,13 +87,13 @@ def _pair_criterion(p: int, d: int, E_rows: np.ndarray,
     set of E.
 
     Each pair's direction is read off the line through it, one gather
-    from the point-pair table (tables.pair_directions), and looked up in
-    E's zero_directions columns, so this route shares no difference step
-    with the Gram route's coordinate rows.
+    from the point-pair table (tables.pair_directions), and tested as a
+    bit of its row's key (fourier.zero_keys), so this route shares no
+    difference step with the Gram route's coordinate rows.
     """
-    zero = zero_directions(p, d, E_rows)                # (n_dirs, n)
-    dirs = pair_directions(p, d, A_rows)
-    return zero[dirs, np.arange(len(A_rows))[:, None]].all(axis=1)
+    keys = zero_keys(p, plane_words(p, d, E_rows), E_rows.shape[1])
+    dirs = pair_directions(p, d, A_rows).astype(keys.dtype)
+    return (keys[:, None] >> dirs & 1).all(axis=1)
 
 
 def _pair_gram(p: int, d: int, E_rows: np.ndarray,

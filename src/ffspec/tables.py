@@ -6,8 +6,8 @@ add_table, differences from add_table and the negation row of
 scale_tables (difference), the direction of a point from dir_of_index,
 and the line and direction of a pair of points from pair_lines.  A set
 of directions is a direction key, an int with bit k for direction k;
-direction_points expands one to its points, which is how zero_set and
-the clique stage that spectrum_search and the sweeps share read it.
+fourier.zero_keys builds keys from plane_words, direction_points
+expands one to its points for zero_set and the shared clique stage.
 
 plane_words is the one equidistribution count: how many points of an
 index row lie on each hyperplane x . rep = c, for every canonical
@@ -18,10 +18,10 @@ is one WORD_BLOCK = 4,096-row gather, whatever the caller passes.  A
 plane of F_p^d holds at most p^(d-1) <= 49 points, so no byte carries
 into the next.  In F_7^2 the planes are lines, so the words also
 count the points of a row on every line; lm1, lm2 and proj21 read them
-(proj21 adds the words of its three support rows).  The zero set of a
-Fourier transform, slab-p3 and the plane_concentration pruning rule
-read the words directly, through uniform_word and bytes_at_least;
-plane_counts is their byte view, which geometry.plane_sup reads.
+(proj21 adds the words of its three support rows).  fourier.zero_keys,
+slab-p3 and the plane_concentration pruning rule read the words
+directly, through uniform_word and bytes_at_least; plane_counts is
+their byte view, which geometry.plane_sup reads.
 combination_words caches the words of every r-subset of a point list,
 in combination_array order.  subset_words reads any range of rows of
 the sets anchor + S, S over the r-subsets of a point list, each as a

@@ -165,6 +165,12 @@ class TestAnalyze:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_non_ascii_file_names_its_line(self, tmp_path, capsys):
+        f = tmp_path / "bad.txt"
+        f.write_bytes("p 7\nd 2\n1 \u2013 2\n".encode())
+        code, _, err = run_cli(["analyze", "--set", str(f)], capsys)
+        assert (code, err) == (1, "error: line 3: non-ASCII byte\n")
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["analyze", "--set", str(tmp_path / "nope.txt")], capsys)

@@ -16,9 +16,10 @@ from ffspec import (
     plancherel_check,
     zero_set,
 )
-from ffspec.fourier import zero_directions
+from ffspec.fourier import zero_keys
 from ffspec.space import coords_to_index
-from ffspec.tables import direction_reps, plane_counts, scale_tables
+from ffspec.tables import (direction_reps, plane_counts, plane_words,
+                           scale_tables)
 
 
 @st.composite
@@ -46,6 +47,11 @@ def vanishes(E, xi) -> bool:
     """The oracle's exact test: all p residue counts at xi are equal."""
     return len(set(O.residue_counts(E.space.p, coords(E),
                                     point(E.space, xi)))) == 1
+
+
+def bits(key, n: int) -> list:
+    """The n low bits of a direction key, bit k as entry k."""
+    return [bool(int(key) >> k & 1) for k in range(n)]
 
 
 def has(E, x) -> bool:
@@ -132,8 +138,8 @@ class TestZeroSet:
     def test_full_space_every_direction(self):
         # 49 points on each plane of F_7^3: 7 x 49 = 343 overflows any
         # byte-wide p * count
-        zero = zero_directions(7, 3, np.arange(343))
-        assert zero.shape == (57,) and zero.all()
+        key = zero_keys(7, plane_words(7, 3, np.arange(343)), 343)
+        assert key.shape == () and int(key) == (1 << 57) - 1
         assert zero_set(PointSet(Space(7, 3), range(343))).size \
             == 342
 
@@ -146,14 +152,14 @@ class TestZeroSet:
         for size in sorted(s for s in {1, p - 1, p + 1, n - 1} if s <= n):
             rows = np.array([rng.choice(n, size=size, replace=False)
                              for _ in range(5)])
-            zero = zero_directions(p, d, rows)
-            assert zero.shape == (len(reps), 5) and not zero.any()
+            keys = zero_keys(p, plane_words(p, d, rows), size)
+            assert keys.shape == (5,) and not keys.any()
         # rows of size p agree with the independent per-direction count
         rows = np.array([rng.choice(n, size=p, replace=False)
                          for _ in range(20)])
-        for col, row in zip(zero_directions(p, d, rows).T, rows):
+        for key, row in zip(zero_keys(p, plane_words(p, d, rows), p), rows):
             E = PointSet(spc, sorted(row.tolist()))
-            assert col.tolist() == [vanishes(E, xi) for xi in reps]
+            assert bits(key, len(reps)) == [vanishes(E, xi) for xi in reps]
 
     @given(random_set())
     def test_divisibility(self, E):
@@ -179,6 +185,52 @@ class TestZeroSet:
         xi = data.draw(st.integers(1, spc.order - 1))
         if E.size:
             assert vanishes(E, xi) == has(zero_set(E), xi)
+
+
+class TestZeroKeys:
+    """zero_keys against the oracle's per-direction residue counts; rows
+    of size prime to p are TestZeroSet's."""
+
+    @pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7)
+                                     for d in (1, 2, 3)])
+    def test_keys_match_vanishing_oracle(self, p, d, rng):
+        n = p ** d
+        spc = Space(p, d)
+        reps = direction_reps(p, d).tolist()
+        # the narrowest uint of len(reps) bits: 1, 4, 6 or 8 directions
+        # at d <= 2, then 13, 31 and 57
+        dtype = np.dtype("<u1" if d < 3 else {3: "<u2", 5: "<u4",
+                                              7: "<u8"}[p])
+        for size in [s for s in (p, p * p) if s <= n]:
+            rows = np.array([rng.choice(n, size=size, replace=False)
+                             for _ in range(8)])
+            keys = zero_keys(p, plane_words(p, d, rows), size)
+            assert keys.dtype == dtype and keys.shape == (8,)
+            for key, row in zip(keys, rows):
+                E = PointSet(spc, sorted(row.tolist()))
+                assert int(key) >> len(reps) == 0
+                assert bits(key, len(reps)) == [vanishes(E, xi)
+                                                for xi in reps]
+        # an empty row vanishes along every direction
+        empty = zero_keys(p, plane_words(p, d, np.zeros((2, 0), int)), 0)
+        assert empty.dtype == dtype
+        assert empty.tolist() == [(1 << len(reps)) - 1] * 2
+
+    @pytest.mark.parametrize("pts,count", [
+        ([(x, y, z) for x in range(7) for y in range(7) for z in range(7)],
+         57),
+        ([(0, y, z) for y in range(7) for z in range(7)], 56),
+        ([(t, 2 * t, 3 * t) for t in range(7)], 49),
+    ], ids=["space", "plane", "line"])
+    def test_f73_high_bits(self, pts, count):
+        # 57 directions: the key is one uint64 and reaches bit 56
+        spc = Space(7, 3)
+        E = PointSet.from_coords(spc, pts)
+        reps = direction_reps(7, 3).tolist()
+        key = zero_keys(7, plane_words(7, 3, E.indices()), E.size)
+        assert key.dtype == np.dtype("<u8") and key.shape == ()
+        assert bits(key, 57) == [vanishes(E, xi) for xi in reps]
+        assert int(key).bit_count() == count and int(key) >> 56 == 1
 
 
 class TestFloatSide:

@@ -2,8 +2,9 @@
 level, the modules import each other without a cycle, every name a
 module or test file imports is used there, every private module-level
 name is used somewhere in the package, lemmas hands chunks to run_chunks
-in _sweep alone, and importing the package loads no multiprocessing
-(run_chunks forks its workers itself)."""
+in _sweep alone, np.packbits is named only by the two bit packers, and
+importing the package loads no multiprocessing (run_chunks forks its
+workers itself)."""
 import ast
 import os
 import subprocess
@@ -83,6 +84,24 @@ def test_lemmas_run_chunks_only_in_sweep():
     assert len(sweep) == 1 and named(sweep[0])
     assert [line for node in body if node not in sweep
             for line in named(node)] == []
+
+
+def test_packbits_only_in_the_two_bit_packers():
+    # sets.bit_rows packs adjacency rows and fourier.zero_keys packs zero
+    # directions into keys; a second key builder would name packbits too
+    where = []
+    for name, tree in _trees().items():
+        fns = [fn for fn in ast.walk(tree)
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "packbits"
+                    or isinstance(node, ast.Name) and node.id == "packbits"
+                    or isinstance(node, ast.alias)
+                    and node.name.endswith("packbits")):
+                inner = [fn.name for fn in fns
+                         if fn.lineno <= node.lineno <= fn.end_lineno]
+                where.append(f"{name}.{inner[-1] if inner else '<module>'}")
+    assert sorted(where) == ["fourier.zero_keys", "sets.bit_rows"]
 
 
 def test_module_imports_are_used():

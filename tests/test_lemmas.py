@@ -22,7 +22,7 @@ from ffspec import (
     verify_slab_p3,
 )
 from ffspec import lemmas, spectral
-from ffspec.fourier import zero_directions, zero_set
+from ffspec.fourier import zero_set
 from ffspec.lemmas import (
     _coord_cex,
     _decode_profile,
@@ -291,6 +291,17 @@ def _with_origin(rows):
     return [(0, *row) for row in rows]
 
 
+def _residue_keys(p, d, rows):
+    """Zero-direction keys of index rows from residue counts over the
+    oracle's coordinates, with no plane words: bit k is set when
+    x . rep_k takes each of the p residues equally often over the row."""
+    pts = np.array(O.all_points(p, d), dtype=np.int16)
+    res = pts[rows] @ pts[direction_reps(p, d)].T % p   # (n, m, n_dirs)
+    counts = [(res == j).sum(axis=1) for j in range(p)]
+    zero = np.all([c == counts[0] for c in counts], axis=0)
+    return zero @ (1 << np.arange(zero.shape[1]))
+
+
 class TestTailWords:
     """The chunks read each row's word as its run's base word plus one
     row of a cached table (tables.subset_words); the words must equal
@@ -349,9 +360,10 @@ class TestTailWords:
     def test_f33_keys_are_the_zero_directions(self):
         # the keys of every fuglede sweep's largest searched size
         for p, d, size in [(3, 3, 6), (5, 2, 5), (3, 2, 3)]:
-            zero = zero_directions(p, d, O.through_origin(p ** d, size))
-            want = (1 << np.arange(len(zero))) @ zero      # (n_dirs, n)
-            assert lemmas._zero_keys(p, d, size).tolist() == want.tolist()
+            want = _residue_keys(p, d, O.through_origin(p ** d, size))
+            keys = lemmas._zero_keys(p, d, size)
+            assert keys.tolist() == want.tolist()
+            assert keys.dtype == np.dtype("<u2" if d == 3 else "<u1")
 
 
 class TestProj21:
@@ -857,10 +869,9 @@ class TestGroupedSweeps:
                                                  stages):
         # the direction keys of zero sets of size - 1 or more points
         # among the explicit rows, searched once each over the whole size
-        zero = np.unique(
-            zero_directions(p, d, O.through_origin(p ** d, size)).T, axis=0)
-        want = {sum(1 << k for k in np.flatnonzero(z).tolist())
-                for z in zero if (p - 1) * z.sum() >= size - 1}
+        want = {key for key in _residue_keys(
+                    p, d, O.through_origin(p ** d, size)).tolist()
+                if (p - 1) * key.bit_count() >= size - 1}
         calls = _counting(monkeypatch, "_clique_in_zero_set")
         rep = verify_fuglede_small(p, d, (size,))
         assert len(calls) == len(want) == stages

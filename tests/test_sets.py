@@ -267,3 +267,17 @@ class TestFileIO:
         with pytest.raises(SetFormatError) as err:
             read_set(path)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("head,lineno", [
+        (b"p 3\nd 2\n0 0\n", 4),
+        (b"# \xe2\x80\x93 first\n", 1),
+        # lines counted over the whole file, past any one read buffer,
+        # with \r\n and lone \r line ends
+        (b"# padding\r\n" * 5000 + b"p 3\rd 2\r", 5003),
+    ], ids=["body", "comment", "past-one-buffer"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, head, lineno):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(head + "0 \u2013 1\n".encode())
+        with pytest.raises(SetFormatError) as err:
+            read_set(path)
+        assert str(err.value) == f"line {lineno}: non-ASCII byte"
