@@ -9,9 +9,11 @@ Every verifier runs through one driver, _sweep.  Its contract:
   slab-p3 and each size of fuglede-3-3, fuglede-3-2 and fuglede-5-2 are
   one chunk, which walks blocks of rows, so these sweeps fork nothing at
   any worker count;
-- each chunk returns a tuple, and the tuples are folded field by field
-  in chunk order: numbers and arrays add, lists concatenate, sets unite
-  and dicts merge key by key, so keys with a zero count stay in place;
+- each chunk yields one tuple per block; the worker folds a chunk's
+  blocks (_chunk_total), _sweep folds the chunks in order, and both
+  folds go field by field: numbers and arrays add, lists concatenate,
+  sets unite and dicts merge key by key, so keys with a zero count stay
+  in place;
 - field 0 counts what the chunk enumerated, sets or functions, and a
   total that differs from the expected one raises InternalCheckError (a
   miscount);
@@ -147,21 +149,29 @@ def _fold(acc, item):
 
 
 def _fold_all(results) -> list:
-    """Result tuples folded field by field, in order (_fold)."""
-    results = iter(results)
-    total = list(next(results))
+    """Result tuples folded field by field, in order (_fold); no results
+    fold to []."""
+    total = []
     for res in results:
-        total = [_fold(a, b) for a, b in zip(total, res)]
+        total = ([_fold(a, b) for a, b in zip(total, res)] if total
+                 else list(res))
     return total
 
 
+def _chunk_total(fn, args) -> list:
+    """The block tuples fn yields for one chunk, folded where it ran."""
+    return _fold_all(fn(args))
+
+
 def _sweep(fn, chunks: list, workers: int, expected: int) -> list:
-    """Run fn over the fixed chunk list and fold its result tuples field
-    by field in chunk order; field 0 must total expected."""
-    total = _fold_all(run_chunks(fn, chunks, workers))
-    if total[0] != expected:
+    """Run the chunk generator fn over the fixed chunk list, fold each
+    chunk's blocks (_chunk_total), then the chunks in chunk order; field
+    0 must total expected."""
+    total = _fold_all(run_chunks(partial(_chunk_total, fn), chunks, workers))
+    enumerated = total[0] if total else 0
+    if enumerated != expected:
         raise InternalCheckError(
-            f"{fn.__name__} enumerated {total[0]}, expected {expected}")
+            f"{fn.__name__} enumerated {enumerated}, expected {expected}")
     return total
 
 
@@ -249,20 +259,16 @@ _EVAL_BLOCK = 2000
 
 
 def _planar_chunk(args):
-    """_planar_eval over rows [lo, hi) of the sets anchor + S, S over
-    the r-subsets of points (tables.subset_words), _EVAL_BLOCK rows at a
-    time, with counterexamples as sorted index lists."""
+    """Yields _planar_eval of each block of _EVAL_BLOCK rows of rows
+    [lo, hi) of the sets anchor + S, S over the r-subsets of points
+    (tables.subset_words), with counterexamples as sorted index lists."""
     anchor, points, r, lo, hi = args
-
-    def block(a, b):
-        words = subset_words(7, 2, anchor, points, r, a, b)
+    for a, b in _blocks(hi - lo, _EVAL_BLOCK):
+        words = subset_words(7, 2, anchor, points, r, lo + a, lo + b)
         *res, viol = _planar_eval(words, 3 if len(anchor) + r == 5 else 4)
         sets = subset_rows(7, 2, anchor, points, r,
-                           [a + j for j in viol]).tolist() if viol else []
-        return [*res, [{"set": row} for row in sets]]
-
-    return _fold_all(block(lo + a, lo + b)
-                     for a, b in _blocks(hi - lo, _EVAL_BLOCK))
+                           lo + a + np.array(viol)).tolist() if viol else []
+        yield *res, [{"set": row} for row in sets]
 
 
 # direct-mode rows per chunk
@@ -376,10 +382,11 @@ def _decode_profile(code: int) -> list:
 
 
 def _proj21_chunk(args):
-    """(weighted functions enumerated, weighted hypothesis functions,
-    weighted equidistribution histogram, profiles, counterexamples) for
-    one block of first-row representatives; weights count both the
-    filling orbit and the orbit of the row triple.
+    """Yields (weighted functions enumerated, weighted hypothesis
+    functions, weighted equidistribution histogram, profiles,
+    counterexamples) for each first-row representative of one block;
+    weights count both the filling orbit and the orbit of the row
+    triple.
 
     A function on the support rows is a multiset of points of F_7^2, so
     its packed line words are the sums of its three rows' words; no byte
@@ -397,10 +404,6 @@ def _proj21_chunk(args):
              + 64 * (V == 3).sum(axis=1))
     vals, ids = np.unique(codes, return_inverse=True)
     onehot = ids[:, None] == np.arange(len(vals))
-    enumerated = hyp_weighted = 0
-    equi_hist = np.zeros(8, np.int64)
-    profiles: set = set()
-    cex = []
     for ri in range(rep_lo, rep_hi):
         j1 = int(reps[ri])
         w1 = row_weight * int(wts[ri])
@@ -417,19 +420,15 @@ def _proj21_chunk(args):
         ok = (high & uniform_word(7, 0x80)) == 0
         if not has3[j1]:
             ok &= has3[:, None] | has3[None, :]
-        enumerated += w1 * len(V) ** 2
-        hyp_weighted += w1 * int(np.count_nonzero(ok))
-        equi_hist += w1 * np.bincount(equi[ok], minlength=8)
-        for j2, j3 in np.argwhere(ok & (equi > 2)):
-            cex.append({
-                "rows": [int(r) for r in rows],
-                "values": [V[j1].tolist(), V[j2].tolist(), V[j3].tolist()],
-            })
+        cex = [{"rows": [int(r) for r in rows],
+                "values": [V[j1].tolist(), V[j2].tolist(), V[j3].tolist()]}
+               for j2, j3 in np.argwhere(ok & (equi > 2))]
         seen = onehot.T @ ok @ onehot              # code pairs, as bools
-        profiles |= {tuple(sorted((int(codes[j1]), int(vals[a]),
-                                   int(vals[b]))))
-                     for a, b in np.argwhere(seen)}
-    return enumerated, hyp_weighted, equi_hist, profiles, cex
+        profiles = {tuple(sorted((int(codes[j1]), int(vals[a]),
+                                  int(vals[b]))))
+                    for a, b in np.argwhere(seen)}
+        yield (w1 * len(V) ** 2, w1 * int(np.count_nonzero(ok)),
+               w1 * np.bincount(equi[ok], minlength=8), profiles, cex)
 
 
 def verify_proj21(workers: int = 1) -> LemmaReport:
@@ -492,23 +491,19 @@ def _slab_hypotheses() -> np.ndarray:
 
 
 def _slab_chunk(args):
-    """(rows, hypothesis rows, counterexamples) of rows [lo, hi) of the
-    six-sets of F_3^3 through 0 (_origin_sets), WORD_BLOCK rows at a
-    time."""
+    """Yields (rows, hypothesis rows, counterexamples) of each block of
+    WORD_BLOCK rows of rows [lo, hi) of the six-sets of F_3^3 through 0
+    (_origin_sets)."""
     lo, hi = args
     sets = _origin_sets(3, 3, 6)
-
-    def block(a, b):
-        words = subset_words(3, 3, *sets, a, b)
+    for a, b in _blocks(hi - lo, WORD_BLOCK):
+        words = subset_words(3, 3, *sets, lo + a, lo + b)
         hyp = _slab_hypotheses()[zero_keys(3, words, 6)]
         # inside two parallel planes: some plane count is 0
         concl = (bytes_at_least(3, words, 1) < 3).any(axis=-1)
-        bad = a + np.flatnonzero(hyp & ~concl)
+        bad = lo + a + np.flatnonzero(hyp & ~concl)
         rows = subset_rows(3, 3, *sets, bad).tolist() if len(bad) else []
-        return len(words), int(hyp.sum()), [{"set": r} for r in rows]
-
-    return tuple(_fold_all(block(lo + a, lo + b)
-                           for a, b in _blocks(hi - lo, WORD_BLOCK)))
+        yield len(words), int(hyp.sum()), [{"set": r} for r in rows]
 
 
 def verify_slab_p3(workers: int = 1) -> LemmaReport:
@@ -592,41 +587,37 @@ _CHECK_BLOCK = 1 << 9
 
 
 def _size_chunk(args):
-    """(sets, searched sets, spectral sets, tiling sets, nodes,
-    counterexamples) of the size-sets of F_p^d through 0 (_origin_sets);
-    a size that both size filters reject is (sets, sets, 0, 0, 0, []),
-    every set searched once and rejected, and builds no row.
+    """Yields one tuple (sets, searched sets, spectral sets, tiling
+    sets, nodes, counterexamples) of the size-sets of F_p^d through 0
+    (_origin_sets); a size that the spectral size filter rejects is
+    (sets, sets, 0, 0, 0, []), every set searched once and rejected, and
+    builds no row.  That filter alone guards: a size that can tile
+    divides p^d, and every divisor of p^d passes it.
 
-    At a size a spectral set may have, every row is keyed by its zero
-    directions (_zero_keys) and each distinct key is searched once
-    (_search_keys); every other size is spectral nowhere, the search's
-    size filter.  At a size that can tile, a row tiles when it has a
-    complement (_row_complements).  Every witness is checked against its
-    own row, both ways, _CHECK_BLOCK rows at a time: the spectrum of a
-    row's key in one _validate_witness_rows call, the row's complement
-    in one tiling_pair_rows call each way.  Counterexamples, the rows
-    with one witness but not the other, come in row order, each with its
-    spectrum or None.
+    Every row is keyed by its zero directions (_zero_keys), each
+    distinct key is searched once (_search_keys), and a row is spectral
+    when its key has a spectrum.  At a size that can tile, a row tiles
+    when it has a complement (_row_complements).  Every witness is
+    checked against its own row, both ways, _CHECK_BLOCK rows at a time:
+    the spectra of the rows' keys in one _validate_witness_rows call,
+    the rows' complements in one tiling_pair_rows call each way.
+    Counterexamples, the rows with one witness but not the other, come
+    in row order, each with its key's spectrum or None.
     """
     p, d, size = args
     spc = Space(p, d)
     origin = _origin_sets(p, d, size)
     n = math.comb(len(origin[1]), origin[2])
-    can_search = size in allowed_spectral_sizes(spc)
+    if size not in allowed_spectral_sizes(spc):
+        yield n, n, 0, 0, 0, []
+        return
     can_tile = size_can_tile(spc, size)
-    if not (can_search or can_tile):
-        return n, n, 0, 0, 0, []
     complements = _row_complements(p, size) if can_tile else None
-    searched, nodes, found = n, 0, {}         # found: {row: spectrum}
-    if can_search:
-        keys = _zero_keys(p, d, size)
-        uniq, counts = np.unique(keys, return_counts=True)
-        searched, nodes, spectra = _search_keys(spc, size, uniq.tolist(),
-                                                counts.tolist())
-        hit = np.flatnonzero(np.isin(keys, list(spectra)))
-        found = dict(zip(hit.tolist(), map(spectra.get, keys[hit].tolist())))
-    spectral = np.zeros(n, dtype=bool)
-    spectral[list(found)] = True
+    keys = _zero_keys(p, d, size)
+    uniq, counts = np.unique(keys, return_counts=True)
+    searched, nodes, spectra = _search_keys(spc, size, uniq.tolist(),
+                                            counts.tolist())
+    spectral = np.isin(keys, list(spectra))
     tiles = complements[:, 0] >= 0 if can_tile else np.zeros(n, dtype=bool)
 
     def block(pos):
@@ -634,7 +625,7 @@ def _size_chunk(args):
         s, t = spectral[pos], tiles[pos]
         if s.any():
             _validate_witness_rows(p, d, E[s],
-                                   [found[i] for i in pos[s].tolist()])
+                                   [spectra[k] for k in keys[pos[s]].tolist()])
         if t.any():
             A = complements[pos[t]]
             ok = (tiling_pair_rows(p, d, E[t], A)
@@ -646,14 +637,14 @@ def _size_chunk(args):
         return [{"set": E[k].tolist(),
                  "spectral": "witness" if s[k] else "none",
                  "tile": "witness" if t[k] else "none",
-                 "spectrum": found.get(int(pos[k]))}
+                 "spectrum": spectra.get(int(keys[pos[k]]))}
                 for k in np.flatnonzero(s != t).tolist()]
 
     checked = np.flatnonzero(spectral | tiles)
     cex = [c for lo, hi in _blocks(len(checked), _CHECK_BLOCK)
            for c in block(checked[lo:hi])]
-    return (n, searched, int(spectral.sum()), int(tiles.sum()), nodes,
-            cex)
+    yield (n, searched, int(spectral.sum()), int(tiles.sum()), nodes,
+           cex)
 
 
 def _orbits(keys: np.ndarray, images, expected: int, what: str) -> tuple:
@@ -969,13 +960,15 @@ def _choice_rows(child_seed, n: int, size: int, count: int):
 
 
 def _falsify_chunk(args):
+    """Yields one tuple: (trials, outcomes, rule hits, witnesses)."""
     p, d, size, child_seed, count = args
     spc = Space(p, d)
     outcomes = {"witness": 0, "none": 0, "aborted": 0}
     if size not in allowed_spectral_sizes(spc):
         # the search's size filter rejects every trial before any rule
         outcomes["none"] = count
-        return count, outcomes, {"size_filtered": count}, []
+        yield count, outcomes, {"size_filtered": count}, []
+        return
     rows = _choice_rows(child_seed, p ** d, size, count)
     if rows is None:   # a rejected draw shifts every later row's words
         rng = np.random.Generator(np.random.PCG64(child_seed))
@@ -998,7 +991,7 @@ def _falsify_chunk(args):
                 "set": [int(i) for i in row],
                 "spectrum": cert.witness.indices(),
             })
-    return count, outcomes, pruned, wits
+    yield count, outcomes, pruned, wits
 
 
 def falsify_random(p: int, d: int, size: int, trials: int, seed: int,

@@ -13,8 +13,9 @@ translate rows; the clique stage is keyed by zero directions
     0 0 0
     1 2 3
 
-Body lines hold d space-separated integers in [0, p).  Duplicate points
-are an error, an empty body is a valid empty set.
+Body lines hold d space-separated integers in [0, p).  No integer of
+the file holds a "_" digit separator.  Duplicate points are an error,
+an empty body is a valid empty set.
 """
 from __future__ import annotations
 
@@ -116,6 +117,15 @@ def indicator(E: PointSet) -> QuotientFunction:
 # file I/O
 
 
+def _ints(tokens: list):
+    """The integers that set file tokens spell, or None; int() alone
+    would also read PEP 515 digit separators, 0_7 as 7."""
+    try:
+        return None if "_" in "".join(tokens) else [int(t) for t in tokens]
+    except ValueError:
+        return None
+
+
 def read_set(path) -> PointSet:
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()       # at \n, \r\n and \r alone
@@ -129,28 +139,20 @@ def read_set(path) -> PointSet:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if p is None:
-            if parts[0] != "p" or len(parts) != 2:
-                raise SetFormatError(f"line {lineno}: expected 'p <int>' header")
-            try:
-                p = int(parts[1])
-            except ValueError:
-                raise SetFormatError(f"line {lineno}: bad p value {parts[1]!r}") from None
-            continue
         if d is None:
-            if parts[0] != "d" or len(parts) != 2:
-                raise SetFormatError(f"line {lineno}: expected 'd <int>' header")
-            try:
-                d = int(parts[1])
-            except ValueError:
-                raise SetFormatError(f"line {lineno}: bad d value {parts[1]!r}") from None
+            key = "p" if p is None else "d"
+            if parts[0] != key or len(parts) != 2:
+                raise SetFormatError(f"line {lineno}: expected '{key} <int>' header")
+            value = _ints(parts[1:])
+            if value is None:
+                raise SetFormatError(f"line {lineno}: bad {key} value {parts[1]!r}")
+            p, d = (value[0], None) if p is None else (p, value[0])
             continue
         if len(parts) != d:
             raise SetFormatError(f"line {lineno}: expected {d} coordinates")
-        try:
-            coords = [int(v) for v in parts]
-        except ValueError:
-            raise SetFormatError(f"line {lineno}: non-integer coordinate") from None
+        coords = _ints(parts)
+        if coords is None:
+            raise SetFormatError(f"line {lineno}: non-integer coordinate")
         if any(not 0 <= c < p for c in coords):
             raise SetFormatError(f"line {lineno}: coordinate out of range [0, {p})")
         rows.append((lineno, tuple(coords)))

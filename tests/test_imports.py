@@ -2,16 +2,18 @@
 level, the modules import each other without a cycle, every name a
 module or test file imports is used there, every private module-level
 name is used somewhere in the package, lemmas hands chunks to run_chunks
-in _sweep alone, np.packbits is named only by the two bit packers, and
-importing the package loads no multiprocessing (run_chunks forks its
-workers itself)."""
+in _sweep alone, every lemmas chunk is a generator folded in one place,
+np.packbits is named only by the two bit packers, and importing the
+package loads no multiprocessing (run_chunks forks its workers itself)."""
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import ffspec
+from ffspec import lemmas
 
 PACKAGE = Path(ffspec.__file__).parent
 TESTS = Path(__file__).parent
@@ -84,6 +86,30 @@ def test_lemmas_run_chunks_only_in_sweep():
     assert len(sweep) == 1 and named(sweep[0])
     assert [line for node in body if node not in sweep
             for line in named(node)] == []
+
+
+def test_lemmas_chunks_are_generators_folded_in_one_place():
+    # lemmas' docstring: each chunk yields one tuple per block.  A chunk
+    # that returned a tuple would have its fields folded as blocks, so
+    # every function a verifier hands to _sweep or _origin_sweep is a
+    # generator function, and only _chunk_total and _sweep fold
+    chunks, folds = set(), []
+    for fn in _trees()["lemmas"].body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        params = {a.arg for a in fn.args.args}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("_sweep", "_origin_sweep")
+                    and ast.unparse(node.args[0]) not in params):
+                chunks.add(ast.unparse(node.args[0]))
+            if isinstance(node, ast.Name) and node.id == "_fold_all":
+                folds.append(fn.name)
+    assert chunks == {"_planar_chunk", "_proj21_chunk", "_slab_chunk",
+                      "_size_chunk", "_falsify_chunk"}
+    assert [c for c in sorted(chunks)
+            if not inspect.isgeneratorfunction(getattr(lemmas, c))] == []
+    assert sorted(folds) == ["_chunk_total", "_sweep"]
 
 
 def test_packbits_only_in_the_two_bit_packers():

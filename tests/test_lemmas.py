@@ -24,6 +24,7 @@ from ffspec import (
 from ffspec import lemmas, spectral
 from ffspec.fourier import zero_set
 from ffspec.lemmas import (
+    _chunk_total,
     _coord_cex,
     _decode_profile,
     _fillings,
@@ -131,8 +132,8 @@ class TestLm2:
         # words one _EVAL_BLOCK at a time and no tail rows: intp rows of
         # the 163,185 tails alone would take 5.2 MB
         chunk = (lemmas._ANCHOR, _REST, 4, 0, math.comb(46, 4))
-        _planar_chunk(chunk)                   # warms the cached tables
-        assert traced_peak(_planar_chunk, chunk) < 4e6
+        _chunk_total(_planar_chunk, chunk)     # warms the cached tables
+        assert traced_peak(_chunk_total, _planar_chunk, chunk) < 4e6
 
     def test_four_collinear_sets_skipped(self):
         # (0,0),(1,0),(2,0),(3,0) collinear among 7 points
@@ -257,7 +258,7 @@ class TestPrefixSharing:
         start = math.comb(48, r) - math.comb(49 - i1, r)
         lo = start + block * lemmas._TAIL_BLOCK
         hi = min(start + math.comb(48 - i1, r - 1), lo + lemmas._TAIL_BLOCK)
-        got = _planar_chunk(((0,), range(1, 49), r, lo, hi))
+        got = _chunk_total(_planar_chunk, ((0,), range(1, 49), r, lo, hi))
         want = _explicit_chunk(size, i1, block)
         assert got[:2] + got[3:] == want[:2] + want[3:]
         assert got[2].tolist() == want[2].tolist()
@@ -309,7 +310,8 @@ class TestTailWords:
 
     def test_lm1_tails_at_every_i1(self, monkeypatch):
         calls = _eval_words(monkeypatch)
-        _planar_chunk(((0,), range(1, 49), 4, 0, math.comb(48, 4)))
+        _chunk_total(_planar_chunk,
+                     ((0,), range(1, 49), 4, 0, math.comb(48, 4)))
         assert [len(c) for c in calls] == [lemmas._EVAL_BLOCK] * 97 + [580]
         want = _with_origin(itertools.combinations(range(1, 49), 4))
         assert np.array_equal(np.concatenate(calls), plane_words(7, 2, want))
@@ -319,8 +321,8 @@ class TestTailWords:
         # first rows, and the last 5,005 (those that begin at 34 or up)
         calls = _eval_words(monkeypatch)
         n = math.comb(48, 6)
-        _planar_chunk(((0,), range(1, 49), 6, 0, 3000))
-        _planar_chunk(((0,), range(1, 49), 6, n - 5005, n))
+        _chunk_total(_planar_chunk, ((0,), range(1, 49), 6, 0, 3000))
+        _chunk_total(_planar_chunk, ((0,), range(1, 49), 6, n - 5005, n))
         first = itertools.islice(itertools.combinations(range(1, 49), 6),
                                  3000)
         last = itertools.combinations(range(34, 49), 6)
@@ -333,8 +335,8 @@ class TestTailWords:
         monkeypatch.setattr(lemmas, "_MIN_DIRECTIONS", 9)
         calls = _eval_words(monkeypatch)
         for r in (4, 2):
-            got = _planar_chunk((lemmas._ANCHOR, _REST, r, 0,
-                                 math.comb(46, r)))
+            got = _chunk_total(_planar_chunk, (lemmas._ANCHOR, _REST, r, 0,
+                                               math.comb(46, r)))
             rows = np.array([(*lemmas._ANCHOR, *tail)
                              for tail in itertools.combinations(_REST, r)])
             assert np.array_equal(np.concatenate(calls),
@@ -377,8 +379,8 @@ class TestProj21:
             assert sorted(row.tolist()) == _decode_profile(code)
 
     def test_single_chunk(self):
-        functions, weighted, hist, profiles, cex = _proj21_chunk(
-            ((0, 1, 2), 0, 2))
+        functions, weighted, hist, profiles, cex = _chunk_total(
+            _proj21_chunk, ((0, 1, 2), 0, 2))
         assert cex == []
         # both representatives, each weighed by its two orbits, times
         # every filling of the other two rows
@@ -443,7 +445,7 @@ class TestProj21:
         want = {tuple(int(c) for c in t)
                 for t in np.unique(np.sort(np.concatenate(trips), axis=1),
                                    axis=0)}
-        got = _proj21_chunk((rows, lo, lo + 1))
+        got = _chunk_total(_proj21_chunk, (rows, lo, lo + 1))
         assert raw > 0 and got[0] == w1 * 1128 ** 2
         assert got[1] == w1 * raw
         assert got[2].tolist() == hist.tolist()
@@ -1042,8 +1044,8 @@ class TestGroupedSweeps:
         # tiling rows _CHECK_BLOCK at a time, where all of them at once
         # took 9.0 MB
         args = (5, 2, 5)
-        _size_chunk(args)                  # warms the tables and the memo
-        assert traced_peak(_size_chunk, args) < 2e6
+        _chunk_total(_size_chunk, args)    # warms the tables and the memo
+        assert traced_peak(_chunk_total, _size_chunk, args) < 2e6
         verify_fuglede_small(5, 2, (5,), workers=2)
         assert fork_count() == 0
 
@@ -1244,7 +1246,8 @@ class TestChoiceRows:
             return real(spc, rows)
 
         monkeypatch.setattr(lemmas, "pruning_rule", capture)
-        assert lemmas._falsify_chunk((7, 3, size, child, 2000))[0] == 2000
+        assert _chunk_total(lemmas._falsify_chunk,
+                            (7, 3, size, child, 2000))[0] == 2000
         assert np.array_equal(np.concatenate(seen),
                               _choice_loop(child, 343, size, 2000))
 
@@ -1335,7 +1338,7 @@ def _full_enumeration(monkeypatch):
 
 def _f33_counts():
     """(sets, searched sets, nodes) of the fuglede-3-3 chunk."""
-    sets, searched, _, _, nodes, _ = _size_chunk((3, 3, 6))
+    sets, searched, _, _, nodes, _ = _chunk_total(_size_chunk, (3, 3, 6))
     return sets, searched, nodes
 
 
@@ -1353,11 +1356,12 @@ class TestOriginSweeps:
 
     def test_counts_weigh_to_the_full_enumeration(self, monkeypatch):
         n = math.comb(26, 5)
-        slab, f33 = _slab_chunk((0, n)), _f33_counts()
+        slab, f33 = _chunk_total(_slab_chunk, (0, n)), _f33_counts()
         full = _full_enumeration(monkeypatch)
-        full_slab, full_f33 = _slab_chunk((0, full)), _f33_counts()
-        assert full_slab[:2] == (296010, 203346)
-        assert full_slab[:2] == tuple(_per_set(c, 27, 6) for c in slab[:2])
+        full_slab = _chunk_total(_slab_chunk, (0, full))
+        full_f33 = _f33_counts()
+        assert full_slab[:2] == [296010, 203346]
+        assert full_slab[:2] == [_per_set(c, 27, 6) for c in slab[:2]]
         assert full_f33 == tuple(_per_set(c, 27, 6) for c in f33)
 
     @pytest.mark.parametrize("n", [1, 3, 65779])
@@ -1376,7 +1380,8 @@ class TestOriginSweeps:
 
         monkeypatch.setattr(lemmas, "bytes_at_least", failing)
         rep = verify_slab_p3()
-        _, _, want = _slab_chunk((0, _full_enumeration(monkeypatch)))
+        _, _, want = _chunk_total(_slab_chunk,
+                                  (0, _full_enumeration(monkeypatch)))
         assert len(want) == 468
         assert rep.counterexamples == _coord_cex(3, 3, want)
 
@@ -1399,7 +1404,7 @@ class TestOriginSweeps:
         rep = verify_fuglede_small(3, 3, (6,))
         last = validated[-1]
         _full_enumeration(monkeypatch)
-        *_, cex = _size_chunk((3, 3, 6))
+        *_, cex = _chunk_total(_size_chunk, (3, 3, 6))
         want = [{"set": c["set"], "spectrum": c["spectrum"]} for c in cex]
         assert len(want) == rep.details["sizes"]["6"]["spectral"] == 468
         assert rep.counterexamples == _coord_cex(3, 3, want)
@@ -1447,8 +1452,8 @@ def _slab_chunk_dropping_last(args):
 
 
 def _toy_chunk(k):
-    return (1, np.arange(3) * k, [k], {k % 2},
-            {"zero": 0, str(k): k, "nested": {"a": k, "z": 0}})
+    yield (1, np.arange(3) * k, [k], {k % 2},
+           {"zero": 0, str(k): k, "nested": {"a": k, "z": 0}})
 
 
 class TestSweepDriver:

@@ -256,6 +256,10 @@ class TestFileIO:
         ("p 3\n0 0\n", "header"),
         ("p 3\nd 2\n0\n", "expected 2 coordinates"),
         ("p 3\nd 2\n0 x\n", "non-integer"),
+        # int() reads PEP 515 digit separators; a set file does not
+        ("p 7\nd 3\n0_1 0 0\n", "line 3: non-integer coordinate"),
+        ("p 0_7\nd 3\n", "line 1: bad p value '0_7'"),
+        ("p 7\nd 0_3\n", "line 2: bad d value '0_3'"),
         ("p 3\nd 2\n0 3\n", "out of range"),
         ("p 3\nd 2\n1 1\n1 1\n", "duplicate"),
         ("p 4\nd 2\n", "prime"),

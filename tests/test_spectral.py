@@ -222,6 +222,15 @@ class TestAllowedSizes:
         assert allowed_spectral_sizes(Space(3, 2)) == frozenset({1, 3, 9})
         assert allowed_spectral_sizes(Space(5, 2)) == frozenset({1, 5, 25})
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_divisor_of_the_order_is_allowed(self, p, d):
+        # a size that can tile divides p^d, so lemmas._size_chunk guards
+        # on this filter alone
+        n = p ** d
+        divisors = {k for k in range(1, n + 1) if n % k == 0}
+        assert divisors <= allowed_spectral_sizes(Space(p, d))
+
     def test_search_filters_size(self):
         spc = Space(7, 2)
         E = PointSet(spc, [0, 1, 2, 3])
