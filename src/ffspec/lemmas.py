@@ -9,7 +9,8 @@ Every verifier runs through one driver, _sweep.  Its contract:
   slab-p3 and each size of fuglede-3-3, fuglede-3-2 and fuglede-5-2 are
   one chunk, which walks blocks of rows, so these sweeps fork nothing at
   any worker count;
-- each chunk yields one tuple per block; the worker folds a chunk's
+- each chunk yields one tuple per block (_size_chunk its counts first,
+  then one per block of checked rows); the worker folds a chunk's
   blocks (_chunk_total), _sweep folds the chunks in order, and both
   folds go field by field: numbers and arrays add, lists concatenate,
   sets unite and dicts merge key by key, so keys with a zero count stay
@@ -587,22 +588,24 @@ _CHECK_BLOCK = 1 << 9
 
 
 def _size_chunk(args):
-    """Yields one tuple (sets, searched sets, spectral sets, tiling
-    sets, nodes, counterexamples) of the size-sets of F_p^d through 0
-    (_origin_sets); a size that the spectral size filter rejects is
-    (sets, sets, 0, 0, 0, []), every set searched once and rejected, and
-    builds no row.  That filter alone guards: a size that can tile
-    divides p^d, and every divisor of p^d passes it.
+    """Yields (sets, searched sets, spectral sets, tiling sets, nodes,
+    []) of the size-sets of F_p^d through 0 (_origin_sets), then
+    (0, 0, 0, 0, 0, counterexamples) per block of checked rows; a size
+    that the spectral size filter rejects is (sets, sets, 0, 0, 0, []),
+    every set searched once and rejected, and builds no row.  That
+    filter alone guards: a size that can tile divides p^d, and every
+    divisor of p^d passes it.
 
     Every row is keyed by its zero directions (_zero_keys), each
     distinct key is searched once (_search_keys), and a row is spectral
     when its key has a spectrum.  At a size that can tile, a row tiles
     when it has a complement (_row_complements).  Every witness is
-    checked against its own row, both ways, _CHECK_BLOCK rows at a time:
-    the spectra of the rows' keys in one _validate_witness_rows call,
-    the rows' complements in one tiling_pair_rows call each way.
-    Counterexamples, the rows with one witness but not the other, come
-    in row order, each with its key's spectrum or None.
+    checked against its own row, _CHECK_BLOCK rows at a time: the
+    spectra of the rows' keys both ways in one _validate_witness_rows
+    call, the complements once in one tiling_pair_rows call, which is
+    symmetric as add_table is.  Counterexamples, the rows with one
+    witness but not the other, come in row order, each with its key's
+    spectrum or None.
     """
     p, d, size = args
     spc = Space(p, d)
@@ -619,32 +622,26 @@ def _size_chunk(args):
                                             counts.tolist())
     spectral = np.isin(keys, list(spectra))
     tiles = complements[:, 0] >= 0 if can_tile else np.zeros(n, dtype=bool)
-
-    def block(pos):
+    yield n, searched, int(spectral.sum()), int(tiles.sum()), nodes, []
+    checked = np.flatnonzero(spectral | tiles)
+    for lo, hi in _blocks(len(checked), _CHECK_BLOCK):
+        pos = checked[lo:hi]
         E = subset_rows(p, d, *origin, pos)
         s, t = spectral[pos], tiles[pos]
         if s.any():
             _validate_witness_rows(p, d, E[s],
                                    [spectra[k] for k in keys[pos[s]].tolist()])
         if t.any():
-            A = complements[pos[t]]
-            ok = (tiling_pair_rows(p, d, E[t], A)
-                  & tiling_pair_rows(p, d, A, E[t]))
+            ok = tiling_pair_rows(p, d, E[t], complements[pos[t]])
             if not ok.all():
                 raise InternalCheckError(
                     "class tiling complement fails on member set "
                     f"{E[t][int(np.argmin(ok))].tolist()}")
-        return [{"set": E[k].tolist(),
-                 "spectral": "witness" if s[k] else "none",
-                 "tile": "witness" if t[k] else "none",
-                 "spectrum": spectra.get(int(keys[pos[k]]))}
-                for k in np.flatnonzero(s != t).tolist()]
-
-    checked = np.flatnonzero(spectral | tiles)
-    cex = [c for lo, hi in _blocks(len(checked), _CHECK_BLOCK)
-           for c in block(checked[lo:hi])]
-    yield (n, searched, int(spectral.sum()), int(tiles.sum()), nodes,
-           cex)
+        yield 0, 0, 0, 0, 0, [{"set": E[k].tolist(),
+                               "spectral": "witness" if s[k] else "none",
+                               "tile": "witness" if t[k] else "none",
+                               "spectrum": spectra.get(int(keys[pos[k]]))}
+                              for k in np.flatnonzero(s != t).tolist()]
 
 
 def _orbits(keys: np.ndarray, images, expected: int, what: str) -> tuple:
@@ -717,7 +714,7 @@ def _row_complements(p: int, size: int) -> np.ndarray:
     tiling_search_rows call searches each orbit's representative R
     (_affine_orbits), and a row that M reaches from R gets MA.
     Complements leave here unchecked; _size_chunk checks each row
-    against its own, both ways.
+    against its own, once, as the tiling check is symmetric.
     """
     rows = subset_rows(p, 2, *_origin_sets(p, 2, size),
                        np.arange(math.comb(p * p - 1, size - 1)))
@@ -831,10 +828,11 @@ def verify_fuglede_small(p: int, d: int, sizes, workers: int = 1) -> LemmaReport
     through the origin into affine orbits, whose number must match
     affine_class_counts, and one batched tiling search runs over the
     orbits' first sets; a set's complement is its orbit's mapped by a
-    linear map.  Every witness is then checked against its own set, both
-    ways, in blocks of rows.  Reports count per set, as a per-set search
-    would.  A size that both size filters reject builds no set: its chunk
-    counts its sets as searched once and rejected.
+    linear map.  Every witness is then checked against its own set in
+    blocks of rows, a spectrum both ways and a tiling complement once,
+    as add_table is symmetric.  Reports count per set, as a per-set
+    search would.  A size that both size filters reject builds no set:
+    its chunk counts its sets as searched once and rejected.
 
     (3,3) and (3,2) report every count as over all subsets and a
     counterexample with all its translates (_origin_sweep); each

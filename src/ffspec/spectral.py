@@ -250,8 +250,7 @@ def pruning_rule(space, rows: np.ndarray) -> np.ndarray:
         rest = np.flatnonzero(rule < 0)
         kept = rows[rest]
         words = plane_words(p, 3, kept)                    # (n, n_dirs)
-        per_plane = _plane_direction_counts(
-            p, 3, pair_directions(p, 3, kept, ids[rest]))
+        per_plane = _plane_direction_counts(p, 3, ids[rest] // p ** 3)
         fired = np.array([
             bytes_at_least(p, words, p + 1).any(axis=-1),
             per_plane.max(axis=-1) > p,

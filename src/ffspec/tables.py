@@ -35,7 +35,8 @@ one table indexed by point pairs: entry x * p^d + y is the id of the
 line through x and y.  pair_line_ids is the one pair kernel, one gather
 from it per row set: line_sups (the most points of a row on one affine
 line) sorts its ids, and pair_directions divides them by p^d for the
-direction counts, the plane directions and the spectral pair criterion.
+direction counts and the spectral pair criterion (pruning_rule divides
+the ids it already holds for the plane directions).
 
 This module owns every cached index table, the permutation tables
 included; sets builds PointSets on top of it, and it imports only
@@ -252,13 +253,11 @@ def pair_line_ids(p: int, d: int, rows) -> np.ndarray:
     return pair_lines(p, d)[(rows * p ** d)[..., ii] + rows[..., jj]]
 
 
-def pair_directions(p: int, d: int, rows, ids=None) -> np.ndarray:
+def pair_directions(p: int, d: int, rows) -> np.ndarray:
     """Direction id of every unordered pair of each index row, in
     pair_indices order: (..., m) gives (..., C(m, 2)) int16, the pair's
-    line id (pair_line_ids, or ids if the caller has them) divided by
-    p^d.  Not cached."""
-    ids = pair_line_ids(p, d, rows) if ids is None else ids
-    return ids // p ** d
+    line id (pair_line_ids) divided by p^d.  Not cached."""
+    return pair_line_ids(p, d, rows) // p ** d
 
 
 def line_sups(p: int, d: int, rows) -> np.ndarray:

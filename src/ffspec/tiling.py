@@ -9,12 +9,14 @@ covering translates still disjoint from the cover, ties to the lowest
 index, and tries those translates in ascending index; a point with
 none ends the branch (minimum remaining values, as in Knuth's Dancing
 Links).  The counts are kept incrementally, as bit planes over the
-points.  The translate bitmasks of a block of rows, and the covering
-translates of each point, are packed from one add_table gather by
-sets.bit_rows; only the backtrack runs row by row.  It returns bare
-complements: a caller checks them, tiling_search with
-verify_tiling_pair both ways, the exhaustive sweeps with one batched
-tiling_pair_rows call each way.
+points.  One packer, _masks, builds the translate masks of E and of
+-E for a block of rows; x is in E + a exactly when a is in -E + x, so
+the masks of -E are the covering translates of each point.  Only the
+backtrack runs row by row; out of budget it raises spectral._Budget, as
+the clique search does, and one handler returns "aborted".  It returns
+bare complements.  tiling_pair_rows is symmetric, as add_table is, so
+a caller checks each complement once: the sweeps in one batched call
+per block of rows (tiling_search keeps a redundant swapped call).
 """
 from __future__ import annotations
 
@@ -25,12 +27,11 @@ import numpy as np
 
 from .sets import PointSet, bit_rows
 from .space import Space
-from .spectral import InternalCheckError, SearchCertificate
-from .tables import add_table
+from .spectral import InternalCheckError, SearchCertificate, _Budget
+from .tables import add_table, scale_tables
 
-# rows per mask build: the one hit table of _translate_masks, which
-# serves the translate and the covering masks in turn, holds 7.5 MB at
-# p^d = 343
+# rows per mask build: each hit table of _masks, built for E and then
+# for -E, holds 7.5 MB at p^d = 343
 _MASK_BLOCK = 64
 
 
@@ -65,30 +66,16 @@ def verify_tiling_pair(E: PointSet, A: PointSet) -> bool:
                                  [A.indices()])[0])
 
 
-def _translate_masks(table: np.ndarray) -> tuple:
-    """The translate and covering bitmasks of a (rows, n, m) translate
-    table [r, a, j] = point j of E_r + a, as nested lists of ints:
-    masks[r][a] has bit x set for x in E_r + a, and covers[r][x] has
-    bit a set for the same pairs.  One boolean hit table, (rows, n, n),
-    serves both: filled as [r, a, x] and packed, then cleared, filled
-    as [r, x, a] and packed (packing a transposed view is an order of
-    magnitude slower).  Its flat positions are computed in place in
-    one index array the size of table."""
-    n = table.shape[1]
-    shift = n * n * np.arange(len(table))[:, None, None]
-    a = np.arange(n)[:, None]
-    hit = np.zeros(len(table) * n * n, dtype=bool)
-    at = table.astype(np.intp)
-    at += shift + n * a                      # [r, a, x]
-    hit[at] = True
-    masks = bit_rows(hit.reshape(-1, n, n))
-    at -= shift + n * a
-    at *= n
-    at += shift + a                          # [r, x, a]
-    hit[...] = False
-    hit[at] = True
-    del at                                   # before the second packing
-    return masks, bit_rows(hit.reshape(-1, n, n))
+def _masks(table: np.ndarray) -> list:
+    """The bitmasks of a (rows, n, m) translate table [r, a, j] = point
+    j of E_r + a, as nested lists of ints: bit x of masks[r][a] is set
+    for x in E_r + a.  One boolean hit table, (rows, n, n), is filled
+    through one flat index array, which lives for that statement only,
+    and packed by sets.bit_rows."""
+    rows, n = table.shape[:2]
+    hit = np.zeros(rows * n * n, dtype=bool)
+    hit[n * np.arange(rows * n).reshape(rows, n, 1) + table] = True
+    return bit_rows(hit.reshape(rows, n, n))
 
 
 def _backtrack(points: np.ndarray, masks: list, covers: list,
@@ -105,10 +92,11 @@ def _backtrack(points: np.ndarray, masks: list, covers: list,
     none when E + b = E + a, that is when b - a is a period of E.  When
     fewer translates stay than leave, the counts are summed afresh from
     those that stay.  If E is a coset of its periods, every uncovered
-    point keeps all m translates, so no count ever moves.
+    point keeps all m translates, so no count ever moves.  masks holds
+    the masks of E + a, covers those of -E + x.  The node past the
+    budget raises spectral._Budget; the one handler returns "aborted".
     """
     nodes = 0
-    aborted = False
     cover_of = covers.__getitem__
     m = points.shape[1]
     # the periods of E: the translates b with E + b = E
@@ -117,11 +105,10 @@ def _backtrack(points: np.ndarray, masks: list, covers: list,
 
     def extend(cover: int, avail: int, zeros: list, a: int,
                chosen: list):
-        nonlocal nodes, aborted
+        nonlocal nodes
         nodes += 1
         if nodes > budget:
-            aborted = True
-            return None
+            raise _Budget
         cover |= masks[a]
         if cover == full:
             return chosen
@@ -157,13 +144,14 @@ def _backtrack(points: np.ndarray, masks: list, covers: list,
             b = low.bit_length() - 1
             rest ^= low
             got = extend(cover, avail, zeros, b, chosen + [b])
-            if got is not None or aborted:
+            if got is not None:
                 return got
         return None
 
-    got = extend(0, full, [0 if m >> k & 1 else full
-                           for k in range(m.bit_length())], 0, [0])
-    if aborted:
+    try:
+        got = extend(0, full, [0 if m >> k & 1 else full
+                               for k in range(m.bit_length())], 0, [0])
+    except _Budget:
         return "aborted", None, nodes
     if got is None:
         return "none", None, nodes
@@ -184,19 +172,24 @@ def tiling_search_rows(p: int, d: int, rows, budget: int = 10 ** 9) -> list:
         raise ValueError(f"size {size} cannot tile p^d = {n}")
     out = []
     for lo in range(0, len(rows), _MASK_BLOCK):
+        block = rows[lo:lo + _MASK_BLOCK]
         # [r, a, j]: point j of E_r + a
-        table = add_table(p, d)[:, rows[lo:lo + _MASK_BLOCK]]
-        table = table.transpose(1, 0, 2)
-        masks, covers = _translate_masks(table)
+        table = add_table(p, d)[:, block].transpose(1, 0, 2)
+        # x is in E + a exactly when a is in -E + x, so the covering
+        # masks of E are the translate masks of -E
+        covers = _masks(add_table(p, d)[:, scale_tables(p, d)[p - 1][block]]
+                        .transpose(1, 0, 2))
         out.extend(_backtrack(*row, (1 << n) - 1, budget)
-                   for row in zip(table, masks, covers))
+                   for row in zip(table, _masks(table), covers))
     return out
 
 
 def tiling_search(E: PointSet, budget: int = 10 ** 9) -> SearchCertificate:
     """Search for a tiling complement of E, anchored at 0: the one-row
     call of tiling_search_rows, with E's size filter first and its
-    witness verified both ways."""
+    witness verified both ways.  The swapped check is redundant, as
+    tiling_pair_rows is symmetric; it stays because perfbench's tracer
+    test pins two verify_tiling_pair calls per witness."""
     space = E.space
     if not size_can_tile(space, E.size):
         return SearchCertificate("none", None, 0, size_filtered=True)

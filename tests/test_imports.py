@@ -3,8 +3,10 @@ level, the modules import each other without a cycle, every name a
 module or test file imports is used there, every private module-level
 name is used somewhere in the package, lemmas hands chunks to run_chunks
 in _sweep alone, every lemmas chunk is a generator folded in one place,
-np.packbits is named only by the two bit packers, and importing the
-package loads no multiprocessing (run_chunks forks its workers itself)."""
+np.packbits is named only by the two bit packers, both searches abort
+one way (the "aborted" verdict is returned only by an except _Budget
+handler), and importing the package loads no multiprocessing
+(run_chunks forks its workers itself)."""
 import ast
 import inspect
 import os
@@ -128,6 +130,25 @@ def test_packbits_only_in_the_two_bit_packers():
                          if fn.lineno <= node.lineno <= fn.end_lineno]
                 where.append(f"{name}.{inner[-1] if inner else '<module>'}")
     assert sorted(where) == ["fourier.zero_keys", "sets.bit_rows"]
+
+
+def test_aborted_only_in_budget_handlers():
+    # a search out of budget raises spectral._Budget, and one handler
+    # per search returns the "aborted" triple; a second abort path, a
+    # flag tested after the search say, would name the verdict elsewhere
+    trees = _trees()
+    where, handlers = [], {}
+    for name in ("spectral", "tiling"):
+        caught = [h for h in ast.walk(trees[name])
+                  if isinstance(h, ast.ExceptHandler) and h.type is not None
+                  and ast.unparse(h.type) == "_Budget"]
+        inside = {id(n) for h in caught for n in ast.walk(h)}
+        handlers[name] = len(caught)
+        where += [f"{name}.py:{n.lineno}" for n in ast.walk(trees[name])
+                  if isinstance(n, ast.Constant) and n.value == "aborted"
+                  and id(n) not in inside]
+    assert handlers == {"spectral": 1, "tiling": 1}
+    assert where == []
 
 
 def test_module_imports_are_used():

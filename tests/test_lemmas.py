@@ -1087,15 +1087,22 @@ class TestGroupedSweeps:
             verify_fuglede_small(3, 2, (3,))
         assert [0, 2, 5] in seen and [0, 1, 3] in seen
 
-    def test_every_tiling_member_checked_both_ways(self, monkeypatch):
+    def test_every_tiling_member_checked_once(self, monkeypatch):
         calls = _row_pairs(monkeypatch, lemmas, "tiling_pair_rows")
         rep = verify_fuglede_small(3, 2, (3,))
         tiles = rep.details["sizes"]["3"]["tiles"]
-        # one call each way for the block, one row per tiling member
-        # through the origin; the report weighs those 28 sets by 9/3
-        assert tiles == 84 and len(calls) == 2
-        assert calls[1] == [(A, E) for E, A in calls[0]]
-        assert len({E for E, _ in calls[0]}) == math.comb(8, 2) == tiles // 3
+        # tiling_pair_rows is symmetric, so the one check block is one
+        # call, one (E, A) row per tiling member through the origin in
+        # row order and no swapped (A, E) half; the report weighs those
+        # 28 sets by 9/3
+        members = [(0, *c) for c in itertools.combinations(range(1, 9), 2)]
+        assert tiles == 84 and len(members) == tiles // 3
+        assert len(calls) == -(-len(members) // lemmas._CHECK_BLOCK) == 1
+        assert [E for E, _ in calls[0]] == members
+        pts = O.all_points(3, 2)
+        assert all(O.is_tiling_pair(3, 2, [pts[i] for i in E],
+                                    [pts[i] for i in A])
+                   for E, A in calls[0])
 
     @pytest.mark.parametrize("p,size,want", [(3, 3, 84), (5, 5, 3426)])
     def test_every_spectral_member_checked_both_ways(self, monkeypatch, p,

@@ -16,7 +16,7 @@ from ffspec.tables import (WORD_BLOCK, _subset_runs, add_table,
                            combination_words, difference, direction_points,
                            direction_reps, line_of, line_sups,
                            orthogonal_direction_bits, pair_directions,
-                           pair_indices, pair_line_ids, pair_lines,
+                           pair_indices, pair_lines,
                            plane_counts,
                            plane_word_table, plane_words, scale_tables,
                            subset_rows, subset_words, uniform_word)
@@ -306,8 +306,6 @@ def test_pair_directions_oracle(p, d, rng):
             got = pair_directions(p, d, rows.astype(dtype))
             assert got.shape == (6, size * (size - 1) // 2)
             assert got.tolist() == want
-            assert pair_directions(p, d, rows, pair_line_ids(
-                p, d, rows.astype(dtype))).tolist() == want
             assert np.array_equal(
                 pair_directions(p, d, rows.astype(dtype).reshape(2, 3, size)),
                 got.reshape(2, 3, -1))

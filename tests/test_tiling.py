@@ -14,7 +14,7 @@ from ffspec import (
     verify_tiling_pair,
 )
 from ffspec.tables import add_table
-from ffspec.tiling import tiling_pair_rows, tiling_search_rows
+from ffspec.tiling import _masks, tiling_pair_rows, tiling_search_rows
 
 
 def _coords(E):
@@ -109,6 +109,39 @@ class TestPairRows:
         assert tiling_pair_rows(p, d, full, singles).all()
         assert not tiling_pair_rows(p, d, singles, full[:, 1:]).any()
         assert not tiling_pair_rows(p, d, E[:, :1], A).any()
+
+    @pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7)
+                                     for d in (1, 2, 3)])
+    def test_swapped_pair_same_verdict(self, rng, p, d):
+        # x + y = y + x in add_table, so (E, A) tiles exactly when (A, E)
+        # does, and a caller checks each complement one way only.  Pairs:
+        # complements the search found, the same with one point moved,
+        # and random complements of sets that do not tile.  Every set of
+        # a size that can tile F_p^1 or F_3^2 tiles, and so does every
+        # 3-set of F_3^3, so its rows are 9-sets
+        n, pts = p ** d, O.all_points(p, d)
+        size = 9 if (p, d) == (3, 3) else p
+        E = _random_rows(rng, p, d, size, 12)
+        E[0] = np.arange(size)               # a subgroup, which tiles
+        got = tiling_search_rows(p, d, E, budget=10 ** 4)
+        found = [r for r, (v, _, _) in enumerate(got) if v == "witness"]
+        none = [r for r, (v, _, _) in enumerate(got) if v == "none"]
+        A = np.array([got[r][1] for r in found])
+        moved = A.copy()
+        moved[:, 0] = (moved[:, 0] + rng.integers(1, n, len(A))) % n
+        E_rows = np.concatenate([E[found], E[found], E[none]])
+        A_rows = np.concatenate([A, moved, _random_rows(
+            rng, p, d, n // size, len(none)).reshape(len(none), n // size)
+            .astype(int)])
+        want = [O.is_tiling_pair(p, d, [pts[i] for i in e],
+                                 [pts[i] for i in a])
+                for e, a in zip(E_rows, A_rows)]
+        assert tiling_pair_rows(p, d, E_rows, A_rows).tolist() == want
+        assert tiling_pair_rows(p, d, A_rows, E_rows).tolist() == want
+        k = len(found)
+        assert want[:k] == [True] * k and not any(want[2 * k:])
+        assert (len(none) > 0) == (d > 1 and (p, d) != (3, 2))
+        assert d == 1 or not all(want[k:2 * k])
 
 
 class TestSearch:
@@ -277,10 +310,37 @@ class TestSearchRows:
             p, d, [pts[i] for i in row], budget) for row in rows]
         assert {v for v, _, _ in got} >= {"witness"}
 
+    @pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7)
+                                     for d in (1, 2, 3)])
+    def test_masks_match_coordinates(self, rng, p, d):
+        # bit x of the masks of E at [r][a] is set iff x - a is in E_r,
+        # and bit a of the masks of -E at [r][x] iff the same holds: the
+        # translate and covering masks of one 64-row block
+        n, pts = p ** d, O.all_points(p, d)
+        rows = _random_rows(rng, p, d, min(p + 1, n - 1), 64)
+        neg = np.array([[O.point_index(p, [-c % p for c in pts[i]])
+                         for i in row] for row in rows])
+        assert any(set(e) != set(m) for e, m in zip(rows.tolist(),
+                                                    neg.tolist()))
+        coords = np.array(pts)
+        # diff[x, a]: the index of x - a, by coordinates
+        diff = O.point_index(p, np.moveaxis(
+            (coords[:, None] - coords[None]) % p, -1, 0))
+        member = np.zeros((64, n), dtype=bool)
+        member[np.arange(64)[:, None], rows] = True
+        for E, want in ((rows, member[:, diff.T]), (neg, member[:, diff])):
+            masks = _masks(add_table(p, d)[:, E].transpose(1, 0, 2))
+            raw = b"".join(m.to_bytes((n + 7) // 8, "little")
+                           for row in masks for m in row)
+            bits = np.unpackbits(np.frombuffer(raw, np.uint8),
+                                 bitorder="little").reshape(64, n, -1)
+            assert np.array_equal(bits[..., :n].astype(bool), want)
+            assert not bits[..., n:].any()
+
     def test_mask_block_scratch(self, rng, traced_peak):
-        # one 64-row block at p^d = 343: a 7.5 MB hit table serves the
-        # translate and the covering masks in turn, and the block,
-        # packed rows and ints included, peaks near 14 MB
+        # one 64-row block at p^d = 343: two 7.5 MB hit tables, of -E and
+        # of E, are built in turn, and the block, packed rows and ints
+        # included, peaks near 14 MB
         add_table(7, 3)
         rows = _random_rows(rng, 7, 3, 7, 64)
         assert traced_peak(tiling_search_rows, 7, 3, rows, 1) < 15e6
