@@ -1,12 +1,12 @@
 """Command-line front end: analyze set files, run the exhaustive
 verifiers, run the randomized falsifier, emit JSON reports.
 
-Report files have two top-level keys: "result" holds the deterministic
-payload (alphabetical keys, hashed into meta.result_sha256) and "meta"
-holds wall time, worker count, timestamp and host.  For verify and
-falsify the result is the LemmaReport's fields (result_dict); its wall
-time is measured here, around the library call, as analyze's is around
-its searches.  Reproducibility checks should diff only "result".
+Report files have two top-level keys: "meta" (indented) holds wall
+time, worker count, timestamp and host, and "result" the deterministic
+payload, encoded once (compact, sorted keys) on one line: the bytes that
+meta.result_sha256 hashes; verify and falsify write the LemmaReport's
+fields (result_dict).  Wall time is measured here, around the library
+call or analyze's searches.  Diff only "result" for reproducibility.
 
 Exit codes: 0 verified or none found, 1 usage or input error or a
 counterexample, 2 inconclusive (budget exhausted in analyze), 3 internal
@@ -71,17 +71,16 @@ class _Parser(argparse.ArgumentParser):
 def _write_report(result: dict, elapsed: float, workers: int,
                   path: str | None) -> None:
     canonical = json.dumps(result, sort_keys=True, separators=(",", ":"))
-    payload = {
-        "result": result,
-        "meta": {
-            "elapsed_seconds": round(elapsed, 3),
-            "workers": workers,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "host": socket.gethostname(),
-            "result_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        },
+    meta = {
+        "elapsed_seconds": round(elapsed, 3),
+        "workers": workers,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "host": socket.gethostname(),
+        "result_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # meta indented; its closing "\n}" gives way to the hashed string
+    text = (json.dumps({"meta": meta}, sort_keys=True, indent=2)[:-2]
+            + f',\n  "result": {canonical}\n}}\n')
     if path is None:
         sys.stdout.write(text)
     else:

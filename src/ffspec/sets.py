@@ -147,6 +147,10 @@ def read_set(path) -> PointSet:
             if value is None:
                 raise SetFormatError(f"line {lineno}: bad {key} value {parts[1]!r}")
             p, d = (value[0], None) if p is None else (p, value[0])
+            try:    # the space is checked before any body line
+                space = None if d is None else Space(p, d)
+            except ValueError as exc:
+                raise SetFormatError(str(exc)) from None
             continue
         if len(parts) != d:
             raise SetFormatError(f"line {lineno}: expected {d} coordinates")
@@ -156,12 +160,8 @@ def read_set(path) -> PointSet:
         if any(not 0 <= c < p for c in coords):
             raise SetFormatError(f"line {lineno}: coordinate out of range [0, {p})")
         rows.append((lineno, tuple(coords)))
-    if p is None or d is None:
+    if d is None:
         raise SetFormatError("missing 'p'/'d' header lines")
-    try:
-        space = Space(p, d)
-    except ValueError as exc:
-        raise SetFormatError(str(exc)) from None
     seen = {}
     for lineno, coords in rows:
         if coords in seen:

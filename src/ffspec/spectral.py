@@ -232,18 +232,20 @@ def pruning_rule(space, rows: np.ndarray) -> np.ndarray:
 
     rows holds index rows of one size mp, shape (n, mp).  Returns, per
     row, the position in PRUNING_RULES of the first rule that rejects
-    it, or -1 where none does.
+    it, or -1 where none does: rule 0 for every row at m = p - 1, read
+    off no table, since any two points are t = 2 points on a line.
     """
     p, d = space.p, space.d
     m = rows.shape[-1] // p
-    ids = pair_line_ids(p, d, rows)        # read by the line and plane rules
     # line concentration: some line holds t = min(m, p - m) + 1 points,
-    # that is, C(t, 2) sorted line ids are equal.  At m = p - 1, t = 2
-    # and r = 0, so the second slice ends at len - r, never at -0
+    # that is, C(t, 2) sorted line ids are equal
     t = min(m, p - m) + 1
+    if t == 2:
+        return np.zeros(rows.shape[:-1], dtype=int)
+    ids = pair_line_ids(p, d, rows)        # read by the line and plane rules
     r = t * (t - 1) // 2 - 1
     s = np.sort(ids, axis=-1)
-    hit = (s[..., r:] == s[..., :s.shape[-1] - r]).any(axis=-1)
+    hit = (s[..., r:] == s[..., :-r]).any(axis=-1)
     rule = np.where(hit, 0, -1)
     if d == 3:
         # the plane rules see only the rows line concentration passed

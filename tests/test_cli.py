@@ -165,6 +165,13 @@ class TestAnalyze:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_unsupported_space_before_body(self, tmp_path, capsys):
+        # the body line is out of range for p = 4, but the space is named
+        f = write_lines(tmp_path / "bad.txt", "p 4", "d 3", "3 3 5")
+        code, _, err = run_cli(["analyze", "--set", f], capsys)
+        assert (code, err) == (
+            1, "error: p must be the prime 3, 5 or 7, got 4\n")
+
     def test_non_ascii_file_names_its_line(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
         f.write_bytes("p 7\nd 2\n1 \u2013 2\n".encode())
@@ -293,6 +300,30 @@ class TestReportLayout:
         assert meta["workers"] == (1 if cmd == "analyze" else resolve_workers())
         assert not any(k in res for k in ("elapsed_seconds", "workers"))
         assert not any("time" in k or "second" in k for k in res)
+
+    @pytest.mark.parametrize("to_file", [False, True],
+                             ids=["stdout", "file"])
+    @pytest.mark.parametrize("cmd", ["verify", "falsify", "analyze"])
+    def test_written_result_is_the_hashed_bytes(self, cmd, to_file,
+                                                line_file, tmp_path, capsys):
+        # result is the report's last key, on one line of its own
+        extra = [line_file] if cmd == "analyze" else []
+        rp = tmp_path / "r.json"
+        extra += ["--report", str(rp)] if to_file else []
+        code, out, err = run_cli(self.ARGS[cmd] + extra, capsys)
+        assert code == 0 and err == ""
+        if to_file:
+            assert out == ""
+        text = rp.read_text() if to_file else out
+        payload = json.loads(text)
+        assert list(payload) == ["meta", "result"]
+        *_, line, close = text.split("\n")[:-1]
+        assert close == "}" and line.startswith('  "result": ')
+        raw = line.removeprefix('  "result": ')
+        assert raw == json.dumps(payload["result"], sort_keys=True,
+                                 separators=(",", ":"))
+        assert hashlib.sha256(raw.encode()).hexdigest() == \
+            payload["meta"]["result_sha256"]
 
     @pytest.mark.parametrize("cmd", ["verify", "falsify", "analyze"])
     def test_cli_clock_times_the_library_call(self, cmd, line_file,

@@ -3,10 +3,12 @@ level, the modules import each other without a cycle, every name a
 module or test file imports is used there, every private module-level
 name is used somewhere in the package, lemmas hands chunks to run_chunks
 in _sweep alone, every lemmas chunk is a generator folded in one place,
-np.packbits is named only by the two bit packers, both searches abort
-one way (the "aborted" verdict is returned only by an except _Budget
-handler), and importing the package loads no multiprocessing
-(run_chunks forks its workers itself)."""
+np.packbits is named only by the two bit packers, cli._write_report
+reads a report's result once, in the one json.dumps call that takes it
+and passes no indent, both searches abort one way (the "aborted"
+verdict is returned only by an except _Budget handler), and importing
+the package loads no multiprocessing (run_chunks forks its workers
+itself)."""
 import ast
 import inspect
 import os
@@ -130,6 +132,26 @@ def test_packbits_only_in_the_two_bit_packers():
                          if fn.lineno <= node.lineno <= fn.end_lineno]
                 where.append(f"{name}.{inner[-1] if inner else '<module>'}")
     assert sorted(where) == ["fourier.zero_keys", "sets.bit_rows"]
+
+
+def test_report_result_encoded_once():
+    # cli._write_report hashes and writes one compact encoding of the
+    # result; a second, indented one (inside a payload dict, say) would
+    # read result again or name it in another json.dumps call
+    tree = _trees()["cli"]
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("json.dumps", "dumps")
+             and any(isinstance(n, ast.Name) and n.id == "result"
+                     for arg in node.args + node.keywords
+                     for n in ast.walk(arg))]
+    assert len(calls) == 1
+    assert "indent" not in [kw.arg for kw in calls[0].keywords]
+    write = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 and fn.name == "_write_report")
+    reads = [n for n in ast.walk(write)
+             if isinstance(n, ast.Name) and n.id == "result"]
+    assert reads == calls[0].args[:1]
 
 
 def test_aborted_only_in_budget_handlers():

@@ -264,6 +264,9 @@ class TestFileIO:
         ("p 3\nd 2\n1 1\n1 1\n", "duplicate"),
         ("p 4\nd 2\n", "prime"),
         ("p 3\nd 9\n", "d must be"),
+        # the header's space is checked before any body line
+        ("p 4\nd 3\n3 3 5\n", "p must be the prime 3, 5 or 7, got 4"),
+        ("p 3\nd 9\n0 0\n", "d must be 1, 2 or 3, got 9"),
     ])
     def test_malformed(self, tmp_path, body, fragment):
         path = tmp_path / "bad.txt"
