@@ -13,7 +13,10 @@ counterexample, 2 inconclusive (budget exhausted in analyze), 3 internal
 failure: two routes that must agree disagreed (InternalCheckError), a
 search inside an exhaustive sweep ran out of budget (SweepBudgetError),
 or a worker process died without returning its chunks (WorkerError).
-Exit 3 prints one "error:" line on stderr and writes no report.
+Exit 3 prints one "error:" line on stderr and writes no report, and so
+does an interrupt (KeyboardInterrupt), with exit 130.  A report that
+cannot be written, to a file or to stdout, is exit 1 with one "error:"
+line.
 """
 from __future__ import annotations
 
@@ -81,13 +84,19 @@ def _write_report(result: dict, elapsed: float, workers: int,
     # meta indented; its closing "\n}" gives way to the hashed string
     text = (json.dumps({"meta": meta}, sort_keys=True, indent=2)[:-2]
             + f',\n  "result": {canonical}\n}}\n')
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             Path(path).write_text(text)
-        except OSError as exc:   # main reports it as an input error
-            raise ValueError(f"cannot write report: {exc}") from exc
+    except OSError as exc:   # main reports it as an input error
+        if path is None:
+            # what stdout still buffers would fail again at exit
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise ValueError(f"cannot write report: {exc}") from exc
 
 
 def _search_section(cert) -> dict:
@@ -219,6 +228,10 @@ def main(argv=None) -> int:
     except (InternalCheckError, SweepBudgetError, WorkerError) as exc:
         print(f"error: internal failure: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        # run_chunks has already killed and reaped its workers
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -60,11 +60,11 @@ from .spectral import (PRUNING_RULES, InternalCheckError,
 from .tables import (
     WORD_BLOCK,
     add_table,
-    affine_permutation_array,
     bytes_at_least,
     combination_array,
     coords_matrix,
     difference,
+    linear_permutation_array,
     orthogonal_direction_bits,
     plane_word_table,
     read_only,
@@ -348,16 +348,24 @@ def _fillings() -> np.ndarray:
     return read_only(np.array(rows, np.int8))
 
 
-def _line_orbits(rows: np.ndarray, top: int, total: int) -> tuple:
+def _line_orbits(rows: np.ndarray, top: int, total: int,
+                 affine: bool = True) -> tuple:
     """(representatives, sizes) of the orbits of value rows on F_7 with
-    entries 0..top summing to total under x -> a x + c (_orbits); rows in
+    entries 0..top summing to total under x -> a x + c, or under the
+    translations x -> x + c alone if not affine (_orbits); rows in
     lexicographic order, so a representative is its orbit's least row."""
-    perms = affine_permutation_array(7, 1)
+    if affine:
+        # row c of add_table is x -> x + c, so [c, a] is x -> a x + c
+        perms = add_table(7, 1)[:, linear_permutation_array(7, 1)]
+        perms, types = perms.reshape(-1, 7), _cycle_type_counts(7, 1)
+    else:
+        perms, types = add_table(7, 1), _translation_types(7, 1)
     powers = (top + 1) ** np.arange(7, dtype=np.int64)
     reps, orbit, _ = _orbits(
         rows @ powers, lambda r: rows[r, perms] @ powers,
-        _orbit_count(_cycle_type_counts(7, 1), top, total),
-        f"rows of F_7 -> 0..{top} summing to {total}")
+        _orbit_count(types, top, total),
+        f"rows of F_7 -> 0..{top} summing to {total}"
+        + ("" if affine else " under translations"))
     return np.array(reps), np.bincount(orbit)
 
 
@@ -365,6 +373,14 @@ def _line_orbits(rows: np.ndarray, top: int, total: int) -> tuple:
 def _f1_orbit_reps():
     """Representatives of filling orbits under x -> a x + c, with sizes."""
     return tuple(map(read_only, _line_orbits(_fillings(), 3, 7)))
+
+
+@lru_cache(maxsize=None)
+def _shear_reps():
+    """Representatives of filling orbits under the translations
+    x -> x + c, with sizes: 161 orbits of 7 and the all-ones row, the one
+    filling that every translation fixes."""
+    return tuple(map(read_only, _line_orbits(_fillings(), 3, 7, False)))
 
 
 @lru_cache(maxsize=None)
@@ -382,23 +398,61 @@ def _decode_profile(code: int) -> list:
     return [0] * (7 - c1 - c2 - c3) + [1] * c1 + [2] * c2 + [3] * c3
 
 
+# a function equidistributed on more direction families is a
+# counterexample
+_MAX_EQUIDISTRIBUTED = 2
+
+
+def _shear_images(rows: tuple, hits: np.ndarray) -> list:
+    """The (second, third) filling pairs that hits[a, j3] stands for: the
+    second row's representative a (_shear_reps) and third row j3, moved
+    together by every shear of the support rows, in row-major order.  A
+    shift of the second row by s moves the third by s (y3 - y1) / (y2 -
+    y1) mod 7."""
+    if not hits.any():
+        return []
+    V = _fillings()
+    reps2, wts2 = _shear_reps()
+    y1, y2, y3 = rows
+    c = (y3 - y1) * pow(y2 - y1, -1, 7) % 7
+    # [j, s]: row j shifted by s, v[x + s]; lexicographic rows' keys ascend
+    lex = 4 ** np.arange(6, -1, -1)
+    shifted = np.searchsorted(V @ lex, V[:, add_table(7, 1)] @ lex).tolist()
+    return sorted((shifted[reps2[a]][s], shifted[b][s * c % 7])
+                  for a, b in np.argwhere(hits).tolist()
+                  for s in range(wts2[a]))
+
+
 def _proj21_chunk(args):
     """Yields (weighted functions enumerated, weighted hypothesis
     functions, weighted equidistribution histogram, profiles,
     counterexamples) for each first-row representative of one block;
-    weights count both the filling orbit and the orbit of the row
-    triple.
+    weights count the filling orbit, the orbit of the row triple and the
+    second row's orbit under shears.
 
     A function on the support rows is a multiset of points of F_7^2, so
     its packed line words are the sums of its three rows' words; no byte
     exceeds 21, so nothing carries.
+
+    The shear (x, y) -> (x + t(y - y1), y), y1 the first support row,
+    fixes the first row and maps every line to a line, the horizontal
+    ones to themselves.  It shifts the second row by t(y2 - y1), which
+    runs over F_7, and the third by t(y3 - y1).  Line sums, the has-3
+    clause, the number of equidistributed directions and the value
+    profiles are invariant under it, so the second row runs over the
+    representatives of its translation orbits (_shear_reps), each
+    weighted by its orbit's size; the third runs over every filling.  A
+    counterexample at a representative stands for its images
+    (_shear_images).
     """
     rows, rep_lo, rep_hi = args
     V = _fillings()
     reps, wts = _f1_orbit_reps()
+    reps2, wts2 = _shear_reps()
     row_weight = dict(_row_triple_orbits())[rows]
     table = plane_word_table(7, 2)
     words = [V.astype(np.uint64) @ table[7 * r + np.arange(7)] for r in rows]
+    second = words[1][reps2]
     has3 = (V == 3).any(axis=1)
     codes = ((V == 1).sum(axis=1)
              + 8 * (V == 2).sum(axis=1)
@@ -408,9 +462,9 @@ def _proj21_chunk(args):
     for ri in range(rep_lo, rep_hi):
         j1 = int(reps[ri])
         w1 = row_weight * int(wts[ri])
-        first = words[0][j1] + words[1]
-        high = np.zeros((len(V), len(V)), np.uint64)
-        equi = np.zeros((len(V), len(V)), np.uint8)
+        first = words[0][j1] + second
+        high = np.zeros((len(reps2), len(V)), np.uint64)
+        equi = np.zeros((len(reps2), len(V)), np.uint8)
         # the horizontal direction has bytes {7, 7, 7, 0, 0, 0, 0}: it
         # always meets the bound and is never uniform, so counting all 8
         # directions gives the counts of the 7 others
@@ -420,16 +474,19 @@ def _proj21_chunk(args):
             equi += s == uniform_word(7, 3)
         ok = (high & uniform_word(7, 0x80)) == 0
         if not has3[j1]:
-            ok &= has3[:, None] | has3[None, :]
+            ok &= has3[reps2, None] | has3[None, :]
+        weight = np.broadcast_to(wts2[:, None], ok.shape)[ok]
+        hist = np.bincount(equi[ok], weight, minlength=8).astype(np.int64)
         cex = [{"rows": [int(r) for r in rows],
                 "values": [V[j1].tolist(), V[j2].tolist(), V[j3].tolist()]}
-               for j2, j3 in np.argwhere(ok & (equi > 2))]
-        seen = onehot.T @ ok @ onehot              # code pairs, as bools
+               for j2, j3 in _shear_images(
+                   rows, ok & (equi > _MAX_EQUIDISTRIBUTED))]
+        seen = onehot[reps2].T @ ok @ onehot       # code pairs, as bools
         profiles = {tuple(sorted((int(codes[j1]), int(vals[a]),
                                   int(vals[b]))))
                     for a, b in np.argwhere(seen)}
-        yield (w1 * len(V) ** 2, w1 * int(np.count_nonzero(ok)),
-               w1 * np.bincount(equi[ok], minlength=8), profiles, cex)
+        yield (w1 * int(wts2.sum()) * len(V), w1 * int(hist.sum()),
+               w1 * hist, profiles, cex)
 
 
 def verify_proj21(workers: int = 1) -> LemmaReport:
@@ -439,14 +496,20 @@ def verify_proj21(workers: int = 1) -> LemmaReport:
 
     Support lines are taken horizontal (the affine group is transitive
     on direction families); row triples run over the 2 orbits of the
-    affine line action, and the first support row over the 31 filling
-    orbits under the simultaneous column maps x -> a x + c, each number
-    checked against the cycle index (_line_orbits).
+    affine line action, the first support row over the 31 filling
+    orbits under the simultaneous column maps x -> a x + c, and the
+    second over the 162 filling orbits under the shears that fix the
+    first row, which shift the second row by every element of F_7: 161
+    orbits of 7 and the all-ones row.  Each number is checked against
+    the cycle index (_line_orbits), and every count is weighted by the
+    orbits' sizes, so orbit_count still counts the 62 outer passes and
+    the report is that of the full enumeration.
     """
     V = _fillings()
     reps, _ = _f1_orbit_reps()
     orbits = _row_triple_orbits()
-    plane_word_table(7, 2)          # built once, before the workers fork
+    _shear_reps()                   # both built once, before the workers fork
+    plane_word_table(7, 2)
     chunks = [(rep, lo, hi) for rep, _ in orbits
               for lo, hi in _blocks(len(reps), 8)]
     card = 35 * len(V) ** 3
@@ -582,9 +645,10 @@ def _search_keys(spc: Space, size: int, keys, counts) -> tuple:
 
 
 # rows checked per block of _size_chunk: at fuglede-5-2's size 5, with
-# 3,426 rows to check, blocks of 512 peaked at 1.4 MB of scratch, and
-# all the rows at once at 9.0 MB
-_CHECK_BLOCK = 1 << 9
+# 3,426 rows to check, the chunk's warm peak was 1.1 MB at blocks of
+# 256, 1.5 MB at 512 and 9.0 MB with all the rows at once; the Gram
+# route's scratch grows with the block
+_CHECK_BLOCK = 1 << 8
 
 
 def _size_chunk(args):
@@ -682,13 +746,13 @@ _MAP_BLOCK = 1 << 10
 def _affine_orbits(p: int, rows: np.ndarray) -> tuple:
     """(representatives, orbit, map) of rows, the size-sets of F_p^2
     through 0, under the affine maps (_orbits), with per row a linear map
-    x -> Mx, a row of affine_permutation_array(p, 2)[::p^2], such that
-    the row is M(rep) - e for a point e of M(rep).  The sets through 0 of
+    x -> Mx, a row of linear_permutation_array(p, 2), such that the row
+    is M(rep) - e for a point e of M(rep).  The sets through 0 of
     the affine class of E are the sets ME - e, e in ME, so the images of
     a row are its images under every M, each translated by each of its
     own points; the orbits must number affine_class_counts."""
     size = rows.shape[1]
-    linear = affine_permutation_array(p, 2)[::p * p]
+    linear = linear_permutation_array(p, 2)
 
     def images(r):
         image = linear[:, rows[r]]
@@ -719,7 +783,7 @@ def _row_complements(p: int, size: int) -> np.ndarray:
     rows = subset_rows(p, 2, *_origin_sets(p, 2, size),
                        np.arange(math.comb(p * p - 1, size - 1)))
     reps, orbit, maps = _affine_orbits(p, rows)
-    linear = affine_permutation_array(p, 2)[::p * p]
+    linear = linear_permutation_array(p, 2)
     out = np.full((len(rows), p * p // size), -1, dtype=np.int16)
     for o, (verdict, complement, _) in enumerate(
             tiling_search_rows(p, 2, rows[reps], _BUDGET)):
@@ -738,20 +802,22 @@ def _cycle_type_counts(p: int, d: int) -> tuple:
 
     Conjugating x -> Mx + t by the translation x -> x + s gives
     x -> Mx + t + (M - I)s, of the same cycle type, so one map is walked
-    per coset t + Im(M - I), its least point t, weighted by |Im(M - I)|.
-    A block of the walked maps acts as one permutation of maps x p^d
-    points.  Pointer doubling finds each point's least orbit point:
-    after r rounds low[x] = min(x, g x, ..., g^(2^r - 1) x), and
-    2^r >= p^d covers every cycle.  Cycle lengths are then the sizes of
-    the classes of low, counted at the cycles' least points.
+    per linear map M (linear_permutation_array) and coset t + Im(M - I),
+    its least point t, weighted by |Im(M - I)|; the walked map sends x
+    to add_table[t, Mx].  A block of the walked maps acts as one
+    permutation of maps x p^d points.  Pointer doubling finds each
+    point's least orbit point: after r rounds low[x] = min(x, g x, ...,
+    g^(2^r - 1) x), and 2^r >= p^d covers every cycle.  Cycle lengths
+    are then the sizes of the classes of low, counted at the cycles'
+    least points.
     """
-    perms = affine_permutation_array(p, d)
-    n = perms.shape[1]
-    image = difference(p, d, perms[::n], np.arange(n))      # (M - I)x
+    linear, table = linear_permutation_array(p, d), add_table(p, d)
+    n = linear.shape[1]
+    image = difference(p, d, linear, np.arange(n))          # (M - I)x
     walked, weights = [], []
     for lo, hi in _blocks(len(image), max(1, _MAP_BLOCK // n)):
         # [m, t, s]: t + (M - I)s; t is a coset's least point if no less
-        cosets = add_table(p, d)[np.arange(n)[:, None], image[lo:hi, None, :]]
+        cosets = table[np.arange(n)[:, None], image[lo:hi, None, :]]
         least = cosets.min(axis=2) == np.arange(n)
         m, t = np.nonzero(least)
         walked.append((lo + m) * n + t)
@@ -761,7 +827,8 @@ def _cycle_type_counts(p: int, d: int) -> tuple:
     # [map, l]: cycles of length l, at most p^d of them
     per_map = np.empty((len(walked), n + 1), dtype=np.int8)
     for lo, hi in _blocks(len(walked), _MAP_BLOCK):
-        step = (perms[walked[lo:hi]] + offsets[:hi - lo]).ravel()
+        m, t = np.divmod(walked[lo:hi], n)
+        step = (table[t[:, None], linear[m]] + offsets[:hi - lo]).ravel()
         low = np.arange(step.size, dtype=np.int32)
         for _ in range((n - 1).bit_length()):
             low = np.minimum(low, low.take(step))
@@ -805,11 +872,18 @@ def affine_class_counts(p: int, d: int, sizes: tuple) -> dict:
     return {s: _orbit_count(types, 1, s) for s in sizes}
 
 
-def translation_class_counts(p: int, d: int, sizes: tuple) -> dict:
-    """Number of translation classes of s-subsets of F_p^d: the identity,
-    and p^d - 1 translations with p^(d-1) cycles of length p each."""
+def _translation_types(p: int, d: int) -> tuple:
+    """(cycle type, count) pairs of the translations of F_p^d: the
+    identity, and p^d - 1 translations with p^(d-1) cycles of length p
+    each."""
     n = p ** d
-    types = (((1,) * n, 1), ((p,) * (n // p), n - 1))
+    return ((1,) * n, 1), ((p,) * (n // p), n - 1)
+
+
+def translation_class_counts(p: int, d: int, sizes: tuple) -> dict:
+    """Number of translation classes of s-subsets of F_p^d, via the cycle
+    index of the translations (_translation_types)."""
+    types = _translation_types(p, d)
     return {s: _orbit_count(types, 1, s) for s in sizes}
 
 

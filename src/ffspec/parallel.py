@@ -19,7 +19,10 @@ worker raise it in the calling process.  A child that dies without a
 result (a signal, os._exit) and a result or exception that cannot be
 pickled raise WorkerError.  Whether the call returns or raises, no
 child outlives it: the parent kills and reaps every child it still
-holds.
+holds.  A parent that dies without unwinding (SIGKILL, say) reaps
+nothing, so before each chunk a child checks that the process that
+forked it is still its parent, and exits at once if not; it installs
+no signal handler.
 """
 from __future__ import annotations
 
@@ -68,7 +71,7 @@ def run_chunks(fn, chunk_args: list, workers: int) -> list:
     # a child must not write the parent's buffered output a second time
     sys.stdout.flush()
     sys.stderr.flush()
-    pids, pipes, reaped = [], [], 0
+    parent, pids, pipes, reaped = os.getpid(), [], [], 0
     try:
         for k in range(w):
             r, wr = os.pipe()
@@ -76,7 +79,7 @@ def run_chunks(fn, chunk_args: list, workers: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(fn, chunk_args[k::w], wr)
+                    _child(fn, chunk_args[k::w], wr, parent)
             finally:
                 os.close(wr)
             pids.append(pid)
@@ -98,14 +101,20 @@ def run_chunks(fn, chunk_args: list, workers: int) -> list:
             os.close(r)
 
 
-def _child(fn, share: list, wr: int):
+def _child(fn, share: list, wr: int, parent: int):
     """Run one worker's share of the chunks in a forked child, write
     (True, results) or (False, exception) to the pipe and exit; never
-    returns into the caller's stack."""
+    returns into the caller's stack.  Exits at once, before a chunk,
+    once parent is no longer its parent: no one would read the pipe."""
     code = 1
     try:
         try:
-            payload = (True, [fn(a) for a in share])
+            results = []
+            for a in share:
+                if os.getppid() != parent:
+                    os._exit(1)
+                results.append(fn(a))
+            payload = (True, results)
         except BaseException as exc:
             # KeyboardInterrupt too: the parent re-raises it, and nothing
             # may unwind from here into the caller's stack

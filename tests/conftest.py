@@ -52,3 +52,19 @@ def fork_count(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     return lambda: len(forks)
+
+
+@pytest.fixture
+def affine_perms():
+    """affine_perms(p, d), d <= 2: (maps, p^d) point permutations of every
+    affine map x -> Mx + t, M outer and t inner, so row m * p^d + t sends
+    point i to add_table[Mi, t]; composed from the linear maps
+    (tables.linear_permutation_array) and add_table."""
+    from ffspec.tables import add_table, linear_permutation_array
+
+    def perms(p, d):
+        linear = linear_permutation_array(p, d)
+        n = linear.shape[1]
+        return add_table(p, d)[linear[:, None, :],
+                               np.arange(n)[:, None]].reshape(-1, n)
+    return perms

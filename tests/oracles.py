@@ -84,6 +84,41 @@ def residue_counts(p: int, pts, xi) -> list:
     return counts
 
 
+def hyperplane_transversal(p: int, d: int, pts) -> bool:
+    """Some direction xi meets pts once on each hyperplane x . xi = c.
+    For |pts| = p this is spectral and tile at once: E + {x : x . xi =
+    0} is the whole space and F_p xi is a spectrum, and where no xi
+    exists the transform of E vanishes nowhere off 0."""
+    return any(residue_counts(p, pts, xi) == [1] * p
+               for xi in all_points(p, d)
+               if any(xi) and canon_dir(p, xi) == xi)
+
+
+def transversal_count(p: int) -> int:
+    """The p-sets of F_p^2 that meet each line of some parallel class
+    once, by inclusion-exclusion over the p + 1 classes.  One class
+    leaves a point of each of its p lines, p^p sets.  Two classes a, b
+    pair each line x . a = i with one line x . b = sigma(i), so the sets
+    that meet both so are the permutations sigma, and a term with more
+    classes counts the sigma whose sets meet the others' lines once."""
+    normals = [xi for xi in all_points(p, 2)
+               if any(xi) and canon_dir(p, xi) == xi]
+    total = 0
+    for k in range(1, len(normals) + 1):
+        for a, *others in itertools.combinations(normals, k):
+            if not others:
+                total += p ** p
+                continue
+            b, rest = others[0], others[1:]
+            meet = {(dot(p, x, a), dot(p, x, b)): x for x in all_points(p, 2)}
+            n = 0
+            for sigma in itertools.permutations(range(p)):
+                pts = [meet[i, sigma[i]] for i in range(p)]
+                n += all(residue_counts(p, pts, c) == [1] * p for c in rest)
+            total += (-1) ** (k + 1) * n
+    return total
+
+
 def translate(p: int, pts, t) -> list:
     return [tuple((a + b) % p for a, b in zip(x, t)) for x in pts]
 

@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -771,13 +772,17 @@ def launcher_cmd(target):
     return [sys.executable, "-c", source]
 
 
-def run_command(cmd, cwd):
+def child_env():
     # the child imports the same ffspec package as this test
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(ffspec.__file__).parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
+    return env
+
+
+def run_command(cmd, cwd):
+    return subprocess.run(cmd, cwd=cwd, env=child_env(), capture_output=True,
                           text=True, timeout=120)
 
 
@@ -823,3 +828,59 @@ class TestPythonM:
             self.CMD + ["falsify", "--p", "7", "--d", "3"], tmp_path)
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+
+# a falsify run of about 16 s per worker, started once main is entered
+INTERRUPTED_RUN = """
+import sys
+from ffspec.cli import main
+print("started", flush=True)
+sys.exit(main(["falsify", "--p", "7", "--d", "3", "--size", "21",
+               "--trials", "4000000", "--seed", "1", "--threads", "{}"]))
+"""
+
+
+class TestInterruptsAndFailedOutput:
+    """An interrupt, and a report that stdout cannot take, each end the
+    run with one "error:" line and no traceback."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_interrupt_is_one_line_and_exit_130(self, tmp_path, threads):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", INTERRUPTED_RUN.format(threads)],
+            cwd=tmp_path, env=child_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        try:
+            assert proc.stdout.readline() == "started\n"
+            time.sleep(0.5)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130
+        assert (out, err) == ("", "error: interrupted\n")
+
+    def failed_stdout_run(self, tmp_path, stdout):
+        proc = subprocess.run(TestPythonM.CMD + VERIFY_F32, cwd=tmp_path,
+                              env=child_env(), stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 1
+        return proc.stderr.splitlines()
+
+    def test_closed_stdout_pipe(self, tmp_path):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            lines = self.failed_stdout_run(tmp_path, w)
+        finally:
+            os.close(w)
+        assert lines == ["error: cannot write report: [Errno 32] Broken pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this system")
+    def test_full_stdout_device(self, tmp_path):
+        with open("/dev/full", "wb") as full:
+            lines = self.failed_stdout_run(tmp_path, full)
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write report: ")

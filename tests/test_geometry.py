@@ -8,8 +8,8 @@ import oracles as O
 from ffspec import PointSet, Space, direction_stats, line_sup, plane_sup
 from ffspec.geometry import _plane_direction_counts
 from ffspec.space import coords_to_index
-from ffspec.tables import (add_table, affine_permutation_array,
-                           coords_matrix, direction_reps, pair_directions)
+from ffspec.tables import (add_table, coords_matrix, direction_reps,
+                           pair_directions)
 
 E0_COORDS = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1)]
 
@@ -74,9 +74,9 @@ class TestDirectionStats:
         with pytest.raises(ValueError):
             direction_stats(_set(3, 2, [(0, 0)]))
 
-    def test_affine_invariance(self, rng):
+    def test_affine_invariance(self, rng, affine_perms):
         spc = Space(7, 2)
-        perms = affine_permutation_array(7, 2)
+        perms = affine_perms(7, 2)
         E = _set(7, 2, E0_COORDS)
         base = direction_stats(E)
         base_mults = sorted(base.multiplicity.values())

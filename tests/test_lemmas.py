@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,7 +23,7 @@ from ffspec import (
     verify_proj21,
     verify_slab_p3,
 )
-from ffspec import lemmas, spectral
+from ffspec import lemmas, spectral, tables
 from ffspec.fourier import zero_set
 from ffspec.lemmas import (
     _chunk_total,
@@ -41,9 +43,10 @@ from ffspec.lemmas import (
     translation_class_counts,
 )
 from ffspec.spectral import spectrum_search
-from ffspec.tables import (add_table, affine_permutation_array,
-                           combination_array, coords_matrix, difference,
-                           dir_of_index, direction_points, direction_reps,
+from ffspec.tiling import tiling_search
+from ffspec.tables import (add_table, combination_array, coords_matrix,
+                           difference, dir_of_index, direction_points,
+                           direction_reps, linear_permutation_array,
                            plane_words, subset_rows, subset_words,
                            uniform_word)
 
@@ -404,12 +407,14 @@ class TestProj21:
         assert "sets" not in str(err.value)
 
     # the first representative has a value 3; the last, (1, ..., 1), has
-    # none, so only there does the chunk ask the other rows for a 3
-    @pytest.mark.parametrize("lo", [0, 30])
-    def test_chunk_matches_line_sum_oracle(self, lo):
+    # none, so only there does the chunk ask the other rows for a 3; the
+    # two row triples shear the third row by 3 and 2 times the second
+    @pytest.mark.parametrize("rows,lo", [((0, 1, 3), 0), ((0, 1, 3), 30),
+                                         ((0, 1, 2), 0)],
+                             ids=["0", "30", "rows-0-1-2-0"])
+    def test_chunk_matches_line_sum_oracle(self, rows, lo):
         # every pair's 49-cell function, summed over the 56 lines of the
         # coordinate oracle, grouped by direction, in blocks of j2
-        rows = (0, 1, 3)
         V = _fillings()
         reps, wts = lemmas._f1_orbit_reps()
         j1 = int(reps[lo])
@@ -502,6 +507,54 @@ class TestProj21:
         orbits = _row_triple_orbits()
         assert sum(w for _, w in orbits) == 35 == math.comb(7, 3)
         assert [r for r, _ in orbits] == [(0, 1, 2), (0, 1, 3)]
+
+    @pytest.mark.parametrize("rows,lo,most", [((0, 1, 2), 0, 0),
+                                              ((0, 1, 3), 0, 0),
+                                              ((0, 1, 3), 26, 1)])
+    def test_counterexamples_expand_to_the_unreduced_list(
+            self, monkeypatch, rows, lo, most):
+        # with fewer equidistributed families allowed, the chunk finds
+        # counterexamples (the pinned run has none); over the shear
+        # representatives they expand to the list that the chunk gives
+        # over every second row, in the same order, as do all its counts
+        monkeypatch.setattr(lemmas, "_MAX_EQUIDISTRIBUTED", most)
+        reduced = _chunk_total(_proj21_chunk, (rows, lo, lo + 1))
+        monkeypatch.setattr(lemmas, "_shear_reps", lambda: (
+            np.arange(1128), np.ones(1128, np.int64)))
+        full = _chunk_total(_proj21_chunk, (rows, lo, lo + 1))
+        assert len(reduced[4]) >= 14 and reduced[4] == full[4]
+        assert reduced[:2] == full[:2] and reduced[3] == full[3]
+        assert reduced[2].tolist() == full[2].tolist()
+        # the second rows are closed under every shift
+        seconds = {tuple(c["values"][1]) for c in full[4]}
+        assert {r[s:] + r[:s] for r in seconds for s in range(7)} == seconds
+
+    def test_shear_reps_match_translation_walk(self):
+        # each filling's 7 shifts, one by one: a representative is the
+        # least row of its orbit, and the all-ones row its own orbit
+        V = _fillings().tolist()
+        want = []
+        for j, row in enumerate(V):
+            images = {tuple(row[(i + c) % 7] for i in range(7))
+                      for c in range(7)}
+            if tuple(row) == min(images):
+                want.append((j, len(images)))
+        reps, wts = lemmas._shear_reps()
+        assert list(zip(reps.tolist(), wts.tolist())) == want
+        assert len(reps) == 162 and sorted(set(wts.tolist())) == [1, 7]
+        assert V[int(reps[wts == 1][0])] == [1] * 7
+        assert int(wts.sum()) == 1128
+
+    def test_wrong_shear_weight_is_a_miscount(self, monkeypatch):
+        # field 0 reads the second row's weights, so one orbit weighed
+        # 6 instead of 7 fails the run instead of moving its hash
+        reps, wts = lemmas._shear_reps()
+        wrong = wts.copy()
+        wrong[0] = 6
+        monkeypatch.setattr(lemmas, "_shear_reps", lambda: (reps, wrong))
+        with pytest.raises(InternalCheckError, match=(
+                "_proj21_chunk enumerated 50189186880, expected 50233720320")):
+            lemmas.verify_proj21()
 
     def test_orbits_match_affine_walk(self):
         # both orbit lists against the 42 maps x -> a x + c applied one
@@ -671,10 +724,10 @@ class TestFugledeSweeps:
         assert affine_class_counts(3, 2, (3, 4)) == {3: 2, 4: 2}
 
     @pytest.mark.parametrize("p", [3, 5])
-    def test_cycle_types_match_walk(self, p, monkeypatch):
+    def test_cycle_types_match_walk(self, p, monkeypatch, affine_perms):
         # reference: walk each permutation's cycles in Python
         want = Counter()
-        for perm in affine_permutation_array(p, 2).tolist():
+        for perm in affine_perms(p, 2).tolist():
             seen, lens = set(), []
             for x in range(len(perm)):
                 n = 0
@@ -692,8 +745,29 @@ class TestFugledeSweeps:
 
     def test_cycle_types_scratch_is_one_block(self, traced_peak):
         # all 12,000 maps at once would take 8.2 MB of scratch
-        affine_permutation_array(5, 2)
+        linear_permutation_array(5, 2)
+        add_table(5, 2)
         assert traced_peak(lemmas._cycle_type_counts.__wrapped__, 5, 2) < 3e6
+
+    def test_cold_class_counts_retain_little(self):
+        # from cleared caches, counting the affine classes of 5-sets of
+        # F_5^2 keeps the 480 linear maps (24 KB) and the small tables
+        # they are read through, not a table of all 12,000 affine maps
+        # (600 KB)
+        builders = [lemmas._cycle_type_counts, tables.coords_matrix,
+                    tables.linear_permutation_array, tables.add_table,
+                    tables.scale_tables]
+        for fn in builders:
+            fn.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert affine_class_counts(5, 2, (5,)) == {5: 11}
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 100e3
 
     def test_cycle_types_cached_and_immutable(self):
         types = lemmas._cycle_type_counts(5, 2)
@@ -747,7 +821,7 @@ def _walked_cycle_types(perms) -> tuple:
 @pytest.mark.parametrize("case,want", [
     ("fillings", 31), ("triples", 2), ("fillings-translations", 162),
     ("plane-3-3", 2), ("plane-3-4", 2), ("plane-5-5", 11)])
-def test_orbit_pass_matches_cycle_index(case, want):
+def test_orbit_pass_matches_cycle_index(case, want, affine_perms):
     # the one orbit pass against the one count, over the groups of proj21
     # (fillings and row triples under x -> a x + c), the fillings under
     # the translations of F_7 alone, and the plane sweeps' affine groups
@@ -755,7 +829,7 @@ def test_orbit_pass_matches_cycle_index(case, want):
         p, size = map(int, case.split("-")[1:])
         rows = O.through_origin(p * p, size)
         count = lemmas._orbit_count(
-            _walked_cycle_types(affine_permutation_array(p, 2)), 1, size)
+            _walked_cycle_types(affine_perms(p, 2)), 1, size)
         reps, orbit, _ = lemmas._affine_orbits(p, rows)
     else:
         if case == "triples":
@@ -765,7 +839,7 @@ def test_orbit_pass_matches_cycle_index(case, want):
         else:
             rows, top, total = _fillings(), 3, 7
         perms = (add_table(7, 1) if case.endswith("translations")
-                 else affine_permutation_array(7, 1))
+                 else affine_perms(7, 1))
         count = lemmas._orbit_count(_walked_cycle_types(perms), top, total)
         powers = (top + 1) ** np.arange(7)
         reps, orbit, _ = lemmas._orbits(rows @ powers,
@@ -813,6 +887,48 @@ def cold_caches():
     clear()
     yield clear
     clear()
+
+
+class TestPPointSets:
+    """|E| = p: spectral iff tile iff some direction meets E once on each
+    of its hyperplanes, an oracle that reads coordinates only
+    (oracles.hyperplane_transversal) and shares no step with the zero
+    keys, the clique stage or the exact cover."""
+
+    def test_searches_match_the_transversal_oracle(self):
+        # in every space, a third of the sets transversals of a random
+        # direction and the rest random p-sets
+        rng = np.random.default_rng(17)
+        found = Counter()
+        for p, d in itertools.product((3, 5, 7), (1, 2, 3)):
+            pts = O.all_points(p, d)
+            for k in range(150):
+                if k % 3 == 0:
+                    xi = pts[int(rng.integers(1, len(pts)))]
+                    planes = [[x for x in pts if O.dot(p, x, xi) == c]
+                              for c in range(p)]
+                    chosen = [pl[int(rng.integers(len(pl)))] for pl in planes]
+                else:
+                    chosen = [pts[int(i)] for i in
+                              rng.choice(len(pts), p, replace=False)]
+                E = PointSet.from_coords(Space(p, d), chosen)
+                want = O.hyperplane_transversal(p, d, chosen)
+                assert spectrum_search(E).verdict == \
+                    tiling_search(E).verdict == \
+                    ("witness" if want else "none"), (p, d, chosen)
+                found[p, d, want] += 1
+        # each plane and solid space meets both verdicts
+        assert all(found[p, d, w] for p in (5, 7) for d in (2, 3)
+                   for w in (True, False))
+
+    @pytest.mark.parametrize("p,want", [(3, 84), (5, 3426)])
+    def test_transversal_count_is_the_sweep_count(self, p, want):
+        # fuglede-3-2 counts over all p-sets, fuglede-5-2 over those
+        # through the origin: p / p^2 of them
+        sets = O.transversal_count(p)
+        sizes = verify_fuglede_small(p, 2, (p,)).details["sizes"][str(p)]
+        assert sizes["spectral"] == sizes["tiles"] == want == (
+            sets if p == 3 else sets // p)
 
 
 class TestGroupedSweeps:
@@ -988,7 +1104,7 @@ class TestGroupedSweeps:
         assert orbit.min() == 0 and len(reps) == orbit.max() + 1
         assert [orbit[r] for r in reps] == list(range(len(reps)))
         # every row is M(rep) - e for a point e of M(rep)
-        linear = affine_permutation_array(p, 2)[::p * p]
+        linear = linear_permutation_array(p, 2)
         image = linear[maps[:, None], rows[np.array(reps)[orbit]]]
         moved = np.sort(difference(p, 2, image[:, None, :],
                                    image[:, :, None]), axis=2)
@@ -1041,11 +1157,11 @@ class TestGroupedSweeps:
                                                    traced_peak):
         # size 5 is one chunk, run in this process; it finds the tiling
         # complements of its rows and checks its 3,426 spectral and
-        # tiling rows _CHECK_BLOCK at a time, where all of them at once
-        # took 9.0 MB
+        # tiling rows _CHECK_BLOCK = 256 at a time: 1.12 MB, where 512 at
+        # a time took 1.54 MB and all of them at once 9.0 MB
         args = (5, 2, 5)
         _chunk_total(_size_chunk, args)    # warms the tables and the memo
-        assert traced_peak(_chunk_total, _size_chunk, args) < 2e6
+        assert traced_peak(_chunk_total, _size_chunk, args) < 1.2e6
         verify_fuglede_small(5, 2, (5,), workers=2)
         assert fork_count() == 0
 

@@ -3,11 +3,17 @@ schedule, chunk failures re-raised in the caller, and no child process
 left behind, whether the call returns or raises.  No test starts more
 than 8 processes."""
 import os
+import select
 import signal
+import subprocess
+import sys
 import time
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
 
+import ffspec
 from ffspec.lemmas import SweepBudgetError
 from ffspec.parallel import WorkerError, run_chunks
 from ffspec.spectral import InternalCheckError
@@ -139,3 +145,44 @@ def test_failure_kills_the_other_children():
     with pytest.raises(ValueError, match="first chunk failed"):
         run_chunks(fn, [0, 1], 2)
     assert time.perf_counter() - t0 < 30
+
+
+# two workers that print their pids, then run 200 chunks of 50 ms each
+ORPHANED_RUN = """
+import os, time
+from ffspec.parallel import run_chunks
+
+def chunk(a):
+    if a < 2:
+        os.write(1, b"%d\\n" % os.getpid())     # one write: no interleaving
+    time.sleep(0.05)
+    return a
+
+run_chunks(chunk, list(range(400)), 2)
+"""
+
+
+def test_workers_exit_when_the_parent_is_killed():
+    # SIGKILL runs no finally in the parent, so its workers must see for
+    # themselves that it is gone.  Each worker holds the run's stdout,
+    # which reads EOF only once every worker has exited
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ffspec.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", ORPHANED_RUN],
+                            stdout=subprocess.PIPE, env=env)
+    pids = []
+    try:
+        pids = [int(proc.stdout.readline()) for _ in range(2)]
+        assert len(set(pids)) == 2 and proc.pid not in pids
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+        ready, _, _ = select.select([proc.stdout], [], [], 2.0)
+        assert ready, "a worker outlived its killed parent by 2 s"
+        assert proc.stdout.read() == b""
+    finally:
+        for pid in [proc.pid, *pids]:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()

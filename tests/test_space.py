@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import oracles as O
 from ffspec import Space, coords_to_index
 from ffspec.lemmas import _translates, affine_class_counts
-from ffspec.tables import (affine_permutation_array, coords_matrix,
-                           dir_of_index, direction_reps, plane_counts,
+from ffspec.tables import (coords_matrix, dir_of_index, direction_reps,
+                           linear_permutation_array, plane_counts,
                            scale_tables)
 
 SMALL_SPACES = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (7, 3)]
@@ -100,7 +100,8 @@ class TestDirections:
 
 class TestCanonicalForm:
     """Translation classes through lemmas._translates, every translate of
-    a set once, and affine classes through affine_permutation_array."""
+    a set once, and affine classes through the affine maps composed from
+    linear_permutation_array and add_table (affine_perms)."""
 
     @staticmethod
     def _translate_rows(p, d, idx):
@@ -134,16 +135,16 @@ class TestCanonicalForm:
                     O.translation_min_mask(p, d, pts)
         assert self._translate_rows(5, 3, []) == [[]]
 
-    def test_affine_class_count_oracle(self):
-        perms = affine_permutation_array(3, 2)
+    def test_affine_class_count_oracle(self, affine_perms):
+        perms = affine_perms(3, 2)
         reps = {min(sum(1 << int(i) for i in img) for img in perms[:, combo])
                 for combo in itertools.combinations(range(9), 3)}
         assert len(reps) == 2 == O.affine_class_count(3, 3) == \
             affine_class_counts(3, 2, (3,))[3]
 
-    def test_affine_orbit_constancy(self, rng):
+    def test_affine_orbit_constancy(self, rng, affine_perms):
         # the orbit of any image of E is the orbit of E
-        perms = affine_permutation_array(3, 2)
+        perms = affine_perms(3, 2)
         idx = [0, 1, 5, 7]
 
         def orbit(row):
@@ -153,9 +154,9 @@ class TestCanonicalForm:
         for k in rng.choice(len(perms), size=25, replace=False):
             assert orbit(perms[k, idx].tolist()) == base
 
-    def test_affine_minimum_oracle_5_2(self, rng):
+    def test_affine_minimum_oracle_5_2(self, rng, affine_perms):
         # the smallest bitmask over every affine image, by brute force
-        perms = affine_permutation_array(5, 2)
+        perms = affine_perms(5, 2)
         maps = O.affine_maps_2d(5)
         for size in (0, 1, 3, 5, 12, 24, 25):
             idx = rng.choice(25, size=size, replace=False).tolist()
@@ -167,17 +168,23 @@ class TestCanonicalForm:
 
     def test_affine_needs_low_dimension(self):
         with pytest.raises(ValueError):
-            affine_permutation_array(3, 3)
+            linear_permutation_array(3, 3)
 
-    def test_group_orders(self):
-        assert len(affine_permutation_array(3, 2)) == 432
-        assert len(affine_permutation_array(7, 2)) == 98784 == 2016 * 49
-        assert len(affine_permutation_array(5, 2)) == 12000 == len(
+    def test_group_orders(self, affine_perms):
+        assert len(affine_perms(3, 2)) == 432
+        assert len(affine_perms(7, 2)) == 98784 == 2016 * 49
+        assert len(affine_perms(5, 2)) == 12000 == len(
             O.affine_maps_2d(5))
+        # the linear maps alone: |GL(2, p)|
+        assert [len(linear_permutation_array(p, 2)) for p in (3, 5, 7)] \
+            == [48, 480, 2016]
 
-    def test_affine_permutations_5_2_oracle(self):
-        perms = affine_permutation_array(5, 2)
-        assert perms.shape == (12000, 25) and not perms.flags.writeable
+    def test_affine_permutations_5_2_oracle(self, affine_perms):
+        perms = affine_perms(5, 2)
+        linear = linear_permutation_array(5, 2)
+        assert linear.shape == (480, 25) and not linear.flags.writeable
+        assert linear.nbytes == 24000
+        assert perms.shape == (12000, 25)
         pts = O.all_points(5, 2)
         expected = {tuple(O.point_index(5, O.apply_affine(5, g, pt))
                           for pt in pts)
@@ -189,13 +196,13 @@ class TestCanonicalForm:
         assert digest == ("bf16558a978c589b53f90cc273eb7a71"
                           "bb22a370f9bea66c0e80c50e07a5539d")
 
-    def test_affine_permutations_1d(self):
+    def test_affine_permutations_1d(self, affine_perms):
         # x -> a x + t, a = 1 .. p - 1 outer, t inner
         for p in (3, 5, 7):
             want = [[(a * x + t) % p for x in range(p)]
                     for a in range(1, p) for t in range(p)]
-            assert affine_permutation_array(p, 1).tolist() == want
+            assert affine_perms(p, 1).tolist() == want
 
-    def test_affine_permutations_are_permutations(self):
-        for perm in affine_permutation_array(3, 2)[:50].tolist():
+    def test_affine_permutations_are_permutations(self, affine_perms):
+        for perm in affine_perms(3, 2)[:50].tolist():
             assert sorted(perm) == list(range(9))

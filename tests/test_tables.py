@@ -479,6 +479,7 @@ _CACHED_CALLS = {
     "cli.build_parser": (),
     "lemmas._fillings": (),
     "lemmas._f1_orbit_reps": (),
+    "lemmas._shear_reps": (),
     "lemmas._row_triple_orbits": (),
     "lemmas._slab_hypotheses": (),
     "lemmas._cycle_type_counts": (3, 1),
@@ -491,7 +492,7 @@ _CACHED_CALLS = {
     "tables._subset_runs": (3, 2, (0,), (1, 2, 3, 4), 2),
     "tables.orthogonal_direction_bits": (3, 3),
     "tables.add_table": (3, 2),
-    "tables.affine_permutation_array": (3, 1),
+    "tables.linear_permutation_array": (3, 1),
     "tables.pair_indices": (4,),
     "tables.scale_tables": (3, 2),
     "tables.line_of": (3, 2),
